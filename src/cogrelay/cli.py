@@ -4,7 +4,7 @@ Every subcommand emits CSV (comma separator, ``.`` decimal point, 12
 significant digits, mandatory header) except ``optimize`` without a sweep,
 which prints a key=value report. Identical config plus seed yields
 byte-identical output. Exit codes: 0 success, 1 validation failure, 2 config
-error.
+or output error.
 
 Parameter precedence, lowest to highest: preset, config file, the seed
 environment variable, command-line flags.
@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .config import (
 )
 from .model import ChannelProfile, OperatingPoint, Policy
 from .oracle import ChainSpec, solve_stationary
-from .simulator import POLICY_KINDS, Scenario, replicate
+from .simulator import POLICY_KINDS, Scenario, SimStats, replicate
 
 __all__ = ["main", "entrypoint", "SweepSpec", "PRESETS", "ENV_SEED"]
 
@@ -55,10 +55,7 @@ REGION_RATES_HEADER = "p_q,p_a,max_lambda_p,max_lambda_s,lambda_p_ref"
 DELAY_HEADER = "f_pd,f_sd,f_ps,p_q,p_a,lambda_p,lambda_s,stable,d_p,d_s,n_p,n_sp,n_s,g00"
 SIMULATE_HEADER = (
     "f_pd,f_sd,f_ps,p_q,p_a,lambda_p,lambda_s,policy_kind,slots,warmup,replications,seed,stable,"
-    "throughput_p,throughput_s,mean_delay_p,mean_delay_s,mean_len_p,mean_len_sp,mean_len_s,"
-    "frac_both_empty,frac_primary_empty,delivered_p,delivered_s,relayed_count,"
-    "ci_halfwidth_delay_p,ci_halfwidth_delay_s,arrivals_p,arrivals_s,wasted_slots,"
-    "backlog_p,backlog_s,final_len_p,final_len_sp,final_len_s,observed_slots"
+    + ",".join(f.name for f in fields(SimStats))
 )
 VALIDATE_HEADER = (
     "f_pd,f_sd,f_ps,p_q,p_a,lambda_p,lambda_s,rel_margin_p,rel_margin_s,"
@@ -192,16 +189,21 @@ def _write_row(out, cells) -> None:
     out.write(",".join(_fmt(cell) for cell in cells) + "\n")
 
 
+class OutputError(OSError):
+    """The output path cannot be opened for writing."""
+
+
 @contextmanager
 def _open_out(path: str | None):
     if path is None or path == "-":
         yield sys.stdout
-    else:
+        return
+    try:
         handle = open(path, "w", newline="")
-        try:
-            yield handle
-        finally:
-            handle.close()
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    with handle:
+        yield handle
 
 
 def _sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
@@ -361,7 +363,7 @@ def cmd_simulate(cfg: dict[str, str], out) -> int:
                 kind, slots, warmup, replications, point_seed,
             ]
             if not analytics.is_stable(ch, pol, pt).stable:
-                _write_row(out, identity + [0] + [None] * 23)
+                _write_row(out, identity + [0] + [None] * len(fields(SimStats)))
                 continue
             try:
                 stats = replicate(
@@ -371,17 +373,7 @@ def cmd_simulate(cfg: dict[str, str], out) -> int:
                 )
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-            _write_row(
-                out,
-                identity
-                + [1, stats.throughput_p, stats.throughput_s, stats.mean_delay_p,
-                   stats.mean_delay_s, stats.mean_len_p, stats.mean_len_sp, stats.mean_len_s,
-                   stats.frac_both_empty, stats.frac_primary_empty, stats.delivered_p,
-                   stats.delivered_s, stats.relayed_count, stats.ci_halfwidth_delay_p,
-                   stats.ci_halfwidth_delay_s, stats.arrivals_p, stats.arrivals_s,
-                   stats.wasted_slots, stats.backlog_p, stats.backlog_s, stats.final_len_p,
-                   stats.final_len_sp, stats.final_len_s, stats.observed_slots],
-            )
+            _write_row(out, identity + [1, *astuple(stats)])
     return 0
 
 
@@ -663,6 +655,9 @@ def main(argv: list[str] | None = None) -> int:
         # ConfigError and the analytics errors are ValueErrors: anything a
         # well-formed request cannot trigger is a configuration problem
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,4 +1,4 @@
-"""Slot-by-slot stochastic execution of the cooperation protocol.
+"""Slot-level stochastic execution of the cooperation protocol.
 
 Per slot, in order:
 
@@ -28,6 +28,14 @@ own substream of the seeded generator and is indexed by slot number, so
 changing the policy or a single parameter does not perturb unrelated draws
 (common random numbers across comparisons).
 
+Slots are evaluated ``_BLOCK`` at a time. Each FIFO queue gets at most one
+arrival a[t] and one service chance s[t] per slot, so its start-of-slot
+lengths obey the Lindley recursion Q[t+1] = max(Q[t] - s[t], 0) + a[t], which
+a running sum and a running minimum solve per block. The primary queue does
+not depend on the SU: it fixes the idle slots and the relay queue's arrivals.
+The k-th departure of a queue is its k-th packet in arrival order, which gives
+every delay. Results equal those of the slot-by-slot loop kept in the tests.
+
 Queue lengths and emptiness are sampled at the start of each post-warmup
 slot; per-packet statistics cover packets arriving after warmup. Replications
 derive per-replication substreams deterministically from the scenario seed,
@@ -38,8 +46,8 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from typing import Any
 
 import numpy as np
 
@@ -62,6 +70,13 @@ _N_STREAMS = 7
 
 class QueueOverflowError(RuntimeError):
     """A queue grew past the configured cap; the scenario is far outside its stable region."""
+
+
+def _pooled(rule: str, source: str | None = None) -> Any:
+    """A :class:`SimStats` field that :func:`replicate` pools by ``rule``: the
+    "mean" or the "sum" of the per-replication values, or the "ci" half-width
+    of the per-replication values of the ``source`` field."""
+    return field(metadata={"pool": rule, "source": source})
 
 
 @dataclass(frozen=True)
@@ -102,29 +117,29 @@ class SimStats:
     half-widths across replications for pooled stats.
     """
 
-    throughput_p: float
-    throughput_s: float
-    mean_delay_p: float
-    mean_delay_s: float
-    mean_len_p: float
-    mean_len_sp: float
-    mean_len_s: float
-    frac_both_empty: float
-    frac_primary_empty: float
-    delivered_p: int
-    delivered_s: int
-    relayed_count: int
-    ci_halfwidth_delay_p: float
-    ci_halfwidth_delay_s: float
-    arrivals_p: int
-    arrivals_s: int
-    wasted_slots: int
-    backlog_p: int
-    backlog_s: int
-    final_len_p: float
-    final_len_sp: float
-    final_len_s: float
-    observed_slots: int
+    throughput_p: float = _pooled("mean")
+    throughput_s: float = _pooled("mean")
+    mean_delay_p: float = _pooled("mean")
+    mean_delay_s: float = _pooled("mean")
+    mean_len_p: float = _pooled("mean")
+    mean_len_sp: float = _pooled("mean")
+    mean_len_s: float = _pooled("mean")
+    frac_both_empty: float = _pooled("mean")
+    frac_primary_empty: float = _pooled("mean")
+    delivered_p: int = _pooled("sum")
+    delivered_s: int = _pooled("sum")
+    relayed_count: int = _pooled("sum")
+    ci_halfwidth_delay_p: float = _pooled("ci", "mean_delay_p")
+    ci_halfwidth_delay_s: float = _pooled("ci", "mean_delay_s")
+    arrivals_p: int = _pooled("sum")
+    arrivals_s: int = _pooled("sum")
+    wasted_slots: int = _pooled("sum")
+    backlog_p: int = _pooled("sum")
+    backlog_s: int = _pooled("sum")
+    final_len_p: float = _pooled("mean")
+    final_len_sp: float = _pooled("mean")
+    final_len_s: float = _pooled("mean")
+    observed_slots: int = _pooled("sum")
 
 
 def _stream_rngs(seed: int, replication: int) -> list[np.random.Generator]:
@@ -132,113 +147,128 @@ def _stream_rngs(seed: int, replication: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in root.spawn(_N_STREAMS)]
 
 
+def _lindley(q0: int, arrive: np.ndarray, serve: np.ndarray, lengths: np.ndarray,
+             work: np.ndarray) -> int:
+    """Solve Q[t+1] = max(Q[t] - serve[t], 0) + arrive[t] from Q[0] = q0 over one block.
+
+    With R the running sum of arrive - serve and M the running minimum of
+    R - arrive, Q[t+1] = R[t] + max(q0, -M[t]). Writes Q[0..n-1] into the
+    int32 ``lengths``, overwrites the int32 ``work`` and returns Q[n].
+    """
+    lengths[:] = arrive
+    lengths -= serve
+    np.cumsum(lengths, dtype=np.int32, out=lengths)
+    np.subtract(lengths, arrive, out=work)
+    np.minimum.accumulate(work, out=work)
+    np.negative(work, out=work)
+    np.maximum(work, q0, out=work)
+    work += lengths
+    lengths[0] = q0
+    lengths[1:] = work[:-1]
+    return int(work[-1])
+
+
+def _fifo(queued: np.ndarray, arrivals: np.ndarray, leave: np.ndarray,
+          start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Serve a queue holding ``queued`` then ``arrivals`` (arrival slots, head first) in the
+    ``leave`` slots of the block at ``start``: (departed arrival slots, departure slots, rest)."""
+    left_at = np.flatnonzero(leave) + start
+    queue = np.concatenate((queued, arrivals))
+    return queue[:left_at.size], left_at, queue[left_at.size:]
+
+
+def _deliver(arrived: np.ndarray, left_at: np.ndarray, warmup: int, totals: list[int]) -> None:
+    """Add the count and total delay of the delivered packets that arrived after warmup."""
+    keep = arrived >= warmup
+    totals[0] += int(np.count_nonzero(keep))
+    totals[1] += int((left_at[keep] - arrived[keep]).sum())
+
+
 def _run(sc: Scenario, replication: int) -> SimStats:
     ch, pt, pol = sc.channel, sc.point, sc.policy
-    randomized = sc.policy_kind == "randomized"
     strict = sc.policy_kind == "strict_priority_relay"
     admit_prob = 1.0 if strict else (0.0 if sc.policy_kind == "no_cooperation" else pol.p_a)
+    # without cooperation the SU always selects its own queue
+    pick_prob = 1.0 if sc.policy_kind == "no_cooperation" else pol.p_q
 
     rng_dest, rng_decode, rng_admit, rng_pick, rng_su, rng_ap, rng_as = _stream_rngs(
         sc.seed, replication
     )
+    warmup, slots, cap = sc.warmup_slots, sc.slots, sc.queue_cap
 
-    warmup = sc.warmup_slots
-    slots = sc.slots
-    cap = sc.queue_cap
-
-    qp: deque[int] = deque()
-    qsp: deque[int] = deque()
-    qs: deque[int] = deque()
+    # per queue, the length and the arrival slots of the packets carried across
+    # blocks; relayed packets keep their primary arrival slot
+    len_p = len_sp = len_s = 0
+    queued_p = queued_sp = queued_s = np.empty(0, dtype=np.int64)
+    buf_p, buf_sp, buf_s, buf_tmp = (np.empty(_BLOCK, dtype=np.int32) for _ in range(4))
 
     sum_lp = sum_lsp = sum_ls = 0
-    n_empty_p = n_empty_both = 0
-    delivered_p = delivered_s = relayed = 0
-    delay_sum_p = delay_sum_s = 0
-    arrivals_p = arrivals_s = 0
-    wasted = 0
+    n_empty_p = n_empty_both = wasted = 0
+    arrivals_p = arrivals_s = relayed = 0
+    done_p, done_s = [0, 0], [0, 0]  # delivered packets and their total delay
 
-    t = 0
     for start in range(0, slots, _BLOCK):
         n = min(_BLOCK, slots - start)
-        dest = (rng_dest.random(n) < ch.f_pd).tolist()
-        decode = (rng_decode.random(n) < ch.f_ps).tolist()
-        admit = (rng_admit.random(n) < admit_prob).tolist()
-        pick = (rng_pick.random(n) < pol.p_q).tolist()
-        su = (rng_su.random(n) < ch.f_sd).tolist()
-        arr_p = (rng_ap.random(n) < pt.lambda_p).tolist()
-        arr_s = (rng_as.random(n) < pt.lambda_s).tolist()
+        dest = rng_dest.random(n) < ch.f_pd
+        decode = rng_decode.random(n) < ch.f_ps
+        admit = rng_admit.random(n) < admit_prob
+        pick = rng_pick.random(n) < pick_prob
+        su = rng_su.random(n) < ch.f_sd
+        arr_p = rng_ap.random(n) < pt.lambda_p
+        arr_s = rng_as.random(n) < pt.lambda_s
+        lp, lsp, ls, tmp = buf_p[:n], buf_sp[:n], buf_s[:n], buf_tmp[:n]
 
-        for dest_ok, dec_ok, adm_ok, pick_own, su_ok, xp, xs in zip(
-            dest, decode, admit, pick, su, arr_p, arr_s
-        ):
-            measured = t >= warmup
-            if measured:
-                lp = len(qp)
-                sum_lp += lp
-                sum_lsp += len(qsp)
-                ls = len(qs)
-                sum_ls += ls
-                if lp == 0:
-                    n_empty_p += 1
-                    if ls == 0:
-                        n_empty_both += 1
+        # the primary head leaves on destination success or on relay admission
+        leave_p = dest | (decode & admit)
+        len_p = _lindley(len_p, arr_p, leave_p, lp, tmp)
+        idle = lp == 0
+        leave_p &= ~idle
+        left, left_at, queued_p = _fifo(queued_p, np.flatnonzero(arr_p) + start, leave_p, start)
+        direct = dest[leave_p]
+        _deliver(left[direct], left_at[direct], warmup, done_p)
+        into_relay = left[~direct]
+        relayed += int(np.count_nonzero(into_relay >= warmup))
 
-            if qp:
-                if dest_ok:
-                    a = qp.popleft()
-                    if a >= warmup:
-                        delivered_p += 1
-                        delay_sum_p += t - a
-                elif dec_ok and adm_ok:
-                    a = qp.popleft()
-                    qsp.append(a)
-                    if a >= warmup:
-                        relayed += 1
-            else:
-                if randomized:
-                    serve_own = pick_own
-                elif strict:
-                    serve_own = not qsp
-                else:
-                    serve_own = True
-                if serve_own:
-                    if qs:
-                        if su_ok:
-                            a = qs.popleft()
-                            if a >= warmup:
-                                delivered_s += 1
-                                delay_sum_s += t - a
-                    elif qsp and measured:
-                        wasted += 1
-                else:
-                    if qsp:
-                        if su_ok:
-                            a = qsp.popleft()
-                            if a >= warmup:
-                                delivered_p += 1
-                                delay_sum_p += t - a
-                    elif qs and measured:
-                        wasted += 1
+        # in idle slots the SU serves the queue it selects
+        leave_p &= ~dest
+        transmit = idle & su
+        leave_sp = transmit if strict else transmit & ~pick
+        len_sp = _lindley(len_sp, leave_p, leave_sp, lsp, tmp)
+        empty_sp = lsp == 0
+        own = empty_sp if strict else pick
+        leave_s = transmit & own
+        len_s = _lindley(len_s, arr_s, leave_s, ls, tmp)
+        empty_s = ls == 0
 
-            if xp:
-                qp.append(t)
-                if measured:
-                    arrivals_p += 1
-            if xs:
-                qs.append(t)
-                if measured:
-                    arrivals_s += 1
-            t += 1
+        leave_sp &= ~empty_sp
+        left, left_at, queued_sp = _fifo(queued_sp, into_relay, leave_sp, start)
+        _deliver(left, left_at, warmup, done_p)
+        leave_s &= ~empty_s
+        left, left_at, queued_s = _fifo(queued_s, np.flatnonzero(arr_s) + start, leave_s, start)
+        _deliver(left, left_at, warmup, done_s)
 
-        if len(qp) > cap or len(qsp) > cap or len(qs) > cap:
+        # a wasted slot selects the empty one of an empty and a non-empty queue
+        wasted_now = idle & (own == empty_s) & (empty_s != empty_sp)
+        first = min(max(warmup - start, 0), n)  # first measured slot
+        sum_lp += int(lp[first:].sum())
+        sum_lsp += int(lsp[first:].sum())
+        sum_ls += int(ls[first:].sum())
+        n_empty_p += int(np.count_nonzero(idle[first:]))
+        n_empty_both += int(np.count_nonzero((idle & empty_s)[first:]))
+        wasted += int(np.count_nonzero(wasted_now[first:]))
+        arrivals_p += int(np.count_nonzero(arr_p[first:]))
+        arrivals_s += int(np.count_nonzero(arr_s[first:]))
+
+        if len_p > cap or len_sp > cap or len_s > cap:
             raise QueueOverflowError(
-                f"queue exceeded cap {cap} at slot {t}; the configuration is unstable "
-                f"(len_p={len(qp)}, len_sp={len(qsp)}, len_s={len(qs)})"
+                f"queue exceeded cap {cap} at slot {start + n}; the configuration is unstable "
+                f"(len_p={len_p}, len_sp={len_sp}, len_s={len_s})"
             )
 
     observed = slots - warmup
-    backlog_p = sum(1 for a in qp if a >= warmup) + sum(1 for a in qsp if a >= warmup)
-    backlog_s = sum(1 for a in qs if a >= warmup)
+    (delivered_p, delay_sum_p), (delivered_s, delay_sum_s) = done_p, done_s
+    backlog_p = int(np.count_nonzero(queued_p >= warmup) + np.count_nonzero(queued_sp >= warmup))
+    backlog_s = int(np.count_nonzero(queued_s >= warmup))
     return SimStats(
         throughput_p=delivered_p / observed,
         throughput_s=delivered_s / observed,
@@ -259,9 +289,9 @@ def _run(sc: Scenario, replication: int) -> SimStats:
         wasted_slots=wasted,
         backlog_p=backlog_p,
         backlog_s=backlog_s,
-        final_len_p=float(len(qp)),
-        final_len_sp=float(len(qsp)),
-        final_len_s=float(len(qs)),
+        final_len_p=float(len_p),
+        final_len_sp=float(len_sp),
+        final_len_s=float(len_s),
         observed_slots=observed,
     )
 
@@ -284,39 +314,14 @@ def replicate(sc: Scenario, replications: int) -> SimStats:
     runs = [_run(sc, r) for r in range(replications)]
     if replications == 1:
         return runs[0]
-
-    def mean_of(field: str) -> float:
-        return statistics.fmean(getattr(r, field) for r in runs)
-
-    def total_of(field: str) -> int:
-        return sum(getattr(r, field) for r in runs)
-
-    def halfwidth(field: str) -> float:
-        values = [getattr(r, field) for r in runs]
-        return 1.96 * statistics.stdev(values) / math.sqrt(len(values))
-
-    return SimStats(
-        throughput_p=mean_of("throughput_p"),
-        throughput_s=mean_of("throughput_s"),
-        mean_delay_p=mean_of("mean_delay_p"),
-        mean_delay_s=mean_of("mean_delay_s"),
-        mean_len_p=mean_of("mean_len_p"),
-        mean_len_sp=mean_of("mean_len_sp"),
-        mean_len_s=mean_of("mean_len_s"),
-        frac_both_empty=mean_of("frac_both_empty"),
-        frac_primary_empty=mean_of("frac_primary_empty"),
-        delivered_p=total_of("delivered_p"),
-        delivered_s=total_of("delivered_s"),
-        relayed_count=total_of("relayed_count"),
-        ci_halfwidth_delay_p=halfwidth("mean_delay_p"),
-        ci_halfwidth_delay_s=halfwidth("mean_delay_s"),
-        arrivals_p=total_of("arrivals_p"),
-        arrivals_s=total_of("arrivals_s"),
-        wasted_slots=total_of("wasted_slots"),
-        backlog_p=total_of("backlog_p"),
-        backlog_s=total_of("backlog_s"),
-        final_len_p=mean_of("final_len_p"),
-        final_len_sp=mean_of("final_len_sp"),
-        final_len_s=mean_of("final_len_s"),
-        observed_slots=total_of("observed_slots"),
-    )
+    pooled: dict[str, float | int] = {}
+    for f in fields(SimStats):
+        rule = f.metadata["pool"]
+        values = [getattr(r, f.metadata["source"] if rule == "ci" else f.name) for r in runs]
+        if rule == "ci":
+            pooled[f.name] = 1.96 * statistics.stdev(values) / math.sqrt(len(values))
+        elif rule == "mean":
+            pooled[f.name] = statistics.fmean(values)
+        else:
+            pooled[f.name] = sum(values)
+    return SimStats(**pooled)

@@ -280,6 +280,14 @@ def test_invalid_values_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    code = main(["delay", "--preset", "fig6", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+
+
 def test_unknown_preset_exits_2(tmp_path):
     code, _ = run(tmp_path, "delay", None, extra=["--preset", "fig99"])
     assert code == 2

@@ -1,10 +1,22 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import reference_simulator as reference
 
 from cogrelay.analytics import prob_primary_empty
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
-from cogrelay.simulator import QueueOverflowError, Scenario, SimStats, replicate, simulate
+from cogrelay.simulator import (
+    _BLOCK,
+    POLICY_KINDS,
+    QueueOverflowError,
+    Scenario,
+    SimStats,
+    replicate,
+    simulate,
+)
 
 CH = ChannelProfile(0.3, 0.8, 0.4)
 POL = Policy(0.5, 1.0)
@@ -133,3 +145,42 @@ def test_stats_are_plain_records():
     stats = simulate(scenario(slots=5_000, warmup_slots=100))
     assert isinstance(stats, SimStats)
     assert 0.0 <= stats.frac_both_empty <= stats.frac_primary_empty <= 1.0
+
+
+def _outcome(pool, sc: Scenario, replications: int):
+    try:
+        return pool(sc, replications)
+    except QueueOverflowError as exc:
+        return str(exc)
+
+
+@st.composite
+def reference_cases(draw):
+    prob = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    f_pd = draw(st.floats(0.0, 0.9))
+    channel = ChannelProfile(f_pd, draw(st.floats(f_pd, 1.0, exclude_min=True)), draw(prob))
+    rate = st.just(0.0) | st.floats(0.0, 0.7)  # reaches well past the stable region
+    slots = draw(st.integers(2, 3 * _BLOCK))
+    warmup = draw(
+        st.just(0) | st.integers(0, slots - 1) | st.integers(min(_BLOCK, slots - 1), slots - 1)
+    )
+    sc = Scenario(
+        channel, OperatingPoint(draw(rate), draw(rate)), Policy(draw(prob), draw(prob)),
+        policy_kind=draw(st.sampled_from(POLICY_KINDS)), slots=slots, warmup_slots=warmup,
+        seed=draw(st.integers(0, 2**32)),
+        queue_cap=draw(st.just(10_000_000) | st.integers(1, 300)),
+    )
+    return sc, draw(st.integers(1, 3))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(reference_cases())
+# with seed 1, a packet arriving in the first measured slot is relayed
+@example((scenario(policy_kind="strict_priority_relay", point=OperatingPoint(0.1, 0.05),
+                   slots=2 * _BLOCK + 5, warmup_slots=_BLOCK + 7, seed=1), 2))
+@example((scenario(policy_kind="no_cooperation", slots=_BLOCK + 1, warmup_slots=0), 1))
+@example((scenario(slots=3 * _BLOCK, warmup_slots=_BLOCK // 2), 3))
+@example((scenario(point=OperatingPoint(0.5, 0.5), slots=3 * _BLOCK, queue_cap=40), 1))
+def test_matches_slot_by_slot_reference(case):
+    sc, replications = case
+    assert _outcome(replicate, sc, replications) == _outcome(reference.replicate, sc, replications)
