@@ -518,14 +518,12 @@ def cmd_oracle(cfg: dict[str, str], out) -> int:
         raise ConfigError("oracle requires a stable operating point")
     truncation = get_int(cfg, "truncation", 400)
     tolerance = get_float(cfg, "oracle_tolerance", 1e-12)
-    max_iterations = get_int(cfg, "max_iterations", 100_000)
     n_p = analytics.mean_queue_primary(channel, policy, point)
     g00 = analytics.empty_joint_probability(channel, policy, point)
     p_empty = analytics.prob_primary_empty(channel, policy, point)
     out.write(ORACLE_HEADER + "\n")
     for pair in ("primary_secondary", "primary_relay"):
-        spec = ChainSpec(channel, policy, point, pair=pair, truncation=truncation,
-                         tolerance=tolerance, max_iterations=max_iterations)
+        spec = ChainSpec(channel, policy, point, pair=pair, truncation=truncation, tolerance=tolerance)
         try:
             sol = solve_stationary(spec)
         except RuntimeError as exc:

@@ -7,9 +7,16 @@ squared rather than cubed state counts. Each chain is truncated to a square
 lattice whose edges absorb overflow transitions; the reported boundary mass
 quantifies the induced bias and rejects under-truncated solves.
 
-The stationary distribution is found by power iteration on the sparse kernel
-(predictable memory at 400x400 = 160k states) with a max-norm residual
-stopping rule.
+Both chains are quasi-birth-death chains: the level is the partner count,
+which moves by at most one per slot, and the phase is the primary count. The
+SU serves its queues only when Q_p is empty, so every down-step leaves from
+phase 0 and lands in the same phase distribution d. The first-passage matrix
+to the level below is therefore exactly 1 d, and the matrix-geometric method
+(Neuts 1981, *Matrix-Geometric Solutions in Stochastic Models*) gives the
+stationary distribution level by level from a few dense T x T solves, with
+no iteration. Every result must then pass a residual check: the true
+residual max|pi K - pi| of the returned distribution must be below the
+tolerance, or the solve is rejected.
 """
 
 from __future__ import annotations
@@ -38,9 +45,12 @@ CHAIN_PAIRS = ("primary_secondary", "primary_relay")
 #: Stationary probability allowed on the truncation edge before a solve is rejected.
 BOUNDARY_MASS_LIMIT = 1e-6
 
+# level-vector peak above which the level-by-level solve rescales
+_RESCALE_ABOVE = 1e100
+
 
 class ConvergenceError(RuntimeError):
-    """Power iteration did not reach the residual tolerance within max_iterations."""
+    """The residual max|pi K - pi| of the solved distribution is not below the tolerance."""
 
 
 class TruncationError(RuntimeError):
@@ -62,7 +72,6 @@ class ChainSpec:
     pair: str = "primary_secondary"
     truncation: int = 400
     tolerance: float = 1e-12
-    max_iterations: int = 100_000
 
     def __post_init__(self) -> None:
         if self.pair not in CHAIN_PAIRS:
@@ -71,8 +80,6 @@ class ChainSpec:
             raise ValueError("truncation must be >= 4")
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +88,9 @@ class StationarySolution:
 
     ``distribution[i, j]`` is the stationary probability of i packets in the
     primary queue and j in the partner queue (Q_s or Q_sp depending on the
-    chain pair).
+    chain pair). ``residual`` is max|pi K - pi| of that distribution, and
+    ``iterations`` counts the kernel applications the solve made: always 1,
+    the residual check.
     """
 
     distribution: np.ndarray
@@ -158,26 +167,85 @@ def build_transitions(spec: ChainSpec) -> sp.csr_matrix:
     return kernel
 
 
+def _stationary_vector(chain: np.ndarray) -> np.ndarray:
+    """Stationary row vector of a stochastic matrix with a single closed class."""
+    n = len(chain)
+    system = np.eye(n) - chain.T
+    # the balance equations are dependent: normalise in place of the one for
+    # phase 0, whose large mass keeps the rounding of the sum relatively small
+    system[0] = 1.0
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    return np.linalg.solve(system, rhs)
+
+
+def _solve_levels(kernel: sp.csr_matrix, T: int) -> np.ndarray:
+    """Exact stationary distribution of the kernel as ``[level, phase]``.
+
+    Levels are partner counts j and phases primary counts i. The kernel is
+    block tridiagonal in the level: ``L0``/``Up0`` at level 0, ``D``/``L``/``Up``
+    at every interior level and ``D``/``Ltop`` at level T - 1, where the
+    truncation folds the up-step into ``Ltop``. Down-steps leave only from
+    phase 0, so a first passage down always lands in ``d = D[0] / D[0].sum()``
+    and the matrix-geometric rates are exact:
+    ``R = Up (I - U)^-1`` with ``U = L + (Up 1) d``, ``R0 = Up0 (I - U)^-1``,
+    ``Rtop = Up (I - Ltop)^-1``; level 0 is stationary for ``L0 + (Up0 1) d``.
+    The blocks are read at levels 0, 1 and T - 1 only; the residual check of
+    ``solve_stationary`` catches a kernel that is not of this form.
+    The result is unnormalised.
+    """
+    def block(j: int, jj: int) -> np.ndarray:
+        return kernel[j::T, :][:, jj::T].toarray()
+
+    L0, Up0 = block(0, 0), block(0, 1)
+    D, L, Up = block(1, 0), block(1, 1), block(1, 2)
+    Ltop = block(T - 1, T - 1)
+    if D[1:].any():
+        raise ValueError("kernel serves the partner queue while the primary queue is busy")
+
+    levels = np.zeros((T, T))
+    served = D[0].sum()
+    if served == 0.0:
+        # the partner queue is never served: it only grows, or never moves
+        if Up0.any() or Up.any():
+            levels[T - 1] = _stationary_vector(Ltop)
+        else:
+            levels[0] = _stationary_vector(L0)
+        return levels
+
+    d = D[0] / served
+    eye = np.eye(T)
+    U = L + np.outer(Up.sum(axis=1), d)
+    levels[0] = _stationary_vector(L0 + np.outer(Up0.sum(axis=1), d))
+    # R0 and Rtop are each applied once, so pi_1 and pi_{T-1} are solved for directly
+    solved = np.linalg.solve((eye - U).T, np.column_stack((Up.T, levels[0] @ Up0)))
+    R, levels[1] = solved[:, :T].T, solved[:, T]
+    for j in range(1, T - 2):
+        levels[j + 1] = levels[j] @ R
+        # outside the stable region R grows the levels geometrically; rescaling
+        # keeps them finite, and the lower levels underflow harmlessly
+        peak = levels[j + 1].max()
+        if peak > _RESCALE_ABOVE:
+            levels[: j + 2] /= peak
+    levels[T - 1] = np.linalg.solve((eye - Ltop).T, levels[T - 2] @ Up)
+    return levels
+
+
 def solve_stationary(spec: ChainSpec) -> StationarySolution:
-    """Power-iterate the kernel to its stationary distribution and extract moments."""
+    """Stationary distribution of the truncated chain and its moments.
+
+    The distribution comes from the exact level-by-level solve. Its true
+    residual max|pi K - pi| must then be below ``spec.tolerance``, or
+    ``ConvergenceError`` is raised; too much mass on the truncation edge
+    raises ``TruncationError``.
+    """
     T = spec.truncation
-    kernel_t = build_transitions(spec).transpose().tocsr()
-    pi = np.zeros(T * T)
-    pi[0] = 1.0
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, spec.max_iterations + 1):
-        nxt = kernel_t @ pi
-        residual = float(np.abs(nxt - pi).max())
-        nxt /= nxt.sum()
-        pi = nxt
-        if residual < spec.tolerance:
-            break
-    else:
-        raise ConvergenceError(
-            f"residual {residual:.3e} above tolerance {spec.tolerance:.3e} "
-            f"after {spec.max_iterations} iterations"
-        )
+    kernel = build_transitions(spec)
+    pi = _solve_levels(kernel, T).T.ravel()
+    pi /= pi.sum()
+    residual = float(np.abs(kernel.transpose() @ pi - pi).max())
+    if not residual < spec.tolerance:
+        raise ConvergenceError(f"residual {residual:.3e} not below tolerance {spec.tolerance:.3e}")
 
     dist = pi.reshape(T, T)
     mass_at_boundary = float(dist[T - 1, :].sum() + dist[:, T - 1].sum() - dist[T - 1, T - 1])
@@ -194,5 +262,5 @@ def solve_stationary(spec: ChainSpec) -> StationarySolution:
         p00=float(dist[0, 0]),
         mass_at_boundary=mass_at_boundary,
         residual=residual,
-        iterations=iterations,
+        iterations=1,
     )

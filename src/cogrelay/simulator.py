@@ -26,7 +26,8 @@ Each of the seven random draws per slot (destination outcome, SU decode,
 admission, queue pick, SU-destination outcome, two arrivals) comes from its
 own substream of the seeded generator and is indexed by slot number, so
 changing the policy or a single parameter does not perturb unrelated draws
-(common random numbers across comparisons).
+(common random numbers across comparisons). Draws whose outcome the policy
+fixes or never reads are skipped, which leaves every other draw unchanged.
 
 Slots are evaluated ``_BLOCK`` at a time. Each FIFO queue gets at most one
 arrival a[t] and one service chance s[t] per slot, so its start-of-slot
@@ -187,9 +188,8 @@ def _deliver(arrived: np.ndarray, left_at: np.ndarray, warmup: int, totals: list
 def _run(sc: Scenario, replication: int) -> SimStats:
     ch, pt, pol = sc.channel, sc.point, sc.policy
     strict = sc.policy_kind == "strict_priority_relay"
-    admit_prob = 1.0 if strict else (0.0 if sc.policy_kind == "no_cooperation" else pol.p_a)
-    # without cooperation the SU always selects its own queue
-    pick_prob = 1.0 if sc.policy_kind == "no_cooperation" else pol.p_q
+    randomized = sc.policy_kind == "randomized"
+    cooperative = sc.policy_kind != "no_cooperation"
 
     rng_dest, rng_decode, rng_admit, rng_pick, rng_su, rng_ap, rng_as = _stream_rngs(
         sc.seed, replication
@@ -210,9 +210,12 @@ def _run(sc: Scenario, replication: int) -> SimStats:
     for start in range(0, slots, _BLOCK):
         n = min(_BLOCK, slots - start)
         dest = rng_dest.random(n) < ch.f_pd
-        decode = rng_decode.random(n) < ch.f_ps
-        admit = rng_admit.random(n) < admit_prob
-        pick = rng_pick.random(n) < pick_prob
+        # draws the policy fixes or never reads are skipped: strict priority admits
+        # every decoded packet and ignores the pick; without cooperation nothing is
+        # admitted, so the decode is unread, and the SU always selects its own queue
+        decode = rng_decode.random(n) < ch.f_ps if cooperative else np.False_
+        admit = rng_admit.random(n) < pol.p_a if randomized else np.bool_(strict)
+        pick = rng_pick.random(n) < pol.p_q if randomized else np.True_
         su = rng_su.random(n) < ch.f_sd
         arr_p = rng_ap.random(n) < pt.lambda_p
         arr_s = rng_as.random(n) < pt.lambda_s

@@ -123,9 +123,81 @@ def test_under_truncated_solve_is_rejected():
         solve_stationary(ChainSpec(CH, POL, loaded, pair="primary_secondary", truncation=4))
 
 
+def test_unstable_point_is_rejected_at_full_truncation():
+    # far outside the stable region the partner levels grow by ~16x per step,
+    # which overflows float64 long before level 400 unless the solve rescales
+    spec = ChainSpec(CH, POL, OperatingPoint(0.1, 0.9), truncation=400)
+    with pytest.raises(TruncationError):
+        solve_stationary(spec)
+
+
 def test_non_convergence_raises():
+    # the exact solve meets any reachable tolerance; only an unreachable one fails
     with pytest.raises(ConvergenceError):
-        solve_stationary(ChainSpec(CH, POL, PT, truncation=40, max_iterations=2))
+        solve_stationary(ChainSpec(CH, POL, PT, truncation=40, tolerance=1e-300))
+
+
+# a partner queue that is never served: the SU never picks its own queue
+# (p_q = 0), or never picks the relay queue while it admits (p_q = 1, p_a = 1)
+@pytest.mark.parametrize("policy, pair", [
+    (Policy(0.0, 1.0), "primary_secondary"),
+    (Policy(1.0, 1.0), "primary_relay"),
+])
+def test_unserved_growing_partner_is_rejected(policy, pair):
+    spec = ChainSpec(CH, policy, PT, pair=pair, truncation=8)
+    with pytest.raises(TruncationError, match="boundary mass 1.000e"):
+        solve_stationary(spec)
+
+
+def test_unserved_idle_partner_stays_empty():
+    spec = ChainSpec(CH, Policy(0.0, 1.0), OperatingPoint(0.1, 0.0), truncation=8)
+    sol = solve_stationary(spec)
+    assert sol.mean_second == 0.0
+    assert sol.distribution[:, 1:].sum() == 0.0
+    assert sol.mean_first == pytest.approx(mean_queue_primary(CH, spec.policy, spec.point), rel=1e-6)
+
+
+EXACTNESS_POINTS = [OperatingPoint(0.1, 0.1), OperatingPoint(0.2388, 0.05), OperatingPoint(0.3, 0.02)]
+
+
+def _solve_or_skip(spec):
+    try:
+        return solve_stationary(spec)
+    except TruncationError as exc:
+        pytest.skip(str(exc))
+
+
+@pytest.mark.parametrize("point", EXACTNESS_POINTS)
+@pytest.mark.parametrize("pair", ["primary_secondary", "primary_relay"])
+def test_matches_dense_direct_solve(pair, point):
+    spec = ChainSpec(CH, POL, point, pair=pair, truncation=40)
+    sol = _solve_or_skip(spec)
+    kernel = build_transitions(spec).toarray()
+    n = len(kernel)
+    system = np.eye(n) - kernel.T
+    system[0] = 1.0
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    reference = np.linalg.solve(system, rhs).reshape(sol.distribution.shape)
+    assert np.abs(sol.distribution - reference).max() <= 1e-13
+
+
+@pytest.mark.parametrize("point", EXACTNESS_POINTS)
+@pytest.mark.parametrize("pair", ["primary_secondary", "primary_relay"])
+def test_primary_marginal_is_truncated_geo_geo_1(pair, point):
+    # Q_p alone is a birth-death chain whose top level absorbs the overflow,
+    # so its law follows from detailed balance
+    T = 40
+    sol = _solve_or_skip(ChainSpec(CH, POL, point, pair=pair, truncation=T))
+    mu = service_rate_primary(CH, POL.p_a)
+    lp = point.lambda_p
+    law = np.empty(T)
+    law[0] = 1.0
+    law[1] = lp / (mu * (1 - lp))
+    for i in range(2, T):
+        law[i] = law[i - 1] * lp * (1 - mu) / (mu * (1 - lp))
+    law /= law.sum()
+    assert np.abs(sol.distribution.sum(axis=1) - law).max() <= 1e-12
 
 
 def test_distribution_is_normalized_and_nonnegative():
