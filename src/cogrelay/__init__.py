@@ -43,7 +43,7 @@ from .optimizer import (
     pq_lower_bound,
     pq_upper_bound,
 )
-from .oracle import ChainSpec, StationarySolution, build_transitions, solve_stationary
+from .oracle import ChainSpec, StationarySolution, solve_stationary
 from .simulator import QueueOverflowError, Scenario, SimStats, replicate, simulate
 
 __version__ = "0.1.0"
@@ -83,7 +83,6 @@ __all__ = [
     "QueueOverflowError",
     "ChainSpec",
     "StationarySolution",
-    "build_transitions",
     "solve_stationary",
     "InfeasibleError",
     "PrimaryDelayDecision",

@@ -86,12 +86,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "steps": "101",
         "lambda_p": "0.2",
     },
-    "fig5": {
-        "region_mode": "rates",
-        "p_q_list": "0.2, 0.4, 0.625, 0.8",
-        "steps": "101",
-        "lambda_p": "0.2",
-    },
     "fig6": {
         "variable": "lambda",
         "start": "0.01",
@@ -100,24 +94,7 @@ PRESETS: dict[str, dict[str, str]] = {
         "p_a": "1",
         "p_q_list": "0.3, 0.5, 0.8",
     },
-    "fig7": {
-        "variable": "lambda",
-        "start": "0.01",
-        "stop": "0.3",
-        "steps": "30",
-        "p_a": "1",
-        "p_q_list": "0.3, 0.5, 0.8",
-    },
     "fig8": {
-        "variable": "p_a",
-        "start": "0",
-        "stop": "1",
-        "steps": "21",
-        "lambda_p": "0.1",
-        "lambda_s": "0.1",
-        "p_q_list": "0.3, 0.5, 0.625, 0.8",
-    },
-    "fig9": {
         "variable": "p_a",
         "start": "0",
         "stop": "1",
@@ -148,6 +125,8 @@ PRESETS: dict[str, dict[str, str]] = {
         "lambda_p": "0.2",
     },
 }
+# fig5, fig7 and fig9 run the same sweeps as fig4, fig6 and fig8
+PRESETS.update(fig5=PRESETS["fig4"], fig7=PRESETS["fig6"], fig9=PRESETS["fig8"])
 
 
 @dataclass(frozen=True)
@@ -190,20 +169,31 @@ def _write_row(out, cells) -> None:
 
 
 class OutputError(OSError):
-    """The output path cannot be opened for writing."""
+    """The output path cannot be written."""
 
 
 @contextmanager
 def _open_out(path: str | None):
+    """Stream to a temporary file beside ``path`` that replaces it only if the command returns."""
     if path is None or path == "-":
         yield sys.stdout
         return
+    head, tail = os.path.split(path)
+    temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        handle = open(path, "w", newline="")
+        handle = open(temp, "w", newline="")
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    with handle:
-        yield handle
+    try:
+        with handle:
+            yield handle
+        try:
+            os.replace(temp, path)
+        except OSError as exc:
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _sweep_from_config(cfg: dict[str, str]) -> SweepSpec:

@@ -3,7 +3,8 @@
 One ``key = value`` pair per line, ``#`` starts a comment (full line or
 trailing), blank lines ignored. Values are plain text; list-valued keys use
 commas (``p_q_list = 0.3, 0.5, 0.8``) and policy lists use colon pairs
-(``policies = 0.3:1, 0.5:1``). Parse errors carry the offending line number.
+(``policies = 0.3:1, 0.5:1``). Parse errors, unknown keys included, carry the
+offending line number.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from pathlib import Path
 from .model import ChannelProfile, OperatingPoint, Policy
 
 __all__ = [
+    "KEYS",
     "ConfigError",
     "parse_config_text",
     "load_config_file",
@@ -26,6 +28,15 @@ __all__ = [
     "point_from_config",
     "to_config_text",
 ]
+
+
+#: Every key a config file may set.
+KEYS = frozenset({
+    "f_pd", "f_sd", "f_ps", "p_q", "p_a", "lambda_p", "lambda_s",
+    "variable", "start", "stop", "steps", "p_q_list", "f_pd_list", "policies", "region_mode",
+    "policy_kind", "slots", "warmup", "replications", "seed", "tolerance",
+    "truncation", "oracle_tolerance",
+})
 
 
 class ConfigError(ValueError):
@@ -46,6 +57,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
         value = value.strip()
         if not key:
             raise ConfigError(f"{source}:{lineno}: empty key")
+        if key not in KEYS:
+            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         result[key] = value
     return result
 
@@ -126,38 +139,33 @@ def get_policy_list(cfg: dict[str, str], key: str, default: list[Policy] | None 
     return policies
 
 
-def channel_from_config(cfg: dict[str, str]) -> ChannelProfile:
+def _build(factory, **values):
+    """Construct a domain object, reporting an invalid value as a ConfigError."""
     try:
-        return ChannelProfile(
-            f_pd=get_float(cfg, "f_pd", 0.3),
-            f_sd=get_float(cfg, "f_sd", 0.8),
-            f_ps=get_float(cfg, "f_ps", 0.4),
-        )
+        return factory(**values)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
+
+
+def channel_from_config(cfg: dict[str, str]) -> ChannelProfile:
+    return _build(
+        ChannelProfile,
+        f_pd=get_float(cfg, "f_pd", 0.3),
+        f_sd=get_float(cfg, "f_sd", 0.8),
+        f_ps=get_float(cfg, "f_ps", 0.4),
+    )
 
 
 def policy_from_config(cfg: dict[str, str]) -> Policy:
-    try:
-        return Policy(p_q=get_float(cfg, "p_q", 0.5), p_a=get_float(cfg, "p_a", 1.0))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return _build(Policy, p_q=get_float(cfg, "p_q", 0.5), p_a=get_float(cfg, "p_a", 1.0))
 
 
 def point_from_config(cfg: dict[str, str]) -> OperatingPoint:
-    try:
-        return OperatingPoint(
-            lambda_p=get_float(cfg, "lambda_p", 0.1),
-            lambda_s=get_float(cfg, "lambda_s", 0.1),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return _build(
+        OperatingPoint,
+        lambda_p=get_float(cfg, "lambda_p", 0.1),
+        lambda_s=get_float(cfg, "lambda_s", 0.1),
+    )
 
 
 def to_config_text(*objects: ChannelProfile | Policy | OperatingPoint) -> str:

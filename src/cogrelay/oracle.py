@@ -14,9 +14,11 @@ phase 0 and lands in the same phase distribution d. The first-passage matrix
 to the level below is therefore exactly 1 d, and the matrix-geometric method
 (Neuts 1981, *Matrix-Geometric Solutions in Stochastic Models*) gives the
 stationary distribution level by level from a few dense T x T solves, with
-no iteration. Every result must then pass a residual check: the true
-residual max|pi K - pi| of the returned distribution must be below the
-tolerance, or the solve is rejected.
+no iteration. The kernel K is never assembled: the transition law fills
+the six T x T blocks it is made of. Every result must then pass a residual
+check: the true residual max|pi K - pi| of the returned distribution,
+computed block by block, must be below the tolerance, or the solve is
+rejected.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .analytics import service_rate_primary
 from .model import ChannelProfile, OperatingPoint, Policy
@@ -36,7 +37,6 @@ __all__ = [
     "TruncationError",
     "ChainSpec",
     "StationarySolution",
-    "build_transitions",
     "solve_stationary",
 ]
 
@@ -102,69 +102,63 @@ class StationarySolution:
     iterations: int
 
 
-def build_transitions(spec: ChainSpec) -> sp.csr_matrix:
-    """Row-stochastic one-slot kernel of the selected bivariate chain.
+def _blocks(spec: ChainSpec) -> tuple[np.ndarray, ...]:
+    """``L0, Up0, D, L, Up, Ltop``: the T x T blocks of the chain's one-slot kernel.
 
-    State (i, j) is flattened to i * truncation + j. Departures happen before
+    Block rows are phases before the slot and columns phases after it; see
+    ``_solve_levels`` for where each block sits. Departures happen before
     arrivals within a slot (arrivals are first served the next slot), and
     transitions that would leave the lattice stay at the edge.
     """
     ch, pol, pt = spec.channel, spec.policy, spec.point
     T = spec.truncation
-    idx = np.arange(T * T, dtype=np.int64)
-    i = idx // T
-    j = idx % T
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    def emit(weight: np.ndarray, di: np.ndarray | int, dj: np.ndarray | int, xp: int, xs: int) -> None:
-        mask = weight > 0.0
-        if not mask.any():
-            return
-        ni = np.minimum(i[mask] + di + xp, T - 1)
-        nj = np.minimum(j[mask] + dj + xs, T - 1)
-        rows.append(idx[mask])
-        cols.append(ni * T + nj)
-        vals.append(weight[mask])
-
+    i = np.arange(T)
     lp = pt.lambda_p
     arr_p = (1.0 - lp, lp)
-    if spec.pair == "primary_secondary":
-        mu = service_rate_primary(ch, pol.p_a)
-        dep_p = np.where(i > 0, mu, 0.0)
-        dep_s = np.where((i == 0) & (j > 0), pol.p_q * ch.f_sd, 0.0)
-        ls = pt.lambda_s
-        arr_s = (1.0 - ls, ls)
-        for yp in (0, 1):
-            wp = dep_p if yp else 1.0 - dep_p
-            for ys in (0, 1):
-                ws = dep_s if ys else 1.0 - dep_s
-                for xp in (0, 1):
-                    for xs in (0, 1):
-                        w = wp * ws * (arr_p[xp] * arr_s[xs])
-                        emit(w, -yp, -ys, xp, xs)
-    else:
-        # Relay pair: a relayed packet is simultaneously a Q_p departure and a
-        # Q_sp arrival, so the kernel carries the joint event explicitly; the
-        # relay queue has no exogenous arrival stream.
-        relay = pol.p_a * ch.f_ps * (1.0 - ch.f_pd)
-        p_dest = np.where(i > 0, ch.f_pd, 0.0)
-        p_relay = np.where(i > 0, relay, 0.0)
-        p_spdep = np.where((i == 0) & (j > 0), (1.0 - pol.p_q) * ch.f_sd, 0.0)
-        p_none = 1.0 - p_dest - p_relay - p_spdep
-        events = ((p_none, 0, 0), (p_dest, -1, 0), (p_relay, -1, 1), (p_spdep, 0, -1))
-        for prob, di, dj in events:
-            for xp in (0, 1):
-                emit(prob * arr_p[xp], di, dj, xp, 0)
 
-    kernel = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(T * T, T * T),
-    ).tocsr()
-    kernel.sum_duplicates()
-    return kernel
+    def level(j: int) -> dict[int, np.ndarray]:
+        """Blocks leaving partner level j, keyed by the level step -1, 0 or 1."""
+        steps = {step: np.zeros((T, T)) for step in (-1, 0, 1)}
+
+        def emit(weight: np.ndarray, di: int, dj: int, xp: int, xs: int) -> None:
+            mask = weight > 0.0
+            if not mask.any():
+                return
+            ni = np.minimum(i[mask] + di + xp, T - 1)
+            nj = min(j + dj + xs, T - 1)
+            steps[nj - j][i[mask], ni] += weight[mask]
+
+        if spec.pair == "primary_secondary":
+            mu = service_rate_primary(ch, pol.p_a)
+            dep_p = np.where(i > 0, mu, 0.0)
+            dep_s = np.where((i == 0) & (j > 0), pol.p_q * ch.f_sd, 0.0)
+            ls = pt.lambda_s
+            arr_s = (1.0 - ls, ls)
+            for yp in (0, 1):
+                wp = dep_p if yp else 1.0 - dep_p
+                for ys in (0, 1):
+                    ws = dep_s if ys else 1.0 - dep_s
+                    for xp in (0, 1):
+                        for xs in (0, 1):
+                            w = wp * ws * (arr_p[xp] * arr_s[xs])
+                            emit(w, -yp, -ys, xp, xs)
+        else:
+            # Relay pair: a relayed packet is simultaneously a Q_p departure and
+            # a Q_sp arrival, so the kernel carries the joint event explicitly;
+            # the relay queue has no exogenous arrival stream.
+            relay = pol.p_a * ch.f_ps * (1.0 - ch.f_pd)
+            p_dest = np.where(i > 0, ch.f_pd, 0.0)
+            p_relay = np.where(i > 0, relay, 0.0)
+            p_spdep = np.where((i == 0) & (j > 0), (1.0 - pol.p_q) * ch.f_sd, 0.0)
+            p_none = 1.0 - p_dest - p_relay - p_spdep
+            events = ((p_none, 0, 0), (p_dest, -1, 0), (p_relay, -1, 1), (p_spdep, 0, -1))
+            for prob, di, dj in events:
+                for xp in (0, 1):
+                    emit(prob * arr_p[xp], di, dj, xp, 0)
+        return steps
+
+    bottom, interior, top = level(0), level(1), level(T - 1)
+    return bottom[0], bottom[1], interior[-1], interior[0], interior[1], top[0]
 
 
 def _stationary_vector(chain: np.ndarray) -> np.ndarray:
@@ -179,8 +173,8 @@ def _stationary_vector(chain: np.ndarray) -> np.ndarray:
     return np.linalg.solve(system, rhs)
 
 
-def _solve_levels(kernel: sp.csr_matrix, T: int) -> np.ndarray:
-    """Exact stationary distribution of the kernel as ``[level, phase]``.
+def _solve_levels(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Exact stationary distribution of the chain with these blocks, as ``[level, phase]``.
 
     Levels are partner counts j and phases primary counts i. The kernel is
     block tridiagonal in the level: ``L0``/``Up0`` at level 0, ``D``/``L``/``Up``
@@ -190,16 +184,10 @@ def _solve_levels(kernel: sp.csr_matrix, T: int) -> np.ndarray:
     and the matrix-geometric rates are exact:
     ``R = Up (I - U)^-1`` with ``U = L + (Up 1) d``, ``R0 = Up0 (I - U)^-1``,
     ``Rtop = Up (I - Ltop)^-1``; level 0 is stationary for ``L0 + (Up0 1) d``.
-    The blocks are read at levels 0, 1 and T - 1 only; the residual check of
-    ``solve_stationary`` catches a kernel that is not of this form.
     The result is unnormalised.
     """
-    def block(j: int, jj: int) -> np.ndarray:
-        return kernel[j::T, :][:, jj::T].toarray()
-
-    L0, Up0 = block(0, 0), block(0, 1)
-    D, L, Up = block(1, 0), block(1, 1), block(1, 2)
-    Ltop = block(T - 1, T - 1)
+    L0, Up0, D, L, Up, Ltop = blocks
+    T = len(L0)
     if D[1:].any():
         raise ValueError("kernel serves the partner queue while the primary queue is busy")
 
@@ -231,6 +219,18 @@ def _solve_levels(kernel: sp.csr_matrix, T: int) -> np.ndarray:
     return levels
 
 
+def _residual(levels: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
+    """max|pi K - pi| for ``levels`` laid out ``[level, phase]``, one block product at a time."""
+    L0, Up0, D, L, Up, Ltop = blocks
+    out = levels @ L
+    out[0] = levels[0] @ L0
+    out[-1] = levels[-1] @ Ltop
+    out[:-1] += levels[1:] @ D
+    out[1] += levels[0] @ Up0
+    out[2:] += levels[1:-1] @ Up
+    return float(np.abs(out - levels).max())
+
+
 def solve_stationary(spec: ChainSpec) -> StationarySolution:
     """Stationary distribution of the truncated chain and its moments.
 
@@ -240,14 +240,14 @@ def solve_stationary(spec: ChainSpec) -> StationarySolution:
     raises ``TruncationError``.
     """
     T = spec.truncation
-    kernel = build_transitions(spec)
-    pi = _solve_levels(kernel, T).T.ravel()
+    blocks = _blocks(spec)
+    pi = _solve_levels(blocks).T.ravel()
     pi /= pi.sum()
-    residual = float(np.abs(kernel.transpose() @ pi - pi).max())
+    dist = pi.reshape(T, T)
+    residual = _residual(dist.T, blocks)
     if not residual < spec.tolerance:
         raise ConvergenceError(f"residual {residual:.3e} not below tolerance {spec.tolerance:.3e}")
 
-    dist = pi.reshape(T, T)
     mass_at_boundary = float(dist[T - 1, :].sum() + dist[:, T - 1].sum() - dist[T - 1, T - 1])
     if mass_at_boundary > BOUNDARY_MASS_LIMIT:
         raise TruncationError(

@@ -13,6 +13,7 @@ from cogrelay.cli import (
     VALIDATE_HEADER,
     main,
 )
+from cogrelay.config import KEYS
 
 PRESET_COMMANDS = {
     "fig2": "region",
@@ -273,6 +274,40 @@ def test_config_error_reports_line_number(tmp_path, capsys):
     assert "config error" in err and "bad.cfg:2" in err
 
 
+def test_unknown_key_exits_2_with_line(tmp_path, capsys):
+    # a misspelt key must not fall back to the default it was meant to override
+    code, text = run(tmp_path, "delay", "p_q = 0.5\nlamda_p = 0.25\n", extra=["--preset", "fig6"])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'run.cfg'}:2: unknown key 'lamda_p'" in err
+
+
+def test_presets_use_only_config_keys():
+    for name, preset in PRESETS.items():
+        assert set(preset) <= KEYS, name
+
+
+def test_failed_sweep_leaves_no_output_file(tmp_path):
+    # the p_q_list conflict is found after the header is written
+    code, _ = run(
+        tmp_path,
+        "simulate",
+        "variable = p_q\nstart = 0.2\nstop = 0.8\nsteps = 2\np_q_list = 0.3\nslots = 2000\n",
+    )
+    assert code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_failed_run_keeps_previous_output(tmp_path):
+    code, first = run(tmp_path, "delay", "variable = lambda\nstart = 0.05\nstop = 0.1\nsteps = 2\n")
+    assert code == 0
+    code, _ = run(tmp_path, "delay", "variable = p_q\nstart = 0.2\nstop = 0.8\nsteps = 2\np_q_list = 0.5\n")
+    assert code == 2
+    assert (tmp_path / "out.csv").read_text() == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "run.cfg"]
+
+
 def test_invalid_values_exit_2(tmp_path, capsys):
     code, _ = run(tmp_path, "delay", "variable = lambda\nstart = 0.2\nstop = 0.1\nsteps = 5\n")
     assert code == 2
@@ -286,6 +321,13 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+
+
+def test_out_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    code = main(["delay", "--preset", "fig6", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_preset_exits_2(tmp_path):

@@ -1,6 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from reference_oracle import build_transitions
 
+import cogrelay
+from cogrelay import oracle
 from cogrelay.analytics import (
     mean_queue_primary,
     mean_queue_relay,
@@ -14,7 +21,6 @@ from cogrelay.oracle import (
     ChainSpec,
     ConvergenceError,
     TruncationError,
-    build_transitions,
     solve_stationary,
 )
 
@@ -204,3 +210,50 @@ def test_distribution_is_normalized_and_nonnegative():
     sol = solve_stationary(ChainSpec(CH, POL, PT, pair="primary_relay", truncation=50))
     assert sol.distribution.min() >= 0.0
     assert sol.distribution.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def _assemble(blocks):
+    """The full kernel, indexed i * T + j like the reference, from the six blocks."""
+    L0, Up0, D, L, Up, Ltop = blocks
+    T = len(L0)
+    kernel = np.zeros((T, T, T, T))  # [i, j, i', j']
+    kernel[:, 0, :, 0] = L0
+    kernel[:, 0, :, 1] = Up0
+    for j in range(1, T - 1):
+        kernel[:, j, :, j - 1], kernel[:, j, :, j], kernel[:, j, :, j + 1] = D, L, Up
+    kernel[:, T - 1, :, T - 2], kernel[:, T - 1, :, T - 1] = D, Ltop
+    return kernel.reshape(T * T, T * T)
+
+
+@pytest.mark.parametrize("policy", [Policy(0.5, 1.0), Policy(0.3, 0.2), Policy(0.0, 1.0), Policy(1.0, 1.0)])
+@pytest.mark.parametrize("T", [4, 9, 40])
+@pytest.mark.parametrize("pair", ["primary_secondary", "primary_relay"])
+def test_blocks_assemble_to_reference_kernel(pair, T, policy):
+    # idle, light, heavy and unstable points: the blocks are the kernel, bit for bit
+    for point in [OperatingPoint(0.1, 0.1), OperatingPoint(0.2388, 0.05),
+                  OperatingPoint(0.0, 0.0), OperatingPoint(0.1, 0.9)]:
+        spec = ChainSpec(CH, policy, point, pair=pair, truncation=T)
+        reference = build_transitions(spec).toarray()
+        assert np.array_equal(_assemble(oracle._blocks(spec)), reference)
+
+
+@pytest.mark.parametrize("pair", ["primary_secondary", "primary_relay"])
+def test_blockwise_residual_is_full_kernel_residual(pair):
+    # a vector far from stationary: the block-wise residual must still be the
+    # true one, so the residual check bounds the actual error
+    T = 40
+    spec = ChainSpec(CH, POL, PT, pair=pair, truncation=T)
+    levels = np.full((T, T), 1.0 / T**2)
+    pi = levels.T.ravel()
+    expected = np.abs(build_transitions(spec).transpose() @ pi - pi).max()
+    assert expected > 1e-5
+    assert abs(oracle._residual(levels, oracle._blocks(spec)) - expected) <= 1e-15
+
+
+def test_package_import_does_not_load_scipy():
+    src = Path(cogrelay.__file__).resolve().parents[1]
+    code = "import sys, cogrelay, cogrelay.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
