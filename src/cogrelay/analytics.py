@@ -265,16 +265,17 @@ def prob_primary_empty(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> f
 class DelayReport:
     """Bundle of all closed-form queue metrics at one stable operating point.
 
-    Validated with a 1e-9 slack against the mathematical bounds (lengths
-    nonnegative, delays at least one slot, probabilities in [0, 1]) to absorb
-    floating-point rounding at extreme channels.
+    A delay is ``None`` where its arrival rate is zero. Validated with a 1e-9
+    slack against the mathematical bounds (lengths nonnegative, delays at
+    least one slot, probabilities in [0, 1]) to absorb floating-point
+    rounding at extreme channels.
     """
 
     n_p: float
     n_sp: float
     n_s: float
-    d_p: float
-    d_s: float
+    d_p: float | None
+    d_s: float | None
     g00: float
     epsilon: float
 
@@ -284,8 +285,8 @@ class DelayReport:
             self.n_p >= -slack,
             self.n_sp >= -slack,
             self.n_s >= -slack,
-            self.d_p >= 1.0 - slack,
-            self.d_s >= 1.0 - slack,
+            self.d_p is None or self.d_p >= 1.0 - slack,
+            self.d_s is None or self.d_s >= 1.0 - slack,
             -slack <= self.g00 <= 1.0 + slack,
             -slack <= self.epsilon <= 1.0 + slack,
         )
@@ -294,14 +295,21 @@ class DelayReport:
 
 
 def delay_report(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> DelayReport:
-    """Evaluate every closed form at a stable point with positive arrival rates."""
+    """Evaluate every closed form once at a stable point.
+
+    The delays are those of :func:`delay_primary` and :func:`delay_secondary`,
+    from the same operations, and ``None`` where the arrival rate is zero.
+    """
     _require_stable(ch, pol, pt)
+    n_p = mean_queue_primary(ch, pol, pt)
+    n_sp = mean_queue_relay(ch, pol, pt)
+    n_s = mean_queue_secondary(ch, pol, pt)
     return DelayReport(
-        n_p=mean_queue_primary(ch, pol, pt),
-        n_sp=mean_queue_relay(ch, pol, pt),
-        n_s=mean_queue_secondary(ch, pol, pt),
-        d_p=delay_primary(ch, pol, pt),
-        d_s=delay_secondary(ch, pol, pt),
+        n_p=n_p,
+        n_sp=n_sp,
+        n_s=n_s,
+        d_p=(n_p + n_sp) / pt.lambda_p if pt.lambda_p > 0.0 else None,
+        d_s=n_s / pt.lambda_s if pt.lambda_s > 0.0 else None,
         g00=empty_joint_probability(ch, pol, pt),
         epsilon=relay_fraction_epsilon(ch, pol.p_a),
     )

@@ -13,6 +13,8 @@ environment variable, command-line flags.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -61,10 +63,13 @@ VALIDATE_HEADER = (
     "f_pd,f_sd,f_ps,p_q,p_a,lambda_p,lambda_s,rel_margin_p,rel_margin_s,"
     "analytic_d_p,sim_d_p,rel_err_d_p,analytic_d_s,sim_d_s,rel_err_d_s,status"
 )
-OPTIMIZE_SWEEP_HEADER = (
-    "f_pd,f_sd,f_ps,lambda_p,lambda_s,pu_mode,pu_p_q_star,pu_p_a_star,pu_d_p_star,"
-    "no_coop_d_p,su_p_q_star,su_d_s_star,p_q_lower,p_q_upper,threshold_p_q"
+#: The optimize columns after the channel and the point. The point report
+#: prints the same keys, its su_* ones in a section of their own.
+OPTIMIZE_COLUMNS = (
+    "pu_mode", "pu_p_q_star", "pu_p_a_star", "pu_d_p_star", "no_coop_d_p",
+    "su_p_q_star", "su_d_s_star", "p_q_lower", "p_q_upper", "threshold_p_q",
 )
+OPTIMIZE_SWEEP_HEADER = "f_pd,f_sd,f_ps,lambda_p,lambda_s," + ",".join(OPTIMIZE_COLUMNS)
 ORACLE_HEADER = (
     "pair,truncation,iterations,residual,mass_at_boundary,mean_qp,mean_partner,p00,p_qp_empty,"
     "n_p_analytic,partner_analytic,g00_analytic,p_qp_empty_analytic,"
@@ -205,39 +210,29 @@ def _sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
     )
 
 
-def _bind_point(
-    cfg: dict[str, str], variable: str, value: float, p_q_curve: float | None
-) -> tuple[ChannelProfile, Policy, OperatingPoint]:
-    """Materialize (channel, policy, point) for one sweep step."""
-    try:
-        channel = channel_from_config(cfg)
-        policy = policy_from_config(cfg)
-        point = point_from_config(cfg)
-        if p_q_curve is not None:
-            policy = Policy(p_q_curve, policy.p_a)
-        if variable == "lambda":
-            point = OperatingPoint(value, value)
-        elif variable == "lambda_p":
-            point = OperatingPoint(value, point.lambda_s)
-        elif variable == "lambda_s":
-            point = OperatingPoint(point.lambda_p, value)
-        elif variable == "p_q":
-            policy = Policy(value, policy.p_a)
-        elif variable == "p_a":
-            policy = Policy(policy.p_q, value)
-        elif variable == "f_pd":
-            channel = ChannelProfile(value, channel.f_sd, channel.f_ps)
-    except ValueError as exc:
-        raise ConfigError(f"invalid sweep point ({variable}={value!r}): {exc}") from exc
-    return channel, policy, point
+def _sweep_points(cfg: dict[str, str]):
+    """Yield (channel, policy, point) for every curve and step of the config's sweep.
 
-
-def _curves(cfg: dict[str, str], variable: str) -> list[float | None]:
+    Each step is the config with the swept keys, and the curve's p_q from
+    ``p_q_list``, overlaid; ``repr`` round-trips every float exactly.
+    """
+    sweep = _sweep_from_config(cfg)
+    keys = ("lambda_p", "lambda_s") if sweep.variable == "lambda" else (sweep.variable,)
+    curves: list[dict[str, str]] = [{}]
     if "p_q_list" in cfg:
-        if variable == "p_q":
+        if sweep.variable == "p_q":
             raise ConfigError("p_q_list cannot be combined with a p_q sweep")
-        return list(get_float_list(cfg, "p_q_list"))
-    return [None]
+        curves = [{"p_q": repr(p_q)} for p_q in get_float_list(cfg, "p_q_list")]
+    for curve in curves:
+        for value in sweep.values():
+            step = {**cfg, **curve, **dict.fromkeys(keys, repr(value))}
+            try:
+                channel = channel_from_config(step)
+                policy = policy_from_config(step)
+                point = point_from_config(step)
+            except ConfigError as exc:
+                raise ConfigError(f"invalid sweep point ({sweep.variable}={value!r}): {exc}") from exc
+            yield channel, policy, point
 
 
 def _point_seed(base_seed: int, index: int) -> int:
@@ -245,17 +240,6 @@ def _point_seed(base_seed: int, index: int) -> int:
         1, dtype=np.uint64
     )
     return int(state[0])
-
-
-def _analytic_metrics(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> dict[str, float | None]:
-    return {
-        "n_p": analytics.mean_queue_primary(ch, pol, pt),
-        "n_sp": analytics.mean_queue_relay(ch, pol, pt),
-        "n_s": analytics.mean_queue_secondary(ch, pol, pt),
-        "d_p": analytics.delay_primary(ch, pol, pt) if pt.lambda_p > 0.0 else None,
-        "d_s": analytics.delay_secondary(ch, pol, pt) if pt.lambda_s > 0.0 else None,
-        "g00": analytics.empty_joint_probability(ch, pol, pt),
-    }
 
 
 def cmd_region(cfg: dict[str, str], out) -> int:
@@ -310,20 +294,15 @@ def cmd_region(cfg: dict[str, str], out) -> int:
 
 
 def cmd_delay(cfg: dict[str, str], out) -> int:
-    sweep = _sweep_from_config(cfg)
     out.write(DELAY_HEADER + "\n")
-    for p_q_curve in _curves(cfg, sweep.variable):
-        for value in sweep.values():
-            ch, pol, pt = _bind_point(cfg, sweep.variable, value, p_q_curve)
-            identity = [ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s]
-            if analytics.is_stable(ch, pol, pt).stable:
-                m = _analytic_metrics(ch, pol, pt)
-                _write_row(
-                    out,
-                    identity + [1, m["d_p"], m["d_s"], m["n_p"], m["n_sp"], m["n_s"], m["g00"]],
-                )
-            else:
-                _write_row(out, identity + [0, None, None, None, None, None, None])
+    for ch, pol, pt in _sweep_points(cfg):
+        identity = [ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s]
+        try:
+            r = analytics.delay_report(ch, pol, pt)
+        except InstabilityError:
+            _write_row(out, identity + [0, None, None, None, None, None, None])
+            continue
+        _write_row(out, identity + [1, r.d_p, r.d_s, r.n_p, r.n_sp, r.n_s, r.g00])
     return 0
 
 
@@ -332,6 +311,8 @@ def _sim_options(cfg: dict[str, str]) -> tuple[int, int, int, int, str]:
     warmup = get_int(cfg, "warmup", DEFAULT_WARMUP)
     replications = get_int(cfg, "replications", 1)
     seed = get_int(cfg, "seed", DEFAULT_SEED)
+    if seed < 0:
+        raise ConfigError(f"key 'seed': expected a non-negative integer, got {seed}")
     kind = get_str(cfg, "policy_kind", "randomized")
     if kind not in POLICY_KINDS:
         raise ConfigError(f"policy_kind must be one of {POLICY_KINDS}, got {kind!r}")
@@ -339,98 +320,85 @@ def _sim_options(cfg: dict[str, str]) -> tuple[int, int, int, int, str]:
 
 
 def cmd_simulate(cfg: dict[str, str], out) -> int:
-    sweep = _sweep_from_config(cfg)
     slots, warmup, replications, seed, kind = _sim_options(cfg)
     out.write(SIMULATE_HEADER + "\n")
-    index = 0
-    for p_q_curve in _curves(cfg, sweep.variable):
-        for value in sweep.values():
-            ch, pol, pt = _bind_point(cfg, sweep.variable, value, p_q_curve)
-            point_seed = _point_seed(seed, index)
-            index += 1
-            identity = [
-                ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s,
-                kind, slots, warmup, replications, point_seed,
-            ]
-            if not analytics.is_stable(ch, pol, pt).stable:
-                _write_row(out, identity + [0] + [None] * len(fields(SimStats)))
-                continue
-            try:
-                stats = replicate(
-                    Scenario(ch, pt, pol, policy_kind=kind, slots=slots,
-                             warmup_slots=warmup, seed=point_seed),
-                    replications,
-                )
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            _write_row(out, identity + [1, *astuple(stats)])
-    return 0
-
-
-def cmd_validate(cfg: dict[str, str], out) -> int:
-    sweep = _sweep_from_config(cfg)
-    slots, warmup, replications, seed, kind = _sim_options(cfg)
-    if kind != "randomized":
-        raise ConfigError("validate compares against the randomized-policy closed forms")
-    tolerance = get_float(cfg, "tolerance", 0.03)
-    out.write(VALIDATE_HEADER + "\n")
-    failed = False
-    index = 0
-    for p_q_curve in _curves(cfg, sweep.variable):
-        for value in sweep.values():
-            ch, pol, pt = _bind_point(cfg, sweep.variable, value, p_q_curve)
-            point_seed = _point_seed(seed, index)
-            index += 1
-            identity = [ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s]
-            verdict = analytics.is_stable(ch, pol, pt)
-            if not verdict.stable:
-                _write_row(out, identity + [None] * 8 + ["unstable"])
-                continue
-            bound_p = analytics.max_arrival_primary(ch, pol)
-            bound_s = analytics.max_arrival_secondary(ch, pol, pt.lambda_p)
-            rel_margin_p = verdict.margin_p / bound_p if bound_p > 0.0 else 0.0
-            rel_margin_s = verdict.margin_s / bound_s if bound_s > 0.0 else 0.0
+    for index, (ch, pol, pt) in enumerate(_sweep_points(cfg)):
+        point_seed = _point_seed(seed, index)
+        identity = [
+            ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s,
+            kind, slots, warmup, replications, point_seed,
+        ]
+        if not analytics.is_stable(ch, pol, pt).stable:
+            _write_row(out, identity + [0] + [None] * len(fields(SimStats)))
+            continue
+        try:
             stats = replicate(
                 Scenario(ch, pt, pol, policy_kind=kind, slots=slots,
                          warmup_slots=warmup, seed=point_seed),
                 replications,
             )
-            metrics = _analytic_metrics(ch, pol, pt)
-            errors: list[float] = []
-            cells: list[float | None] = []
-            for analytic_value, sim_value in (
-                (metrics["d_p"], stats.mean_delay_p),
-                (metrics["d_s"], stats.mean_delay_s),
-            ):
-                if analytic_value is None:
-                    cells += [None, None, None]
-                else:
-                    err = abs(sim_value - analytic_value) / analytic_value
-                    errors.append(err)
-                    cells += [analytic_value, sim_value, err]
-            enforced = min(rel_margin_p, rel_margin_s) >= MARGIN_ENFORCEMENT
-            if not errors:
-                status = "ok"
-            elif max(errors) <= tolerance:
-                status = "ok" if enforced else "marginal"
-            elif enforced:
-                status = "fail"
-                failed = True
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        _write_row(out, identity + [1, *astuple(stats)])
+    return 0
+
+
+def cmd_validate(cfg: dict[str, str], out) -> int:
+    slots, warmup, replications, seed, kind = _sim_options(cfg)
+    if kind != "randomized":
+        raise ConfigError("validate compares against the randomized-policy closed forms")
+    tolerance = get_float(cfg, "tolerance", 0.03)
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ConfigError(f"key 'tolerance': must be finite and >= 0, got {tolerance!r}")
+    out.write(VALIDATE_HEADER + "\n")
+    failed = False
+    for index, (ch, pol, pt) in enumerate(_sweep_points(cfg)):
+        point_seed = _point_seed(seed, index)
+        identity = [ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s]
+        verdict = analytics.is_stable(ch, pol, pt)
+        if not verdict.stable:
+            _write_row(out, identity + [None] * 8 + ["unstable"])
+            continue
+        bound_p = analytics.max_arrival_primary(ch, pol)
+        bound_s = analytics.max_arrival_secondary(ch, pol, pt.lambda_p)
+        rel_margin_p = verdict.margin_p / bound_p if bound_p > 0.0 else 0.0
+        rel_margin_s = verdict.margin_s / bound_s if bound_s > 0.0 else 0.0
+        stats = replicate(
+            Scenario(ch, pt, pol, policy_kind=kind, slots=slots,
+                     warmup_slots=warmup, seed=point_seed),
+            replications,
+        )
+        report = analytics.delay_report(ch, pol, pt)
+        errors: list[float] = []
+        cells: list[float | None] = []
+        for analytic_value, sim_value in (
+            (report.d_p, stats.mean_delay_p),
+            (report.d_s, stats.mean_delay_s),
+        ):
+            if analytic_value is None:
+                cells += [None, None, None]
             else:
-                status = "marginal"
-            _write_row(out, identity + [rel_margin_p, rel_margin_s] + cells + [status])
+                err = abs(sim_value - analytic_value) / analytic_value
+                errors.append(err)
+                cells += [analytic_value, sim_value, err]
+        enforced = min(rel_margin_p, rel_margin_s) >= MARGIN_ENFORCEMENT
+        if not errors:
+            status = "ok"
+        elif max(errors) <= tolerance:
+            status = "ok" if enforced else "marginal"
+        elif enforced:
+            status = "fail"
+            failed = True
+        else:
+            status = "marginal"
+        _write_row(out, identity + [rel_margin_p, rel_margin_s] + cells + [status])
     return 1 if failed else 0
 
 
-def _optimize_row(
-    ch: ChannelProfile, pt: OperatingPoint
-) -> dict[str, float | str | None]:
-    row: dict[str, float | str | None] = {
-        "pu_mode": None, "pu_p_q_star": None, "pu_p_a_star": None, "pu_d_p_star": None,
-        "no_coop_d_p": None, "su_p_q_star": None, "su_d_s_star": None,
-        "p_q_lower": None, "p_q_upper": None,
-        "threshold_p_q": analytics.phase_transition_pq(ch),
-    }
+def _optimize_row(ch: ChannelProfile, pt: OperatingPoint) -> dict[str, float | str | None]:
+    """The optimize columns at one point, keyed and ordered as OPTIMIZE_COLUMNS."""
+    row: dict[str, float | str | None] = dict.fromkeys(OPTIMIZE_COLUMNS)
+    row["threshold_p_q"] = analytics.phase_transition_pq(ch)
     try:
         row["p_q_lower"] = optimizer.pq_lower_bound(ch, pt, 1.0)
         row["p_q_upper"] = optimizer.pq_upper_bound(ch, pt, 1.0)
@@ -448,9 +416,7 @@ def _optimize_row(
         pass
     if pt.lambda_s > 0.0:
         try:
-            p_q_star, d_s_star = optimizer.minimize_secondary_delay(ch, pt)
-            row["su_p_q_star"] = p_q_star
-            row["su_d_s_star"] = d_s_star
+            row["su_p_q_star"], row["su_d_s_star"] = optimizer.minimize_secondary_delay(ch, pt)
         except optimizer.InfeasibleError:
             pass
     return row
@@ -475,28 +441,20 @@ def cmd_optimize(cfg: dict[str, str], out) -> int:
                     pt = OperatingPoint(value, base_point.lambda_s)
                 else:
                     pt = OperatingPoint(base_point.lambda_p, value)
-                row = _optimize_row(ch, pt)
-                _write_row(
-                    out,
-                    [ch.f_pd, ch.f_sd, ch.f_ps, pt.lambda_p, pt.lambda_s,
-                     row["pu_mode"], row["pu_p_q_star"], row["pu_p_a_star"],
-                     row["pu_d_p_star"], row["no_coop_d_p"], row["su_p_q_star"],
-                     row["su_d_s_star"], row["p_q_lower"], row["p_q_upper"],
-                     row["threshold_p_q"]],
-                )
+                identity = [ch.f_pd, ch.f_sd, ch.f_ps, pt.lambda_p, pt.lambda_s]
+                _write_row(out, identity + list(_optimize_row(ch, pt).values()))
         return 0
-    pt = point_from_config(cfg)
-    row = _optimize_row(channel, pt)
+    row = _optimize_row(channel, point_from_config(cfg))
     out.write("# primary delay minimization\n")
-    for key in ("pu_mode", "pu_p_q_star", "pu_p_a_star", "pu_d_p_star", "no_coop_d_p",
-                "p_q_lower", "p_q_upper", "threshold_p_q"):
-        out.write(f"{key} = {_fmt(row[key]) or 'n/a'}\n")
+    for key, value in row.items():
+        if not key.startswith("su_"):
+            out.write(f"{key} = {_fmt(value) or 'n/a'}\n")
     out.write("# secondary delay minimization\n")
     if row["su_p_q_star"] is None:
         out.write("su_status = infeasible\n")
-    else:
-        out.write(f"su_p_q_star = {_fmt(row['su_p_q_star'])}\n")
-        out.write(f"su_d_s_star = {_fmt(row['su_d_s_star'])}\n")
+    for key, value in row.items():
+        if key.startswith("su_") and value is not None:
+            out.write(f"{key} = {_fmt(value)}\n")
     return 0
 
 
@@ -504,12 +462,13 @@ def cmd_oracle(cfg: dict[str, str], out) -> int:
     channel = channel_from_config(cfg)
     policy = policy_from_config(cfg)
     point = point_from_config(cfg)
-    if not analytics.is_stable(channel, policy, point).stable:
-        raise ConfigError("oracle requires a stable operating point")
+    try:
+        report = analytics.delay_report(channel, policy, point)
+    except InstabilityError as exc:
+        raise ConfigError("oracle requires a stable operating point") from exc
     truncation = get_int(cfg, "truncation", 400)
     tolerance = get_float(cfg, "oracle_tolerance", 1e-12)
-    n_p = analytics.mean_queue_primary(channel, policy, point)
-    g00 = analytics.empty_joint_probability(channel, policy, point)
+    n_p = report.n_p
     p_empty = analytics.prob_primary_empty(channel, policy, point)
     out.write(ORACLE_HEADER + "\n")
     for pair in ("primary_secondary", "primary_relay"):
@@ -519,11 +478,11 @@ def cmd_oracle(cfg: dict[str, str], out) -> int:
         except RuntimeError as exc:
             raise ConfigError(f"oracle solve failed for {pair}: {exc}") from exc
         if pair == "primary_secondary":
-            partner_analytic = analytics.mean_queue_secondary(channel, policy, point)
-            g00_analytic: float | None = g00
-            abs_err_g00: float | None = abs(sol.p00 - g00)
+            partner_analytic = report.n_s
+            g00_analytic: float | None = report.g00
+            abs_err_g00: float | None = abs(sol.p00 - report.g00)
         else:
-            partner_analytic = analytics.mean_queue_relay(channel, policy, point)
+            partner_analytic = report.n_sp
             g00_analytic = None
             abs_err_g00 = None
         p_qp_empty = float(sol.distribution[0, :].sum())
@@ -556,15 +515,12 @@ def cmd_tradeoff(cfg: dict[str, str], out) -> int:
         for p_a in grid:
             pol = Policy(p_q, float(p_a))
             identity = [pol.p_q, pol.p_a, point.lambda_p, point.lambda_s]
-            if analytics.is_stable(channel, pol, point).stable:
-                _write_row(
-                    out,
-                    identity
-                    + [1, analytics.delay_secondary(channel, pol, point),
-                       analytics.delay_primary(channel, pol, point)],
-                )
-            else:
+            try:
+                r = analytics.delay_report(channel, pol, point)
+            except InstabilityError:
                 _write_row(out, identity + [0, None, None])
+                continue
+            _write_row(out, identity + [1, r.d_s, r.d_p])
     return 0
 
 
@@ -579,7 +535,17 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser unchanged, so one parser serves every call
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="path to a key=value config file")
+    shared.add_argument("--out", help="output path (default stdout)")
+    shared.add_argument("--seed", type=int, help="base RNG seed")
+    shared.add_argument("--slots", type=int, help="slots per simulation run")
+    shared.add_argument("--warmup", type=int, help="warmup slots excluded from statistics")
+    shared.add_argument("--replications", type=int, help="independent replications per point")
+    shared.add_argument("--preset", help=f"parameter preset, one of: {', '.join(sorted(PRESETS))}")
     parser = argparse.ArgumentParser(
         prog="cogrelay",
         description="Queueing toolkit for cooperative spectrum sharing with probabilistic relaying.",
@@ -595,18 +561,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "tradeoff": "emit (D_s, D_p) pairs along a p_a sweep at fixed p_q values",
     }
     for name, desc in descriptions.items():
-        p = sub.add_parser(name, help=desc, description=desc)
-        p.add_argument("--config", help="path to a key=value config file")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--seed", type=int, help="base RNG seed")
-        p.add_argument("--slots", type=int, help="slots per simulation run")
-        p.add_argument("--warmup", type=int, help="warmup slots excluded from statistics")
-        p.add_argument("--replications", type=int, help="independent replications per point")
-        p.add_argument("--preset", help=f"parameter preset, one of: {', '.join(sorted(PRESETS))}")
-        if name == "validate":
-            p.add_argument("--tolerance", type=float, help="relative error tolerance (default 0.03)")
-        if name == "oracle":
-            p.add_argument("--truncation", type=int, help="lattice size per dimension (default 400)")
+        sub.add_parser(name, help=desc, description=desc, parents=[shared])
+    sub.choices["validate"].add_argument(
+        "--tolerance", type=float, help="relative error tolerance (default 0.03)"
+    )
+    sub.choices["oracle"].add_argument(
+        "--truncation", type=int, help="lattice size per dimension (default 400)"
+    )
     return parser
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from cogrelay import analytics
 from cogrelay.analytics import (
@@ -212,6 +214,81 @@ def test_delay_report_bounds_on_stable_grid():
             assert rep.d_p >= 1.0 and rep.d_s >= 1.0
             assert 0.0 <= rep.g00 <= 1.0
             assert 0.0 <= rep.epsilon <= 1.0
+
+
+@st.composite
+def stable_points(draw):
+    # nonzero probabilities and load shares stay above 1e-20, and loads a
+    # relative 1e-6 below their bound, clear of ILL_CONDITIONED_POINTS
+    prob = st.sampled_from([0.0, 1.0]) | st.floats(1e-20, 1.0)
+    f_pd = draw(st.just(0.0) | st.floats(1e-20, 0.9))
+    f_sd = draw(st.floats(max(f_pd, 1e-20), 1.0, exclude_min=True))
+    ch = ChannelProfile(f_pd, f_sd, draw(prob))
+    pol = Policy(draw(st.floats(1e-20, 1.0, exclude_max=True)), draw(prob))
+    share = st.just(0.0) | st.floats(1e-20, 1.0 - 1e-6)
+    try:
+        lambda_p = draw(share) * max_arrival_primary(ch, pol)
+        lambda_s = draw(share) * max_arrival_secondary(ch, pol, lambda_p)
+    except (DegeneratePolicyError, InstabilityError):
+        reject()
+    pt = OperatingPoint(lambda_p, lambda_s)
+    if not is_stable(ch, pol, pt).stable:
+        reject()
+    return ch, pol, pt
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stable_points())
+@example((CH, POL, OperatingPoint(0.0, 0.0)))
+@example((CH, POL, OperatingPoint(0.1, 0.0)))
+@example((CH, POL, OperatingPoint(0.0, 0.1)))
+def test_delay_report_equals_single_functions(case):
+    ch, pol, pt = case
+    rep = delay_report(ch, pol, pt)
+    assert rep.n_p == mean_queue_primary(ch, pol, pt)
+    assert rep.n_sp == mean_queue_relay(ch, pol, pt)
+    assert rep.n_s == mean_queue_secondary(ch, pol, pt)
+    assert rep.g00 == empty_joint_probability(ch, pol, pt)
+    assert rep.epsilon == relay_fraction_epsilon(ch, pol.p_a)
+    assert (rep.d_p is None) == (pt.lambda_p == 0.0)
+    assert (rep.d_s is None) == (pt.lambda_s == 0.0)
+    if rep.d_p is not None:
+        assert rep.d_p == delay_primary(ch, pol, pt)
+    if rep.d_s is not None:
+        assert rep.d_s == delay_secondary(ch, pol, pt)
+
+
+# Points that is_stable admits but where the closed forms lose every digit:
+# products underflow near zero, or an expression cancels within rounding of
+# the stability bound. The evaluation raises instead of returning a report.
+ILL_CONDITIONED_POINTS = [
+    (ChannelProfile(4.5508387226147335e-294, 1.0, 0.0), Policy(0.5, 0.0), OperatingPoint(0.0, 0.0)),
+    (ChannelProfile(0.5, 1.0, 0.0), Policy(5e-324, 0.0), OperatingPoint(0.0, 0.0)),
+    (ChannelProfile(1e-50, 1.0, 0.0), Policy(0.5, 0.0), OperatingPoint(0.0, 6.431885918611206e-249)),
+    (
+        ChannelProfile(0.3290743039648367, 0.875, 1.0),
+        Policy(0.50390625, 2.220446049250313e-16),
+        OperatingPoint(0.1645371519824184, 0.22045898437500008),
+    ),
+    (
+        ChannelProfile(0.25, 1.0, 1.0),
+        Policy(0.515625, 1.0),
+        OperatingPoint(0.1962025316455696, 0.41445806962025317),
+    ),
+    (ChannelProfile(0.0, 1.0, 1.0), Policy(0.25, 1e-20), OperatingPoint(9.999999989999998e-21, 0.0)),
+]
+
+
+@pytest.mark.parametrize("ch,pol,pt", ILL_CONDITIONED_POINTS)
+@pytest.mark.xfail(
+    raises=(AssertionError, ValueError),
+    strict=True,
+    reason="closed forms break down within rounding of zero or of the stability bound",
+)
+def test_closed_forms_fail_within_rounding_of_zero_or_bound(ch, pol, pt):
+    if not is_stable(ch, pol, pt).stable:
+        pytest.fail("the point must be stable")
+    delay_report(ch, pol, pt)
 
 
 def _decade_points(limit, decades=(1e-1, 1e-2, 1e-3)):

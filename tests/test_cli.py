@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cogrelay.cli import (
@@ -28,6 +30,14 @@ PRESET_COMMANDS = {
     "fig11": "optimize",
     "fig12": "optimize",
 }
+
+#: sha256 of the standard-channel CSVs of all presets, fig2 to fig12,
+#: concatenated in that order.
+STANDARD_PRESETS_SHA256 = "44ea276d1f62a1a4accded63e20509fc247b3c3e3c7dc37347c9a08a0b12f066"
+
+SMALL_VALIDATE = (
+    "variable = lambda\nstart = 0.05\nstop = 0.1\nsteps = 2\nslots = 2000\nwarmup = 100\n"
+)
 
 
 def run(tmp_path, command, config_text=None, extra=(), name="out.csv"):
@@ -246,11 +256,31 @@ def test_oracle_agreement_columns(tmp_path):
     for r in body:
         assert float(r[13]) < 0.005
         assert float(r[14]) < 0.005
+        assert float(r[16]) < 1e-9
+    assert float(body[0][15]) < 1e-9
+    assert body[1][11] == body[1][15] == ""
 
 
 def test_oracle_rejects_unstable_point(tmp_path):
     code, _ = run(tmp_path, "oracle", "lambda_p = 0.5\nlambda_s = 0.5\n")
     assert code == 2
+
+
+@pytest.mark.parametrize("variable", ["lambda", "lambda_p", "lambda_s", "p_q", "p_a", "f_pd"])
+def test_sweep_overlays_swept_keys_on_config(tmp_path, variable):
+    base = {"f_pd": 0.2, "f_sd": 0.9, "f_ps": 0.5, "p_q": 0.4, "p_a": 0.7, "lambda_p": 0.03,
+            "lambda_s": 0.04}
+    config = "".join(f"{key} = {value}\n" for key, value in base.items())
+    code, text = run(
+        tmp_path, "delay", config + f"variable = {variable}\nstart = 0.01\nstop = 0.05\nsteps = 3\n"
+    )
+    assert code == 0
+    _, body = rows(text)
+    swept = ["lambda_p", "lambda_s"] if variable == "lambda" else [variable]
+    columns = ["f_pd", "f_sd", "f_ps", "p_q", "p_a", "lambda_p", "lambda_s"]
+    for r, value in zip(body, [0.01, 0.03, 0.05], strict=True):
+        for column, cell in zip(columns, r):
+            assert float(cell) == (value if column in swept else base[column]), column
 
 
 def test_tradeoff_directions(tmp_path):
@@ -328,6 +358,46 @@ def test_out_path_that_is_a_directory_exits_2(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_validate_rejects_bad_tolerance(tmp_path, capsys, value):
+    code, text = run(tmp_path, "validate", SMALL_VALIDATE + f"tolerance = {value}\n")
+    assert code == 2 and text == ""
+    assert "'tolerance'" in capsys.readouterr().err
+    code, text = run(tmp_path, "validate", SMALL_VALIDATE, extra=["--tolerance", value])
+    assert code == 2 and text == ""
+    assert "'tolerance'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_negative_seed_names_key(tmp_path, capsys, command):
+    code, _ = run(tmp_path, command, SMALL_VALIDATE + "seed = -3\n")
+    assert code == 2
+    assert "'seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["delay", "--truncation", "5"], ["oracle", "--tolerance", "0.1"]])
+def test_command_specific_flags_stay_on_their_command(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_oracle_truncation_flag(tmp_path):
+    code, text = run(tmp_path, "oracle", "truncation = 60\n", extra=["--truncation", "30"])
+    assert code == 0
+    _, body = rows(text)
+    assert [r[1] for r in body] == ["30", "30"]
+
+
+def test_standard_channel_preset_bytes(tmp_path):
+    digest = hashlib.sha256()
+    for preset, command in PRESET_COMMANDS.items():
+        code, text = run(tmp_path, command, None, extra=["--preset", preset])
+        assert code == 0
+        digest.update(text.encode())
+    assert digest.hexdigest() == STANDARD_PRESETS_SHA256
 
 
 def test_unknown_preset_exits_2(tmp_path):
