@@ -1,17 +1,30 @@
 """Closed-form stability and delay results for the cooperative relaying policy.
 
-Every function here evaluates its closed-form expression term by term in
-64-bit floating arithmetic, with no algebraic simplification, so that
-transcription mistakes surface when
-cross-checked against the Markov-chain solver in :mod:`cogrelay.oracle` and
-against simulation. Stability predicates use strict inequalities with zero
-tolerance; callers wanting a safety band apply it to the reported margins.
+Every closed form is written once, in :func:`closed_forms`, and evaluated
+term by term in 64-bit floating arithmetic with no algebraic simplification,
+so that transcription mistakes surface when cross-checked against the
+Markov-chain solver in :mod:`cogrelay.oracle` and against simulation. The
+core takes broadcastable numpy arrays and uses only elementwise ``+ - * /``
+and comparisons, which round exactly as Python floats do: a whole sweep
+evaluated in one call holds the same bits as the same points evaluated one
+at a time. It never raises; instead it reports masks (stability, and where a
+denominator vanishes or a report leaves its bounds).
+
+The scalar functions below are thin wrappers over the core at one point.
+They raise where the quantity is undefined or the point is unstable, and
+where a denominator vanishes they raise ``ZeroDivisionError`` as Python's
+own float division does. Stability predicates use strict inequalities with
+zero tolerance; callers wanting a safety band apply it to the reported
+margins.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .model import ChannelProfile, OperatingPoint, Policy, StabilityVerdict
 
@@ -20,6 +33,9 @@ __all__ = [
     "InstabilityError",
     "DegeneratePolicyError",
     "UndefinedRateError",
+    "ClosedForms",
+    "closed_forms",
+    "union_region",
     "RelayCoefficients",
     "SecondaryCoefficients",
     "DelayReport",
@@ -47,6 +63,9 @@ __all__ = [
 #: cannot be drained (or the policy is degenerate).
 MOST_NEGATIVE_MARGIN = -sys.float_info.max
 
+#: Slack of the delay report's bounds, absorbing rounding at extreme channels.
+REPORT_SLACK = 1e-9
+
 
 class AnalyticsError(ValueError):
     """Base class for closed-form evaluation errors."""
@@ -64,44 +83,196 @@ class UndefinedRateError(AnalyticsError):
     """A rate in a denominator is zero, so the requested quantity is undefined."""
 
 
-def _relay_rate(ch: ChannelProfile, p_a: float) -> float:
-    # probability that a PU transmission ends up admitted to the relay queue
-    return p_a * ch.f_ps * (1.0 - ch.f_pd)
+class ClosedForms(NamedTuple):
+    """Every closed form at broadcast (channel, policy, point) arrays.
+
+    Entries where a form is undefined (an unstable point, a zero rate, a
+    degenerate policy) hold whatever IEEE arithmetic gives there; read them
+    through the masks. The secondary quantities are those of the own-data
+    queue, the relay quantities those of the queue of admitted PU packets.
+    """
+
+    relay: np.ndarray  # rate at which PU transmissions enter the relay queue
+    mu: np.ndarray  # primary service rate: direct delivery or relay handoff
+    epsilon: np.ndarray  # fraction of departing PU packets that leave via the relay
+    threshold: np.ndarray  # phase-transition p_q, where the primary bound ignores p_a
+    degenerate: np.ndarray  # relay queue neither served nor fed: primary bound undefined
+    bound_p: np.ndarray  # largest sustainable lambda_p (relay-queue constraint)
+    p_empty: np.ndarray  # probability that the primary queue is empty
+    bound_s: np.ndarray  # largest sustainable lambda_s at lambda_p
+    margin_p: np.ndarray  # bound_p - lambda_p, or MOST_NEGATIVE_MARGIN
+    margin_s: np.ndarray  # bound_s - lambda_s, or MOST_NEGATIVE_MARGIN
+    stable: np.ndarray  # both margins strictly positive
+    m: np.ndarray  # relay-queue coefficients (m, n, alpha, beta, gamma)
+    n: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    relay_den: np.ndarray  # relay-queue denominator, positive wherever the form is valid
+    a_coef: np.ndarray  # secondary-queue coefficients (A, B, C)
+    b_coef: np.ndarray
+    c_coef: np.ndarray
+    n_p: np.ndarray  # mean queue lengths
+    n_sp: np.ndarray
+    n_s: np.ndarray
+    n_s_den: np.ndarray  # B * C, the denominator of n_s
+    d_p: np.ndarray  # mean delays; undefined where the arrival rate is zero
+    d_s: np.ndarray
+    g00: np.ndarray  # probability that the primary and secondary queues are both empty
+    g00_den: np.ndarray
+    relay_ok: np.ndarray  # relay_den > 0
+    secondary_ok: np.ndarray  # not B <= 0, and C != 0
+    in_bounds: np.ndarray  # the delay report meets its bounds
+
+    @property
+    def evaluable(self) -> np.ndarray:
+        """Where :func:`delay_report` returns, given that the point is stable."""
+        return (
+            self.relay_ok & self.secondary_ok & (self.n_s_den != 0.0) & (self.g00_den != 0.0)
+            & self.in_bounds
+        )
+
+
+def _report_in_bounds(n_p, n_sp, n_s, d_p, d_s, g00, epsilon):
+    # lengths nonnegative, delays at least one slot, probabilities in [0, 1];
+    # an absent delay is passed as 1.0
+    lo, hi = -REPORT_SLACK, 1.0 + REPORT_SLACK
+    return (
+        (n_p >= lo) & (n_sp >= lo) & (n_s >= lo)
+        & (d_p >= 1.0 - REPORT_SLACK) & (d_s >= 1.0 - REPORT_SLACK)
+        & (lo <= g00) & (g00 <= hi) & (lo <= epsilon) & (epsilon <= hi)
+    )
+
+
+def _operands(*values):
+    # arrays broadcast to one shape; a point stays numpy scalars, which round
+    # as arrays do but cost a tenth of a 0-d array per operation
+    if any(isinstance(v, np.ndarray) for v in values):
+        return np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in values))
+    return [np.float64(v) for v in values]
+
+
+def _select(mask, if_true, if_false):
+    if isinstance(mask, np.ndarray):
+        return np.where(mask, if_true, if_false)
+    return if_true if mask else if_false
+
+
+@np.errstate(all="ignore")
+def closed_forms(f_pd, f_sd, f_ps, p_q=0.0, p_a=1.0, lambda_p=0.0, lambda_s=0.0) -> ClosedForms:
+    """Evaluate every closed form on broadcastable arrays (or floats).
+
+    A quantity that does not depend on an argument ignores its default, so
+    channel-level forms need only the channel and policy-level forms only
+    the policy.
+    """
+    f_pd, f_sd, f_ps, p_q, p_a, lp, ls = _operands(f_pd, f_sd, f_ps, p_q, p_a, lambda_p, lambda_s)
+    relay = p_a * f_ps * (1.0 - f_pd)
+    mu = f_pd + relay
+    epsilon = relay / mu
+    threshold = 1.0 - f_pd / f_sd
+
+    serve_relay = f_sd * (1.0 - p_q)  # relay-queue service rate in a PU-idle slot
+    serve_own = p_q * f_sd  # own-data queue service rate in a PU-idle slot
+    alpha = serve_relay + relay
+    degenerate = alpha == 0.0
+    bound_p = serve_relay / alpha * mu
+    p_empty = 1.0 - lp / mu
+    bound_s = serve_own * p_empty
+    margin_p = _select(degenerate, MOST_NEGATIVE_MARGIN, bound_p - lp)
+    margin_s = _select(degenerate | (lp >= mu), MOST_NEGATIVE_MARGIN, bound_s - ls)
+    stable = (margin_p > 0.0) & (margin_s > 0.0)
+
+    n_p = (lp - lp * lp) / (mu - lp)
+
+    m = relay * ((serve_relay - f_pd) / mu - serve_relay - relay)
+    n = relay * mu
+    beta = mu * (-2.0 * serve_relay - relay)
+    gamma = serve_relay * mu * mu
+    relay_den = alpha * lp * lp + beta * lp + gamma
+    n_sp = (m * lp * lp + n * lp) / relay_den
+
+    a_coef = serve_own * (mu - 1.0)
+    b_coef = mu - lp
+    c_coef = (ls - serve_own) * mu + serve_own * lp
+    n_s_den = b_coef * c_coef
+    n_s = (lp * ls * a_coef + (ls * ls - ls) * b_coef * (b_coef + lp)) / n_s_den
+
+    d_p = (n_p + n_sp) / lp
+    d_s = n_s / ls
+    g00_den = serve_own * mu
+    g00 = (serve_own * (mu - lp) - ls * mu) / g00_den
+    in_bounds = _report_in_bounds(
+        n_p, n_sp, n_s, _select(lp > 0.0, d_p, 1.0), _select(ls > 0.0, d_s, 1.0), g00, epsilon
+    )
+    return ClosedForms(
+        relay, mu, epsilon, threshold, degenerate, bound_p, p_empty, bound_s,
+        margin_p, margin_s, stable, m, n, alpha, beta, gamma, relay_den,
+        a_coef, b_coef, c_coef, n_p, n_sp, n_s, n_s_den, d_p, d_s, g00, g00_den,
+        relay_den > 0.0, ~(b_coef <= 0.0) & (c_coef != 0.0), in_bounds,
+    )
+
+
+@np.errstate(all="ignore")
+def union_region(f_pd, f_sd, f_ps, lambda_p=0.0):
+    """Outer stability boundary over all policies, reached at full admission.
+
+    Returns ``(max_lambda_s, max_lambda_p, slope_den)`` as arrays: the
+    largest lambda_s at ``lambda_p`` (floored at zero), the boundary's root
+    on the lambda_p axis, and the primary service rate at p_a = 1 that
+    divides the slope (zero only when nothing reaches the destination).
+    """
+    f_pd, f_sd, f_ps, lambda_p = _operands(f_pd, f_sd, f_ps, lambda_p)
+    cf = closed_forms(f_pd, f_sd, f_ps)
+    value = f_sd - (f_sd + cf.relay) / cf.mu * lambda_p
+    # max(value, 0.0) keeps value unless 0.0 is larger, so -0.0 and nan stay
+    return _select(0.0 > value, 0.0, value), f_sd * cf.mu / (f_sd + cf.relay), cf.mu
+
+
+def _divisible(denominator) -> None:
+    if denominator == 0.0:
+        raise ZeroDivisionError("float division by zero")
+
+
+def _at(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> ClosedForms:
+    return closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s)
 
 
 def service_rate_primary(ch: ChannelProfile, p_a: float) -> float:
     """Primary-queue service rate: direct delivery or decode-and-admit handoff."""
-    return ch.f_pd + _relay_rate(ch, p_a)
+    return float(closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, p_a=p_a).mu)
 
 
 def relay_fraction_epsilon(ch: ChannelProfile, p_a: float) -> float:
     """Probability that a departing PU packet leaves via the relay path."""
-    mu = service_rate_primary(ch, p_a)
-    if mu == 0.0:
+    cf = closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, p_a=p_a)
+    if cf.mu == 0.0:
         raise UndefinedRateError("primary service rate is zero; relay fraction undefined")
-    return _relay_rate(ch, p_a) / mu
+    return float(cf.epsilon)
 
 
 def max_arrival_primary(ch: ChannelProfile, pol: Policy) -> float:
     """Largest sustainable lambda_p under the policy (relay-queue constraint)."""
-    own = ch.f_sd * (1.0 - pol.p_q)
-    relay = _relay_rate(ch, pol.p_a)
-    denom = own + relay
-    if denom == 0.0:
+    cf = closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a)
+    if cf.degenerate:
         raise DegeneratePolicyError(
             "p_q = 1 with no relay inflow leaves the primary bound undefined"
         )
-    return own / denom * service_rate_primary(ch, pol.p_a)
+    return float(cf.bound_p)
+
+
+def _below_mu(cf: ClosedForms, lambda_p: float) -> None:
+    if lambda_p >= cf.mu:
+        raise InstabilityError(
+            f"lambda_p={lambda_p!r} not below the primary service rate {float(cf.mu)!r}"
+        )
 
 
 def max_arrival_secondary(ch: ChannelProfile, pol: Policy, lambda_p: float) -> float:
     """Largest sustainable lambda_s given the primary load lambda_p."""
-    mu = service_rate_primary(ch, pol.p_a)
-    if lambda_p >= mu:
-        raise InstabilityError(
-            f"lambda_p={lambda_p!r} not below the primary service rate {mu!r}"
-        )
-    return pol.p_q * ch.f_sd * (1.0 - lambda_p / mu)
+    cf = closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, lambda_p)
+    _below_mu(cf, lambda_p)
+    return float(cf.bound_s)
 
 
 def is_stable(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> StabilityVerdict:
@@ -111,46 +282,35 @@ def is_stable(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> StabilityV
     verdict with sentinel margins rather than an error; the rate bounds are
     undefined there.
     """
-    mu = service_rate_primary(ch, pol.p_a)
-    try:
-        margin_p = max_arrival_primary(ch, pol) - pt.lambda_p
-    except DegeneratePolicyError:
-        return StabilityVerdict(False, MOST_NEGATIVE_MARGIN, MOST_NEGATIVE_MARGIN)
-    if pt.lambda_p >= mu:
-        margin_s = MOST_NEGATIVE_MARGIN
-    else:
-        margin_s = max_arrival_secondary(ch, pol, pt.lambda_p) - pt.lambda_s
-    return StabilityVerdict(margin_p > 0.0 and margin_s > 0.0, margin_p, margin_s)
+    cf = _at(ch, pol, pt)
+    return StabilityVerdict(bool(cf.stable), float(cf.margin_p), float(cf.margin_s))
 
 
-def _require_stable(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> None:
-    verdict = is_stable(ch, pol, pt)
-    if not verdict.stable:
+def _require_stable(cf: ClosedForms, pol: Policy, pt: OperatingPoint) -> None:
+    if not cf.stable:
         raise InstabilityError(
             f"operating point {pt} is not stable under {pol}: "
-            f"margin_p={verdict.margin_p!r}, margin_s={verdict.margin_s!r}"
+            f"margin_p={float(cf.margin_p)!r}, margin_s={float(cf.margin_s)!r}"
         )
 
 
 def phase_transition_pq(ch: ChannelProfile) -> float:
     """The p_q at which the primary rate bound becomes insensitive to p_a."""
-    return 1.0 - ch.f_pd / ch.f_sd
+    return float(closed_forms(ch.f_pd, ch.f_sd, ch.f_ps).threshold)
 
 
 def union_region_max_lambda_s(ch: ChannelProfile, lambda_p: float) -> float:
     """Outer stability boundary over all policies (floored at zero)."""
-    relay = ch.f_ps * (1.0 - ch.f_pd)
-    value = ch.f_sd - (ch.f_sd + relay) / (ch.f_pd + relay) * lambda_p
-    return max(value, 0.0)
+    value, _, slope_den = union_region(ch.f_pd, ch.f_sd, ch.f_ps, lambda_p)
+    _divisible(slope_den)
+    return float(value)
 
 
 def mean_queue_primary(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
     """Mean primary queue length (Pollaczek-Khinchine form for a Bernoulli/geometric queue)."""
-    mu = service_rate_primary(ch, pol.p_a)
-    lp = pt.lambda_p
-    if lp >= mu:
-        raise InstabilityError(f"lambda_p={lp!r} not below the primary service rate {mu!r}")
-    return (lp - lp * lp) / (mu - lp)
+    cf = _at(ch, pol, pt)
+    _below_mu(cf, pt.lambda_p)
+    return float(cf.n_p)
 
 
 @dataclass(frozen=True)
@@ -166,32 +326,27 @@ class RelayCoefficients:
 
 def relay_coefficients(ch: ChannelProfile, pol: Policy) -> RelayCoefficients:
     """Coefficients (m, n, alpha, beta, gamma) of the relay queue's mean length."""
-    mu = service_rate_primary(ch, pol.p_a)
-    if mu == 0.0:
+    cf = closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a)
+    if cf.mu == 0.0:
         raise UndefinedRateError("primary service rate is zero; relay coefficients undefined")
-    own = (1.0 - pol.p_q) * ch.f_sd
-    relay = _relay_rate(ch, pol.p_a)
-    m = relay * ((own - ch.f_pd) / mu - own - relay)
-    n = relay * mu
-    alpha = own + relay
-    beta = mu * (-2.0 * own - relay)
-    gamma = own * mu * mu
-    return RelayCoefficients(m, n, alpha, beta, gamma)
+    return RelayCoefficients(
+        float(cf.m), float(cf.n), float(cf.alpha), float(cf.beta), float(cf.gamma)
+    )
+
+
+def _relay_form(cf: ClosedForms, ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
+    _require_stable(cf, pol, pt)
+    if not cf.relay_ok:
+        raise AssertionError(
+            f"relay-queue denominator {float(cf.relay_den)!r} not positive at a stable point "
+            f"(ch={ch}, pol={pol}, pt={pt}); coefficient transcription bug"
+        )
+    return float(cf.n_sp)
 
 
 def mean_queue_relay(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
     """Mean relay queue length at a stable operating point."""
-    _require_stable(ch, pol, pt)
-    c = relay_coefficients(ch, pol)
-    lp = pt.lambda_p
-    num = c.m * lp * lp + c.n * lp
-    den = c.alpha * lp * lp + c.beta * lp + c.gamma
-    if not den > 0.0:
-        raise AssertionError(
-            f"relay-queue denominator {den!r} not positive at a stable point "
-            f"(ch={ch}, pol={pol}, pt={pt}); coefficient transcription bug"
-        )
-    return num / den
+    return _relay_form(_at(ch, pol, pt), ch, pol, pt)
 
 
 @dataclass(frozen=True)
@@ -203,72 +358,80 @@ class SecondaryCoefficients:
     c_coef: float
 
 
+def _secondary_form(cf: ClosedForms, ch: ChannelProfile, pol: Policy, pt: OperatingPoint):
+    _require_stable(cf, pol, pt)
+    if not cf.secondary_ok:
+        raise AssertionError(
+            f"secondary coefficients out of domain at a stable point: "
+            f"B={float(cf.b_coef)!r}, C={float(cf.c_coef)!r} "
+            f"(ch={ch}, pol={pol}, pt={pt}); transcription bug"
+        )
+
+
 def secondary_coefficients(
     ch: ChannelProfile, pol: Policy, pt: OperatingPoint
 ) -> SecondaryCoefficients:
     """Coefficients (A, B, C) of the secondary queue's mean length."""
-    _require_stable(ch, pol, pt)
-    mu = service_rate_primary(ch, pol.p_a)
-    a = pol.p_q * ch.f_sd * (mu - 1.0)
-    b = mu - pt.lambda_p
-    c = (pt.lambda_s - pol.p_q * ch.f_sd) * mu + pol.p_q * ch.f_sd * pt.lambda_p
-    if b <= 0.0 or c == 0.0:
-        raise AssertionError(
-            f"secondary coefficients out of domain at a stable point: B={b!r}, C={c!r} "
-            f"(ch={ch}, pol={pol}, pt={pt}); transcription bug"
-        )
-    return SecondaryCoefficients(a, b, c)
+    cf = _at(ch, pol, pt)
+    _secondary_form(cf, ch, pol, pt)
+    return SecondaryCoefficients(float(cf.a_coef), float(cf.b_coef), float(cf.c_coef))
+
+
+def _n_s(cf: ClosedForms, ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
+    _secondary_form(cf, ch, pol, pt)
+    _divisible(cf.n_s_den)
+    return float(cf.n_s)
 
 
 def mean_queue_secondary(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
     """Mean secondary (own-data) queue length at a stable operating point."""
-    co = secondary_coefficients(ch, pol, pt)
-    lp, ls = pt.lambda_p, pt.lambda_s
-    num = lp * ls * co.a_coef + (ls * ls - ls) * co.b_coef * (co.b_coef + lp)
-    return num / (co.b_coef * co.c_coef)
+    return _n_s(_at(ch, pol, pt), ch, pol, pt)
 
 
 def delay_primary(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
     """Mean delay of a primary packet: queueing at the PU plus, for relayed packets, at the SU."""
     if pt.lambda_p <= 0.0:
         raise UndefinedRateError("primary delay undefined at lambda_p = 0")
-    _require_stable(ch, pol, pt)
-    return (mean_queue_primary(ch, pol, pt) + mean_queue_relay(ch, pol, pt)) / pt.lambda_p
+    cf = _at(ch, pol, pt)
+    _relay_form(cf, ch, pol, pt)
+    return float(cf.d_p)
 
 
 def delay_secondary(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
     """Mean delay of a secondary packet."""
     if pt.lambda_s <= 0.0:
         raise UndefinedRateError("secondary delay undefined at lambda_s = 0")
-    return mean_queue_secondary(ch, pol, pt) / pt.lambda_s
+    cf = _at(ch, pol, pt)
+    _n_s(cf, ch, pol, pt)
+    return float(cf.d_s)
+
+
+def _g00(cf: ClosedForms, pol: Policy, pt: OperatingPoint) -> float:
+    _require_stable(cf, pol, pt)
+    _divisible(cf.g00_den)
+    return float(cf.g00)
 
 
 def empty_joint_probability(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
     """Stationary probability that the primary and secondary queues are both empty."""
-    _require_stable(ch, pol, pt)
-    mu = service_rate_primary(ch, pol.p_a)
-    own = pol.p_q * ch.f_sd
-    return (own * (mu - pt.lambda_p) - pt.lambda_s * mu) / (own * mu)
+    return _g00(_at(ch, pol, pt), pol, pt)
 
 
 def prob_primary_empty(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
     """Stationary probability that the primary queue is empty."""
-    mu = service_rate_primary(ch, pol.p_a)
-    if pt.lambda_p >= mu:
-        raise InstabilityError(
-            f"lambda_p={pt.lambda_p!r} not below the primary service rate {mu!r}"
-        )
-    return 1.0 - pt.lambda_p / mu
+    cf = _at(ch, pol, pt)
+    _below_mu(cf, pt.lambda_p)
+    return float(cf.p_empty)
 
 
 @dataclass(frozen=True)
 class DelayReport:
     """Bundle of all closed-form queue metrics at one stable operating point.
 
-    A delay is ``None`` where its arrival rate is zero. Validated with a 1e-9
-    slack against the mathematical bounds (lengths nonnegative, delays at
-    least one slot, probabilities in [0, 1]) to absorb floating-point
-    rounding at extreme channels.
+    A delay is ``None`` where its arrival rate is zero. Validated with a
+    REPORT_SLACK of 1e-9 against the mathematical bounds (lengths
+    nonnegative, delays at least one slot, probabilities in [0, 1]) to
+    absorb floating-point rounding at extreme channels.
     """
 
     n_p: float
@@ -280,17 +443,12 @@ class DelayReport:
     epsilon: float
 
     def __post_init__(self) -> None:
-        slack = 1e-9
-        checks = (
-            self.n_p >= -slack,
-            self.n_sp >= -slack,
-            self.n_s >= -slack,
-            self.d_p is None or self.d_p >= 1.0 - slack,
-            self.d_s is None or self.d_s >= 1.0 - slack,
-            -slack <= self.g00 <= 1.0 + slack,
-            -slack <= self.epsilon <= 1.0 + slack,
-        )
-        if not all(checks):
+        if not _report_in_bounds(
+            self.n_p, self.n_sp, self.n_s,
+            1.0 if self.d_p is None else self.d_p,
+            1.0 if self.d_s is None else self.d_s,
+            self.g00, self.epsilon,
+        ):
             raise ValueError(f"delay report violates its bounds: {self!r}")
 
 
@@ -298,18 +456,19 @@ def delay_report(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> DelayRe
     """Evaluate every closed form once at a stable point.
 
     The delays are those of :func:`delay_primary` and :func:`delay_secondary`,
-    from the same operations, and ``None`` where the arrival rate is zero.
+    and ``None`` where the arrival rate is zero. Raises where those would,
+    in the order they would.
     """
-    _require_stable(ch, pol, pt)
-    n_p = mean_queue_primary(ch, pol, pt)
-    n_sp = mean_queue_relay(ch, pol, pt)
-    n_s = mean_queue_secondary(ch, pol, pt)
+    cf = _at(ch, pol, pt)
+    _require_stable(cf, pol, pt)
+    n_sp = _relay_form(cf, ch, pol, pt)
+    n_s = _n_s(cf, ch, pol, pt)
     return DelayReport(
-        n_p=n_p,
+        n_p=float(cf.n_p),
         n_sp=n_sp,
         n_s=n_s,
-        d_p=(n_p + n_sp) / pt.lambda_p if pt.lambda_p > 0.0 else None,
-        d_s=n_s / pt.lambda_s if pt.lambda_s > 0.0 else None,
-        g00=empty_joint_probability(ch, pol, pt),
-        epsilon=relay_fraction_epsilon(ch, pol.p_a),
+        d_p=float(cf.d_p) if pt.lambda_p > 0.0 else None,
+        d_s=float(cf.d_s) if pt.lambda_s > 0.0 else None,
+        g00=_g00(cf, pol, pt),
+        epsilon=float(cf.epsilon),
     )

@@ -4,10 +4,20 @@ Every subcommand emits CSV (comma separator, ``.`` decimal point, 12
 significant digits, mandatory header) except ``optimize`` without a sweep,
 which prints a key=value report. Identical config plus seed yields
 byte-identical output. Exit codes: 0 success, 1 validation failure, 2 config
-or output error.
+or output error, 141 when standard output is closed before the command ends
+(as ``| head`` does).
 
 Parameter precedence, lowest to highest: preset, config file, the seed
 environment variable, command-line flags.
+
+A sweep is built as columns, one float64 array per channel, policy and point
+key (:func:`_sweep_columns`). The closed-form commands (``delay``,
+``tradeoff``, ``region``, ``optimize``) evaluate their whole table in one
+call of the array core (:func:`cogrelay.analytics.closed_forms`,
+:func:`cogrelay.optimizer.optima`) and write it at once with
+:func:`_write_table`. Where the core marks a row the closed forms cannot
+evaluate, that row is evaluated again through the scalar functions, which
+raise what they always raised; a failing sweep writes nothing.
 """
 
 from __future__ import annotations
@@ -46,6 +56,8 @@ ENV_SEED = "COGRELAY_SEED"
 DEFAULT_SEED = 12345
 DEFAULT_SLOTS = 1_000_000
 DEFAULT_WARMUP = 10_000
+#: Exit code when stdout is closed early: 128 + SIGPIPE, as shells report it.
+EXIT_BROKEN_PIPE = 141
 
 #: Relative stability margin above which validation failures drive the exit code.
 MARGIN_ENFORCEMENT = 0.10
@@ -134,6 +146,18 @@ PRESETS: dict[str, dict[str, str]] = {
 PRESETS.update(fig5=PRESETS["fig4"], fig7=PRESETS["fig6"], fig9=PRESETS["fig8"])
 
 
+#: The channel, policy and point keys of a sweep row, in the order
+#: :func:`cogrelay.analytics.closed_forms` takes them.
+POINT_KEYS = ("f_pd", "f_sd", "f_ps", "p_q", "p_a", "lambda_p", "lambda_s")
+
+#: Grid defaults of the p_a sweeps that ``tradeoff`` and ``region`` in rates
+#: mode run over ``p_q_list``; config keys override them.
+TRADEOFF_GRID = {"start": "0", "stop": "1", "steps": "21"}
+RATES_GRID = {
+    "start": "0", "stop": "1", "steps": "101", "p_q_list": "0.2, 0.4, 0.625, 0.8", "lambda_p": "0.2",
+}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A linear sweep of one scenario parameter."""
@@ -147,17 +171,18 @@ class SweepSpec:
         if self.variable not in SWEEP_VARIABLES:
             raise ConfigError(f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
         if self.steps < 2:
-            raise ConfigError(f"steps must be >= 2, got {self.steps}")
+            raise ConfigError(f"key 'steps': must be >= 2, got {self.steps}")
         if not self.start < self.stop:
             raise ConfigError(f"need start < stop, got start={self.start}, stop={self.stop}")
-        if self.start < 0.0 or self.stop > 1.0:
-            raise ConfigError("sweep range must stay within [0, 1]")
+        for key, value in (("start", self.start), ("stop", self.stop)):
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"key {key!r}: sweep range must stay within [0, 1], got {value}")
 
-    def values(self) -> list[float]:
-        return [float(v) for v in np.linspace(self.start, self.stop, self.steps)]
+    def values(self) -> np.ndarray:
+        return np.linspace(self.start, self.stop, self.steps)
 
 
-def _fmt(value: float | int | str | None) -> str:
+def _cell(value: float | int | str | None) -> str:
     if value is None:
         return ""
     if isinstance(value, str):
@@ -166,11 +191,37 @@ def _fmt(value: float | int | str | None) -> str:
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format(float(value), ".12g")
+    return "%.12g" % value
 
 
-def _write_row(out, cells) -> None:
-    out.write(",".join(_fmt(cell) for cell in cells) + "\n")
+def _format(values: np.ndarray, present: np.ndarray | None = None) -> list[str]:
+    """The cells of a float64 column, empty where ``present`` is False.
+
+    A column whose entries all have the same bits is formatted once.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits = values.view(np.int64)
+    if values.size and (bits == bits[0]).all():
+        cells = ["%.12g" % values[0]] * values.size
+    else:
+        cells = ["%.12g" % value for value in values.tolist()]
+    if present is not None:
+        cells = [cell if keep else "" for cell, keep in zip(cells, present.tolist())]
+    return cells
+
+
+def _flags(mask: np.ndarray) -> list[str]:
+    return ["1" if flag else "0" for flag in mask.tolist()]
+
+
+def _write_table(out, header: str, rows) -> None:
+    """Write the header and the rows, each a sequence of formatted cells, at once."""
+    out.write("".join([header + "\n", *[",".join(row) + "\n" for row in rows]]))
+
+
+def _write_rows(out, header: str, rows) -> None:
+    """:func:`_write_table` for rows of values, formatted cell by cell."""
+    _write_table(out, header, ([_cell(value) for value in row] for row in rows))
 
 
 class OutputError(OSError):
@@ -182,6 +233,7 @@ def _open_out(path: str | None):
     """Stream to a temporary file beside ``path`` that replaces it only if the command returns."""
     if path is None or path == "-":
         yield sys.stdout
+        sys.stdout.flush()  # a closed pipe shows here, inside main
         return
     head, tail = os.path.split(path)
     temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
@@ -210,11 +262,27 @@ def _sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
     )
 
 
-def _sweep_points(cfg: dict[str, str]):
-    """Yield (channel, policy, point) for every curve and step of the config's sweep.
+def _step_objects(cfg: dict[str, str], sweep: SweepSpec, keys: tuple[str, ...], value: float):
+    """(channel, policy, point) of the sweep step that sets ``keys`` to ``value``.
 
-    Each step is the config with the swept keys, and the curve's p_q from
-    ``p_q_list``, overlaid; ``repr`` round-trips every float exactly.
+    ``repr`` round-trips every float exactly.
+    """
+    step = {**cfg, **dict.fromkeys(keys, repr(value))}
+    try:
+        return channel_from_config(step), policy_from_config(step), point_from_config(step)
+    except ConfigError as exc:
+        raise ConfigError(f"invalid sweep point ({sweep.variable}={value!r}): {exc}") from exc
+
+
+def _sweep_columns(cfg: dict[str, str]) -> tuple[dict[str, np.ndarray], ConfigError | None]:
+    """The config's sweep as one float64 column per POINT_KEYS, curve after curve.
+
+    A curve is the config with its p_q from ``p_q_list`` overlaid. Each curve
+    is validated once, through the objects of its first step; its other steps
+    change only the swept keys, to values in [0, 1], so the one check left
+    per step is f_pd < f_sd. The columns end before the first step the model
+    rejects, and that step's error is returned beside them (None when every
+    step is valid), so a command raises it after the rows before it.
     """
     sweep = _sweep_from_config(cfg)
     keys = ("lambda_p", "lambda_s") if sweep.variable == "lambda" else (sweep.variable,)
@@ -223,16 +291,54 @@ def _sweep_points(cfg: dict[str, str]):
         if sweep.variable == "p_q":
             raise ConfigError("p_q_list cannot be combined with a p_q sweep")
         curves = [{"p_q": repr(p_q)} for p_q in get_float_list(cfg, "p_q_list")]
+    values = sweep.values()
+    blocks: list[dict[str, np.ndarray]] = []
+    error = None
     for curve in curves:
-        for value in sweep.values():
-            step = {**cfg, **curve, **dict.fromkeys(keys, repr(value))}
+        try:
+            ch, pol, pt = _step_objects({**cfg, **curve}, sweep, keys, float(values[0]))
+        except ConfigError as exc:
+            error = exc
+            break
+        first = dict(zip(POINT_KEYS, (ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a,
+                                      pt.lambda_p, pt.lambda_s)))
+        block = {key: values if key in keys else np.full(values.size, first[key])
+                 for key in POINT_KEYS}
+        rejected = np.flatnonzero(~(block["f_pd"] < block["f_sd"]))
+        if rejected.size:
+            bad = int(rejected[0])
+            blocks.append({key: column[:bad] for key, column in block.items()})
             try:
-                channel = channel_from_config(step)
-                policy = policy_from_config(step)
-                point = point_from_config(step)
+                _step_objects({**cfg, **curve}, sweep, keys, float(values[bad]))
             except ConfigError as exc:
-                raise ConfigError(f"invalid sweep point ({sweep.variable}={value!r}): {exc}") from exc
-            yield channel, policy, point
+                error = exc
+            break
+        blocks.append(block)
+    columns = {key: np.concatenate([block[key] for block in blocks] or [np.empty(0)])
+               for key in POINT_KEYS}
+    return columns, error
+
+
+def _row_objects(columns: dict[str, np.ndarray], index: int):
+    f_pd, f_sd, f_ps, p_q, p_a, lambda_p, lambda_s = (
+        float(columns[key][index]) for key in POINT_KEYS
+    )
+    return ChannelProfile(f_pd, f_sd, f_ps), Policy(p_q, p_a), OperatingPoint(lambda_p, lambda_s)
+
+
+def _raise_first(fault: np.ndarray, error: Exception | None, evaluate) -> None:
+    """Raise what the sweep's first failing row raises, if any row fails.
+
+    ``evaluate(index)`` runs that row through the scalar functions, which
+    raise for every row in ``fault``; rows the model rejected come after all
+    evaluated rows, so ``error`` goes last.
+    """
+    faulty = np.flatnonzero(fault)
+    if faulty.size:
+        evaluate(int(faulty[0]))
+        raise AssertionError(f"sweep row {faulty[0]} is marked as failing but evaluates")
+    if error is not None:
+        raise error
 
 
 def _point_seed(base_seed: int, index: int) -> int:
@@ -242,67 +348,83 @@ def _point_seed(base_seed: int, index: int) -> int:
     return int(state[0])
 
 
+def _delay_forms(columns: dict[str, np.ndarray], error: ConfigError | None):
+    """The closed forms of every sweep row; raises where a stable row's report would."""
+    cf = analytics.closed_forms(*columns.values())
+    _raise_first(
+        cf.stable & ~cf.evaluable,
+        error,
+        lambda index: analytics.delay_report(*_row_objects(columns, index)),
+    )
+    return cf
+
+
 def cmd_region(cfg: dict[str, str], out) -> int:
     mode = get_str(cfg, "region_mode", "boundary")
     channel = channel_from_config(cfg)
     if mode == "boundary":
         policies = get_policy_list(cfg, "policies", default=[Policy(0.5, 1.0)])
         steps = get_int(cfg, "steps", 101)
-        relay_full = channel.f_ps * (1.0 - channel.f_pd)
-        union_root = channel.f_sd * (channel.f_pd + relay_full) / (channel.f_sd + relay_full)
+        _, union_root, _ = analytics.union_region(channel.f_pd, channel.f_sd, channel.f_ps)
         start = get_float(cfg, "start", 0.0)
-        stop = get_float(cfg, "stop", union_root)
-        grid = np.linspace(start, stop, steps)
-        out.write(REGION_BOUNDARY_HEADER + "\n")
-        for pol in policies:
-            try:
-                bound = analytics.max_arrival_primary(channel, pol)
-            except DegeneratePolicyError as exc:
-                raise ConfigError(str(exc)) from exc
-            for lam_p in grid:
-                lam = float(lam_p)
-                # the curve's domain always includes the idle-primary point
-                if lam == 0.0 or lam < bound:
-                    max_ls = analytics.max_arrival_secondary(channel, pol, lam)
-                    _write_row(out, ["fixed", pol.p_q, pol.p_a, lam, max_ls])
-        for lam_p in grid:
-            _write_row(
-                out,
-                ["union", None, None, lam_p, analytics.union_region_max_lambda_s(channel, float(lam_p))],
-            )
+        stop = get_float(cfg, "stop", float(union_root))
+        grid = SweepSpec("lambda_p", start, stop, steps).values()
+        p_q = np.array([[pol.p_q] for pol in policies])
+        p_a = np.array([[pol.p_a] for pol in policies])
+        cf = analytics.closed_forms(channel.f_pd, channel.f_sd, channel.f_ps, p_q, p_a, grid)
+        # the curve's domain always includes the idle-primary point
+        shown = (grid == 0.0) | (grid < cf.bound_p)
+        unstable = shown & (grid >= cf.mu)
+        for pol, degenerate, row in zip(policies, cf.degenerate[:, 0], unstable):
+            if degenerate or row.any():
+                try:
+                    analytics.max_arrival_primary(channel, pol)
+                except DegeneratePolicyError as exc:
+                    raise ConfigError(str(exc)) from exc
+                analytics.max_arrival_secondary(channel, pol, float(grid[row.argmax()]))
+        union, _, slope_den = analytics.union_region(channel.f_pd, channel.f_sd, channel.f_ps, grid)
+        if (slope_den == 0.0).any():
+            analytics.union_region_max_lambda_s(channel, float(grid[0]))
+        curve, step = np.nonzero(shown)
+        blank = [""] * grid.size
+        _write_table(out, REGION_BOUNDARY_HEADER, zip(
+            ["fixed"] * curve.size + ["union"] * grid.size,
+            _format(p_q[curve, 0]) + blank,
+            _format(p_a[curve, 0]) + blank,
+            _format(grid[step]) + _format(grid),
+            _format(cf.bound_s[shown]) + _format(union),
+        ))
         return 0
     if mode == "rates":
-        p_q_values = get_float_list(cfg, "p_q_list", default=[0.2, 0.4, 0.625, 0.8])
-        steps = get_int(cfg, "steps", 101)
-        lambda_p_ref = get_float(cfg, "lambda_p", 0.2)
-        grid = np.linspace(get_float(cfg, "start", 0.0), get_float(cfg, "stop", 1.0), steps)
-        out.write(REGION_RATES_HEADER + "\n")
-        for p_q in p_q_values:
-            for p_a in grid:
-                pol = Policy(p_q, float(p_a))
-                try:
-                    max_lp = analytics.max_arrival_primary(channel, pol)
-                except DegeneratePolicyError:
-                    max_lp = None
-                try:
-                    max_ls = analytics.max_arrival_secondary(channel, pol, lambda_p_ref)
-                except InstabilityError:
-                    max_ls = None
-                _write_row(out, [p_q, p_a, max_lp, max_ls, lambda_p_ref])
+        columns, error = _sweep_columns({**RATES_GRID, **cfg, "variable": "p_a"})
+        if error is not None:
+            raise error
+        cf = analytics.closed_forms(*columns.values())
+        _write_table(out, REGION_RATES_HEADER, zip(
+            _format(columns["p_q"]),
+            _format(columns["p_a"]),
+            _format(cf.bound_p, ~cf.degenerate),
+            _format(cf.bound_s, ~(columns["lambda_p"] >= cf.mu)),
+            _format(columns["lambda_p"]),
+        ))
         return 0
     raise ConfigError(f"region_mode must be 'boundary' or 'rates', got {mode!r}")
 
 
 def cmd_delay(cfg: dict[str, str], out) -> int:
-    out.write(DELAY_HEADER + "\n")
-    for ch, pol, pt in _sweep_points(cfg):
-        identity = [ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s]
-        try:
-            r = analytics.delay_report(ch, pol, pt)
-        except InstabilityError:
-            _write_row(out, identity + [0, None, None, None, None, None, None])
-            continue
-        _write_row(out, identity + [1, r.d_p, r.d_s, r.n_p, r.n_sp, r.n_s, r.g00])
+    columns, error = _sweep_columns(cfg)
+    cf = _delay_forms(columns, error)
+    stable = cf.stable
+    _write_table(out, DELAY_HEADER, zip(
+        *map(_format, columns.values()),
+        _flags(stable),
+        _format(cf.d_p, stable & (columns["lambda_p"] > 0.0)),
+        _format(cf.d_s, stable & (columns["lambda_s"] > 0.0)),
+        _format(cf.n_p, stable),
+        _format(cf.n_sp, stable),
+        _format(cf.n_s, stable),
+        _format(cf.g00, stable),
+    ))
     return 0
 
 
@@ -321,15 +443,17 @@ def _sim_options(cfg: dict[str, str]) -> tuple[int, int, int, int, str]:
 
 def cmd_simulate(cfg: dict[str, str], out) -> int:
     slots, warmup, replications, seed, kind = _sim_options(cfg)
-    out.write(SIMULATE_HEADER + "\n")
-    for index, (ch, pol, pt) in enumerate(_sweep_points(cfg)):
+    columns, error = _sweep_columns(cfg)
+    rows = []
+    for index in range(columns["f_pd"].size):
+        ch, pol, pt = _row_objects(columns, index)
         point_seed = _point_seed(seed, index)
         identity = [
             ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s,
             kind, slots, warmup, replications, point_seed,
         ]
         if not analytics.is_stable(ch, pol, pt).stable:
-            _write_row(out, identity + [0] + [None] * len(fields(SimStats)))
+            rows.append(identity + [0] + [None] * len(fields(SimStats)))
             continue
         try:
             stats = replicate(
@@ -339,7 +463,10 @@ def cmd_simulate(cfg: dict[str, str], out) -> int:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        _write_row(out, identity + [1, *astuple(stats)])
+        rows.append(identity + [1, *astuple(stats)])
+    if error is not None:
+        raise error
+    _write_rows(out, SIMULATE_HEADER, rows)
     return 0
 
 
@@ -350,14 +477,16 @@ def cmd_validate(cfg: dict[str, str], out) -> int:
     tolerance = get_float(cfg, "tolerance", 0.03)
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ConfigError(f"key 'tolerance': must be finite and >= 0, got {tolerance!r}")
-    out.write(VALIDATE_HEADER + "\n")
+    columns, error = _sweep_columns(cfg)
+    rows = []
     failed = False
-    for index, (ch, pol, pt) in enumerate(_sweep_points(cfg)):
+    for index in range(columns["f_pd"].size):
+        ch, pol, pt = _row_objects(columns, index)
         point_seed = _point_seed(seed, index)
         identity = [ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s]
         verdict = analytics.is_stable(ch, pol, pt)
         if not verdict.stable:
-            _write_row(out, identity + [None] * 8 + ["unstable"])
+            rows.append(identity + [None] * 8 + ["unstable"])
             continue
         bound_p = analytics.max_arrival_primary(ch, pol)
         bound_s = analytics.max_arrival_secondary(ch, pol, pt.lambda_p)
@@ -391,35 +520,52 @@ def cmd_validate(cfg: dict[str, str], out) -> int:
             failed = True
         else:
             status = "marginal"
-        _write_row(out, identity + [rel_margin_p, rel_margin_s] + cells + [status])
+        rows.append(identity + [rel_margin_p, rel_margin_s] + cells + [status])
+    if error is not None:
+        raise error
+    _write_rows(out, VALIDATE_HEADER, rows)
     return 1 if failed else 0
 
 
-def _optimize_row(ch: ChannelProfile, pt: OperatingPoint) -> dict[str, float | str | None]:
-    """The optimize columns at one point, keyed and ordered as OPTIMIZE_COLUMNS."""
-    row: dict[str, float | str | None] = dict.fromkeys(OPTIMIZE_COLUMNS)
-    row["threshold_p_q"] = analytics.phase_transition_pq(ch)
+def _optimize_point(ch: ChannelProfile, pt: OperatingPoint) -> None:
+    """The optimizer calls of one optimize row, in the row's order: raises where the row fails."""
     try:
-        row["p_q_lower"] = optimizer.pq_lower_bound(ch, pt, 1.0)
-        row["p_q_upper"] = optimizer.pq_upper_bound(ch, pt, 1.0)
+        optimizer.pq_lower_bound(ch, pt, 1.0)
     except optimizer.InfeasibleError:
         pass
     if pt.lambda_p > 0.0:
-        decision = optimizer.minimize_primary_delay(ch, pt)
-        row["pu_mode"] = decision.mode
-        row["pu_p_q_star"] = decision.p_q_star
-        row["pu_p_a_star"] = decision.p_a_star
-        row["pu_d_p_star"] = decision.d_p_star
-    try:
-        row["no_coop_d_p"] = optimizer.no_cooperation_delay_primary(ch, pt.lambda_p)
-    except optimizer.InfeasibleError:
-        pass
+        optimizer.minimize_primary_delay(ch, pt)
     if pt.lambda_s > 0.0:
         try:
-            row["su_p_q_star"], row["su_d_s_star"] = optimizer.minimize_secondary_delay(ch, pt)
+            optimizer.minimize_secondary_delay(ch, pt)
         except optimizer.InfeasibleError:
             pass
-    return row
+
+
+def _optimize_columns(f_pd, f_sd, f_ps, lambda_p, lambda_s, error=None) -> list[list[str]]:
+    """The OPTIMIZE_COLUMNS cells of every row, from one evaluation of both optima."""
+    o = optimizer.optima(f_pd, f_sd, f_ps, lambda_p, lambda_s)
+    _raise_first(o.fault, error, lambda index: _optimize_point(
+        ChannelProfile(float(f_pd[index]), f_sd, f_ps),
+        OperatingPoint(float(lambda_p[index]), float(lambda_s[index])),
+    ))
+    primary = lambda_p > 0.0
+    no_coop = ~o.cooperate & o.feasible & o.no_coop_ok
+    secondary = (lambda_s > 0.0) & o.feasible
+    modes = np.where(o.cooperate, "cooperate", np.where(no_coop, "no_cooperation", "infeasible"))
+    return [
+        [mode if keep else "" for mode, keep in zip(modes.tolist(), primary.tolist())],
+        _format(o.pu_p_q_star, primary & o.cooperate),
+        _format(np.ones_like(o.pu_p_q_star), primary & o.cooperate),
+        _format(np.where(o.cooperate, o.pu_d_p_star, o.no_coop_d_p),
+                primary & (o.cooperate | no_coop)),
+        _format(o.no_coop_d_p, o.no_coop_ok),
+        _format(o.su_p_q_star, secondary),
+        _format(o.su_d_s_star, secondary),
+        _format(o.p_q_lower, o.bounds_defined),
+        _format(o.p_q_upper, o.bounds_defined),
+        _format(o.threshold),
+    ]
 
 
 def cmd_optimize(cfg: dict[str, str], out) -> int:
@@ -430,31 +576,45 @@ def cmd_optimize(cfg: dict[str, str], out) -> int:
             raise ConfigError("optimize sweeps support variable = lambda_p or lambda_s")
         f_pd_values = get_float_list(cfg, "f_pd_list", default=[channel.f_pd])
         base_point = point_from_config(cfg)
-        out.write(OPTIMIZE_SWEEP_HEADER + "\n")
+        error = None
+        curves = []
         for f_pd in f_pd_values:
             try:
-                ch = ChannelProfile(f_pd, channel.f_sd, channel.f_ps)
+                ChannelProfile(f_pd, channel.f_sd, channel.f_ps)
             except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            for value in sweep.values():
-                if sweep.variable == "lambda_p":
-                    pt = OperatingPoint(value, base_point.lambda_s)
-                else:
-                    pt = OperatingPoint(base_point.lambda_p, value)
-                identity = [ch.f_pd, ch.f_sd, ch.f_ps, pt.lambda_p, pt.lambda_s]
-                _write_row(out, identity + list(_optimize_row(ch, pt).values()))
+                error = ConfigError(str(exc))
+                break
+            curves.append(f_pd)
+        values = sweep.values()
+        f_pd = np.repeat(np.array(curves, dtype=np.float64), values.size)
+        swept = np.tile(values, len(curves))
+        lambda_p, lambda_s = (
+            swept if sweep.variable == key else np.full(swept.size, getattr(base_point, key))
+            for key in ("lambda_p", "lambda_s")
+        )
+        columns = _optimize_columns(f_pd, channel.f_sd, channel.f_ps, lambda_p, lambda_s, error)
+        _write_table(out, OPTIMIZE_SWEEP_HEADER, zip(
+            _format(f_pd), _format(np.full(f_pd.size, channel.f_sd)),
+            _format(np.full(f_pd.size, channel.f_ps)), _format(lambda_p), _format(lambda_s),
+            *columns,
+        ))
         return 0
-    row = _optimize_row(channel, point_from_config(cfg))
+    point = point_from_config(cfg)
+    columns = _optimize_columns(
+        np.array([channel.f_pd]), channel.f_sd, channel.f_ps,
+        np.array([point.lambda_p]), np.array([point.lambda_s]),
+    )
+    row = {key: cells[0] for key, cells in zip(OPTIMIZE_COLUMNS, columns)}
     out.write("# primary delay minimization\n")
-    for key, value in row.items():
+    for key, cell in row.items():
         if not key.startswith("su_"):
-            out.write(f"{key} = {_fmt(value) or 'n/a'}\n")
+            out.write(f"{key} = {cell or 'n/a'}\n")
     out.write("# secondary delay minimization\n")
-    if row["su_p_q_star"] is None:
+    if not row["su_p_q_star"]:
         out.write("su_status = infeasible\n")
-    for key, value in row.items():
-        if key.startswith("su_") and value is not None:
-            out.write(f"{key} = {_fmt(value)}\n")
+    for key, cell in row.items():
+        if key.startswith("su_") and cell:
+            out.write(f"{key} = {cell}\n")
     return 0
 
 
@@ -470,7 +630,7 @@ def cmd_oracle(cfg: dict[str, str], out) -> int:
     tolerance = get_float(cfg, "oracle_tolerance", 1e-12)
     n_p = report.n_p
     p_empty = analytics.prob_primary_empty(channel, policy, point)
-    out.write(ORACLE_HEADER + "\n")
+    rows = []
     for pair in ("primary_secondary", "primary_relay"):
         spec = ChainSpec(channel, policy, point, pair=pair, truncation=truncation, tolerance=tolerance)
         try:
@@ -492,35 +652,33 @@ def cmd_oracle(cfg: dict[str, str], out) -> int:
             if partner_analytic > 0.0
             else abs(sol.mean_second)
         )
-        _write_row(
-            out,
+        rows.append(
             [pair, truncation, sol.iterations, sol.residual, sol.mass_at_boundary,
              sol.mean_first, sol.mean_second, sol.p00, p_qp_empty,
              n_p, partner_analytic, g00_analytic, p_empty,
              rel_err_n_p, rel_err_partner, abs_err_g00, abs(p_qp_empty - p_empty)],
         )
+    _write_rows(out, ORACLE_HEADER, rows)
     return 0
 
 
 def cmd_tradeoff(cfg: dict[str, str], out) -> int:
-    channel = channel_from_config(cfg)
+    channel_from_config(cfg)
     point = point_from_config(cfg)
     if point.lambda_p <= 0.0 or point.lambda_s <= 0.0:
         raise ConfigError("tradeoff requires positive lambda_p and lambda_s")
-    p_q_values = get_float_list(cfg, "p_q_list", default=[get_float(cfg, "p_q", 0.5)])
-    steps = get_int(cfg, "steps", 21)
-    grid = np.linspace(get_float(cfg, "start", 0.0), get_float(cfg, "stop", 1.0), steps)
-    out.write(TRADEOFF_HEADER + "\n")
-    for p_q in p_q_values:
-        for p_a in grid:
-            pol = Policy(p_q, float(p_a))
-            identity = [pol.p_q, pol.p_a, point.lambda_p, point.lambda_s]
-            try:
-                r = analytics.delay_report(channel, pol, point)
-            except InstabilityError:
-                _write_row(out, identity + [0, None, None])
-                continue
-            _write_row(out, identity + [1, r.d_s, r.d_p])
+    columns, error = _sweep_columns({**TRADEOFF_GRID, **cfg, "variable": "p_a"})
+    cf = _delay_forms(columns, error)
+    stable = cf.stable
+    _write_table(out, TRADEOFF_HEADER, zip(
+        _format(columns["p_q"]),
+        _format(columns["p_a"]),
+        _format(columns["lambda_p"]),
+        _format(columns["lambda_s"]),
+        _flags(stable),
+        _format(cf.d_s, stable),
+        _format(cf.d_p, stable),
+    ))
     return 0
 
 
@@ -608,6 +766,11 @@ def main(argv: list[str] | None = None) -> int:
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout has gone (``| head``): stop without a traceback,
+        # and point stdout at devnull so that the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 def entrypoint() -> None:

@@ -12,20 +12,25 @@ that choice axiomatically.
 
 Returned optima sit a strict-interior offset inside the open feasible
 interval, because its endpoints are critically stable (infinite delay).
+
+:func:`optima` evaluates both optimizations at once over arrays of channels
+and loads, through the array core of :mod:`cogrelay.analytics`; the scalar
+functions are thin wrappers over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .analytics import (
     UndefinedRateError,
+    _divisible,
+    closed_forms,
     delay_primary,
     delay_secondary,
-    is_stable,
-    phase_transition_pq,
-    service_rate_primary,
-    _relay_rate,
 )
 from .model import ChannelProfile, OperatingPoint, Policy
 
@@ -34,6 +39,8 @@ __all__ = [
     "NEAR_BOUNDARY_MARGIN",
     "InfeasibleError",
     "PrimaryDelayDecision",
+    "Optima",
+    "optima",
     "pq_lower_bound",
     "pq_upper_bound",
     "minimize_primary_delay",
@@ -75,24 +82,40 @@ class PrimaryDelayDecision:
             raise ValueError("p_q_star/p_a_star are present exactly in cooperate mode")
 
 
+@np.errstate(all="ignore")
+def _pq_interval(f_pd, f_sd, f_ps, p_a, lambda_p, lambda_s):
+    # (p_q lower bound, p_q upper bound, their denominator, the closed forms)
+    cf = closed_forms(f_pd, f_sd, f_ps, p_a=p_a, lambda_p=lambda_p, lambda_s=lambda_s)
+    den = f_sd * (cf.mu - lambda_p)
+    return lambda_s * cf.mu / den, 1.0 - lambda_p * cf.relay / den, den, cf
+
+
+def _pq_bound(ch: ChannelProfile, pt: OperatingPoint, p_a: float, upper: bool) -> float:
+    lower_value, upper_value, den, cf = _pq_interval(
+        ch.f_pd, ch.f_sd, ch.f_ps, p_a, pt.lambda_p, pt.lambda_s
+    )
+    if pt.lambda_p >= cf.mu:
+        raise InfeasibleError(
+            f"lambda_p={pt.lambda_p!r} not below the primary service rate {float(cf.mu)!r} "
+            f"at p_a={p_a!r}"
+        )
+    _divisible(den)
+    return float(upper_value if upper else lower_value)
+
+
 def pq_lower_bound(ch: ChannelProfile, pt: OperatingPoint, p_a: float) -> float:
     """Smallest p_q keeping the secondary queue stable at this p_a."""
-    mu = service_rate_primary(ch, p_a)
-    if pt.lambda_p >= mu:
-        raise InfeasibleError(
-            f"lambda_p={pt.lambda_p!r} not below the primary service rate {mu!r} at p_a={p_a!r}"
-        )
-    return pt.lambda_s * mu / (ch.f_sd * (mu - pt.lambda_p))
+    return _pq_bound(ch, pt, p_a, upper=False)
 
 
 def pq_upper_bound(ch: ChannelProfile, pt: OperatingPoint, p_a: float) -> float:
     """Largest p_q keeping the relay queue stable at this p_a."""
-    mu = service_rate_primary(ch, p_a)
-    if pt.lambda_p >= mu:
-        raise InfeasibleError(
-            f"lambda_p={pt.lambda_p!r} not below the primary service rate {mu!r} at p_a={p_a!r}"
-        )
-    return 1.0 - pt.lambda_p * _relay_rate(ch, p_a) / (ch.f_sd * (mu - pt.lambda_p))
+    return _pq_bound(ch, pt, p_a, upper=True)
+
+
+def _no_cooperation_delay(f_pd, lambda_p):
+    # a single Geo/Geo/1 queue served at f_pd
+    return (1.0 - lambda_p) / (f_pd - lambda_p)
 
 
 def no_cooperation_delay_primary(ch: ChannelProfile, lambda_p: float) -> float:
@@ -101,27 +124,73 @@ def no_cooperation_delay_primary(ch: ChannelProfile, lambda_p: float) -> float:
         raise InfeasibleError(
             f"lambda_p={lambda_p!r} not below f_pd={ch.f_pd!r}; no-cooperation system unstable"
         )
-    return (1.0 - lambda_p) / (ch.f_pd - lambda_p)
+    return _no_cooperation_delay(ch.f_pd, lambda_p)
 
 
-def _feasible_interval_at_full_admission(
-    ch: ChannelProfile, pt: OperatingPoint
-) -> tuple[float, float] | None:
-    """Open p_q interval stabilizing the system at p_a = 1, or None."""
-    if pt.lambda_p >= service_rate_primary(ch, 1.0):
-        return None
-    lo = pq_lower_bound(ch, pt, 1.0)
-    hi = min(pq_upper_bound(ch, pt, 1.0), 1.0)
-    if not lo < hi:
-        return None
-    return lo, hi
+class Optima(NamedTuple):
+    """Both delay optima at broadcast (channel, point) arrays.
+
+    Feasibility is decided at p_a = 1, the admission that admits the widest
+    p_q interval. Entries are meaningful where their masks say so.
+    """
+
+    p_q_lower: np.ndarray  # the p_q bounds at p_a = 1, where bounds_defined
+    p_q_upper: np.ndarray
+    bounds_defined: np.ndarray  # lambda_p below the primary service rate at p_a = 1
+    bounds_den: np.ndarray  # the bounds' denominator
+    threshold: np.ndarray  # phase-transition p_q
+    feasible: np.ndarray  # some p_q stabilizes the system at p_a = 1
+    cooperate: np.ndarray  # the primary optimum relays (p_a = 1 at pu_p_q_star)
+    pu_p_q_star: np.ndarray
+    pu_d_p_star: np.ndarray  # primary delay at the cooperating optimum
+    pu_near_boundary: np.ndarray
+    no_coop_ok: np.ndarray  # the primary queue alone is stable without relaying
+    no_coop_d_p: np.ndarray
+    su_p_q_star: np.ndarray  # secondary optimum, where feasible
+    su_d_s_star: np.ndarray
+    fault: np.ndarray  # where the scalar functions raise other than InfeasibleError
 
 
-def _interior(value: float, lo: float, hi: float, from_low: bool) -> float:
-    # keep the offset point strictly inside even when the interval is narrow
-    if from_low:
-        return min(value + INTERIOR_OFFSET, 0.5 * (lo + hi))
-    return max(value - INTERIOR_OFFSET, 0.5 * (lo + hi))
+@np.errstate(all="ignore")
+def optima(f_pd, f_sd, f_ps, lambda_p, lambda_s) -> Optima:
+    """Evaluate both optimizations on arrays, as the scalar functions do point by point.
+
+    ``fault`` marks where :func:`pq_lower_bound` at p_a = 1,
+    :func:`minimize_primary_delay` (at lambda_p > 0) or
+    :func:`minimize_secondary_delay` (at lambda_s > 0) raise an error other
+    than InfeasibleError: an optimum the closed forms cannot evaluate.
+    """
+    lambda_p = np.asarray(lambda_p, dtype=np.float64)
+    lambda_s = np.asarray(lambda_s, dtype=np.float64)
+    lower, upper, den, cf = _pq_interval(f_pd, f_sd, f_ps, 1.0, lambda_p, lambda_s)
+    defined = ~(lambda_p >= cf.mu)
+    # Python's min and max keep their first argument on a tie
+    hi = np.where(1.0 < upper, 1.0, upper)
+    feasible = defined & (lower < hi)
+    cooperate = feasible & (lower <= cf.threshold)
+    mid = 0.5 * (lower + hi)
+    pu_star = np.where(mid < lower + INTERIOR_OFFSET, mid, lower + INTERIOR_OFFSET)
+    su_star = np.where(mid > hi - INTERIOR_OFFSET, mid, hi - INTERIOR_OFFSET)
+    pu = closed_forms(f_pd, f_sd, f_ps, pu_star, 1.0, lambda_p, lambda_s)
+    su = closed_forms(f_pd, f_sd, f_ps, su_star, 1.0, lambda_p, lambda_s)
+    fault = (
+        (defined & (den == 0.0))
+        | ((lambda_p > 0.0) & cooperate & ~(pu.stable & pu.relay_ok))
+        | ((lambda_s > 0.0) & feasible & ~(su.stable & su.secondary_ok & (su.n_s_den != 0.0)))
+    )
+    return Optima(
+        lower, upper, defined, den, cf.threshold, feasible, cooperate,
+        pu_star, pu.d_p, np.where(pu.margin_s < pu.margin_p, pu.margin_s, pu.margin_p)
+        < NEAR_BOUNDARY_MARGIN,
+        ~(lambda_p >= f_pd), _no_cooperation_delay(f_pd, lambda_p), su_star, su.d_s, fault,
+    )
+
+
+def _optima_at(ch: ChannelProfile, pt: OperatingPoint) -> Optima:
+    o = optima(ch.f_pd, ch.f_sd, ch.f_ps, pt.lambda_p, pt.lambda_s)
+    if o.bounds_defined:
+        _divisible(o.bounds_den)
+    return o
 
 
 def minimize_primary_delay(ch: ChannelProfile, pt: OperatingPoint) -> PrimaryDelayDecision:
@@ -132,26 +201,19 @@ def minimize_primary_delay(ch: ChannelProfile, pt: OperatingPoint) -> PrimaryDel
     """
     if pt.lambda_p <= 0.0:
         raise UndefinedRateError("primary-delay minimization undefined at lambda_p = 0")
-    interval = _feasible_interval_at_full_admission(ch, pt)
-    if interval is None:
-        return PrimaryDelayDecision(mode="infeasible")
-    lo, hi = interval
-    if lo <= phase_transition_pq(ch):
-        p_q_star = _interior(lo, lo, hi, from_low=True)
-        policy = Policy(p_q_star, 1.0)
-        verdict = is_stable(ch, policy, pt)
+    o = _optima_at(ch, pt)
+    if o.cooperate:
+        p_q_star = float(o.pu_p_q_star)
         return PrimaryDelayDecision(
             mode="cooperate",
             p_q_star=p_q_star,
             p_a_star=1.0,
-            d_p_star=delay_primary(ch, policy, pt),
-            near_boundary=min(verdict.margin_p, verdict.margin_s) < NEAR_BOUNDARY_MARGIN,
+            d_p_star=delay_primary(ch, Policy(p_q_star, 1.0), pt),
+            near_boundary=bool(o.pu_near_boundary),
         )
-    try:
-        d_p = no_cooperation_delay_primary(ch, pt.lambda_p)
-    except InfeasibleError:
-        return PrimaryDelayDecision(mode="infeasible")
-    return PrimaryDelayDecision(mode="no_cooperation", d_p_star=d_p)
+    if o.feasible and o.no_coop_ok:
+        return PrimaryDelayDecision(mode="no_cooperation", d_p_star=float(o.no_coop_d_p))
+    return PrimaryDelayDecision(mode="infeasible")
 
 
 def minimize_secondary_delay(ch: ChannelProfile, pt: OperatingPoint) -> tuple[float, float]:
@@ -162,10 +224,8 @@ def minimize_secondary_delay(ch: ChannelProfile, pt: OperatingPoint) -> tuple[fl
     """
     if pt.lambda_s <= 0.0:
         raise UndefinedRateError("secondary-delay minimization undefined at lambda_s = 0")
-    interval = _feasible_interval_at_full_admission(ch, pt)
-    if interval is None:
+    o = _optima_at(ch, pt)
+    if not o.feasible:
         raise InfeasibleError(f"no p_q stabilizes the system at p_a=1 for {pt}")
-    lo, hi = interval
-    p_q_star = _interior(hi, lo, hi, from_low=False)
-    d_s_star = delay_secondary(ch, Policy(p_q_star, 1.0), pt)
-    return p_q_star, d_s_star
+    p_q_star = float(o.su_p_q_star)
+    return p_q_star, delay_secondary(ch, Policy(p_q_star, 1.0), pt)

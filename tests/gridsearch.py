@@ -2,18 +2,17 @@
 
 import numpy as np
 
-from cogrelay.analytics import delay_primary, delay_secondary, is_stable
-from cogrelay.model import Policy
+from cogrelay.analytics import closed_forms
 
 
 def _grid_minimum(ch, pt, objective, n):
+    # one evaluation of the closed forms over the whole (p_q, p_a) grid
     values = np.linspace(0.0, 1.0, n)
-    table = np.full((n, n), np.inf)
-    for iq, p_q in enumerate(values):
-        for ia, p_a in enumerate(values):
-            pol = Policy(float(p_q), float(p_a))
-            if is_stable(ch, pol, pt).stable:
-                table[iq, ia] = objective(ch, pol, pt)
+    cf = closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, values[:, None], values[None, :],
+                      pt.lambda_p, pt.lambda_s)
+    evaluable = {"d_p": cf.relay_ok, "d_s": cf.secondary_ok & (cf.n_s_den != 0.0)}[objective]
+    assert not (cf.stable & ~evaluable).any(), "a stable grid point has no closed-form delay"
+    table = np.where(cf.stable, getattr(cf, objective), np.inf)
     best_flat = int(np.argmin(table))
     iq, ia = divmod(best_flat, n)
     best = table[iq, ia]
@@ -35,9 +34,9 @@ def _grid_minimum(ch, pt, objective, n):
 
 def primary_delay_grid(ch, pt, n=101):
     """Exhaustive (p_q, p_a) search minimizing the primary delay; None if nothing is feasible."""
-    return _grid_minimum(ch, pt, delay_primary, n)
+    return _grid_minimum(ch, pt, "d_p", n)
 
 
 def secondary_delay_grid(ch, pt, n=101):
     """Exhaustive (p_q, p_a) search minimizing the secondary delay; None if nothing is feasible."""
-    return _grid_minimum(ch, pt, delay_secondary, n)
+    return _grid_minimum(ch, pt, "d_s", n)

@@ -1,0 +1,243 @@
+"""Point-by-point reference for the closed-form sweep commands of :mod:`cogrelay.cli`.
+
+``cmd_region``, ``cmd_delay``, ``cmd_tradeoff`` and ``cmd_optimize`` below
+are the commands' original bodies: they walk their sweep one point at a
+time, overlaying each step on the config dict and calling the scalar
+closed forms of :mod:`reference_closed_forms`, and write each row as it is
+made. The CLI now evaluates each table in one call of the array core; a
+property test requires both to give the same bytes, exit code and messages.
+:func:`main` is ``cogrelay.cli.main`` with these bodies in place of the
+commands'.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import numpy as np
+import reference_closed_forms as closed
+from reference_closed_forms import DegeneratePolicyError, InstabilityError
+
+from cogrelay import cli
+from cogrelay.cli import (
+    DELAY_HEADER,
+    OPTIMIZE_COLUMNS,
+    OPTIMIZE_SWEEP_HEADER,
+    REGION_BOUNDARY_HEADER,
+    REGION_RATES_HEADER,
+    TRADEOFF_HEADER,
+    _sweep_from_config,
+)
+from cogrelay.config import (
+    ConfigError,
+    channel_from_config,
+    get_float,
+    get_float_list,
+    get_int,
+    get_policy_list,
+    get_str,
+    point_from_config,
+    policy_from_config,
+)
+from cogrelay.model import ChannelProfile, OperatingPoint, Policy
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".12g")
+
+
+def _write_row(out, cells) -> None:
+    out.write(",".join(_fmt(cell) for cell in cells) + "\n")
+
+
+def _sweep_values(sweep) -> list[float]:
+    return [float(v) for v in np.linspace(sweep.start, sweep.stop, sweep.steps)]
+
+
+def _sweep_points(cfg):
+    sweep = _sweep_from_config(cfg)
+    keys = ("lambda_p", "lambda_s") if sweep.variable == "lambda" else (sweep.variable,)
+    curves = [{}]
+    if "p_q_list" in cfg:
+        if sweep.variable == "p_q":
+            raise ConfigError("p_q_list cannot be combined with a p_q sweep")
+        curves = [{"p_q": repr(p_q)} for p_q in get_float_list(cfg, "p_q_list")]
+    for curve in curves:
+        for value in _sweep_values(sweep):
+            step = {**cfg, **curve, **dict.fromkeys(keys, repr(value))}
+            try:
+                channel = channel_from_config(step)
+                policy = policy_from_config(step)
+                point = point_from_config(step)
+            except ConfigError as exc:
+                raise ConfigError(f"invalid sweep point ({sweep.variable}={value!r}): {exc}") from exc
+            yield channel, policy, point
+
+
+def cmd_region(cfg, out) -> int:
+    mode = get_str(cfg, "region_mode", "boundary")
+    channel = channel_from_config(cfg)
+    if mode == "boundary":
+        policies = get_policy_list(cfg, "policies", default=[Policy(0.5, 1.0)])
+        steps = get_int(cfg, "steps", 101)
+        relay_full = channel.f_ps * (1.0 - channel.f_pd)
+        union_root = channel.f_sd * (channel.f_pd + relay_full) / (channel.f_sd + relay_full)
+        start = get_float(cfg, "start", 0.0)
+        stop = get_float(cfg, "stop", union_root)
+        grid = np.linspace(start, stop, steps)
+        out.write(REGION_BOUNDARY_HEADER + "\n")
+        for pol in policies:
+            try:
+                bound = closed.max_arrival_primary(channel, pol)
+            except DegeneratePolicyError as exc:
+                raise ConfigError(str(exc)) from exc
+            for lam_p in grid:
+                lam = float(lam_p)
+                if lam == 0.0 or lam < bound:
+                    max_ls = closed.max_arrival_secondary(channel, pol, lam)
+                    _write_row(out, ["fixed", pol.p_q, pol.p_a, lam, max_ls])
+        for lam_p in grid:
+            _write_row(
+                out,
+                ["union", None, None, lam_p, closed.union_region_max_lambda_s(channel, float(lam_p))],
+            )
+        return 0
+    if mode == "rates":
+        p_q_values = get_float_list(cfg, "p_q_list", default=[0.2, 0.4, 0.625, 0.8])
+        steps = get_int(cfg, "steps", 101)
+        lambda_p_ref = get_float(cfg, "lambda_p", 0.2)
+        grid = np.linspace(get_float(cfg, "start", 0.0), get_float(cfg, "stop", 1.0), steps)
+        out.write(REGION_RATES_HEADER + "\n")
+        for p_q in p_q_values:
+            for p_a in grid:
+                pol = Policy(p_q, float(p_a))
+                try:
+                    max_lp = closed.max_arrival_primary(channel, pol)
+                except DegeneratePolicyError:
+                    max_lp = None
+                try:
+                    max_ls = closed.max_arrival_secondary(channel, pol, lambda_p_ref)
+                except InstabilityError:
+                    max_ls = None
+                _write_row(out, [p_q, p_a, max_lp, max_ls, lambda_p_ref])
+        return 0
+    raise ConfigError(f"region_mode must be 'boundary' or 'rates', got {mode!r}")
+
+
+def cmd_delay(cfg, out) -> int:
+    out.write(DELAY_HEADER + "\n")
+    for ch, pol, pt in _sweep_points(cfg):
+        identity = [ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s]
+        try:
+            r = closed.delay_report(ch, pol, pt)
+        except InstabilityError:
+            _write_row(out, identity + [0, None, None, None, None, None, None])
+            continue
+        _write_row(out, identity + [1, r.d_p, r.d_s, r.n_p, r.n_sp, r.n_s, r.g00])
+    return 0
+
+
+def _optimize_row(ch, pt):
+    row = dict.fromkeys(OPTIMIZE_COLUMNS)
+    row["threshold_p_q"] = closed.phase_transition_pq(ch)
+    try:
+        row["p_q_lower"] = closed.pq_lower_bound(ch, pt, 1.0)
+        row["p_q_upper"] = closed.pq_upper_bound(ch, pt, 1.0)
+    except closed.InfeasibleError:
+        pass
+    if pt.lambda_p > 0.0:
+        decision = closed.minimize_primary_delay(ch, pt)
+        row["pu_mode"] = decision.mode
+        row["pu_p_q_star"] = decision.p_q_star
+        row["pu_p_a_star"] = decision.p_a_star
+        row["pu_d_p_star"] = decision.d_p_star
+    try:
+        row["no_coop_d_p"] = closed.no_cooperation_delay_primary(ch, pt.lambda_p)
+    except closed.InfeasibleError:
+        pass
+    if pt.lambda_s > 0.0:
+        try:
+            row["su_p_q_star"], row["su_d_s_star"] = closed.minimize_secondary_delay(ch, pt)
+        except closed.InfeasibleError:
+            pass
+    return row
+
+
+def cmd_optimize(cfg, out) -> int:
+    channel = channel_from_config(cfg)
+    if "variable" in cfg:
+        sweep = _sweep_from_config(cfg)
+        if sweep.variable not in ("lambda_p", "lambda_s"):
+            raise ConfigError("optimize sweeps support variable = lambda_p or lambda_s")
+        f_pd_values = get_float_list(cfg, "f_pd_list", default=[channel.f_pd])
+        base_point = point_from_config(cfg)
+        out.write(OPTIMIZE_SWEEP_HEADER + "\n")
+        for f_pd in f_pd_values:
+            try:
+                ch = ChannelProfile(f_pd, channel.f_sd, channel.f_ps)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+            for value in _sweep_values(sweep):
+                if sweep.variable == "lambda_p":
+                    pt = OperatingPoint(value, base_point.lambda_s)
+                else:
+                    pt = OperatingPoint(base_point.lambda_p, value)
+                identity = [ch.f_pd, ch.f_sd, ch.f_ps, pt.lambda_p, pt.lambda_s]
+                _write_row(out, identity + list(_optimize_row(ch, pt).values()))
+        return 0
+    row = _optimize_row(channel, point_from_config(cfg))
+    out.write("# primary delay minimization\n")
+    for key, value in row.items():
+        if not key.startswith("su_"):
+            out.write(f"{key} = {_fmt(value) or 'n/a'}\n")
+    out.write("# secondary delay minimization\n")
+    if row["su_p_q_star"] is None:
+        out.write("su_status = infeasible\n")
+    for key, value in row.items():
+        if key.startswith("su_") and value is not None:
+            out.write(f"{key} = {_fmt(value)}\n")
+    return 0
+
+
+def cmd_tradeoff(cfg, out) -> int:
+    channel = channel_from_config(cfg)
+    point = point_from_config(cfg)
+    if point.lambda_p <= 0.0 or point.lambda_s <= 0.0:
+        raise ConfigError("tradeoff requires positive lambda_p and lambda_s")
+    p_q_values = get_float_list(cfg, "p_q_list", default=[get_float(cfg, "p_q", 0.5)])
+    steps = get_int(cfg, "steps", 21)
+    grid = np.linspace(get_float(cfg, "start", 0.0), get_float(cfg, "stop", 1.0), steps)
+    out.write(TRADEOFF_HEADER + "\n")
+    for p_q in p_q_values:
+        for p_a in grid:
+            pol = Policy(p_q, float(p_a))
+            identity = [pol.p_q, pol.p_a, point.lambda_p, point.lambda_s]
+            try:
+                r = closed.delay_report(channel, pol, point)
+            except InstabilityError:
+                _write_row(out, identity + [0, None, None])
+                continue
+            _write_row(out, identity + [1, r.d_s, r.d_p])
+    return 0
+
+
+COMMANDS = {
+    "region": cmd_region,
+    "delay": cmd_delay,
+    "optimize": cmd_optimize,
+    "tradeoff": cmd_tradeoff,
+}
+
+
+def main(argv: list[str]) -> int:
+    """``cogrelay.cli.main`` running the reference bodies of the sweep commands."""
+    with mock.patch.dict(cli._COMMANDS, COMMANDS):
+        return cli.main(argv)

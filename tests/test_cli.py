@@ -1,10 +1,16 @@
 import hashlib
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
 from cogrelay.cli import (
     DELAY_HEADER,
     ENV_SEED,
+    EXIT_BROKEN_PIPE,
     OPTIMIZE_SWEEP_HEADER,
     ORACLE_HEADER,
     PRESETS,
@@ -34,6 +40,8 @@ PRESET_COMMANDS = {
 #: sha256 of the standard-channel CSVs of all presets, fig2 to fig12,
 #: concatenated in that order.
 STANDARD_PRESETS_SHA256 = "44ea276d1f62a1a4accded63e20509fc247b3c3e3c7dc37347c9a08a0b12f066"
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 SMALL_VALIDATE = (
     "variable = lambda\nstart = 0.05\nstop = 0.1\nsteps = 2\nslots = 2000\nwarmup = 100\n"
@@ -338,6 +346,16 @@ def test_failed_run_keeps_previous_output(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "run.cfg"]
 
 
+def test_failed_sweep_writes_nothing_to_stdout(tmp_path, capsys):
+    # the f_pd sweep reaches f_sd = 0.8 at its last step
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("variable = f_pd\nstart = 0.2\nstop = 0.8\nsteps = 4\n")
+    assert main(["delay", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: invalid sweep point (f_pd=0.8): channel requires")
+
+
 def test_invalid_values_exit_2(tmp_path, capsys):
     code, _ = run(tmp_path, "delay", "variable = lambda\nstart = 0.2\nstop = 0.1\nsteps = 5\n")
     assert code == 2
@@ -457,3 +475,72 @@ def test_byte_identical_reruns(tmp_path):
     _, first = run(tmp_path, "simulate", config, name="a.csv")
     _, second = run(tmp_path, "simulate", config, name="b.csv")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "command,config,key",
+    [
+        ("tradeoff", "steps = -1\n", "'steps'"),
+        ("region", "steps = -1\n", "'steps'"),
+        ("region", "region_mode = rates\nsteps = -1\n", "'steps'"),
+        ("tradeoff", "start = -0.5\n", "'start'"),
+        ("region", "region_mode = rates\nstop = 1.5\n", "'stop'"),
+    ],
+)
+def test_bad_grid_names_its_key(tmp_path, capsys, command, config, key):
+    code, text = run(tmp_path, command, config)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert "p_a" not in err and "Number of samples" not in err
+
+
+@pytest.mark.parametrize("argv", [["region", "--preset", "fig4"], ["optimize"]])
+def test_closed_stdout_exits_quietly(argv):
+    # the read end is closed before the command starts, so its first write
+    # fails: for a large table while writing, for a short report at the flush
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cogrelay.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert proc.stderr == b""
+
+
+#: Presets plus sweeps across both stability bounds, through the degenerate
+#: policy (p_q, p_a) = (1, 0), and from lambda = 0.
+EDGE_SWEEPS = [
+    ("delay", "variable = lambda\nstart = 0\nstop = 1\nsteps = 41\np_q_list = 0, 0.5, 1\np_a = 0\n"),
+    ("delay", "variable = p_a\nstart = 0\nstop = 1\nsteps = 21\np_q_list = 0.3, 1\n"
+              "lambda_p = 0.2\nlambda_s = 0.2\n"),
+    ("delay", "variable = f_pd\nstart = 0\nstop = 0.79\nsteps = 21\nf_ps = 0\np_a = 0\n"),
+    ("tradeoff", "p_q_list = 0, 0.5, 1\nlambda_p = 0.25\nlambda_s = 0.05\n"),
+    ("region", "policies = 0:0, 0.5:1, 1:1\nsteps = 31\nstop = 1\n"),
+    ("region", "region_mode = rates\np_q_list = 0, 1\nlambda_p = 0.5\nsteps = 11\n"),
+    ("optimize", "variable = lambda_p\nstart = 0\nstop = 1\nsteps = 41\nlambda_s = 0\n"
+                 "f_pd_list = 0, 0.3, 0.79\n"),
+    ("optimize", "variable = lambda_s\nstart = 0\nstop = 1\nsteps = 41\nlambda_p = 0.6\n"),
+    ("optimize", "lambda_p = 0\nlambda_s = 0\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,config,preset",
+    [(command, None, preset) for preset, command in PRESET_COMMANDS.items()]
+    + [(command, config, None) for command, config in EDGE_SWEEPS],
+)
+def test_no_numpy_warnings(tmp_path, capsys, command, config, preset):
+    extra = ["--preset", preset] if preset else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(tmp_path, command, config, extra=extra)
+    assert code == 0 and text
+    assert capsys.readouterr().err == ""
