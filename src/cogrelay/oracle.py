@@ -13,12 +13,18 @@ SU serves its queues only when Q_p is empty, so every down-step leaves from
 phase 0 and lands in the same phase distribution d. The first-passage matrix
 to the level below is therefore exactly 1 d, and the matrix-geometric method
 (Neuts 1981, *Matrix-Geometric Solutions in Stochastic Models*) gives the
-stationary distribution level by level from a few dense T x T solves, with
-no iteration. The kernel K is never assembled: the transition law fills
-the six T x T blocks it is made of. Every result must then pass a residual
-check: the true residual max|pi K - pi| of the returned distribution,
-computed block by block, must be below the tolerance, or the solve is
-rejected.
+stationary distribution level by level, with no iteration. The primary
+count moves by at most one per slot, so the blocks are tridiagonal in the
+phase: the rate matrix R comes from one tridiagonal (Thomas) solve across
+all right-hand sides plus a Sherman-Morrison rank-one correction, and only
+level 0 takes a dense T x T solve. Entries below about 1.5e-154 are set to
+0 as they are made, which keeps the arithmetic out of the slow subnormal
+range; each entry of a normalised level then differs from the one below
+times R by less than that. The kernel K is never
+assembled: the transition law fills the six T x T blocks it is made of.
+Every result must then pass a residual check: the true residual
+max|pi K - pi| of the returned distribution, computed from the blocks'
+diagonals, must be below the tolerance, or the solve is rejected.
 """
 
 from __future__ import annotations
@@ -47,6 +53,9 @@ BOUNDARY_MASS_LIMIT = 1e-6
 
 # level-vector peak above which the level-by-level solve rescales
 _RESCALE_ABOVE = 1e100
+
+# entries below this are set to 0: a product of two kept entries is a normal float64
+_FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
 
 
 class ConvergenceError(RuntimeError):
@@ -173,61 +182,148 @@ def _stationary_vector(chain: np.ndarray) -> np.ndarray:
     return np.linalg.solve(system, rhs)
 
 
+def _flush(x: np.ndarray) -> np.ndarray:
+    """``x`` with every entry of magnitude below ``_FLUSH_BELOW`` set to 0, in place."""
+    x[np.abs(x) < _FLUSH_BELOW] = 0.0
+    return x
+
+
+def _is_tridiagonal(block: np.ndarray) -> bool:
+    return np.count_nonzero(block) == sum(np.count_nonzero(np.diagonal(block, k)) for k in (-1, 0, 1))
+
+
+def _times(v: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``v @ block`` for a tridiagonal ``block``, from its three diagonals; ``v`` is 1-D or 2-D."""
+    out = v * np.diagonal(block)
+    out[..., 1:] += v[..., :-1] * np.diagonal(block, 1)
+    out[..., :-1] += v[..., 1:] * np.diagonal(block, -1)
+    return out
+
+
+def _solve_right(block: np.ndarray, leak: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``X`` with ``X (I - block) = rhs`` for a tridiagonal ``block``, one system per row of ``rhs``.
+
+    ``block`` is substochastic and ``leak`` is what its rows lack of 1, so
+    ``I - block`` is a diagonally dominant M-matrix: Thomas elimination needs
+    no row exchanges. It runs from the top phase down, and each pivot is
+    built from the leak and the off-diagonals as a sum of nonnegative terms
+    (Grassmann, Taksar & Heyman 1985), never as a difference that cancels;
+    an exactly zero pivot means the matrix is singular. Every step is one
+    vector operation across all right-hand sides.
+    """
+    above = np.diagonal(block, 1).tolist()  # block[i, i + 1]
+    below = [0.0, *np.diagonal(block, -1).tolist()]  # block[i, i - 1]
+    leak = leak.tolist()
+    T = len(leak)
+    pivots = [0.0] * T
+    excess = leak[T - 1]
+    for i in range(T - 1, 0, -1):
+        pivots[i] = below[i] + excess
+        if pivots[i] == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        excess = leak[i - 1] + above[i - 1] * excess / pivots[i]
+    pivots[0] = excess
+    if excess == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    x = rhs.T.copy()
+    for i in range(T - 2, -1, -1):
+        x[i] += below[i + 1] / pivots[i + 1] * x[i + 1]
+    x /= np.array(pivots)[:, None]
+    for i in range(1, T):
+        x[i] += above[i - 1] / pivots[i] * x[i - 1]
+    return x.T
+
+
 def _solve_levels(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
     """Exact stationary distribution of the chain with these blocks, as ``[level, phase]``.
 
     Levels are partner counts j and phases primary counts i. The kernel is
     block tridiagonal in the level: ``L0``/``Up0`` at level 0, ``D``/``L``/``Up``
     at every interior level and ``D``/``Ltop`` at level T - 1, where the
-    truncation folds the up-step into ``Ltop``. Down-steps leave only from
-    phase 0, so a first passage down always lands in ``d = D[0] / D[0].sum()``
-    and the matrix-geometric rates are exact:
-    ``R = Up (I - U)^-1`` with ``U = L + (Up 1) d``, ``R0 = Up0 (I - U)^-1``,
-    ``Rtop = Up (I - Ltop)^-1``; level 0 is stationary for ``L0 + (Up0 1) d``.
-    The result is unnormalised.
+    truncation folds the up-step into ``Ltop``. The primary queue moves by at
+    most one packet a slot, so every block except ``D`` is tridiagonal in the
+    phase. Down-steps leave only from phase 0, so a first passage down always
+    lands in ``d = D[0] / D[0].sum()`` and the matrix-geometric rate is exact:
+    ``R = Up (I - U)^-1`` with ``U = L + u d`` and ``u = Up 1``. Level 0 is
+    stationary for ``L0 + (Up0 1) d``, level 1 is ``pi_0 Up0 (I - U)^-1``, each
+    interior level is the one below times R, and the top level is
+    ``pi_{T-2} Up (I - Ltop)^-1``.
+
+    No dense solve is made beyond level 0's. One tridiagonal solve gives
+    ``Up (I - L)^-1``, ``d (I - L)^-1`` and ``pi_0 Up0 (I - L)^-1`` together,
+    and the Sherman-Morrison formula adds the rank-one ``u d``; its denominator
+    ``1 - w u``, with ``w = d (I - L)^-1``, is taken as ``served * w[0]``, which
+    is equal because ``(I - L) 1 = u + served e_0`` and never cancels.
+
+    Every entry of R and of each level below ``_FLUSH_BELOW`` (about 1.5e-154)
+    is set to 0 before it is used, so no product of two kept entries
+    underflows into the slow subnormal range. Level 0 holds mass 1 and every
+    term is nonnegative, so after normalisation the flush changes each entry
+    of a level's defect ``pi_{j+1} - pi_j R`` by less than 1.5e-154, and the
+    residual check is made on the flushed result. The edge mass of a lattice
+    whose tail lies below the threshold reads 0. The result is unnormalised.
     """
     L0, Up0, D, L, Up, Ltop = blocks
     T = len(L0)
     if D[1:].any():
         raise ValueError("kernel serves the partner queue while the primary queue is busy")
+    if not all(map(_is_tridiagonal, blocks)):
+        raise ValueError("kernel moves the primary queue by more than one packet a slot")
 
     levels = np.zeros((T, T))
     served = D[0].sum()
     if served == 0.0:
         # the partner queue is never served: it only grows, or never moves
         if Up0.any() or Up.any():
-            levels[T - 1] = _stationary_vector(Ltop)
+            levels[T - 1] = _flush(_stationary_vector(Ltop))
         else:
-            levels[0] = _stationary_vector(L0)
+            levels[0] = _flush(_stationary_vector(L0))
         return levels
 
     d = D[0] / served
-    eye = np.eye(T)
-    U = L + np.outer(Up.sum(axis=1), d)
-    levels[0] = _stationary_vector(L0 + np.outer(Up0.sum(axis=1), d))
-    # R0 and Rtop are each applied once, so pi_1 and pi_{T-1} are solved for directly
-    solved = np.linalg.solve((eye - U).T, np.column_stack((Up.T, levels[0] @ Up0)))
-    R, levels[1] = solved[:, :T].T, solved[:, T]
+    u = Up.sum(axis=1)
+    levels[0] = _flush(_stationary_vector(L0 + np.outer(Up0.sum(axis=1), d)))
+    leak = u.copy()  # what the rows of L lack of 1: up- and down-steps
+    leak[0] += served
+    solved = _flush(_solve_right(L, leak, np.vstack((Up, d, _times(levels[0], Up0)))))
+    X, w, pi1 = solved[:T], solved[T], solved[T + 1]
+    scale = 1.0 / (served * w[0])
+    R = _flush(X + np.outer(X @ u * scale, w))
+    levels[1] = _flush(pi1 + (pi1 @ u * scale) * w)
     for j in range(1, T - 2):
-        levels[j + 1] = levels[j] @ R
+        support = np.flatnonzero(levels[j])
+        if not support.size:
+            break  # every level above is 0 as well
+        # phases past the level's last nonzero entry add nothing to the product
+        last = support[-1] + 1
+        levels[j + 1] = _flush(levels[j, :last] @ R[:last])
         # outside the stable region R grows the levels geometrically; rescaling
-        # keeps them finite, and the lower levels underflow harmlessly
+        # keeps them finite, and the lower levels flush to 0
         peak = levels[j + 1].max()
         if peak > _RESCALE_ABOVE:
-            levels[: j + 2] /= peak
-    levels[T - 1] = np.linalg.solve((eye - Ltop).T, levels[T - 2] @ Up)
+            _flush(np.divide(levels[: j + 2], peak, out=levels[: j + 2]))
+    if levels[T - 2].any():
+        leak_top = np.zeros(T)
+        leak_top[0] = served
+        levels[T - 1] = _flush(_solve_right(Ltop, leak_top, _times(levels[T - 2], Up)[None])[0])
     return levels
 
 
 def _residual(levels: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
-    """max|pi K - pi| for ``levels`` laid out ``[level, phase]``, one block product at a time."""
-    L0, Up0, D, L, Up, Ltop = blocks
-    out = levels @ L
-    out[0] = levels[0] @ L0
-    out[-1] = levels[-1] @ Ltop
-    out[:-1] += levels[1:] @ D
-    out[1] += levels[0] @ Up0
-    out[2:] += levels[1:-1] @ Up
+    """max|pi K - pi| for ``levels`` laid out ``[level, phase]``, from the blocks' diagonals.
+
+    Down-steps land in phase 0 or 1 and the blocks are tridiagonal, so both
+    sides are 0 from two phases past the last nonzero one; those are skipped.
+    """
+    phases = np.flatnonzero(levels.any(axis=0))[-1] + 2
+    levels = levels[:, :phases]
+    L0, Up0, D, L, Up, Ltop = (block[:phases, :phases] for block in blocks)
+    out = _times(levels, L)
+    out[0] = _times(levels[0], L0)
+    out[-1] = _times(levels[-1], Ltop)
+    out[:-1] += np.outer(levels[1:, 0], D[0])
+    out[1] += _times(levels[0], Up0)
+    out[2:] += _times(levels[1:-1], Up)
     return float(np.abs(out - levels).max())
 
 

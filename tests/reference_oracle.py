@@ -1,4 +1,4 @@
-"""Full-kernel reference for :mod:`cogrelay.oracle`.
+"""Full-kernel and dense-solve references for :mod:`cogrelay.oracle`.
 
 ``build_transitions`` assembles the whole T^2 x T^2 one-slot kernel of a
 chain pair as a sparse matrix. It is the oracle's original statement of the
@@ -6,6 +6,13 @@ transition law, kept unchanged so the six blocks ``cogrelay.oracle`` builds
 can be checked against it entry for entry, and so kernel-level properties
 (stochastic rows, the primary marginal, the relay coupling) and a dense
 direct solve can be tested on the whole lattice.
+
+``solve_levels`` and ``residual`` are the oracle's earlier level-by-level
+solve, with its dense T x T solves and no flush of tiny entries, and its
+residual from dense block products, kept unchanged. ``solve_stationary``
+runs them through the same normalisation and the same residual and
+boundary-mass checks as the oracle, so the tridiagonal solve can be
+compared with them outcome for outcome.
 """
 
 from __future__ import annotations
@@ -14,7 +21,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from cogrelay.analytics import service_rate_primary
-from cogrelay.oracle import ChainSpec
+from cogrelay.oracle import (
+    BOUNDARY_MASS_LIMIT,
+    ChainSpec,
+    ConvergenceError,
+    StationarySolution,
+    TruncationError,
+    _blocks,
+)
+
+# level-vector peak above which the level-by-level solve rescales
+_RESCALE_ABOVE = 1e100
 
 
 def build_transitions(spec: ChainSpec) -> sp.csr_matrix:
@@ -80,3 +97,102 @@ def build_transitions(spec: ChainSpec) -> sp.csr_matrix:
     ).tocsr()
     kernel.sum_duplicates()
     return kernel
+
+
+def _stationary_vector(chain: np.ndarray) -> np.ndarray:
+    """Stationary row vector of a stochastic matrix with a single closed class."""
+    n = len(chain)
+    system = np.eye(n) - chain.T
+    # the balance equations are dependent: normalise in place of the one for
+    # phase 0, whose large mass keeps the rounding of the sum relatively small
+    system[0] = 1.0
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    return np.linalg.solve(system, rhs)
+
+
+def solve_levels(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Exact stationary distribution of the chain with these blocks, as ``[level, phase]``.
+
+    Levels are partner counts j and phases primary counts i. The kernel is
+    block tridiagonal in the level: ``L0``/``Up0`` at level 0, ``D``/``L``/``Up``
+    at every interior level and ``D``/``Ltop`` at level T - 1, where the
+    truncation folds the up-step into ``Ltop``. Down-steps leave only from
+    phase 0, so a first passage down always lands in ``d = D[0] / D[0].sum()``
+    and the matrix-geometric rates are exact:
+    ``R = Up (I - U)^-1`` with ``U = L + (Up 1) d``, ``R0 = Up0 (I - U)^-1``,
+    ``Rtop = Up (I - Ltop)^-1``; level 0 is stationary for ``L0 + (Up0 1) d``.
+    The result is unnormalised.
+    """
+    L0, Up0, D, L, Up, Ltop = blocks
+    T = len(L0)
+    if D[1:].any():
+        raise ValueError("kernel serves the partner queue while the primary queue is busy")
+
+    levels = np.zeros((T, T))
+    served = D[0].sum()
+    if served == 0.0:
+        # the partner queue is never served: it only grows, or never moves
+        if Up0.any() or Up.any():
+            levels[T - 1] = _stationary_vector(Ltop)
+        else:
+            levels[0] = _stationary_vector(L0)
+        return levels
+
+    d = D[0] / served
+    eye = np.eye(T)
+    U = L + np.outer(Up.sum(axis=1), d)
+    levels[0] = _stationary_vector(L0 + np.outer(Up0.sum(axis=1), d))
+    # R0 and Rtop are each applied once, so pi_1 and pi_{T-1} are solved for directly
+    solved = np.linalg.solve((eye - U).T, np.column_stack((Up.T, levels[0] @ Up0)))
+    R, levels[1] = solved[:, :T].T, solved[:, T]
+    for j in range(1, T - 2):
+        levels[j + 1] = levels[j] @ R
+        # outside the stable region R grows the levels geometrically; rescaling
+        # keeps them finite, and the lower levels underflow harmlessly
+        peak = levels[j + 1].max()
+        if peak > _RESCALE_ABOVE:
+            levels[: j + 2] /= peak
+    levels[T - 1] = np.linalg.solve((eye - Ltop).T, levels[T - 2] @ Up)
+    return levels
+
+
+def residual(levels: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
+    """max|pi K - pi| for ``levels`` laid out ``[level, phase]``, one block product at a time."""
+    L0, Up0, D, L, Up, Ltop = blocks
+    out = levels @ L
+    out[0] = levels[0] @ L0
+    out[-1] = levels[-1] @ Ltop
+    out[:-1] += levels[1:] @ D
+    out[1] += levels[0] @ Up0
+    out[2:] += levels[1:-1] @ Up
+    return float(np.abs(out - levels).max())
+
+
+def solve_stationary(spec: ChainSpec) -> StationarySolution:
+    """``cogrelay.oracle.solve_stationary`` on the dense level solve and residual above."""
+    T = spec.truncation
+    blocks = _blocks(spec)
+    pi = solve_levels(blocks).T.ravel()
+    pi /= pi.sum()
+    dist = pi.reshape(T, T)
+    res = residual(dist.T, blocks)
+    if not res < spec.tolerance:
+        raise ConvergenceError(f"residual {res:.3e} not below tolerance {spec.tolerance:.3e}")
+
+    mass_at_boundary = float(dist[T - 1, :].sum() + dist[:, T - 1].sum() - dist[T - 1, T - 1])
+    if mass_at_boundary > BOUNDARY_MASS_LIMIT:
+        raise TruncationError(
+            f"boundary mass {mass_at_boundary:.3e} exceeds {BOUNDARY_MASS_LIMIT:.0e}; "
+            f"truncation {T} is too small for this operating point"
+        )
+    levels = np.arange(T)
+    return StationarySolution(
+        distribution=dist,
+        mean_first=float(dist.sum(axis=1) @ levels),
+        mean_second=float(dist.sum(axis=0) @ levels),
+        p00=float(dist[0, 0]),
+        mass_at_boundary=mass_at_boundary,
+        residual=res,
+        iterations=1,
+    )

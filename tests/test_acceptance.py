@@ -10,7 +10,7 @@ import pytest
 from gridsearch import primary_delay_grid, secondary_delay_grid
 
 from cogrelay.analytics import (
-    DegeneratePolicyError,
+    closed_forms,
     delay_primary,
     delay_report,
     delay_secondary,
@@ -23,7 +23,7 @@ from cogrelay.analytics import (
     mean_queue_secondary,
     phase_transition_pq,
     prob_primary_empty,
-    union_region_max_lambda_s,
+    union_region,
 )
 from cogrelay.cli import main
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
@@ -196,20 +196,21 @@ def test_criterion_4_monotonicity_suites():
 def test_criterion_5_union_containment():
     """Every fixed-policy secondary bound stays inside the union region."""
     ch = STANDARD_CHANNEL
-    for p_q in np.linspace(0.0, 1.0, 21):
-        for p_a in np.linspace(0.0, 1.0, 21):
-            pol = Policy(float(p_q), float(p_a))
-            try:
-                bound_p = max_arrival_primary(ch, pol)
-            except DegeneratePolicyError:
-                continue
-            for lam_p in np.linspace(0.0, bound_p, 50, endpoint=False):
-                lam = float(lam_p)
-                inner = max_arrival_secondary(ch, pol, lam)
-                outer = union_region_max_lambda_s(ch, lam)
-                assert inner <= outer + 1e-12, (
-                    f"containment violated at p_q={p_q}, p_a={p_a}, lambda_p={lam}"
-                )
+    p_q, p_a = np.meshgrid(np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 21), indexing="ij")
+    policies = closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, p_q, p_a)
+    # the primary bound is undefined for degenerate policies: skip them
+    keep = ~policies.degenerate
+    p_q, p_a = p_q[keep][:, None], p_a[keep][:, None]
+    # each row is np.linspace(0.0, bound_p, 50, endpoint=False), bit for bit
+    lam = np.arange(50) * (policies.bound_p[keep][:, None] / 50)
+    inner = closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, p_q, p_a, lam)
+    outer, _, slope_den = union_region(ch.f_pd, ch.f_sd, ch.f_ps, lam)
+    # the secondary bound needs lambda_p below mu, the union slope a nonzero mu
+    assert (lam < inner.mu).all() and (slope_den != 0.0).all()
+    bad = np.argwhere(~(inner.bound_s <= outer + 1e-12))
+    assert not bad.size, "containment violated at (p_q, p_a, lambda_p) " + repr(
+        [(p_q[row, 0], p_a[row, 0], lam[row, col]) for row, col in bad[:3]]
+    )
 
 
 def test_criterion_6_optimizer_threshold():

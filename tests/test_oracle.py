@@ -4,6 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_oracle as reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_oracle import build_transitions
 
 import cogrelay
@@ -18,8 +21,10 @@ from cogrelay.analytics import (
 )
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
 from cogrelay.oracle import (
+    CHAIN_PAIRS,
     ChainSpec,
     ConvergenceError,
+    StationarySolution,
     TruncationError,
     solve_stationary,
 )
@@ -250,6 +255,20 @@ def test_blockwise_residual_is_full_kernel_residual(pair):
     assert abs(oracle._residual(levels, oracle._blocks(spec)) - expected) <= 1e-15
 
 
+@pytest.mark.parametrize("pair", CHAIN_PAIRS)
+def test_blockwise_residual_reaches_past_the_last_busy_phase(pair):
+    # every primary queue empty under a heavy primary load: the largest
+    # residual sits one phase past the last nonzero one, where the vector is 0
+    T = 8
+    spec = ChainSpec(CH, POL, OperatingPoint(0.9, 0.1), pair=pair, truncation=T)
+    levels = np.zeros((T, T))
+    levels[:, 0] = 1.0 / T
+    pi = levels.T.ravel()
+    expected = np.abs(build_transitions(spec).transpose() @ pi - pi).reshape(T, T)  # [phase, level]
+    assert expected.max(axis=1).argmax() == 1
+    assert abs(oracle._residual(levels, oracle._blocks(spec)) - expected.max()) <= 1e-15
+
+
 def test_package_import_does_not_load_scipy():
     src = Path(cogrelay.__file__).resolve().parents[1]
     code = "import sys, cogrelay, cogrelay.cli; print('scipy' in sys.modules)"
@@ -257,3 +276,82 @@ def test_package_import_does_not_load_scipy():
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+# the oracle benchmark's light and heavy points
+BENCHMARK_POINTS = [OperatingPoint(0.1, 0.1), OperatingPoint(0.2388, 0.05)]
+
+
+@pytest.mark.parametrize("point", BENCHMARK_POINTS)
+@pytest.mark.parametrize("pair", CHAIN_PAIRS)
+def test_full_truncation_matches_dense_level_solve(pair, point):
+    spec = ChainSpec(CH, POL, point, pair=pair, truncation=400)
+    sol, ref = solve_stationary(spec), reference.solve_stationary(spec)
+    assert np.abs(sol.distribution - ref.distribution).max() <= 1e-15
+    # tails below the flush threshold are exactly 0, never subnormal
+    assert sol.distribution[sol.distribution > 0.0].min() > 1e-156
+    if ref.mass_at_boundary >= 1e-140:
+        assert sol.mass_at_boundary == pytest.approx(ref.mass_at_boundary, rel=1e-12)
+    else:
+        assert sol.mass_at_boundary <= 1e-140
+
+
+@st.composite
+def chain_specs(draw):
+    # Probabilities are 0, 1 or in [0.01, 0.99], and lambda_p stays at least
+    # 5% below mu, so the primary queue is stable; the partner queue may not
+    # be. Rates nearer 0 make the dense reference itself singular (see
+    # test_near_singular_chain_is_solved).
+    prob = st.sampled_from([0.0, 1.0]) | st.floats(0.01, 0.99)
+    f_pd = draw(st.just(0.0) | st.floats(0.01, 0.9))
+    ch = ChannelProfile(f_pd, draw(st.floats(max(f_pd, 0.01), 1.0, exclude_min=True)), draw(prob))
+    pol = Policy(draw(prob), draw(prob))
+    lambda_p = draw(st.just(0.0) | st.floats(0.0, 0.95)) * service_rate_primary(ch, pol.p_a)
+    return ChainSpec(
+        ch, pol, OperatingPoint(lambda_p, draw(prob)),
+        pair=draw(st.sampled_from(CHAIN_PAIRS)), truncation=draw(st.sampled_from([8, 40, 120])),
+    )
+
+
+def _outcome(solve, spec):
+    try:
+        return solve(spec)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(chain_specs())
+def test_matches_dense_level_solve(spec):
+    sol, ref = _outcome(solve_stationary, spec), _outcome(reference.solve_stationary, spec)
+    if isinstance(ref, StationarySolution):
+        assert isinstance(sol, StationarySolution)
+        assert np.abs(sol.distribution - ref.distribution).max() <= 1e-14
+    else:
+        assert sol is ref
+
+
+def test_near_singular_chain_is_solved():
+    # the relay queue is served at rate 1e-30, so 1 minus it rounds to 1 and the
+    # dense solve for R sees phase 0 as absorbing and fails; the tridiagonal
+    # solve takes the rate itself as phase 0's exit and finds the chain at rest
+    spec = ChainSpec(
+        ChannelProfile(0.0, 1e-30, 1.0), Policy(0.0, 1.0), OperatingPoint(0.0, 0.0),
+        pair="primary_relay", truncation=8,
+    )
+    with pytest.raises(np.linalg.LinAlgError):
+        reference.solve_stationary(spec)
+    sol = solve_stationary(spec)
+    assert sol.p00 == 1.0 and sol.residual == 0.0
+
+
+@pytest.mark.parametrize("block, entry, message", [
+    (2, (1, 0), "while the primary queue is busy"),  # D serves the partner off phase 0
+    (3, (5, 0), "more than one packet"),  # L moves the primary queue by five
+    (1, (0, 2), "more than one packet"),  # Up0 moves it by two
+])
+def test_solve_rejects_blocks_outside_its_structure(block, entry, message):
+    blocks = [b.copy() for b in oracle._blocks(ChainSpec(CH, POL, PT, truncation=8))]
+    blocks[block][entry] = 0.01
+    with pytest.raises(ValueError, match=message):
+        oracle._solve_levels(tuple(blocks))
