@@ -7,12 +7,15 @@ can be checked against it entry for entry, and so kernel-level properties
 (stochastic rows, the primary marginal, the relay coupling) and a dense
 direct solve can be tested on the whole lattice.
 
+The oracle stores each block as its three diagonals; ``dense`` gives the
+T x T matrix such a block stands for.
+
 ``solve_levels`` and ``residual`` are the oracle's earlier level-by-level
 solve, with its dense T x T solves and no flush of tiny entries, and its
 residual from dense block products, kept unchanged. ``solve_stationary``
-runs them through the same normalisation and the same residual and
-boundary-mass checks as the oracle, so the tridiagonal solve can be
-compared with them outcome for outcome.
+runs them on the densified blocks through the same normalisation and the
+same residual and boundary-mass checks as the oracle, so the tridiagonal
+solve can be compared with them outcome for outcome.
 """
 
 from __future__ import annotations
@@ -99,6 +102,11 @@ def build_transitions(spec: ChainSpec) -> sp.csr_matrix:
     return kernel
 
 
+def dense(block: np.ndarray) -> np.ndarray:
+    """The T x T matrix of a block stored as ``[block[i, i - 1], block[i, i], block[i, i + 1]]``."""
+    return np.diag(block[0, 1:], -1) + np.diag(block[1]) + np.diag(block[2, :-1], 1)
+
+
 def _stationary_vector(chain: np.ndarray) -> np.ndarray:
     """Stationary row vector of a stochastic matrix with a single closed class."""
     n = len(chain)
@@ -172,7 +180,7 @@ def residual(levels: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
 def solve_stationary(spec: ChainSpec) -> StationarySolution:
     """``cogrelay.oracle.solve_stationary`` on the dense level solve and residual above."""
     T = spec.truncation
-    blocks = _blocks(spec)
+    blocks = tuple(map(dense, _blocks(spec)))
     pi = solve_levels(blocks).T.ravel()
     pi /= pi.sum()
     dist = pi.reshape(T, T)

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import reference_oracle as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_oracle import build_transitions
+from reference_oracle import build_transitions, dense
 
 import cogrelay
 from cogrelay import oracle
@@ -134,6 +135,17 @@ def test_under_truncated_solve_is_rejected():
         solve_stationary(ChainSpec(CH, POL, loaded, pair="primary_secondary", truncation=4))
 
 
+@pytest.mark.parametrize("pair", CHAIN_PAIRS)
+def test_primary_unstable_point_is_rejected_at_full_truncation(pair):
+    # lambda_p = 0.9 exceeds mu = 0.58, and the top level is left only from
+    # phase 0: its solution outgrows the float range unless the lower levels
+    # are scaled down with it; no step may overflow, underflow or divide by 0
+    assert service_rate_primary(CH, POL.p_a) < 0.9
+    spec = ChainSpec(CH, POL, OperatingPoint(0.9, 0.1), pair=pair, truncation=400)
+    with np.errstate(all="raise"), pytest.raises(TruncationError, match="boundary mass 1.000e"):
+        solve_stationary(spec)
+
+
 def test_unstable_point_is_rejected_at_full_truncation():
     # far outside the stable region the partner levels grow by ~16x per step,
     # which overflows float64 long before level 400 unless the solve rescales
@@ -239,7 +251,10 @@ def test_blocks_assemble_to_reference_kernel(pair, T, policy):
                   OperatingPoint(0.0, 0.0), OperatingPoint(0.1, 0.9)]:
         spec = ChainSpec(CH, policy, point, pair=pair, truncation=T)
         reference = build_transitions(spec).toarray()
-        assert np.array_equal(_assemble(oracle._blocks(spec)), reference)
+        blocks = oracle._blocks(spec)
+        assert np.array_equal(_assemble(tuple(map(dense, blocks))), reference)
+        # the slots for block[0, -1] and block[T - 1, T] hold nothing
+        assert not any(block[0, 0] or block[2, -1] for block in blocks)
 
 
 @pytest.mark.parametrize("pair", ["primary_secondary", "primary_relay"])
@@ -286,7 +301,10 @@ BENCHMARK_POINTS = [OperatingPoint(0.1, 0.1), OperatingPoint(0.2388, 0.05)]
 @pytest.mark.parametrize("pair", CHAIN_PAIRS)
 def test_full_truncation_matches_dense_level_solve(pair, point):
     spec = ChainSpec(CH, POL, point, pair=pair, truncation=400)
-    sol, ref = solve_stationary(spec), reference.solve_stationary(spec)
+    # no product in the solve is subnormal, so no step underflows
+    with np.errstate(all="raise"):
+        sol = solve_stationary(spec)
+    ref = reference.solve_stationary(spec)
     assert np.abs(sol.distribution - ref.distribution).max() <= 1e-15
     # tails below the flush threshold are exactly 0, never subnormal
     assert sol.distribution[sol.distribution > 0.0].min() > 1e-156
@@ -294,6 +312,22 @@ def test_full_truncation_matches_dense_level_solve(pair, point):
         assert sol.mass_at_boundary == pytest.approx(ref.mass_at_boundary, rel=1e-12)
     else:
         assert sol.mass_at_boundary <= 1e-140
+
+
+@pytest.mark.parametrize("point", BENCHMARK_POINTS)
+@pytest.mark.parametrize("pair", CHAIN_PAIRS)
+def test_solve_holds_at_most_five_lattices(pair, point):
+    # no T x T block is built: the levels, the Thomas right-hand sides, R and
+    # the temporaries around them stay within five T x T float64 arrays
+    T = 400
+    spec = ChainSpec(CH, POL, point, pair=pair, truncation=T)
+    tracemalloc.start()
+    try:
+        solve_stationary(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * T * T * 8
 
 
 @st.composite
@@ -346,9 +380,7 @@ def test_near_singular_chain_is_solved():
 
 
 @pytest.mark.parametrize("block, entry, message", [
-    (2, (1, 0), "while the primary queue is busy"),  # D serves the partner off phase 0
-    (3, (5, 0), "more than one packet"),  # L moves the primary queue by five
-    (1, (0, 2), "more than one packet"),  # Up0 moves it by two
+    (2, (0, 1), "while the primary queue is busy"),  # D serves the partner from phase 1
 ])
 def test_solve_rejects_blocks_outside_its_structure(block, entry, message):
     blocks = [b.copy() for b in oracle._blocks(ChainSpec(CH, POL, PT, truncation=8))]
