@@ -17,7 +17,10 @@ call of the array core (:func:`cogrelay.analytics.closed_forms`,
 :func:`cogrelay.optimizer.optima`) and write it at once with
 :func:`_write_table`. Where the core marks a row the closed forms cannot
 evaluate, that row is evaluated again through the scalar functions, which
-raise what they always raised; a failing sweep writes nothing.
+raise what they always raised; a failing sweep writes nothing. ``simulate``
+and ``validate`` build the scenario of every stable row and simulate them all
+in one :func:`cogrelay.simulator.replicate_many` batch, which spreads the runs
+over the CPUs; a failing sweep raises what its first failing row raises.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .config import (
 )
 from .model import ChannelProfile, OperatingPoint, Policy
 from .oracle import ChainSpec, solve_stationary
-from .simulator import POLICY_KINDS, Scenario, SimStats, replicate
+from .simulator import POLICY_KINDS, Scenario, SimStats, replicate_many
 
 __all__ = ["main", "entrypoint", "SweepSpec", "PRESETS", "ENV_SEED"]
 
@@ -441,32 +444,39 @@ def _sim_options(cfg: dict[str, str]) -> tuple[int, int, int, int, str]:
     return slots, warmup, replications, seed, kind
 
 
+def _simulate_batch(scenarios: list[Scenario], replications: int):
+    """The pooled stats of every scenario, from one batch, in order."""
+    return iter(replicate_many(scenarios, replications) if scenarios else ())
+
+
 def cmd_simulate(cfg: dict[str, str], out) -> int:
     slots, warmup, replications, seed, kind = _sim_options(cfg)
     columns, error = _sweep_columns(cfg)
-    rows = []
+    rows, scenarios = [], []
     for index in range(columns["f_pd"].size):
         ch, pol, pt = _row_objects(columns, index)
         point_seed = _point_seed(seed, index)
-        identity = [
+        stable = analytics.is_stable(ch, pol, pt).stable
+        rows.append([
             ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s,
-            kind, slots, warmup, replications, point_seed,
-        ]
-        if not analytics.is_stable(ch, pol, pt).stable:
-            rows.append(identity + [0] + [None] * len(fields(SimStats)))
-            continue
-        try:
-            stats = replicate(
-                Scenario(ch, pt, pol, policy_kind=kind, slots=slots,
-                         warmup_slots=warmup, seed=point_seed),
-                replications,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        rows.append(identity + [1, *astuple(stats)])
+            kind, slots, warmup, replications, point_seed, int(stable),
+        ])
+        if stable:
+            try:
+                scenarios.append(Scenario(ch, pt, pol, policy_kind=kind, slots=slots,
+                                          warmup_slots=warmup, seed=point_seed))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+    try:
+        batch = _simulate_batch(scenarios, replications)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if error is not None:
         raise error
-    _write_rows(out, SIMULATE_HEADER, rows)
+    blank = (None,) * len(fields(SimStats))
+    # a row's last cell is its stability flag
+    _write_rows(out, SIMULATE_HEADER, ([*row, *(astuple(next(batch)) if row[-1] else blank)]
+                                       for row in rows))
     return 0
 
 
@@ -478,26 +488,37 @@ def cmd_validate(cfg: dict[str, str], out) -> int:
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ConfigError(f"key 'tolerance': must be finite and >= 0, got {tolerance!r}")
     columns, error = _sweep_columns(cfg)
+    points, scenarios, fault = [], [], None
+    try:
+        for index in range(columns["f_pd"].size):
+            ch, pol, pt = _row_objects(columns, index)
+            identity = [ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s]
+            verdict = analytics.is_stable(ch, pol, pt)
+            if not verdict.stable:
+                points.append((identity, None, None))
+                continue
+            bound_p = analytics.max_arrival_primary(ch, pol)
+            bound_s = analytics.max_arrival_secondary(ch, pol, pt.lambda_p)
+            rel_margin_p = verdict.margin_p / bound_p if bound_p > 0.0 else 0.0
+            rel_margin_s = verdict.margin_s / bound_s if bound_s > 0.0 else 0.0
+            scenarios.append(Scenario(ch, pt, pol, policy_kind=kind, slots=slots,
+                                      warmup_slots=warmup, seed=_point_seed(seed, index)))
+            points.append((identity, (rel_margin_p, rel_margin_s),
+                           analytics.delay_report(ch, pol, pt)))
+    except Exception as exc:
+        # a row-by-row loop simulates every row before this one, and this one
+        # if only its report failed, so their errors come first
+        fault = exc
+    batch = _simulate_batch(scenarios, replications)
+    if fault is not None:
+        raise fault
     rows = []
     failed = False
-    for index in range(columns["f_pd"].size):
-        ch, pol, pt = _row_objects(columns, index)
-        point_seed = _point_seed(seed, index)
-        identity = [ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s]
-        verdict = analytics.is_stable(ch, pol, pt)
-        if not verdict.stable:
+    for identity, margins, report in points:
+        if report is None:
             rows.append(identity + [None] * 8 + ["unstable"])
             continue
-        bound_p = analytics.max_arrival_primary(ch, pol)
-        bound_s = analytics.max_arrival_secondary(ch, pol, pt.lambda_p)
-        rel_margin_p = verdict.margin_p / bound_p if bound_p > 0.0 else 0.0
-        rel_margin_s = verdict.margin_s / bound_s if bound_s > 0.0 else 0.0
-        stats = replicate(
-            Scenario(ch, pt, pol, policy_kind=kind, slots=slots,
-                     warmup_slots=warmup, seed=point_seed),
-            replications,
-        )
-        report = analytics.delay_report(ch, pol, pt)
+        stats = next(batch)
         errors: list[float] = []
         cells: list[float | None] = []
         for analytic_value, sim_value in (
@@ -510,7 +531,7 @@ def cmd_validate(cfg: dict[str, str], out) -> int:
                 err = abs(sim_value - analytic_value) / analytic_value
                 errors.append(err)
                 cells += [analytic_value, sim_value, err]
-        enforced = min(rel_margin_p, rel_margin_s) >= MARGIN_ENFORCEMENT
+        enforced = min(margins) >= MARGIN_ENFORCEMENT
         if not errors:
             status = "ok"
         elif max(errors) <= tolerance:
@@ -520,7 +541,7 @@ def cmd_validate(cfg: dict[str, str], out) -> int:
             failed = True
         else:
             status = "marginal"
-        rows.append(identity + [rel_margin_p, rel_margin_s] + cells + [status])
+        rows.append(identity + [*margins] + cells + [status])
     if error is not None:
         raise error
     _write_rows(out, VALIDATE_HEADER, rows)

@@ -29,7 +29,7 @@ from cogrelay.cli import main
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
 from cogrelay.optimizer import minimize_primary_delay, minimize_secondary_delay
 from cogrelay.oracle import ChainSpec, solve_stationary
-from cogrelay.simulator import Scenario, simulate
+from cogrelay.simulator import Scenario, replicate_many
 
 STANDARD_CHANNEL = ChannelProfile(0.3, 0.8, 0.4)
 ACCEPTANCE_SEED = 12345
@@ -65,6 +65,7 @@ def margin_limited_lambda(ch, pol, margin=0.10):
 def test_criterion_1_closed_form_vs_simulation():
     """Simulated delays track the closed forms within 3% at every sweep point."""
     ch = STANDARD_CHANNEL
+    cases = []
     for p_q in (0.3, 0.5, 0.8):
         pol = Policy(p_q, 1.0)
         lam_limit = margin_limited_lambda(ch, pol, margin=0.10)
@@ -75,14 +76,18 @@ def test_criterion_1_closed_form_vs_simulation():
             bound_p = max_arrival_primary(ch, pol)
             bound_s = max_arrival_secondary(ch, pol, lam)
             assert min(verdict.margin_p / bound_p, verdict.margin_s / bound_s) >= 0.10
-            rep = delay_report(ch, pol, pt)
-            stats = simulate(
-                Scenario(ch, pt, pol, slots=SLOTS, warmup_slots=WARMUP, seed=ACCEPTANCE_SEED)
-            )
-            err_p = abs(stats.mean_delay_p - rep.d_p) / rep.d_p
-            err_s = abs(stats.mean_delay_s - rep.d_s) / rep.d_s
-            assert err_p <= 0.03, f"D_p off by {err_p:.2%} at p_q={p_q}, lambda={lam:.4f}"
-            assert err_s <= 0.03, f"D_s off by {err_s:.2%} at p_q={p_q}, lambda={lam:.4f}"
+            cases.append((pol, pt, delay_report(ch, pol, pt)))
+    runs = replicate_many(
+        [Scenario(ch, pt, pol, slots=SLOTS, warmup_slots=WARMUP, seed=ACCEPTANCE_SEED)
+         for pol, pt, _ in cases],
+        1,
+    )
+    for (pol, pt, rep), stats in zip(cases, runs):
+        err_p = abs(stats.mean_delay_p - rep.d_p) / rep.d_p
+        err_s = abs(stats.mean_delay_s - rep.d_s) / rep.d_s
+        lam = pt.lambda_p
+        assert err_p <= 0.03, f"D_p off by {err_p:.2%} at p_q={pol.p_q}, lambda={lam:.4f}"
+        assert err_s <= 0.03, f"D_s off by {err_s:.2%} at p_q={pol.p_q}, lambda={lam:.4f}"
 
 
 ORACLE_POINTS = (
@@ -274,24 +279,19 @@ def test_criterion_8_simulator_baselines():
     """No-cooperation matches the single-queue delay; priority wastes no slots."""
     ch = STANDARD_CHANNEL
     pt = OperatingPoint(0.1, 0.0)
-    stats = simulate(
-        Scenario(ch, pt, Policy(1.0, 0.0), policy_kind="no_cooperation",
-                 slots=SLOTS, warmup_slots=WARMUP, seed=ACCEPTANCE_SEED)
-    )
-    expected = (1.0 - pt.lambda_p) / (ch.f_pd - pt.lambda_p)
-    assert abs(stats.mean_delay_p - expected) / expected <= 0.03
-
     busy = OperatingPoint(0.1, 0.1)
     pol = Policy(0.5, 1.0)
-    strict = simulate(
+    stats, strict, randomized = replicate_many([
+        Scenario(ch, pt, Policy(1.0, 0.0), policy_kind="no_cooperation",
+                 slots=SLOTS, warmup_slots=WARMUP, seed=ACCEPTANCE_SEED),
         Scenario(ch, busy, pol, policy_kind="strict_priority_relay",
-                 slots=200_000, warmup_slots=WARMUP, seed=ACCEPTANCE_SEED)
-    )
-    assert strict.wasted_slots == 0
-    randomized = simulate(
+                 slots=200_000, warmup_slots=WARMUP, seed=ACCEPTANCE_SEED),
         Scenario(ch, busy, pol, policy_kind="randomized",
-                 slots=200_000, warmup_slots=WARMUP, seed=ACCEPTANCE_SEED)
-    )
+                 slots=200_000, warmup_slots=WARMUP, seed=ACCEPTANCE_SEED),
+    ], 1)
+    expected = (1.0 - pt.lambda_p) / (ch.f_pd - pt.lambda_p)
+    assert abs(stats.mean_delay_p - expected) / expected <= 0.03
+    assert strict.wasted_slots == 0
     assert randomized.wasted_slots > 0
 
 

@@ -21,6 +21,7 @@ from cogrelay.cli import (
     VALIDATE_HEADER,
     main,
 )
+from cogrelay import simulator
 from cogrelay.config import KEYS
 
 PRESET_COMMANDS = {
@@ -191,6 +192,57 @@ def test_validate_pass_and_fail_exit_codes(tmp_path):
     assert code_fail == 1
     _, body = rows(text)
     assert any(r[-1] == "fail" for r in body)
+
+
+#: two stable points and an unstable one, with warm-up past the first 2^16-slot block
+WORKER_SWEEP = (
+    "variable = lambda\nstart = 0.05\nstop = 0.3\nsteps = 3\n"
+    "slots = 80000\nwarmup = 70000\nreplications = 3\nseed = 8\n"
+)
+
+
+@pytest.mark.parametrize("command,setting,exit_code", [
+    ("simulate", "policy_kind = randomized\n", 0),
+    ("simulate", "policy_kind = strict_priority_relay\n", 0),
+    ("simulate", "policy_kind = no_cooperation\n", 0),
+    ("validate", "tolerance = 0.5\n", 0),
+    ("validate", "tolerance = 0\n", 1),
+])
+def test_sweep_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, command, setting,
+                                                   exit_code):
+    outcomes = set()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(simulator, "_cpus", lambda: cpus)
+        outcomes.add(run(tmp_path, command, WORKER_SWEEP + setting, name=f"{cpus}.csv"))
+    (outcome,) = outcomes
+    code, text = outcome
+    assert code == exit_code
+    _, body = rows(text)
+    unstable = [r[12] == "0" if command == "simulate" else r[-1] == "unstable" for r in body]
+    assert unstable == [False, False, True]
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_replications_are_checked_once_a_point_is_simulated(tmp_path, capsys, command):
+    unstable = "variable = lambda\nstart = 0.3\nstop = 0.4\nsteps = 2\nreplications = 0\n"
+    assert run(tmp_path, command, unstable)[0] == 0
+    code, text = run(tmp_path, command, SMALL_VALIDATE + "replications = 0\n", name="stable.csv")
+    assert code == 2 and text == ""
+    assert "replications must be >= 1" in capsys.readouterr().err
+
+
+def test_validate_simulates_a_row_before_its_report_fails(tmp_path, capsys):
+    # the closed forms fail at this stable point (see ILL_CONDITIONED_POINTS in
+    # test_analytics); a row is simulated before its report, so the replication
+    # count is what a row-by-row run rejects first
+    sweep = (
+        "f_pd = 0.25\nf_sd = 1.0\nf_ps = 1.0\np_q = 0.515625\np_a = 1\n"
+        "lambda_p = 0.1962025316455696\nvariable = lambda_s\nstart = 0.41445806962025317\n"
+        "stop = 0.5\nsteps = 2\nslots = 2000\nwarmup = 100\nreplications = 0\n"
+    )
+    code, text = run(tmp_path, "validate", sweep)
+    assert code == 2 and text == ""
+    assert "replications must be >= 1" in capsys.readouterr().err
 
 
 def test_validate_standard_point_full_run(tmp_path):

@@ -293,6 +293,17 @@ def test_package_import_does_not_load_scipy():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_does_not_load_the_process_pool():
+    # the simulator imports them only when it starts a pool
+    src = Path(cogrelay.__file__).resolve().parents[1]
+    code = ("import sys, cogrelay.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
 # the oracle benchmark's light and heavy points
 BENCHMARK_POINTS = [OperatingPoint(0.1, 0.1), OperatingPoint(0.2388, 0.05)]
 

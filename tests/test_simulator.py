@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 import reference_simulator as reference
 
+from cogrelay import simulator
 from cogrelay.analytics import prob_primary_empty
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
 from cogrelay.simulator import (
@@ -14,7 +16,9 @@ from cogrelay.simulator import (
     QueueOverflowError,
     Scenario,
     SimStats,
+    _run,
     replicate,
+    replicate_many,
     simulate,
 )
 
@@ -184,3 +188,60 @@ def reference_cases(draw):
 def test_matches_slot_by_slot_reference(case):
     sc, replications = case
     assert _outcome(replicate, sc, replications) == _outcome(reference.replicate, sc, replications)
+
+
+def _with_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(simulator, "_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("replications", [1, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_replicate_many_equals_replicate_per_scenario(monkeypatch, cpus, replications):
+    scenarios = [
+        scenario(policy_kind=kind, slots=_BLOCK + 9_000, warmup_slots=_BLOCK + 1, seed=seed)
+        for seed, kind in enumerate(POLICY_KINDS)
+    ]
+    _with_cpus(monkeypatch, 1)
+    expected = [replicate(sc, replications) for sc in scenarios]
+    _with_cpus(monkeypatch, cpus)
+    assert replicate_many(scenarios, replications) == expected
+
+
+def test_replicate_many_rejects_no_replications():
+    with pytest.raises(ValueError, match="replications"):
+        replicate_many([scenario()], 0)
+    assert replicate_many([], 2) == []
+
+
+def _overflowing_batch() -> list[Scenario]:
+    """Four scenarios; the second one overflows its queue cap."""
+    heavy = scenario(point=OperatingPoint(0.9, 0.9), slots=200_000, queue_cap=1_000)
+    return [scenario(), heavy, scenario(seed=43), scenario(seed=44)]
+
+
+def test_failing_batch_raises_what_the_inline_run_raises(monkeypatch):
+    _with_cpus(monkeypatch, 1)
+    with pytest.raises(QueueOverflowError) as inline:
+        replicate_many(_overflowing_batch(), 2)
+    for cpus in (2, 3):
+        _with_cpus(monkeypatch, cpus)
+        with pytest.raises(QueueOverflowError) as pooled:
+            replicate_many(_overflowing_batch(), 2)
+        assert type(pooled.value) is QueueOverflowError
+        assert str(pooled.value) == str(inline.value)
+        assert multiprocessing.active_children() == []
+
+
+def _interrupted_run(sc: Scenario, replication: int) -> SimStats:
+    if sc.seed == 43:
+        raise KeyboardInterrupt
+    return _run(sc, replication)
+
+
+def test_interrupted_batch_leaves_no_worker(monkeypatch):
+    _with_cpus(monkeypatch, 2)
+    monkeypatch.setattr(simulator, "_run", _interrupted_run)
+    batch = [scenario(seed=seed) for seed in (42, 43, 44, 45)]
+    with pytest.raises(KeyboardInterrupt):
+        replicate_many(batch, 1)
+    assert multiprocessing.active_children() == []
