@@ -33,6 +33,7 @@ __all__ = [
     "InstabilityError",
     "DegeneratePolicyError",
     "UndefinedRateError",
+    "UnevaluableError",
     "ClosedForms",
     "closed_forms",
     "union_region",
@@ -81,6 +82,10 @@ class DegeneratePolicyError(AnalyticsError):
 
 class UndefinedRateError(AnalyticsError):
     """A rate in a denominator is zero, so the requested quantity is undefined."""
+
+
+class UnevaluableError(AnalyticsError):
+    """The closed forms cancel or underflow at a stable point, so they cannot be evaluated there."""
 
 
 class ClosedForms(NamedTuple):

@@ -4,23 +4,25 @@ Every subcommand emits CSV (comma separator, ``.`` decimal point, 12
 significant digits, mandatory header) except ``optimize`` without a sweep,
 which prints a key=value report. Identical config plus seed yields
 byte-identical output. Exit codes: 0 success, 1 validation failure, 2 config
-or output error, 141 when standard output is closed before the command ends
-(as ``| head`` does).
+or output error (a point the closed forms cannot evaluate exits 2 naming it),
+141 when standard output is closed before the command ends (as ``| head``
+does).
 
 Parameter precedence, lowest to highest: preset, config file, the seed
 environment variable, command-line flags.
 
 A sweep is built as columns, one float64 array per channel, policy and point
-key (:func:`_sweep_columns`). The closed-form commands (``delay``,
-``tradeoff``, ``region``, ``optimize``) evaluate their whole table in one
-call of the array core (:func:`cogrelay.analytics.closed_forms`,
-:func:`cogrelay.optimizer.optima`) and write it at once with
-:func:`_write_table`. Where the core marks a row the closed forms cannot
-evaluate, that row is evaluated again through the scalar functions, which
-raise what they always raised; a failing sweep writes nothing. ``simulate``
-and ``validate`` build the scenario of every stable row and simulate them all
-in one :func:`cogrelay.simulator.replicate_many` batch, which spreads the runs
-over the CPUs; a failing sweep raises what its first failing row raises.
+key (:func:`_sweep_columns`); an invalid step raises before anything is
+evaluated or simulated. Every command evaluates its closed forms in one call
+of the array core (:func:`cogrelay.analytics.closed_forms`,
+:func:`cogrelay.analytics.union_region`, :func:`cogrelay.optimizer.optima`),
+whose masks decide each row: stable, unstable, or stable but not evaluable,
+which raises :class:`cogrelay.analytics.UnevaluableError` naming the row's
+point. A failing command writes nothing. The closed-form commands write their
+table at once with :func:`_write_table`. ``simulate`` and ``validate``
+simulate every stable row in one :func:`cogrelay.simulator.replicate_many`
+batch, which spreads the runs over the CPUs when the batch is long enough to
+gain from it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import analytics, optimizer
-from .analytics import DegeneratePolicyError, InstabilityError
 from .config import (
     ConfigError,
     channel_from_config,
@@ -277,15 +278,14 @@ def _step_objects(cfg: dict[str, str], sweep: SweepSpec, keys: tuple[str, ...], 
         raise ConfigError(f"invalid sweep point ({sweep.variable}={value!r}): {exc}") from exc
 
 
-def _sweep_columns(cfg: dict[str, str]) -> tuple[dict[str, np.ndarray], ConfigError | None]:
+def _sweep_columns(cfg: dict[str, str]) -> dict[str, np.ndarray]:
     """The config's sweep as one float64 column per POINT_KEYS, curve after curve.
 
     A curve is the config with its p_q from ``p_q_list`` overlaid. Each curve
     is validated once, through the objects of its first step; its other steps
     change only the swept keys, to values in [0, 1], so the one check left
-    per step is f_pd < f_sd. The columns end before the first step the model
-    rejects, and that step's error is returned beside them (None when every
-    step is valid), so a command raises it after the rows before it.
+    per step is f_pd < f_sd. The first step the model rejects raises its
+    error, before any row is evaluated.
     """
     sweep = _sweep_from_config(cfg)
     keys = ("lambda_p", "lambda_s") if sweep.variable == "lambda" else (sweep.variable,)
@@ -296,52 +296,30 @@ def _sweep_columns(cfg: dict[str, str]) -> tuple[dict[str, np.ndarray], ConfigEr
         curves = [{"p_q": repr(p_q)} for p_q in get_float_list(cfg, "p_q_list")]
     values = sweep.values()
     blocks: list[dict[str, np.ndarray]] = []
-    error = None
     for curve in curves:
-        try:
-            ch, pol, pt = _step_objects({**cfg, **curve}, sweep, keys, float(values[0]))
-        except ConfigError as exc:
-            error = exc
-            break
+        step = {**cfg, **curve}
+        ch, pol, pt = _step_objects(step, sweep, keys, float(values[0]))
         first = dict(zip(POINT_KEYS, (ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a,
                                       pt.lambda_p, pt.lambda_s)))
         block = {key: values if key in keys else np.full(values.size, first[key])
                  for key in POINT_KEYS}
         rejected = np.flatnonzero(~(block["f_pd"] < block["f_sd"]))
         if rejected.size:
-            bad = int(rejected[0])
-            blocks.append({key: column[:bad] for key, column in block.items()})
-            try:
-                _step_objects({**cfg, **curve}, sweep, keys, float(values[bad]))
-            except ConfigError as exc:
-                error = exc
-            break
+            _step_objects(step, sweep, keys, float(values[rejected[0]]))
         blocks.append(block)
-    columns = {key: np.concatenate([block[key] for block in blocks] or [np.empty(0)])
-               for key in POINT_KEYS}
-    return columns, error
+    return {key: np.concatenate([block[key] for block in blocks]) for key in POINT_KEYS}
 
 
-def _row_objects(columns: dict[str, np.ndarray], index: int):
-    f_pd, f_sd, f_ps, p_q, p_a, lambda_p, lambda_s = (
-        float(columns[key][index]) for key in POINT_KEYS
-    )
-    return ChannelProfile(f_pd, f_sd, f_ps), Policy(p_q, p_a), OperatingPoint(lambda_p, lambda_s)
+def _require_evaluable(point: dict[str, object], unevaluable: np.ndarray) -> None:
+    """Raise UnevaluableError naming the first row of ``unevaluable``, if any.
 
-
-def _raise_first(fault: np.ndarray, error: Exception | None, evaluate) -> None:
-    """Raise what the sweep's first failing row raises, if any row fails.
-
-    ``evaluate(index)`` runs that row through the scalar functions, which
-    raise for every row in ``fault``; rows the model rejected come after all
-    evaluated rows, so ``error`` goes last.
+    ``point`` maps each key to its value or column, broadcastable to the mask.
     """
-    faulty = np.flatnonzero(fault)
-    if faulty.size:
-        evaluate(int(faulty[0]))
-        raise AssertionError(f"sweep row {faulty[0]} is marked as failing but evaluates")
-    if error is not None:
-        raise error
+    rows = np.flatnonzero(unevaluable)
+    if rows.size:
+        values = (np.broadcast_to(value, np.shape(unevaluable)).flat[rows[0]] for value in point.values())
+        named = ", ".join(f"{key}={float(value)!r}" for key, value in zip(point, values))
+        raise analytics.UnevaluableError(f"the closed forms cannot be evaluated at {named}")
 
 
 def _point_seed(base_seed: int, index: int) -> int:
@@ -351,14 +329,10 @@ def _point_seed(base_seed: int, index: int) -> int:
     return int(state[0])
 
 
-def _delay_forms(columns: dict[str, np.ndarray], error: ConfigError | None):
-    """The closed forms of every sweep row; raises where a stable row's report would."""
+def _delay_forms(columns: dict[str, np.ndarray]) -> analytics.ClosedForms:
+    """The closed forms of every sweep row; raises at a stable row they cannot evaluate."""
     cf = analytics.closed_forms(*columns.values())
-    _raise_first(
-        cf.stable & ~cf.evaluable,
-        error,
-        lambda index: analytics.delay_report(*_row_objects(columns, index)),
-    )
+    _require_evaluable(columns, cf.stable & ~cf.evaluable)
     return cf
 
 
@@ -378,16 +352,15 @@ def cmd_region(cfg: dict[str, str], out) -> int:
         # the curve's domain always includes the idle-primary point
         shown = (grid == 0.0) | (grid < cf.bound_p)
         unstable = shown & (grid >= cf.mu)
-        for pol, degenerate, row in zip(policies, cf.degenerate[:, 0], unstable):
-            if degenerate or row.any():
-                try:
-                    analytics.max_arrival_primary(channel, pol)
-                except DegeneratePolicyError as exc:
-                    raise ConfigError(str(exc)) from exc
-                analytics.max_arrival_secondary(channel, pol, float(grid[row.argmax()]))
+        for degenerate, row, mu in zip(cf.degenerate[:, 0], unstable, cf.mu[:, 0]):
+            if degenerate:
+                raise ConfigError("p_q = 1 with no relay inflow leaves the primary bound undefined")
+            if row.any():
+                raise ConfigError(f"lambda_p={float(grid[row.argmax()])!r} not below the primary "
+                                  f"service rate {float(mu)!r}")
         union, _, slope_den = analytics.union_region(channel.f_pd, channel.f_sd, channel.f_ps, grid)
-        if (slope_den == 0.0).any():
-            analytics.union_region_max_lambda_s(channel, float(grid[0]))
+        _require_evaluable({"f_pd": channel.f_pd, "f_sd": channel.f_sd, "f_ps": channel.f_ps,
+                            "lambda_p": grid}, slope_den == 0.0)
         curve, step = np.nonzero(shown)
         blank = [""] * grid.size
         _write_table(out, REGION_BOUNDARY_HEADER, zip(
@@ -399,9 +372,7 @@ def cmd_region(cfg: dict[str, str], out) -> int:
         ))
         return 0
     if mode == "rates":
-        columns, error = _sweep_columns({**RATES_GRID, **cfg, "variable": "p_a"})
-        if error is not None:
-            raise error
+        columns = _sweep_columns({**RATES_GRID, **cfg, "variable": "p_a"})
         cf = analytics.closed_forms(*columns.values())
         _write_table(out, REGION_RATES_HEADER, zip(
             _format(columns["p_q"]),
@@ -415,8 +386,8 @@ def cmd_region(cfg: dict[str, str], out) -> int:
 
 
 def cmd_delay(cfg: dict[str, str], out) -> int:
-    columns, error = _sweep_columns(cfg)
-    cf = _delay_forms(columns, error)
+    columns = _sweep_columns(cfg)
+    cf = _delay_forms(columns)
     stable = cf.stable
     _write_table(out, DELAY_HEADER, zip(
         *map(_format, columns.values()),
@@ -444,135 +415,82 @@ def _sim_options(cfg: dict[str, str]) -> tuple[int, int, int, int, str]:
     return slots, warmup, replications, seed, kind
 
 
-def _simulate_batch(scenarios: list[Scenario], replications: int):
-    """The pooled stats of every scenario, from one batch, in order."""
-    return iter(replicate_many(scenarios, replications) if scenarios else ())
+def _simulate_rows(columns: dict[str, np.ndarray], stable: np.ndarray, slots: int, warmup: int,
+                   replications: int, seed: int, kind: str) -> list[SimStats]:
+    """The pooled stats of every stable row, in order, from one batch; no stable row, no batch."""
+    scenarios = []
+    for index in np.flatnonzero(stable).tolist():
+        f_pd, f_sd, f_ps, p_q, p_a, lambda_p, lambda_s = (float(columns[key][index]) for key in POINT_KEYS)
+        scenarios.append(Scenario(
+            ChannelProfile(f_pd, f_sd, f_ps), OperatingPoint(lambda_p, lambda_s), Policy(p_q, p_a),
+            policy_kind=kind, slots=slots, warmup_slots=warmup, seed=_point_seed(seed, index),
+        ))
+    return replicate_many(scenarios, replications) if scenarios else []
 
 
 def cmd_simulate(cfg: dict[str, str], out) -> int:
-    slots, warmup, replications, seed, kind = _sim_options(cfg)
-    columns, error = _sweep_columns(cfg)
-    rows, scenarios = [], []
-    for index in range(columns["f_pd"].size):
-        ch, pol, pt = _row_objects(columns, index)
-        point_seed = _point_seed(seed, index)
-        stable = analytics.is_stable(ch, pol, pt).stable
-        rows.append([
-            ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s,
-            kind, slots, warmup, replications, point_seed, int(stable),
-        ])
-        if stable:
-            try:
-                scenarios.append(Scenario(ch, pt, pol, policy_kind=kind, slots=slots,
-                                          warmup_slots=warmup, seed=point_seed))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-    try:
-        batch = _simulate_batch(scenarios, replications)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if error is not None:
-        raise error
+    slots, warmup, replications, seed, kind = options = _sim_options(cfg)
+    columns = _sweep_columns(cfg)
+    stable = analytics.closed_forms(*columns.values()).stable
+    batch = iter(_simulate_rows(columns, stable, *options))
     blank = (None,) * len(fields(SimStats))
-    # a row's last cell is its stability flag
-    _write_rows(out, SIMULATE_HEADER, ([*row, *(astuple(next(batch)) if row[-1] else blank)]
-                                       for row in rows))
+    points = zip(*(column.tolist() for column in columns.values()))
+    _write_rows(out, SIMULATE_HEADER, (
+        [*point, kind, slots, warmup, replications, _point_seed(seed, index), int(flag),
+         *(astuple(next(batch)) if flag else blank)]
+        for index, (point, flag) in enumerate(zip(points, stable.tolist()))
+    ))
     return 0
 
 
 def cmd_validate(cfg: dict[str, str], out) -> int:
-    slots, warmup, replications, seed, kind = _sim_options(cfg)
+    slots, warmup, replications, seed, kind = options = _sim_options(cfg)
     if kind != "randomized":
         raise ConfigError("validate compares against the randomized-policy closed forms")
     tolerance = get_float(cfg, "tolerance", 0.03)
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ConfigError(f"key 'tolerance': must be finite and >= 0, got {tolerance!r}")
-    columns, error = _sweep_columns(cfg)
-    points, scenarios, fault = [], [], None
-    try:
-        for index in range(columns["f_pd"].size):
-            ch, pol, pt = _row_objects(columns, index)
-            identity = [ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s]
-            verdict = analytics.is_stable(ch, pol, pt)
-            if not verdict.stable:
-                points.append((identity, None, None))
-                continue
-            bound_p = analytics.max_arrival_primary(ch, pol)
-            bound_s = analytics.max_arrival_secondary(ch, pol, pt.lambda_p)
-            rel_margin_p = verdict.margin_p / bound_p if bound_p > 0.0 else 0.0
-            rel_margin_s = verdict.margin_s / bound_s if bound_s > 0.0 else 0.0
-            scenarios.append(Scenario(ch, pt, pol, policy_kind=kind, slots=slots,
-                                      warmup_slots=warmup, seed=_point_seed(seed, index)))
-            points.append((identity, (rel_margin_p, rel_margin_s),
-                           analytics.delay_report(ch, pol, pt)))
-    except Exception as exc:
-        # a row-by-row loop simulates every row before this one, and this one
-        # if only its report failed, so their errors come first
-        fault = exc
-    batch = _simulate_batch(scenarios, replications)
-    if fault is not None:
-        raise fault
-    rows = []
-    failed = False
-    for identity, margins, report in points:
-        if report is None:
-            rows.append(identity + [None] * 8 + ["unstable"])
-            continue
-        stats = next(batch)
-        errors: list[float] = []
-        cells: list[float | None] = []
-        for analytic_value, sim_value in (
-            (report.d_p, stats.mean_delay_p),
-            (report.d_s, stats.mean_delay_s),
-        ):
-            if analytic_value is None:
-                cells += [None, None, None]
-            else:
-                err = abs(sim_value - analytic_value) / analytic_value
-                errors.append(err)
-                cells += [analytic_value, sim_value, err]
-        enforced = min(margins) >= MARGIN_ENFORCEMENT
-        if not errors:
-            status = "ok"
-        elif max(errors) <= tolerance:
-            status = "ok" if enforced else "marginal"
-        elif enforced:
-            status = "fail"
-            failed = True
-        else:
-            status = "marginal"
-        rows.append(identity + [*margins] + cells + [status])
-    if error is not None:
-        raise error
-    _write_rows(out, VALIDATE_HEADER, rows)
-    return 1 if failed else 0
-
-
-def _optimize_point(ch: ChannelProfile, pt: OperatingPoint) -> None:
-    """The optimizer calls of one optimize row, in the row's order: raises where the row fails."""
-    try:
-        optimizer.pq_lower_bound(ch, pt, 1.0)
-    except optimizer.InfeasibleError:
-        pass
-    if pt.lambda_p > 0.0:
-        optimizer.minimize_primary_delay(ch, pt)
-    if pt.lambda_s > 0.0:
-        try:
-            optimizer.minimize_secondary_delay(ch, pt)
-        except optimizer.InfeasibleError:
-            pass
-
-
-def _optimize_columns(f_pd, f_sd, f_ps, lambda_p, lambda_s, error=None) -> list[list[str]]:
-    """The OPTIMIZE_COLUMNS cells of every row, from one evaluation of both optima."""
-    o = optimizer.optima(f_pd, f_sd, f_ps, lambda_p, lambda_s)
-    _raise_first(o.fault, error, lambda index: _optimize_point(
-        ChannelProfile(float(f_pd[index]), f_sd, f_ps),
-        OperatingPoint(float(lambda_p[index]), float(lambda_s[index])),
+    columns = _sweep_columns(cfg)
+    cf = _delay_forms(columns)
+    stable = cf.stable
+    runs = _simulate_rows(columns, stable, *options)
+    analytic = np.stack([cf.d_p, cf.d_s])
+    simulated = np.zeros_like(analytic)
+    simulated[:, stable] = [[run.mean_delay_p for run in runs], [run.mean_delay_s for run in runs]]
+    present = stable & (np.stack([columns["lambda_p"], columns["lambda_s"]]) > 0.0)
+    with np.errstate(all="ignore"):  # rows unstable or without arrivals hold any IEEE value
+        margins = [cf.margin_p / cf.bound_p, cf.margin_s / cf.bound_s]
+        errors = abs(simulated - analytic) / analytic
+    within = ((errors <= tolerance) | ~present).all(axis=0)
+    enforced = (margins[0] >= MARGIN_ENFORCEMENT) & (margins[1] >= MARGIN_ENFORCEMENT)
+    failed = stable & ~within & enforced
+    ok = within & (enforced | ~present.any(axis=0))
+    status = np.where(~stable, "unstable", np.where(failed, "fail", np.where(ok, "ok", "marginal")))
+    _write_table(out, VALIDATE_HEADER, zip(
+        *map(_format, columns.values()),
+        *(_format(margin, stable) for margin in margins),
+        *(_format(values, present[origin]) for origin in range(2)
+          for values in (analytic[origin], simulated[origin], errors[origin])),
+        status.tolist(),
     ))
-    primary = lambda_p > 0.0
+    return 1 if failed.any() else 0
+
+
+def _optimize_rows(ch: ChannelProfile, pt: OperatingPoint, rows: int) -> dict[str, np.ndarray]:
+    """``rows`` optimize rows at the channel and the point, one column per key."""
+    values = {"f_pd": ch.f_pd, "f_sd": ch.f_sd, "f_ps": ch.f_ps,
+              "lambda_p": pt.lambda_p, "lambda_s": pt.lambda_s}
+    return {key: np.full(rows, value) for key, value in values.items()}
+
+
+def _optimize_columns(columns: dict[str, np.ndarray]) -> list[list[str]]:
+    """The OPTIMIZE_COLUMNS cells of every (f_pd, f_sd, f_ps, lambda_p, lambda_s) row,
+    from one evaluation of both optima; raises at a row whose optimum cannot be evaluated."""
+    o = optimizer.optima(*columns.values())
+    _require_evaluable(columns, o.fault)
+    primary = columns["lambda_p"] > 0.0
     no_coop = ~o.cooperate & o.feasible & o.no_coop_ok
-    secondary = (lambda_s > 0.0) & o.feasible
+    secondary = (columns["lambda_s"] > 0.0) & o.feasible
     modes = np.where(o.cooperate, "cooperate", np.where(no_coop, "no_cooperation", "infeasible"))
     return [
         [mode if keep else "" for mode, keep in zip(modes.tolist(), primary.tolist())],
@@ -597,35 +515,19 @@ def cmd_optimize(cfg: dict[str, str], out) -> int:
             raise ConfigError("optimize sweeps support variable = lambda_p or lambda_s")
         f_pd_values = get_float_list(cfg, "f_pd_list", default=[channel.f_pd])
         base_point = point_from_config(cfg)
-        error = None
-        curves = []
         for f_pd in f_pd_values:
-            try:
-                ChannelProfile(f_pd, channel.f_sd, channel.f_ps)
-            except ValueError as exc:
-                error = ConfigError(str(exc))
-                break
-            curves.append(f_pd)
+            ChannelProfile(f_pd, channel.f_sd, channel.f_ps)  # raises on an invalid curve
         values = sweep.values()
-        f_pd = np.repeat(np.array(curves, dtype=np.float64), values.size)
-        swept = np.tile(values, len(curves))
-        lambda_p, lambda_s = (
-            swept if sweep.variable == key else np.full(swept.size, getattr(base_point, key))
-            for key in ("lambda_p", "lambda_s")
-        )
-        columns = _optimize_columns(f_pd, channel.f_sd, channel.f_ps, lambda_p, lambda_s, error)
+        columns = _optimize_rows(channel, base_point, len(f_pd_values) * values.size)
+        columns["f_pd"] = np.repeat(np.array(f_pd_values, dtype=np.float64), values.size)
+        columns[sweep.variable] = np.tile(values, len(f_pd_values))
         _write_table(out, OPTIMIZE_SWEEP_HEADER, zip(
-            _format(f_pd), _format(np.full(f_pd.size, channel.f_sd)),
-            _format(np.full(f_pd.size, channel.f_ps)), _format(lambda_p), _format(lambda_s),
-            *columns,
+            *map(_format, columns.values()), *_optimize_columns(columns)
         ))
         return 0
     point = point_from_config(cfg)
-    columns = _optimize_columns(
-        np.array([channel.f_pd]), channel.f_sd, channel.f_ps,
-        np.array([point.lambda_p]), np.array([point.lambda_s]),
-    )
-    row = {key: cells[0] for key, cells in zip(OPTIMIZE_COLUMNS, columns)}
+    cells = _optimize_columns(_optimize_rows(channel, point, 1))
+    row = {key: column[0] for key, column in zip(OPTIMIZE_COLUMNS, cells)}
     out.write("# primary delay minimization\n")
     for key, cell in row.items():
         if not key.startswith("su_"):
@@ -643,14 +545,15 @@ def cmd_oracle(cfg: dict[str, str], out) -> int:
     channel = channel_from_config(cfg)
     policy = policy_from_config(cfg)
     point = point_from_config(cfg)
-    try:
-        report = analytics.delay_report(channel, policy, point)
-    except InstabilityError as exc:
-        raise ConfigError("oracle requires a stable operating point") from exc
+    values = (channel.f_pd, channel.f_sd, channel.f_ps, policy.p_q, policy.p_a,
+              point.lambda_p, point.lambda_s)
+    cf = analytics.closed_forms(*values)
+    if not cf.stable:
+        raise ConfigError("oracle requires a stable operating point")
+    _require_evaluable(dict(zip(POINT_KEYS, values)), ~cf.evaluable)
     truncation = get_int(cfg, "truncation", 400)
     tolerance = get_float(cfg, "oracle_tolerance", 1e-12)
-    n_p = report.n_p
-    p_empty = analytics.prob_primary_empty(channel, policy, point)
+    n_p, n_sp, n_s, g00, p_empty = map(float, (cf.n_p, cf.n_sp, cf.n_s, cf.g00, cf.p_empty))
     rows = []
     for pair in ("primary_secondary", "primary_relay"):
         spec = ChainSpec(channel, policy, point, pair=pair, truncation=truncation, tolerance=tolerance)
@@ -659,11 +562,11 @@ def cmd_oracle(cfg: dict[str, str], out) -> int:
         except RuntimeError as exc:
             raise ConfigError(f"oracle solve failed for {pair}: {exc}") from exc
         if pair == "primary_secondary":
-            partner_analytic = report.n_s
-            g00_analytic: float | None = report.g00
-            abs_err_g00: float | None = abs(sol.p00 - report.g00)
+            partner_analytic = n_s
+            g00_analytic: float | None = g00
+            abs_err_g00: float | None = abs(sol.p00 - g00)
         else:
-            partner_analytic = report.n_sp
+            partner_analytic = n_sp
             g00_analytic = None
             abs_err_g00 = None
         p_qp_empty = float(sol.distribution[0, :].sum())
@@ -688,8 +591,8 @@ def cmd_tradeoff(cfg: dict[str, str], out) -> int:
     point = point_from_config(cfg)
     if point.lambda_p <= 0.0 or point.lambda_s <= 0.0:
         raise ConfigError("tradeoff requires positive lambda_p and lambda_s")
-    columns, error = _sweep_columns({**TRADEOFF_GRID, **cfg, "variable": "p_a"})
-    cf = _delay_forms(columns, error)
+    columns = _sweep_columns({**TRADEOFF_GRID, **cfg, "variable": "p_a"})
+    cf = _delay_forms(columns)
     stable = cf.stable
     _write_table(out, TRADEOFF_HEADER, zip(
         _format(columns["p_q"]),

@@ -43,14 +43,15 @@ derive per-replication substreams deterministically from the scenario seed,
 independent of execution order.
 
 :func:`replicate_many` runs a batch of scenarios as one list of (scenario,
-replication) runs. On Linux, with at least two runs and at least two CPUs in
-the process's affinity mask, the runs go to a pool of forked workers, one per
-CPU up to one per run; otherwise they run inline, one after another. Forked
-workers inherit the imported modules, so a pool costs tens of milliseconds
-rather than an interpreter start per worker, and the pool forks every worker
-before it starts its own thread. Since a run's draws depend only on its
-(seed, replication), the results are the same at any worker count and in any
-completion order; ``taskset -c 0`` gives an inline run.
+replication) runs. On Linux, with at least two runs, at least two CPUs in the
+process's affinity mask and at least ``_POOL_MIN_SLOTS`` slots in all, the
+runs go to a pool of forked workers, one per CPU up to one per run; otherwise
+they run inline, one after another. Forked workers inherit the imported
+modules, so a pool costs tens of milliseconds rather than an interpreter start
+per worker, and the pool forks every worker before it starts its own thread.
+Since a run's draws depend only on its (seed, replication), the results are
+the same at any worker count and in any completion order; ``taskset -c 0``
+gives an inline run.
 """
 
 from __future__ import annotations
@@ -81,6 +82,10 @@ POLICY_KINDS = ("randomized", "strict_priority_relay", "no_cooperation")
 
 _BLOCK = 1 << 16
 _N_STREAMS = 7
+#: Total slots below which a batch runs inline. A pool's fork and join cost
+#: 28-38 ms, about 3e5 slots at ~1e7 slots/s, and two workers save at most
+#: half the batch's time, so a shorter batch is slower pooled.
+_POOL_MIN_SLOTS = 600_000
 
 
 class QueueOverflowError(RuntimeError):
@@ -342,7 +347,7 @@ def replicate_many(scenarios: Sequence[Scenario], replications: int) -> list[Sim
         raise ValueError("replications must be >= 1")
     tasks = [(sc, r) for sc in scenarios for r in range(replications)]
     workers = min(len(tasks), _cpus())
-    if workers < 2:
+    if workers < 2 or sum(sc.slots for sc, _ in tasks) < _POOL_MIN_SLOTS:
         runs = [_run(sc, r) for sc, r in tasks]
     else:
         import multiprocessing

@@ -1,17 +1,19 @@
 """Point-by-point reference for the closed-form sweep commands of :mod:`cogrelay.cli`.
 
-``cmd_region``, ``cmd_delay``, ``cmd_tradeoff`` and ``cmd_optimize`` below
-are the commands' original bodies: they walk their sweep one point at a
-time, overlaying each step on the config dict and calling the scalar
-closed forms of :mod:`reference_closed_forms`, and write each row as it is
-made. The CLI now evaluates each table in one call of the array core; a
-property test requires both to give the same bytes, exit code and messages.
+``cmd_region``, ``cmd_delay``, ``cmd_tradeoff``, ``cmd_optimize`` and
+``cmd_validate`` below are the commands' original bodies: they walk their
+sweep one point at a time, overlaying each step on the config dict and
+calling the scalar closed forms of :mod:`reference_closed_forms`, and write
+each row as it is made (``cmd_validate`` simulates each point on its own).
+The CLI now evaluates each table in one call of the array core; tests
+require both to give the same bytes, exit code and messages.
 :func:`main` is ``cogrelay.cli.main`` with these bodies in place of the
 commands'.
 """
 
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -40,6 +42,7 @@ from cogrelay.config import (
     policy_from_config,
 )
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
+from cogrelay.simulator import Scenario, replicate
 
 
 def _fmt(value) -> str:
@@ -229,8 +232,53 @@ def cmd_tradeoff(cfg, out) -> int:
     return 0
 
 
+def cmd_validate(cfg, out) -> int:
+    slots, warmup, replications, seed, kind = cli._sim_options(cfg)
+    if kind != "randomized":
+        raise ConfigError("validate compares against the randomized-policy closed forms")
+    tolerance = get_float(cfg, "tolerance", 0.03)
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ConfigError(f"key 'tolerance': must be finite and >= 0, got {tolerance!r}")
+    rows = []
+    failed = False
+    for index, (ch, pol, pt) in enumerate(_sweep_points(cfg)):
+        identity = [ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s]
+        verdict = closed.is_stable(ch, pol, pt)
+        if not verdict.stable:
+            rows.append(identity + [None] * 8 + ["unstable"])
+            continue
+        margins = (verdict.margin_p / closed.max_arrival_primary(ch, pol),
+                   verdict.margin_s / closed.max_arrival_secondary(ch, pol, pt.lambda_p))
+        report = closed.delay_report(ch, pol, pt)
+        stats = replicate(Scenario(ch, pt, pol, slots=slots, warmup_slots=warmup,
+                                   seed=cli._point_seed(seed, index)), replications)
+        errors, cells = [], []
+        for analytic, simulated in ((report.d_p, stats.mean_delay_p), (report.d_s, stats.mean_delay_s)):
+            if analytic is None:
+                cells += [None, None, None]
+            else:
+                errors.append(abs(simulated - analytic) / analytic)
+                cells += [analytic, simulated, errors[-1]]
+        enforced = min(margins) >= cli.MARGIN_ENFORCEMENT
+        if not errors:
+            status = "ok"
+        elif max(errors) <= tolerance:
+            status = "ok" if enforced else "marginal"
+        elif enforced:
+            status = "fail"
+            failed = True
+        else:
+            status = "marginal"
+        rows.append(identity + [*margins] + cells + [status])
+    out.write(cli.VALIDATE_HEADER + "\n")
+    for row in rows:
+        _write_row(out, row)
+    return 1 if failed else 0
+
+
 COMMANDS = {
     "region": cmd_region,
+    "validate": cmd_validate,
     "delay": cmd_delay,
     "optimize": cmd_optimize,
     "tradeoff": cmd_tradeoff,

@@ -21,8 +21,9 @@ from cogrelay.cli import (
     VALIDATE_HEADER,
     main,
 )
-from cogrelay import simulator
+from cogrelay import cli, simulator
 from cogrelay.config import KEYS
+from test_analytics import ILL_CONDITIONED_POINTS
 
 PRESET_COMMANDS = {
     "fig2": "region",
@@ -213,6 +214,7 @@ def test_sweep_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, comman
     outcomes = set()
     for cpus in (1, 2, 3):
         monkeypatch.setattr(simulator, "_cpus", lambda: cpus)
+        monkeypatch.setattr(simulator, "_POOL_MIN_SLOTS", 0)
         outcomes.add(run(tmp_path, command, WORKER_SWEEP + setting, name=f"{cpus}.csv"))
     (outcome,) = outcomes
     code, text = outcome
@@ -231,18 +233,59 @@ def test_replications_are_checked_once_a_point_is_simulated(tmp_path, capsys, co
     assert "replications must be >= 1" in capsys.readouterr().err
 
 
-def test_validate_simulates_a_row_before_its_report_fails(tmp_path, capsys):
-    # the closed forms fail at this stable point (see ILL_CONDITIONED_POINTS in
-    # test_analytics); a row is simulated before its report, so the replication
-    # count is what a row-by-row run rejects first
+def _config(point: dict) -> str:
+    return "".join(f"{key} = {value!r}\n" for key, value in point.items())
+
+
+def _named(point: dict) -> str:
+    named = ", ".join(f"{key}={float(value)!r}" for key, value in point.items())
+    return f"config error: the closed forms cannot be evaluated at {named}\n"
+
+
+def _point(ch, pol, pt) -> dict:
+    return {"f_pd": ch.f_pd, "f_sd": ch.f_sd, "f_ps": ch.f_ps, "p_q": pol.p_q, "p_a": pol.p_a,
+            "lambda_p": pt.lambda_p, "lambda_s": pt.lambda_s}
+
+
+STANDARD = {"f_pd": 0.3, "f_sd": 0.8, "f_ps": 0.4}
+#: the p_q interval is narrower than rounding here, so optimize's secondary optimum is unstable
+UNSTABLE_OPTIMUM = {"f_pd": 0.7130607983330924, "f_sd": 0.9, "f_ps": 0.020126716603189432,
+                    "lambda_p": 0.14806757846412472, "lambda_s": 0.7134262293980463}
+
+
+@pytest.mark.parametrize("command,config,point", [
+    *(("oracle", _config(_point(*case)) + "truncation = 4\n", _point(*case))
+      for case in ILL_CONDITIONED_POINTS),
+    # B * C underflows to 0 at the first row
+    ("delay", "variable = lambda_s\nstart = 0\nstop = 0.5\nsteps = 3\np_q = 1e-323\nlambda_p = 0.1\n",
+     {**STANDARD, "p_q": 1e-323, "p_a": 1.0, "lambda_p": 0.1, "lambda_s": 0.0}),
+    # nothing reaches the destination, so the union slope divides by zero
+    ("region", "f_pd = 0\nf_ps = 0\npolicies = 0.5:1\nstart = 0.1\nstop = 0.5\nsteps = 3\n",
+     {"f_pd": 0.0, "f_sd": 0.8, "f_ps": 0.0, "lambda_p": 0.1}),
+    ("optimize", _config(UNSTABLE_OPTIMUM), UNSTABLE_OPTIMUM),
+])
+def test_unevaluable_point_exits_2_naming_it(tmp_path, capsys, command, config, point):
+    code, text = run(tmp_path, command, config)
+    assert code == 2 and text == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+    err = capsys.readouterr().err
+    assert err == _named(point) and "Traceback" not in err
+
+
+def test_validate_simulates_nothing_before_an_unevaluable_row_fails(tmp_path, capsys, monkeypatch):
+    # the closed forms fail at the sweep's first, stable point (the fifth of
+    # ILL_CONDITIONED_POINTS), so the sweep stops before any row is simulated,
+    # even though it would reject its replication count
     sweep = (
         "f_pd = 0.25\nf_sd = 1.0\nf_ps = 1.0\np_q = 0.515625\np_a = 1\n"
         "lambda_p = 0.1962025316455696\nvariable = lambda_s\nstart = 0.41445806962025317\n"
         "stop = 0.5\nsteps = 2\nslots = 2000\nwarmup = 100\nreplications = 0\n"
     )
+    batches = []
+    monkeypatch.setattr(cli, "replicate_many", lambda *args: batches.append(args))
     code, text = run(tmp_path, "validate", sweep)
-    assert code == 2 and text == ""
-    assert "replications must be >= 1" in capsys.readouterr().err
+    assert code == 2 and text == "" and batches == []
+    assert capsys.readouterr().err == _named(_point(*ILL_CONDITIONED_POINTS[4]))
 
 
 def test_validate_standard_point_full_run(tmp_path):

@@ -5,6 +5,7 @@ import io
 import os
 import tempfile
 
+import pytest
 import reference_cli
 import reference_closed_forms
 from hypothesis import assume, example, given, settings
@@ -22,6 +23,13 @@ PROB = (
     | st.floats(0.0, 1.0)
 )
 SMALL_STEPS = st.integers(2, 9)
+
+#: How the CLI reports an unevaluable row, an invalid sweep step and an
+#: invalid optimize curve.
+FAILURES = tuple("config error: " + text for text in (
+    "the closed forms cannot be evaluated at ", "invalid sweep point (", "channel requires f_pd < f_sd",
+    "f_pd must be a finite probability",
+))
 
 
 def _grid(draw, config, defaults=False):
@@ -126,7 +134,27 @@ def _outcome(run, command, text):
                       "lambda_p = 0.14806757846412472\nlambda_s = 0.7134262293980463\n"))
 def test_commands_match_point_by_point_reference(case):
     command, text = case
-    assert _outcome(main, command, text) == _outcome(reference_cli.main, command, text)
+    outcome, expected = _outcome(main, command, text), _outcome(reference_cli.main, command, text)
+    if expected[0] == 0:
+        assert outcome == expected
+        return
+    # where the reference fails, the CLI exits 2 and writes nothing; it names
+    # the reference's error, a row the closed forms cannot evaluate, or an
+    # invalid sweep step, which it now finds before evaluating any row
+    code, stderr, written = outcome
+    assert code == 2 and written is None
+    assert stderr == expected[1] or stderr.startswith(FAILURES), stderr
+
+
+@pytest.mark.parametrize("tolerance,code", [("0.1", 1), ("1", 0)])
+def test_validate_matches_point_by_point_reference(tolerance, code):
+    # rows of every status (ok, fail, marginal near the primary bound, unstable)
+    # and rows without a primary delay
+    text = ("variable = lambda_p\nstart = 0\nstop = 0.36\nsteps = 7\nlambda_s = 0.05\np_q_list = 0.3, 0.7\n"
+            f"slots = 4000\nwarmup = 100\ntolerance = {tolerance}\n")
+    outcome = _outcome(main, "validate", text)
+    assert outcome == _outcome(reference_cli.main, "validate", text)
+    assert outcome[0] == code
 
 
 SCALAR_FUNCTIONS = {
@@ -183,3 +211,8 @@ def test_scalar_functions_match_term_by_term_reference(case):
         assert new == _call(getattr(reference_closed_forms, name), ch, pt, extra), name
     assert _call(optimizer.no_cooperation_delay_primary, ch, pt.lambda_p) == _call(
         reference_closed_forms.no_cooperation_delay_primary, ch, pt.lambda_p)
+    # the CLI reads a stable row's failure from these masks alone
+    cf = analytics.closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s)
+    fails = reference_closed_forms.is_stable(ch, pol, pt).stable and isinstance(
+        _call(reference_closed_forms.delay_report, ch, pol, pt), tuple)
+    assert bool(cf.stable & ~cf.evaluable) == fails

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import multiprocessing
 
@@ -191,7 +192,9 @@ def test_matches_slot_by_slot_reference(case):
 
 
 def _with_cpus(monkeypatch, cpus: int) -> None:
+    # pool even the short batches of these tests
     monkeypatch.setattr(simulator, "_cpus", lambda: cpus)
+    monkeypatch.setattr(simulator, "_POOL_MIN_SLOTS", 0)
 
 
 @pytest.mark.parametrize("replications", [1, 3])
@@ -205,6 +208,18 @@ def test_replicate_many_equals_replicate_per_scenario(monkeypatch, cpus, replica
     expected = [replicate(sc, replications) for sc in scenarios]
     _with_cpus(monkeypatch, cpus)
     assert replicate_many(scenarios, replications) == expected
+
+
+def test_short_batch_runs_inline(monkeypatch):
+    monkeypatch.setattr(simulator, "_cpus", lambda: 2)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a batch below _POOL_MIN_SLOTS must not build a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    batch = [scenario(seed=seed) for seed in (42, 43)]
+    assert sum(sc.slots for sc in batch) * 2 < simulator._POOL_MIN_SLOTS
+    assert replicate_many(batch, 2) == [replicate(sc, 2) for sc in batch]
 
 
 def test_replicate_many_rejects_no_replications():
