@@ -11,7 +11,9 @@ test suite brute-forces the full 2-D grid as a guard rather than asserting
 that choice axiomatically.
 
 Returned optima sit a strict-interior offset inside the open feasible
-interval, because its endpoints are critically stable (infinite delay).
+interval, because its endpoints are critically stable (infinite delay). An
+interval no wider than that offset counts as infeasible: its ends can agree
+to rounding, and no p_q inside it is stable in float64.
 
 :func:`optima` evaluates both optimizations at once over arrays of channels
 and loads, through the array core of :mod:`cogrelay.analytics`; the scalar
@@ -139,7 +141,7 @@ class Optima(NamedTuple):
     bounds_defined: np.ndarray  # lambda_p below the primary service rate at p_a = 1
     bounds_den: np.ndarray  # the bounds' denominator
     threshold: np.ndarray  # phase-transition p_q
-    feasible: np.ndarray  # some p_q stabilizes the system at p_a = 1
+    feasible: np.ndarray  # the stabilizing p_q interval at p_a = 1 is wider than INTERIOR_OFFSET
     cooperate: np.ndarray  # the primary optimum relays (p_a = 1 at pu_p_q_star)
     pu_p_q_star: np.ndarray
     pu_d_p_star: np.ndarray  # primary delay at the cooperating optimum
@@ -166,7 +168,8 @@ def optima(f_pd, f_sd, f_ps, lambda_p, lambda_s) -> Optima:
     defined = ~(lambda_p >= cf.mu)
     # Python's min and max keep their first argument on a tie
     hi = np.where(1.0 < upper, 1.0, upper)
-    feasible = defined & (lower < hi)
+    # an interval no wider than the offset has no interior point in float64
+    feasible = defined & (hi - lower > INTERIOR_OFFSET)
     cooperate = feasible & (lower <= cf.threshold)
     mid = 0.5 * (lower + hi)
     pu_star = np.where(mid < lower + INTERIOR_OFFSET, mid, lower + INTERIOR_OFFSET)

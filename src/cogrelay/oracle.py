@@ -10,8 +10,9 @@ quantifies the induced bias and rejects under-truncated solves.
 Both chains are quasi-birth-death chains (Neuts 1981, *Matrix-Geometric
 Solutions in Stochastic Models*) whose level is the partner count and phase
 the primary count; ``_solve_levels`` gives their stationary distribution
-level by level, with no iteration. No T x T block of the kernel K is built:
-the transition law writes the three diagonals of each of its six blocks.
+level by level, with no iteration and no dense solve. No T x T block of the
+kernel K is built: the transition law writes the three diagonals of each of
+its six blocks.
 Every result must then pass a residual check: the true residual
 max|pi K - pi| of the returned distribution must be below the tolerance,
 or the solve is rejected.
@@ -155,21 +156,55 @@ def _transposed(block: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stationary_vector(block: np.ndarray, into_phase_1: np.ndarray | float = 0.0) -> np.ndarray:
-    """Stationary vector of the chain ``block``, ``into_phase_1`` in column 1, what rows lack in column 0."""
+def _stationary_phases(
+    block: np.ndarray, into_0: np.ndarray | None = None, into_1: np.ndarray | None = None
+) -> np.ndarray:
+    """Stationary vector, with phase 0 at 1, of ``block`` plus the moves ``into_0`` and ``into_1``.
+
+    ``into_0[n]`` and ``into_1[n]`` are phase n's moves to phases 0 and 1 on
+    top of the tridiagonal ``block``, so GTH elimination (Grassmann, Taksar
+    & Heyman 1985) takes O(T) scalar steps. Phases are censored out from the
+    top down: only phase n - 1 enters phase n, so censoring n out adds to no
+    exit of the chain left but n - 1's moves to 0 and to 1 (its down-step
+    returns to n - 1 itself). Each phase's exit rate S_n is a sum of
+    nonnegative terms, never a difference, and ``pi_n = pi_{n-1} up_{n-1} /
+    S_n``. An entry below ``_FLUSH_BELOW`` is set to 0 as it is made, and the
+    entries made are divided by one above ``_RESCALE_ABOVE``. A phase with no
+    exit below it leaves the vector undetermined and raises ``LinAlgError``.
+    """
     T = block.shape[1]
-    system = _transposed(-block, np.zeros((T, T)))
-    system[1] -= into_phase_1
-    system.flat[:: T + 1] += 1.0  # I - chain^T
-    # the balance equations are dependent: normalise in place of the one for
-    # phase 0, whose large mass keeps the rounding of the sum relatively small
-    system[0] = 1.0
-    return np.linalg.solve(system, np.eye(1, T)[0])  # e_0
+    up = block[2].tolist()  # block[n, n + 1]
+    down = block[0].tolist()  # block[n, n - 1]
+    to_0 = [0.0] * T if into_0 is None else into_0.tolist()
+    to_1 = [0.0] * T if into_1 is None else into_1.tolist()
+    ratios = [0.0] * T
+    for n in range(T - 1, 1, -1):
+        exits = down[n] + to_0[n] + to_1[n]
+        if exits == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        ratios[n] = ratio = up[n - 1] / exits
+        to_0[n - 1] += ratio * to_0[n]
+        to_1[n - 1] += ratio * to_1[n]
+    exits = down[1] + to_0[1]  # phase 1's move to phase 1 is no exit
+    if exits == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    ratios[1] = (up[0] + to_1[0]) / exits
+    pi = [0.0] * T
+    pi[0] = value = 1.0
+    for n in range(1, T):
+        value *= ratios[n]
+        if value < _FLUSH_BELOW:
+            break  # every phase above is 0 as well
+        if value > _RESCALE_ABOVE:
+            pi = [x / value if x >= _FLUSH_BELOW * value else 0.0 for x in pi]
+            value = 1.0
+        pi[n] = value
+    return np.array(pi)
 
 
 def _flush(x: np.ndarray, peak: float = 1.0) -> np.ndarray:
-    """``x / peak`` in place; entries that would fall below ``_FLUSH_BELOW`` in magnitude become 0 first."""
-    x[(x < _FLUSH_BELOW * peak) & (x > -_FLUSH_BELOW * peak)] = 0.0  # no float temporary the size of x
+    """``x / peak`` in place for ``x >= 0``; entries that would fall below ``_FLUSH_BELOW`` become 0 first."""
+    x[x < _FLUSH_BELOW * peak] = 0.0
     return x if peak == 1.0 else np.divide(x, peak, out=x)
 
 
@@ -181,21 +216,15 @@ def _times(v: np.ndarray, block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_right(
-    block: np.ndarray, leak: np.ndarray, x: np.ndarray, along: np.ndarray | None = None
-) -> np.ndarray:
-    """``X`` with ``X (I - block) = rhs``, one row per column of ``x`` as ``rhs``; ``x`` is overwritten.
+def _pivots(block: np.ndarray, leak: np.ndarray) -> tuple[list[float], list[float], list[float]]:
+    """``block``'s sub- and superdiagonal and the pivots of Thomas elimination on ``I - block``.
 
     ``block`` is substochastic and ``leak`` is what its rows lack of 1, so
     ``I - block`` is a diagonally dominant M-matrix: Thomas elimination needs
     no row exchanges. It runs from the top phase down, and each pivot is
     built from the leak and the off-diagonals as a sum of nonnegative terms
     (Grassmann, Taksar & Heyman 1985), never as a difference that cancels;
-    an exactly zero pivot means the matrix is singular. Each step is one
-    vector operation across all right-hand sides, and a row that may have
-    decayed below ``_FLUSH_BELOW`` is flushed before it is multiplied. With
-    ``along`` given, ``x`` and ``along`` are divided by each solution entry
-    above ``_RESCALE_ABOVE`` as it is made, so both stay finite.
+    an exactly zero pivot means the matrix is singular.
     """
     above = block[2].tolist()  # block[i, i + 1]
     below = block[0].tolist()  # block[i, i - 1]
@@ -211,6 +240,17 @@ def _solve_right(
     pivots[0] = excess
     if excess == 0.0:
         raise np.linalg.LinAlgError("Singular matrix")
+    return below, above, pivots
+
+
+def _solve_right(block: np.ndarray, leak: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``X`` with ``X (I - block) = rhs``, one row per column of ``x`` as ``rhs``; ``x`` is overwritten.
+
+    Thomas elimination with ``_pivots``: each step is one vector operation
+    across all right-hand sides, and a row that may have decayed below
+    ``_FLUSH_BELOW`` is flushed before it is multiplied.
+    """
+    below, above, pivots = _pivots(block, leak)
 
     def sweep(targets: list[np.ndarray], sources: list[np.ndarray], factors: list[float]) -> None:
         bound = 1.0  # every nonzero entry of the row last made is >= bound * _FLUSH_BELOW
@@ -220,9 +260,6 @@ def _solve_right(
                 bound = 1.0
             target += factor * source
             bound = min(1.0, bound * factor) or 1.0  # a zero factor adds nothing to the target
-            if along is not None and (peak := target.max()) > _RESCALE_ABOVE:
-                _flush(x, peak)
-                _flush(along, peak)
 
     rows = list(_flush(x))
     sweep(rows[-2::-1], rows[:0:-1], [b / p for b, p in zip(below[:0:-1], pivots[:0:-1])])
@@ -230,6 +267,32 @@ def _solve_right(
     x /= np.array(pivots)[:, None]
     sweep(rows[1:], rows[:-1], [a / p for a, p in zip(above, pivots[1:])])
     return _flush(x).T
+
+
+def _solve_one(block: np.ndarray, leak: np.ndarray, rhs: np.ndarray, along: np.ndarray) -> np.ndarray:
+    """``y`` with ``y (I - block) = rhs`` for one row ``rhs``, by ``_solve_right``'s elimination on scalars.
+
+    Each entry below ``_FLUSH_BELOW`` is set to 0 before it is multiplied,
+    and ``y`` and ``along`` are divided by each entry above ``_RESCALE_ABOVE``
+    as it is made, so both stay finite.
+    """
+    below, above, pivots = _pivots(block, leak)
+    y = rhs.tolist()
+
+    def sweep(steps: range, step: int, factors: list[float]) -> None:
+        for i, factor in zip(steps, factors):
+            source = y[i] if y[i] >= _FLUSH_BELOW else 0.0
+            y[i] = source
+            y[i + step] += factor * source
+            if (peak := y[i + step]) > _RESCALE_ABOVE:
+                y[:] = [v / peak if v >= _FLUSH_BELOW * peak else 0.0 for v in y]
+                _flush(along, peak)
+
+    T = len(y)
+    sweep(range(T - 1, 0, -1), -1, [b / p for b, p in zip(below[:0:-1], pivots[:0:-1])])
+    y[:] = [v / p if v >= _FLUSH_BELOW else 0.0 for v, p in zip(y, pivots)]
+    sweep(range(T - 1), 1, [a / p for a, p in zip(above, pivots[1:])])
+    return _flush(np.array(y))
 
 
 def _solve_levels(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -247,20 +310,22 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
     interior level is the one below times R, and the top level is
     ``pi_{T-2} Up (I - Ltop)^-1``.
 
-    Level 0 takes the one dense solve, of a system written straight from the
-    diagonals. One tridiagonal solve gives ``Up (I - L)^-1``, ``d (I - L)^-1``
-    and ``pi_0 Up0 (I - L)^-1`` together, and the Sherman-Morrison formula
-    adds the rank-one ``u d``; its denominator ``1 - w u``, with
-    ``w = d (I - L)^-1``, is taken as ``served * w[0]``, which is equal
-    because ``(I - L) 1 = u + served e_0`` and never cancels.
+    Level 0 comes from GTH elimination over the phases (``_stationary_phases``),
+    as ``(Up0 1) d`` lands in phases 0 and 1 only. One tridiagonal solve gives
+    ``Up (I - L)^-1``, ``d (I - L)^-1`` and ``pi_0 Up0 (I - L)^-1`` together,
+    and the Sherman-Morrison formula adds the rank-one ``u d``; its
+    denominator ``1 - w u``, with ``w = d (I - L)^-1``, is taken as
+    ``served * w[0]``, which is equal because ``(I - L) 1 = u + served e_0``
+    and never cancels.
 
     Every entry of R and of each level below ``_FLUSH_BELOW`` (about 1.5e-154)
     is set to 0 as it is made, so no product of two kept entries underflows
-    into the slow subnormal range. Level 0 holds mass 1 and every term is
-    nonnegative, so after normalisation the flush changes each entry of a
-    level's defect ``pi_{j+1} - pi_j R`` by less than 1.5e-154; the residual
-    check is made on the flushed result, and the edge mass of a lattice whose
-    tail lies below the threshold reads 0. The result is unnormalised.
+    into the slow subnormal range. Phase 0 of level 0 holds 1 and every term
+    is nonnegative, so a flush is one comparison, and after normalisation it
+    changes each entry of a level's defect ``pi_{j+1} - pi_j R`` by less than
+    1.5e-154; the residual check is made on the flushed result, and the edge
+    mass of a lattice whose tail lies below the threshold reads 0. The
+    result is unnormalised.
     """
     L0, Up0, D, L, Up, Ltop = blocks
     T = L0.shape[1]
@@ -272,12 +337,12 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
     if served == 0.0:
         # the partner queue is never served: it only grows, or never moves
         grows = Up0.any() or Up.any()
-        levels[T - 1 if grows else 0] = _flush(_stationary_vector(Ltop if grows else L0))
+        levels[T - 1 if grows else 0] = _stationary_phases(Ltop if grows else L0)
         return levels
 
     d = np.pad(D[1:, 0] / served, (0, T - 2))
-    u = Up.sum(axis=0)
-    levels[0] = _flush(_stationary_vector(L0, Up0.sum(axis=0) * d[1]))
+    u, u0 = Up.sum(axis=0), Up0.sum(axis=0)
+    levels[0] = _stationary_phases(L0, u0 * d[0], u0 * d[1])
     at_0 = np.eye(1, T)[0]
     leak = u + served * at_0  # what the rows of L lack of 1: up- and down-steps
     rhs = _transposed(Up, np.zeros((T, T + 2)))  # Up's rows, d and pi_0 Up0 as columns
@@ -288,22 +353,23 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
     R = np.outer(X @ u * scale, w)
     R = _flush(np.add(X, R, out=R))
     levels[1] = _flush(pi1 + (pi1 @ u * scale) * w)
+    last = T  # phases past the level's last nonzero entry add nothing to the product
     for j in range(1, T - 2):
-        support = np.flatnonzero(levels[j])
-        if not support.size:
+        level = np.matmul(levels[j, :last], R[:last], out=levels[j + 1])
+        small = level < _FLUSH_BELOW
+        level[small] = 0.0
+        peak = level.max()
+        if peak == 0.0:
             break  # every level above is 0 as well
-        # phases past the level's last nonzero entry add nothing to the product
-        last = support[-1] + 1
-        levels[j + 1] = _flush(levels[j, :last] @ R[:last])
         # outside the stable region R grows the levels geometrically; rescaling
         # keeps them finite, and the lower levels flush to 0
-        if (peak := levels[j + 1].max()) > _RESCALE_ABOVE:
+        if peak > _RESCALE_ABOVE:
             _flush(levels[: j + 2], peak)
+        last = T - small[::-1].argmin()
     if levels[T - 2].any():
         # the top level is left only from phase 0: where the primary queue is
         # unstable, the lower levels are scaled down as the top one outgrows them
-        top = _solve_right(Ltop, served * at_0, _times(levels[T - 2], Up)[:, None], levels[: T - 1])
-        levels[T - 1] = top[0]
+        levels[T - 1] = _solve_one(Ltop, served * at_0, _times(levels[T - 2], Up), levels[: T - 1])
     return levels
 
 

@@ -353,12 +353,12 @@ def no_cooperation_delay_primary(ch: ChannelProfile, lambda_p: float) -> float:
 def _feasible_interval_at_full_admission(
     ch: ChannelProfile, pt: OperatingPoint
 ) -> tuple[float, float] | None:
-    """Open p_q interval stabilizing the system at p_a = 1, or None."""
+    """Open p_q interval stabilizing the system at p_a = 1, or None if no wider than INTERIOR_OFFSET."""
     if pt.lambda_p >= service_rate_primary(ch, 1.0):
         return None
     lo = pq_lower_bound(ch, pt, 1.0)
     hi = min(pq_upper_bound(ch, pt, 1.0), 1.0)
-    if not lo < hi:
+    if not hi - lo > INTERIOR_OFFSET:
         return None
     return lo, hi
 

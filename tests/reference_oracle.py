@@ -12,13 +12,18 @@ T x T matrix such a block stands for.
 
 ``solve_levels`` and ``residual`` are the oracle's earlier level-by-level
 solve, with its dense T x T solves and no flush of tiny entries, and its
-residual from dense block products, kept unchanged. ``solve_stationary``
-runs them on the densified blocks through the same normalisation and the
-same residual and boundary-mass checks as the oracle, so the tridiagonal
-solve can be compared with them outcome for outcome.
+residual from dense block products. Only the dense solve for a stationary
+vector has changed since: it is refined against a residual computed exactly
+in ``Fraction``, so at level 0 the reference is exact to rounding for any
+elimination order. ``solve_stationary`` runs them on the densified blocks
+through the same normalisation and the same residual and boundary-mass
+checks as the oracle, so the tridiagonal solve can be compared with them
+outcome for outcome.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,6 +40,10 @@ from cogrelay.oracle import (
 
 # level-vector peak above which the level-by-level solve rescales
 _RESCALE_ABOVE = 1e100
+
+# most refinement steps of a stationary vector; each one leaves about the
+# dense solve's relative error of the error before it
+_REFINE_STEPS = 8
 
 
 def build_transitions(spec: ChainSpec) -> sp.csr_matrix:
@@ -108,7 +117,15 @@ def dense(block: np.ndarray) -> np.ndarray:
 
 
 def _stationary_vector(chain: np.ndarray) -> np.ndarray:
-    """Stationary row vector of a stochastic matrix with a single closed class."""
+    """Stationary row vector of a stochastic matrix with a single closed class.
+
+    A dense solve loses up to about 1e-14 where exits are slow, because the
+    diagonal 1 - chain[i, i] is rounded. So the solve is refined against the
+    balance equations of the chain's off-diagonal entries, each phase's exit
+    rate being their exact sum: the residual is computed exactly in
+    ``Fraction`` and corrected by the same dense solve until the correction
+    rounds to 0.
+    """
     n = len(chain)
     system = np.eye(n) - chain.T
     # the balance equations are dependent: normalise in place of the one for
@@ -116,7 +133,24 @@ def _stationary_vector(chain: np.ndarray) -> np.ndarray:
     system[0] = 1.0
     rhs = np.zeros(n)
     rhs[0] = 1.0
-    return np.linalg.solve(system, rhs)
+    x = np.linalg.solve(system, rhs)
+    rows, cols = np.nonzero(chain)
+    moves = [(i, j, Fraction(chain[i, j])) for i, j in zip(rows.tolist(), cols.tolist()) if i != j]
+    exits = [Fraction(0)] * n
+    for i, _, p in moves:
+        exits[i] += p
+    for _ in range(_REFINE_STEPS):
+        pi = list(map(Fraction, x.tolist()))
+        # b - A pi: inflow minus outflow at phases 1.., 1 - sum(pi) at phase 0
+        residual = [-pi[j] * exits[j] for j in range(n)]
+        for i, j, p in moves:
+            residual[j] += pi[i] * p
+        residual[0] = 1 - sum(pi)
+        refined = x + np.linalg.solve(system, np.array([float(r) for r in residual]))
+        if np.array_equal(refined, x):
+            break
+        x = refined
+    return x
 
 
 def solve_levels(blocks: tuple[np.ndarray, ...]) -> np.ndarray:

@@ -248,7 +248,7 @@ def _point(ch, pol, pt) -> dict:
 
 
 STANDARD = {"f_pd": 0.3, "f_sd": 0.8, "f_ps": 0.4}
-#: the p_q interval is narrower than rounding here, so optimize's secondary optimum is unstable
+#: the p_q interval is narrower than rounding here: both ends read 0.998335359762
 UNSTABLE_OPTIMUM = {"f_pd": 0.7130607983330924, "f_sd": 0.9, "f_ps": 0.020126716603189432,
                     "lambda_p": 0.14806757846412472, "lambda_s": 0.7134262293980463}
 
@@ -262,7 +262,6 @@ UNSTABLE_OPTIMUM = {"f_pd": 0.7130607983330924, "f_sd": 0.9, "f_ps": 0.020126716
     # nothing reaches the destination, so the union slope divides by zero
     ("region", "f_pd = 0\nf_ps = 0\npolicies = 0.5:1\nstart = 0.1\nstop = 0.5\nsteps = 3\n",
      {"f_pd": 0.0, "f_sd": 0.8, "f_ps": 0.0, "lambda_p": 0.1}),
-    ("optimize", _config(UNSTABLE_OPTIMUM), UNSTABLE_OPTIMUM),
 ])
 def test_unevaluable_point_exits_2_naming_it(tmp_path, capsys, command, config, point):
     code, text = run(tmp_path, command, config)
@@ -270,6 +269,16 @@ def test_unevaluable_point_exits_2_naming_it(tmp_path, capsys, command, config, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
     err = capsys.readouterr().err
     assert err == _named(point) and "Traceback" not in err
+
+
+def test_interval_narrower_than_the_offset_is_infeasible(tmp_path, capsys):
+    # no p_q inside the interval is stable in float64, so neither optimum exists
+    code, text = run(tmp_path, "optimize", _config(UNSTABLE_OPTIMUM))
+    assert code == 0 and capsys.readouterr().err == ""
+    report = dict(line.split(" = ") for line in text.splitlines() if not line.startswith("#"))
+    assert report["p_q_lower"] == report["p_q_upper"] == "0.998335359762"
+    assert report["pu_mode"] == report["su_status"] == "infeasible"
+    assert report["pu_d_p_star"] == "n/a" and "su_p_q_star" not in report
 
 
 def test_validate_simulates_nothing_before_an_unevaluable_row_fails(tmp_path, capsys, monkeypatch):

@@ -1,12 +1,13 @@
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 import reference_oracle as reference
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_oracle import build_transitions, dense
 
@@ -223,6 +224,25 @@ def test_primary_marginal_is_truncated_geo_geo_1(pair, point):
     assert np.abs(sol.distribution.sum(axis=1) - law).max() <= 1e-12
 
 
+@pytest.mark.parametrize("lambda_share", [0.8, 0.85, 0.9])
+@pytest.mark.parametrize("f_pd", [0.01, 0.05])
+def test_primary_marginal_is_exact_on_slow_chains(f_pd, lambda_share):
+    # slow exits near the primary bound, where a solve through the rounded
+    # diagonal 1 - P[i, i] loses digits: without relaying (p_a = 0) level 0
+    # is the whole chain, and its law is detailed balance, here in exact rationals
+    T = 120
+    ch, pol = ChannelProfile(f_pd, CH.f_sd, CH.f_ps), Policy(POL.p_q, 0.0)
+    lambda_p = lambda_share * service_rate_primary(ch, pol.p_a)
+    spec = ChainSpec(ch, pol, OperatingPoint(lambda_p, 0.1), pair="primary_relay", truncation=T)
+    sol = solve_stationary(spec)
+    mu, lp = Fraction(service_rate_primary(ch, pol.p_a)), Fraction(lambda_p)
+    law = [Fraction(1), lp / (mu * (1 - lp))]
+    for _ in range(2, T):
+        law.append(law[-1] * lp * (1 - mu) / (mu * (1 - lp)))
+    total = sum(law)
+    assert np.abs(sol.distribution.sum(axis=1) - [float(p / total) for p in law]).max() <= 1e-15
+
+
 def test_distribution_is_normalized_and_nonnegative():
     sol = solve_stationary(ChainSpec(CH, POL, PT, pair="primary_relay", truncation=50))
     assert sol.distribution.min() >= 0.0
@@ -367,8 +387,14 @@ def _outcome(solve, spec):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(chain_specs())
+# a slow birth-death level 0, where an unrefined dense reference is 1e-14 off
+@example(ChainSpec(ChannelProfile(0.01, 1.0, 0.0), Policy(0.0, 0.0), OperatingPoint(0.0053125, 0.0),
+                   pair="primary_relay", truncation=40))
 def test_matches_dense_level_solve(spec):
     sol, ref = _outcome(solve_stationary, spec), _outcome(reference.solve_stationary, spec)
+    if isinstance(sol, StationarySolution):
+        # every step is subtraction-free, which the one-sided flush relies on
+        assert sol.distribution.min() >= 0.0
     if isinstance(ref, StationarySolution):
         assert isinstance(sol, StationarySolution)
         assert np.abs(sol.distribution - ref.distribution).max() <= 1e-14
