@@ -10,12 +10,11 @@ evaluated in one call holds the same bits as the same points evaluated one
 at a time. It never raises; instead it reports masks (stability, and where a
 denominator vanishes or a report leaves its bounds).
 
-The scalar functions below are thin wrappers over the core at one point.
-They raise where the quantity is undefined or the point is unstable, and
-where a denominator vanishes they raise ``ZeroDivisionError`` as Python's
-own float division does. Stability predicates use strict inequalities with
-zero tolerance; callers wanting a safety band apply it to the reported
-margins.
+:func:`is_stable` and :func:`delay_report` read the core at one point: the
+verdict with its margins, and every queue metric of a stable point, which
+raises where the masks say the point is unstable or cannot be evaluated.
+Stability predicates use strict inequalities with zero tolerance; callers
+wanting a safety band apply it to the reported margins.
 """
 
 from __future__ import annotations
@@ -31,31 +30,12 @@ from .model import ChannelProfile, OperatingPoint, Policy, StabilityVerdict
 __all__ = [
     "AnalyticsError",
     "InstabilityError",
-    "DegeneratePolicyError",
-    "UndefinedRateError",
     "UnevaluableError",
     "ClosedForms",
     "closed_forms",
     "union_region",
-    "RelayCoefficients",
-    "SecondaryCoefficients",
     "DelayReport",
-    "service_rate_primary",
-    "relay_fraction_epsilon",
-    "max_arrival_primary",
-    "max_arrival_secondary",
     "is_stable",
-    "phase_transition_pq",
-    "union_region_max_lambda_s",
-    "mean_queue_primary",
-    "relay_coefficients",
-    "mean_queue_relay",
-    "secondary_coefficients",
-    "mean_queue_secondary",
-    "delay_primary",
-    "delay_secondary",
-    "empty_joint_probability",
-    "prob_primary_empty",
     "delay_report",
     "MOST_NEGATIVE_MARGIN",
 ]
@@ -74,14 +54,6 @@ class AnalyticsError(ValueError):
 
 class InstabilityError(AnalyticsError):
     """The operating point violates a stability precondition."""
-
-
-class DegeneratePolicyError(AnalyticsError):
-    """The policy makes a formula's denominator vanish (p_q = 1 with no relay inflow)."""
-
-
-class UndefinedRateError(AnalyticsError):
-    """A rate in a denominator is zero, so the requested quantity is undefined."""
 
 
 class UnevaluableError(AnalyticsError):
@@ -234,50 +206,8 @@ def union_region(f_pd, f_sd, f_ps, lambda_p=0.0):
     return _select(0.0 > value, 0.0, value), f_sd * cf.mu / (f_sd + cf.relay), cf.mu
 
 
-def _divisible(denominator) -> None:
-    if denominator == 0.0:
-        raise ZeroDivisionError("float division by zero")
-
-
 def _at(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> ClosedForms:
     return closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s)
-
-
-def service_rate_primary(ch: ChannelProfile, p_a: float) -> float:
-    """Primary-queue service rate: direct delivery or decode-and-admit handoff."""
-    return float(closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, p_a=p_a).mu)
-
-
-def relay_fraction_epsilon(ch: ChannelProfile, p_a: float) -> float:
-    """Probability that a departing PU packet leaves via the relay path."""
-    cf = closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, p_a=p_a)
-    if cf.mu == 0.0:
-        raise UndefinedRateError("primary service rate is zero; relay fraction undefined")
-    return float(cf.epsilon)
-
-
-def max_arrival_primary(ch: ChannelProfile, pol: Policy) -> float:
-    """Largest sustainable lambda_p under the policy (relay-queue constraint)."""
-    cf = closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a)
-    if cf.degenerate:
-        raise DegeneratePolicyError(
-            "p_q = 1 with no relay inflow leaves the primary bound undefined"
-        )
-    return float(cf.bound_p)
-
-
-def _below_mu(cf: ClosedForms, lambda_p: float) -> None:
-    if lambda_p >= cf.mu:
-        raise InstabilityError(
-            f"lambda_p={lambda_p!r} not below the primary service rate {float(cf.mu)!r}"
-        )
-
-
-def max_arrival_secondary(ch: ChannelProfile, pol: Policy, lambda_p: float) -> float:
-    """Largest sustainable lambda_s given the primary load lambda_p."""
-    cf = closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, lambda_p)
-    _below_mu(cf, lambda_p)
-    return float(cf.bound_s)
 
 
 def is_stable(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> StabilityVerdict:
@@ -289,144 +219,6 @@ def is_stable(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> StabilityV
     """
     cf = _at(ch, pol, pt)
     return StabilityVerdict(bool(cf.stable), float(cf.margin_p), float(cf.margin_s))
-
-
-def _require_stable(cf: ClosedForms, pol: Policy, pt: OperatingPoint) -> None:
-    if not cf.stable:
-        raise InstabilityError(
-            f"operating point {pt} is not stable under {pol}: "
-            f"margin_p={float(cf.margin_p)!r}, margin_s={float(cf.margin_s)!r}"
-        )
-
-
-def phase_transition_pq(ch: ChannelProfile) -> float:
-    """The p_q at which the primary rate bound becomes insensitive to p_a."""
-    return float(closed_forms(ch.f_pd, ch.f_sd, ch.f_ps).threshold)
-
-
-def union_region_max_lambda_s(ch: ChannelProfile, lambda_p: float) -> float:
-    """Outer stability boundary over all policies (floored at zero)."""
-    value, _, slope_den = union_region(ch.f_pd, ch.f_sd, ch.f_ps, lambda_p)
-    _divisible(slope_den)
-    return float(value)
-
-
-def mean_queue_primary(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
-    """Mean primary queue length (Pollaczek-Khinchine form for a Bernoulli/geometric queue)."""
-    cf = _at(ch, pol, pt)
-    _below_mu(cf, pt.lambda_p)
-    return float(cf.n_p)
-
-
-@dataclass(frozen=True)
-class RelayCoefficients:
-    """Coefficients of the relay-queue mean-length rational function of lambda_p."""
-
-    m: float
-    n: float
-    alpha: float
-    beta: float
-    gamma: float
-
-
-def relay_coefficients(ch: ChannelProfile, pol: Policy) -> RelayCoefficients:
-    """Coefficients (m, n, alpha, beta, gamma) of the relay queue's mean length."""
-    cf = closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a)
-    if cf.mu == 0.0:
-        raise UndefinedRateError("primary service rate is zero; relay coefficients undefined")
-    return RelayCoefficients(
-        float(cf.m), float(cf.n), float(cf.alpha), float(cf.beta), float(cf.gamma)
-    )
-
-
-def _relay_form(cf: ClosedForms, ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
-    _require_stable(cf, pol, pt)
-    if not cf.relay_ok:
-        raise AssertionError(
-            f"relay-queue denominator {float(cf.relay_den)!r} not positive at a stable point "
-            f"(ch={ch}, pol={pol}, pt={pt}); coefficient transcription bug"
-        )
-    return float(cf.n_sp)
-
-
-def mean_queue_relay(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
-    """Mean relay queue length at a stable operating point."""
-    return _relay_form(_at(ch, pol, pt), ch, pol, pt)
-
-
-@dataclass(frozen=True)
-class SecondaryCoefficients:
-    """Coefficients of the secondary queue's mean-length expression."""
-
-    a_coef: float
-    b_coef: float
-    c_coef: float
-
-
-def _secondary_form(cf: ClosedForms, ch: ChannelProfile, pol: Policy, pt: OperatingPoint):
-    _require_stable(cf, pol, pt)
-    if not cf.secondary_ok:
-        raise AssertionError(
-            f"secondary coefficients out of domain at a stable point: "
-            f"B={float(cf.b_coef)!r}, C={float(cf.c_coef)!r} "
-            f"(ch={ch}, pol={pol}, pt={pt}); transcription bug"
-        )
-
-
-def secondary_coefficients(
-    ch: ChannelProfile, pol: Policy, pt: OperatingPoint
-) -> SecondaryCoefficients:
-    """Coefficients (A, B, C) of the secondary queue's mean length."""
-    cf = _at(ch, pol, pt)
-    _secondary_form(cf, ch, pol, pt)
-    return SecondaryCoefficients(float(cf.a_coef), float(cf.b_coef), float(cf.c_coef))
-
-
-def _n_s(cf: ClosedForms, ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
-    _secondary_form(cf, ch, pol, pt)
-    _divisible(cf.n_s_den)
-    return float(cf.n_s)
-
-
-def mean_queue_secondary(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
-    """Mean secondary (own-data) queue length at a stable operating point."""
-    return _n_s(_at(ch, pol, pt), ch, pol, pt)
-
-
-def delay_primary(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
-    """Mean delay of a primary packet: queueing at the PU plus, for relayed packets, at the SU."""
-    if pt.lambda_p <= 0.0:
-        raise UndefinedRateError("primary delay undefined at lambda_p = 0")
-    cf = _at(ch, pol, pt)
-    _relay_form(cf, ch, pol, pt)
-    return float(cf.d_p)
-
-
-def delay_secondary(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
-    """Mean delay of a secondary packet."""
-    if pt.lambda_s <= 0.0:
-        raise UndefinedRateError("secondary delay undefined at lambda_s = 0")
-    cf = _at(ch, pol, pt)
-    _n_s(cf, ch, pol, pt)
-    return float(cf.d_s)
-
-
-def _g00(cf: ClosedForms, pol: Policy, pt: OperatingPoint) -> float:
-    _require_stable(cf, pol, pt)
-    _divisible(cf.g00_den)
-    return float(cf.g00)
-
-
-def empty_joint_probability(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
-    """Stationary probability that the primary and secondary queues are both empty."""
-    return _g00(_at(ch, pol, pt), pol, pt)
-
-
-def prob_primary_empty(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
-    """Stationary probability that the primary queue is empty."""
-    cf = _at(ch, pol, pt)
-    _below_mu(cf, pt.lambda_p)
-    return float(cf.p_empty)
 
 
 @dataclass(frozen=True)
@@ -458,22 +250,26 @@ class DelayReport:
 
 
 def delay_report(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> DelayReport:
-    """Evaluate every closed form once at a stable point.
+    """Every closed form at one stable point, read from :func:`closed_forms`.
 
-    The delays are those of :func:`delay_primary` and :func:`delay_secondary`,
-    and ``None`` where the arrival rate is zero. Raises where those would,
-    in the order they would.
+    A delay is ``None`` where its arrival rate is zero. Raises
+    InstabilityError at an unstable point, and UnevaluableError at a stable
+    point the closed forms cannot evaluate.
     """
     cf = _at(ch, pol, pt)
-    _require_stable(cf, pol, pt)
-    n_sp = _relay_form(cf, ch, pol, pt)
-    n_s = _n_s(cf, ch, pol, pt)
+    if not cf.stable:
+        raise InstabilityError(
+            f"operating point {pt} is not stable under {pol}: "
+            f"margin_p={float(cf.margin_p)!r}, margin_s={float(cf.margin_s)!r}"
+        )
+    if not cf.evaluable:
+        raise UnevaluableError(f"the closed forms cannot be evaluated at {ch}, {pol}, {pt}")
     return DelayReport(
         n_p=float(cf.n_p),
-        n_sp=n_sp,
-        n_s=n_s,
+        n_sp=float(cf.n_sp),
+        n_s=float(cf.n_s),
         d_p=float(cf.d_p) if pt.lambda_p > 0.0 else None,
         d_s=float(cf.d_s) if pt.lambda_s > 0.0 else None,
-        g00=_g00(cf, pol, pt),
+        g00=float(cf.g00),
         epsilon=float(cf.epsilon),
     )

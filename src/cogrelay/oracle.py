@@ -21,11 +21,12 @@ or the solve is rejected.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import service_rate_primary
+from .analytics import closed_forms
 from .model import ChannelProfile, OperatingPoint, Policy
 
 __all__ = ["CHAIN_PAIRS", "BOUNDARY_MASS_LIMIT", "ConvergenceError", "TruncationError",
@@ -57,7 +58,8 @@ class ChainSpec:
 
     The solve is only meaningful at operating points comfortably inside the
     stable region (roughly >= 5% margin); closer to the boundary the edge mass
-    grows until the solve is rejected.
+    grows until the solve is rejected. A truncation whose solve would not fit
+    in the machine's physical memory is refused.
     """
 
     channel: ChannelProfile
@@ -72,6 +74,11 @@ class ChainSpec:
             raise ValueError(f"pair must be one of {CHAIN_PAIRS}, got {self.pair!r}")
         if self.truncation < 4:
             raise ValueError("truncation must be >= 4")
+        # the solve holds at most five T x T float64 lattices
+        need, memory = 5 * 8 * self.truncation**2, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > memory:
+            raise ValueError(f"truncation {self.truncation} needs {need / 2**30:.0f} GiB for the solve, "
+                             f"more than the {memory / 2**30:.1f} GiB of physical memory")
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
 
@@ -124,7 +131,8 @@ def _blocks(spec: ChainSpec) -> tuple[np.ndarray, ...]:
             steps[nj - j][ni - rows + 1, rows] += weight[mask]
 
         if spec.pair == "primary_secondary":
-            dep_p = np.where(i > 0, service_rate_primary(ch, pol.p_a), 0.0)
+            mu = float(closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, p_a=pol.p_a).mu)
+            dep_p = np.where(i > 0, mu, 0.0)
             dep_s = np.where((i == 0) & (j > 0), pol.p_q * ch.f_sd, 0.0)
             arr_s = (1.0 - pt.lambda_s, pt.lambda_s)
             for yp, ys, xp, xs in itertools.product((0, 1), repeat=4):

@@ -2,9 +2,9 @@
 
 These are the modules' original point-by-point implementations in Python
 floats, kept unchanged (their own exception classes included) so that the
-array-valued core and its scalar wrappers can be checked against them for
-equality: the same IEEE operations in the same order give the same bits,
-and where a denominator vanishes Python's float division raises.
+array-valued core can be checked against them for equality: the same IEEE
+operations in the same order give the same bits, and where a denominator
+vanishes Python's float division raises, which the core's masks must match.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+from reference_closed_forms import service_rate_primary
 
-from cogrelay.analytics import service_rate_primary
 from cogrelay.oracle import (
     BOUNDARY_MASS_LIMIT,
     ChainSpec,

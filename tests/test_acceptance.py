@@ -8,26 +8,11 @@ import numpy as np
 import pytest
 
 from gridsearch import primary_delay_grid, secondary_delay_grid
+from points import at, optimum, primary_decision
 
-from cogrelay.analytics import (
-    closed_forms,
-    delay_primary,
-    delay_report,
-    delay_secondary,
-    empty_joint_probability,
-    is_stable,
-    max_arrival_primary,
-    max_arrival_secondary,
-    mean_queue_primary,
-    mean_queue_relay,
-    mean_queue_secondary,
-    phase_transition_pq,
-    prob_primary_empty,
-    union_region,
-)
+from cogrelay.analytics import closed_forms, delay_report, is_stable, union_region
 from cogrelay.cli import main
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
-from cogrelay.optimizer import minimize_primary_delay, minimize_secondary_delay
 from cogrelay.oracle import ChainSpec, solve_stationary
 from cogrelay.simulator import Scenario, replicate_many
 
@@ -46,7 +31,7 @@ MONOTONICITY_CHANNELS = (
 def margin_limited_lambda(ch, pol, margin=0.10):
     """Largest symmetric rate lambda_p = lambda_s = lambda keeping both
     relative stability margins at or above the requested fraction."""
-    bound_p = max_arrival_primary(ch, pol)
+    bound_p = float(at(ch, pol).bound_p)
     lo, hi = 0.0, bound_p
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -54,7 +39,7 @@ def margin_limited_lambda(ch, pol, margin=0.10):
         if not verdict.stable:
             hi = mid
             continue
-        bound_s = max_arrival_secondary(ch, pol, mid)
+        bound_s = at(ch, pol, OperatingPoint(mid, 0.0)).bound_s
         if min(verdict.margin_p / bound_p, verdict.margin_s / bound_s) >= margin:
             lo = mid
         else:
@@ -73,8 +58,8 @@ def test_criterion_1_closed_form_vs_simulation():
             lam = float(lam_limit * frac)
             pt = OperatingPoint(lam, lam)
             verdict = is_stable(ch, pol, pt)
-            bound_p = max_arrival_primary(ch, pol)
-            bound_s = max_arrival_secondary(ch, pol, lam)
+            bound_p = at(ch, pol).bound_p
+            bound_s = at(ch, pol, OperatingPoint(lam, 0.0)).bound_s
             assert min(verdict.margin_p / bound_p, verdict.margin_s / bound_s) >= 0.10
             cases.append((pol, pt, delay_report(ch, pol, pt)))
     runs = replicate_many(
@@ -101,11 +86,9 @@ ORACLE_POINTS = (
 def test_criterion_2_oracle_equivalence(pol, pt):
     """Truncated-chain solves at 400x400 match every closed form."""
     ch = STANDARD_CHANNEL
-    n_p = mean_queue_primary(ch, pol, pt)
-    n_s = mean_queue_secondary(ch, pol, pt)
-    n_sp = mean_queue_relay(ch, pol, pt)
-    g00 = empty_joint_probability(ch, pol, pt)
-    p_empty = prob_primary_empty(ch, pol, pt)
+    cf = at(ch, pol, pt)
+    assert cf.stable and cf.evaluable
+    n_p, n_s, n_sp, g00, p_empty = map(float, (cf.n_p, cf.n_s, cf.n_sp, cf.g00, cf.p_empty))
 
     ps = solve_stationary(ChainSpec(ch, pol, pt, pair="primary_secondary", truncation=400))
     pr = solve_stationary(ChainSpec(ch, pol, pt, pair="primary_relay", truncation=400))
@@ -123,11 +106,9 @@ def test_criterion_2_oracle_equivalence(pol, pt):
 def test_criterion_3_phase_transition_insensitivity():
     """At p_q = 1 - f_pd/f_sd the primary rate bound ignores p_a."""
     ch = STANDARD_CHANNEL
-    p_q = phase_transition_pq(ch)
+    p_q = float(at(ch).threshold)
     assert p_q == pytest.approx(0.625, rel=1e-12)
-    values = [
-        max_arrival_primary(ch, Policy(p_q, p_a)) for p_a in np.linspace(0.0, 1.0, 11)
-    ]
+    values = [at(ch, Policy(p_q, p_a)).bound_p for p_a in np.linspace(0.0, 1.0, 11)]
     assert max(values) - min(values) < 1e-12
 
 
@@ -141,7 +122,7 @@ def test_criterion_4_monotonicity_suites():
     """Finite-difference monotonicity of the rate bounds and delays."""
     grid = np.linspace(0.0, 1.0, 21)
     for ch in MONOTONICITY_CHANNELS:
-        threshold = phase_transition_pq(ch)
+        threshold = float(at(ch).threshold)
         below = max(threshold - 0.15, 0.05)
         above = min(threshold + 0.15, 0.95)
 
@@ -149,15 +130,15 @@ def test_criterion_4_monotonicity_suites():
         # increasing in p_q at a fixed feasible lambda_p
         lam_p = 0.5 * ch.f_pd
         for p_a in (0.5, 1.0):
-            bounds_p = [max_arrival_primary(ch, Policy(q, p_a)) for q in grid]
+            bounds_p = [at(ch, Policy(q, p_a)).bound_p for q in grid]
             assert _strict_sign(np.diff(bounds_p), -1)
-            bounds_s = [max_arrival_secondary(ch, Policy(q, p_a), lam_p) for q in grid]
+            bounds_s = [at(ch, Policy(q, p_a), OperatingPoint(lam_p, 0.0)).bound_s for q in grid]
             assert _strict_sign(np.diff(bounds_s), +1)
 
         # primary bound vs p_a: sign flips across the phase transition
-        diffs_below = np.diff([max_arrival_primary(ch, Policy(below, a)) for a in grid])
-        diffs_at = np.diff([max_arrival_primary(ch, Policy(threshold, a)) for a in grid])
-        diffs_above = np.diff([max_arrival_primary(ch, Policy(above, a)) for a in grid])
+        diffs_below = np.diff([at(ch, Policy(below, a)).bound_p for a in grid])
+        diffs_at = np.diff([at(ch, Policy(threshold, a)).bound_p for a in grid])
+        diffs_above = np.diff([at(ch, Policy(above, a)).bound_p for a in grid])
         assert _strict_sign(diffs_below, +1)
         assert np.abs(diffs_at).max() <= 1e-12
         assert _strict_sign(diffs_above, -1)
@@ -166,7 +147,7 @@ def test_criterion_4_monotonicity_suites():
         # degenerate edges (zero difference only at lambda_p=0 or p_q=0;
         # strictness is not asserted for the leg starting at p_a=0)
         for p_q, lam in ((below, lam_p), (above, lam_p), (0.0, lam_p), (below, 0.0)):
-            values = [max_arrival_secondary(ch, Policy(p_q, a), lam) for a in grid]
+            values = [at(ch, Policy(p_q, a), OperatingPoint(lam, 0.0)).bound_s for a in grid]
             diffs = np.diff(values)
             assert all(d >= -1e-15 for d in diffs)
             if p_q > 0.0 and lam > 0.0:
@@ -179,8 +160,8 @@ def test_criterion_4_monotonicity_suites():
         pt = OperatingPoint(lo, 0.1 * ch.f_sd)
         q_grid = [q for q in np.linspace(0.05, 0.95, 21) if is_stable(ch, Policy(q, 1.0), pt).stable]
         assert len(q_grid) >= 10
-        d_p = [delay_primary(ch, Policy(q, 1.0), pt) for q in q_grid]
-        d_s = [delay_secondary(ch, Policy(q, 1.0), pt) for q in q_grid]
+        d_p = [at(ch, Policy(q, 1.0), pt).d_p for q in q_grid]
+        d_s = [at(ch, Policy(q, 1.0), pt).d_s for q in q_grid]
         assert _strict_sign(np.diff(d_p), +1)
         assert _strict_sign(np.diff(d_s), -1)
 
@@ -189,8 +170,8 @@ def test_criterion_4_monotonicity_suites():
         for p_q, p_sign in ((below, -1), (above, +1)):
             pol_grid = [Policy(p_q, a) for a in grid]
             assert all(is_stable(ch, pol, pt_a).stable for pol in pol_grid)
-            dp_diffs = np.diff([delay_primary(ch, pol, pt_a) for pol in pol_grid])
-            ds_diffs = np.diff([delay_secondary(ch, pol, pt_a) for pol in pol_grid])
+            dp_diffs = np.diff([at(ch, pol, pt_a).d_p for pol in pol_grid])
+            ds_diffs = np.diff([at(ch, pol, pt_a).d_s for pol in pol_grid])
             assert all(d <= 1e-12 for d in ds_diffs)
             if p_sign < 0:
                 assert all(d <= 1e-12 for d in dp_diffs)
@@ -226,14 +207,14 @@ def test_criterion_6_optimizer_threshold():
     no_coop_limit = ch_high.f_pd * (1.0 - lambda_s / ch_high.f_sd)  # both queues stable
     sweep_high = np.linspace(0.02, no_coop_limit - 0.01, 15)
     for lam_p in sweep_high:
-        decision = minimize_primary_delay(ch_high, OperatingPoint(float(lam_p), lambda_s))
-        assert decision.mode == "no_cooperation", f"expected no_cooperation at lambda_p={lam_p}"
+        mode, _ = primary_decision(optimum(ch_high, OperatingPoint(float(lam_p), lambda_s)))
+        assert mode == "no_cooperation", f"expected no_cooperation at lambda_p={lam_p}"
     for lam_p in sweep_high[::3]:
         pt = OperatingPoint(float(lam_p), lambda_s)
-        decision = minimize_primary_delay(ch_high, pt)
+        _, d_p_star = primary_decision(optimum(ch_high, pt))
         grid = primary_delay_grid(ch_high, pt, n=101)
         assert grid is not None
-        assert decision.d_p_star <= grid["objective"] + grid["cell_variation"]
+        assert d_p_star <= grid["objective"] + grid["cell_variation"]
 
     # weak direct link cooperates over (at least) the low half of the sweep
     ch_low = STANDARD_CHANNEL
@@ -242,13 +223,13 @@ def test_criterion_6_optimizer_threshold():
     modes = []
     for lam_p in sweep_low:
         pt = OperatingPoint(float(lam_p), lambda_s)
-        decision = minimize_primary_delay(ch_low, pt)
-        modes.append(decision.mode)
+        mode, d_p_star = primary_decision(optimum(ch_low, pt))
+        modes.append(mode)
         grid = primary_delay_grid(ch_low, pt, n=101)
         assert grid is not None
-        assert decision.d_p_star <= grid["objective"] + grid["cell_variation"], (
+        assert d_p_star <= grid["objective"] + grid["cell_variation"], (
             f"analytic optimum beaten by grid at lambda_p={lam_p}: "
-            f"{decision.d_p_star} vs {grid['objective']}"
+            f"{d_p_star} vs {grid['objective']}"
         )
     half = len(modes) // 2
     assert all(m == "cooperate" for m in modes[:half])
@@ -265,7 +246,9 @@ SU_GUARD_POINTS = (
 def test_criterion_7_su_conjecture_guard(pt):
     """No grid policy undercuts the closed-form secondary optimum."""
     ch = STANDARD_CHANNEL
-    p_q_star, d_s_star = minimize_secondary_delay(ch, pt)
+    o = optimum(ch, pt)
+    assert o.feasible
+    p_q_star, d_s_star = o.su_p_q_star, o.su_d_s_star
     grid = secondary_delay_grid(ch, pt, n=101)
     assert grid is not None
     assert grid["objective"] >= d_s_star - grid["cell_variation"], (

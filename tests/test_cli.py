@@ -116,7 +116,8 @@ def test_region_rates_mode(tmp_path):
 
 
 def test_delay_sweep_matches_analytics(tmp_path):
-    from cogrelay.analytics import delay_primary, delay_secondary
+    from points import at
+
     from cogrelay.model import ChannelProfile, OperatingPoint, Policy
 
     code, text = run(
@@ -133,8 +134,8 @@ def test_delay_sweep_matches_analytics(tmp_path):
         lam = float(r[5])
         assert r[7] == "1"
         pt = OperatingPoint(lam, lam)
-        assert float(r[8]) == pytest.approx(delay_primary(ch, pol, pt), rel=1e-9)
-        assert float(r[9]) == pytest.approx(delay_secondary(ch, pol, pt), rel=1e-9)
+        assert float(r[8]) == pytest.approx(at(ch, pol, pt).d_p, rel=1e-9)
+        assert float(r[9]) == pytest.approx(at(ch, pol, pt).d_s, rel=1e-9)
 
 
 def test_delay_sweep_marks_unstable_points(tmp_path):
@@ -511,6 +512,17 @@ def test_oracle_truncation_flag(tmp_path):
     assert code == 0
     _, body = rows(text)
     assert [r[1] for r in body] == ["30", "30"]
+
+
+def test_oracle_truncation_beyond_memory_exits_2(tmp_path, capsys):
+    # the solve would hold five T x T float64 lattices: 373 GiB at T = 100000
+    truncation = 100_000
+    if 5 * 8 * truncation**2 <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        pytest.skip("this machine's memory would hold the solve")
+    code, text = run(tmp_path, "oracle", None, extra=["--truncation", str(truncation)])
+    assert code == 2 and text == "" and list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error: truncation 100000 needs 373 GiB") and "Traceback" not in err
 
 
 def test_standard_channel_preset_bytes(tmp_path):

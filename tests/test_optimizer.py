@@ -1,91 +1,89 @@
+import math
+
 import pytest
 
 from gridsearch import primary_delay_grid
+from points import at, optimum, primary_decision
 
-from cogrelay.analytics import UndefinedRateError, delay_secondary, is_stable, phase_transition_pq
+from cogrelay.analytics import is_stable
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
-from cogrelay.optimizer import (
-    INTERIOR_OFFSET,
-    InfeasibleError,
-    minimize_primary_delay,
-    minimize_secondary_delay,
-    no_cooperation_delay_primary,
-    pq_lower_bound,
-    pq_upper_bound,
-)
+from cogrelay.optimizer import INTERIOR_OFFSET, _pq_interval
 from cogrelay.simulator import Scenario, simulate
 
 CH = ChannelProfile(0.3, 0.8, 0.4)
 PT = OperatingPoint(0.1, 0.1)
 
 
+def _pq_lower(ch, pt, p_a):
+    return _pq_interval(ch.f_pd, ch.f_sd, ch.f_ps, p_a, pt.lambda_p, pt.lambda_s)[0]
+
+
 def test_pq_bounds_frozen_values():
-    assert pq_lower_bound(CH, PT, 1.0) == pytest.approx(0.15104166666666666, rel=1e-12)
-    assert pq_upper_bound(CH, PT, 1.0) == pytest.approx(0.9270833333333334, rel=1e-12)
-    assert pq_lower_bound(CH, PT, 0.5) == pytest.approx(0.16176470588235295, rel=1e-12)
+    assert optimum(CH, PT).p_q_lower == pytest.approx(0.15104166666666666, rel=1e-12)
+    assert optimum(CH, PT).p_q_upper == pytest.approx(0.9270833333333334, rel=1e-12)
+    assert _pq_lower(CH, PT, 0.5) == pytest.approx(0.16176470588235295, rel=1e-12)
 
 
 def test_pq_bounds_degenerate_cases():
-    assert pq_lower_bound(CH, OperatingPoint(0.1, 0.0), 1.0) == 0.0
-    assert pq_upper_bound(CH, OperatingPoint(0.0, 0.1), 1.0) == 1.0
-    with pytest.raises(InfeasibleError):
-        pq_lower_bound(CH, OperatingPoint(0.6, 0.1), 1.0)
-    with pytest.raises(InfeasibleError):
-        pq_upper_bound(CH, OperatingPoint(0.58, 0.1), 1.0)
+    assert optimum(CH, OperatingPoint(0.1, 0.0)).p_q_lower == 0.0
+    assert optimum(CH, OperatingPoint(0.0, 0.1)).p_q_upper == 1.0
+    assert not optimum(CH, OperatingPoint(0.6, 0.1)).bounds_defined
+    assert not optimum(CH, OperatingPoint(0.58, 0.1)).bounds_defined
 
 
 def test_pq_lower_bound_decreases_with_admission():
     # full admission admits the widest feasible interval
-    values = [pq_lower_bound(CH, PT, p_a) for p_a in (0.25, 0.5, 0.75, 1.0)]
+    values = [_pq_lower(CH, PT, p_a) for p_a in (0.25, 0.5, 0.75, 1.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_cooperate_decision():
     pt = OperatingPoint(0.1, 0.2)
-    decision = minimize_primary_delay(CH, pt)
-    assert decision.mode == "cooperate"
-    assert decision.p_a_star == 1.0
+    o = optimum(CH, pt)
+    assert primary_decision(o)[0] == "cooperate"
+    # a cooperating optimum admits every relayable packet: p_a = 1
     expected_lower = 0.2 * 0.58 / (0.8 * 0.48)
-    assert decision.p_q_star == pytest.approx(expected_lower + INTERIOR_OFFSET, rel=1e-9)
-    assert decision.near_boundary
-    verdict = is_stable(CH, Policy(decision.p_q_star, decision.p_a_star), pt)
+    assert o.pu_p_q_star == pytest.approx(expected_lower + INTERIOR_OFFSET, rel=1e-9)
+    assert o.pu_near_boundary
+    verdict = is_stable(CH, Policy(float(o.pu_p_q_star), 1.0), pt)
     assert verdict.stable and verdict.margin_p > 0.0 and verdict.margin_s > 0.0
 
 
 def test_no_cooperation_decision():
     ch = ChannelProfile(0.6, 0.8, 0.4)
-    decision = minimize_primary_delay(ch, OperatingPoint(0.1, 0.2))
-    assert decision.mode == "no_cooperation"
-    assert decision.p_q_star is None and decision.p_a_star is None
-    assert decision.d_p_star == pytest.approx(0.9 / 0.5, rel=1e-12)
-    assert decision.d_p_star == pytest.approx(no_cooperation_delay_primary(ch, 0.1), rel=1e-12)
+    o = optimum(ch, OperatingPoint(0.1, 0.2))
+    mode, d_p_star = primary_decision(o)
+    assert mode == "no_cooperation"
+    assert not o.cooperate
+    assert d_p_star == pytest.approx(0.9 / 0.5, rel=1e-12)
+    assert o.no_coop_ok and o.no_coop_d_p == pytest.approx(0.9 / 0.5, rel=1e-12)
 
 
 def test_infeasible_decisions():
-    assert minimize_primary_delay(CH, OperatingPoint(0.6, 0.1)).mode == "infeasible"
+    assert primary_decision(optimum(CH, OperatingPoint(0.6, 0.1)))[0] == "infeasible"
     # secondary load too heavy for any p_q even at full admission
-    assert minimize_primary_delay(CH, OperatingPoint(0.3, 0.7)).mode == "infeasible"
-    with pytest.raises(UndefinedRateError):
-        minimize_primary_delay(CH, OperatingPoint(0.0, 0.1))
+    assert primary_decision(optimum(CH, OperatingPoint(0.3, 0.7)))[0] == "infeasible"
+    # no primary delay to minimize at lambda_p = 0
+    assert math.isnan(optimum(CH, OperatingPoint(0.0, 0.1)).pu_d_p_star)
 
 
 def test_cooperate_beats_brute_force_grid():
     pt = OperatingPoint(0.1, 0.2)
-    decision = minimize_primary_delay(CH, pt)
+    _, d_p_star = primary_decision(optimum(CH, pt))
     grid = primary_delay_grid(CH, pt, n=51)
     assert grid is not None
-    assert decision.d_p_star <= grid["objective"] + grid["cell_variation"]
+    assert d_p_star <= grid["objective"] + grid["cell_variation"]
     assert grid["p_a"] == pytest.approx(1.0)
 
 
 def test_no_cooperation_matches_brute_force_grid():
     ch = ChannelProfile(0.6, 0.8, 0.4)
     pt = OperatingPoint(0.15, 0.2)
-    decision = minimize_primary_delay(ch, pt)
-    assert decision.mode == "no_cooperation"
+    mode, d_p_star = primary_decision(optimum(ch, pt))
+    assert mode == "no_cooperation"
     grid = primary_delay_grid(ch, pt, n=51)
     assert grid is not None
-    assert decision.d_p_star <= grid["objective"] + grid["cell_variation"]
+    assert d_p_star <= grid["objective"] + grid["cell_variation"]
     assert grid["p_a"] == pytest.approx(0.0)
 
 
@@ -93,8 +91,8 @@ def _lower_bound_crossing(f_sd, f_ps, pt, lo=0.05, hi=0.75):
     # f_pd at which the feasible infimum of p_q meets the cooperation threshold
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        ch = ChannelProfile(mid, f_sd, f_ps)
-        if pq_lower_bound(ch, pt, 1.0) <= phase_transition_pq(ch):
+        o = optimum(ChannelProfile(mid, f_sd, f_ps), pt)
+        if o.p_q_lower <= o.threshold:
             lo = mid
         else:
             hi = mid
@@ -106,28 +104,34 @@ def test_decision_threshold_transition():
     crossing = _lower_bound_crossing(0.8, 0.4, pt)
     below = ChannelProfile(crossing - 0.05, 0.8, 0.4)
     above = ChannelProfile(crossing + 0.05, 0.8, 0.4)
-    dec_below = minimize_primary_delay(below, pt)
-    dec_above = minimize_primary_delay(above, pt)
-    assert dec_below.mode == "cooperate"
-    assert dec_above.mode == "no_cooperation"
-    for ch, decision in ((below, dec_below), (above, dec_above)):
+    dec_below = primary_decision(optimum(below, pt))
+    dec_above = primary_decision(optimum(above, pt))
+    assert dec_below[0] == "cooperate"
+    assert dec_above[0] == "no_cooperation"
+    for ch, (_, d_p_star) in ((below, dec_below), (above, dec_above)):
         grid = primary_delay_grid(ch, pt, n=61)
         assert grid is not None
-        assert decision.d_p_star <= grid["objective"] + grid["cell_variation"]
+        assert d_p_star <= grid["objective"] + grid["cell_variation"]
+
+
+def _secondary_optimum(ch, pt):
+    o = optimum(ch, pt)
+    assert o.feasible
+    return float(o.su_p_q_star), o.su_d_s_star
 
 
 def test_secondary_optimum_is_feasible_supremum():
-    p_q_star, d_s_star = minimize_secondary_delay(CH, PT)
-    assert p_q_star == pytest.approx(pq_upper_bound(CH, PT, 1.0) - INTERIOR_OFFSET, rel=1e-9)
-    assert d_s_star == pytest.approx(delay_secondary(CH, Policy(p_q_star, 1.0), PT), rel=1e-12)
+    p_q_star, d_s_star = _secondary_optimum(CH, PT)
+    assert p_q_star == pytest.approx(optimum(CH, PT).p_q_upper - INTERIOR_OFFSET, rel=1e-9)
+    assert d_s_star == pytest.approx(at(CH, Policy(p_q_star, 1.0), PT).d_s, rel=1e-12)
     verdict = is_stable(CH, Policy(p_q_star, 1.0), PT)
     assert verdict.stable
 
 
 def test_secondary_optimum_matches_dense_line_search():
-    p_q_star, d_s_star = minimize_secondary_delay(CH, PT)
-    lo = pq_lower_bound(CH, PT, 1.0)
-    hi = pq_upper_bound(CH, PT, 1.0)
+    p_q_star, d_s_star = _secondary_optimum(CH, PT)
+    lo = float(optimum(CH, PT).p_q_lower)
+    hi = float(optimum(CH, PT).p_q_upper)
     step = (hi - lo) / 1000
     best = None
     for i in range(1, 1000):
@@ -135,30 +139,27 @@ def test_secondary_optimum_matches_dense_line_search():
         pol = Policy(p_q, 1.0)
         if not is_stable(CH, pol, PT).stable:
             continue
-        d = delay_secondary(CH, pol, PT)
+        d = at(CH, pol, PT).d_s
         if best is None or d < best:
             best = d
     assert best is not None
     assert d_s_star <= best + 1e-9
     assert abs(d_s_star - best) < abs(
-        delay_secondary(CH, Policy(hi - 2 * step, 1.0), PT)
-        - delay_secondary(CH, Policy(hi - step, 1.0), PT)
+        at(CH, Policy(hi - 2 * step, 1.0), PT).d_s - at(CH, Policy(hi - step, 1.0), PT).d_s
     ) + 1e-9
 
 
 def test_secondary_infeasible_cases():
-    with pytest.raises(UndefinedRateError):
-        minimize_secondary_delay(CH, OperatingPoint(0.1, 0.0))
-    with pytest.raises(InfeasibleError):
-        minimize_secondary_delay(CH, OperatingPoint(0.6, 0.1))
-    with pytest.raises(InfeasibleError):
-        minimize_secondary_delay(CH, OperatingPoint(0.3, 0.7))
+    # no secondary delay to minimize at lambda_s = 0
+    assert math.isnan(optimum(CH, OperatingPoint(0.1, 0.0)).su_d_s_star)
+    assert not optimum(CH, OperatingPoint(0.6, 0.1)).feasible
+    assert not optimum(CH, OperatingPoint(0.3, 0.7)).feasible
 
 
 @pytest.mark.parametrize("lambda_s", [0.1, 0.3])
 def test_secondary_optimum_beats_strict_priority_baseline(lambda_s):
     pt = OperatingPoint(0.2, lambda_s)
-    _, d_s_star = minimize_secondary_delay(CH, pt)
+    _, d_s_star = _secondary_optimum(CH, pt)
     baseline = simulate(
         Scenario(CH, pt, Policy(0.5, 1.0), policy_kind="strict_priority_relay",
                  slots=300_000, warmup_slots=10_000, seed=7)

@@ -9,18 +9,11 @@ import pytest
 import reference_oracle as reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from points import at
 from reference_oracle import build_transitions, dense
 
 import cogrelay
 from cogrelay import oracle
-from cogrelay.analytics import (
-    mean_queue_primary,
-    mean_queue_relay,
-    mean_queue_secondary,
-    empty_joint_probability,
-    prob_primary_empty,
-    service_rate_primary,
-)
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
 from cogrelay.oracle import (
     CHAIN_PAIRS,
@@ -63,7 +56,7 @@ def test_primary_marginal_is_birth_death():
     # birth-death chain of the primary queue, for any partner level
     T = 9
     kernel = build_transitions(ChainSpec(CH, POL, PT, pair="primary_secondary", truncation=T)).toarray()
-    mu = service_rate_primary(CH, POL.p_a)
+    mu = float(at(CH, POL).mu)
     lp = PT.lambda_p
     for i in (0, 1, 4):
         for j in (0, 2, 5):
@@ -111,16 +104,17 @@ def test_zero_arrivals_concentrate_at_origin():
 def test_chain_matches_closed_forms(pair):
     sol = solve_stationary(ChainSpec(CH, POL, PT, pair=pair, truncation=60))
     assert sol.residual < 1e-12
-    n_p = mean_queue_primary(CH, POL, PT)
+    cf = at(CH, POL, PT)
+    n_p = cf.n_p
     assert abs(sol.mean_first - n_p) / n_p < 0.005
     if pair == "primary_secondary":
-        partner = mean_queue_secondary(CH, POL, PT)
-        assert abs(sol.p00 - empty_joint_probability(CH, POL, PT)) < 0.005
+        partner = cf.n_s
+        assert abs(sol.p00 - cf.g00) < 0.005
     else:
-        partner = mean_queue_relay(CH, POL, PT)
+        partner = cf.n_sp
     assert abs(sol.mean_second - partner) / partner < 0.005
     p_empty = float(sol.distribution[0, :].sum())
-    assert abs(p_empty - prob_primary_empty(CH, POL, PT)) < 0.005
+    assert abs(p_empty - cf.p_empty) < 0.005
 
 
 def test_truncation_doubling_is_stable():
@@ -141,7 +135,7 @@ def test_primary_unstable_point_is_rejected_at_full_truncation(pair):
     # lambda_p = 0.9 exceeds mu = 0.58, and the top level is left only from
     # phase 0: its solution outgrows the float range unless the lower levels
     # are scaled down with it; no step may overflow, underflow or divide by 0
-    assert service_rate_primary(CH, POL.p_a) < 0.9
+    assert at(CH, POL).mu < 0.9
     spec = ChainSpec(CH, POL, OperatingPoint(0.9, 0.1), pair=pair, truncation=400)
     with np.errstate(all="raise"), pytest.raises(TruncationError, match="boundary mass 1.000e"):
         solve_stationary(spec)
@@ -178,7 +172,7 @@ def test_unserved_idle_partner_stays_empty():
     sol = solve_stationary(spec)
     assert sol.mean_second == 0.0
     assert sol.distribution[:, 1:].sum() == 0.0
-    assert sol.mean_first == pytest.approx(mean_queue_primary(CH, spec.policy, spec.point), rel=1e-6)
+    assert sol.mean_first == pytest.approx(at(CH, spec.policy, spec.point).n_p, rel=1e-6)
 
 
 EXACTNESS_POINTS = [OperatingPoint(0.1, 0.1), OperatingPoint(0.2388, 0.05), OperatingPoint(0.3, 0.02)]
@@ -213,7 +207,7 @@ def test_primary_marginal_is_truncated_geo_geo_1(pair, point):
     # so its law follows from detailed balance
     T = 40
     sol = _solve_or_skip(ChainSpec(CH, POL, point, pair=pair, truncation=T))
-    mu = service_rate_primary(CH, POL.p_a)
+    mu = float(at(CH, POL).mu)
     lp = point.lambda_p
     law = np.empty(T)
     law[0] = 1.0
@@ -232,15 +226,19 @@ def test_primary_marginal_is_exact_on_slow_chains(f_pd, lambda_share):
     # is the whole chain, and its law is detailed balance, here in exact rationals
     T = 120
     ch, pol = ChannelProfile(f_pd, CH.f_sd, CH.f_ps), Policy(POL.p_q, 0.0)
-    lambda_p = lambda_share * service_rate_primary(ch, pol.p_a)
+    lambda_p = lambda_share * float(at(ch, pol).mu)
     spec = ChainSpec(ch, pol, OperatingPoint(lambda_p, 0.1), pair="primary_relay", truncation=T)
     sol = solve_stationary(spec)
-    mu, lp = Fraction(service_rate_primary(ch, pol.p_a)), Fraction(lambda_p)
+    mu, lp = Fraction(float(at(ch, pol).mu)), Fraction(lambda_p)
     law = [Fraction(1), lp / (mu * (1 - lp))]
     for _ in range(2, T):
         law.append(law[-1] * lp * (1 - mu) / (mu * (1 - lp)))
     total = sum(law)
     assert np.abs(sol.distribution.sum(axis=1) - [float(p / total) for p in law]).max() <= 1e-15
+    # the closed-form N_p is the infinite queue's mean to rounding; a chain's mean differs
+    # from it by the chain's own tail (a relative 5.9e-14 at T = 200, f_pd = 0.05, 0.85 mu)
+    exact = (lp - lp * lp) / (mu - lp)
+    assert abs(Fraction(float(at(ch, pol, spec.point).n_p)) - exact) <= exact / 10**15
 
 
 def test_distribution_is_normalized_and_nonnegative():
@@ -371,7 +369,7 @@ def chain_specs(draw):
     f_pd = draw(st.just(0.0) | st.floats(0.01, 0.9))
     ch = ChannelProfile(f_pd, draw(st.floats(max(f_pd, 0.01), 1.0, exclude_min=True)), draw(prob))
     pol = Policy(draw(prob), draw(prob))
-    lambda_p = draw(st.just(0.0) | st.floats(0.0, 0.95)) * service_rate_primary(ch, pol.p_a)
+    lambda_p = draw(st.just(0.0) | st.floats(0.0, 0.95)) * float(at(ch, pol).mu)
     return ChainSpec(
         ch, pol, OperatingPoint(lambda_p, draw(prob)),
         pair=draw(st.sampled_from(CHAIN_PAIRS)), truncation=draw(st.sampled_from([8, 40, 120])),

@@ -1,15 +1,17 @@
 """The array core and the table-at-once commands against their point-by-point references."""
 
 import contextlib
+import dataclasses
 import io
 import os
 import tempfile
 
 import pytest
 import reference_cli
-import reference_closed_forms
+import reference_closed_forms as closed
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from points import at, optimum, primary_decision
 
 from cogrelay import analytics, optimizer
 from cogrelay.cli import SWEEP_VARIABLES, main
@@ -157,21 +159,21 @@ def test_validate_matches_point_by_point_reference(tolerance, code):
     assert outcome[0] == code
 
 
-SCALAR_FUNCTIONS = {
-    "point": ["is_stable", "mean_queue_primary", "mean_queue_relay", "secondary_coefficients",
-              "mean_queue_secondary", "delay_primary", "delay_secondary",
-              "empty_joint_probability", "prob_primary_empty", "delay_report"],
-    "policy": ["max_arrival_primary", "relay_coefficients"],
-    "channel": ["phase_transition_pq"],
-    "optimizer": ["minimize_primary_delay", "minimize_secondary_delay"],
-}
-
-
-def _call(function, *args):
+def _result(function, *args):
+    """What a reference function returns, or the exception it raises."""
     try:
-        return repr(function(*args))
+        return function(*args)
     except (ValueError, AssertionError, ArithmeticError) as exc:
-        return type(exc).__name__, str(exc)
+        return exc
+
+
+def _check(outcome, mask, *values) -> None:
+    """The core's mask is set exactly where the reference returns, and there its values have the same repr."""
+    returned = not isinstance(outcome, Exception)
+    assert bool(mask) == returned, outcome
+    if returned:
+        expected = dataclasses.astuple(outcome) if dataclasses.is_dataclass(outcome) else outcome
+        assert repr(expected) == repr(float(values[0]) if len(values) == 1 else tuple(map(float, values)))
 
 
 @st.composite
@@ -192,27 +194,71 @@ def points(draw):
 @example((ChannelProfile(1e-200, 0.8, 0.0), Policy(1e-200, 0.0), OperatingPoint(0.0, 0.0)))
 @example((ChannelProfile(0.0, 0.8, 0.0), Policy(0.5, 1.0), OperatingPoint(0.0, 0.0)))
 @example((ChannelProfile(0.3, 0.8, 0.4), Policy(1.0, 0.0), OperatingPoint(0.1, 0.1)))
-def test_scalar_functions_match_term_by_term_reference(case):
+# zero arrival rates, where a delay report has no delay
+@example((ChannelProfile(0.3, 0.8, 0.4), Policy(0.5, 1.0), OperatingPoint(0.0, 0.0)))
+@example((ChannelProfile(0.3, 0.8, 0.4), Policy(0.5, 1.0), OperatingPoint(0.1, 0.0)))
+@example((ChannelProfile(0.3, 0.8, 0.4), Policy(0.5, 1.0), OperatingPoint(0.0, 0.1)))
+def test_core_matches_term_by_term_reference(case):
     ch, pol, pt = case
-    modules = {"point": analytics, "policy": analytics, "channel": analytics, "optimizer": optimizer}
-    args = {"point": (ch, pol, pt), "policy": (ch, pol), "channel": (ch,), "optimizer": (ch, pt)}
-    for kind, names in SCALAR_FUNCTIONS.items():
-        for name in names:
-            new = _call(getattr(modules[kind], name), *args[kind])
-            assert new == _call(getattr(reference_closed_forms, name), *args[kind]), name
-    for name, extra in (("service_rate_primary", pol.p_a), ("relay_fraction_epsilon", pol.p_a),
-                        ("union_region_max_lambda_s", pt.lambda_p)):
-        new = _call(getattr(analytics, name), ch, extra)
-        assert new == _call(getattr(reference_closed_forms, name), ch, extra), name
-    assert _call(analytics.max_arrival_secondary, ch, pol, pt.lambda_p) == _call(
-        reference_closed_forms.max_arrival_secondary, ch, pol, pt.lambda_p)
-    for name, extra in (("pq_lower_bound", pol.p_a), ("pq_upper_bound", pol.p_a)):
-        new = _call(getattr(optimizer, name), ch, pt, extra)
-        assert new == _call(getattr(reference_closed_forms, name), ch, pt, extra), name
-    assert _call(optimizer.no_cooperation_delay_primary, ch, pt.lambda_p) == _call(
-        reference_closed_forms.no_cooperation_delay_primary, ch, pt.lambda_p)
-    # the CLI reads a stable row's failure from these masks alone
-    cf = analytics.closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s)
-    fails = reference_closed_forms.is_stable(ch, pol, pt).stable and isinstance(
-        _call(reference_closed_forms.delay_report, ch, pol, pt), tuple)
-    assert bool(cf.stable & ~cf.evaluable) == fails
+    lp, ls = pt.lambda_p, pt.lambda_s
+    cf = at(ch, pol, pt)
+    below_mu = ~(lp >= cf.mu)
+    relay = cf.stable & cf.relay_ok
+    secondary = cf.stable & cf.secondary_ok
+    n_s = secondary & (cf.n_s_den != 0.0)
+    for name, (mask, *values) in {
+        "mean_queue_primary": (below_mu, cf.n_p),
+        "prob_primary_empty": (below_mu, cf.p_empty),
+        "mean_queue_relay": (relay, cf.n_sp),
+        "secondary_coefficients": (secondary, cf.a_coef, cf.b_coef, cf.c_coef),
+        "mean_queue_secondary": (n_s, cf.n_s),
+        "delay_primary": ((lp > 0.0) & relay, cf.d_p),
+        "delay_secondary": ((ls > 0.0) & n_s, cf.d_s),
+        "empty_joint_probability": (cf.stable & (cf.g00_den != 0.0), cf.g00),
+    }.items():
+        _check(_result(getattr(closed, name), ch, pol, pt), mask, *values)
+    _check(_result(closed.max_arrival_primary, ch, pol), ~cf.degenerate, cf.bound_p)
+    _check(_result(closed.relay_coefficients, ch, pol), cf.mu != 0.0,
+           cf.m, cf.n, cf.alpha, cf.beta, cf.gamma)
+    _check(_result(closed.max_arrival_secondary, ch, pol, lp), below_mu, cf.bound_s)
+    _check(_result(closed.phase_transition_pq, ch), True, cf.threshold)
+    _check(_result(closed.service_rate_primary, ch, pol.p_a), True, cf.mu)
+    _check(_result(closed.relay_fraction_epsilon, ch, pol.p_a), cf.mu != 0.0, cf.epsilon)
+    union, _, slope_den = analytics.union_region(ch.f_pd, ch.f_sd, ch.f_ps, lp)
+    _check(_result(closed.union_region_max_lambda_s, ch, lp), slope_den != 0.0, union)
+    lower, upper, den, forms = optimizer._pq_interval(ch.f_pd, ch.f_sd, ch.f_ps, pol.p_a, lp, ls)
+    bounds = ~(lp >= forms.mu) & (den != 0.0)
+    _check(_result(closed.pq_lower_bound, ch, pt, pol.p_a), bounds, lower)
+    _check(_result(closed.pq_upper_bound, ch, pt, pol.p_a), bounds, upper)
+    o = optimum(ch, pt)
+    _check(_result(closed.no_cooperation_delay_primary, ch, lp), o.no_coop_ok, o.no_coop_d_p)
+
+    assert repr(analytics.is_stable(ch, pol, pt)) == repr(closed.is_stable(ch, pol, pt))
+    # the report reads the core's masks: the CLI fails a stable row on them alone
+    expected, report = _result(closed.delay_report, ch, pol, pt), _result(analytics.delay_report, ch, pol, pt)
+    if isinstance(expected, Exception):
+        assert type(report) is (analytics.UnevaluableError if cf.stable else analytics.InstabilityError)
+    else:
+        assert repr(report) == repr(expected)
+        assert (report.d_p is None) == (lp == 0.0) and (report.d_s is None) == (ls == 0.0)
+
+    primary = _result(closed.minimize_primary_delay, ch, pt)
+    secondary = _result(closed.minimize_secondary_delay, ch, pt)
+    undefined = (closed.InfeasibleError, closed.UndefinedRateError)
+    assert bool(o.fault) == (
+        isinstance(_result(closed.pq_lower_bound, ch, pt, 1.0), ZeroDivisionError)
+        or any(isinstance(x, Exception) and not isinstance(x, undefined) for x in (primary, secondary))
+    )
+    assert isinstance(primary, closed.UndefinedRateError) == (lp <= 0.0)
+    if not isinstance(primary, Exception):
+        mode, d_p_star = primary_decision(o)
+        kept = mode == "cooperate"
+        assert repr(primary) == repr(closed.PrimaryDelayDecision(
+            mode, float(o.pu_p_q_star) if kept else None, 1.0 if kept else None,
+            None if d_p_star is None else float(d_p_star), bool(o.pu_near_boundary) if kept else False,
+        ))
+    assert isinstance(secondary, closed.UndefinedRateError) == (ls <= 0.0)
+    if isinstance(secondary, closed.InfeasibleError):
+        assert not o.feasible
+    elif not isinstance(secondary, Exception):
+        assert o.feasible and repr(secondary) == repr((float(o.su_p_q_star), float(o.su_d_s_star)))

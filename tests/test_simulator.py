@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_simulator as reference
+from points import at
 
 from cogrelay import simulator
-from cogrelay.analytics import prob_primary_empty
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
 from cogrelay.simulator import (
     _BLOCK,
@@ -121,7 +121,7 @@ def test_no_cooperation_never_relays():
 
 def test_primary_empty_fraction_matches_analytics():
     stats = simulate(scenario(slots=300_000, warmup_slots=10_000))
-    assert abs(stats.frac_primary_empty - prob_primary_empty(CH, POL, PT)) < 0.01
+    assert abs(stats.frac_primary_empty - at(CH, POL, PT).p_empty) < 0.01
 
 
 @pytest.mark.parametrize(
