@@ -1,4 +1,7 @@
 import pytest
+import reference_closed_forms as closed
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 from points import at
 
 from cogrelay import analytics
@@ -191,6 +194,50 @@ def test_delay_report_bounds_on_stable_grid():
             assert rep.d_p >= 1.0 and rep.d_s >= 1.0
             assert 0.0 <= rep.g00 <= 1.0
             assert 0.0 <= rep.epsilon <= 1.0
+
+
+@st.composite
+def stable_points(draw):
+    # nonzero probabilities and load shares stay above 1e-20, and loads a
+    # relative 1e-6 below their bound, clear of ILL_CONDITIONED_POINTS
+    prob = st.sampled_from([0.0, 1.0]) | st.floats(1e-20, 1.0)
+    f_pd = draw(st.just(0.0) | st.floats(1e-20, 0.9))
+    f_sd = draw(st.floats(max(f_pd, 1e-20), 1.0, exclude_min=True))
+    ch = ChannelProfile(f_pd, f_sd, draw(prob))
+    pol = Policy(draw(st.floats(1e-20, 1.0, exclude_max=True)), draw(prob))
+    share = st.just(0.0) | st.floats(1e-20, 1.0 - 1e-6)
+    try:
+        lambda_p = draw(share) * closed.max_arrival_primary(ch, pol)
+        lambda_s = draw(share) * closed.max_arrival_secondary(ch, pol, lambda_p)
+    except (closed.DegeneratePolicyError, closed.InstabilityError):
+        reject()
+    pt = OperatingPoint(lambda_p, lambda_s)
+    if not is_stable(ch, pol, pt).stable:
+        reject()
+    return ch, pol, pt
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stable_points())
+@example((CH, POL, OperatingPoint(0.0, 0.0)))
+@example((CH, POL, OperatingPoint(0.1, 0.0)))
+@example((CH, POL, OperatingPoint(0.0, 0.1)))
+def test_delay_report_equals_single_functions(case):
+    # each field of the report read from the core equals the term-by-term
+    # single function of the reference at a stable point
+    ch, pol, pt = case
+    rep = delay_report(ch, pol, pt)
+    assert rep.n_p == closed.mean_queue_primary(ch, pol, pt)
+    assert rep.n_sp == closed.mean_queue_relay(ch, pol, pt)
+    assert rep.n_s == closed.mean_queue_secondary(ch, pol, pt)
+    assert rep.g00 == closed.empty_joint_probability(ch, pol, pt)
+    assert rep.epsilon == closed.relay_fraction_epsilon(ch, pol.p_a)
+    assert (rep.d_p is None) == (pt.lambda_p == 0.0)
+    assert (rep.d_s is None) == (pt.lambda_s == 0.0)
+    if rep.d_p is not None:
+        assert rep.d_p == closed.delay_primary(ch, pol, pt)
+    if rep.d_s is not None:
+        assert rep.d_s == closed.delay_secondary(ch, pol, pt)
 
 
 # Points that is_stable admits but where the closed forms lose every digit:

@@ -198,7 +198,7 @@ def points(draw):
 @example((ChannelProfile(0.3, 0.8, 0.4), Policy(0.5, 1.0), OperatingPoint(0.0, 0.0)))
 @example((ChannelProfile(0.3, 0.8, 0.4), Policy(0.5, 1.0), OperatingPoint(0.1, 0.0)))
 @example((ChannelProfile(0.3, 0.8, 0.4), Policy(0.5, 1.0), OperatingPoint(0.0, 0.1)))
-def test_core_matches_term_by_term_reference(case):
+def test_scalar_functions_match_term_by_term_reference(case):
     ch, pol, pt = case
     lp, ls = pt.lambda_p, pt.lambda_s
     cf = at(ch, pol, pt)
