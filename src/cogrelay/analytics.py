@@ -10,6 +10,9 @@ evaluated in one call holds the same bits as the same points evaluated one
 at a time. It never raises; instead it reports masks (stability, and where a
 denominator vanishes or a report leaves its bounds).
 
+No cooperation is the policy (p_q, p_a) = (1, 0). Without relay inflow
+(p_a = 0 or f_ps = 0) the primary bound is mu and the relay queue stays empty.
+
 :func:`is_stable` and :func:`delay_report` read the core at one point: the
 verdict with its margins, and every queue metric of a stable point, which
 raises where the masks say the point is unstable or cannot be evaluated.
@@ -40,8 +43,8 @@ __all__ = [
     "MOST_NEGATIVE_MARGIN",
 ]
 
-#: Sentinel for a margin that is undefined because the primary queue itself
-#: cannot be drained (or the policy is degenerate).
+#: Sentinel for the secondary margin where the primary queue itself cannot be
+#: drained (lambda_p at or above its service rate).
 MOST_NEGATIVE_MARGIN = -sys.float_info.max
 
 #: Slack of the delay report's bounds, absorbing rounding at extreme channels.
@@ -63,21 +66,20 @@ class UnevaluableError(AnalyticsError):
 class ClosedForms(NamedTuple):
     """Every closed form at broadcast (channel, policy, point) arrays.
 
-    Entries where a form is undefined (an unstable point, a zero rate, a
-    degenerate policy) hold whatever IEEE arithmetic gives there; read them
-    through the masks. The secondary quantities are those of the own-data
-    queue, the relay quantities those of the queue of admitted PU packets.
+    Entries where a form is undefined (an unstable point, a zero rate) hold
+    whatever IEEE arithmetic gives there; read them through the masks. The
+    secondary quantities are those of the own-data queue, the relay
+    quantities those of the queue of admitted PU packets.
     """
 
     relay: np.ndarray  # rate at which PU transmissions enter the relay queue
     mu: np.ndarray  # primary service rate: direct delivery or relay handoff
     epsilon: np.ndarray  # fraction of departing PU packets that leave via the relay
     threshold: np.ndarray  # phase-transition p_q, where the primary bound ignores p_a
-    degenerate: np.ndarray  # relay queue neither served nor fed: primary bound undefined
     bound_p: np.ndarray  # largest sustainable lambda_p (relay-queue constraint)
     p_empty: np.ndarray  # probability that the primary queue is empty
     bound_s: np.ndarray  # largest sustainable lambda_s at lambda_p
-    margin_p: np.ndarray  # bound_p - lambda_p, or MOST_NEGATIVE_MARGIN
+    margin_p: np.ndarray  # bound_p - lambda_p
     margin_s: np.ndarray  # bound_s - lambda_s, or MOST_NEGATIVE_MARGIN
     stable: np.ndarray  # both margins strictly positive
     m: np.ndarray  # relay-queue coefficients (m, n, alpha, beta, gamma)
@@ -97,7 +99,7 @@ class ClosedForms(NamedTuple):
     d_s: np.ndarray
     g00: np.ndarray  # probability that the primary and secondary queues are both empty
     g00_den: np.ndarray
-    relay_ok: np.ndarray  # relay_den > 0
+    relay_ok: np.ndarray  # relay_den > 0, or no relay inflow
     secondary_ok: np.ndarray  # not B <= 0, and C != 0
     in_bounds: np.ndarray  # the delay report meets its bounds
 
@@ -152,12 +154,14 @@ def closed_forms(f_pd, f_sd, f_ps, p_q=0.0, p_a=1.0, lambda_p=0.0, lambda_s=0.0)
     serve_relay = f_sd * (1.0 - p_q)  # relay-queue service rate in a PU-idle slot
     serve_own = p_q * f_sd  # own-data queue service rate in a PU-idle slot
     alpha = serve_relay + relay
-    degenerate = alpha == 0.0
-    bound_p = serve_relay / alpha * mu
+    # without relay inflow the forms give serve_relay / alpha = 1 and a relay
+    # numerator of 0 wherever they are defined; at p_q = 1 they are 0 / 0
+    idle_relay = relay == 0.0
+    bound_p = _select(idle_relay, mu, serve_relay / alpha * mu)
     p_empty = 1.0 - lp / mu
     bound_s = serve_own * p_empty
-    margin_p = _select(degenerate, MOST_NEGATIVE_MARGIN, bound_p - lp)
-    margin_s = _select(degenerate | (lp >= mu), MOST_NEGATIVE_MARGIN, bound_s - ls)
+    margin_p = bound_p - lp
+    margin_s = _select(lp >= mu, MOST_NEGATIVE_MARGIN, bound_s - ls)
     stable = (margin_p > 0.0) & (margin_s > 0.0)
 
     n_p = (lp - lp * lp) / (mu - lp)
@@ -167,7 +171,7 @@ def closed_forms(f_pd, f_sd, f_ps, p_q=0.0, p_a=1.0, lambda_p=0.0, lambda_s=0.0)
     beta = mu * (-2.0 * serve_relay - relay)
     gamma = serve_relay * mu * mu
     relay_den = alpha * lp * lp + beta * lp + gamma
-    n_sp = (m * lp * lp + n * lp) / relay_den
+    n_sp = _select(idle_relay, 0.0, (m * lp * lp + n * lp) / relay_den)
 
     a_coef = serve_own * (mu - 1.0)
     b_coef = mu - lp
@@ -183,10 +187,10 @@ def closed_forms(f_pd, f_sd, f_ps, p_q=0.0, p_a=1.0, lambda_p=0.0, lambda_s=0.0)
         n_p, n_sp, n_s, _select(lp > 0.0, d_p, 1.0), _select(ls > 0.0, d_s, 1.0), g00, epsilon
     )
     return ClosedForms(
-        relay, mu, epsilon, threshold, degenerate, bound_p, p_empty, bound_s,
+        relay, mu, epsilon, threshold, bound_p, p_empty, bound_s,
         margin_p, margin_s, stable, m, n, alpha, beta, gamma, relay_den,
         a_coef, b_coef, c_coef, n_p, n_sp, n_s, n_s_den, d_p, d_s, g00, g00_den,
-        relay_den > 0.0, ~(b_coef <= 0.0) & (c_coef != 0.0), in_bounds,
+        idle_relay | (relay_den > 0.0), ~(b_coef <= 0.0) & (c_coef != 0.0), in_bounds,
     )
 
 
@@ -213,9 +217,8 @@ def _at(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> ClosedForms:
 def is_stable(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> StabilityVerdict:
     """Stability verdict with per-queue margins (strict inequalities, no tolerance).
 
-    Degenerate policies (p_q = 1 with zero relay inflow) yield an unstable
-    verdict with sentinel margins rather than an error; the rate bounds are
-    undefined there.
+    Where lambda_p reaches the primary service rate the secondary margin is
+    the MOST_NEGATIVE_MARGIN sentinel rather than an error.
     """
     cf = _at(ch, pol, pt)
     return StabilityVerdict(bool(cf.stable), float(cf.margin_p), float(cf.margin_s))

@@ -50,7 +50,7 @@ from .config import (
     point_from_config,
     policy_from_config,
 )
-from .model import ChannelProfile, OperatingPoint, Policy
+from .model import NO_COOPERATION, ChannelProfile, OperatingPoint, Policy
 from .oracle import ChainSpec, solve_stationary
 from .simulator import POLICY_KINDS, Scenario, SimStats, replicate_many
 
@@ -191,9 +191,7 @@ def _cell(value: float | int | str | None) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)):  # bools included: True is 1
         return str(int(value))
     return "%.12g" % value
 
@@ -299,8 +297,7 @@ def _sweep_columns(cfg: dict[str, str]) -> dict[str, np.ndarray]:
     for curve in curves:
         step = {**cfg, **curve}
         ch, pol, pt = _step_objects(step, sweep, keys, float(values[0]))
-        first = dict(zip(POINT_KEYS, (ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a,
-                                      pt.lambda_p, pt.lambda_s)))
+        first = dict(zip(POINT_KEYS, (*astuple(ch), *astuple(pol), *astuple(pt))))
         block = {key: values if key in keys else np.full(values.size, first[key])
                  for key in POINT_KEYS}
         rejected = np.flatnonzero(~(block["f_pd"] < block["f_sd"]))
@@ -352,9 +349,7 @@ def cmd_region(cfg: dict[str, str], out) -> int:
         # the curve's domain always includes the idle-primary point
         shown = (grid == 0.0) | (grid < cf.bound_p)
         unstable = shown & (grid >= cf.mu)
-        for degenerate, row, mu in zip(cf.degenerate[:, 0], unstable, cf.mu[:, 0]):
-            if degenerate:
-                raise ConfigError("p_q = 1 with no relay inflow leaves the primary bound undefined")
+        for row, mu in zip(unstable, cf.mu[:, 0]):
             if row.any():
                 raise ConfigError(f"lambda_p={float(grid[row.argmax()])!r} not below the primary "
                                   f"service rate {float(mu)!r}")
@@ -377,7 +372,7 @@ def cmd_region(cfg: dict[str, str], out) -> int:
         _write_table(out, REGION_RATES_HEADER, zip(
             _format(columns["p_q"]),
             _format(columns["p_a"]),
-            _format(cf.bound_p, ~cf.degenerate),
+            _format(cf.bound_p),
             _format(cf.bound_s, ~(columns["lambda_p"] >= cf.mu)),
             _format(columns["lambda_p"]),
         ))
@@ -415,6 +410,15 @@ def _sim_options(cfg: dict[str, str]) -> tuple[int, int, int, int, str]:
     return slots, warmup, replications, seed, kind
 
 
+def _policy_columns(cfg: dict[str, str], kind: str) -> dict[str, np.ndarray]:
+    """The sweep columns with the policy that runs: no cooperation is (p_q, p_a) = (1, 0)."""
+    columns = _sweep_columns(cfg)
+    if kind == "no_cooperation":
+        columns.update(p_q=np.full_like(columns["p_q"], NO_COOPERATION.p_q),
+                       p_a=np.full_like(columns["p_a"], NO_COOPERATION.p_a))
+    return columns
+
+
 def _simulate_rows(columns: dict[str, np.ndarray], stable: np.ndarray, slots: int, warmup: int,
                    replications: int, seed: int, kind: str) -> list[SimStats]:
     """The pooled stats of every stable row, in order, from one batch; no stable row, no batch."""
@@ -430,7 +434,7 @@ def _simulate_rows(columns: dict[str, np.ndarray], stable: np.ndarray, slots: in
 
 def cmd_simulate(cfg: dict[str, str], out) -> int:
     slots, warmup, replications, seed, kind = options = _sim_options(cfg)
-    columns = _sweep_columns(cfg)
+    columns = _policy_columns(cfg, kind)
     stable = analytics.closed_forms(*columns.values()).stable
     batch = iter(_simulate_rows(columns, stable, *options))
     blank = (None,) * len(fields(SimStats))
@@ -445,12 +449,12 @@ def cmd_simulate(cfg: dict[str, str], out) -> int:
 
 def cmd_validate(cfg: dict[str, str], out) -> int:
     slots, warmup, replications, seed, kind = options = _sim_options(cfg)
-    if kind != "randomized":
-        raise ConfigError("validate compares against the randomized-policy closed forms")
+    if kind == "strict_priority_relay":
+        raise ConfigError("validate has no closed forms for strict_priority_relay")
     tolerance = get_float(cfg, "tolerance", 0.03)
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ConfigError(f"key 'tolerance': must be finite and >= 0, got {tolerance!r}")
-    columns = _sweep_columns(cfg)
+    columns = _policy_columns(cfg, kind)
     cf = _delay_forms(columns)
     stable = cf.stable
     runs = _simulate_rows(columns, stable, *options)
@@ -545,8 +549,7 @@ def cmd_oracle(cfg: dict[str, str], out) -> int:
     channel = channel_from_config(cfg)
     policy = policy_from_config(cfg)
     point = point_from_config(cfg)
-    values = (channel.f_pd, channel.f_sd, channel.f_ps, policy.p_q, policy.p_a,
-              point.lambda_p, point.lambda_s)
+    values = (*astuple(channel), *astuple(policy), *astuple(point))
     cf = analytics.closed_forms(*values)
     if not cf.stable:
         raise ConfigError("oracle requires a stable operating point")
@@ -554,33 +557,25 @@ def cmd_oracle(cfg: dict[str, str], out) -> int:
     truncation = get_int(cfg, "truncation", 400)
     tolerance = get_float(cfg, "oracle_tolerance", 1e-12)
     n_p, n_sp, n_s, g00, p_empty = map(float, (cf.n_p, cf.n_sp, cf.n_s, cf.g00, cf.p_empty))
+
+    def rel_err(value: float, analytic: float) -> float:
+        return abs(value - analytic) / analytic if analytic > 0.0 else abs(value)
+
     rows = []
-    for pair in ("primary_secondary", "primary_relay"):
+    # the relay pair has no joint-empty probability to compare
+    for pair, partner, g00_analytic in (("primary_secondary", n_s, g00), ("primary_relay", n_sp, None)):
         spec = ChainSpec(channel, policy, point, pair=pair, truncation=truncation, tolerance=tolerance)
         try:
             sol = solve_stationary(spec)
         except RuntimeError as exc:
             raise ConfigError(f"oracle solve failed for {pair}: {exc}") from exc
-        if pair == "primary_secondary":
-            partner_analytic = n_s
-            g00_analytic: float | None = g00
-            abs_err_g00: float | None = abs(sol.p00 - g00)
-        else:
-            partner_analytic = n_sp
-            g00_analytic = None
-            abs_err_g00 = None
         p_qp_empty = float(sol.distribution[0, :].sum())
-        rel_err_n_p = abs(sol.mean_first - n_p) / n_p if n_p > 0.0 else abs(sol.mean_first)
-        rel_err_partner = (
-            abs(sol.mean_second - partner_analytic) / partner_analytic
-            if partner_analytic > 0.0
-            else abs(sol.mean_second)
-        )
         rows.append(
             [pair, truncation, sol.iterations, sol.residual, sol.mass_at_boundary,
              sol.mean_first, sol.mean_second, sol.p00, p_qp_empty,
-             n_p, partner_analytic, g00_analytic, p_empty,
-             rel_err_n_p, rel_err_partner, abs_err_g00, abs(p_qp_empty - p_empty)],
+             n_p, partner, g00_analytic, p_empty,
+             rel_err(sol.mean_first, n_p), rel_err(sol.mean_second, partner),
+             None if g00_analytic is None else abs(sol.p00 - g00_analytic), abs(p_qp_empty - p_empty)],
         )
     _write_rows(out, ORACLE_HEADER, rows)
     return 0

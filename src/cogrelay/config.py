@@ -72,11 +72,16 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return parse_config_text(text, source=str(path))
 
 
+def _default(key: str, default):
+    """The value of an absent key: its default, which a required key lacks."""
+    if default is None:
+        raise ConfigError(f"missing required key {key!r}")
+    return default
+
+
 def get_float(cfg: dict[str, str], key: str, default: float | None = None) -> float:
     if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
+        return _default(key, default)
     try:
         return float(cfg[key])
     except ValueError as exc:
@@ -85,9 +90,7 @@ def get_float(cfg: dict[str, str], key: str, default: float | None = None) -> fl
 
 def get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
     if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
+        return _default(key, default)
     try:
         return int(cfg[key])
     except ValueError as exc:
@@ -95,18 +98,12 @@ def get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
 
 
 def get_str(cfg: dict[str, str], key: str, default: str | None = None) -> str:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    return cfg[key]
+    return cfg[key] if key in cfg else _default(key, default)
 
 
 def get_float_list(cfg: dict[str, str], key: str, default: list[float] | None = None) -> list[float]:
     if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return list(default)
+        return list(_default(key, default))
     items = [item.strip() for item in cfg[key].split(",") if item.strip()]
     if not items:
         raise ConfigError(f"key {key!r}: empty list")
@@ -119,9 +116,7 @@ def get_float_list(cfg: dict[str, str], key: str, default: list[float] | None = 
 def get_policy_list(cfg: dict[str, str], key: str, default: list[Policy] | None = None) -> list[Policy]:
     """Parse ``p_q:p_a`` pairs, e.g. ``policies = 0.3:1, 0.5:1``."""
     if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return list(default)
+        return list(_default(key, default))
     policies = []
     for item in cfg[key].split(","):
         item = item.strip()

@@ -20,6 +20,7 @@ __all__ = [
     "Policy",
     "OperatingPoint",
     "StabilityVerdict",
+    "NO_COOPERATION",
 ]
 
 
@@ -67,6 +68,10 @@ class Policy:
     def __post_init__(self) -> None:
         object.__setattr__(self, "p_q", _unit_interval("p_q", self.p_q))
         object.__setattr__(self, "p_a", _unit_interval("p_a", self.p_a))
+
+
+#: No cooperation: the SU always serves its own queue and never admits a PU packet.
+NO_COOPERATION = Policy(1.0, 0.0)
 
 
 @dataclass(frozen=True)

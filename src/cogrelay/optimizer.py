@@ -56,7 +56,6 @@ class Optima(NamedTuple):
     p_q_lower: np.ndarray  # the p_q bounds at p_a = 1, where bounds_defined
     p_q_upper: np.ndarray
     bounds_defined: np.ndarray  # lambda_p below the primary service rate at p_a = 1
-    bounds_den: np.ndarray  # the bounds' denominator
     threshold: np.ndarray  # phase-transition p_q
     feasible: np.ndarray  # the stabilizing p_q interval at p_a = 1 is wider than INTERIOR_OFFSET
     cooperate: np.ndarray  # the primary optimum relays (p_a = 1 at pu_p_q_star)
@@ -75,10 +74,10 @@ def optima(f_pd, f_sd, f_ps, lambda_p, lambda_s) -> Optima:
     """Evaluate both optimizations on broadcast arrays of channels and loads.
 
     ``fault`` marks an optimum the closed forms cannot evaluate: the p_q
-    bounds' denominator is 0 below the primary service rate, or the primary
-    optimum (at lambda_p > 0) cooperates, or the secondary optimum (at
-    lambda_s > 0) is feasible, at a p_q where the point is not stable or the
-    delay's form is not evaluable.
+    bounds' denominator is 0 below the primary service rate, the primary
+    optimum (at lambda_p > 0) cooperates at a p_q where the point is not
+    stable or its relay form not evaluable, or the secondary optimum (at
+    lambda_s > 0) is feasible at a p_q where ``delay`` would fail.
     """
     lambda_p = np.asarray(lambda_p, dtype=np.float64)
     lambda_s = np.asarray(lambda_s, dtype=np.float64)
@@ -97,10 +96,10 @@ def optima(f_pd, f_sd, f_ps, lambda_p, lambda_s) -> Optima:
     fault = (
         (defined & (den == 0.0))
         | ((lambda_p > 0.0) & cooperate & ~(pu.stable & pu.relay_ok))
-        | ((lambda_s > 0.0) & feasible & ~(su.stable & su.secondary_ok & (su.n_s_den != 0.0)))
+        | ((lambda_s > 0.0) & feasible & ~(su.stable & su.evaluable))
     )
     return Optima(
-        lower, upper, defined, den, cf.threshold, feasible, cooperate,
+        lower, upper, defined, cf.threshold, feasible, cooperate,
         pu_star, pu.d_p, np.where(pu.margin_s < pu.margin_p, pu.margin_s, pu.margin_p)
         < NEAR_BOUNDARY_MARGIN,
         ~(lambda_p >= f_pd), (1.0 - lambda_p) / (f_pd - lambda_p), su_star, su.d_s, fault,

@@ -14,9 +14,9 @@ Per slot, in order:
    selected queue is empty the slot is wasted even when the other queue has
    packets (the policy is not work-conserving). Under
    ``strict_priority_relay`` it serves the relay queue whenever non-empty
-   (admission forced to 1), else its own queue. Under ``no_cooperation``
-   admission never happens and the SU always serves its own queue. A selected
-   head packet reaches the destination with probability f_sd.
+   (admission forced to 1), else its own queue. ``no_cooperation`` is the
+   randomized policy at (p_q, p_a) = (1, 0). A selected head packet reaches
+   the destination with probability f_sd.
 3. Bernoulli arrivals are appended at the end of the slot and are first
    eligible for service in the next slot. A packet delivered at its first
    opportunity therefore has delay 1 (delivery slot minus arrival slot), which
@@ -26,8 +26,9 @@ Each of the seven random draws per slot (destination outcome, SU decode,
 admission, queue pick, SU-destination outcome, two arrivals) comes from its
 own substream of the seeded generator and is indexed by slot number, so
 changing the policy or a single parameter does not perturb unrelated draws
-(common random numbers across comparisons). Draws whose outcome the policy
-fixes or never reads are skipped, which leaves every other draw unchanged.
+(common random numbers across comparisons). A draw is skipped where
+``random() < p`` is constant (p = 0 or 1) or never read (the decode without
+admission, the pick under strict priority); every other draw is unchanged.
 
 Slots are evaluated ``_BLOCK`` at a time. Each FIFO queue gets at most one
 arrival a[t] and one service chance s[t] per slot, so its start-of-slot
@@ -66,7 +67,7 @@ from typing import Any
 
 import numpy as np
 
-from .model import ChannelProfile, OperatingPoint, Policy
+from .model import NO_COOPERATION, ChannelProfile, OperatingPoint, Policy
 
 __all__ = [
     "POLICY_KINDS",
@@ -204,11 +205,16 @@ def _deliver(arrived: np.ndarray, left_at: np.ndarray, warmup: int, totals: list
     totals[1] += int((left_at[keep] - arrived[keep]).sum())
 
 
+def _draw(rng: np.random.Generator, n: int, p: float) -> np.ndarray | np.bool_:
+    """n Bernoulli(p) outcomes, or their constant value at p = 0 or 1 without a draw."""
+    return rng.random(n) < p if 0.0 < p < 1.0 else np.bool_(p == 1.0)
+
+
 def _run(sc: Scenario, replication: int) -> SimStats:
-    ch, pt, pol = sc.channel, sc.point, sc.policy
+    ch, pt = sc.channel, sc.point
+    pol = NO_COOPERATION if sc.policy_kind == "no_cooperation" else sc.policy
     strict = sc.policy_kind == "strict_priority_relay"
-    randomized = sc.policy_kind == "randomized"
-    cooperative = sc.policy_kind != "no_cooperation"
+    p_admit = 1.0 if strict else pol.p_a  # strict priority admits every decoded packet
 
     rng_dest, rng_decode, rng_admit, rng_pick, rng_su, rng_ap, rng_as = _stream_rngs(
         sc.seed, replication
@@ -229,12 +235,9 @@ def _run(sc: Scenario, replication: int) -> SimStats:
     for start in range(0, slots, _BLOCK):
         n = min(_BLOCK, slots - start)
         dest = rng_dest.random(n) < ch.f_pd
-        # draws the policy fixes or never reads are skipped: strict priority admits
-        # every decoded packet and ignores the pick; without cooperation nothing is
-        # admitted, so the decode is unread, and the SU always selects its own queue
-        decode = rng_decode.random(n) < ch.f_ps if cooperative else np.False_
-        admit = rng_admit.random(n) < pol.p_a if randomized else np.bool_(strict)
-        pick = rng_pick.random(n) < pol.p_q if randomized else np.True_
+        decode = _draw(rng_decode, n, ch.f_ps if p_admit else 0.0)
+        admit = _draw(rng_admit, n, p_admit)
+        pick = np.True_ if strict else _draw(rng_pick, n, pol.p_q)
         su = rng_su.random(n) < ch.f_sd
         arr_p = rng_ap.random(n) < pt.lambda_p
         arr_s = rng_as.random(n) < pt.lambda_s

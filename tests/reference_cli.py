@@ -6,7 +6,11 @@ sweep one point at a time, overlaying each step on the config dict and
 calling the scalar closed forms of :mod:`reference_closed_forms`, and write
 each row as it is made (``cmd_validate`` simulates each point on its own).
 The CLI now evaluates each table in one call of the array core; tests
-require both to give the same bytes, exit code and messages.
+require both to give the same bytes, exit code and messages. The bodies
+follow the rules that have changed since: a policy without relay inflow
+has a primary bound (no cooperation, p_q = 1 and p_a = 0, included), and
+``validate`` checks ``no_cooperation`` runs against the closed forms at
+that policy, refusing only ``strict_priority_relay``.
 :func:`main` is ``cogrelay.cli.main`` with these bodies in place of the
 commands'.
 """
@@ -18,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import reference_closed_forms as closed
-from reference_closed_forms import DegeneratePolicyError, InstabilityError
+from reference_closed_forms import InstabilityError
 
 from cogrelay import cli
 from cogrelay.cli import (
@@ -41,7 +45,7 @@ from cogrelay.config import (
     point_from_config,
     policy_from_config,
 )
-from cogrelay.model import ChannelProfile, OperatingPoint, Policy
+from cogrelay.model import NO_COOPERATION, ChannelProfile, OperatingPoint, Policy
 from cogrelay.simulator import Scenario, replicate
 
 
@@ -98,10 +102,7 @@ def cmd_region(cfg, out) -> int:
         grid = np.linspace(start, stop, steps)
         out.write(REGION_BOUNDARY_HEADER + "\n")
         for pol in policies:
-            try:
-                bound = closed.max_arrival_primary(channel, pol)
-            except DegeneratePolicyError as exc:
-                raise ConfigError(str(exc)) from exc
+            bound = closed.max_arrival_primary(channel, pol)
             for lam_p in grid:
                 lam = float(lam_p)
                 if lam == 0.0 or lam < bound:
@@ -122,10 +123,7 @@ def cmd_region(cfg, out) -> int:
         for p_q in p_q_values:
             for p_a in grid:
                 pol = Policy(p_q, float(p_a))
-                try:
-                    max_lp = closed.max_arrival_primary(channel, pol)
-                except DegeneratePolicyError:
-                    max_lp = None
+                max_lp = closed.max_arrival_primary(channel, pol)
                 try:
                     max_ls = closed.max_arrival_secondary(channel, pol, lambda_p_ref)
                 except InstabilityError:
@@ -234,14 +232,16 @@ def cmd_tradeoff(cfg, out) -> int:
 
 def cmd_validate(cfg, out) -> int:
     slots, warmup, replications, seed, kind = cli._sim_options(cfg)
-    if kind != "randomized":
-        raise ConfigError("validate compares against the randomized-policy closed forms")
+    if kind == "strict_priority_relay":
+        raise ConfigError("validate has no closed forms for strict_priority_relay")
     tolerance = get_float(cfg, "tolerance", 0.03)
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ConfigError(f"key 'tolerance': must be finite and >= 0, got {tolerance!r}")
     rows = []
     failed = False
     for index, (ch, pol, pt) in enumerate(_sweep_points(cfg)):
+        if kind == "no_cooperation":
+            pol = NO_COOPERATION
         identity = [ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s]
         verdict = closed.is_stable(ch, pol, pt)
         if not verdict.stable:
@@ -250,7 +250,7 @@ def cmd_validate(cfg, out) -> int:
         margins = (verdict.margin_p / closed.max_arrival_primary(ch, pol),
                    verdict.margin_s / closed.max_arrival_secondary(ch, pol, pt.lambda_p))
         report = closed.delay_report(ch, pol, pt)
-        stats = replicate(Scenario(ch, pt, pol, slots=slots, warmup_slots=warmup,
+        stats = replicate(Scenario(ch, pt, pol, policy_kind=kind, slots=slots, warmup_slots=warmup,
                                    seed=cli._point_seed(seed, index)), replications)
         errors, cells = [], []
         for analytic, simulated in ((report.d_p, stats.mean_delay_p), (report.d_s, stats.mean_delay_s)):

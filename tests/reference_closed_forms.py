@@ -1,10 +1,14 @@
 """Term-by-term scalar reference for :mod:`cogrelay.analytics` and :mod:`cogrelay.optimizer`.
 
 These are the modules' original point-by-point implementations in Python
-floats, kept unchanged (their own exception classes included) so that the
-array-valued core can be checked against them for equality: the same IEEE
-operations in the same order give the same bits, and where a denominator
-vanishes Python's float division raises, which the core's masks must match.
+floats (their own exception classes included), so that the array-valued core
+can be checked against them for equality: the same IEEE operations in the
+same order give the same bits, and where a denominator vanishes Python's
+float division raises, which the core's masks must match. Two rules have
+changed since, in both places: without relay inflow the primary bound is
+the primary service rate and the relay queue's mean length is 0, so no
+cooperation, Policy(1, 0), is an ordinary stable policy; and the secondary
+optimum must have a delay report, as ``delay`` requires of it.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from dataclasses import dataclass
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy, StabilityVerdict
 
 
-#: Sentinel for a margin that is undefined because the primary queue itself
-#: cannot be drained (or the policy is degenerate).
+#: Sentinel for the secondary margin where the primary queue itself cannot be
+#: drained.
 MOST_NEGATIVE_MARGIN = -sys.float_info.max
 
 
@@ -26,10 +30,6 @@ class AnalyticsError(ValueError):
 
 class InstabilityError(AnalyticsError):
     """The operating point violates a stability precondition."""
-
-
-class DegeneratePolicyError(AnalyticsError):
-    """The policy makes a formula's denominator vanish (p_q = 1 with no relay inflow)."""
 
 
 class UndefinedRateError(AnalyticsError):
@@ -58,12 +58,10 @@ def max_arrival_primary(ch: ChannelProfile, pol: Policy) -> float:
     """Largest sustainable lambda_p under the policy (relay-queue constraint)."""
     own = ch.f_sd * (1.0 - pol.p_q)
     relay = _relay_rate(ch, pol.p_a)
-    denom = own + relay
-    if denom == 0.0:
-        raise DegeneratePolicyError(
-            "p_q = 1 with no relay inflow leaves the primary bound undefined"
-        )
-    return own / denom * service_rate_primary(ch, pol.p_a)
+    if relay == 0.0:
+        # an empty relay queue never limits the primary queue (own / own is 1)
+        return service_rate_primary(ch, pol.p_a)
+    return own / (own + relay) * service_rate_primary(ch, pol.p_a)
 
 
 def max_arrival_secondary(ch: ChannelProfile, pol: Policy, lambda_p: float) -> float:
@@ -79,15 +77,11 @@ def max_arrival_secondary(ch: ChannelProfile, pol: Policy, lambda_p: float) -> f
 def is_stable(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> StabilityVerdict:
     """Stability verdict with per-queue margins (strict inequalities, no tolerance).
 
-    Degenerate policies (p_q = 1 with zero relay inflow) yield an unstable
-    verdict with sentinel margins rather than an error; the rate bounds are
-    undefined there.
+    Where lambda_p reaches the primary service rate the secondary margin is
+    the MOST_NEGATIVE_MARGIN sentinel rather than an error.
     """
     mu = service_rate_primary(ch, pol.p_a)
-    try:
-        margin_p = max_arrival_primary(ch, pol) - pt.lambda_p
-    except DegeneratePolicyError:
-        return StabilityVerdict(False, MOST_NEGATIVE_MARGIN, MOST_NEGATIVE_MARGIN)
+    margin_p = max_arrival_primary(ch, pol) - pt.lambda_p
     if pt.lambda_p >= mu:
         margin_s = MOST_NEGATIVE_MARGIN
     else:
@@ -154,6 +148,8 @@ def relay_coefficients(ch: ChannelProfile, pol: Policy) -> RelayCoefficients:
 def mean_queue_relay(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> float:
     """Mean relay queue length at a stable operating point."""
     _require_stable(ch, pol, pt)
+    if _relay_rate(ch, pol.p_a) == 0.0:
+        return 0.0  # no PU packet ever enters the relay queue
     c = relay_coefficients(ch, pol)
     lp = pt.lambda_p
     num = c.m * lp * lp + c.n * lp
@@ -404,7 +400,9 @@ def minimize_secondary_delay(ch: ChannelProfile, pt: OperatingPoint) -> tuple[fl
     """Minimize the secondary delay; returns (p_q_star, d_s_star) at p_a = 1.
 
     The secondary delay decreases monotonically in p_q, so the optimum is the
-    feasible supremum minus the strict-interior offset.
+    feasible supremum minus the strict-interior offset. The delay is read
+    from the full delay report there, which raises wherever ``delay`` cannot
+    report the optimum (a mean delay below one slot, say).
     """
     if pt.lambda_s <= 0.0:
         raise UndefinedRateError("secondary-delay minimization undefined at lambda_s = 0")
@@ -413,5 +411,5 @@ def minimize_secondary_delay(ch: ChannelProfile, pt: OperatingPoint) -> tuple[fl
         raise InfeasibleError(f"no p_q stabilizes the system at p_a=1 for {pt}")
     lo, hi = interval
     p_q_star = _interior(hi, lo, hi, from_low=False)
-    d_s_star = delay_secondary(ch, Policy(p_q_star, 1.0), pt)
+    d_s_star = delay_report(ch, Policy(p_q_star, 1.0), pt).d_s
     return p_q_star, d_s_star

@@ -184,11 +184,10 @@ def test_criterion_5_union_containment():
     ch = STANDARD_CHANNEL
     p_q, p_a = np.meshgrid(np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 21), indexing="ij")
     policies = closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, p_q, p_a)
-    # the primary bound is undefined for degenerate policies: skip them
-    keep = ~policies.degenerate
-    p_q, p_a = p_q[keep][:, None], p_a[keep][:, None]
+    # every policy has a primary bound, no cooperation (1, 0) included
+    p_q, p_a = p_q.reshape(-1, 1), p_a.reshape(-1, 1)
     # each row is np.linspace(0.0, bound_p, 50, endpoint=False), bit for bit
-    lam = np.arange(50) * (policies.bound_p[keep][:, None] / 50)
+    lam = np.arange(50) * (policies.bound_p.reshape(-1, 1) / 50)
     inner = closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, p_q, p_a, lam)
     outer, _, slope_den = union_region(ch.f_pd, ch.f_sd, ch.f_ps, lam)
     # the secondary bound needs lambda_p below mu, the union slope a nonzero mu

@@ -38,8 +38,12 @@ def test_max_arrival_primary_values():
 
 
 def test_max_arrival_primary_degenerate_policy():
-    assert at(CH, Policy(1.0, 0.0)).degenerate
-    assert at(ChannelProfile(0.3, 0.8, 0.0), Policy(1.0, 1.0)).degenerate
+    # p_q = 1 without relay inflow: the relay queue is neither fed nor served,
+    # so it never limits the primary queue, whose bound is its service rate
+    for ch, pol in ((CH, Policy(1.0, 0.0)), (ChannelProfile(0.3, 0.8, 0.0), Policy(1.0, 1.0))):
+        cf = at(ch, pol, OperatingPoint(0.1, 0.1))
+        assert cf.bound_p == cf.mu == 0.3
+        assert cf.n_sp == 0.0 and cf.relay_ok and cf.stable and cf.evaluable
 
 
 def test_max_arrival_secondary_values():
@@ -67,10 +71,15 @@ def test_is_stable_sentinels():
     verdict = is_stable(CH, POL, OperatingPoint(0.9, 0.0))
     assert not verdict.stable
     assert verdict.margin_s == analytics.MOST_NEGATIVE_MARGIN
-    # degenerate policy: both margins are sentinels, no exception
+    # no cooperation, Policy(1, 0): the primary bound is mu = f_pd, no sentinel
     verdict = is_stable(CH, Policy(1.0, 0.0), OperatingPoint(0.1, 0.1))
-    assert not verdict.stable
-    assert verdict.margin_p == analytics.MOST_NEGATIVE_MARGIN
+    assert verdict.stable
+    assert verdict.margin_p == 0.3 - 0.1
+    assert verdict.margin_s == 0.8 * (1.0 - 0.1 / 0.3) - 0.1
+    # beyond mu the secondary margin is still the sentinel
+    verdict = is_stable(CH, Policy(1.0, 0.0), OperatingPoint(0.3, 0.0))
+    assert not verdict.stable and verdict.margin_p == 0.0
+    assert verdict.margin_s == analytics.MOST_NEGATIVE_MARGIN
 
 
 def test_phase_transition():
@@ -209,7 +218,7 @@ def stable_points(draw):
     try:
         lambda_p = draw(share) * closed.max_arrival_primary(ch, pol)
         lambda_s = draw(share) * closed.max_arrival_secondary(ch, pol, lambda_p)
-    except (closed.DegeneratePolicyError, closed.InstabilityError):
+    except closed.InstabilityError:
         reject()
     pt = OperatingPoint(lambda_p, lambda_s)
     if not is_stable(ch, pol, pt).stable:
@@ -222,6 +231,7 @@ def stable_points(draw):
 @example((CH, POL, OperatingPoint(0.0, 0.0)))
 @example((CH, POL, OperatingPoint(0.1, 0.0)))
 @example((CH, POL, OperatingPoint(0.0, 0.1)))
+@example((CH, Policy(1.0, 0.0), OperatingPoint(0.1, 0.1)))  # no cooperation
 def test_delay_report_equals_single_functions(case):
     # each field of the report read from the core equals the term-by-term
     # single function of the reference at a stable point

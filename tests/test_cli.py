@@ -102,6 +102,19 @@ def test_region_union_line(tmp_path):
     assert slope == pytest.approx(-1.08 / 0.58, rel=1e-9)
 
 
+def test_region_no_cooperation_boundary(tmp_path):
+    # without cooperation the PU queue alone is served at f_pd = 0.3, and the
+    # SU serves its own queue in every PU-idle slot: f_sd (1 - lambda_p / f_pd)
+    code, text = run(tmp_path, "region", "policies = 1:0\nsteps = 11\nstop = 0.4\n")
+    assert code == 0
+    _, body = rows(text)
+    fixed = [(float(r[3]), float(r[4])) for r in body if r[0] == "fixed"]
+    assert [r[1:3] for r in body if r[0] == "fixed"] == [["1", "0"]] * 8
+    assert [lam for lam, _ in fixed] == pytest.approx([0.04 * k for k in range(8)], abs=1e-12)
+    for lam, max_ls in fixed:
+        assert max_ls == pytest.approx(0.8 * (1.0 - lam / 0.3), rel=1e-11, abs=1e-15)  # 12 digits
+
+
 def test_region_rates_mode(tmp_path):
     code, text = run(tmp_path, "region", "region_mode = rates\np_q_list = 0.2, 0.8\nsteps = 5\nlambda_p = 0.2\n")
     assert code == 0
@@ -180,6 +193,24 @@ def test_simulate_skips_unstable_points(tmp_path):
     assert body[1][13] == ""
 
 
+def test_simulate_no_cooperation_judges_stability_at_its_policy(tmp_path):
+    # no cooperation runs Policy(1, 0), whatever p_q and p_a say: at lambda_p =
+    # 0.32 the configured Policy(0.5, 1) would be stable (bound 0.341), but the
+    # PU queue alone is served at f_pd = 0.3
+    code, text = run(
+        tmp_path,
+        "simulate",
+        "variable = lambda_p\nstart = 0.1\nstop = 0.32\nsteps = 2\nlambda_s = 0.05\n"
+        "p_q = 0.5\np_a = 1\npolicy_kind = no_cooperation\nslots = 5000\nwarmup = 100\n",
+    )
+    assert code == 0
+    _, body = rows(text)
+    assert [r[3:5] for r in body] == [["1", "0"], ["1", "0"]]
+    assert [r[7] for r in body] == ["no_cooperation"] * 2
+    assert body[0][12] == "1" and body[0][13] != ""
+    assert body[1][12] == "0" and body[1][13:] == [""] * (len(body[1]) - 13)
+
+
 def test_validate_pass_and_fail_exit_codes(tmp_path):
     config = (
         "variable = lambda\nstart = 0.05\nstop = 0.1\nsteps = 2\n"
@@ -252,6 +283,8 @@ STANDARD = {"f_pd": 0.3, "f_sd": 0.8, "f_ps": 0.4}
 #: the p_q interval is narrower than rounding here: both ends read 0.998335359762
 UNSTABLE_OPTIMUM = {"f_pd": 0.7130607983330924, "f_sd": 0.9, "f_ps": 0.020126716603189432,
                     "lambda_p": 0.14806757846412472, "lambda_s": 0.7134262293980463}
+#: the secondary optimum (p_q 0.999999, p_a 1) is stable, but its delay report is out of bounds
+UNREPORTABLE_OPTIMUM = {"f_pd": 8e-21, "f_sd": 0.8, "f_ps": 0.0, "lambda_p": 0.0, "lambda_s": 5e-324}
 
 
 @pytest.mark.parametrize("command,config,point", [
@@ -263,6 +296,8 @@ UNSTABLE_OPTIMUM = {"f_pd": 0.7130607983330924, "f_sd": 0.9, "f_ps": 0.020126716
     # nothing reaches the destination, so the union slope divides by zero
     ("region", "f_pd = 0\nf_ps = 0\npolicies = 0.5:1\nstart = 0.1\nstop = 0.5\nsteps = 3\n",
      {"f_pd": 0.0, "f_sd": 0.8, "f_ps": 0.0, "lambda_p": 0.1}),
+    # the secondary optimum's mean delay reads 0, below one slot, as delay would report
+    ("optimize", _config(UNREPORTABLE_OPTIMUM), UNREPORTABLE_OPTIMUM),
 ])
 def test_unevaluable_point_exits_2_naming_it(tmp_path, capsys, command, config, point):
     code, text = run(tmp_path, command, config)
@@ -310,6 +345,29 @@ def test_validate_standard_point_full_run(tmp_path):
     _, body = rows(text)
     assert [r[-1] for r in body] == ["ok", "ok"]
     assert all(float(r[11]) <= 0.03 and float(r[14]) <= 0.03 for r in body)
+
+
+def test_validate_no_cooperation_against_its_closed_forms(tmp_path):
+    # both points have at least a 50% margin under Policy(1, 0), which the
+    # rows print in place of the configured policy
+    code, text = run(
+        tmp_path,
+        "validate",
+        "variable = lambda\nstart = 0.05\nstop = 0.15\nsteps = 2\np_q = 0.5\np_a = 1\n"
+        "policy_kind = no_cooperation\nslots = 1000000\nwarmup = 10000\nseed = 12345\n"
+        "tolerance = 0.03\n",
+    )
+    assert code == 0
+    _, body = rows(text)
+    assert [r[3:5] for r in body] == [["1", "0"], ["1", "0"]]
+    assert [r[-1] for r in body] == ["ok", "ok"]
+    assert all(float(r[7]) >= 0.1 and float(r[8]) >= 0.1 for r in body)
+
+
+def test_validate_refuses_strict_priority(tmp_path, capsys):
+    code, text = run(tmp_path, "validate", SMALL_VALIDATE + "policy_kind = strict_priority_relay\n")
+    assert code == 2 and text == ""
+    assert "strict_priority_relay" in capsys.readouterr().err
 
 
 def test_validate_marks_unstable_points(tmp_path):
@@ -372,6 +430,19 @@ def test_oracle_agreement_columns(tmp_path):
         assert float(r[16]) < 1e-9
     assert float(body[0][15]) < 1e-9
     assert body[1][11] == body[1][15] == ""
+
+
+def test_oracle_at_no_cooperation_matches_closed_forms(tmp_path):
+    code, text = run(
+        tmp_path, "oracle", "p_q = 1\np_a = 0\nlambda_p = 0.1\nlambda_s = 0.1\ntruncation = 100\n"
+    )
+    assert code == 0
+    _, body = rows(text)
+    for r in body:
+        assert float(r[13]) <= 1e-12 and float(r[14]) <= 1e-12 and float(r[16]) <= 1e-12
+    assert float(body[0][15]) <= 1e-12
+    # no PU packet enters the relay queue
+    assert body[1][6] == body[1][10] == "0"
 
 
 def test_oracle_rejects_unstable_point(tmp_path):
@@ -631,8 +702,8 @@ def test_closed_stdout_exits_quietly(argv):
     assert proc.stderr == b""
 
 
-#: Presets plus sweeps across both stability bounds, through the degenerate
-#: policy (p_q, p_a) = (1, 0), and from lambda = 0.
+#: Presets plus sweeps across both stability bounds, through no cooperation,
+#: the policy (p_q, p_a) = (1, 0), and from lambda = 0.
 EDGE_SWEEPS = [
     ("delay", "variable = lambda\nstart = 0\nstop = 1\nsteps = 41\np_q_list = 0, 0.5, 1\np_a = 0\n"),
     ("delay", "variable = p_a\nstart = 0\nstop = 1\nsteps = 21\np_q_list = 0.3, 1\n"
@@ -645,6 +716,8 @@ EDGE_SWEEPS = [
                  "f_pd_list = 0, 0.3, 0.79\n"),
     ("optimize", "variable = lambda_s\nstart = 0\nstop = 1\nsteps = 41\nlambda_p = 0.6\n"),
     ("optimize", "lambda_p = 0\nlambda_s = 0\n"),
+    ("region", "policies = 1:0, 0.5:1\nsteps = 31\nstop = 1\n"),
+    ("oracle", "p_q = 1\np_a = 0\ntruncation = 60\n"),
 ]
 
 

@@ -91,6 +91,7 @@ def test_throughput_matches_arrival_rate_within_confidence():
 
 
 def test_no_cooperation_equals_randomized_with_degenerate_policy():
+    # no cooperation is the randomized policy at (p_q, p_a) = (1, 0), whatever policy it is given
     kwargs = dict(slots=80_000, warmup_slots=4_000, seed=11, point=OperatingPoint(0.1, 0.05))
     no_coop = simulate(scenario(policy_kind="no_cooperation", **kwargs))
     degenerate = simulate(scenario(policy=Policy(1.0, 0.0), **kwargs))
@@ -184,6 +185,19 @@ def reference_cases(draw):
 @example((scenario(policy_kind="strict_priority_relay", point=OperatingPoint(0.1, 0.05),
                    slots=2 * _BLOCK + 5, warmup_slots=_BLOCK + 7, seed=1), 2))
 @example((scenario(policy_kind="no_cooperation", slots=_BLOCK + 1, warmup_slots=0), 1))
+# probabilities of 0 and 1, whose policy draws are skipped: the pick at p_q = 0
+# and 1, the admission at p_a = 0 and 1, the decode at f_ps = 0 and 1 and
+# wherever nothing is admitted
+@example((scenario(policy=Policy(0.0, 1.0), channel=ChannelProfile(0.3, 0.8, 1.0),
+                   slots=_BLOCK + 3, warmup_slots=0), 1))
+@example((scenario(policy=Policy(1.0, 0.0), point=OperatingPoint(0.2, 0.3), slots=_BLOCK + 3,
+                   warmup_slots=17), 2))
+@example((scenario(policy=Policy(0.0, 0.0), channel=ChannelProfile(0.3, 0.8, 0.0), slots=5_000,
+                   warmup_slots=0), 1))
+# partial admission reads every decode
+@example((scenario(policy=Policy(0.5, 0.5), slots=_BLOCK + 3, warmup_slots=0), 1))
+@example((scenario(policy_kind="strict_priority_relay", channel=ChannelProfile(0.3, 0.8, 0.0),
+                   slots=5_000, warmup_slots=0), 1))
 @example((scenario(slots=3 * _BLOCK, warmup_slots=_BLOCK // 2), 3))
 @example((scenario(point=OperatingPoint(0.5, 0.5), slots=3 * _BLOCK, queue_cap=40), 1))
 def test_matches_slot_by_slot_reference(case):
