@@ -18,11 +18,11 @@ of the array core (:func:`cogrelay.analytics.closed_forms`,
 :func:`cogrelay.analytics.union_region`, :func:`cogrelay.optimizer.optima`),
 whose masks decide each row: stable, unstable, or stable but not evaluable,
 which raises :class:`cogrelay.analytics.UnevaluableError` naming the row's
-point. A failing command writes nothing. The closed-form commands write their
-table at once with :func:`_write_table`. ``simulate`` and ``validate``
-simulate every stable row in one :func:`cogrelay.simulator.replicate_many`
-batch, which spreads the runs over the CPUs when the batch is long enough to
-gain from it.
+point. A failing command writes nothing. Every command names each column
+beside its cells, in one mapping that :func:`_write_table` writes at once.
+``simulate`` and ``validate`` simulate every stable row in one
+:func:`cogrelay.simulator.replicate_many` batch, which spreads the runs over
+the CPUs when the batch is long enough to gain from it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .model import NO_COOPERATION, ChannelProfile, OperatingPoint, Policy
 from .oracle import ChainSpec, solve_stationary
 from .simulator import POLICY_KINDS, Scenario, SimStats, replicate_many
 
-__all__ = ["main", "entrypoint", "SweepSpec", "PRESETS", "ENV_SEED"]
+__all__ = ["main", "entrypoint", "PRESETS", "ENV_SEED"]
 
 ENV_SEED = "COGRELAY_SEED"
 DEFAULT_SEED = 12345
@@ -67,31 +67,6 @@ EXIT_BROKEN_PIPE = 141
 MARGIN_ENFORCEMENT = 0.10
 
 SWEEP_VARIABLES = ("lambda", "lambda_p", "lambda_s", "p_q", "p_a", "f_pd")
-
-REGION_BOUNDARY_HEADER = "policy,p_q,p_a,lambda_p,max_lambda_s"
-REGION_RATES_HEADER = "p_q,p_a,max_lambda_p,max_lambda_s,lambda_p_ref"
-DELAY_HEADER = "f_pd,f_sd,f_ps,p_q,p_a,lambda_p,lambda_s,stable,d_p,d_s,n_p,n_sp,n_s,g00"
-SIMULATE_HEADER = (
-    "f_pd,f_sd,f_ps,p_q,p_a,lambda_p,lambda_s,policy_kind,slots,warmup,replications,seed,stable,"
-    + ",".join(f.name for f in fields(SimStats))
-)
-VALIDATE_HEADER = (
-    "f_pd,f_sd,f_ps,p_q,p_a,lambda_p,lambda_s,rel_margin_p,rel_margin_s,"
-    "analytic_d_p,sim_d_p,rel_err_d_p,analytic_d_s,sim_d_s,rel_err_d_s,status"
-)
-#: The optimize columns after the channel and the point. The point report
-#: prints the same keys, its su_* ones in a section of their own.
-OPTIMIZE_COLUMNS = (
-    "pu_mode", "pu_p_q_star", "pu_p_a_star", "pu_d_p_star", "no_coop_d_p",
-    "su_p_q_star", "su_d_s_star", "p_q_lower", "p_q_upper", "threshold_p_q",
-)
-OPTIMIZE_SWEEP_HEADER = "f_pd,f_sd,f_ps,lambda_p,lambda_s," + ",".join(OPTIMIZE_COLUMNS)
-ORACLE_HEADER = (
-    "pair,truncation,iterations,residual,mass_at_boundary,mean_qp,mean_partner,p00,p_qp_empty,"
-    "n_p_analytic,partner_analytic,g00_analytic,p_qp_empty_analytic,"
-    "rel_err_n_p,rel_err_partner,abs_err_g00,abs_err_p_qp_empty"
-)
-TRADEOFF_HEADER = "p_q,p_a,lambda_p,lambda_s,stable,d_s,d_p"
 
 # Parameter bundles reproducing the reference sweeps; the standard channel
 # (f_pd=0.3, f_sd=0.8, f_ps=0.4) is the config default throughout.
@@ -162,68 +137,50 @@ RATES_GRID = {
 }
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A linear sweep of one scenario parameter."""
-
-    variable: str
-    start: float
-    stop: float
-    steps: int
-
-    def __post_init__(self) -> None:
-        if self.variable not in SWEEP_VARIABLES:
-            raise ConfigError(f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
-        if self.steps < 2:
-            raise ConfigError(f"key 'steps': must be >= 2, got {self.steps}")
-        if not self.start < self.stop:
-            raise ConfigError(f"need start < stop, got start={self.start}, stop={self.stop}")
-        for key, value in (("start", self.start), ("stop", self.stop)):
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"key {key!r}: sweep range must stay within [0, 1], got {value}")
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.steps)
-
-
-def _cell(value: float | int | str | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):  # bools included: True is 1
-        return str(int(value))
-    return "%.12g" % value
+def _grid(variable: str, start: float, stop: float, steps: int) -> np.ndarray:
+    """The values of a linear sweep of ``variable``; raises ConfigError for an invalid sweep."""
+    if variable not in SWEEP_VARIABLES:
+        raise ConfigError(f"variable must be one of {SWEEP_VARIABLES}, got {variable!r}")
+    if steps < 2:
+        raise ConfigError(f"key 'steps': must be >= 2, got {steps}")
+    if not start < stop:
+        raise ConfigError(f"need start < stop, got start={start}, stop={stop}")
+    for key, value in (("start", start), ("stop", stop)):
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"key {key!r}: sweep range must stay within [0, 1], got {value}")
+    return np.linspace(start, stop, steps)
 
 
 def _format(values: np.ndarray, present: np.ndarray | None = None) -> list[str]:
-    """The cells of a float64 column, empty where ``present`` is False.
+    """The cells of a column, empty where ``present`` is False.
 
-    A column whose entries all have the same bits is formatted once.
+    Integers print exactly; floats and bools print as float64 to 12
+    significant digits, so True is 1. A float column whose entries all have
+    the same bits is formatted once.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    bits = values.view(np.int64)
-    if values.size and (bits == bits[0]).all():
-        cells = ["%.12g" % values[0]] * values.size
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        cells = [str(value) for value in values.tolist()]
     else:
-        cells = ["%.12g" % value for value in values.tolist()]
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        bits = values.view(np.int64)
+        if values.size and (bits == bits[0]).all():
+            cells = ["%.12g" % values[0]] * values.size
+        else:
+            cells = ["%.12g" % value for value in values.tolist()]
     if present is not None:
         cells = [cell if keep else "" for cell, keep in zip(cells, present.tolist())]
     return cells
 
 
-def _flags(mask: np.ndarray) -> list[str]:
-    return ["1" if flag else "0" for flag in mask.tolist()]
+def _cells(columns: dict[str, np.ndarray]) -> dict[str, list[str]]:
+    return {key: _format(column) for key, column in columns.items()}
 
 
-def _write_table(out, header: str, rows) -> None:
-    """Write the header and the rows, each a sequence of formatted cells, at once."""
-    out.write("".join([header + "\n", *[",".join(row) + "\n" for row in rows]]))
-
-
-def _write_rows(out, header: str, rows) -> None:
-    """:func:`_write_table` for rows of values, formatted cell by cell."""
-    _write_table(out, header, ([_cell(value) for value in row] for row in rows))
+def _write_table(out, columns: dict[str, list[str]]) -> None:
+    """Write a header of the column names and then the rows of their cells, at once."""
+    rows = zip(*columns.values(), strict=True)
+    out.write("".join([",".join(columns) + "\n", *[",".join(row) + "\n" for row in rows]]))
 
 
 class OutputError(OSError):
@@ -255,16 +212,13 @@ def _open_out(path: str | None):
         raise
 
 
-def _sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
-    return SweepSpec(
-        variable=get_str(cfg, "variable"),
-        start=get_float(cfg, "start"),
-        stop=get_float(cfg, "stop"),
-        steps=get_int(cfg, "steps"),
-    )
+def _sweep_from_config(cfg: dict[str, str]) -> tuple[str, np.ndarray]:
+    """The config's sweep variable and its values."""
+    variable = get_str(cfg, "variable")
+    return variable, _grid(variable, get_float(cfg, "start"), get_float(cfg, "stop"), get_int(cfg, "steps"))
 
 
-def _step_objects(cfg: dict[str, str], sweep: SweepSpec, keys: tuple[str, ...], value: float):
+def _step_objects(cfg: dict[str, str], variable: str, keys: tuple[str, ...], value: float):
     """(channel, policy, point) of the sweep step that sets ``keys`` to ``value``.
 
     ``repr`` round-trips every float exactly.
@@ -273,7 +227,7 @@ def _step_objects(cfg: dict[str, str], sweep: SweepSpec, keys: tuple[str, ...], 
     try:
         return channel_from_config(step), policy_from_config(step), point_from_config(step)
     except ConfigError as exc:
-        raise ConfigError(f"invalid sweep point ({sweep.variable}={value!r}): {exc}") from exc
+        raise ConfigError(f"invalid sweep point ({variable}={value!r}): {exc}") from exc
 
 
 def _sweep_columns(cfg: dict[str, str]) -> dict[str, np.ndarray]:
@@ -285,24 +239,23 @@ def _sweep_columns(cfg: dict[str, str]) -> dict[str, np.ndarray]:
     per step is f_pd < f_sd. The first step the model rejects raises its
     error, before any row is evaluated.
     """
-    sweep = _sweep_from_config(cfg)
-    keys = ("lambda_p", "lambda_s") if sweep.variable == "lambda" else (sweep.variable,)
+    variable, values = _sweep_from_config(cfg)
+    keys = ("lambda_p", "lambda_s") if variable == "lambda" else (variable,)
     curves: list[dict[str, str]] = [{}]
     if "p_q_list" in cfg:
-        if sweep.variable == "p_q":
+        if variable == "p_q":
             raise ConfigError("p_q_list cannot be combined with a p_q sweep")
         curves = [{"p_q": repr(p_q)} for p_q in get_float_list(cfg, "p_q_list")]
-    values = sweep.values()
     blocks: list[dict[str, np.ndarray]] = []
     for curve in curves:
         step = {**cfg, **curve}
-        ch, pol, pt = _step_objects(step, sweep, keys, float(values[0]))
+        ch, pol, pt = _step_objects(step, variable, keys, float(values[0]))
         first = dict(zip(POINT_KEYS, (*astuple(ch), *astuple(pol), *astuple(pt))))
         block = {key: values if key in keys else np.full(values.size, first[key])
                  for key in POINT_KEYS}
         rejected = np.flatnonzero(~(block["f_pd"] < block["f_sd"]))
         if rejected.size:
-            _step_objects(step, sweep, keys, float(values[rejected[0]]))
+            _step_objects(step, variable, keys, float(values[rejected[0]]))
         blocks.append(block)
     return {key: np.concatenate([block[key] for block in blocks]) for key in POINT_KEYS}
 
@@ -342,7 +295,7 @@ def cmd_region(cfg: dict[str, str], out) -> int:
         _, union_root, _ = analytics.union_region(channel.f_pd, channel.f_sd, channel.f_ps)
         start = get_float(cfg, "start", 0.0)
         stop = get_float(cfg, "stop", float(union_root))
-        grid = SweepSpec("lambda_p", start, stop, steps).values()
+        grid = _grid("lambda_p", start, stop, steps)
         p_q = np.array([[pol.p_q] for pol in policies])
         p_a = np.array([[pol.p_a] for pol in policies])
         cf = analytics.closed_forms(channel.f_pd, channel.f_sd, channel.f_ps, p_q, p_a, grid)
@@ -358,24 +311,24 @@ def cmd_region(cfg: dict[str, str], out) -> int:
                             "lambda_p": grid}, slope_den == 0.0)
         curve, step = np.nonzero(shown)
         blank = [""] * grid.size
-        _write_table(out, REGION_BOUNDARY_HEADER, zip(
-            ["fixed"] * curve.size + ["union"] * grid.size,
-            _format(p_q[curve, 0]) + blank,
-            _format(p_a[curve, 0]) + blank,
-            _format(grid[step]) + _format(grid),
-            _format(cf.bound_s[shown]) + _format(union),
-        ))
+        _write_table(out, {
+            "policy": ["fixed"] * curve.size + ["union"] * grid.size,
+            "p_q": _format(p_q[curve, 0]) + blank,
+            "p_a": _format(p_a[curve, 0]) + blank,
+            "lambda_p": _format(grid[step]) + _format(grid),
+            "max_lambda_s": _format(cf.bound_s[shown]) + _format(union),
+        })
         return 0
     if mode == "rates":
         columns = _sweep_columns({**RATES_GRID, **cfg, "variable": "p_a"})
         cf = analytics.closed_forms(*columns.values())
-        _write_table(out, REGION_RATES_HEADER, zip(
-            _format(columns["p_q"]),
-            _format(columns["p_a"]),
-            _format(cf.bound_p),
-            _format(cf.bound_s, ~(columns["lambda_p"] >= cf.mu)),
-            _format(columns["lambda_p"]),
-        ))
+        _write_table(out, {
+            "p_q": _format(columns["p_q"]),
+            "p_a": _format(columns["p_a"]),
+            "max_lambda_p": _format(cf.bound_p),
+            "max_lambda_s": _format(cf.bound_s, ~(columns["lambda_p"] >= cf.mu)),
+            "lambda_p_ref": _format(columns["lambda_p"]),
+        })
         return 0
     raise ConfigError(f"region_mode must be 'boundary' or 'rates', got {mode!r}")
 
@@ -384,16 +337,16 @@ def cmd_delay(cfg: dict[str, str], out) -> int:
     columns = _sweep_columns(cfg)
     cf = _delay_forms(columns)
     stable = cf.stable
-    _write_table(out, DELAY_HEADER, zip(
-        *map(_format, columns.values()),
-        _flags(stable),
-        _format(cf.d_p, stable & (columns["lambda_p"] > 0.0)),
-        _format(cf.d_s, stable & (columns["lambda_s"] > 0.0)),
-        _format(cf.n_p, stable),
-        _format(cf.n_sp, stable),
-        _format(cf.n_s, stable),
-        _format(cf.g00, stable),
-    ))
+    _write_table(out, {
+        **_cells(columns),
+        "stable": _format(stable),
+        "d_p": _format(cf.d_p, stable & (columns["lambda_p"] > 0.0)),
+        "d_s": _format(cf.d_s, stable & (columns["lambda_s"] > 0.0)),
+        "n_p": _format(cf.n_p, stable),
+        "n_sp": _format(cf.n_sp, stable),
+        "n_s": _format(cf.n_s, stable),
+        "g00": _format(cf.g00, stable),
+    })
     return 0
 
 
@@ -435,15 +388,33 @@ def _simulate_rows(columns: dict[str, np.ndarray], stable: np.ndarray, slots: in
 def cmd_simulate(cfg: dict[str, str], out) -> int:
     slots, warmup, replications, seed, kind = options = _sim_options(cfg)
     columns = _policy_columns(cfg, kind)
-    stable = analytics.closed_forms(*columns.values()).stable
-    batch = iter(_simulate_rows(columns, stable, *options))
-    blank = (None,) * len(fields(SimStats))
-    points = zip(*(column.tolist() for column in columns.values()))
-    _write_rows(out, SIMULATE_HEADER, (
-        [*point, kind, slots, warmup, replications, _point_seed(seed, index), int(flag),
-         *(astuple(next(batch)) if flag else blank)]
-        for index, (point, flag) in enumerate(zip(points, stable.tolist()))
-    ))
+    if kind == "strict_priority_relay":
+        # strict priority (Sadek, Liu & Ephremides, IEEE Trans. Inf. Theory 53(10), 2007) serves
+        # the relay queue first and admits every decoded packet, whatever p_q and p_a say: its
+        # primary and relay queues are those of the policy (0, 1), and its own queue is stable
+        # below the union region
+        channel = [columns["f_pd"], columns["f_sd"], columns["f_ps"]]
+        primary = analytics.closed_forms(*channel, 0.0, 1.0, columns["lambda_p"]).margin_p > 0.0
+        stable = primary & (analytics.union_region(*channel, columns["lambda_p"])[0] > columns["lambda_s"])
+    else:
+        stable = analytics.closed_forms(*columns.values()).stable
+    runs = _simulate_rows(columns, stable, *options)
+    rows = stable.size
+    stats = {}
+    for field in fields(SimStats):
+        column = np.zeros(rows, dtype=np.int64 if field.type == "int" else np.float64)
+        column[stable] = [getattr(run, field.name) for run in runs]
+        stats[field.name] = _format(column, stable)
+    _write_table(out, {
+        **_cells(columns),
+        "policy_kind": [kind] * rows,
+        "slots": [str(slots)] * rows,
+        "warmup": [str(warmup)] * rows,
+        "replications": [str(replications)] * rows,
+        "seed": [str(_point_seed(seed, index)) for index in range(rows)],
+        "stable": _format(stable),
+        **stats,
+    })
     return 0
 
 
@@ -470,13 +441,18 @@ def cmd_validate(cfg: dict[str, str], out) -> int:
     failed = stable & ~within & enforced
     ok = within & (enforced | ~present.any(axis=0))
     status = np.where(~stable, "unstable", np.where(failed, "fail", np.where(ok, "ok", "marginal")))
-    _write_table(out, VALIDATE_HEADER, zip(
-        *map(_format, columns.values()),
-        *(_format(margin, stable) for margin in margins),
-        *(_format(values, present[origin]) for origin in range(2)
-          for values in (analytic[origin], simulated[origin], errors[origin])),
-        status.tolist(),
-    ))
+    _write_table(out, {
+        **_cells(columns),
+        "rel_margin_p": _format(margins[0], stable),
+        "rel_margin_s": _format(margins[1], stable),
+        "analytic_d_p": _format(analytic[0], present[0]),
+        "sim_d_p": _format(simulated[0], present[0]),
+        "rel_err_d_p": _format(errors[0], present[0]),
+        "analytic_d_s": _format(analytic[1], present[1]),
+        "sim_d_s": _format(simulated[1], present[1]),
+        "rel_err_d_s": _format(errors[1], present[1]),
+        "status": status.tolist(),
+    })
     return 1 if failed.any() else 0
 
 
@@ -487,51 +463,47 @@ def _optimize_rows(ch: ChannelProfile, pt: OperatingPoint, rows: int) -> dict[st
     return {key: np.full(rows, value) for key, value in values.items()}
 
 
-def _optimize_columns(columns: dict[str, np.ndarray]) -> list[list[str]]:
-    """The OPTIMIZE_COLUMNS cells of every (f_pd, f_sd, f_ps, lambda_p, lambda_s) row,
-    from one evaluation of both optima; raises at a row whose optimum cannot be evaluated."""
+def _optimize_columns(columns: dict[str, np.ndarray]) -> dict[str, list[str]]:
+    """The optimize cells of every (f_pd, f_sd, f_ps, lambda_p, lambda_s) row, by column, from
+    one evaluation of both optima; raises at a row whose optimum cannot be evaluated."""
     o = optimizer.optima(*columns.values())
     _require_evaluable(columns, o.fault)
     primary = columns["lambda_p"] > 0.0
     no_coop = ~o.cooperate & o.feasible & o.no_coop_ok
     secondary = (columns["lambda_s"] > 0.0) & o.feasible
     modes = np.where(o.cooperate, "cooperate", np.where(no_coop, "no_cooperation", "infeasible"))
-    return [
-        [mode if keep else "" for mode, keep in zip(modes.tolist(), primary.tolist())],
-        _format(o.pu_p_q_star, primary & o.cooperate),
-        _format(np.ones_like(o.pu_p_q_star), primary & o.cooperate),
-        _format(np.where(o.cooperate, o.pu_d_p_star, o.no_coop_d_p),
-                primary & (o.cooperate | no_coop)),
-        _format(o.no_coop_d_p, o.no_coop_ok),
-        _format(o.su_p_q_star, secondary),
-        _format(o.su_d_s_star, secondary),
-        _format(o.p_q_lower, o.bounds_defined),
-        _format(o.p_q_upper, o.bounds_defined),
-        _format(o.threshold),
-    ]
+    return {
+        "pu_mode": [mode if keep else "" for mode, keep in zip(modes.tolist(), primary.tolist())],
+        "pu_p_q_star": _format(o.pu_p_q_star, primary & o.cooperate),
+        "pu_p_a_star": _format(np.ones_like(o.pu_p_q_star), primary & o.cooperate),
+        "pu_d_p_star": _format(np.where(o.cooperate, o.pu_d_p_star, o.no_coop_d_p),
+                               primary & (o.cooperate | no_coop)),
+        "no_coop_d_p": _format(o.no_coop_d_p, o.no_coop_ok),
+        "su_p_q_star": _format(o.su_p_q_star, secondary),
+        "su_d_s_star": _format(o.su_d_s_star, secondary),
+        "p_q_lower": _format(o.p_q_lower, o.bounds_defined),
+        "p_q_upper": _format(o.p_q_upper, o.bounds_defined),
+        "threshold_p_q": _format(o.threshold),
+    }
 
 
 def cmd_optimize(cfg: dict[str, str], out) -> int:
     channel = channel_from_config(cfg)
     if "variable" in cfg:
-        sweep = _sweep_from_config(cfg)
-        if sweep.variable not in ("lambda_p", "lambda_s"):
+        variable, values = _sweep_from_config(cfg)
+        if variable not in ("lambda_p", "lambda_s"):
             raise ConfigError("optimize sweeps support variable = lambda_p or lambda_s")
         f_pd_values = get_float_list(cfg, "f_pd_list", default=[channel.f_pd])
         base_point = point_from_config(cfg)
         for f_pd in f_pd_values:
             ChannelProfile(f_pd, channel.f_sd, channel.f_ps)  # raises on an invalid curve
-        values = sweep.values()
         columns = _optimize_rows(channel, base_point, len(f_pd_values) * values.size)
         columns["f_pd"] = np.repeat(np.array(f_pd_values, dtype=np.float64), values.size)
-        columns[sweep.variable] = np.tile(values, len(f_pd_values))
-        _write_table(out, OPTIMIZE_SWEEP_HEADER, zip(
-            *map(_format, columns.values()), *_optimize_columns(columns)
-        ))
+        columns[variable] = np.tile(values, len(f_pd_values))
+        _write_table(out, {**_cells(columns), **_optimize_columns(columns)})
         return 0
     point = point_from_config(cfg)
-    cells = _optimize_columns(_optimize_rows(channel, point, 1))
-    row = {key: column[0] for key, column in zip(OPTIMIZE_COLUMNS, cells)}
+    row = {key: cells[0] for key, cells in _optimize_columns(_optimize_rows(channel, point, 1)).items()}
     out.write("# primary delay minimization\n")
     for key, cell in row.items():
         if not key.startswith("su_"):
@@ -555,29 +527,43 @@ def cmd_oracle(cfg: dict[str, str], out) -> int:
         raise ConfigError("oracle requires a stable operating point")
     _require_evaluable(dict(zip(POINT_KEYS, values)), ~cf.evaluable)
     truncation = get_int(cfg, "truncation", 400)
-    tolerance = get_float(cfg, "oracle_tolerance", 1e-12)
-    n_p, n_sp, n_s, g00, p_empty = map(float, (cf.n_p, cf.n_sp, cf.n_s, cf.g00, cf.p_empty))
-
-    def rel_err(value: float, analytic: float) -> float:
-        return abs(value - analytic) / analytic if analytic > 0.0 else abs(value)
-
-    rows = []
-    # the relay pair has no joint-empty probability to compare
-    for pair, partner, g00_analytic in (("primary_secondary", n_s, g00), ("primary_relay", n_sp, None)):
-        spec = ChainSpec(channel, policy, point, pair=pair, truncation=truncation, tolerance=tolerance)
+    partners = {"primary_secondary": cf.n_s, "primary_relay": cf.n_sp}
+    sols = []
+    for pair in partners:
         try:
-            sol = solve_stationary(spec)
+            sols.append(solve_stationary(ChainSpec(channel, policy, point, pair=pair, truncation=truncation)))
         except RuntimeError as exc:
             raise ConfigError(f"oracle solve failed for {pair}: {exc}") from exc
-        p_qp_empty = float(sol.distribution[0, :].sum())
-        rows.append(
-            [pair, truncation, sol.iterations, sol.residual, sol.mass_at_boundary,
-             sol.mean_first, sol.mean_second, sol.p00, p_qp_empty,
-             n_p, partner, g00_analytic, p_empty,
-             rel_err(sol.mean_first, n_p), rel_err(sol.mean_second, partner),
-             None if g00_analytic is None else abs(sol.p00 - g00_analytic), abs(p_qp_empty - p_empty)],
-        )
-    _write_rows(out, ORACLE_HEADER, rows)
+
+    def solved(name: str) -> np.ndarray:
+        return np.array([getattr(sol, name) for sol in sols])
+
+    means = np.stack([solved("mean_first"), solved("mean_second")])
+    analytic = np.stack([np.full(2, cf.n_p), np.array(list(partners.values()))])
+    with np.errstate(all="ignore"):  # an analytic mean of 0 takes the absolute error
+        rel_errs = np.where(analytic > 0.0, abs(means - analytic) / analytic, abs(means))
+    p_qp_empty = np.array([sol.distribution[0, :].sum() for sol in sols])
+    # the relay pair has no joint-empty probability to compare
+    g00 = np.array([True, False])
+    _write_table(out, {
+        "pair": list(partners),
+        "truncation": [str(truncation)] * 2,
+        "iterations": _format(solved("iterations")),
+        "residual": _format(solved("residual")),
+        "mass_at_boundary": _format(solved("mass_at_boundary")),
+        "mean_qp": _format(means[0]),
+        "mean_partner": _format(means[1]),
+        "p00": _format(solved("p00")),
+        "p_qp_empty": _format(p_qp_empty),
+        "n_p_analytic": _format(analytic[0]),
+        "partner_analytic": _format(analytic[1]),
+        "g00_analytic": _format(np.full(2, cf.g00), g00),
+        "p_qp_empty_analytic": _format(np.full(2, cf.p_empty)),
+        "rel_err_n_p": _format(rel_errs[0]),
+        "rel_err_partner": _format(rel_errs[1]),
+        "abs_err_g00": _format(abs(solved("p00") - cf.g00), g00),
+        "abs_err_p_qp_empty": _format(abs(p_qp_empty - cf.p_empty)),
+    })
     return 0
 
 
@@ -589,15 +575,12 @@ def cmd_tradeoff(cfg: dict[str, str], out) -> int:
     columns = _sweep_columns({**TRADEOFF_GRID, **cfg, "variable": "p_a"})
     cf = _delay_forms(columns)
     stable = cf.stable
-    _write_table(out, TRADEOFF_HEADER, zip(
-        _format(columns["p_q"]),
-        _format(columns["p_a"]),
-        _format(columns["lambda_p"]),
-        _format(columns["lambda_s"]),
-        _flags(stable),
-        _format(cf.d_s, stable),
-        _format(cf.d_p, stable),
-    ))
+    _write_table(out, {
+        **{key: _format(columns[key]) for key in ("p_q", "p_a", "lambda_p", "lambda_s")},
+        "stable": _format(stable),
+        "d_s": _format(cf.d_s, stable),
+        "d_p": _format(cf.d_p, stable),
+    })
     return 0
 
 

@@ -34,8 +34,7 @@ __all__ = [
 KEYS = frozenset({
     "f_pd", "f_sd", "f_ps", "p_q", "p_a", "lambda_p", "lambda_s",
     "variable", "start", "stop", "steps", "p_q_list", "f_pd_list", "policies", "region_mode",
-    "policy_kind", "slots", "warmup", "replications", "seed", "tolerance",
-    "truncation", "oracle_tolerance",
+    "policy_kind", "slots", "warmup", "replications", "seed", "tolerance", "truncation",
 })
 
 

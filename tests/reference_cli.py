@@ -25,15 +25,6 @@ import reference_closed_forms as closed
 from reference_closed_forms import InstabilityError
 
 from cogrelay import cli
-from cogrelay.cli import (
-    DELAY_HEADER,
-    OPTIMIZE_COLUMNS,
-    OPTIMIZE_SWEEP_HEADER,
-    REGION_BOUNDARY_HEADER,
-    REGION_RATES_HEADER,
-    TRADEOFF_HEADER,
-    _sweep_from_config,
-)
 from cogrelay.config import (
     ConfigError,
     channel_from_config,
@@ -47,6 +38,34 @@ from cogrelay.config import (
 )
 from cogrelay.model import NO_COOPERATION, ChannelProfile, OperatingPoint, Policy
 from cogrelay.simulator import Scenario, replicate
+
+# The header of every CSV table the CLI writes, and the optimize columns
+# after the channel and the point, which the point report prints as keys.
+REGION_BOUNDARY_HEADER = "policy,p_q,p_a,lambda_p,max_lambda_s"
+REGION_RATES_HEADER = "p_q,p_a,max_lambda_p,max_lambda_s,lambda_p_ref"
+DELAY_HEADER = "f_pd,f_sd,f_ps,p_q,p_a,lambda_p,lambda_s,stable,d_p,d_s,n_p,n_sp,n_s,g00"
+SIMULATE_HEADER = (
+    "f_pd,f_sd,f_ps,p_q,p_a,lambda_p,lambda_s,policy_kind,slots,warmup,replications,seed,stable,"
+    "throughput_p,throughput_s,mean_delay_p,mean_delay_s,mean_len_p,mean_len_sp,mean_len_s,"
+    "frac_both_empty,frac_primary_empty,delivered_p,delivered_s,relayed_count,"
+    "ci_halfwidth_delay_p,ci_halfwidth_delay_s,arrivals_p,arrivals_s,wasted_slots,backlog_p,backlog_s,"
+    "final_len_p,final_len_sp,final_len_s,observed_slots"
+)
+VALIDATE_HEADER = (
+    "f_pd,f_sd,f_ps,p_q,p_a,lambda_p,lambda_s,rel_margin_p,rel_margin_s,"
+    "analytic_d_p,sim_d_p,rel_err_d_p,analytic_d_s,sim_d_s,rel_err_d_s,status"
+)
+OPTIMIZE_COLUMNS = (
+    "pu_mode", "pu_p_q_star", "pu_p_a_star", "pu_d_p_star", "no_coop_d_p",
+    "su_p_q_star", "su_d_s_star", "p_q_lower", "p_q_upper", "threshold_p_q",
+)
+OPTIMIZE_SWEEP_HEADER = "f_pd,f_sd,f_ps,lambda_p,lambda_s," + ",".join(OPTIMIZE_COLUMNS)
+ORACLE_HEADER = (
+    "pair,truncation,iterations,residual,mass_at_boundary,mean_qp,mean_partner,p00,p_qp_empty,"
+    "n_p_analytic,partner_analytic,g00_analytic,p_qp_empty_analytic,"
+    "rel_err_n_p,rel_err_partner,abs_err_g00,abs_err_p_qp_empty"
+)
+TRADEOFF_HEADER = "p_q,p_a,lambda_p,lambda_s,stable,d_s,d_p"
 
 
 def _fmt(value) -> str:
@@ -65,27 +84,29 @@ def _write_row(out, cells) -> None:
     out.write(",".join(_fmt(cell) for cell in cells) + "\n")
 
 
-def _sweep_values(sweep) -> list[float]:
-    return [float(v) for v in np.linspace(sweep.start, sweep.stop, sweep.steps)]
+def _sweep(cfg) -> tuple[str, list[float]]:
+    variable = get_str(cfg, "variable")
+    grid = cli._grid(variable, get_float(cfg, "start"), get_float(cfg, "stop"), get_int(cfg, "steps"))
+    return variable, [float(v) for v in grid]
 
 
 def _sweep_points(cfg):
-    sweep = _sweep_from_config(cfg)
-    keys = ("lambda_p", "lambda_s") if sweep.variable == "lambda" else (sweep.variable,)
+    variable, values = _sweep(cfg)
+    keys = ("lambda_p", "lambda_s") if variable == "lambda" else (variable,)
     curves = [{}]
     if "p_q_list" in cfg:
-        if sweep.variable == "p_q":
+        if variable == "p_q":
             raise ConfigError("p_q_list cannot be combined with a p_q sweep")
         curves = [{"p_q": repr(p_q)} for p_q in get_float_list(cfg, "p_q_list")]
     for curve in curves:
-        for value in _sweep_values(sweep):
+        for value in values:
             step = {**cfg, **curve, **dict.fromkeys(keys, repr(value))}
             try:
                 channel = channel_from_config(step)
                 policy = policy_from_config(step)
                 point = point_from_config(step)
             except ConfigError as exc:
-                raise ConfigError(f"invalid sweep point ({sweep.variable}={value!r}): {exc}") from exc
+                raise ConfigError(f"invalid sweep point ({variable}={value!r}): {exc}") from exc
             yield channel, policy, point
 
 
@@ -175,8 +196,8 @@ def _optimize_row(ch, pt):
 def cmd_optimize(cfg, out) -> int:
     channel = channel_from_config(cfg)
     if "variable" in cfg:
-        sweep = _sweep_from_config(cfg)
-        if sweep.variable not in ("lambda_p", "lambda_s"):
+        variable, values = _sweep(cfg)
+        if variable not in ("lambda_p", "lambda_s"):
             raise ConfigError("optimize sweeps support variable = lambda_p or lambda_s")
         f_pd_values = get_float_list(cfg, "f_pd_list", default=[channel.f_pd])
         base_point = point_from_config(cfg)
@@ -186,8 +207,8 @@ def cmd_optimize(cfg, out) -> int:
                 ch = ChannelProfile(f_pd, channel.f_sd, channel.f_ps)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-            for value in _sweep_values(sweep):
-                if sweep.variable == "lambda_p":
+            for value in values:
+                if variable == "lambda_p":
                     pt = OperatingPoint(value, base_point.lambda_s)
                 else:
                     pt = OperatingPoint(base_point.lambda_p, value)
@@ -270,7 +291,7 @@ def cmd_validate(cfg, out) -> int:
         else:
             status = "marginal"
         rows.append(identity + [*margins] + cells + [status])
-    out.write(cli.VALIDATE_HEADER + "\n")
+    out.write(VALIDATE_HEADER + "\n")
     for row in rows:
         _write_row(out, row)
     return 1 if failed else 0

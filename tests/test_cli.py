@@ -7,23 +7,21 @@ from pathlib import Path
 
 import pytest
 
-from cogrelay.cli import (
+from reference_cli import (
     DELAY_HEADER,
-    ENV_SEED,
-    EXIT_BROKEN_PIPE,
     OPTIMIZE_SWEEP_HEADER,
     ORACLE_HEADER,
-    PRESETS,
     REGION_BOUNDARY_HEADER,
     REGION_RATES_HEADER,
     SIMULATE_HEADER,
     TRADEOFF_HEADER,
     VALIDATE_HEADER,
-    main,
 )
-from cogrelay import cli, simulator
-from cogrelay.config import KEYS
 from test_analytics import ILL_CONDITIONED_POINTS
+
+from cogrelay import cli, simulator
+from cogrelay.cli import ENV_SEED, EXIT_BROKEN_PIPE, PRESETS, main
+from cogrelay.config import KEYS
 
 PRESET_COMMANDS = {
     "fig2": "region",
@@ -209,6 +207,38 @@ def test_simulate_no_cooperation_judges_stability_at_its_policy(tmp_path):
     assert [r[7] for r in body] == ["no_cooperation"] * 2
     assert body[0][12] == "1" and body[0][13] != ""
     assert body[1][12] == "0" and body[1][13:] == [""] * (len(body[1]) - 13)
+
+
+#: strict priority's own verdict: stable at the first three loads, not at 0.3
+STRICT_SWEEP = (
+    "variable = lambda\nstart = 0.05\nstop = 0.3\nsteps = 4\nslots = 20000\nwarmup = 1000\nseed = 5\n"
+    "policy_kind = strict_priority_relay\n"
+)
+
+
+def test_simulate_strict_priority_is_stable_whatever_its_policy_columns(tmp_path):
+    # at (p_q, p_a) = (1, 1) the randomized closed forms never serve the relay
+    # queue, but strict priority serves it first and ignores both
+    code, text = run(
+        tmp_path,
+        "simulate",
+        "variable = lambda\nstart = 0.05\nstop = 0.1\nsteps = 2\nslots = 20000\nwarmup = 1000\n"
+        "p_q = 1\np_a = 1\npolicy_kind = strict_priority_relay\n",
+    )
+    assert code == 0
+    _, body = rows(text)
+    assert [r[3:5] for r in body] == [["1", "1"], ["1", "1"]]
+    assert body[0][5] == "0.05" and body[0][12] == "1"
+    assert float(body[0][13]) == pytest.approx(0.05, abs=0.02)
+
+
+def test_simulate_strict_priority_stats_do_not_depend_on_policy_columns(tmp_path):
+    _, first = run(tmp_path, "simulate", STRICT_SWEEP + "p_q = 0.5\np_a = 1\n", name="a.csv")
+    _, second = run(tmp_path, "simulate", STRICT_SWEEP + "p_q = 1\np_a = 0.3\n", name="b.csv")
+    first, second = rows(first)[1], rows(second)[1]
+    assert [r[12] for r in first] == ["1", "1", "1", "0"]
+    assert [r[3:5] for r in second] == [["1", "0.3"]] * 4
+    assert [r[:3] + r[5:] for r in first] == [r[:3] + r[5:] for r in second]
 
 
 def test_validate_pass_and_fail_exit_codes(tmp_path):
@@ -495,6 +525,13 @@ def test_unknown_key_exits_2_with_line(tmp_path, capsys):
     assert text == ""
     err = capsys.readouterr().err
     assert f"{tmp_path / 'run.cfg'}:2: unknown key 'lamda_p'" in err
+
+
+def test_oracle_tolerance_is_an_unknown_key(tmp_path, capsys):
+    # the oracle's residual check takes the solver's own tolerance
+    code, text = run(tmp_path, "oracle", "truncation = 30\noracle_tolerance = 1e-9\n")
+    assert code == 2 and text == ""
+    assert f"{tmp_path / 'run.cfg'}:2: unknown key 'oracle_tolerance'" in capsys.readouterr().err
 
 
 def test_presets_use_only_config_keys():
