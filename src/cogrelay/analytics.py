@@ -8,38 +8,30 @@ core takes broadcastable numpy arrays and uses only elementwise ``+ - * /``
 and comparisons, which round exactly as Python floats do: a whole sweep
 evaluated in one call holds the same bits as the same points evaluated one
 at a time. It never raises; instead it reports masks (stability, and where a
-denominator vanishes or a report leaves its bounds).
+denominator vanishes or a queue metric leaves its bounds). A caller that
+refuses a stable point the masks cannot evaluate raises
+:class:`UnevaluableError`, as the CLI does.
 
 No cooperation is the policy (p_q, p_a) = (1, 0). Without relay inflow
 (p_a = 0 or f_ps = 0) the primary bound is mu and the relay queue stays empty.
 
-:func:`is_stable` and :func:`delay_report` read the core at one point: the
-verdict with its margins, and every queue metric of a stable point, which
-raises where the masks say the point is unstable or cannot be evaluated.
-Stability predicates use strict inequalities with zero tolerance; callers
-wanting a safety band apply it to the reported margins.
+The core is the library's surface: a point is the same call on floats, whose
+fields are numpy scalars. Stability uses strict inequalities with zero
+tolerance; callers wanting a safety band apply it to the reported margins.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import ChannelProfile, OperatingPoint, Policy, StabilityVerdict
-
 __all__ = [
-    "AnalyticsError",
-    "InstabilityError",
     "UnevaluableError",
     "ClosedForms",
     "closed_forms",
     "union_region",
-    "DelayReport",
-    "is_stable",
-    "delay_report",
     "MOST_NEGATIVE_MARGIN",
 ]
 
@@ -47,19 +39,11 @@ __all__ = [
 #: drained (lambda_p at or above its service rate).
 MOST_NEGATIVE_MARGIN = -sys.float_info.max
 
-#: Slack of the delay report's bounds, absorbing rounding at extreme channels.
+#: Slack of the queue metrics' bounds, absorbing rounding at extreme channels.
 REPORT_SLACK = 1e-9
 
 
-class AnalyticsError(ValueError):
-    """Base class for closed-form evaluation errors."""
-
-
-class InstabilityError(AnalyticsError):
-    """The operating point violates a stability precondition."""
-
-
-class UnevaluableError(AnalyticsError):
+class UnevaluableError(ValueError):
     """The closed forms cancel or underflow at a stable point, so they cannot be evaluated there."""
 
 
@@ -101,26 +85,15 @@ class ClosedForms(NamedTuple):
     g00_den: np.ndarray
     relay_ok: np.ndarray  # relay_den > 0, or no relay inflow
     secondary_ok: np.ndarray  # not B <= 0, and C != 0
-    in_bounds: np.ndarray  # the delay report meets its bounds
+    in_bounds: np.ndarray  # the queue metrics meet their bounds (lengths, delays, probabilities)
 
     @property
     def evaluable(self) -> np.ndarray:
-        """Where :func:`delay_report` returns, given that the point is stable."""
+        """Where every queue metric of a stable point is defined and within its report bounds."""
         return (
             self.relay_ok & self.secondary_ok & (self.n_s_den != 0.0) & (self.g00_den != 0.0)
             & self.in_bounds
         )
-
-
-def _report_in_bounds(n_p, n_sp, n_s, d_p, d_s, g00, epsilon):
-    # lengths nonnegative, delays at least one slot, probabilities in [0, 1];
-    # an absent delay is passed as 1.0
-    lo, hi = -REPORT_SLACK, 1.0 + REPORT_SLACK
-    return (
-        (n_p >= lo) & (n_sp >= lo) & (n_s >= lo)
-        & (d_p >= 1.0 - REPORT_SLACK) & (d_s >= 1.0 - REPORT_SLACK)
-        & (lo <= g00) & (g00 <= hi) & (lo <= epsilon) & (epsilon <= hi)
-    )
 
 
 def _operands(*values):
@@ -183,8 +156,14 @@ def closed_forms(f_pd, f_sd, f_ps, p_q=0.0, p_a=1.0, lambda_p=0.0, lambda_s=0.0)
     d_s = n_s / ls
     g00_den = serve_own * mu
     g00 = (serve_own * (mu - lp) - ls * mu) / g00_den
-    in_bounds = _report_in_bounds(
-        n_p, n_sp, n_s, _select(lp > 0.0, d_p, 1.0), _select(ls > 0.0, d_s, 1.0), g00, epsilon
+    # lengths nonnegative, delays at least one slot (an absent delay counts
+    # as 1.0), probabilities in [0, 1]
+    lo, hi = -REPORT_SLACK, 1.0 + REPORT_SLACK
+    in_bounds = (
+        (n_p >= lo) & (n_sp >= lo) & (n_s >= lo)
+        & (_select(lp > 0.0, d_p, 1.0) >= 1.0 - REPORT_SLACK)
+        & (_select(ls > 0.0, d_s, 1.0) >= 1.0 - REPORT_SLACK)
+        & (lo <= g00) & (g00 <= hi) & (lo <= epsilon) & (epsilon <= hi)
     )
     return ClosedForms(
         relay, mu, epsilon, threshold, bound_p, p_empty, bound_s,
@@ -208,71 +187,3 @@ def union_region(f_pd, f_sd, f_ps, lambda_p=0.0):
     value = f_sd - (f_sd + cf.relay) / cf.mu * lambda_p
     # max(value, 0.0) keeps value unless 0.0 is larger, so -0.0 and nan stay
     return _select(0.0 > value, 0.0, value), f_sd * cf.mu / (f_sd + cf.relay), cf.mu
-
-
-def _at(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> ClosedForms:
-    return closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s)
-
-
-def is_stable(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> StabilityVerdict:
-    """Stability verdict with per-queue margins (strict inequalities, no tolerance).
-
-    Where lambda_p reaches the primary service rate the secondary margin is
-    the MOST_NEGATIVE_MARGIN sentinel rather than an error.
-    """
-    cf = _at(ch, pol, pt)
-    return StabilityVerdict(bool(cf.stable), float(cf.margin_p), float(cf.margin_s))
-
-
-@dataclass(frozen=True)
-class DelayReport:
-    """Bundle of all closed-form queue metrics at one stable operating point.
-
-    A delay is ``None`` where its arrival rate is zero. Validated with a
-    REPORT_SLACK of 1e-9 against the mathematical bounds (lengths
-    nonnegative, delays at least one slot, probabilities in [0, 1]) to
-    absorb floating-point rounding at extreme channels.
-    """
-
-    n_p: float
-    n_sp: float
-    n_s: float
-    d_p: float | None
-    d_s: float | None
-    g00: float
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not _report_in_bounds(
-            self.n_p, self.n_sp, self.n_s,
-            1.0 if self.d_p is None else self.d_p,
-            1.0 if self.d_s is None else self.d_s,
-            self.g00, self.epsilon,
-        ):
-            raise ValueError(f"delay report violates its bounds: {self!r}")
-
-
-def delay_report(ch: ChannelProfile, pol: Policy, pt: OperatingPoint) -> DelayReport:
-    """Every closed form at one stable point, read from :func:`closed_forms`.
-
-    A delay is ``None`` where its arrival rate is zero. Raises
-    InstabilityError at an unstable point, and UnevaluableError at a stable
-    point the closed forms cannot evaluate.
-    """
-    cf = _at(ch, pol, pt)
-    if not cf.stable:
-        raise InstabilityError(
-            f"operating point {pt} is not stable under {pol}: "
-            f"margin_p={float(cf.margin_p)!r}, margin_s={float(cf.margin_s)!r}"
-        )
-    if not cf.evaluable:
-        raise UnevaluableError(f"the closed forms cannot be evaluated at {ch}, {pol}, {pt}")
-    return DelayReport(
-        n_p=float(cf.n_p),
-        n_sp=float(cf.n_sp),
-        n_s=float(cf.n_s),
-        d_p=float(cf.d_p) if pt.lambda_p > 0.0 else None,
-        d_s=float(cf.d_s) if pt.lambda_s > 0.0 else None,
-        g00=float(cf.g00),
-        epsilon=float(cf.epsilon),
-    )

@@ -661,7 +661,7 @@ def main(argv: list[str] | None = None) -> int:
         with _open_out(args.out) as out:
             return _COMMANDS[args.command](cfg, out)
     except ValueError as exc:
-        # ConfigError and the analytics errors are ValueErrors: anything a
+        # ConfigError and UnevaluableError are ValueErrors: anything a
         # well-formed request cannot trigger is a configuration problem
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Flat key=value configuration format shared by the CLI and the domain types.
+"""Flat key=value configuration format, read by the CLI into the domain types.
 
 One ``key = value`` pair per line, ``#`` starts a comment (full line or
 trailing), blank lines ignored. Values are plain text; list-valued keys use
@@ -26,7 +26,6 @@ __all__ = [
     "channel_from_config",
     "policy_from_config",
     "point_from_config",
-    "to_config_text",
 ]
 
 
@@ -160,22 +159,3 @@ def point_from_config(cfg: dict[str, str]) -> OperatingPoint:
         lambda_p=get_float(cfg, "lambda_p", 0.1),
         lambda_s=get_float(cfg, "lambda_s", 0.1),
     )
-
-
-def to_config_text(*objects: ChannelProfile | Policy | OperatingPoint) -> str:
-    """Serialize domain objects to config lines that parse back equal.
-
-    Floats are written with repr, the shortest round-tripping form.
-    """
-    lines = []
-    for obj in objects:
-        if isinstance(obj, ChannelProfile):
-            fields = (("f_pd", obj.f_pd), ("f_sd", obj.f_sd), ("f_ps", obj.f_ps))
-        elif isinstance(obj, Policy):
-            fields = (("p_q", obj.p_q), ("p_a", obj.p_a))
-        elif isinstance(obj, OperatingPoint):
-            fields = (("lambda_p", obj.lambda_p), ("lambda_s", obj.lambda_s))
-        else:
-            raise TypeError(f"cannot serialize {type(obj).__name__}")
-        lines.extend(f"{name} = {value!r}" for name, value in fields)
-    return "\n".join(lines) + "\n"

@@ -7,7 +7,9 @@ its own queue in a PU-idle slot, and the probability of admitting an overheard
 PU packet into the relay queue.
 
 All types validate at construction and are immutable afterwards, so instances
-can be shared freely across threads.
+can be shared freely across threads. A point's stability verdict and queue
+metrics are not types of their own: they are the fields and masks of
+:class:`cogrelay.analytics.ClosedForms`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ __all__ = [
     "ChannelProfile",
     "Policy",
     "OperatingPoint",
-    "StabilityVerdict",
     "NO_COOPERATION",
 ]
 
@@ -84,26 +85,3 @@ class OperatingPoint:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lambda_p", _unit_interval("lambda_p", self.lambda_p))
         object.__setattr__(self, "lambda_s", _unit_interval("lambda_s", self.lambda_s))
-
-
-@dataclass(frozen=True)
-class StabilityVerdict:
-    """Stability decision plus per-queue margins to the boundary.
-
-    margin_p is the maximum sustainable lambda_p minus the operating lambda_p;
-    margin_s likewise for lambda_s. Stability is the conjunction of strictly
-    positive margins. When the primary queue itself cannot be drained the
-    secondary margin is meaningless and carries the most negative finite float
-    as a sentinel.
-    """
-
-    stable: bool
-    margin_p: float
-    margin_s: float
-
-    def __post_init__(self) -> None:
-        if self.stable != (self.margin_p > 0.0 and self.margin_s > 0.0):
-            raise ValueError(
-                "stable flag must equal (margin_p > 0 and margin_s > 0), got "
-                f"stable={self.stable!r}, margin_p={self.margin_p!r}, margin_s={self.margin_s!r}"
-            )

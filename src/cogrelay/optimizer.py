@@ -29,13 +29,10 @@ import numpy as np
 
 from .analytics import closed_forms
 
-__all__ = ["INTERIOR_OFFSET", "NEAR_BOUNDARY_MARGIN", "Optima", "optima"]
+__all__ = ["INTERIOR_OFFSET", "Optima", "optima"]
 
 #: Offset from the feasible interval's endpoints at which optima are reported.
 INTERIOR_OFFSET = 1e-6
-
-#: Stability margin below which a reported optimum is flagged near-boundary.
-NEAR_BOUNDARY_MARGIN = 1e-3
 
 
 @np.errstate(all="ignore")
@@ -61,7 +58,6 @@ class Optima(NamedTuple):
     cooperate: np.ndarray  # the primary optimum relays (p_a = 1 at pu_p_q_star)
     pu_p_q_star: np.ndarray
     pu_d_p_star: np.ndarray  # primary delay at the cooperating optimum
-    pu_near_boundary: np.ndarray
     no_coop_ok: np.ndarray  # the primary queue alone is stable without relaying
     no_coop_d_p: np.ndarray  # primary delay of a single Geo/Geo/1 queue served at f_pd
     su_p_q_star: np.ndarray  # secondary optimum, where feasible
@@ -99,8 +95,6 @@ def optima(f_pd, f_sd, f_ps, lambda_p, lambda_s) -> Optima:
         | ((lambda_s > 0.0) & feasible & ~(su.stable & su.evaluable))
     )
     return Optima(
-        lower, upper, defined, cf.threshold, feasible, cooperate,
-        pu_star, pu.d_p, np.where(pu.margin_s < pu.margin_p, pu.margin_s, pu.margin_p)
-        < NEAR_BOUNDARY_MARGIN,
+        lower, upper, defined, cf.threshold, feasible, cooperate, pu_star, pu.d_p,
         ~(lambda_p >= f_pd), (1.0 - lambda_p) / (f_pd - lambda_p), su_star, su.d_s, fault,
     )

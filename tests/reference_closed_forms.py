@@ -8,7 +8,10 @@ float division raises, which the core's masks must match. Two rules have
 changed since, in both places: without relay inflow the primary bound is
 the primary service rate and the relay queue's mean length is 0, so no
 cooperation, Policy(1, 0), is an ordinary stable policy; and the secondary
-optimum must have a delay report, as ``delay`` requires of it.
+optimum must have a delay report, as ``delay`` requires of it. The verdict
+and the delay report are types of this module alone: :func:`is_stable` must
+give the core's (stable, margin_p, margin_s), and :func:`delay_report` must
+return exactly where the core's point is stable and evaluable.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from cogrelay.model import ChannelProfile, OperatingPoint, Policy, StabilityVerdict
+from cogrelay.model import ChannelProfile, OperatingPoint, Policy
 
 
 #: Sentinel for the secondary margin where the primary queue itself cannot be
@@ -34,6 +37,20 @@ class InstabilityError(AnalyticsError):
 
 class UndefinedRateError(AnalyticsError):
     """A rate in a denominator is zero, so the requested quantity is undefined."""
+
+
+@dataclass(frozen=True)
+class StabilityVerdict:
+    """Stability decision plus per-queue margins to the boundary.
+
+    Stability is the conjunction of strictly positive margins. When the
+    primary queue itself cannot be drained the secondary margin carries the
+    MOST_NEGATIVE_MARGIN sentinel.
+    """
+
+    stable: bool
+    margin_p: float
+    margin_s: float
 
 
 def _relay_rate(ch: ChannelProfile, p_a: float) -> float:

@@ -10,7 +10,7 @@ import pytest
 from gridsearch import primary_delay_grid, secondary_delay_grid
 from points import at, optimum, primary_decision
 
-from cogrelay.analytics import closed_forms, delay_report, is_stable, union_region
+from cogrelay.analytics import closed_forms, union_region
 from cogrelay.cli import main
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
 from cogrelay.oracle import ChainSpec, solve_stationary
@@ -35,7 +35,7 @@ def margin_limited_lambda(ch, pol, margin=0.10):
     lo, hi = 0.0, bound_p
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        verdict = is_stable(ch, pol, OperatingPoint(mid, mid))
+        verdict = at(ch, pol, OperatingPoint(mid, mid))
         if not verdict.stable:
             hi = mid
             continue
@@ -57,11 +57,12 @@ def test_criterion_1_closed_form_vs_simulation():
         for frac in np.linspace(0.1, 0.8, 8):
             lam = float(lam_limit * frac)
             pt = OperatingPoint(lam, lam)
-            verdict = is_stable(ch, pol, pt)
+            rep = at(ch, pol, pt)
             bound_p = at(ch, pol).bound_p
             bound_s = at(ch, pol, OperatingPoint(lam, 0.0)).bound_s
-            assert min(verdict.margin_p / bound_p, verdict.margin_s / bound_s) >= 0.10
-            cases.append((pol, pt, delay_report(ch, pol, pt)))
+            assert min(rep.margin_p / bound_p, rep.margin_s / bound_s) >= 0.10
+            assert rep.stable and rep.evaluable
+            cases.append((pol, pt, rep))
     runs = replicate_many(
         [Scenario(ch, pt, pol, slots=SLOTS, warmup_slots=WARMUP, seed=ACCEPTANCE_SEED)
          for pol, pt, _ in cases],
@@ -158,7 +159,7 @@ def test_criterion_4_monotonicity_suites():
         # delays vs p_q at a fixed stable point
         lo = max(0.05, 0.3 * ch.f_pd)
         pt = OperatingPoint(lo, 0.1 * ch.f_sd)
-        q_grid = [q for q in np.linspace(0.05, 0.95, 21) if is_stable(ch, Policy(q, 1.0), pt).stable]
+        q_grid = [q for q in np.linspace(0.05, 0.95, 21) if at(ch, Policy(q, 1.0), pt).stable]
         assert len(q_grid) >= 10
         d_p = [at(ch, Policy(q, 1.0), pt).d_p for q in q_grid]
         d_s = [at(ch, Policy(q, 1.0), pt).d_s for q in q_grid]
@@ -169,7 +170,7 @@ def test_criterion_4_monotonicity_suites():
         pt_a = OperatingPoint(0.3 * ch.f_pd, 0.05 * ch.f_sd)
         for p_q, p_sign in ((below, -1), (above, +1)):
             pol_grid = [Policy(p_q, a) for a in grid]
-            assert all(is_stable(ch, pol, pt_a).stable for pol in pol_grid)
+            assert all(at(ch, pol, pt_a).stable for pol in pol_grid)
             dp_diffs = np.diff([at(ch, pol, pt_a).d_p for pol in pol_grid])
             ds_diffs = np.diff([at(ch, pol, pt_a).d_s for pol in pol_grid])
             assert all(d <= 1e-12 for d in ds_diffs)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 import reference_closed_forms as closed
 from hypothesis import example, given, reject, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from points import at
 
 from cogrelay import analytics
-from cogrelay.analytics import InstabilityError, delay_report, is_stable, union_region
+from cogrelay.analytics import union_region
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
 
 CH = ChannelProfile(0.3, 0.8, 0.4)
@@ -58,9 +60,9 @@ def test_max_arrival_secondary_values():
 
 
 def test_is_stable_verdicts():
-    assert is_stable(CH, POL, OperatingPoint(0.0, 0.0)).stable
-    assert not is_stable(CH, POL, OperatingPoint(0.9, 0.9)).stable
-    verdict = is_stable(CH, POL, PT)
+    assert at(CH, POL, OperatingPoint(0.0, 0.0)).stable
+    assert not at(CH, POL, OperatingPoint(0.9, 0.9)).stable
+    verdict = at(CH, POL, PT)
     assert verdict.stable
     assert verdict.margin_p == pytest.approx(0.34117647058823536 - 0.1, rel=1e-12)
     assert verdict.margin_s == pytest.approx(0.3310344827586207 - 0.1, rel=1e-12)
@@ -68,16 +70,16 @@ def test_is_stable_verdicts():
 
 def test_is_stable_sentinels():
     # primary queue overloaded: secondary margin is a sentinel
-    verdict = is_stable(CH, POL, OperatingPoint(0.9, 0.0))
+    verdict = at(CH, POL, OperatingPoint(0.9, 0.0))
     assert not verdict.stable
     assert verdict.margin_s == analytics.MOST_NEGATIVE_MARGIN
     # no cooperation, Policy(1, 0): the primary bound is mu = f_pd, no sentinel
-    verdict = is_stable(CH, Policy(1.0, 0.0), OperatingPoint(0.1, 0.1))
+    verdict = at(CH, Policy(1.0, 0.0), OperatingPoint(0.1, 0.1))
     assert verdict.stable
     assert verdict.margin_p == 0.3 - 0.1
     assert verdict.margin_s == 0.8 * (1.0 - 0.1 / 0.3) - 0.1
     # beyond mu the secondary margin is still the sentinel
-    verdict = is_stable(CH, Policy(1.0, 0.0), OperatingPoint(0.3, 0.0))
+    verdict = at(CH, Policy(1.0, 0.0), OperatingPoint(0.3, 0.0))
     assert not verdict.stable and verdict.margin_p == 0.0
     assert verdict.margin_s == analytics.MOST_NEGATIVE_MARGIN
 
@@ -144,7 +146,7 @@ def test_mean_queue_secondary():
 def test_secondary_reduces_to_single_queue_without_primary_traffic(p_q, lambda_s):
     pol = Policy(p_q, 1.0)
     pt = OperatingPoint(0.0, lambda_s)
-    if not is_stable(CH, pol, pt).stable:
+    if not at(CH, pol, pt).stable:
         pytest.skip("outside the stable region")
     expected = (lambda_s - lambda_s**2) / (p_q * CH.f_sd - lambda_s)
     assert at(CH, pol, pt).n_s == pytest.approx(expected, rel=1e-12)
@@ -169,13 +171,14 @@ def test_delay_monotone_in_pq_example():
 
 
 def test_delay_errors():
-    # a delay is undefined at a zero arrival rate
-    assert delay_report(CH, POL, OperatingPoint(0.0, 0.1)).d_p is None
-    assert delay_report(CH, POL, OperatingPoint(0.1, 0.0)).d_s is None
-    with pytest.raises(InstabilityError):
-        delay_report(CH, POL, OperatingPoint(0.4, 0.1))
-    with pytest.raises(InstabilityError):
-        delay_report(CH, POL, OperatingPoint(0.1, 0.4))
+    # a point with a zero arrival rate is reported, but the delay of that
+    # queue is undefined (0 / 0)
+    no_p, no_s = at(CH, POL, OperatingPoint(0.0, 0.1)), at(CH, POL, OperatingPoint(0.1, 0.0))
+    assert no_p.stable and no_p.evaluable and math.isnan(no_p.d_p)
+    assert no_s.stable and no_s.evaluable and math.isnan(no_s.d_s)
+    # an overloaded queue makes the point unstable
+    assert not at(CH, POL, OperatingPoint(0.4, 0.1)).stable
+    assert not at(CH, POL, OperatingPoint(0.1, 0.4)).stable
 
 
 def test_empty_joint_probability():
@@ -196,9 +199,10 @@ def test_delay_report_bounds_on_stable_grid():
         for lam in (0.02, 0.08, 0.15):
             pol = Policy(p_q, 1.0)
             pt = OperatingPoint(lam, lam)
-            if not is_stable(CH, pol, pt).stable:
+            rep = at(CH, pol, pt)
+            if not rep.stable:
                 continue
-            rep = delay_report(CH, pol, pt)
+            assert rep.evaluable
             assert rep.n_p >= 0.0 and rep.n_sp >= 0.0 and rep.n_s >= 0.0
             assert rep.d_p >= 1.0 and rep.d_s >= 1.0
             assert 0.0 <= rep.g00 <= 1.0
@@ -221,7 +225,7 @@ def stable_points(draw):
     except closed.InstabilityError:
         reject()
     pt = OperatingPoint(lambda_p, lambda_s)
-    if not is_stable(ch, pol, pt).stable:
+    if not at(ch, pol, pt).stable:
         reject()
     return ch, pol, pt
 
@@ -233,26 +237,26 @@ def stable_points(draw):
 @example((CH, POL, OperatingPoint(0.0, 0.1)))
 @example((CH, Policy(1.0, 0.0), OperatingPoint(0.1, 0.1)))  # no cooperation
 def test_delay_report_equals_single_functions(case):
-    # each field of the report read from the core equals the term-by-term
-    # single function of the reference at a stable point
+    # at a stable point the core is evaluable, and each of its queue metrics
+    # equals the term-by-term single function of the reference
     ch, pol, pt = case
-    rep = delay_report(ch, pol, pt)
+    rep = at(ch, pol, pt)
+    assert rep.stable and rep.evaluable
     assert rep.n_p == closed.mean_queue_primary(ch, pol, pt)
     assert rep.n_sp == closed.mean_queue_relay(ch, pol, pt)
     assert rep.n_s == closed.mean_queue_secondary(ch, pol, pt)
     assert rep.g00 == closed.empty_joint_probability(ch, pol, pt)
     assert rep.epsilon == closed.relay_fraction_epsilon(ch, pol.p_a)
-    assert (rep.d_p is None) == (pt.lambda_p == 0.0)
-    assert (rep.d_s is None) == (pt.lambda_s == 0.0)
-    if rep.d_p is not None:
+    # a delay is defined where its arrival rate is positive
+    if pt.lambda_p > 0.0:
         assert rep.d_p == closed.delay_primary(ch, pol, pt)
-    if rep.d_s is not None:
+    if pt.lambda_s > 0.0:
         assert rep.d_s == closed.delay_secondary(ch, pol, pt)
 
 
-# Points that is_stable admits but where the closed forms lose every digit:
+# Points the core marks stable but where the closed forms lose every digit:
 # products underflow near zero, or an expression cancels within rounding of
-# the stability bound. The evaluation raises instead of returning a report.
+# the stability bound. The core marks them not evaluable.
 ILL_CONDITIONED_POINTS = [
     (ChannelProfile(4.5508387226147335e-294, 1.0, 0.0), Policy(0.5, 0.0), OperatingPoint(0.0, 0.0)),
     (ChannelProfile(0.5, 1.0, 0.0), Policy(5e-324, 0.0), OperatingPoint(0.0, 0.0)),
@@ -278,9 +282,10 @@ ILL_CONDITIONED_POINTS = [
     reason="closed forms break down within rounding of zero or of the stability bound",
 )
 def test_closed_forms_fail_within_rounding_of_zero_or_bound(ch, pol, pt):
-    if not is_stable(ch, pol, pt).stable:
+    cf = at(ch, pol, pt)
+    if not cf.stable:
         pytest.fail("the point must be stable")
-    delay_report(ch, pol, pt)
+    assert cf.evaluable
 
 
 def _decade_points(limit, decades=(1e-1, 1e-2, 1e-3)):

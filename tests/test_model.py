@@ -1,16 +1,12 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from cogrelay.config import (
-    channel_from_config,
-    parse_config_text,
-    point_from_config,
-    policy_from_config,
-    to_config_text,
-)
-from cogrelay.model import ChannelProfile, OperatingPoint, Policy, StabilityVerdict
+from cogrelay.analytics import MOST_NEGATIVE_MARGIN, closed_forms
+from cogrelay.config import channel_from_config, parse_config_text, point_from_config, policy_from_config
+from cogrelay.model import ChannelProfile, OperatingPoint, Policy
 
 
 def test_valid_channel_profiles():
@@ -62,14 +58,14 @@ def test_types_are_immutable():
 
 
 def test_verdict_flag_must_match_margins():
-    StabilityVerdict(True, 0.1, 0.2)
-    StabilityVerdict(False, -0.1, 0.2)
-    with pytest.raises(ValueError):
-        StabilityVerdict(True, -0.1, 0.2)
-    with pytest.raises(ValueError):
-        StabilityVerdict(False, 0.1, 0.2)
-    with pytest.raises(ValueError):
-        StabilityVerdict(True, 0.0, 0.1)
+    # a stable point; no cooperation at lambda_p = mu, whose primary margin is
+    # exactly 0; and lambda_p above mu, whose secondary margin is the sentinel
+    p_q, p_a, lambda_p, lambda_s = np.array([[0.5, 1.0, 0.5], [1.0, 0.0, 1.0], [0.1, 0.3, 0.6], [0.1, 0.0, 0.0]])
+    cf = closed_forms(0.3, 0.8, 0.4, p_q, p_a, lambda_p, lambda_s)
+    assert cf.margin_p[1] == 0.0
+    assert cf.margin_s[1] == cf.margin_s[2] == MOST_NEGATIVE_MARGIN
+    assert cf.stable.tolist() == [True, False, False]
+    np.testing.assert_array_equal(cf.stable, (cf.margin_p > 0.0) & (cf.margin_s > 0.0))
 
 
 @pytest.mark.parametrize(
@@ -81,7 +77,9 @@ def test_verdict_flag_must_match_margins():
     ],
 )
 def test_config_round_trip(ch, pol, pt):
-    cfg = parse_config_text(to_config_text(ch, pol, pt))
+    # the lines a sweep step overlays: each key with the repr of its float
+    values = {**dataclasses.asdict(ch), **dataclasses.asdict(pol), **dataclasses.asdict(pt)}
+    cfg = parse_config_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
     assert channel_from_config(cfg) == ch
     assert policy_from_config(cfg) == pol
     assert point_from_config(cfg) == pt

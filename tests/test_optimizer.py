@@ -5,7 +5,6 @@ import pytest
 from gridsearch import primary_delay_grid
 from points import at, optimum, primary_decision
 
-from cogrelay.analytics import is_stable
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
 from cogrelay.optimizer import INTERIOR_OFFSET, _pq_interval
 from cogrelay.simulator import Scenario, simulate
@@ -44,8 +43,9 @@ def test_cooperate_decision():
     # a cooperating optimum admits every relayable packet: p_a = 1
     expected_lower = 0.2 * 0.58 / (0.8 * 0.48)
     assert o.pu_p_q_star == pytest.approx(expected_lower + INTERIOR_OFFSET, rel=1e-9)
-    assert o.pu_near_boundary
-    verdict = is_stable(CH, Policy(float(o.pu_p_q_star), 1.0), pt)
+    # the optimum hugs the feasibility boundary, strictly inside it
+    verdict = at(CH, Policy(float(o.pu_p_q_star), 1.0), pt)
+    assert min(verdict.margin_p, verdict.margin_s) < 1e-3
     assert verdict.stable and verdict.margin_p > 0.0 and verdict.margin_s > 0.0
 
 
@@ -124,8 +124,7 @@ def test_secondary_optimum_is_feasible_supremum():
     p_q_star, d_s_star = _secondary_optimum(CH, PT)
     assert p_q_star == pytest.approx(optimum(CH, PT).p_q_upper - INTERIOR_OFFSET, rel=1e-9)
     assert d_s_star == pytest.approx(at(CH, Policy(p_q_star, 1.0), PT).d_s, rel=1e-12)
-    verdict = is_stable(CH, Policy(p_q_star, 1.0), PT)
-    assert verdict.stable
+    assert at(CH, Policy(p_q_star, 1.0), PT).stable
 
 
 def test_secondary_optimum_matches_dense_line_search():
@@ -137,7 +136,7 @@ def test_secondary_optimum_matches_dense_line_search():
     for i in range(1, 1000):
         p_q = lo + i * step
         pol = Policy(p_q, 1.0)
-        if not is_stable(CH, pol, PT).stable:
+        if not at(CH, pol, PT).stable:
             continue
         d = at(CH, pol, PT).d_s
         if best is None or d < best:

@@ -235,14 +235,18 @@ def test_scalar_functions_match_term_by_term_reference(case):
     o = optimum(ch, pt)
     _check(_result(closed.no_cooperation_delay_primary, ch, lp), o.no_coop_ok, o.no_coop_d_p)
 
-    assert repr(analytics.is_stable(ch, pol, pt)) == repr(closed.is_stable(ch, pol, pt))
-    # the report reads the core's masks: the CLI fails a stable row on them alone
-    expected, report = _result(closed.delay_report, ch, pol, pt), _result(analytics.delay_report, ch, pol, pt)
-    if isinstance(expected, Exception):
-        assert type(report) is (analytics.UnevaluableError if cf.stable else analytics.InstabilityError)
-    else:
-        assert repr(report) == repr(expected)
-        assert (report.d_p is None) == (lp == 0.0) and (report.d_s is None) == (ls == 0.0)
+    verdict = dataclasses.astuple(closed.is_stable(ch, pol, pt))
+    assert repr(verdict) == repr((bool(cf.stable), float(cf.margin_p), float(cf.margin_s)))
+    # the report returns exactly where the core's masks say: the CLI fails a
+    # stable row on them alone; a zero arrival rate has no delay
+    report = _result(closed.delay_report, ch, pol, pt)
+    assert (not isinstance(report, Exception)) == bool(cf.stable & cf.evaluable), report
+    if not isinstance(report, Exception):
+        assert repr(dataclasses.astuple(report)) == repr((
+            float(cf.n_p), float(cf.n_sp), float(cf.n_s),
+            None if lp == 0.0 else float(cf.d_p), None if ls == 0.0 else float(cf.d_s),
+            float(cf.g00), float(cf.epsilon),
+        ))
 
     primary = _result(closed.minimize_primary_delay, ch, pt)
     secondary = _result(closed.minimize_secondary_delay, ch, pt)
@@ -255,9 +259,13 @@ def test_scalar_functions_match_term_by_term_reference(case):
     if not isinstance(primary, Exception):
         mode, d_p_star = primary_decision(o)
         kept = mode == "cooperate"
+        near = False
+        if kept:
+            star = at(ch, Policy(float(o.pu_p_q_star), 1.0), pt)
+            near = bool(min(star.margin_p, star.margin_s) < closed.NEAR_BOUNDARY_MARGIN)
         assert repr(primary) == repr(closed.PrimaryDelayDecision(
             mode, float(o.pu_p_q_star) if kept else None, 1.0 if kept else None,
-            None if d_p_star is None else float(d_p_star), bool(o.pu_near_boundary) if kept else False,
+            None if d_p_star is None else float(d_p_star), near,
         ))
     assert isinstance(secondary, closed.UndefinedRateError) == (ls <= 0.0)
     if isinstance(secondary, closed.InfeasibleError):
