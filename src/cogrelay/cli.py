@@ -9,7 +9,8 @@ or output error (a point the closed forms cannot evaluate exits 2 naming it),
 does).
 
 Parameter precedence, lowest to highest: preset, config file, the seed
-environment variable, command-line flags.
+environment variable, command-line flags; each value arrives typed and
+range-checked by :data:`cogrelay.config.KEYS`, with its origin.
 
 A sweep is built as columns, one float64 array per channel, policy and point
 key (:func:`_sweep_columns`); an invalid step raises before anything is
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -39,20 +39,19 @@ import numpy as np
 
 from . import analytics, optimizer
 from .config import (
+    KEYS,
+    POINT_DEFAULTS,
+    Config,
     ConfigError,
     channel_from_config,
-    get_float,
-    get_float_list,
-    get_int,
-    get_policy_list,
-    get_str,
     load_config_file,
+    parse_values,
     point_from_config,
     policy_from_config,
 )
 from .model import NO_COOPERATION, ChannelProfile, OperatingPoint, Policy
 from .oracle import ChainSpec, solve_stationary
-from .simulator import POLICY_KINDS, Scenario, SimStats, replicate_many
+from .simulator import Scenario, SimStats, replicate_many
 
 __all__ = ["main", "entrypoint", "PRESETS", "ENV_SEED"]
 
@@ -65,8 +64,6 @@ EXIT_BROKEN_PIPE = 141
 
 #: Relative stability margin above which validation failures drive the exit code.
 MARGIN_ENFORCEMENT = 0.10
-
-SWEEP_VARIABLES = ("lambda", "lambda_p", "lambda_s", "p_q", "p_a", "f_pd")
 
 # Parameter bundles reproducing the reference sweeps; the standard channel
 # (f_pd=0.3, f_sd=0.8, f_ps=0.4) is the config default throughout.
@@ -127,27 +124,21 @@ PRESETS.update(fig5=PRESETS["fig4"], fig7=PRESETS["fig6"], fig9=PRESETS["fig8"])
 
 #: The channel, policy and point keys of a sweep row, in the order
 #: :func:`cogrelay.analytics.closed_forms` takes them.
-POINT_KEYS = ("f_pd", "f_sd", "f_ps", "p_q", "p_a", "lambda_p", "lambda_s")
+POINT_KEYS = tuple(POINT_DEFAULTS)
 
 #: Grid defaults of the p_a sweeps that ``tradeoff`` and ``region`` in rates
 #: mode run over ``p_q_list``; config keys override them.
-TRADEOFF_GRID = {"start": "0", "stop": "1", "steps": "21"}
-RATES_GRID = {
-    "start": "0", "stop": "1", "steps": "101", "p_q_list": "0.2, 0.4, 0.625, 0.8", "lambda_p": "0.2",
-}
+TRADEOFF_GRID = Config({"start": 0.0, "stop": 1.0, "steps": 21})
+RATES_GRID = Config({
+    "start": 0.0, "stop": 1.0, "steps": 101, "p_q_list": [0.2, 0.4, 0.625, 0.8], "lambda_p": 0.2,
+})
 
 
-def _grid(variable: str, start: float, stop: float, steps: int) -> np.ndarray:
-    """The values of a linear sweep of ``variable``; raises ConfigError for an invalid sweep."""
-    if variable not in SWEEP_VARIABLES:
-        raise ConfigError(f"variable must be one of {SWEEP_VARIABLES}, got {variable!r}")
-    if steps < 2:
-        raise ConfigError(f"key 'steps': must be >= 2, got {steps}")
+def _grid(cfg: Config) -> np.ndarray:
+    """The config's linear sweep grid; start < stop is checked here, where the two values meet."""
+    start, stop, steps = cfg["start"], cfg["stop"], cfg["steps"]
     if not start < stop:
-        raise ConfigError(f"need start < stop, got start={start}, stop={stop}")
-    for key, value in (("start", start), ("stop", stop)):
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"key {key!r}: sweep range must stay within [0, 1], got {value}")
+        raise ConfigError(f"{cfg.where('start', 'stop')}: need start < stop, got start={start}, stop={stop}")
     return np.linspace(start, stop, steps)
 
 
@@ -212,52 +203,32 @@ def _open_out(path: str | None):
         raise
 
 
-def _sweep_from_config(cfg: dict[str, str]) -> tuple[str, np.ndarray]:
-    """The config's sweep variable and its values."""
-    variable = get_str(cfg, "variable")
-    return variable, _grid(variable, get_float(cfg, "start"), get_float(cfg, "stop"), get_int(cfg, "steps"))
-
-
-def _step_objects(cfg: dict[str, str], variable: str, keys: tuple[str, ...], value: float):
-    """(channel, policy, point) of the sweep step that sets ``keys`` to ``value``.
-
-    ``repr`` round-trips every float exactly.
-    """
-    step = {**cfg, **dict.fromkeys(keys, repr(value))}
-    try:
-        return channel_from_config(step), policy_from_config(step), point_from_config(step)
-    except ConfigError as exc:
-        raise ConfigError(f"invalid sweep point ({variable}={value!r}): {exc}") from exc
-
-
-def _sweep_columns(cfg: dict[str, str]) -> dict[str, np.ndarray]:
+def _sweep_columns(cfg: Config, curve: str = "p_q") -> dict[str, np.ndarray]:
     """The config's sweep as one float64 column per POINT_KEYS, curve after curve.
 
-    A curve is the config with its p_q from ``p_q_list`` overlaid. Each curve
-    is validated once, through the objects of its first step; its other steps
-    change only the swept keys, to values in [0, 1], so the one check left
-    per step is f_pd < f_sd. The first step the model rejects raises its
-    error, before any row is evaluated.
+    A curve is the config with its ``curve`` key (p_q, or f_pd for optimize)
+    set from that key's list. Every value was range-checked at load, so the
+    one check left per step is f_pd < f_sd: the first step that fails it
+    raises, before any row is evaluated.
     """
-    variable, values = _sweep_from_config(cfg)
+    variable, values = cfg["variable"], _grid(cfg)
     keys = ("lambda_p", "lambda_s") if variable == "lambda" else (variable,)
-    curves: list[dict[str, str]] = [{}]
-    if "p_q_list" in cfg:
-        if variable == "p_q":
-            raise ConfigError("p_q_list cannot be combined with a p_q sweep")
-        curves = [{"p_q": repr(p_q)} for p_q in get_float_list(cfg, "p_q_list")]
-    blocks: list[dict[str, np.ndarray]] = []
-    for curve in curves:
-        step = {**cfg, **curve}
-        ch, pol, pt = _step_objects(step, variable, keys, float(values[0]))
-        first = dict(zip(POINT_KEYS, (*astuple(ch), *astuple(pol), *astuple(pt))))
-        block = {key: values if key in keys else np.full(values.size, first[key])
-                 for key in POINT_KEYS}
-        rejected = np.flatnonzero(~(block["f_pd"] < block["f_sd"]))
-        if rejected.size:
-            _step_objects(step, variable, keys, float(values[rejected[0]]))
-        blocks.append(block)
-    return {key: np.concatenate([block[key] for block in blocks]) for key in POINT_KEYS}
+    listed = f"{curve}_list"
+    if listed in cfg and variable == curve:
+        raise ConfigError(f"{cfg.where(listed, 'variable')}: "
+                          f"{listed} cannot be combined with a {curve} sweep")
+    curves = cfg.get(listed, [cfg.get(curve, POINT_DEFAULTS[curve])])
+    columns = {key: np.full(len(curves) * values.size, cfg.get(key, default))
+               for key, default in POINT_DEFAULTS.items()}
+    columns[curve] = np.repeat(np.array(curves, dtype=np.float64), values.size)
+    columns.update(dict.fromkeys(keys, np.tile(values, len(curves))))
+    rejected = np.flatnonzero(~(columns["f_pd"] < columns["f_sd"]))
+    if rejected.size:
+        row = {key: float(column[rejected[0]]) for key, column in columns.items()}
+        if listed in cfg:
+            cfg = cfg.derive(listed, **{curve: row[curve]})
+        channel_from_config(cfg.derive("variable", **{key: row[key] for key in keys}))
+    return columns
 
 
 def _require_evaluable(point: dict[str, object], unevaluable: np.ndarray) -> None:
@@ -286,16 +257,12 @@ def _delay_forms(columns: dict[str, np.ndarray]) -> analytics.ClosedForms:
     return cf
 
 
-def cmd_region(cfg: dict[str, str], out) -> int:
-    mode = get_str(cfg, "region_mode", "boundary")
+def cmd_region(cfg: Config, out) -> int:
     channel = channel_from_config(cfg)
-    if mode == "boundary":
-        policies = get_policy_list(cfg, "policies", default=[Policy(0.5, 1.0)])
-        steps = get_int(cfg, "steps", 101)
+    if cfg.get("region_mode", "boundary") == "boundary":
+        policies = cfg.get("policies", [Policy(0.5, 1.0)])
         _, union_root, _ = analytics.union_region(channel.f_pd, channel.f_sd, channel.f_ps)
-        start = get_float(cfg, "start", 0.0)
-        stop = get_float(cfg, "stop", float(union_root))
-        grid = _grid("lambda_p", start, stop, steps)
+        grid = _grid(Config({"start": 0.0, "stop": float(union_root), "steps": 101}) | cfg)
         p_q = np.array([[pol.p_q] for pol in policies])
         p_a = np.array([[pol.p_a] for pol in policies])
         cf = analytics.closed_forms(channel.f_pd, channel.f_sd, channel.f_ps, p_q, p_a, grid)
@@ -319,21 +286,19 @@ def cmd_region(cfg: dict[str, str], out) -> int:
             "max_lambda_s": _format(cf.bound_s[shown]) + _format(union),
         })
         return 0
-    if mode == "rates":
-        columns = _sweep_columns({**RATES_GRID, **cfg, "variable": "p_a"})
-        cf = analytics.closed_forms(*columns.values())
-        _write_table(out, {
-            "p_q": _format(columns["p_q"]),
-            "p_a": _format(columns["p_a"]),
-            "max_lambda_p": _format(cf.bound_p),
-            "max_lambda_s": _format(cf.bound_s, ~(columns["lambda_p"] >= cf.mu)),
-            "lambda_p_ref": _format(columns["lambda_p"]),
-        })
-        return 0
-    raise ConfigError(f"region_mode must be 'boundary' or 'rates', got {mode!r}")
+    columns = _sweep_columns(RATES_GRID | cfg | Config({"variable": "p_a"}))
+    cf = analytics.closed_forms(*columns.values())
+    _write_table(out, {
+        "p_q": _format(columns["p_q"]),
+        "p_a": _format(columns["p_a"]),
+        "max_lambda_p": _format(cf.bound_p),
+        "max_lambda_s": _format(cf.bound_s, ~(columns["lambda_p"] >= cf.mu)),
+        "lambda_p_ref": _format(columns["lambda_p"]),
+    })
+    return 0
 
 
-def cmd_delay(cfg: dict[str, str], out) -> int:
+def cmd_delay(cfg: Config, out) -> int:
     columns = _sweep_columns(cfg)
     cf = _delay_forms(columns)
     stable = cf.stable
@@ -350,20 +315,12 @@ def cmd_delay(cfg: dict[str, str], out) -> int:
     return 0
 
 
-def _sim_options(cfg: dict[str, str]) -> tuple[int, int, int, int, str]:
-    slots = get_int(cfg, "slots", DEFAULT_SLOTS)
-    warmup = get_int(cfg, "warmup", DEFAULT_WARMUP)
-    replications = get_int(cfg, "replications", 1)
-    seed = get_int(cfg, "seed", DEFAULT_SEED)
-    if seed < 0:
-        raise ConfigError(f"key 'seed': expected a non-negative integer, got {seed}")
-    kind = get_str(cfg, "policy_kind", "randomized")
-    if kind not in POLICY_KINDS:
-        raise ConfigError(f"policy_kind must be one of {POLICY_KINDS}, got {kind!r}")
-    return slots, warmup, replications, seed, kind
+def _sim_options(cfg: Config) -> tuple[int, int, int, int, str]:
+    return (cfg.get("slots", DEFAULT_SLOTS), cfg.get("warmup", DEFAULT_WARMUP), cfg.get("replications", 1),
+            cfg.get("seed", DEFAULT_SEED), cfg.get("policy_kind", "randomized"))
 
 
-def _policy_columns(cfg: dict[str, str], kind: str) -> dict[str, np.ndarray]:
+def _policy_columns(cfg: Config, kind: str) -> dict[str, np.ndarray]:
     """The sweep columns with the policy that runs: no cooperation is (p_q, p_a) = (1, 0)."""
     columns = _sweep_columns(cfg)
     if kind == "no_cooperation":
@@ -372,21 +329,24 @@ def _policy_columns(cfg: dict[str, str], kind: str) -> dict[str, np.ndarray]:
     return columns
 
 
-def _simulate_rows(columns: dict[str, np.ndarray], stable: np.ndarray, slots: int, warmup: int,
-                   replications: int, seed: int, kind: str) -> list[SimStats]:
+def _simulate_rows(cfg: Config, columns: dict[str, np.ndarray], stable: np.ndarray) -> list[SimStats]:
     """The pooled stats of every stable row, in order, from one batch; no stable row, no batch."""
+    slots, warmup, replications, seed, kind = _sim_options(cfg)
     scenarios = []
     for index in np.flatnonzero(stable).tolist():
         f_pd, f_sd, f_ps, p_q, p_a, lambda_p, lambda_s = (float(columns[key][index]) for key in POINT_KEYS)
-        scenarios.append(Scenario(
-            ChannelProfile(f_pd, f_sd, f_ps), OperatingPoint(lambda_p, lambda_s), Policy(p_q, p_a),
-            policy_kind=kind, slots=slots, warmup_slots=warmup, seed=_point_seed(seed, index),
-        ))
+        try:
+            scenarios.append(Scenario(
+                ChannelProfile(f_pd, f_sd, f_ps), OperatingPoint(lambda_p, lambda_s), Policy(p_q, p_a),
+                policy_kind=kind, slots=slots, warmup_slots=warmup, seed=_point_seed(seed, index),
+            ))
+        except ValueError as exc:  # slots > warmup, checked where the two values meet
+            raise ConfigError(f"{cfg.where('slots', 'warmup')}: {exc}") from exc
     return replicate_many(scenarios, replications) if scenarios else []
 
 
-def cmd_simulate(cfg: dict[str, str], out) -> int:
-    slots, warmup, replications, seed, kind = options = _sim_options(cfg)
+def cmd_simulate(cfg: Config, out) -> int:
+    slots, warmup, replications, seed, kind = _sim_options(cfg)
     columns = _policy_columns(cfg, kind)
     if kind == "strict_priority_relay":
         # strict priority (Sadek, Liu & Ephremides, IEEE Trans. Inf. Theory 53(10), 2007) serves
@@ -398,7 +358,7 @@ def cmd_simulate(cfg: dict[str, str], out) -> int:
         stable = primary & (analytics.union_region(*channel, columns["lambda_p"])[0] > columns["lambda_s"])
     else:
         stable = analytics.closed_forms(*columns.values()).stable
-    runs = _simulate_rows(columns, stable, *options)
+    runs = _simulate_rows(cfg, columns, stable)
     rows = stable.size
     stats = {}
     for field in fields(SimStats):
@@ -418,17 +378,16 @@ def cmd_simulate(cfg: dict[str, str], out) -> int:
     return 0
 
 
-def cmd_validate(cfg: dict[str, str], out) -> int:
-    slots, warmup, replications, seed, kind = options = _sim_options(cfg)
+def cmd_validate(cfg: Config, out) -> int:
+    *_, kind = _sim_options(cfg)
     if kind == "strict_priority_relay":
-        raise ConfigError("validate has no closed forms for strict_priority_relay")
-    tolerance = get_float(cfg, "tolerance", 0.03)
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ConfigError(f"key 'tolerance': must be finite and >= 0, got {tolerance!r}")
+        raise ConfigError(f"{cfg.where('policy_kind')}: "
+                          "validate has no closed forms for strict_priority_relay")
+    tolerance = cfg.get("tolerance", 0.03)
     columns = _policy_columns(cfg, kind)
     cf = _delay_forms(columns)
     stable = cf.stable
-    runs = _simulate_rows(columns, stable, *options)
+    runs = _simulate_rows(cfg, columns, stable)
     analytic = np.stack([cf.d_p, cf.d_s])
     simulated = np.zeros_like(analytic)
     simulated[:, stable] = [[run.mean_delay_p for run in runs], [run.mean_delay_s for run in runs]]
@@ -456,13 +415,6 @@ def cmd_validate(cfg: dict[str, str], out) -> int:
     return 1 if failed.any() else 0
 
 
-def _optimize_rows(ch: ChannelProfile, pt: OperatingPoint, rows: int) -> dict[str, np.ndarray]:
-    """``rows`` optimize rows at the channel and the point, one column per key."""
-    values = {"f_pd": ch.f_pd, "f_sd": ch.f_sd, "f_ps": ch.f_ps,
-              "lambda_p": pt.lambda_p, "lambda_s": pt.lambda_s}
-    return {key: np.full(rows, value) for key, value in values.items()}
-
-
 def _optimize_columns(columns: dict[str, np.ndarray]) -> dict[str, list[str]]:
     """The optimize cells of every (f_pd, f_sd, f_ps, lambda_p, lambda_s) row, by column, from
     one evaluation of both optima; raises at a row whose optimum cannot be evaluated."""
@@ -487,23 +439,19 @@ def _optimize_columns(columns: dict[str, np.ndarray]) -> dict[str, list[str]]:
     }
 
 
-def cmd_optimize(cfg: dict[str, str], out) -> int:
-    channel = channel_from_config(cfg)
+def cmd_optimize(cfg: Config, out) -> int:
+    channel_from_config(cfg)
+    keys = ("f_pd", "f_sd", "f_ps", "lambda_p", "lambda_s")
     if "variable" in cfg:
-        variable, values = _sweep_from_config(cfg)
-        if variable not in ("lambda_p", "lambda_s"):
-            raise ConfigError("optimize sweeps support variable = lambda_p or lambda_s")
-        f_pd_values = get_float_list(cfg, "f_pd_list", default=[channel.f_pd])
-        base_point = point_from_config(cfg)
-        for f_pd in f_pd_values:
-            ChannelProfile(f_pd, channel.f_sd, channel.f_ps)  # raises on an invalid curve
-        columns = _optimize_rows(channel, base_point, len(f_pd_values) * values.size)
-        columns["f_pd"] = np.repeat(np.array(f_pd_values, dtype=np.float64), values.size)
-        columns[variable] = np.tile(values, len(f_pd_values))
+        if cfg["variable"] not in ("lambda_p", "lambda_s"):
+            raise ConfigError(f"{cfg.where('variable')}: "
+                              "optimize sweeps support variable = lambda_p or lambda_s")
+        columns = _sweep_columns(cfg, curve="f_pd")
+        columns = {key: columns[key] for key in keys}
         _write_table(out, {**_cells(columns), **_optimize_columns(columns)})
         return 0
-    point = point_from_config(cfg)
-    row = {key: cells[0] for key, cells in _optimize_columns(_optimize_rows(channel, point, 1)).items()}
+    point = {key: np.full(1, cfg.get(key, POINT_DEFAULTS[key])) for key in keys}
+    row = {key: cells[0] for key, cells in _optimize_columns(point).items()}
     out.write("# primary delay minimization\n")
     for key, cell in row.items():
         if not key.startswith("su_"):
@@ -517,7 +465,7 @@ def cmd_optimize(cfg: dict[str, str], out) -> int:
     return 0
 
 
-def cmd_oracle(cfg: dict[str, str], out) -> int:
+def cmd_oracle(cfg: Config, out) -> int:
     channel = channel_from_config(cfg)
     policy = policy_from_config(cfg)
     point = point_from_config(cfg)
@@ -526,14 +474,19 @@ def cmd_oracle(cfg: dict[str, str], out) -> int:
     if not cf.stable:
         raise ConfigError("oracle requires a stable operating point")
     _require_evaluable(dict(zip(POINT_KEYS, values)), ~cf.evaluable)
-    truncation = get_int(cfg, "truncation", 400)
+    truncation = cfg.get("truncation", 400)
     partners = {"primary_secondary": cf.n_s, "primary_relay": cf.n_sp}
+    try:
+        specs = [ChainSpec(channel, policy, point, pair=pair, truncation=truncation) for pair in partners]
+    except ValueError as exc:  # the memory guard
+        raise ConfigError(f"{cfg.where('truncation')}: {exc}") from exc
     sols = []
-    for pair in partners:
+    for spec in specs:
         try:
-            sols.append(solve_stationary(ChainSpec(channel, policy, point, pair=pair, truncation=truncation)))
+            sols.append(solve_stationary(spec))
         except RuntimeError as exc:
-            raise ConfigError(f"oracle solve failed for {pair}: {exc}") from exc
+            raise ConfigError(f"{cfg.where('truncation')}: "
+                              f"oracle solve failed for {spec.pair}: {exc}") from exc
 
     def solved(name: str) -> np.ndarray:
         return np.array([getattr(sol, name) for sol in sols])
@@ -567,12 +520,13 @@ def cmd_oracle(cfg: dict[str, str], out) -> int:
     return 0
 
 
-def cmd_tradeoff(cfg: dict[str, str], out) -> int:
+def cmd_tradeoff(cfg: Config, out) -> int:
     channel_from_config(cfg)
     point = point_from_config(cfg)
     if point.lambda_p <= 0.0 or point.lambda_s <= 0.0:
-        raise ConfigError("tradeoff requires positive lambda_p and lambda_s")
-    columns = _sweep_columns({**TRADEOFF_GRID, **cfg, "variable": "p_a"})
+        raise ConfigError(f"{cfg.where('lambda_p', 'lambda_s')}: "
+                          "tradeoff requires positive lambda_p and lambda_s")
+    columns = _sweep_columns(TRADEOFF_GRID | cfg | Config({"variable": "p_a"}))
     cf = _delay_forms(columns)
     stable = cf.stable
     _write_table(out, {
@@ -601,10 +555,10 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="path to a key=value config file")
     shared.add_argument("--out", help="output path (default stdout)")
-    shared.add_argument("--seed", type=int, help="base RNG seed")
-    shared.add_argument("--slots", type=int, help="slots per simulation run")
-    shared.add_argument("--warmup", type=int, help="warmup slots excluded from statistics")
-    shared.add_argument("--replications", type=int, help="independent replications per point")
+    shared.add_argument("--seed", help="base RNG seed")
+    shared.add_argument("--slots", help="slots per simulation run")
+    shared.add_argument("--warmup", help="warmup slots excluded from statistics")
+    shared.add_argument("--replications", help="independent replications per point")
     shared.add_argument("--preset", help=f"parameter preset, one of: {', '.join(sorted(PRESETS))}")
     parser = argparse.ArgumentParser(
         prog="cogrelay",
@@ -623,33 +577,28 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, desc in descriptions.items():
         sub.add_parser(name, help=desc, description=desc, parents=[shared])
     sub.choices["validate"].add_argument(
-        "--tolerance", type=float, help="relative error tolerance (default 0.03)"
+        "--tolerance", help="relative error tolerance (default 0.03)"
     )
     sub.choices["oracle"].add_argument(
-        "--truncation", type=int, help="lattice size per dimension (default 400)"
+        "--truncation", help="lattice size per dimension (default 400)"
     )
     return parser
 
 
-def _effective_config(args: argparse.Namespace) -> dict[str, str]:
-    cfg: dict[str, str] = {}
+def _effective_config(args: argparse.Namespace) -> Config:
+    """The preset, the config file, the seed variable and the flags, each laid over the one before."""
+    cfg = Config()
     if args.preset:
         if args.preset not in PRESETS:
             raise ConfigError(f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}")
-        cfg.update(PRESETS[args.preset])
+        cfg = parse_values(PRESETS[args.preset], f"preset {args.preset}")
     if args.config:
-        cfg.update(load_config_file(args.config))
-    env_seed = os.environ.get(ENV_SEED)
-    if env_seed is not None:
-        try:
-            int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"{ENV_SEED}={env_seed!r} is not an integer") from exc
-        cfg["seed"] = env_seed
-    for flag in ("seed", "slots", "warmup", "replications", "tolerance", "truncation"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg[flag] = str(value)
+        cfg |= load_config_file(args.config)
+    if ENV_SEED in os.environ:
+        cfg |= parse_values({"seed": os.environ[ENV_SEED]}, ENV_SEED)
+    for key, value in vars(args).items():  # the flags named after config keys
+        if key in KEYS and value is not None:
+            cfg |= parse_values({key: value}, f"--{key}")
     return cfg
 
 

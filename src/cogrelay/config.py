@@ -1,49 +1,175 @@
-"""Flat key=value configuration format, read by the CLI into the domain types.
+"""Flat key=value configuration format, parsed once into typed, range-checked values.
 
 One ``key = value`` pair per line, ``#`` starts a comment (full line or
-trailing), blank lines ignored. Values are plain text; list-valued keys use
-commas (``p_q_list = 0.3, 0.5, 0.8``) and policy lists use colon pairs
-(``policies = 0.3:1, 0.5:1``). Parse errors, unknown keys included, carry the
-offending line number.
+trailing), blank lines ignored. :data:`KEYS` maps every key a config may set
+to the parser that turns its text into a typed value and checks its range;
+lists use commas (``p_q_list = 0.3, 0.5``) and policies colon pairs
+(``policies = 0.3:1, 0.5:1``). Every value goes through it where it enters:
+a file line, a preset, the seed environment variable or a flag. A
+:class:`Config` keeps where each value came from (``path:line``, ``preset
+fig6``, ``COGRELAY_SEED``, ``--slots``), and every error leads with it. A
+check between keys (f_pd < f_sd, start < stop, slots > warmup) is made where
+the values meet, and names the origin of each key.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
-from .model import ChannelProfile, OperatingPoint, Policy
+from .model import ChannelProfile, OperatingPoint, Policy, _unit_interval
+from .simulator import POLICY_KINDS
 
 __all__ = [
     "KEYS",
+    "SWEEP_VARIABLES",
+    "POINT_DEFAULTS",
+    "Config",
     "ConfigError",
     "parse_config_text",
+    "parse_values",
     "load_config_file",
-    "get_float",
-    "get_int",
-    "get_str",
-    "get_float_list",
-    "get_policy_list",
     "channel_from_config",
     "policy_from_config",
     "point_from_config",
 ]
 
+SWEEP_VARIABLES = ("lambda", "lambda_p", "lambda_s", "p_q", "p_a", "f_pd")
 
-#: Every key a config file may set.
-KEYS = frozenset({
-    "f_pd", "f_sd", "f_ps", "p_q", "p_a", "lambda_p", "lambda_s",
-    "variable", "start", "stop", "steps", "p_q_list", "f_pd_list", "policies", "region_mode",
-    "policy_kind", "slots", "warmup", "replications", "seed", "tolerance", "truncation",
-})
+#: The channel, policy and point keys of a sweep row with their defaults, in
+#: the order :func:`cogrelay.analytics.closed_forms` takes them.
+POINT_DEFAULTS = {
+    "f_pd": 0.3, "f_sd": 0.8, "f_ps": 0.4, "p_q": 0.5, "p_a": 1.0, "lambda_p": 0.1, "lambda_s": 0.1,
+}
 
 
 class ConfigError(ValueError):
-    """Malformed configuration input; message carries source and line number when known."""
+    """Malformed configuration input; a message about a key's value leads with where it came from."""
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
-    """Parse key=value lines into a string-to-string mapping."""
-    result: dict[str, str] = {}
+def _number(text: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not {'an integer' if kind is int else 'a number'}") from None
+
+
+def _checked(parse, accept, rule: str):
+    """The parser that reads text with ``parse`` and refuses what ``accept`` rejects, as breaking ``rule``."""
+
+    def checked(key: str, text: str):
+        value = parse(text)
+        if not accept(value):
+            raise ValueError(f"must be {rule}, got {value!r}")
+        return value
+
+    return checked
+
+
+def _count(floor: int):
+    return _checked(lambda text: _number(text, int), lambda value: value >= floor, f">= {floor}")
+
+
+def _choice(*choices: str):
+    return _checked(str, choices.__contains__, f"one of {choices}")
+
+
+def _list(parse_item):
+    """The parser of a comma-separated list, whose non-empty items ``parse_item(key, item)`` reads."""
+
+    def parse(key: str, text: str) -> list:
+        items = [item.strip() for item in text.split(",") if item.strip()]
+        if not items:
+            raise ValueError("empty list")
+        return [parse_item(key, item) for item in items]
+
+    return parse
+
+
+def _probability(key: str, text: str) -> float:
+    return _unit_interval(key, _number(text))
+
+
+def _policy(key: str, item: str) -> Policy:
+    parts = item.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"expected 'p_q:p_a' pairs, got {item!r}")
+    return Policy(_number(parts[0]), _number(parts[1]))
+
+
+#: Every key a config may set, with the parser that turns its text into a
+#: typed, range-checked value or raises ValueError.
+KEYS = {
+    **dict.fromkeys(POINT_DEFAULTS, _probability),
+    "variable": _choice(*SWEEP_VARIABLES),
+    "start": _probability,
+    "stop": _probability,
+    "steps": _count(2),
+    "p_q_list": _list(_probability),
+    "f_pd_list": _list(_probability),
+    "policies": _list(_policy),
+    "region_mode": _choice("boundary", "rates"),
+    "policy_kind": _choice(*POLICY_KINDS),
+    "slots": _count(1),
+    "warmup": _count(0),
+    "replications": _count(1),
+    "seed": _count(0),
+    "tolerance": _checked(_number, lambda value: math.isfinite(value) and value >= 0.0, "finite and >= 0"),
+    "truncation": _count(4),
+}
+
+
+class Config(dict):
+    """Typed values by key, and in ``origins`` where each came from (none for a command's default).
+
+    Indexing a key that is absent raises ConfigError; ``get`` takes a command's default instead.
+    """
+
+    def __init__(self, values=(), origins=()) -> None:
+        super().__init__(values)
+        self.origins = dict(origins)
+
+    def __missing__(self, key: str):
+        raise ConfigError(f"missing required key {key!r}")
+
+    def __or__(self, other: Config) -> Config:
+        """``other`` laid over this config: its keys take their values and origins from it."""
+        origins = {key: origin for key, origin in self.origins.items() if key not in other}
+        return Config({**self, **other}, {**origins, **other.origins})
+
+    __ior__ = __or__
+
+    def derive(self, source: str, **values) -> Config:
+        """This config with ``values`` overlaid, each derived from the key ``source``."""
+        origin = f"{source} at {self.origins.get(source, 'default')}"
+        return self | Config(values, dict.fromkeys(values, origin))
+
+    def where(self, *keys: str) -> str:
+        """Each key with its origin, to lead an error about the keys."""
+        return ", ".join(f"{key} ({self.origins.get(key, 'default')})" for key in keys)
+
+
+def _set(cfg: Config, key: str, text: str, origin: str) -> None:
+    if key not in KEYS:
+        raise ConfigError(f"{origin}: unknown key {key!r}")
+    try:
+        cfg[key] = KEYS[key](key, text)
+    except ValueError as exc:
+        raise ConfigError(f"{origin}: key {key!r}: {exc}") from exc
+    cfg.origins[key] = origin
+
+
+def parse_values(values: dict[str, str], origin: str) -> Config:
+    """Run each text value through its key's parser; every value has the one ``origin``."""
+    cfg = Config()
+    for key, text in values.items():
+        _set(cfg, key, text, origin)
+    return cfg
+
+
+def parse_config_text(text: str, source: str = "<config>") -> Config:
+    """Parse key=value lines into typed values whose origin is ``source:line``."""
+    cfg = Config()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -52,16 +178,13 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = line.split("=", 1)
         key = key.strip()
-        value = value.strip()
         if not key:
             raise ConfigError(f"{source}:{lineno}: empty key")
-        if key not in KEYS:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        result[key] = value
-    return result
+        _set(cfg, key, value.strip(), f"{source}:{lineno}")
+    return cfg
 
 
-def load_config_file(path: str | Path) -> dict[str, str]:
+def load_config_file(path: str | Path) -> Config:
     path = Path(path)
     try:
         text = path.read_text()
@@ -70,92 +193,17 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return parse_config_text(text, source=str(path))
 
 
-def _default(key: str, default):
-    """The value of an absent key: its default, which a required key lacks."""
-    if default is None:
-        raise ConfigError(f"missing required key {key!r}")
-    return default
-
-
-def get_float(cfg: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in cfg:
-        return _default(key, default)
+def channel_from_config(cfg: Config) -> ChannelProfile:
+    """The config's channel; f_pd < f_sd is checked here, where the two values meet."""
     try:
-        return float(cfg[key])
+        return ChannelProfile(*(cfg.get(key, POINT_DEFAULTS[key]) for key in ("f_pd", "f_sd", "f_ps")))
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {cfg[key]!r} is not a number") from exc
+        raise ConfigError(f"{cfg.where('f_pd', 'f_sd')}: {exc}") from exc
 
 
-def get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in cfg:
-        return _default(key, default)
-    try:
-        return int(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {cfg[key]!r} is not an integer") from exc
+def policy_from_config(cfg: Config) -> Policy:
+    return Policy(*(cfg.get(key, POINT_DEFAULTS[key]) for key in ("p_q", "p_a")))
 
 
-def get_str(cfg: dict[str, str], key: str, default: str | None = None) -> str:
-    return cfg[key] if key in cfg else _default(key, default)
-
-
-def get_float_list(cfg: dict[str, str], key: str, default: list[float] | None = None) -> list[float]:
-    if key not in cfg:
-        return list(_default(key, default))
-    items = [item.strip() for item in cfg[key].split(",") if item.strip()]
-    if not items:
-        raise ConfigError(f"key {key!r}: empty list")
-    try:
-        return [float(item) for item in items]
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {cfg[key]!r} is not a comma-separated number list") from exc
-
-
-def get_policy_list(cfg: dict[str, str], key: str, default: list[Policy] | None = None) -> list[Policy]:
-    """Parse ``p_q:p_a`` pairs, e.g. ``policies = 0.3:1, 0.5:1``."""
-    if key not in cfg:
-        return list(_default(key, default))
-    policies = []
-    for item in cfg[key].split(","):
-        item = item.strip()
-        if not item:
-            continue
-        parts = item.split(":")
-        if len(parts) != 2:
-            raise ConfigError(f"key {key!r}: expected 'p_q:p_a' pairs, got {item!r}")
-        try:
-            policies.append(Policy(float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: bad policy {item!r}: {exc}") from exc
-    if not policies:
-        raise ConfigError(f"key {key!r}: empty policy list")
-    return policies
-
-
-def _build(factory, **values):
-    """Construct a domain object, reporting an invalid value as a ConfigError."""
-    try:
-        return factory(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def channel_from_config(cfg: dict[str, str]) -> ChannelProfile:
-    return _build(
-        ChannelProfile,
-        f_pd=get_float(cfg, "f_pd", 0.3),
-        f_sd=get_float(cfg, "f_sd", 0.8),
-        f_ps=get_float(cfg, "f_ps", 0.4),
-    )
-
-
-def policy_from_config(cfg: dict[str, str]) -> Policy:
-    return _build(Policy, p_q=get_float(cfg, "p_q", 0.5), p_a=get_float(cfg, "p_a", 1.0))
-
-
-def point_from_config(cfg: dict[str, str]) -> OperatingPoint:
-    return _build(
-        OperatingPoint,
-        lambda_p=get_float(cfg, "lambda_p", 0.1),
-        lambda_s=get_float(cfg, "lambda_s", 0.1),
-    )
+def point_from_config(cfg: Config) -> OperatingPoint:
+    return OperatingPoint(*(cfg.get(key, POINT_DEFAULTS[key]) for key in ("lambda_p", "lambda_s")))

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import closed_forms
 from .model import ChannelProfile, OperatingPoint, Policy
 
 __all__ = ["CHAIN_PAIRS", "BOUNDARY_MASS_LIMIT", "ConvergenceError", "TruncationError",
@@ -131,7 +130,8 @@ def _blocks(spec: ChainSpec) -> tuple[np.ndarray, ...]:
             steps[nj - j][ni - rows + 1, rows] += weight[mask]
 
         if spec.pair == "primary_secondary":
-            mu = float(closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, p_a=pol.p_a).mu)
+            # the slot law: direct delivery, or a handoff to the relay queue
+            mu = ch.f_pd + pol.p_a * ch.f_ps * (1.0 - ch.f_pd)
             dep_p = np.where(i > 0, mu, 0.0)
             dep_s = np.where((i == 0) & (j > 0), pol.p_q * ch.f_sd, 0.0)
             arr_s = (1.0 - pt.lambda_s, pt.lambda_s)

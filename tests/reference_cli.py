@@ -17,7 +17,6 @@ commands'.
 
 from __future__ import annotations
 
-import math
 from unittest import mock
 
 import numpy as np
@@ -26,17 +25,13 @@ from reference_closed_forms import InstabilityError
 
 from cogrelay import cli
 from cogrelay.config import (
+    POINT_DEFAULTS,
     ConfigError,
     channel_from_config,
-    get_float,
-    get_float_list,
-    get_int,
-    get_policy_list,
-    get_str,
     point_from_config,
     policy_from_config,
 )
-from cogrelay.model import NO_COOPERATION, ChannelProfile, OperatingPoint, Policy
+from cogrelay.model import NO_COOPERATION, OperatingPoint, Policy
 from cogrelay.simulator import Scenario, replicate
 
 # The header of every CSV table the CLI writes, and the optimize columns
@@ -85,9 +80,8 @@ def _write_row(out, cells) -> None:
 
 
 def _sweep(cfg) -> tuple[str, list[float]]:
-    variable = get_str(cfg, "variable")
-    grid = cli._grid(variable, get_float(cfg, "start"), get_float(cfg, "stop"), get_int(cfg, "steps"))
-    return variable, [float(v) for v in grid]
+    variable = cfg["variable"]
+    return variable, [float(v) for v in cli._grid(cfg)]
 
 
 def _sweep_points(cfg):
@@ -96,30 +90,25 @@ def _sweep_points(cfg):
     curves = [{}]
     if "p_q_list" in cfg:
         if variable == "p_q":
-            raise ConfigError("p_q_list cannot be combined with a p_q sweep")
-        curves = [{"p_q": repr(p_q)} for p_q in get_float_list(cfg, "p_q_list")]
+            raise ConfigError(f"{cfg.where('p_q_list', 'variable')}: "
+                              "p_q_list cannot be combined with a p_q sweep")
+        curves = [{"p_q": p_q} for p_q in cfg["p_q_list"]]
     for curve in curves:
         for value in values:
-            step = {**cfg, **curve, **dict.fromkeys(keys, repr(value))}
-            try:
-                channel = channel_from_config(step)
-                policy = policy_from_config(step)
-                point = point_from_config(step)
-            except ConfigError as exc:
-                raise ConfigError(f"invalid sweep point ({variable}={value!r}): {exc}") from exc
-            yield channel, policy, point
+            step = cfg.derive("p_q_list", **curve).derive("variable", **dict.fromkeys(keys, value))
+            yield channel_from_config(step), policy_from_config(step), point_from_config(step)
 
 
 def cmd_region(cfg, out) -> int:
-    mode = get_str(cfg, "region_mode", "boundary")
+    mode = cfg.get("region_mode", "boundary")
     channel = channel_from_config(cfg)
     if mode == "boundary":
-        policies = get_policy_list(cfg, "policies", default=[Policy(0.5, 1.0)])
-        steps = get_int(cfg, "steps", 101)
+        policies = cfg.get("policies", [Policy(0.5, 1.0)])
+        steps = cfg.get("steps", 101)
         relay_full = channel.f_ps * (1.0 - channel.f_pd)
         union_root = channel.f_sd * (channel.f_pd + relay_full) / (channel.f_sd + relay_full)
-        start = get_float(cfg, "start", 0.0)
-        stop = get_float(cfg, "stop", union_root)
+        start = cfg.get("start", 0.0)
+        stop = cfg.get("stop", union_root)
         grid = np.linspace(start, stop, steps)
         out.write(REGION_BOUNDARY_HEADER + "\n")
         for pol in policies:
@@ -136,10 +125,10 @@ def cmd_region(cfg, out) -> int:
             )
         return 0
     if mode == "rates":
-        p_q_values = get_float_list(cfg, "p_q_list", default=[0.2, 0.4, 0.625, 0.8])
-        steps = get_int(cfg, "steps", 101)
-        lambda_p_ref = get_float(cfg, "lambda_p", 0.2)
-        grid = np.linspace(get_float(cfg, "start", 0.0), get_float(cfg, "stop", 1.0), steps)
+        p_q_values = cfg.get("p_q_list", [0.2, 0.4, 0.625, 0.8])
+        steps = cfg.get("steps", 101)
+        lambda_p_ref = cfg.get("lambda_p", 0.2)
+        grid = np.linspace(cfg.get("start", 0.0), cfg.get("stop", 1.0), steps)
         out.write(REGION_RATES_HEADER + "\n")
         for p_q in p_q_values:
             for p_a in grid:
@@ -196,17 +185,15 @@ def _optimize_row(ch, pt):
 def cmd_optimize(cfg, out) -> int:
     channel = channel_from_config(cfg)
     if "variable" in cfg:
+        if cfg["variable"] not in ("lambda_p", "lambda_s"):
+            raise ConfigError(f"{cfg.where('variable')}: "
+                              "optimize sweeps support variable = lambda_p or lambda_s")
         variable, values = _sweep(cfg)
-        if variable not in ("lambda_p", "lambda_s"):
-            raise ConfigError("optimize sweeps support variable = lambda_p or lambda_s")
-        f_pd_values = get_float_list(cfg, "f_pd_list", default=[channel.f_pd])
+        f_pd_values = cfg.get("f_pd_list", [channel.f_pd])
         base_point = point_from_config(cfg)
         out.write(OPTIMIZE_SWEEP_HEADER + "\n")
         for f_pd in f_pd_values:
-            try:
-                ch = ChannelProfile(f_pd, channel.f_sd, channel.f_ps)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            ch = channel_from_config(cfg.derive("f_pd_list", f_pd=f_pd))
             for value in values:
                 if variable == "lambda_p":
                     pt = OperatingPoint(value, base_point.lambda_s)
@@ -233,10 +220,11 @@ def cmd_tradeoff(cfg, out) -> int:
     channel = channel_from_config(cfg)
     point = point_from_config(cfg)
     if point.lambda_p <= 0.0 or point.lambda_s <= 0.0:
-        raise ConfigError("tradeoff requires positive lambda_p and lambda_s")
-    p_q_values = get_float_list(cfg, "p_q_list", default=[get_float(cfg, "p_q", 0.5)])
-    steps = get_int(cfg, "steps", 21)
-    grid = np.linspace(get_float(cfg, "start", 0.0), get_float(cfg, "stop", 1.0), steps)
+        raise ConfigError(f"{cfg.where('lambda_p', 'lambda_s')}: "
+                          "tradeoff requires positive lambda_p and lambda_s")
+    p_q_values = cfg.get("p_q_list", [cfg.get("p_q", POINT_DEFAULTS["p_q"])])
+    steps = cfg.get("steps", 21)
+    grid = np.linspace(cfg.get("start", 0.0), cfg.get("stop", 1.0), steps)
     out.write(TRADEOFF_HEADER + "\n")
     for p_q in p_q_values:
         for p_a in grid:
@@ -254,10 +242,9 @@ def cmd_tradeoff(cfg, out) -> int:
 def cmd_validate(cfg, out) -> int:
     slots, warmup, replications, seed, kind = cli._sim_options(cfg)
     if kind == "strict_priority_relay":
-        raise ConfigError("validate has no closed forms for strict_priority_relay")
-    tolerance = get_float(cfg, "tolerance", 0.03)
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ConfigError(f"key 'tolerance': must be finite and >= 0, got {tolerance!r}")
+        raise ConfigError(f"{cfg.where('policy_kind')}: "
+                          "validate has no closed forms for strict_priority_relay")
+    tolerance = cfg.get("tolerance", 0.03)
     rows = []
     failed = False
     for index, (ch, pol, pt) in enumerate(_sweep_points(cfg)):

@@ -288,11 +288,12 @@ def test_sweep_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, comman
 
 @pytest.mark.parametrize("command", ["simulate", "validate"])
 def test_replications_are_checked_once_a_point_is_simulated(tmp_path, capsys, command):
+    # the key is checked where it is loaded, so also in a sweep that simulates no point
     unstable = "variable = lambda\nstart = 0.3\nstop = 0.4\nsteps = 2\nreplications = 0\n"
-    assert run(tmp_path, command, unstable)[0] == 0
-    code, text = run(tmp_path, command, SMALL_VALIDATE + "replications = 0\n", name="stable.csv")
-    assert code == 2 and text == ""
-    assert "replications must be >= 1" in capsys.readouterr().err
+    for config, line in ((unstable, 5), (SMALL_VALIDATE + "replications = 0\n", 7)):
+        code, text = run(tmp_path, command, config)
+        assert code == 2 and text == ""
+        assert f"run.cfg:{line}: key 'replications': must be >= 1, got 0" in capsys.readouterr().err
 
 
 def _config(point: dict) -> str:
@@ -349,12 +350,11 @@ def test_interval_narrower_than_the_offset_is_infeasible(tmp_path, capsys):
 
 def test_validate_simulates_nothing_before_an_unevaluable_row_fails(tmp_path, capsys, monkeypatch):
     # the closed forms fail at the sweep's first, stable point (the fifth of
-    # ILL_CONDITIONED_POINTS), so the sweep stops before any row is simulated,
-    # even though it would reject its replication count
+    # ILL_CONDITIONED_POINTS), so the sweep stops before any row is simulated
     sweep = (
         "f_pd = 0.25\nf_sd = 1.0\nf_ps = 1.0\np_q = 0.515625\np_a = 1\n"
         "lambda_p = 0.1962025316455696\nvariable = lambda_s\nstart = 0.41445806962025317\n"
-        "stop = 0.5\nsteps = 2\nslots = 2000\nwarmup = 100\nreplications = 0\n"
+        "stop = 0.5\nsteps = 2\nslots = 2000\nwarmup = 100\n"
     )
     batches = []
     monkeypatch.setattr(cli, "replicate_many", lambda *args: batches.append(args))
@@ -536,7 +536,7 @@ def test_oracle_tolerance_is_an_unknown_key(tmp_path, capsys):
 
 def test_presets_use_only_config_keys():
     for name, preset in PRESETS.items():
-        assert set(preset) <= KEYS, name
+        assert set(preset) <= KEYS.keys(), name
 
 
 def test_failed_sweep_leaves_no_output_file(tmp_path):
@@ -566,7 +566,8 @@ def test_failed_sweep_writes_nothing_to_stdout(tmp_path, capsys):
     assert main(["delay", "--config", str(cfg)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("config error: invalid sweep point (f_pd=0.8): channel requires")
+    assert err == (f"config error: f_pd (variable at {cfg}:1), f_sd (default): "
+                   "channel requires f_pd < f_sd, got f_pd=0.8, f_sd=0.8\n")
 
 
 def test_invalid_values_exit_2(tmp_path, capsys):
@@ -574,6 +575,23 @@ def test_invalid_values_exit_2(tmp_path, capsys):
     assert code == 2
     code, _ = run(tmp_path, "delay", "variable = lambda\nstart = 0.1\nstop = 0.2\nsteps = 5\nf_pd = 0.9\n")
     assert code == 2
+
+
+@pytest.mark.parametrize("command,config,extra,message", [
+    ("delay", "stop = 0.005\n", ["--preset", "fig6"],
+     "start (preset fig6), stop ({cfg}:1): need start < stop, got start=0.01, stop=0.005"),
+    ("simulate", SMALL_VALIDATE, ["--warmup", "5000"],
+     "slots ({cfg}:5), warmup (--warmup): need slots > warmup_slots >= 0, got slots=2000, warmup=5000"),
+    ("optimize", "f_sd = 0.5\n", ["--preset", "fig11"],
+     "f_pd (f_pd_list at preset fig11), f_sd ({cfg}:1): "
+     "channel requires f_pd < f_sd, got f_pd=0.6, f_sd=0.5"),
+    ("tradeoff", "lambda_s = 0\n", [],
+     "lambda_p (default), lambda_s ({cfg}:1): tradeoff requires positive lambda_p and lambda_s"),
+])
+def test_check_between_keys_names_the_origin_of_each(tmp_path, capsys, command, config, extra, message):
+    code, text = run(tmp_path, command, config, extra=extra)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"config error: {message.format(cfg=tmp_path / 'run.cfg')}\n"
 
 
 def test_unwritable_out_path_exits_2(tmp_path, capsys):
@@ -598,7 +616,7 @@ def test_validate_rejects_bad_tolerance(tmp_path, capsys, value):
     assert "'tolerance'" in capsys.readouterr().err
     code, text = run(tmp_path, "validate", SMALL_VALIDATE, extra=["--tolerance", value])
     assert code == 2 and text == ""
-    assert "'tolerance'" in capsys.readouterr().err
+    assert "config error: --tolerance: key 'tolerance'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "validate"])
@@ -630,7 +648,8 @@ def test_oracle_truncation_beyond_memory_exits_2(tmp_path, capsys):
     code, text = run(tmp_path, "oracle", None, extra=["--truncation", str(truncation)])
     assert code == 2 and text == "" and list(tmp_path.iterdir()) == []
     err = capsys.readouterr().err
-    assert err.startswith("config error: truncation 100000 needs 373 GiB") and "Traceback" not in err
+    assert err.startswith("config error: truncation (--truncation): truncation 100000 needs 373 GiB")
+    assert "Traceback" not in err
 
 
 def test_standard_channel_preset_bytes(tmp_path):
@@ -685,10 +704,12 @@ def test_seed_precedence_env_over_config_flag_over_env(tmp_path, monkeypatch):
     assert seeds(text_flag) != seeds(text_env)
 
 
-def test_env_seed_must_be_integer(tmp_path, monkeypatch):
+def test_env_seed_must_be_integer(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(ENV_SEED, "not-a-number")
     code, _ = run(tmp_path, "delay", "variable = lambda\nstart = 0.05\nstop = 0.1\nsteps = 2\n")
     assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {ENV_SEED}: key 'seed': 'not-a-number' is not an integer\n"
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -359,6 +359,27 @@ def test_solve_holds_at_most_five_lattices(pair, point):
     assert peak <= 5 * T * T * 8
 
 
+@pytest.mark.parametrize("point", BENCHMARK_POINTS)
+@pytest.mark.parametrize("pair", CHAIN_PAIRS)
+def test_memory_guard_admits_only_solves_that_fit(monkeypatch, pair, point):
+    # on a machine whose physical memory is five T x T float64 lattices, the
+    # guard takes truncation T and refuses T + 1, and the solve at T fits
+    T = 200
+    memory = 5 * T * T * 8
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle.os, "sysconf", {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}.__getitem__)
+        with pytest.raises(ValueError, match=f"truncation {T + 1} needs"):
+            ChainSpec(CH, POL, point, pair=pair, truncation=T + 1)
+        spec = ChainSpec(CH, POL, point, pair=pair, truncation=T)
+    tracemalloc.start()
+    try:
+        solve_stationary(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= memory
+
+
 @st.composite
 def chain_specs(draw):
     # Probabilities are 0, 1 or in [0.01, 0.99], and lambda_p stays at least

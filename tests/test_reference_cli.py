@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from points import at, optimum, primary_decision
 
 from cogrelay import analytics, optimizer
-from cogrelay.cli import SWEEP_VARIABLES, main
+from cogrelay.cli import main
+from cogrelay.config import SWEEP_VARIABLES
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
 
 # probabilities with the edges the closed forms are sensitive to: exact 0
@@ -26,12 +27,8 @@ PROB = (
 )
 SMALL_STEPS = st.integers(2, 9)
 
-#: How the CLI reports an unevaluable row, an invalid sweep step and an
-#: invalid optimize curve.
-FAILURES = tuple("config error: " + text for text in (
-    "the closed forms cannot be evaluated at ", "invalid sweep point (", "channel requires f_pd < f_sd",
-    "f_pd must be a finite probability",
-))
+#: How the CLI reports an unevaluable row.
+UNEVALUABLE = "config error: the closed forms cannot be evaluated at "
 
 
 def _grid(draw, config, defaults=False):
@@ -116,7 +113,8 @@ def _outcome(run, command, text):
             except (AssertionError, ArithmeticError) as exc:
                 result = (type(exc).__name__, str(exc))
         written = open(out, "rb").read() if os.path.exists(out) else None
-        return result, stderr.getvalue(), written
+        # errors name the config file's line, whose directory differs from run to run
+        return result, stderr.getvalue().replace(tmp, "<tmp>"), written
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -141,11 +139,10 @@ def test_commands_match_point_by_point_reference(case):
         assert outcome == expected
         return
     # where the reference fails, the CLI exits 2 and writes nothing; it names
-    # the reference's error, a row the closed forms cannot evaluate, or an
-    # invalid sweep step, which it now finds before evaluating any row
+    # the reference's error or a row the closed forms cannot evaluate
     code, stderr, written = outcome
     assert code == 2 and written is None
-    assert stderr == expected[1] or stderr.startswith(FAILURES), stderr
+    assert stderr == expected[1] or stderr.startswith(UNEVALUABLE), stderr
 
 
 @pytest.mark.parametrize("tolerance,code", [("0.1", 1), ("1", 0)])
