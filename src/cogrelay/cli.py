@@ -243,11 +243,56 @@ def _require_evaluable(point: dict[str, object], unevaluable: np.ndarray) -> Non
         raise analytics.UnevaluableError(f"the closed forms cannot be evaluated at {named}")
 
 
+_MASK32 = 0xFFFF_FFFF
+
+
+def _words(n: int) -> list[int]:
+    """The little-endian 32-bit words of n >= 0, at least one."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
 def _point_seed(base_seed: int, index: int) -> int:
-    state = np.random.SeedSequence(entropy=base_seed, spawn_key=(index,)).generate_state(
-        1, dtype=np.uint64
-    )
-    return int(state[0])
+    """``SeedSequence(entropy=base_seed, spawn_key=(index,)).generate_state(1, np.uint64)[0]``.
+
+    A transcription of numpy's SeedSequence (O'Neill's seed_seq design, pool of
+    four 32-bit words) for one spawn key and one 64-bit output, so that a CLI
+    process whose runs are simulated in forked workers never imports
+    ``numpy.random``.
+    """
+    entropy = _words(base_seed)
+    entropy += [0] * (4 - len(entropy)) + _words(index)  # a spawn key pads the entropy to the pool
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    state = []
+    for word in pool[:2]:
+        word ^= hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        word = word * hash_const & _MASK32
+        state.append(word ^ word >> 16)
+    return state[0] | state[1] << 32
 
 
 def _delay_forms(columns: dict[str, np.ndarray]) -> analytics.ClosedForms:

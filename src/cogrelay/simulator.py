@@ -46,24 +46,27 @@ independent of execution order.
 :func:`replicate_many` runs a batch of scenarios as one list of (scenario,
 replication) runs. On Linux, with at least two runs, at least two CPUs in the
 process's affinity mask and at least ``_POOL_MIN_SLOTS`` slots in all, the
-runs go to a pool of forked workers, one per CPU up to one per run; otherwise
-they run inline, one after another. Forked workers inherit the imported
-modules, so a pool costs tens of milliseconds rather than an interpreter start
-per worker, and the pool forks every worker before it starts its own thread.
-Since a run's draws depend only on its (seed, replication), the results are
-the same at any worker count and in any completion order; ``taskset -c 0``
-gives an inline run.
+runs go to forked workers, one per CPU up to one per run, while the calling
+process only waits for their results; otherwise they run inline, one after
+another. A worker inherits the imported modules and imports ``numpy.random``
+itself, so a pooled batch costs about 35 ms more than its runs rather than an
+interpreter start per worker. Since a run's draws depend only on its (seed,
+replication), the results are the same at any worker count and in any
+completion order; ``taskset -c 0`` gives an inline run.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 import statistics
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
-from typing import Any
+from typing import Any, BinaryIO, NoReturn
 
 import numpy as np
 
@@ -83,10 +86,12 @@ POLICY_KINDS = ("randomized", "strict_priority_relay", "no_cooperation")
 
 _BLOCK = 1 << 16
 _N_STREAMS = 7
-#: Total slots below which a batch runs inline. A pool's fork and join cost
-#: 28-38 ms, about 3e5 slots at ~1e7 slots/s, and two workers save at most
-#: half the batch's time, so a shorter batch is slower pooled.
-_POOL_MIN_SLOTS = 600_000
+#: Total slots below which a batch runs inline. A pooled batch costs about
+#: 35 ms beyond its runs: the fork, each worker's ~25 ms ``numpy.random``
+#: import (in parallel), pickling and reaping. That is about 4e5 slots at
+#: ~1.2e7 slots/s, and two workers save at most half the batch's time, so a
+#: shorter batch is slower pooled.
+_POOL_MIN_SLOTS = 800_000
 
 
 class QueueOverflowError(RuntimeError):
@@ -336,6 +341,87 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
+def _fork_map(fn: Callable[..., Any], tasks: Sequence[tuple], workers: int) -> list[Any]:
+    """``[fn(*task) for task in tasks]``, computed by ``workers`` forked children.
+
+    Child k runs tasks k, k + workers, ... in order until one raises, and
+    sends its results and that exception back through its own pipe. This
+    process only waits: it raises the exception of the first failing task in
+    task order, as a loop would, with the child's traceback as its cause, or a
+    RuntimeError naming the exit status of a child that ended without
+    reporting. On any exception, Ctrl-C included, it kills and reaps every
+    child it has not reaped.
+    """
+    children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe) until reaped
+    with ExitStack() as pipes:
+        try:
+            for k in range(workers):
+                read, write = os.pipe()
+                reader = pipes.enter_context(open(read, "rb"))
+                with open(write, "wb") as writer:
+                    # SIGINT stays blocked over the fork: this process takes it once the
+                    # child is on the list to kill, and the child drops it
+                    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                    try:
+                        pid = os.fork()
+                        if pid == 0:
+                            _fork_child(fn, tasks[k::workers], writer, mask)
+                        children.append((pid, reader))
+                    finally:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            reports = []
+            while children:
+                pid, reader = children[0]
+                report = reader.read()  # drained before the child is reaped
+                status = os.waitpid(pid, 0)[1]
+                children.pop(0)
+                if status:
+                    code = os.waitstatus_to_exitcode(status)
+                    how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                    raise RuntimeError(f"a batch worker ended with {how} without reporting its runs")
+                reports.append(pickle.loads(report))
+        except BaseException:
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            raise
+    # child k stopped at task k + len(results) * workers
+    failures = [(k + len(results) * workers, error)
+                for k, (results, error) in enumerate(reports) if error is not None]
+    if failures:
+        error, trace = min(failures)[1]
+        raise error from RuntimeError(f"raised in a batch worker:\n{trace}")
+    outputs: list[Any] = [None] * len(tasks)
+    for k, (results, _) in enumerate(reports):
+        outputs[k::workers] = results
+    return outputs
+
+
+def _fork_child(fn: Callable[..., Any], tasks: Sequence[tuple], writer: BinaryIO,
+                mask: set[signal.Signals]) -> NoReturn:
+    """Run ``tasks`` in a forked child, write (results, None or the exception that
+    stopped them with its traceback) to ``writer`` and leave by ``os._exit``, so that
+    the child never runs its parent's cleanup or flushes its parent's buffers. The
+    child ignores SIGINT: its parent takes Ctrl-C."""
+    status = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        results, error = [], None
+        try:
+            for task in tasks:
+                results.append(fn(*task))
+        except BaseException as exc:  # the parent raises it
+            import traceback
+
+            error = exc, traceback.format_exc()
+        pickle.dump((results, error), writer)
+        writer.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def replicate_many(scenarios: Sequence[Scenario], replications: int) -> list[SimStats]:
     """Pool independent replications of each scenario, in the order given.
 
@@ -353,21 +439,7 @@ def replicate_many(scenarios: Sequence[Scenario], replications: int) -> list[Sim
     if workers < 2 or sum(sc.slots for sc, _ in tasks) < _POOL_MIN_SLOTS:
         runs = [_run(sc, r) for sc, r in tasks]
     else:
-        import multiprocessing
-        import signal
-        from concurrent.futures import ProcessPoolExecutor
-
-        # workers ignore Ctrl-C: the parent takes it and shuts the pool down
-        pool = ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN),
-        )
-        try:
-            runs = list(pool.map(_run, *zip(*tasks)))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-        pool.shutdown()
+        runs = _fork_map(_run, tasks, workers)
     return [_pool_replications(runs[i:i + replications]) for i in range(0, len(runs), replications)]
 
 

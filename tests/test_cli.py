@@ -5,7 +5,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reference_cli import (
     DELAY_HEADER,
@@ -702,6 +705,20 @@ def test_seed_precedence_env_over_config_flag_over_env(tmp_path, monkeypatch):
 
     assert seeds(text_env) != seeds(text_cfg)
     assert seeds(text_flag) != seeds(text_env)
+
+
+# past 2^64 the entropy and the spawn key take three words or more
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**160), st.integers(0, 2**160))
+@example(0, 0)
+@example(2**32 - 1, 2**32 - 1)
+@example(2**32, 2**32)
+@example(2**64 - 1, 2**64 - 1)
+@example(2**32, 0)
+@example(2**64 - 1, 2**32)
+def test_point_seed_is_numpys_seed_sequence(base, index):
+    expected = np.random.SeedSequence(entropy=base, spawn_key=(index,)).generate_state(1, np.uint64)
+    assert cli._point_seed(base, index) == int(expected[0])
 
 
 def test_env_seed_must_be_integer(tmp_path, capsys, monkeypatch):

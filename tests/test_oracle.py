@@ -312,7 +312,7 @@ def test_package_import_does_not_load_scipy():
 
 
 def test_cli_import_does_not_load_the_process_pool():
-    # the simulator imports them only when it starts a pool
+    # the simulator forks its workers itself, without either
     src = Path(cogrelay.__file__).resolve().parents[1]
     code = ("import sys, cogrelay.cli; "
             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
@@ -320,6 +320,27 @@ def test_cli_import_does_not_load_the_process_pool():
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_pooled_validate_loads_neither_a_process_pool_nor_numpy_random(tmp_path):
+    # the runs draw in forked workers; had they run inline, numpy.random would be loaded here
+    src = Path(cogrelay.__file__).resolve().parents[1]
+    config = tmp_path / "run.cfg"
+    config.write_text("variable = lambda\nstart = 0.05\nstop = 0.15\nsteps = 2\n"
+                      "slots = 20000\nwarmup = 100\ntolerance = 1\n")
+    code = ("import sys\n"
+            "from cogrelay import cli, simulator\n"
+            "simulator._cpus = lambda: 2\n"
+            "simulator._POOL_MIN_SLOTS = 0\n"
+            f"code = cli.main(['validate', '--config', {str(config)!r}, "
+            f"'--out', {str(tmp_path / 'out.csv')!r}])\n"
+            "print(code, sorted({'multiprocessing', 'concurrent.futures', 'numpy.random'} "
+            "& set(sys.modules)))\n")
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "0 []"
+    assert (tmp_path / "out.csv").read_text().count("\n") == 3
 
 
 # the oracle benchmark's light and heavy points

@@ -1,6 +1,7 @@
-import concurrent.futures
 import math
-import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -211,6 +212,12 @@ def _with_cpus(monkeypatch, cpus: int) -> None:
     monkeypatch.setattr(simulator, "_POOL_MIN_SLOTS", 0)
 
 
+def _assert_no_child() -> None:
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("replications", [1, 3])
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_replicate_many_equals_replicate_per_scenario(monkeypatch, cpus, replications):
@@ -222,15 +229,16 @@ def test_replicate_many_equals_replicate_per_scenario(monkeypatch, cpus, replica
     expected = [replicate(sc, replications) for sc in scenarios]
     _with_cpus(monkeypatch, cpus)
     assert replicate_many(scenarios, replications) == expected
+    _assert_no_child()
 
 
 def test_short_batch_runs_inline(monkeypatch):
     monkeypatch.setattr(simulator, "_cpus", lambda: 2)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a batch below _POOL_MIN_SLOTS must not build a pool")
+    def no_fork():
+        raise AssertionError("a batch below _POOL_MIN_SLOTS must not fork")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     batch = [scenario(seed=seed) for seed in (42, 43)]
     assert sum(sc.slots for sc in batch) * 2 < simulator._POOL_MIN_SLOTS
     assert replicate_many(batch, 2) == [replicate(sc, 2) for sc in batch]
@@ -258,7 +266,7 @@ def test_failing_batch_raises_what_the_inline_run_raises(monkeypatch):
             replicate_many(_overflowing_batch(), 2)
         assert type(pooled.value) is QueueOverflowError
         assert str(pooled.value) == str(inline.value)
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
 
 
 def _interrupted_run(sc: Scenario, replication: int) -> SimStats:
@@ -273,4 +281,58 @@ def test_interrupted_batch_leaves_no_worker(monkeypatch):
     batch = [scenario(seed=seed) for seed in (42, 43, 44, 45)]
     with pytest.raises(KeyboardInterrupt):
         replicate_many(batch, 1)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
+
+
+def _dying_run(sc: Scenario, replication: int) -> SimStats:
+    if sc.seed == 43:
+        os._exit(3)
+    return _run(sc, replication)
+
+
+def test_worker_that_dies_without_reporting_fails_the_batch(monkeypatch):
+    _with_cpus(monkeypatch, 2)
+    monkeypatch.setattr(simulator, "_run", _dying_run)
+    batch = [scenario(seed=seed) for seed in (42, 43, 44, 45)]
+    with pytest.raises(RuntimeError, match="exit status 3"):
+        replicate_many(batch, 1)
+    _assert_no_child()
+
+
+def _square_unless_listed(i: int, failing: frozenset) -> int:
+    if i in failing:
+        raise ValueError(i)
+    return i * i
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_fork_map_returns_in_task_order_and_raises_the_first_failure(workers):
+    tasks = [(i, frozenset()) for i in range(7)]
+    assert simulator._fork_map(_square_unless_listed, tasks, workers) == [i * i for i in range(7)]
+    _assert_no_child()
+    # with two workers the second one stops at task 3, before the first one stops at 6
+    tasks = [(i, frozenset({3, 6})) for i in range(7)]
+    with pytest.raises(ValueError) as failed:
+        simulator._fork_map(_square_unless_listed, tasks, workers)
+    assert failed.value.args == (3,)
+    assert "in _square_unless_listed" in str(failed.value.__cause__)  # the worker's traceback
+    _assert_no_child()
+
+
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
+def test_ctrl_c_while_waiting_kills_every_worker():
+    # the workers would sleep for a minute; Ctrl-C reaches the waiting process only
+    previous = signal.signal(signal.SIGALRM, _interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.3)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            simulator._fork_map(time.sleep, [(60,), (60,)], 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - started < 30
+    _assert_no_child()
