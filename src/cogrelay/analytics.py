@@ -116,7 +116,8 @@ def closed_forms(f_pd, f_sd, f_ps, p_q=0.0, p_a=1.0, lambda_p=0.0, lambda_s=0.0)
 
     A quantity that does not depend on an argument ignores its default, so
     channel-level forms need only the channel and policy-level forms only
-    the policy.
+    the policy. Every argument is a probability: a negative lambda_s is
+    outside the domain, and the CLI refuses it.
     """
     f_pd, f_sd, f_ps, p_q, p_a, lp, ls = _operands(f_pd, f_sd, f_ps, p_q, p_a, lambda_p, lambda_s)
     relay = p_a * f_ps * (1.0 - f_pd)
@@ -157,10 +158,12 @@ def closed_forms(f_pd, f_sd, f_ps, p_q=0.0, p_a=1.0, lambda_p=0.0, lambda_s=0.0)
     g00_den = serve_own * mu
     g00 = (serve_own * (mu - lp) - ls * mu) / g00_den
     # lengths nonnegative, delays at least one slot (an absent delay counts
-    # as 1.0), probabilities in [0, 1]
+    # as 1.0), probabilities in [0, 1]. The d_s bound holds n_s >= lo too:
+    # d_s has the sign of n_s (or is nan with it), and at lambda_s = 0 n_s is
+    # a signed zero wherever n_s_den, which evaluable requires, is not
     lo, hi = -REPORT_SLACK, 1.0 + REPORT_SLACK
     in_bounds = (
-        (n_p >= lo) & (n_sp >= lo) & (n_s >= lo)
+        (n_p >= lo) & (n_sp >= lo)
         & (_select(lp > 0.0, d_p, 1.0) >= 1.0 - REPORT_SLACK)
         & (_select(ls > 0.0, d_s, 1.0) >= 1.0 - REPORT_SLACK)
         & (lo <= g00) & (g00 <= hi) & (lo <= epsilon) & (epsilon <= hi)

@@ -33,22 +33,12 @@ import functools
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import astuple, fields
+from dataclasses import fields
 
 import numpy as np
 
 from . import analytics, optimizer
-from .config import (
-    KEYS,
-    POINT_DEFAULTS,
-    Config,
-    ConfigError,
-    channel_from_config,
-    load_config_file,
-    parse_values,
-    point_from_config,
-    policy_from_config,
-)
+from .config import KEYS, Config, ConfigError, channel_from_config, load_config_file, parse_values
 from .model import NO_COOPERATION, ChannelProfile, OperatingPoint, Policy
 from .oracle import ChainSpec, solve_stationary
 from .simulator import Scenario, SimStats, replicate_many
@@ -56,9 +46,6 @@ from .simulator import Scenario, SimStats, replicate_many
 __all__ = ["main", "entrypoint", "PRESETS", "ENV_SEED"]
 
 ENV_SEED = "COGRELAY_SEED"
-DEFAULT_SEED = 12345
-DEFAULT_SLOTS = 1_000_000
-DEFAULT_WARMUP = 10_000
 #: Exit code when stdout is closed early: 128 + SIGPIPE, as shells report it.
 EXIT_BROKEN_PIPE = 141
 
@@ -124,7 +111,7 @@ PRESETS.update(fig5=PRESETS["fig4"], fig7=PRESETS["fig6"], fig9=PRESETS["fig8"])
 
 #: The channel, policy and point keys of a sweep row, in the order
 #: :func:`cogrelay.analytics.closed_forms` takes them.
-POINT_KEYS = tuple(POINT_DEFAULTS)
+POINT_KEYS = ("f_pd", "f_sd", "f_ps", "p_q", "p_a", "lambda_p", "lambda_s")
 
 #: Grid defaults of the p_a sweeps that ``tradeoff`` and ``region`` in rates
 #: mode run over ``p_q_list``; config keys override them.
@@ -217,9 +204,8 @@ def _sweep_columns(cfg: Config, curve: str = "p_q") -> dict[str, np.ndarray]:
     if listed in cfg and variable == curve:
         raise ConfigError(f"{cfg.where(listed, 'variable')}: "
                           f"{listed} cannot be combined with a {curve} sweep")
-    curves = cfg.get(listed, [cfg.get(curve, POINT_DEFAULTS[curve])])
-    columns = {key: np.full(len(curves) * values.size, cfg.get(key, default))
-               for key, default in POINT_DEFAULTS.items()}
+    curves = cfg.get(listed, [cfg[curve]])
+    columns = {key: np.full(len(curves) * values.size, cfg[key]) for key in POINT_KEYS}
     columns[curve] = np.repeat(np.array(curves, dtype=np.float64), values.size)
     columns.update(dict.fromkeys(keys, np.tile(values, len(curves))))
     rejected = np.flatnonzero(~(columns["f_pd"] < columns["f_sd"]))
@@ -304,8 +290,8 @@ def _delay_forms(columns: dict[str, np.ndarray]) -> analytics.ClosedForms:
 
 def cmd_region(cfg: Config, out) -> int:
     channel = channel_from_config(cfg)
-    if cfg.get("region_mode", "boundary") == "boundary":
-        policies = cfg.get("policies", [Policy(0.5, 1.0)])
+    if cfg["region_mode"] == "boundary":
+        policies = cfg["policies"]
         _, union_root, _ = analytics.union_region(channel.f_pd, channel.f_sd, channel.f_ps)
         grid = _grid(Config({"start": 0.0, "stop": float(union_root), "steps": 101}) | cfg)
         p_q = np.array([[pol.p_q] for pol in policies])
@@ -360,11 +346,6 @@ def cmd_delay(cfg: Config, out) -> int:
     return 0
 
 
-def _sim_options(cfg: Config) -> tuple[int, int, int, int, str]:
-    return (cfg.get("slots", DEFAULT_SLOTS), cfg.get("warmup", DEFAULT_WARMUP), cfg.get("replications", 1),
-            cfg.get("seed", DEFAULT_SEED), cfg.get("policy_kind", "randomized"))
-
-
 def _policy_columns(cfg: Config, kind: str) -> dict[str, np.ndarray]:
     """The sweep columns with the policy that runs: no cooperation is (p_q, p_a) = (1, 0)."""
     columns = _sweep_columns(cfg)
@@ -376,22 +357,22 @@ def _policy_columns(cfg: Config, kind: str) -> dict[str, np.ndarray]:
 
 def _simulate_rows(cfg: Config, columns: dict[str, np.ndarray], stable: np.ndarray) -> list[SimStats]:
     """The pooled stats of every stable row, in order, from one batch; no stable row, no batch."""
-    slots, warmup, replications, seed, kind = _sim_options(cfg)
     scenarios = []
     for index in np.flatnonzero(stable).tolist():
         f_pd, f_sd, f_ps, p_q, p_a, lambda_p, lambda_s = (float(columns[key][index]) for key in POINT_KEYS)
         try:
             scenarios.append(Scenario(
                 ChannelProfile(f_pd, f_sd, f_ps), OperatingPoint(lambda_p, lambda_s), Policy(p_q, p_a),
-                policy_kind=kind, slots=slots, warmup_slots=warmup, seed=_point_seed(seed, index),
+                policy_kind=cfg["policy_kind"], slots=cfg["slots"], warmup_slots=cfg["warmup"],
+                seed=_point_seed(cfg["seed"], index),
             ))
         except ValueError as exc:  # slots > warmup, checked where the two values meet
             raise ConfigError(f"{cfg.where('slots', 'warmup')}: {exc}") from exc
-    return replicate_many(scenarios, replications) if scenarios else []
+    return replicate_many(scenarios, cfg["replications"]) if scenarios else []
 
 
 def cmd_simulate(cfg: Config, out) -> int:
-    slots, warmup, replications, seed, kind = _sim_options(cfg)
+    kind = cfg["policy_kind"]
     columns = _policy_columns(cfg, kind)
     if kind == "strict_priority_relay":
         # strict priority (Sadek, Liu & Ephremides, IEEE Trans. Inf. Theory 53(10), 2007) serves
@@ -413,10 +394,8 @@ def cmd_simulate(cfg: Config, out) -> int:
     _write_table(out, {
         **_cells(columns),
         "policy_kind": [kind] * rows,
-        "slots": [str(slots)] * rows,
-        "warmup": [str(warmup)] * rows,
-        "replications": [str(replications)] * rows,
-        "seed": [str(_point_seed(seed, index)) for index in range(rows)],
+        **{key: [str(cfg[key])] * rows for key in ("slots", "warmup", "replications")},
+        "seed": [str(_point_seed(cfg["seed"], index)) for index in range(rows)],
         "stable": _format(stable),
         **stats,
     })
@@ -424,11 +403,10 @@ def cmd_simulate(cfg: Config, out) -> int:
 
 
 def cmd_validate(cfg: Config, out) -> int:
-    *_, kind = _sim_options(cfg)
+    kind = cfg["policy_kind"]
     if kind == "strict_priority_relay":
         raise ConfigError(f"{cfg.where('policy_kind')}: "
                           "validate has no closed forms for strict_priority_relay")
-    tolerance = cfg.get("tolerance", 0.03)
     columns = _policy_columns(cfg, kind)
     cf = _delay_forms(columns)
     stable = cf.stable
@@ -440,7 +418,7 @@ def cmd_validate(cfg: Config, out) -> int:
     with np.errstate(all="ignore"):  # rows unstable or without arrivals hold any IEEE value
         margins = [cf.margin_p / cf.bound_p, cf.margin_s / cf.bound_s]
         errors = abs(simulated - analytic) / analytic
-    within = ((errors <= tolerance) | ~present).all(axis=0)
+    within = ((errors <= cfg["tolerance"]) | ~present).all(axis=0)
     enforced = (margins[0] >= MARGIN_ENFORCEMENT) & (margins[1] >= MARGIN_ENFORCEMENT)
     failed = stable & ~within & enforced
     ok = within & (enforced | ~present.any(axis=0))
@@ -495,7 +473,7 @@ def cmd_optimize(cfg: Config, out) -> int:
         columns = {key: columns[key] for key in keys}
         _write_table(out, {**_cells(columns), **_optimize_columns(columns)})
         return 0
-    point = {key: np.full(1, cfg.get(key, POINT_DEFAULTS[key])) for key in keys}
+    point = {key: np.full(1, cfg[key]) for key in keys}
     row = {key: cells[0] for key, cells in _optimize_columns(point).items()}
     out.write("# primary delay minimization\n")
     for key, cell in row.items():
@@ -512,14 +490,13 @@ def cmd_optimize(cfg: Config, out) -> int:
 
 def cmd_oracle(cfg: Config, out) -> int:
     channel = channel_from_config(cfg)
-    policy = policy_from_config(cfg)
-    point = point_from_config(cfg)
-    values = (*astuple(channel), *astuple(policy), *astuple(point))
+    policy, point = Policy(cfg["p_q"], cfg["p_a"]), OperatingPoint(cfg["lambda_p"], cfg["lambda_s"])
+    values = [cfg[key] for key in POINT_KEYS]
     cf = analytics.closed_forms(*values)
     if not cf.stable:
         raise ConfigError("oracle requires a stable operating point")
     _require_evaluable(dict(zip(POINT_KEYS, values)), ~cf.evaluable)
-    truncation = cfg.get("truncation", 400)
+    truncation = cfg["truncation"]
     partners = {"primary_secondary": cf.n_s, "primary_relay": cf.n_sp}
     try:
         specs = [ChainSpec(channel, policy, point, pair=pair, truncation=truncation) for pair in partners]
@@ -567,8 +544,7 @@ def cmd_oracle(cfg: Config, out) -> int:
 
 def cmd_tradeoff(cfg: Config, out) -> int:
     channel_from_config(cfg)
-    point = point_from_config(cfg)
-    if point.lambda_p <= 0.0 or point.lambda_s <= 0.0:
+    if cfg["lambda_p"] <= 0.0 or cfg["lambda_s"] <= 0.0:
         raise ConfigError(f"{cfg.where('lambda_p', 'lambda_s')}: "
                           "tradeoff requires positive lambda_p and lambda_s")
     columns = _sweep_columns(TRADEOFF_GRID | cfg | Config({"variable": "p_a"}))
@@ -622,10 +598,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, desc in descriptions.items():
         sub.add_parser(name, help=desc, description=desc, parents=[shared])
     sub.choices["validate"].add_argument(
-        "--tolerance", help="relative error tolerance (default 0.03)"
+        "--tolerance", help=f"relative error tolerance (default {KEYS['tolerance'].default})"
     )
     sub.choices["oracle"].add_argument(
-        "--truncation", help="lattice size per dimension (default 400)"
+        "--truncation", help=f"lattice size per dimension (default {KEYS['truncation'].default})"
     )
     return parser
 

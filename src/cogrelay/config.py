@@ -2,45 +2,38 @@
 
 One ``key = value`` pair per line, ``#`` starts a comment (full line or
 trailing), blank lines ignored. :data:`KEYS` maps every key a config may set
-to the parser that turns its text into a typed value and checks its range;
-lists use commas (``p_q_list = 0.3, 0.5``) and policies colon pairs
-(``policies = 0.3:1, 0.5:1``). Every value goes through it where it enters:
-a file line, a preset, the seed environment variable or a flag. A
-:class:`Config` keeps where each value came from (``path:line``, ``preset
-fig6``, ``COGRELAY_SEED``, ``--slots``), and every error leads with it. A
-check between keys (f_pd < f_sd, start < stop, slots > warmup) is made where
-the values meet, and names the origin of each key.
+to the parser that turns its text into a typed value and checks its range,
+and to the value the key reads when nothing sets it; lists use commas
+(``p_q_list = 0.3, 0.5``) and policies colon pairs (``policies = 0.3:1,
+0.5:1``). Every value goes through it where it enters: a file line, a
+preset, the seed environment variable or a flag. A :class:`Config` keeps
+where each value came from (``path:line``, ``preset fig6``,
+``COGRELAY_SEED``, ``--slots``), and every error leads with it. A check
+between keys (f_pd < f_sd, start < stop, slots > warmup) is made where the
+values meet, and names the origin of each key.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from .model import ChannelProfile, OperatingPoint, Policy, _unit_interval
+from .model import ChannelProfile, Policy, _unit_interval
 from .simulator import POLICY_KINDS
 
 __all__ = [
     "KEYS",
     "SWEEP_VARIABLES",
-    "POINT_DEFAULTS",
     "Config",
     "ConfigError",
     "parse_config_text",
     "parse_values",
     "load_config_file",
     "channel_from_config",
-    "policy_from_config",
-    "point_from_config",
 ]
 
 SWEEP_VARIABLES = ("lambda", "lambda_p", "lambda_s", "p_q", "p_a", "f_pd")
-
-#: The channel, policy and point keys of a sweep row with their defaults, in
-#: the order :func:`cogrelay.analytics.closed_forms` takes them.
-POINT_DEFAULTS = {
-    "f_pd": 0.3, "f_sd": 0.8, "f_ps": 0.4, "p_q": 0.5, "p_a": 1.0, "lambda_p": 0.1, "lambda_s": 0.1,
-}
 
 
 class ConfigError(ValueError):
@@ -75,13 +68,13 @@ def _choice(*choices: str):
 
 
 def _list(parse_item):
-    """The parser of a comma-separated list, whose non-empty items ``parse_item(key, item)`` reads."""
+    """A parser of comma-separated text into a tuple of its non-empty items, each read by ``parse_item``."""
 
-    def parse(key: str, text: str) -> list:
+    def parse(key: str, text: str) -> tuple:
         items = [item.strip() for item in text.split(",") if item.strip()]
         if not items:
             raise ValueError("empty list")
-        return [parse_item(key, item) for item in items]
+        return tuple(parse_item(key, item) for item in items)
 
     return parse
 
@@ -97,32 +90,47 @@ def _policy(key: str, item: str) -> Policy:
     return Policy(_number(parts[0]), _number(parts[1]))
 
 
-#: Every key a config may set, with the parser that turns its text into a
-#: typed, range-checked value or raises ValueError.
+class Key(NamedTuple):
+    """A config key's parser, which turns its text into a typed, range-checked value or raises
+    ValueError, and its default: the value an unset key reads, None for a key a command needs."""
+
+    parse: Callable[[str, str], object]
+    default: object = None
+
+
+#: Every key a config may set, with its parser and its default.
 KEYS = {
-    **dict.fromkeys(POINT_DEFAULTS, _probability),
-    "variable": _choice(*SWEEP_VARIABLES),
-    "start": _probability,
-    "stop": _probability,
-    "steps": _count(2),
-    "p_q_list": _list(_probability),
-    "f_pd_list": _list(_probability),
-    "policies": _list(_policy),
-    "region_mode": _choice("boundary", "rates"),
-    "policy_kind": _choice(*POLICY_KINDS),
-    "slots": _count(1),
-    "warmup": _count(0),
-    "replications": _count(1),
-    "seed": _count(0),
-    "tolerance": _checked(_number, lambda value: math.isfinite(value) and value >= 0.0, "finite and >= 0"),
-    "truncation": _count(4),
+    "f_pd": Key(_probability, 0.3),
+    "f_sd": Key(_probability, 0.8),
+    "f_ps": Key(_probability, 0.4),
+    "p_q": Key(_probability, 0.5),
+    "p_a": Key(_probability, 1.0),
+    "lambda_p": Key(_probability, 0.1),
+    "lambda_s": Key(_probability, 0.1),
+    "variable": Key(_choice(*SWEEP_VARIABLES)),
+    "start": Key(_probability),
+    "stop": Key(_probability),
+    "steps": Key(_count(2)),
+    "p_q_list": Key(_list(_probability)),
+    "f_pd_list": Key(_list(_probability)),
+    "policies": Key(_list(_policy), (Policy(0.5, 1.0),)),
+    "region_mode": Key(_choice("boundary", "rates"), "boundary"),
+    "policy_kind": Key(_choice(*POLICY_KINDS), "randomized"),
+    "slots": Key(_count(1), 1_000_000),
+    "warmup": Key(_count(0), 10_000),
+    "replications": Key(_count(1), 1),
+    "seed": Key(_count(0), 12345),
+    "tolerance": Key(_checked(_number, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"), 0.03),
+    "truncation": Key(_count(4), 400),
 }
 
 
 class Config(dict):
     """Typed values by key, and in ``origins`` where each came from (none for a command's default).
 
-    Indexing a key that is absent raises ConfigError; ``get`` takes a command's default instead.
+    ``in`` and iteration see only the keys that are set (by a preset, a file, the seed variable, a
+    flag or a command's own grid). An unset key reads its default in :data:`KEYS`, whose origin is
+    ``default``; one without a default raises ConfigError.
     """
 
     def __init__(self, values=(), origins=()) -> None:
@@ -130,7 +138,10 @@ class Config(dict):
         self.origins = dict(origins)
 
     def __missing__(self, key: str):
-        raise ConfigError(f"missing required key {key!r}")
+        default = KEYS[key].default
+        if default is None:
+            raise ConfigError(f"missing required key {key!r}")
+        return default
 
     def __or__(self, other: Config) -> Config:
         """``other`` laid over this config: its keys take their values and origins from it."""
@@ -153,7 +164,7 @@ def _set(cfg: Config, key: str, text: str, origin: str) -> None:
     if key not in KEYS:
         raise ConfigError(f"{origin}: unknown key {key!r}")
     try:
-        cfg[key] = KEYS[key](key, text)
+        cfg[key] = KEYS[key].parse(key, text)
     except ValueError as exc:
         raise ConfigError(f"{origin}: key {key!r}: {exc}") from exc
     cfg.origins[key] = origin
@@ -196,14 +207,6 @@ def load_config_file(path: str | Path) -> Config:
 def channel_from_config(cfg: Config) -> ChannelProfile:
     """The config's channel; f_pd < f_sd is checked here, where the two values meet."""
     try:
-        return ChannelProfile(*(cfg.get(key, POINT_DEFAULTS[key]) for key in ("f_pd", "f_sd", "f_ps")))
+        return ChannelProfile(cfg["f_pd"], cfg["f_sd"], cfg["f_ps"])
     except ValueError as exc:
         raise ConfigError(f"{cfg.where('f_pd', 'f_sd')}: {exc}") from exc
-
-
-def policy_from_config(cfg: Config) -> Policy:
-    return Policy(*(cfg.get(key, POINT_DEFAULTS[key]) for key in ("p_q", "p_a")))
-
-
-def point_from_config(cfg: Config) -> OperatingPoint:
-    return OperatingPoint(*(cfg.get(key, POINT_DEFAULTS[key]) for key in ("lambda_p", "lambda_s")))

@@ -24,13 +24,7 @@ import reference_closed_forms as closed
 from reference_closed_forms import InstabilityError
 
 from cogrelay import cli
-from cogrelay.config import (
-    POINT_DEFAULTS,
-    ConfigError,
-    channel_from_config,
-    point_from_config,
-    policy_from_config,
-)
+from cogrelay.config import ConfigError, channel_from_config
 from cogrelay.model import NO_COOPERATION, OperatingPoint, Policy
 from cogrelay.simulator import Scenario, replicate
 
@@ -79,6 +73,10 @@ def _write_row(out, cells) -> None:
     out.write(",".join(_fmt(cell) for cell in cells) + "\n")
 
 
+def _point(cfg) -> OperatingPoint:
+    return OperatingPoint(cfg["lambda_p"], cfg["lambda_s"])
+
+
 def _sweep(cfg) -> tuple[str, list[float]]:
     variable = cfg["variable"]
     return variable, [float(v) for v in cli._grid(cfg)]
@@ -96,14 +94,14 @@ def _sweep_points(cfg):
     for curve in curves:
         for value in values:
             step = cfg.derive("p_q_list", **curve).derive("variable", **dict.fromkeys(keys, value))
-            yield channel_from_config(step), policy_from_config(step), point_from_config(step)
+            yield channel_from_config(step), Policy(step["p_q"], step["p_a"]), _point(step)
 
 
 def cmd_region(cfg, out) -> int:
-    mode = cfg.get("region_mode", "boundary")
+    mode = cfg["region_mode"]
     channel = channel_from_config(cfg)
     if mode == "boundary":
-        policies = cfg.get("policies", [Policy(0.5, 1.0)])
+        policies = cfg["policies"]
         steps = cfg.get("steps", 101)
         relay_full = channel.f_ps * (1.0 - channel.f_pd)
         union_root = channel.f_sd * (channel.f_pd + relay_full) / (channel.f_sd + relay_full)
@@ -190,7 +188,7 @@ def cmd_optimize(cfg, out) -> int:
                               "optimize sweeps support variable = lambda_p or lambda_s")
         variable, values = _sweep(cfg)
         f_pd_values = cfg.get("f_pd_list", [channel.f_pd])
-        base_point = point_from_config(cfg)
+        base_point = _point(cfg)
         out.write(OPTIMIZE_SWEEP_HEADER + "\n")
         for f_pd in f_pd_values:
             ch = channel_from_config(cfg.derive("f_pd_list", f_pd=f_pd))
@@ -202,7 +200,7 @@ def cmd_optimize(cfg, out) -> int:
                 identity = [ch.f_pd, ch.f_sd, ch.f_ps, pt.lambda_p, pt.lambda_s]
                 _write_row(out, identity + list(_optimize_row(ch, pt).values()))
         return 0
-    row = _optimize_row(channel, point_from_config(cfg))
+    row = _optimize_row(channel, _point(cfg))
     out.write("# primary delay minimization\n")
     for key, value in row.items():
         if not key.startswith("su_"):
@@ -218,11 +216,11 @@ def cmd_optimize(cfg, out) -> int:
 
 def cmd_tradeoff(cfg, out) -> int:
     channel = channel_from_config(cfg)
-    point = point_from_config(cfg)
+    point = _point(cfg)
     if point.lambda_p <= 0.0 or point.lambda_s <= 0.0:
         raise ConfigError(f"{cfg.where('lambda_p', 'lambda_s')}: "
                           "tradeoff requires positive lambda_p and lambda_s")
-    p_q_values = cfg.get("p_q_list", [cfg.get("p_q", POINT_DEFAULTS["p_q"])])
+    p_q_values = cfg.get("p_q_list", [cfg["p_q"]])
     steps = cfg.get("steps", 21)
     grid = np.linspace(cfg.get("start", 0.0), cfg.get("stop", 1.0), steps)
     out.write(TRADEOFF_HEADER + "\n")
@@ -240,11 +238,10 @@ def cmd_tradeoff(cfg, out) -> int:
 
 
 def cmd_validate(cfg, out) -> int:
-    slots, warmup, replications, seed, kind = cli._sim_options(cfg)
+    kind = cfg["policy_kind"]
     if kind == "strict_priority_relay":
         raise ConfigError(f"{cfg.where('policy_kind')}: "
                           "validate has no closed forms for strict_priority_relay")
-    tolerance = cfg.get("tolerance", 0.03)
     rows = []
     failed = False
     for index, (ch, pol, pt) in enumerate(_sweep_points(cfg)):
@@ -258,8 +255,9 @@ def cmd_validate(cfg, out) -> int:
         margins = (verdict.margin_p / closed.max_arrival_primary(ch, pol),
                    verdict.margin_s / closed.max_arrival_secondary(ch, pol, pt.lambda_p))
         report = closed.delay_report(ch, pol, pt)
-        stats = replicate(Scenario(ch, pt, pol, policy_kind=kind, slots=slots, warmup_slots=warmup,
-                                   seed=cli._point_seed(seed, index)), replications)
+        scenario = Scenario(ch, pt, pol, policy_kind=kind, slots=cfg["slots"], warmup_slots=cfg["warmup"],
+                            seed=cli._point_seed(cfg["seed"], index))
+        stats = replicate(scenario, cfg["replications"])
         errors, cells = [], []
         for analytic, simulated in ((report.d_p, stats.mean_delay_p), (report.d_s, stats.mean_delay_s)):
             if analytic is None:
@@ -270,7 +268,7 @@ def cmd_validate(cfg, out) -> int:
         enforced = min(margins) >= cli.MARGIN_ENFORCEMENT
         if not errors:
             status = "ok"
-        elif max(errors) <= tolerance:
+        elif max(errors) <= cfg["tolerance"]:
             status = "ok" if enforced else "marginal"
         elif enforced:
             status = "fail"

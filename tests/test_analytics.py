@@ -254,6 +254,20 @@ def test_delay_report_equals_single_functions(case):
         assert rep.d_s == closed.delay_secondary(ch, pol, pt)
 
 
+UNIT = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+LOAD = UNIT | st.floats(0.0, 1e-300)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.tuples(UNIT, UNIT, UNIT, UNIT, UNIT, LOAD, LOAD))
+def test_negative_secondary_length_is_never_evaluable(values):
+    # in_bounds has no n_s term: the d_s bound refuses every point whose n_s is below the slack,
+    # stable or not, anywhere in [0, 1], at exact zeros and at tiny loads
+    cf = analytics.closed_forms(*values)
+    if cf.n_s < -analytics.REPORT_SLACK:
+        assert not cf.evaluable
+
+
 # Points the core marks stable but where the closed forms lose every digit:
 # products underflow near zero, or an expression cancels within rounding of
 # the stability bound. The core marks them not evaluable.

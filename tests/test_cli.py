@@ -597,6 +597,33 @@ def test_check_between_keys_names_the_origin_of_each(tmp_path, capsys, command, 
     assert capsys.readouterr().err == f"config error: {message.format(cfg=tmp_path / 'run.cfg')}\n"
 
 
+@pytest.mark.parametrize("command,config,message", [
+    # no cooperation at f_pd = 0 serves the primary at rate 0, so even the idle-primary point
+    # that every curve shows is not below its service rate
+    ("region", "f_pd = 0\npolicies = 1:0, 0.5:1\n", "lambda_p=0.0 not below the primary service rate 0.0"),
+    ("delay", " = 5\n", "{cfg}:1: empty key"),
+])
+def test_refused_config_exits_2_naming_the_cause(tmp_path, capsys, command, config, message):
+    code, text = run(tmp_path, command, config)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"config error: {message.format(cfg=tmp_path / 'run.cfg')}\n"
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing.cfg"
+    assert main(["delay", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config file {path}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,key", [("validate", "tolerance"), ("oracle", "truncation")])
+def test_flag_help_prints_the_table_default(capsys, command, key):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"(default {KEYS[key].default})" in help_text.split(f"--{key}")[-1]
+
+
 def test_unwritable_out_path_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "out.csv"
     code = main(["delay", "--preset", "fig6", "--out", str(out)])

@@ -129,6 +129,31 @@ def test_every_command_takes_any_config_file_cleanly(case):
 
 
 def test_readme_config_table_lists_every_key():
+    # each default cell holds a value per key of its row, read by that key's parser, or "—" for
+    # keys without one; a parenthesised per-command note after it is skipped
     section = README.read_text().split("### Config format", 1)[1].split("\n#", 1)[0]
-    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
-    assert set(re.findall(r"`(\w+)`", "".join(rows))) == KEYS.keys()
+    rows = [line.split("|") for line in section.splitlines() if line.startswith("| `")]
+    listed = {}
+    for row in rows:
+        keys = re.findall(r"`(\w+)`", row[1])
+        cell = re.sub(r"\s*\(.*\)$", "", row[3].strip()).replace("`", "")
+        texts = [cell] * len(keys) if cell == "—" or len(keys) == 1 else cell.split(", ")
+        assert len(texts) == len(keys), row
+        listed.update(zip(keys, texts))
+    assert listed.keys() == KEYS.keys()
+    for key, text in listed.items():
+        if text == "—":
+            assert KEYS[key].default is None, key
+        else:
+            assert KEYS[key].parse(key, text) == KEYS[key].default, key
+
+
+def test_unset_key_reads_its_table_default():
+    cfg = parse_config_text("p_q = 0.3\n", "run.cfg")
+    assert cfg["p_q"] == 0.3 and list(cfg) == ["p_q"]
+    for key, (_, default) in KEYS.items():
+        if key != "p_q" and default is not None:
+            assert cfg[key] is default and key not in cfg
+    assert cfg.where("f_pd", "p_q") == "f_pd (default), p_q (run.cfg:1)"
+    with pytest.raises(ConfigError, match="missing required key 'variable'"):
+        cfg["variable"]

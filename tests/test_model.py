@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cogrelay.analytics import MOST_NEGATIVE_MARGIN, closed_forms
-from cogrelay.config import channel_from_config, parse_config_text, point_from_config, policy_from_config
+from cogrelay.config import channel_from_config, parse_config_text
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
 
 
@@ -81,5 +81,5 @@ def test_config_round_trip(ch, pol, pt):
     values = {**dataclasses.asdict(ch), **dataclasses.asdict(pol), **dataclasses.asdict(pt)}
     cfg = parse_config_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
     assert channel_from_config(cfg) == ch
-    assert policy_from_config(cfg) == pol
-    assert point_from_config(cfg) == pt
+    assert Policy(cfg["p_q"], cfg["p_a"]) == pol
+    assert OperatingPoint(cfg["lambda_p"], cfg["lambda_s"]) == pt

@@ -45,6 +45,8 @@ def test_scenario_validation():
         scenario(slots=100, warmup_slots=100)
     with pytest.raises(ValueError):
         scenario(warmup_slots=-1)
+    with pytest.raises(ValueError, match="queue_cap must be positive"):
+        scenario(queue_cap=0)
 
 
 def test_determinism():
