@@ -160,13 +160,15 @@ def closed_forms(f_pd, f_sd, f_ps, p_q=0.0, p_a=1.0, lambda_p=0.0, lambda_s=0.0)
     # lengths nonnegative, delays at least one slot (an absent delay counts
     # as 1.0), probabilities in [0, 1]. The d_s bound holds n_s >= lo too:
     # d_s has the sign of n_s (or is nan with it), and at lambda_s = 0 n_s is
-    # a signed zero wherever n_s_den, which evaluable requires, is not
+    # a signed zero wherever n_s_den, which evaluable requires, is not. g00
+    # needs no upper bound: rounding is monotone, so its numerator is at most
+    # serve_own * mu = g00_den, which is positive wherever it is not 0
     lo, hi = -REPORT_SLACK, 1.0 + REPORT_SLACK
     in_bounds = (
         (n_p >= lo) & (n_sp >= lo)
         & (_select(lp > 0.0, d_p, 1.0) >= 1.0 - REPORT_SLACK)
         & (_select(ls > 0.0, d_s, 1.0) >= 1.0 - REPORT_SLACK)
-        & (lo <= g00) & (g00 <= hi) & (lo <= epsilon) & (epsilon <= hi)
+        & (lo <= g00) & (lo <= epsilon) & (epsilon <= hi)
     )
     return ClosedForms(
         relay, mu, epsilon, threshold, bound_p, p_empty, bound_s,

@@ -117,7 +117,7 @@ POINT_KEYS = ("f_pd", "f_sd", "f_ps", "p_q", "p_a", "lambda_p", "lambda_s")
 #: mode run over ``p_q_list``; config keys override them.
 TRADEOFF_GRID = Config({"start": 0.0, "stop": 1.0, "steps": 21})
 RATES_GRID = Config({
-    "start": 0.0, "stop": 1.0, "steps": 101, "p_q_list": [0.2, 0.4, 0.625, 0.8], "lambda_p": 0.2,
+    "start": 0.0, "stop": 1.0, "steps": 101, "p_q_list": (0.2, 0.4, 0.625, 0.8), "lambda_p": 0.2,
 })
 
 
@@ -463,7 +463,6 @@ def _optimize_columns(columns: dict[str, np.ndarray]) -> dict[str, list[str]]:
 
 
 def cmd_optimize(cfg: Config, out) -> int:
-    channel_from_config(cfg)
     keys = ("f_pd", "f_sd", "f_ps", "lambda_p", "lambda_s")
     if "variable" in cfg:
         if cfg["variable"] not in ("lambda_p", "lambda_s"):
@@ -473,6 +472,7 @@ def cmd_optimize(cfg: Config, out) -> int:
         columns = {key: columns[key] for key in keys}
         _write_table(out, {**_cells(columns), **_optimize_columns(columns)})
         return 0
+    channel_from_config(cfg)  # a sweep checks each of its rows' channels instead
     point = {key: np.full(1, cfg[key]) for key in keys}
     row = {key: cells[0] for key, cells in _optimize_columns(point).items()}
     out.write("# primary delay minimization\n")

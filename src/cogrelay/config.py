@@ -20,7 +20,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .model import ChannelProfile, Policy, _unit_interval
-from .simulator import POLICY_KINDS
+from .oracle import ChainSpec
+from .simulator import POLICY_KINDS, Scenario
 
 __all__ = [
     "KEYS",
@@ -98,7 +99,8 @@ class Key(NamedTuple):
     default: object = None
 
 
-#: Every key a config may set, with its parser and its default.
+#: Every key a config may set, with its parser and its default. The run settings a
+#: simulation or an oracle solve reads take their defaults from its spec.
 KEYS = {
     "f_pd": Key(_probability, 0.3),
     "f_sd": Key(_probability, 0.8),
@@ -115,13 +117,13 @@ KEYS = {
     "f_pd_list": Key(_list(_probability)),
     "policies": Key(_list(_policy), (Policy(0.5, 1.0),)),
     "region_mode": Key(_choice("boundary", "rates"), "boundary"),
-    "policy_kind": Key(_choice(*POLICY_KINDS), "randomized"),
-    "slots": Key(_count(1), 1_000_000),
-    "warmup": Key(_count(0), 10_000),
+    "policy_kind": Key(_choice(*POLICY_KINDS), Scenario.policy_kind),
+    "slots": Key(_count(1), Scenario.slots),
+    "warmup": Key(_count(0), Scenario.warmup_slots),
     "replications": Key(_count(1), 1),
     "seed": Key(_count(0), 12345),
     "tolerance": Key(_checked(_number, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"), 0.03),
-    "truncation": Key(_count(4), 400),
+    "truncation": Key(_count(4), ChainSpec.truncation),
 }
 
 

@@ -14,8 +14,8 @@ level by level, with no iteration and no dense solve. No T x T block of the
 kernel K is built: the transition law writes the three diagonals of each of
 its six blocks.
 Every result must then pass a residual check: the true residual
-max|pi K - pi| of the returned distribution must be below the tolerance,
-or the solve is rejected.
+max|pi K - pi| of the returned distribution must be below
+``RESIDUAL_TOLERANCE``, or the solve is rejected.
 """
 
 from __future__ import annotations
@@ -28,13 +28,16 @@ import numpy as np
 
 from .model import ChannelProfile, OperatingPoint, Policy
 
-__all__ = ["CHAIN_PAIRS", "BOUNDARY_MASS_LIMIT", "ConvergenceError", "TruncationError",
-           "ChainSpec", "StationarySolution", "solve_stationary"]
+__all__ = ["CHAIN_PAIRS", "BOUNDARY_MASS_LIMIT", "RESIDUAL_TOLERANCE", "ConvergenceError",
+           "TruncationError", "ChainSpec", "StationarySolution", "solve_stationary"]
 
 CHAIN_PAIRS = ("primary_secondary", "primary_relay")
 
 #: Stationary probability allowed on the truncation edge before a solve is rejected.
 BOUNDARY_MASS_LIMIT = 1e-6
+
+#: Bound the true residual max|pi K - pi| of a solved distribution must stay below.
+RESIDUAL_TOLERANCE = 1e-12
 
 # level-vector or top-level peak above which the level-by-level solve rescales
 _RESCALE_ABOVE = 1e100
@@ -44,7 +47,7 @@ _FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
 
 
 class ConvergenceError(RuntimeError):
-    """The residual max|pi K - pi| of the solved distribution is not below the tolerance."""
+    """The residual max|pi K - pi| of the solved distribution is not below ``RESIDUAL_TOLERANCE``."""
 
 
 class TruncationError(RuntimeError):
@@ -66,7 +69,6 @@ class ChainSpec:
     point: OperatingPoint
     pair: str = "primary_secondary"
     truncation: int = 400
-    tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.pair not in CHAIN_PAIRS:
@@ -78,8 +80,6 @@ class ChainSpec:
         if need > memory:
             raise ValueError(f"truncation {self.truncation} needs {need / 2**30:.0f} GiB for the solve, "
                              f"more than the {memory / 2**30:.1f} GiB of physical memory")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,7 +403,7 @@ def solve_stationary(spec: ChainSpec) -> StationarySolution:
     """Stationary distribution of the truncated chain and its moments.
 
     The distribution comes from the exact level-by-level solve. Its true
-    residual max|pi K - pi| must then be below ``spec.tolerance``, or
+    residual max|pi K - pi| must then be below ``RESIDUAL_TOLERANCE``, or
     ``ConvergenceError`` is raised; too much mass on the truncation edge
     raises ``TruncationError``.
     """
@@ -413,8 +413,8 @@ def solve_stationary(spec: ChainSpec) -> StationarySolution:
     pi /= pi.sum()
     dist = pi.reshape(T, T)
     residual = _residual(dist.T, blocks)
-    if not residual < spec.tolerance:
-        raise ConvergenceError(f"residual {residual:.3e} not below tolerance {spec.tolerance:.3e}")
+    if not residual < RESIDUAL_TOLERANCE:
+        raise ConvergenceError(f"residual {residual:.3e} not below tolerance {RESIDUAL_TOLERANCE:.3e}")
 
     mass_at_boundary = float(dist[T - 1, :].sum() + dist[:, T - 1].sum() - dist[T - 1, T - 1])
     if mass_at_boundary > BOUNDARY_MASS_LIMIT:

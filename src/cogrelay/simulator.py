@@ -74,11 +74,11 @@ from .model import NO_COOPERATION, ChannelProfile, OperatingPoint, Policy
 
 __all__ = [
     "POLICY_KINDS",
+    "QUEUE_CAP",
     "QueueOverflowError",
     "Scenario",
     "SimStats",
     "simulate",
-    "replicate",
     "replicate_many",
 ]
 
@@ -93,21 +93,18 @@ _N_STREAMS = 7
 #: shorter batch is slower pooled.
 _POOL_MIN_SLOTS = 800_000
 
+#: Queue length past which a run stops with :class:`QueueOverflowError`. The cap
+#: only exists to fail fast on unstable setups.
+QUEUE_CAP = 10_000_000
+
 
 class QueueOverflowError(RuntimeError):
-    """A queue grew past the configured cap; the scenario is far outside its stable region."""
-
-
-def _pooled(rule: str, source: str | None = None) -> Any:
-    """A :class:`SimStats` field that :func:`replicate_many` pools by ``rule``: the
-    "mean" or the "sum" of the per-replication values, or the "ci" half-width
-    of the per-replication values of the ``source`` field."""
-    return field(metadata={"pool": rule, "source": source})
+    """A queue grew past ``QUEUE_CAP``; the scenario is far outside its stable region."""
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulation run specification. The cap only exists to fail fast on unstable setups."""
+    """One simulation run specification."""
 
     channel: ChannelProfile
     point: OperatingPoint
@@ -116,7 +113,6 @@ class Scenario:
     slots: int = 1_000_000
     warmup_slots: int = 10_000
     seed: int = 0
-    queue_cap: int = 10_000_000
 
     def __post_init__(self) -> None:
         if self.policy_kind not in POLICY_KINDS:
@@ -125,8 +121,6 @@ class Scenario:
             raise ValueError(
                 f"need slots > warmup_slots >= 0, got slots={self.slots}, warmup={self.warmup_slots}"
             )
-        if self.queue_cap <= 0:
-            raise ValueError("queue_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -139,33 +133,36 @@ class SimStats:
     counts tracked packets still enqueued at the horizon, so per origin
     arrivals == delivered + backlog exactly. ``wasted_slots`` counts PU-idle
     slots where the selected queue was empty while the other was not.
-    Confidence half-widths are zero for a single run and 95% normal-approximation
-    half-widths across replications for pooled stats.
+
+    :func:`replicate_many` pools replications by field type: ``int`` counts are
+    summed and ``float`` averages averaged with equal weights, except the
+    ``ci_halfwidth_*`` fields: 0 for one run, else the 95% normal-approximation
+    half-width (1.96 * stderr) of the per-replication values of their ``source``.
     """
 
-    throughput_p: float = _pooled("mean")
-    throughput_s: float = _pooled("mean")
-    mean_delay_p: float = _pooled("mean")
-    mean_delay_s: float = _pooled("mean")
-    mean_len_p: float = _pooled("mean")
-    mean_len_sp: float = _pooled("mean")
-    mean_len_s: float = _pooled("mean")
-    frac_both_empty: float = _pooled("mean")
-    frac_primary_empty: float = _pooled("mean")
-    delivered_p: int = _pooled("sum")
-    delivered_s: int = _pooled("sum")
-    relayed_count: int = _pooled("sum")
-    ci_halfwidth_delay_p: float = _pooled("ci", "mean_delay_p")
-    ci_halfwidth_delay_s: float = _pooled("ci", "mean_delay_s")
-    arrivals_p: int = _pooled("sum")
-    arrivals_s: int = _pooled("sum")
-    wasted_slots: int = _pooled("sum")
-    backlog_p: int = _pooled("sum")
-    backlog_s: int = _pooled("sum")
-    final_len_p: float = _pooled("mean")
-    final_len_sp: float = _pooled("mean")
-    final_len_s: float = _pooled("mean")
-    observed_slots: int = _pooled("sum")
+    throughput_p: float
+    throughput_s: float
+    mean_delay_p: float
+    mean_delay_s: float
+    mean_len_p: float
+    mean_len_sp: float
+    mean_len_s: float
+    frac_both_empty: float
+    frac_primary_empty: float
+    delivered_p: int
+    delivered_s: int
+    relayed_count: int
+    ci_halfwidth_delay_p: float = field(metadata={"source": "mean_delay_p"})
+    ci_halfwidth_delay_s: float = field(metadata={"source": "mean_delay_s"})
+    arrivals_p: int
+    arrivals_s: int
+    wasted_slots: int
+    backlog_p: int
+    backlog_s: int
+    final_len_p: float
+    final_len_sp: float
+    final_len_s: float
+    observed_slots: int
 
 
 def _stream_rngs(seed: int, replication: int) -> list[np.random.Generator]:
@@ -224,7 +221,7 @@ def _run(sc: Scenario, replication: int) -> SimStats:
     rng_dest, rng_decode, rng_admit, rng_pick, rng_su, rng_ap, rng_as = _stream_rngs(
         sc.seed, replication
     )
-    warmup, slots, cap = sc.warmup_slots, sc.slots, sc.queue_cap
+    warmup, slots, cap = sc.warmup_slots, sc.slots, QUEUE_CAP
 
     # per queue, the length and the arrival slots of the packets carried across
     # blocks; relayed packets keep their primary arrival slot
@@ -331,11 +328,6 @@ def simulate(sc: Scenario) -> SimStats:
     return _run(sc, 0)
 
 
-def replicate(sc: Scenario, replications: int) -> SimStats:
-    """Pool independent replications of the scenario: :func:`replicate_many` of one."""
-    return replicate_many([sc], replications)[0]
-
-
 def _cpus() -> int:
     """CPUs in this process's affinity mask; 1 off Linux, where the pool is not used."""
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
@@ -426,11 +418,10 @@ def replicate_many(scenarios: Sequence[Scenario], replications: int) -> list[Sim
     """Pool independent replications of each scenario, in the order given.
 
     Replication i uses substreams derived from (seed, i); replication 0 is
-    exactly :func:`simulate`. Means are averaged with equal weights, counts
-    are summed, and delay confidence half-widths are 1.96 * stderr of the
-    per-replication delay means. The runs are spread over the CPUs (see the
-    module docstring); a failing batch raises what its first failing run
-    raises, as a run-by-run loop would.
+    exactly :func:`simulate`. Replications are pooled as :class:`SimStats`
+    says. The runs are spread over the CPUs (see the module docstring); a
+    failing batch raises what its first failing run raises, as a run-by-run
+    loop would.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -448,12 +439,11 @@ def _pool_replications(runs: list[SimStats]) -> SimStats:
         return runs[0]
     pooled: dict[str, float | int] = {}
     for f in fields(SimStats):
-        rule = f.metadata["pool"]
-        values = [getattr(r, f.metadata["source"] if rule == "ci" else f.name) for r in runs]
-        if rule == "ci":
+        values = [getattr(r, f.metadata.get("source", f.name)) for r in runs]
+        if "source" in f.metadata:
             pooled[f.name] = 1.96 * statistics.stdev(values) / math.sqrt(len(values))
-        elif rule == "mean":
-            pooled[f.name] = statistics.fmean(values)
-        else:
+        elif f.type == "int":
             pooled[f.name] = sum(values)
+        else:
+            pooled[f.name] = statistics.fmean(values)
     return SimStats(**pooled)

@@ -26,7 +26,7 @@ from reference_closed_forms import InstabilityError
 from cogrelay import cli
 from cogrelay.config import ConfigError, channel_from_config
 from cogrelay.model import NO_COOPERATION, OperatingPoint, Policy
-from cogrelay.simulator import Scenario, replicate
+from cogrelay.simulator import Scenario, replicate_many
 
 # The header of every CSV table the CLI writes, and the optimize columns
 # after the channel and the point, which the point report prints as keys.
@@ -181,17 +181,16 @@ def _optimize_row(ch, pt):
 
 
 def cmd_optimize(cfg, out) -> int:
-    channel = channel_from_config(cfg)
     if "variable" in cfg:
         if cfg["variable"] not in ("lambda_p", "lambda_s"):
             raise ConfigError(f"{cfg.where('variable')}: "
                               "optimize sweeps support variable = lambda_p or lambda_s")
         variable, values = _sweep(cfg)
-        f_pd_values = cfg.get("f_pd_list", [channel.f_pd])
+        curves = [cfg.derive("f_pd_list", f_pd=f_pd) for f_pd in cfg.get("f_pd_list", ())] or [cfg]
         base_point = _point(cfg)
         out.write(OPTIMIZE_SWEEP_HEADER + "\n")
-        for f_pd in f_pd_values:
-            ch = channel_from_config(cfg.derive("f_pd_list", f_pd=f_pd))
+        for curve in curves:
+            ch = channel_from_config(curve)
             for value in values:
                 if variable == "lambda_p":
                     pt = OperatingPoint(value, base_point.lambda_s)
@@ -200,7 +199,7 @@ def cmd_optimize(cfg, out) -> int:
                 identity = [ch.f_pd, ch.f_sd, ch.f_ps, pt.lambda_p, pt.lambda_s]
                 _write_row(out, identity + list(_optimize_row(ch, pt).values()))
         return 0
-    row = _optimize_row(channel, _point(cfg))
+    row = _optimize_row(channel_from_config(cfg), _point(cfg))
     out.write("# primary delay minimization\n")
     for key, value in row.items():
         if not key.startswith("su_"):
@@ -257,7 +256,7 @@ def cmd_validate(cfg, out) -> int:
         report = closed.delay_report(ch, pol, pt)
         scenario = Scenario(ch, pt, pol, policy_kind=kind, slots=cfg["slots"], warmup_slots=cfg["warmup"],
                             seed=cli._point_seed(cfg["seed"], index))
-        stats = replicate(scenario, cfg["replications"])
+        stats = replicate_many([scenario], cfg["replications"])[0]
         errors, cells = [], []
         for analytic, simulated in ((report.d_p, stats.mean_delay_p), (report.d_s, stats.mean_delay_s)):
             if analytic is None:

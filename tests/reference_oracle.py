@@ -31,6 +31,7 @@ from reference_closed_forms import service_rate_primary
 
 from cogrelay.oracle import (
     BOUNDARY_MASS_LIMIT,
+    RESIDUAL_TOLERANCE,
     ChainSpec,
     ConvergenceError,
     StationarySolution,
@@ -219,8 +220,8 @@ def solve_stationary(spec: ChainSpec) -> StationarySolution:
     pi /= pi.sum()
     dist = pi.reshape(T, T)
     res = residual(dist.T, blocks)
-    if not res < spec.tolerance:
-        raise ConvergenceError(f"residual {res:.3e} not below tolerance {spec.tolerance:.3e}")
+    if not res < RESIDUAL_TOLERANCE:
+        raise ConvergenceError(f"residual {res:.3e} not below tolerance {RESIDUAL_TOLERANCE:.3e}")
 
     mass_at_boundary = float(dist[T - 1, :].sum() + dist[:, T - 1].sum() - dist[T - 1, T - 1])
     if mass_at_boundary > BOUNDARY_MASS_LIMIT:

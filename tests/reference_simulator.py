@@ -2,9 +2,11 @@
 
 ``run`` executes the protocol one slot at a time with Python deques, and
 ``replicate`` pools its replications field by field; both are the
-simulator's original implementation, kept unchanged so the block-wise
-evaluation in ``cogrelay.simulator`` can be checked against them for
-equality (same draws, same integer arithmetic, same float divisions).
+simulator's original implementation, kept unchanged but for reading the
+queue cap from ``cogrelay.simulator.QUEUE_CAP`` at each run (as the
+simulator does, so a test may patch it), so the block-wise evaluation in
+``cogrelay.simulator`` can be checked against them for equality (same
+draws, same integer arithmetic, same float divisions).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 import statistics
 from collections import deque
 
+from cogrelay import simulator
 from cogrelay.simulator import _BLOCK, QueueOverflowError, Scenario, SimStats, _stream_rngs
 
 
@@ -28,7 +31,7 @@ def run(sc: Scenario, replication: int) -> SimStats:
 
     warmup = sc.warmup_slots
     slots = sc.slots
-    cap = sc.queue_cap
+    cap = simulator.QUEUE_CAP
 
     qp: deque[int] = deque()
     qsp: deque[int] = deque()

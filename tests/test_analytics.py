@@ -268,6 +268,16 @@ def test_negative_secondary_length_is_never_evaluable(values):
         assert not cf.evaluable
 
 
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.tuples(UNIT, UNIT, UNIT, UNIT, UNIT, LOAD, LOAD))
+def test_joint_empty_probability_never_exceeds_one(values):
+    # in_bounds has no g00 <= 1 term: on [0, 1] rounding is monotone, so the numerator
+    # serve_own * (mu - lambda_p) - lambda_s * mu is at most g00_den = serve_own * mu
+    cf = analytics.closed_forms(*values)
+    if cf.g00_den != 0.0:
+        assert cf.g00 <= 1.0
+
+
 # Points the core marks stable but where the closed forms lose every digit:
 # products underflow near zero, or an expression cancels within rounding of
 # the stability bound. The core marks them not evaluable.

@@ -447,6 +447,27 @@ def test_optimize_sweep_modes(tmp_path):
     assert modes_high <= {"no_cooperation", "infeasible"}
 
 
+OPTIMIZE_F_PD_SWEEP = (
+    "variable = lambda_p\nstart = 0.01\nstop = 0.2\nsteps = 3\nf_pd_list = {}\nf_sd = 0.2\nlambda_s = 0.01\n"
+)
+
+
+@pytest.mark.parametrize("f_pd_list,error", [
+    ("0.1, 0.15", ""),
+    ("0.1, 0.3", "config error: f_pd (f_pd_list at {cfg}:5), f_sd ({cfg}:6): "
+                 "channel requires f_pd < f_sd, got f_pd=0.3, f_sd=0.2\n"),
+])
+def test_optimize_sweep_checks_only_the_listed_f_pd(tmp_path, capsys, f_pd_list, error):
+    # the list replaces the config's own f_pd, whose default 0.3 is not below f_sd = 0.2
+    code, text = run(tmp_path, "optimize", OPTIMIZE_F_PD_SWEEP.format(f_pd_list))
+    assert capsys.readouterr().err == error.format(cfg=tmp_path / "run.cfg")
+    if error:
+        assert code == 2 and text == ""
+    else:
+        assert code == 0
+        assert [row[0] for row in rows(text)[1]] == ["0.1"] * 3 + ["0.15"] * 3
+
+
 def test_oracle_agreement_columns(tmp_path):
     code, text = run(
         tmp_path,

@@ -34,8 +34,6 @@ def test_chain_spec_validation():
         ChainSpec(CH, POL, PT, pair="bogus")
     with pytest.raises(ValueError):
         ChainSpec(CH, POL, PT, truncation=3)
-    with pytest.raises(ValueError):
-        ChainSpec(CH, POL, PT, tolerance=0.0)
 
 
 @pytest.mark.parametrize("pair", ["primary_secondary", "primary_relay"])
@@ -149,21 +147,25 @@ def test_unstable_point_is_rejected_at_full_truncation():
         solve_stationary(spec)
 
 
-def test_non_convergence_raises():
+def test_non_convergence_raises(monkeypatch):
     # the exact solve meets any reachable tolerance; only an unreachable one fails
+    monkeypatch.setattr(oracle, "RESIDUAL_TOLERANCE", 1e-300)
     with pytest.raises(ConvergenceError):
-        solve_stationary(ChainSpec(CH, POL, PT, truncation=40, tolerance=1e-300))
+        solve_stationary(ChainSpec(CH, POL, PT, truncation=40))
 
 
 # a partner queue that is never served: the SU never picks its own queue
-# (p_q = 0), or never picks the relay queue while it admits (p_q = 1, p_a = 1)
-@pytest.mark.parametrize("policy, pair", [
-    (Policy(0.0, 1.0), "primary_secondary"),
-    (Policy(1.0, 1.0), "primary_relay"),
-])
-def test_unserved_growing_partner_is_rejected(policy, pair):
-    spec = ChainSpec(CH, policy, PT, pair=pair, truncation=8)
-    with pytest.raises(TruncationError, match="boundary mass 1.000e"):
+# (p_q = 0), or never picks the relay queue while it admits (p_q = 1, p_a = 1);
+# with an unstable primary queue too, the top level's phases outgrow float64
+# unless its GTH elimination rescales them
+@pytest.mark.parametrize("policy, pair, point, truncation", [
+    (Policy(0.0, 1.0), "primary_secondary", PT, 8),
+    (Policy(1.0, 1.0), "primary_relay", PT, 8),
+    (Policy(0.0, 1.0), "primary_secondary", OperatingPoint(0.9, 0.1), 400),
+], ids=["policy0-primary_secondary", "policy1-primary_relay", "policy0-primary_secondary-unstable_primary"])
+def test_unserved_growing_partner_is_rejected(policy, pair, point, truncation):
+    spec = ChainSpec(CH, policy, point, pair=pair, truncation=truncation)
+    with np.errstate(all="raise"), pytest.raises(TruncationError, match="boundary mass 1.000e"):
         solve_stationary(spec)
 
 
@@ -440,6 +442,14 @@ def test_matches_dense_level_solve(spec):
         assert np.abs(sol.distribution - ref.distribution).max() <= 1e-14
     else:
         assert sol is ref
+
+
+def test_phase_one_without_exit_is_singular():
+    # with f_pd = 0 and p_a = 0 no primary packet ever leaves: phase 1 of level 0
+    # has no exit below it, and level 0's stationary vector is undetermined
+    spec = ChainSpec(ChannelProfile(0.0, 0.8, 0.4), Policy(0.5, 0.0), OperatingPoint(1.0, 0.1), truncation=8)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        solve_stationary(spec)
 
 
 def test_near_singular_chain_is_solved():

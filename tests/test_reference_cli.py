@@ -129,6 +129,9 @@ def _outcome(run, command, text):
                   "lambda_p = 0.1\n"))
 @example(("delay", "variable = lambda\nstart = 0\nstop = 0.1\nsteps = 3\np_q_list = 0, -0.0\n"))
 @example(("optimize", "variable = lambda_p\nstart = 0\nstop = 1\nsteps = 9\nf_pd_list = 0.3, 0.6, 0.9\n"))
+# the listed f_pd values are below f_sd, the config's own f_pd is not
+@example(("optimize", "variable = lambda_p\nstart = 0.01\nstop = 0.2\nsteps = 3\nf_pd_list = 0.1, 0.15\n"
+                      "f_sd = 0.2\nlambda_s = 0.01\n"))
 @example(("optimize", "f_pd = 0.5\nf_sd = 1.0\nf_ps = 0.25\nlambda_p = 0.3125\nlambda_s = 0.25\n"))
 @example(("optimize", "f_pd = 0.7130607983330924\nf_sd = 0.9\nf_ps = 0.020126716603189432\n"
                       "lambda_p = 0.14806757846412472\nlambda_s = 0.7134262293980463\n"))

@@ -15,11 +15,11 @@ from cogrelay.model import ChannelProfile, OperatingPoint, Policy
 from cogrelay.simulator import (
     _BLOCK,
     POLICY_KINDS,
+    QUEUE_CAP,
     QueueOverflowError,
     Scenario,
     SimStats,
     _run,
-    replicate,
     replicate_many,
     simulate,
 )
@@ -38,6 +38,11 @@ def scenario(**overrides) -> Scenario:
     return Scenario(**base)
 
 
+def _replicate(sc: Scenario, replications: int) -> SimStats:
+    """The pooled replications of one scenario."""
+    return replicate_many([sc], replications)[0]
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         scenario(policy_kind="round_robin")
@@ -45,13 +50,11 @@ def test_scenario_validation():
         scenario(slots=100, warmup_slots=100)
     with pytest.raises(ValueError):
         scenario(warmup_slots=-1)
-    with pytest.raises(ValueError, match="queue_cap must be positive"):
-        scenario(queue_cap=0)
 
 
 def test_determinism():
     assert simulate(scenario()) == simulate(scenario())
-    assert replicate(scenario(), 3) == replicate(scenario(), 3)
+    assert _replicate(scenario(), 3) == _replicate(scenario(), 3)
 
 
 @pytest.mark.parametrize("kind", ["randomized", "strict_priority_relay", "no_cooperation"])
@@ -73,11 +76,11 @@ def test_conservation_per_origin(kind):
 
 
 def test_replicate_of_one_equals_simulate():
-    assert replicate(scenario(), 1) == simulate(scenario())
+    assert _replicate(scenario(), 1) == simulate(scenario())
 
 
 def test_replication_confidence_halfwidth():
-    stats = replicate(scenario(slots=100_000, warmup_slots=5_000), 20)
+    stats = _replicate(scenario(slots=100_000, warmup_slots=5_000), 20)
     assert stats.ci_halfwidth_delay_p > 0.0
     assert stats.ci_halfwidth_delay_p / stats.mean_delay_p < 0.02
     assert stats.observed_slots == 20 * 95_000
@@ -139,9 +142,10 @@ def test_unstable_points_exhibit_drift(point):
     assert any(f >= 20 and f > 1.5 * m for f, m in zip(finals, means))
 
 
-def test_queue_cap_aborts_unstable_runs():
+def test_queue_cap_aborts_unstable_runs(monkeypatch):
+    monkeypatch.setattr(simulator, "QUEUE_CAP", 1_000)
     with pytest.raises(QueueOverflowError):
-        simulate(scenario(point=OperatingPoint(0.9, 0.9), slots=200_000, queue_cap=1_000))
+        simulate(scenario(point=OperatingPoint(0.9, 0.9), slots=200_000))
 
 
 def test_delay_floor_is_one_slot():
@@ -177,35 +181,37 @@ def reference_cases(draw):
         channel, OperatingPoint(draw(rate), draw(rate)), Policy(draw(prob), draw(prob)),
         policy_kind=draw(st.sampled_from(POLICY_KINDS)), slots=slots, warmup_slots=warmup,
         seed=draw(st.integers(0, 2**32)),
-        queue_cap=draw(st.just(10_000_000) | st.integers(1, 300)),
     )
-    return sc, draw(st.integers(1, 3))
+    cap = draw(st.just(QUEUE_CAP) | st.integers(1, 300))
+    return sc, draw(st.integers(1, 3)), cap
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(reference_cases())
 # with seed 1, a packet arriving in the first measured slot is relayed
 @example((scenario(policy_kind="strict_priority_relay", point=OperatingPoint(0.1, 0.05),
-                   slots=2 * _BLOCK + 5, warmup_slots=_BLOCK + 7, seed=1), 2))
-@example((scenario(policy_kind="no_cooperation", slots=_BLOCK + 1, warmup_slots=0), 1))
+                   slots=2 * _BLOCK + 5, warmup_slots=_BLOCK + 7, seed=1), 2, QUEUE_CAP))
+@example((scenario(policy_kind="no_cooperation", slots=_BLOCK + 1, warmup_slots=0), 1, QUEUE_CAP))
 # probabilities of 0 and 1, whose policy draws are skipped: the pick at p_q = 0
 # and 1, the admission at p_a = 0 and 1, the decode at f_ps = 0 and 1 and
 # wherever nothing is admitted
 @example((scenario(policy=Policy(0.0, 1.0), channel=ChannelProfile(0.3, 0.8, 1.0),
-                   slots=_BLOCK + 3, warmup_slots=0), 1))
+                   slots=_BLOCK + 3, warmup_slots=0), 1, QUEUE_CAP))
 @example((scenario(policy=Policy(1.0, 0.0), point=OperatingPoint(0.2, 0.3), slots=_BLOCK + 3,
-                   warmup_slots=17), 2))
+                   warmup_slots=17), 2, QUEUE_CAP))
 @example((scenario(policy=Policy(0.0, 0.0), channel=ChannelProfile(0.3, 0.8, 0.0), slots=5_000,
-                   warmup_slots=0), 1))
+                   warmup_slots=0), 1, QUEUE_CAP))
 # partial admission reads every decode
-@example((scenario(policy=Policy(0.5, 0.5), slots=_BLOCK + 3, warmup_slots=0), 1))
+@example((scenario(policy=Policy(0.5, 0.5), slots=_BLOCK + 3, warmup_slots=0), 1, QUEUE_CAP))
 @example((scenario(policy_kind="strict_priority_relay", channel=ChannelProfile(0.3, 0.8, 0.0),
-                   slots=5_000, warmup_slots=0), 1))
-@example((scenario(slots=3 * _BLOCK, warmup_slots=_BLOCK // 2), 3))
-@example((scenario(point=OperatingPoint(0.5, 0.5), slots=3 * _BLOCK, queue_cap=40), 1))
+                   slots=5_000, warmup_slots=0), 1, QUEUE_CAP))
+@example((scenario(slots=3 * _BLOCK, warmup_slots=_BLOCK // 2), 3, QUEUE_CAP))
+@example((scenario(point=OperatingPoint(0.5, 0.5), slots=3 * _BLOCK), 1, 40))
 def test_matches_slot_by_slot_reference(case):
-    sc, replications = case
-    assert _outcome(replicate, sc, replications) == _outcome(reference.replicate, sc, replications)
+    sc, replications, cap = case
+    with pytest.MonkeyPatch.context() as patch:  # both sides read the simulator's cap
+        patch.setattr(simulator, "QUEUE_CAP", cap)
+        assert _outcome(_replicate, sc, replications) == _outcome(reference.replicate, sc, replications)
 
 
 def _with_cpus(monkeypatch, cpus: int) -> None:
@@ -228,7 +234,7 @@ def test_replicate_many_equals_replicate_per_scenario(monkeypatch, cpus, replica
         for seed, kind in enumerate(POLICY_KINDS)
     ]
     _with_cpus(monkeypatch, 1)
-    expected = [replicate(sc, replications) for sc in scenarios]
+    expected = [_replicate(sc, replications) for sc in scenarios]
     _with_cpus(monkeypatch, cpus)
     assert replicate_many(scenarios, replications) == expected
     _assert_no_child()
@@ -243,7 +249,7 @@ def test_short_batch_runs_inline(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     batch = [scenario(seed=seed) for seed in (42, 43)]
     assert sum(sc.slots for sc in batch) * 2 < simulator._POOL_MIN_SLOTS
-    assert replicate_many(batch, 2) == [replicate(sc, 2) for sc in batch]
+    assert replicate_many(batch, 2) == [_replicate(sc, 2) for sc in batch]
 
 
 def test_replicate_many_rejects_no_replications():
@@ -253,12 +259,13 @@ def test_replicate_many_rejects_no_replications():
 
 
 def _overflowing_batch() -> list[Scenario]:
-    """Four scenarios; the second one overflows its queue cap."""
-    heavy = scenario(point=OperatingPoint(0.9, 0.9), slots=200_000, queue_cap=1_000)
+    """Four scenarios; the second one overflows a queue cap of 1000."""
+    heavy = scenario(point=OperatingPoint(0.9, 0.9), slots=200_000)
     return [scenario(), heavy, scenario(seed=43), scenario(seed=44)]
 
 
 def test_failing_batch_raises_what_the_inline_run_raises(monkeypatch):
+    monkeypatch.setattr(simulator, "QUEUE_CAP", 1_000)  # forked workers inherit it
     _with_cpus(monkeypatch, 1)
     with pytest.raises(QueueOverflowError) as inline:
         replicate_many(_overflowing_batch(), 2)
