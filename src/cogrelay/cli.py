@@ -494,7 +494,8 @@ def cmd_oracle(cfg: Config, out) -> int:
     values = [cfg[key] for key in POINT_KEYS]
     cf = analytics.closed_forms(*values)
     if not cf.stable:
-        raise ConfigError("oracle requires a stable operating point")
+        raise ConfigError(f"{cfg.where('lambda_p', 'lambda_s')}: oracle requires a stable operating point, "
+                          f"got lambda_p={point.lambda_p!r}, lambda_s={point.lambda_s!r}")
     _require_evaluable(dict(zip(POINT_KEYS, values)), ~cf.evaluable)
     truncation = cfg["truncation"]
     partners = {"primary_secondary": cf.n_s, "primary_relay": cf.n_sp}

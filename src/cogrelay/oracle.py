@@ -39,7 +39,7 @@ BOUNDARY_MASS_LIMIT = 1e-6
 #: Bound the true residual max|pi K - pi| of a solved distribution must stay below.
 RESIDUAL_TOLERANCE = 1e-12
 
-# level-vector or top-level peak above which the level-by-level solve rescales
+# level-vector peak above which the level loop rescales
 _RESCALE_ABOVE = 1e100
 
 # entries below this are set to 0: a product of two kept entries is a normal float64
@@ -102,6 +102,11 @@ class StationarySolution:
     iterations: int
 
 
+def _primary_rate(ch: ChannelProfile, pol: Policy) -> float:
+    """mu: the slot law's chance that the head of a busy primary queue leaves, by direct delivery or a handoff."""
+    return ch.f_pd + pol.p_a * ch.f_ps * (1.0 - ch.f_pd)
+
+
 def _blocks(spec: ChainSpec) -> tuple[np.ndarray, ...]:
     """``L0, Up0, D, L, Up, Ltop``: the blocks of the chain's one-slot kernel, as diagonals.
 
@@ -130,9 +135,7 @@ def _blocks(spec: ChainSpec) -> tuple[np.ndarray, ...]:
             steps[nj - j][ni - rows + 1, rows] += weight[mask]
 
         if spec.pair == "primary_secondary":
-            # the slot law: direct delivery, or a handoff to the relay queue
-            mu = ch.f_pd + pol.p_a * ch.f_ps * (1.0 - ch.f_pd)
-            dep_p = np.where(i > 0, mu, 0.0)
+            dep_p = np.where(i > 0, _primary_rate(ch, pol), 0.0)
             dep_s = np.where((i == 0) & (j > 0), pol.p_q * ch.f_sd, 0.0)
             arr_s = (1.0 - pt.lambda_s, pt.lambda_s)
             for yp, ys, xp, xs in itertools.product((0, 1), repeat=4):
@@ -176,9 +179,10 @@ def _stationary_phases(
     exit of the chain left but n - 1's moves to 0 and to 1 (its down-step
     returns to n - 1 itself). Each phase's exit rate S_n is a sum of
     nonnegative terms, never a difference, and ``pi_n = pi_{n-1} up_{n-1} /
-    S_n``. An entry below ``_FLUSH_BELOW`` is set to 0 as it is made, and the
-    entries made are divided by one above ``_RESCALE_ABOVE``. A phase with no
-    exit below it leaves the vector undetermined and raises ``LinAlgError``.
+    S_n``. An entry below ``_FLUSH_BELOW`` is set to 0 as it is made; with a
+    stable primary queue the phases past 1 decay, so none needs a rescale. A
+    phase with no exit below it leaves the vector undetermined and raises
+    ``LinAlgError``.
     """
     T = block.shape[1]
     up = block[2].tolist()  # block[n, n + 1]
@@ -203,9 +207,6 @@ def _stationary_phases(
         value *= ratios[n]
         if value < _FLUSH_BELOW:
             break  # every phase above is 0 as well
-        if value > _RESCALE_ABOVE:
-            pi = [x / value if x >= _FLUSH_BELOW * value else 0.0 for x in pi]
-            value = 1.0
         pi[n] = value
     return np.array(pi)
 
@@ -277,32 +278,6 @@ def _solve_right(block: np.ndarray, leak: np.ndarray, x: np.ndarray) -> np.ndarr
     return _flush(x).T
 
 
-def _solve_one(block: np.ndarray, leak: np.ndarray, rhs: np.ndarray, along: np.ndarray) -> np.ndarray:
-    """``y`` with ``y (I - block) = rhs`` for one row ``rhs``, by ``_solve_right``'s elimination on scalars.
-
-    Each entry below ``_FLUSH_BELOW`` is set to 0 before it is multiplied,
-    and ``y`` and ``along`` are divided by each entry above ``_RESCALE_ABOVE``
-    as it is made, so both stay finite.
-    """
-    below, above, pivots = _pivots(block, leak)
-    y = rhs.tolist()
-
-    def sweep(steps: range, step: int, factors: list[float]) -> None:
-        for i, factor in zip(steps, factors):
-            source = y[i] if y[i] >= _FLUSH_BELOW else 0.0
-            y[i] = source
-            y[i + step] += factor * source
-            if (peak := y[i + step]) > _RESCALE_ABOVE:
-                y[:] = [v / peak if v >= _FLUSH_BELOW * peak else 0.0 for v in y]
-                _flush(along, peak)
-
-    T = len(y)
-    sweep(range(T - 1, 0, -1), -1, [b / p for b, p in zip(below[:0:-1], pivots[:0:-1])])
-    y[:] = [v / p if v >= _FLUSH_BELOW else 0.0 for v, p in zip(y, pivots)]
-    sweep(range(T - 1), 1, [a / p for a, p in zip(above, pivots[1:])])
-    return _flush(np.array(y))
-
-
 def _solve_levels(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
     """Exact stationary distribution of the chain with these blocks, as ``[level, phase]``.
 
@@ -316,7 +291,7 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
     ``R = Up (I - U)^-1`` with ``U = L + u d`` and ``u = Up 1``. Level 0 is
     stationary for ``L0 + (Up0 1) d``, level 1 is ``pi_0 Up0 (I - U)^-1``, each
     interior level is the one below times R, and the top level is
-    ``pi_{T-2} Up (I - Ltop)^-1``.
+    ``pi_{T-2} Up (I - Ltop)^-1``, a second Thomas elimination.
 
     Level 0 comes from GTH elimination over the phases (``_stationary_phases``),
     as ``(Up0 1) d`` lands in phases 0 and 1 only. One tridiagonal solve gives
@@ -333,7 +308,8 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
     changes each entry of a level's defect ``pi_{j+1} - pi_j R`` by less than
     1.5e-154; the residual check is made on the flushed result, and the edge
     mass of a lattice whose tail lies below the threshold reads 0. The
-    result is unnormalised.
+    primary queue is stable (``solve_stationary`` refuses it otherwise), so
+    only the level loop, where R may grow, rescales. The result is unnormalised.
     """
     L0, Up0, D, L, Up, Ltop = blocks
     T = L0.shape[1]
@@ -375,9 +351,8 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
             _flush(levels[: j + 2], peak)
         last = T - small[::-1].argmin()
     if levels[T - 2].any():
-        # the top level is left only from phase 0: where the primary queue is
-        # unstable, the lower levels are scaled down as the top one outgrows them
-        levels[T - 1] = _solve_one(Ltop, served * at_0, _times(levels[T - 2], Up), levels[: T - 1])
+        # the top level is left only from phase 0, so only phase 0 leaks
+        levels[T - 1] = _solve_right(Ltop, served * at_0, _times(levels[T - 2], Up)[:, None])[0]
     return levels
 
 
@@ -402,11 +377,16 @@ def _residual(levels: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
 def solve_stationary(spec: ChainSpec) -> StationarySolution:
     """Stationary distribution of the truncated chain and its moments.
 
-    The distribution comes from the exact level-by-level solve. Its true
-    residual max|pi K - pi| must then be below ``RESIDUAL_TOLERANCE``, or
-    ``ConvergenceError`` is raised; too much mass on the truncation edge
-    raises ``TruncationError``.
+    A primary queue with lambda_p >= mu is unstable (Loynes 1962) and raises
+    ``ValueError`` before anything is built. Otherwise the distribution comes
+    from the exact level-by-level solve. Its true residual max|pi K - pi|
+    must be below ``RESIDUAL_TOLERANCE``, or ``ConvergenceError`` is raised;
+    too much mass on the truncation edge raises ``TruncationError``.
     """
+    mu = _primary_rate(spec.channel, spec.policy)
+    if 0.0 < spec.point.lambda_p >= mu:
+        raise ValueError(f"lambda_p={spec.point.lambda_p!r} is not below the primary service rate "
+                         f"mu={mu!r}: the primary queue is unstable")
     T = spec.truncation
     blocks = _blocks(spec)
     pi = _solve_levels(blocks).T.ravel()

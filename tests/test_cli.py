@@ -499,9 +499,11 @@ def test_oracle_at_no_cooperation_matches_closed_forms(tmp_path):
     assert body[1][6] == body[1][10] == "0"
 
 
-def test_oracle_rejects_unstable_point(tmp_path):
+def test_oracle_rejects_unstable_point(tmp_path, capsys):
     code, _ = run(tmp_path, "oracle", "lambda_p = 0.5\nlambda_s = 0.5\n")
     assert code == 2
+    assert (f"lambda_p ({tmp_path / 'run.cfg'}:1), lambda_s ({tmp_path / 'run.cfg'}:2): oracle requires a "
+            "stable operating point, got lambda_p=0.5, lambda_s=0.5") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("variable", ["lambda", "lambda_p", "lambda_s", "p_q", "p_a", "f_pd"])

@@ -128,22 +128,26 @@ def test_under_truncated_solve_is_rejected():
         solve_stationary(ChainSpec(CH, POL, loaded, pair="primary_secondary", truncation=4))
 
 
-@pytest.mark.parametrize("pair", CHAIN_PAIRS)
-def test_primary_unstable_point_is_rejected_at_full_truncation(pair):
-    # lambda_p = 0.9 exceeds mu = 0.58, and the top level is left only from
-    # phase 0: its solution outgrows the float range unless the lower levels
-    # are scaled down with it; no step may overflow, underflow or divide by 0
-    assert at(CH, POL).mu < 0.9
-    spec = ChainSpec(CH, POL, OperatingPoint(0.9, 0.1), pair=pair, truncation=400)
-    with np.errstate(all="raise"), pytest.raises(TruncationError, match="boundary mass 1.000e"):
+# lambda_p = 0.9 exceeds mu = 0.58, so the primary queue has no stationary
+# distribution: the solve refuses the point before it builds a block, also
+# where the partner queue is never served (p_q = 0)
+@pytest.mark.parametrize("policy, pair", [
+    (POL, "primary_secondary"), (POL, "primary_relay"), (Policy(0.0, 1.0), "primary_secondary"),
+], ids=["primary_secondary", "primary_relay", "policy0-primary_secondary"])
+def test_primary_unstable_point_is_rejected_at_full_truncation(monkeypatch, policy, pair):
+    assert at(CH, policy).mu < 0.9
+    spec = ChainSpec(CH, policy, OperatingPoint(0.9, 0.1), pair=pair, truncation=400)
+    monkeypatch.setattr(oracle, "_blocks", lambda spec: pytest.fail("built the blocks of an unstable point"))
+    with pytest.raises(ValueError, match=r"lambda_p=0\.9 is not below the primary service rate mu=0\.58"):
         solve_stationary(spec)
 
 
 def test_unstable_point_is_rejected_at_full_truncation():
     # far outside the stable region the partner levels grow by ~16x per step,
-    # which overflows float64 long before level 400 unless the solve rescales
+    # which overflows float64 long before level 400 unless the level loop
+    # rescales; the primary queue is stable, so nothing else needs to
     spec = ChainSpec(CH, POL, OperatingPoint(0.1, 0.9), truncation=400)
-    with pytest.raises(TruncationError):
+    with np.errstate(over="raise", invalid="raise", divide="raise"), pytest.raises(TruncationError):
         solve_stationary(spec)
 
 
@@ -155,16 +159,13 @@ def test_non_convergence_raises(monkeypatch):
 
 
 # a partner queue that is never served: the SU never picks its own queue
-# (p_q = 0), or never picks the relay queue while it admits (p_q = 1, p_a = 1);
-# with an unstable primary queue too, the top level's phases outgrow float64
-# unless its GTH elimination rescales them
-@pytest.mark.parametrize("policy, pair, point, truncation", [
-    (Policy(0.0, 1.0), "primary_secondary", PT, 8),
-    (Policy(1.0, 1.0), "primary_relay", PT, 8),
-    (Policy(0.0, 1.0), "primary_secondary", OperatingPoint(0.9, 0.1), 400),
-], ids=["policy0-primary_secondary", "policy1-primary_relay", "policy0-primary_secondary-unstable_primary"])
-def test_unserved_growing_partner_is_rejected(policy, pair, point, truncation):
-    spec = ChainSpec(CH, policy, point, pair=pair, truncation=truncation)
+# (p_q = 0), or never picks the relay queue while it admits (p_q = 1, p_a = 1)
+@pytest.mark.parametrize("policy, pair", [
+    (Policy(0.0, 1.0), "primary_secondary"),
+    (Policy(1.0, 1.0), "primary_relay"),
+], ids=["policy0-primary_secondary", "policy1-primary_relay"])
+def test_unserved_growing_partner_is_rejected(policy, pair):
+    spec = ChainSpec(CH, policy, PT, pair=pair, truncation=8)
     with np.errstate(all="raise"), pytest.raises(TruncationError, match="boundary mass 1.000e"):
         solve_stationary(spec)
 
@@ -433,7 +434,11 @@ def _outcome(solve, spec):
 @example(ChainSpec(ChannelProfile(0.01, 1.0, 0.0), Policy(0.0, 0.0), OperatingPoint(0.0053125, 0.0),
                    pair="primary_relay", truncation=40))
 def test_matches_dense_level_solve(spec):
-    sol, ref = _outcome(solve_stationary, spec), _outcome(reference.solve_stationary, spec)
+    # the primary queue is stable, so no step may overflow or divide by 0;
+    # underflow is allowed, as at f = (0, 1, 0.75)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        sol = _outcome(solve_stationary, spec)
+    ref = _outcome(reference.solve_stationary, spec)
     if isinstance(sol, StationarySolution):
         # every step is subtraction-free, which the one-sided flush relies on
         assert sol.distribution.min() >= 0.0
@@ -446,10 +451,21 @@ def test_matches_dense_level_solve(spec):
 
 def test_phase_one_without_exit_is_singular():
     # with f_pd = 0 and p_a = 0 no primary packet ever leaves: phase 1 of level 0
-    # has no exit below it, and level 0's stationary vector is undetermined
+    # has no exit below it, and level 0's stationary vector is undetermined;
+    # solve_stationary refuses the point first, as lambda_p = 1 is not below mu = 0
     spec = ChainSpec(ChannelProfile(0.0, 0.8, 0.4), Policy(0.5, 0.0), OperatingPoint(1.0, 0.1), truncation=8)
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        oracle._solve_levels(oracle._blocks(spec))
+    with pytest.raises(ValueError, match="lambda_p=1.0 is not below the primary service rate mu=0.0"):
         solve_stationary(spec)
+
+
+def test_zero_bottom_pivot_is_singular():
+    # a stochastic block leaks nothing, so I - block is singular; every phase
+    # above 0 moves down, so only the last pivot of the elimination is 0
+    block = np.array([[0, .5, .5, .5], [.5, 0, 0, .5], [.5, .5, .5, 0]])
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        oracle._pivots(block, np.zeros(4))
 
 
 def test_near_singular_chain_is_solved():
