@@ -440,12 +440,13 @@ def cmd_validate(cfg: Config, out) -> int:
 
 def _optimize_columns(columns: dict[str, np.ndarray]) -> dict[str, list[str]]:
     """The optimize cells of every (f_pd, f_sd, f_ps, lambda_p, lambda_s) row, by column, from
-    one evaluation of both optima; raises at a row whose optimum cannot be evaluated."""
+    one evaluation of both optima. An optimum the closed forms cannot evaluate is left empty, as
+    an infeasible one is; raises at a row that has no other optimum to report."""
     o = optimizer.optima(*columns.values())
-    _require_evaluable(columns, o.fault)
-    primary = columns["lambda_p"] > 0.0
+    primary = (columns["lambda_p"] > 0.0) & ~o.pu_fault
+    secondary = (columns["lambda_s"] > 0.0) & o.feasible & ~o.su_fault
+    _require_evaluable(columns, (o.pu_fault | o.su_fault) & ~primary & ~secondary)
     no_coop = ~o.cooperate & o.feasible & o.no_coop_ok
-    secondary = (columns["lambda_s"] > 0.0) & o.feasible
     modes = np.where(o.cooperate, "cooperate", np.where(no_coop, "no_cooperation", "infeasible"))
     return {
         "pu_mode": [mode if keep else "" for mode, keep in zip(modes.tolist(), primary.tolist())],
@@ -507,8 +508,11 @@ def cmd_oracle(cfg: Config, out) -> int:
     for spec in specs:
         try:
             sols.append(solve_stationary(spec))
-        except RuntimeError as exc:
+        except RuntimeError as exc:  # the phase edge holds too much mass, or a residual is too large
             raise ConfigError(f"{cfg.where('truncation')}: "
+                              f"oracle solve failed for {spec.pair}: {exc}") from exc
+        except ValueError as exc:  # the partner queue's drift is not positive, within rounding of its bound
+            raise ConfigError(f"{cfg.where('lambda_p', 'lambda_s')}: "
                               f"oracle solve failed for {spec.pair}: {exc}") from exc
 
     def solved(name: str) -> np.ndarray:
@@ -518,7 +522,7 @@ def cmd_oracle(cfg: Config, out) -> int:
     analytic = np.stack([np.full(2, cf.n_p), np.array(list(partners.values()))])
     with np.errstate(all="ignore"):  # an analytic mean of 0 takes the absolute error
         rel_errs = np.where(analytic > 0.0, abs(means - analytic) / analytic, abs(means))
-    p_qp_empty = np.array([sol.distribution[0, :].sum() for sol in sols])
+    p_qp_empty = np.array([sol.primary_law[0] for sol in sols])
     # the relay pair has no joint-empty probability to compare
     g00 = np.array([True, False])
     _write_table(out, {
@@ -602,7 +606,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tolerance", help=f"relative error tolerance (default {KEYS['tolerance'].default})"
     )
     sub.choices["oracle"].add_argument(
-        "--truncation", help=f"lattice size per dimension (default {KEYS['truncation'].default})"
+        "--truncation", help=f"most phases (primary queue lengths) an oracle solve may use "
+                             f"(default {KEYS['truncation'].default})"
     )
     return parser
 

@@ -62,18 +62,20 @@ class Optima(NamedTuple):
     no_coop_d_p: np.ndarray  # primary delay of a single Geo/Geo/1 queue served at f_pd
     su_p_q_star: np.ndarray  # secondary optimum, where feasible
     su_d_s_star: np.ndarray
-    fault: np.ndarray  # an optimum the closed forms cannot evaluate
+    pu_fault: np.ndarray  # the primary optimum exists but the closed forms cannot evaluate it
+    su_fault: np.ndarray  # the secondary optimum exists but the closed forms cannot evaluate it
 
 
 @np.errstate(all="ignore")
 def optima(f_pd, f_sd, f_ps, lambda_p, lambda_s) -> Optima:
     """Evaluate both optimizations on broadcast arrays of channels and loads.
 
-    ``fault`` marks an optimum the closed forms cannot evaluate: the p_q
-    bounds' denominator is 0 below the primary service rate, the primary
-    optimum (at lambda_p > 0) cooperates at a p_q where the point is not
-    stable or its relay form not evaluable, or the secondary optimum (at
-    lambda_s > 0) is feasible at a p_q where ``delay`` would fail.
+    ``pu_fault`` and ``su_fault`` mark an optimum the closed forms cannot
+    evaluate. Both are set where the p_q bounds' denominator is 0 below the
+    primary service rate. ``pu_fault`` is also set where the primary optimum
+    (at lambda_p > 0) cooperates at a p_q where the point is not stable or
+    its relay form not evaluable, and ``su_fault`` where the secondary
+    optimum (at lambda_s > 0) is feasible at a p_q where ``delay`` would fail.
     """
     lambda_p = np.asarray(lambda_p, dtype=np.float64)
     lambda_s = np.asarray(lambda_s, dtype=np.float64)
@@ -89,12 +91,10 @@ def optima(f_pd, f_sd, f_ps, lambda_p, lambda_s) -> Optima:
     su_star = np.where(mid > hi - INTERIOR_OFFSET, mid, hi - INTERIOR_OFFSET)
     pu = closed_forms(f_pd, f_sd, f_ps, pu_star, 1.0, lambda_p, lambda_s)
     su = closed_forms(f_pd, f_sd, f_ps, su_star, 1.0, lambda_p, lambda_s)
-    fault = (
-        (defined & (den == 0.0))
-        | ((lambda_p > 0.0) & cooperate & ~(pu.stable & pu.relay_ok))
-        | ((lambda_s > 0.0) & feasible & ~(su.stable & su.evaluable))
-    )
+    undefined = defined & (den == 0.0)
     return Optima(
         lower, upper, defined, cf.threshold, feasible, cooperate, pu_star, pu.d_p,
-        ~(lambda_p >= f_pd), (1.0 - lambda_p) / (f_pd - lambda_p), su_star, su.d_s, fault,
+        ~(lambda_p >= f_pd), (1.0 - lambda_p) / (f_pd - lambda_p), su_star, su.d_s,
+        undefined | ((lambda_p > 0.0) & cooperate & ~(pu.stable & pu.relay_ok)),
+        undefined | ((lambda_s > 0.0) & feasible & ~(su.stable & su.evaluable)),
     )

@@ -1,20 +1,28 @@
-"""Exact numerical cross-check of the closed forms via truncated Markov chains.
+"""Exact numerical cross-check of the closed forms via bivariate Markov chains.
 
 The non-work-conserving policy makes the SU's own queue and the relay queue
 conditionally independent given the primary queue, so two bivariate chains,
 (Q_p, Q_s) and (Q_p, Q_sp), capture everything the closed forms describe with
-squared rather than cubed state counts. Each chain is truncated to a square
-lattice whose edges absorb overflow transitions; the reported boundary mass
-quantifies the induced bias and rejects under-truncated solves.
+squared rather than cubed state counts.
 
 Both chains are quasi-birth-death chains (Neuts 1981, *Matrix-Geometric
-Solutions in Stochastic Models*) whose level is the partner count and phase
-the primary count; ``_solve_levels`` gives their stationary distribution
-level by level, with no iteration and no dense solve. No T x T block of the
-kernel K is built: the transition law writes the three diagonals of each of
-its six blocks.
-Every result must then pass a residual check: the true residual
-max|pi K - pi| of the returned distribution must be below
+Solutions in Stochastic Models*; Latouche & Ramaswami 1999, *Introduction to
+Matrix Analytic Methods in Stochastic Modeling*) whose level is the partner
+count and phase the primary count. The level axis is not truncated: the
+stationary law is matrix-geometric in the level, so its level sums, and with
+them every mean, close exactly (``_level_sums``). The phase is Q_p, an
+autonomous Geo/Geo/1 queue with a geometric law, so the phase axis is cut
+before the solve, where that law's tail falls below float64 rounding or at
+``ChainSpec.truncation`` phases if that comes first (``_phases``); the mass
+the cut leaves on the phase edge is reported, and a solve whose edge holds
+more than ``BOUNDARY_MASS_LIMIT`` is rejected. A partner queue whose mean
+drift is not positive has no stationary law and is refused up front, as is
+an unstable primary queue. No T x T block of the kernel is built: the
+transition law writes the three diagonals of each of its five blocks, and
+every solve is a tridiagonal elimination of O(T) scalar steps. The joint law,
+level by level, is built only for a caller that asks for it.
+Every result must then pass a residual check: the balance equations of
+levels 0 to 2 and the linear systems of the level sums must hold within
 ``RESIDUAL_TOLERANCE``, or the solve is rejected.
 """
 
@@ -33,35 +41,36 @@ __all__ = ["CHAIN_PAIRS", "BOUNDARY_MASS_LIMIT", "RESIDUAL_TOLERANCE", "Converge
 
 CHAIN_PAIRS = ("primary_secondary", "primary_relay")
 
-#: Stationary probability allowed on the truncation edge before a solve is rejected.
+#: Stationary probability allowed on the phase edge before a solve is rejected.
 BOUNDARY_MASS_LIMIT = 1e-6
 
-#: Bound the true residual max|pi K - pi| of a solved distribution must stay below.
+#: Bound the residuals of a solve must stay below (see ``solve_stationary``).
 RESIDUAL_TOLERANCE = 1e-12
 
-# level-vector peak above which the level loop rescales
-_RESCALE_ABOVE = 1e100
+# the phase axis ends once the primary queue's tail on its edge is at most the unit roundoff
+_PHASE_TAIL = 2.0**-53
 
 # entries below this are set to 0: a product of two kept entries is a normal float64
 _FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
 
 
 class ConvergenceError(RuntimeError):
-    """The residual max|pi K - pi| of the solved distribution is not below ``RESIDUAL_TOLERANCE``."""
+    """A residual of the solve is not below ``RESIDUAL_TOLERANCE``."""
 
 
 class TruncationError(RuntimeError):
-    """Too much stationary mass sits on the truncation edge; enlarge the lattice."""
+    """Too much stationary mass sits on the phase edge; raise the truncation."""
 
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """One truncated-chain solve.
+    """One chain solve.
 
-    The solve is only meaningful at operating points comfortably inside the
-    stable region (roughly >= 5% margin); closer to the boundary the edge mass
-    grows until the solve is rejected. A truncation whose solve would not fit
-    in the machine's physical memory is refused.
+    ``truncation`` is the most phases (primary counts) the solve may use; it
+    uses fewer where the primary queue's tail falls below float64 rounding
+    sooner. The partner count is not truncated. A truncation whose rate
+    matrix R, with the arrays around it, would not fit in the machine's
+    physical memory is refused.
     """
 
     channel: ChannelProfile
@@ -75,7 +84,7 @@ class ChainSpec:
             raise ValueError(f"pair must be one of {CHAIN_PAIRS}, got {self.pair!r}")
         if self.truncation < 4:
             raise ValueError("truncation must be >= 4")
-        # the solve holds at most five T x T float64 lattices
+        # R and the Thomas right-hand sides around it are at most five T x T float64 arrays
         need, memory = 5 * 8 * self.truncation**2, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if need > memory:
             raise ValueError(f"truncation {self.truncation} needs {need / 2**30:.0f} GiB for the solve, "
@@ -84,15 +93,20 @@ class ChainSpec:
 
 @dataclass(frozen=True, eq=False)
 class StationarySolution:
-    """Stationary distribution on the truncated lattice plus derived moments.
+    """Stationary law of a chain pair, with its moments.
 
-    ``distribution[i, j]`` is the stationary probability of i packets in the
-    primary queue and j in the partner queue (Q_s or Q_sp depending on the
-    chain pair). ``residual`` is max|pi K - pi| of that distribution, and
-    ``iterations`` counts the kernel applications the solve made: always 1,
-    the residual check.
+    ``primary_law[i]`` is the stationary probability of i packets in the
+    primary queue, over the T phases the solve used. ``distribution[i, j]``
+    adds j packets in the partner queue (Q_s or Q_sp depending on the chain
+    pair), for the partner levels the caller asked for (none by default).
+    The means and ``p00`` are over the whole, untruncated level axis.
+    ``mass_at_boundary`` is ``primary_law[T - 1]``, the mass on the phase
+    edge. ``residual`` is the largest residual of the solve (see
+    ``solve_stationary``), and ``iterations`` counts the kernel applications
+    the solve made: always 1, the residual check.
     """
 
+    primary_law: np.ndarray
     distribution: np.ndarray
     mean_first: float
     mean_second: float
@@ -107,8 +121,28 @@ def _primary_rate(ch: ChannelProfile, pol: Policy) -> float:
     return ch.f_pd + pol.p_a * ch.f_ps * (1.0 - ch.f_pd)
 
 
-def _blocks(spec: ChainSpec) -> tuple[np.ndarray, ...]:
-    """``L0, Up0, D, L, Up, Ltop``: the blocks of the chain's one-slot kernel, as diagonals.
+def _phases(spec: ChainSpec, mu: float) -> int:
+    """T: the fewest phases whose tail from the edge phase T - 1 on is at most ``_PHASE_TAIL``, or ``spec.truncation``.
+
+    Q_p is autonomous, a Geo/Geo/1 queue: P(Q_p >= n) = (lambda_p / mu)
+    rho^(n - 1) for n >= 1, with rho = lambda_p (1 - mu) / (mu (1 - lambda_p)).
+    The cut chain keeps that law on its T phases, renormalised, so no phase's
+    probability moves by more than that tail, relatively. At least two phases
+    are kept.
+    """
+    lambda_p = spec.point.lambda_p
+    tail = rho = 0.0
+    if lambda_p > 0.0:
+        tail, rho = lambda_p / mu, lambda_p * (1.0 - mu) / (mu * (1.0 - lambda_p))
+    phases = 2
+    while tail > _PHASE_TAIL and phases < spec.truncation:
+        tail *= rho
+        phases += 1
+    return phases
+
+
+def _blocks(spec: ChainSpec, T: int) -> tuple[np.ndarray, ...]:
+    """``L0, Up0, D, L, Up``: the blocks of the chain's one-slot kernel over T phases, as diagonals.
 
     Block rows are phases before the slot and columns phases after it; see
     ``_solve_levels`` for where each block sits. The primary count moves by
@@ -116,10 +150,9 @@ def _blocks(spec: ChainSpec) -> tuple[np.ndarray, ...]:
     the (3, T) array ``[B[i, i - 1], B[i, i], B[i, i + 1]]`` over phases i,
     with 0 where the entry falls outside the block. Departures happen before
     arrivals within a slot (arrivals are first served the next slot), and
-    transitions that would leave the lattice stay at the edge.
+    transitions that would leave the phase axis stay at its edge.
     """
     ch, pol, pt = spec.channel, spec.policy, spec.point
-    T = spec.truncation
     i = np.arange(T)
     arr_p = (1.0 - pt.lambda_p, pt.lambda_p)
 
@@ -131,8 +164,7 @@ def _blocks(spec: ChainSpec) -> tuple[np.ndarray, ...]:
             mask = weight > 0.0
             rows = i[mask]
             ni = np.minimum(rows + di + xp, T - 1)
-            nj = min(j + dj + xs, T - 1)
-            steps[nj - j][ni - rows + 1, rows] += weight[mask]
+            steps[dj + xs][ni - rows + 1, rows] += weight[mask]
 
         if spec.pair == "primary_secondary":
             dep_p = np.where(i > 0, _primary_rate(ch, pol), 0.0)
@@ -154,8 +186,8 @@ def _blocks(spec: ChainSpec) -> tuple[np.ndarray, ...]:
                     emit(prob * arr_p[xp], di, dj, xp, 0)
         return steps
 
-    bottom, interior, top = level(0), level(1), level(T - 1)
-    return bottom[0], bottom[1], interior[-1], interior[0], interior[1], top[0]
+    bottom, interior = level(0), level(1)
+    return bottom[0], bottom[1], interior[-1], interior[0], interior[1]
 
 
 def _transposed(block: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -278,20 +310,18 @@ def _solve_right(block: np.ndarray, leak: np.ndarray, x: np.ndarray) -> np.ndarr
     return _flush(x).T
 
 
-def _solve_levels(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Exact stationary distribution of the chain with these blocks, as ``[level, phase]``.
+def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``pi_0, pi_1, R``: the chain's unnormalised stationary levels 0 and 1 and its rate matrix.
 
     Levels are partner counts j and phases primary counts i; each block is
     given by its three diagonals (see ``_blocks``). The kernel is block
-    tridiagonal in the level: ``L0``/``Up0`` at level 0, ``D``/``L``/``Up`` at
-    every interior level and ``D``/``Ltop`` at level T - 1, where the
-    truncation folds the up-step into ``Ltop``. Down-steps leave only from
+    tridiagonal in the level: ``L0``/``Up0`` at level 0 and ``D``/``L``/``Up``
+    at every level above it, with no top level. Down-steps leave only from
     phase 0, so ``D`` is 0 off that phase's row, a first passage down always
-    lands in ``d``, that row over its sum, and the matrix-geometric rate is exact:
-    ``R = Up (I - U)^-1`` with ``U = L + u d`` and ``u = Up 1``. Level 0 is
-    stationary for ``L0 + (Up0 1) d``, level 1 is ``pi_0 Up0 (I - U)^-1``, each
-    interior level is the one below times R, and the top level is
-    ``pi_{T-2} Up (I - Ltop)^-1``, a second Thomas elimination.
+    lands in ``d``, that row over its sum, and the chain is matrix-geometric:
+    ``pi_{j+1} = pi_j R`` for j >= 1, with ``R = Up (I - U)^-1``,
+    ``U = L + u d`` and ``u = Up 1``. Level 0 is stationary for
+    ``L0 + (Up0 1) d``, and level 1 is ``pi_0 Up0 (I - U)^-1``.
 
     Level 0 comes from GTH elimination over the phases (``_stationary_phases``),
     as ``(Up0 1) d`` lands in phases 0 and 1 only. One tridiagonal solve gives
@@ -299,115 +329,170 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
     and the Sherman-Morrison formula adds the rank-one ``u d``; its
     denominator ``1 - w u``, with ``w = d (I - L)^-1``, is taken as
     ``served * w[0]``, which is equal because ``(I - L) 1 = u + served e_0``
-    and never cancels.
-
-    Every entry of R and of each level below ``_FLUSH_BELOW`` (about 1.5e-154)
-    is set to 0 as it is made, so no product of two kept entries underflows
-    into the slow subnormal range. Phase 0 of level 0 holds 1 and every term
-    is nonnegative, so a flush is one comparison, and after normalisation it
-    changes each entry of a level's defect ``pi_{j+1} - pi_j R`` by less than
-    1.5e-154; the residual check is made on the flushed result, and the edge
-    mass of a lattice whose tail lies below the threshold reads 0. The
-    primary queue is stable (``solve_stationary`` refuses it otherwise), so
-    only the level loop, where R may grow, rescales. The result is unnormalised.
+    and never cancels. Every entry of R and of pi_1 below ``_FLUSH_BELOW``
+    (about 1.5e-154) is set to 0 as it is made. A partner queue that never
+    grows stays at level 0, and R is 0.
     """
-    L0, Up0, D, L, Up, Ltop = blocks
+    L0, Up0, D, L, Up = blocks
     T = L0.shape[1]
     if D[:, 1:].any():
         raise ValueError("kernel serves the partner queue while the primary queue is busy")
-
-    levels = np.zeros((T, T))
+    if not (Up0.any() or Up.any()):
+        return _stationary_phases(L0), np.zeros(T), np.zeros((T, T))
     served = D[:, 0].sum()
-    if served == 0.0:
-        # the partner queue is never served: it only grows, or never moves
-        grows = Up0.any() or Up.any()
-        levels[T - 1 if grows else 0] = _stationary_phases(Ltop if grows else L0)
-        return levels
-
     d = np.pad(D[1:, 0] / served, (0, T - 2))
     u, u0 = Up.sum(axis=0), Up0.sum(axis=0)
-    levels[0] = _stationary_phases(L0, u0 * d[0], u0 * d[1])
-    at_0 = np.eye(1, T)[0]
-    leak = u + served * at_0  # what the rows of L lack of 1: up- and down-steps
+    pi0 = _stationary_phases(L0, u0 * d[0], u0 * d[1])
+    leak = u + served * np.eye(1, T)[0]  # what the rows of L lack of 1: up- and down-steps
     rhs = _transposed(Up, np.zeros((T, T + 2)))  # Up's rows, d and pi_0 Up0 as columns
-    rhs[:, T:] = np.column_stack((d, _times(levels[0], Up0)))
+    rhs[:, T:] = np.column_stack((d, _times(pi0, Up0)))
     solved = _solve_right(L, leak, rhs)
     X, w, pi1 = solved[:T], solved[T], solved[T + 1]
     scale = 1.0 / (served * w[0])
     R = np.outer(X @ u * scale, w)
     R = _flush(np.add(X, R, out=R))
-    levels[1] = _flush(pi1 + (pi1 @ u * scale) * w)
+    return pi0, _flush(pi1 + (pi1 @ u * scale) * w), R
+
+
+def _joint(pi0: np.ndarray, pi1: np.ndarray, R: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` levels, laid out ``[level, phase]``: pi_0, pi_1, and above them each level below times R.
+
+    A level entry below ``_FLUSH_BELOW`` is set to 0, so no product of two
+    kept entries underflows into the slow subnormal range; once a whole
+    level is 0, every level above it is too.
+    """
+    T = len(pi0)
+    levels = np.zeros((count, T))
+    levels[:2] = np.array((pi0, pi1))[:count]
     last = T  # phases past the level's last nonzero entry add nothing to the product
-    for j in range(1, T - 2):
+    for j in range(1, count - 1):
         level = np.matmul(levels[j, :last], R[:last], out=levels[j + 1])
         small = level < _FLUSH_BELOW
         level[small] = 0.0
-        peak = level.max()
-        if peak == 0.0:
-            break  # every level above is 0 as well
-        # outside the stable region R grows the levels geometrically; rescaling
-        # keeps them finite, and the lower levels flush to 0
-        if peak > _RESCALE_ABOVE:
-            _flush(levels[: j + 2], peak)
+        if not level.any():
+            break
         last = T - small[::-1].argmin()
-    if levels[T - 2].any():
-        # the top level is left only from phase 0, so only phase 0 leaks
-        levels[T - 1] = _solve_right(Ltop, served * at_0, _times(levels[T - 2], Up)[:, None])[0]
     return levels
 
 
-def _residual(levels: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
-    """max|pi K - pi| for ``levels`` laid out ``[level, phase]``, from the blocks' diagonals.
+def _drift(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, float]:
+    """``a, a D 1 - a Up 1``: the phase law a above level 0, and the partner queue's mean drift down.
 
-    Down-steps land in phase 0 or 1 and the blocks are tridiagonal, so both
-    sides are 0 from two phases past the last nonzero one; those are skipped.
+    a is the normalised stationary vector of ``D + L + Up``, the phase chain
+    of every level above 0. A level-independent QBD is positive recurrent
+    exactly where this drift is positive (Neuts 1981, ch. 1; Latouche &
+    Ramaswami 1999). It needs no level solve, so it holds at unstable points.
+    """
+    _, _, D, L, Up = blocks
+    a = _stationary_phases(D + L + Up)
+    a /= a.sum()
+    return a, float(D[:, 0].sum() * a[0] - a @ Up.sum(axis=0))
+
+
+def _level_sums(
+    blocks: tuple[np.ndarray, ...], pi0: np.ndarray, a: np.ndarray, drift: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``x, y, residual``: sum_{j >= 1} pi_j, sum_{j >= 1} j pi_j, and the largest relative residual of their systems.
+
+    They are ``x = pi_1 (I - R)^-1`` and ``y = x (I - R)^-1``. Multiplied by
+    ``I - U`` these read ``x (A - u d) = pi_0 Up0`` and
+    ``y (A - u d) = pi_0 Up0 + x Up``, with ``A = I - L - Up``, whose rows
+    lack only the down-steps ``D = served e_0 d``; the right-hand sides are
+    sums of nonnegative terms. Each system is one tridiagonal solve
+    ``q = rhs A^-1`` and a rank-one correction. As ``a (D + L + Up) = a``,
+    ``a A = a_0 served d``, so ``d A^-1 = a / (a_0 served)`` with no solve,
+    and the Sherman-Morrison formula reads ``q + (q u / drift) a``: its
+    denominator ``1 - d A^-1 u`` is the drift over ``a_0 served``. Every term
+    is nonnegative, so nothing cancels but the drift itself, a difference of
+    rates whose rounding is that of the stability margin: at a relative
+    margin delta the sums are accurate to about eps / delta.
+
+    A residual is max|z (A - u d) - rhs| over max z; the relative error of z
+    is at most that times the condition number of ``A - u d``.
+    """
+    _, Up0, D, L, Up = blocks
+    T = L.shape[1]
+    served, u = D[:, 0].sum(), Up.sum(axis=0)
+    d = np.pad(D[1:, 0] / served, (0, T - 2))
+    M, leak = L + Up, served * np.eye(1, T)[0]
+    residual = 0.0
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        nonlocal residual
+        q = _solve_right(M, leak, rhs[:, None].copy())[0]
+        z = _flush(q + (q @ u / drift) * a)
+        if z.any():
+            defect = z - _times(z, M) - (z @ u) * d - rhs
+            residual = max(residual, float(np.abs(defect).max() / z.max()))
+        return z
+
+    source = _times(pi0, Up0)
+    x = solve(source)
+    return x, solve(source + _times(x, Up)), residual
+
+
+def _residual(levels: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
+    """max|pi K - pi| over the balance equations of levels 0 to K - 2, for K levels laid out ``[level, phase]``.
+
+    The equation of level K - 1 needs level K, so it is left out. Down-steps
+    land in phase 0 or 1 and the blocks are tridiagonal, so both sides are 0
+    from two phases past the last nonzero one; those are skipped.
     """
     phases = np.flatnonzero(levels.any(axis=0))[-1] + 2
     levels = levels[:, :phases]
-    L0, Up0, D, L, Up, Ltop = (block[:, :phases] for block in blocks)
-    out = _times(levels, L)
+    L0, Up0, D, L, Up = (block[:, :phases] for block in blocks)
+    out = _times(levels[:-1], L)
     out[0] = _times(levels[0], L0)
-    out[-1] = _times(levels[-1], Ltop)
-    out[:-1, :2] += np.outer(levels[1:, 0], D[1:, 0])
+    out[:, :2] += np.outer(levels[1:, 0], D[1:, 0])
     out[1] += _times(levels[0], Up0)
-    out[2:] += _times(levels[1:-1], Up)
-    return float(np.abs(out - levels).max())
+    out[2:] += _times(levels[1:-2], Up)
+    return float(np.abs(out - levels[:-1]).max())
 
 
-def solve_stationary(spec: ChainSpec) -> StationarySolution:
-    """Stationary distribution of the truncated chain and its moments.
+def solve_stationary(spec: ChainSpec, levels: int = 0) -> StationarySolution:
+    """Stationary law of the chain pair and its moments; ``levels`` asks for the joint law's first partner levels.
 
-    A primary queue with lambda_p >= mu is unstable (Loynes 1962) and raises
-    ``ValueError`` before anything is built. Otherwise the distribution comes
-    from the exact level-by-level solve. Its true residual max|pi K - pi|
-    must be below ``RESIDUAL_TOLERANCE``, or ``ConvergenceError`` is raised;
-    too much mass on the truncation edge raises ``TruncationError``.
+    A primary queue with lambda_p >= mu is unstable (Loynes 1962), and a
+    partner queue that grows with a mean drift (``_drift``) that is not
+    positive is unstable too; either raises ``ValueError`` before any level
+    is solved. Otherwise levels 0 and 1, the rate matrix and the level sums
+    are solved exactly, over ``_phases`` phases. The true residual
+    max|pi K - pi| of the balance equations of levels 0 to 2, and the
+    relative residuals of the level sums' systems, must be below
+    ``RESIDUAL_TOLERANCE``, or ``ConvergenceError`` is raised; too much mass
+    on the phase edge raises ``TruncationError``.
     """
     mu = _primary_rate(spec.channel, spec.policy)
     if 0.0 < spec.point.lambda_p >= mu:
         raise ValueError(f"lambda_p={spec.point.lambda_p!r} is not below the primary service rate "
                          f"mu={mu!r}: the primary queue is unstable")
-    T = spec.truncation
-    blocks = _blocks(spec)
-    pi = _solve_levels(blocks).T.ravel()
-    pi /= pi.sum()
-    dist = pi.reshape(T, T)
-    residual = _residual(dist.T, blocks)
+    T = _phases(spec, mu)
+    blocks = _blocks(spec, T)
+    grows = blocks[1].any() or blocks[4].any()
+    a, drift = _drift(blocks)
+    if grows and not drift > 0.0:
+        raise ValueError(f"the partner queue's mean drift {drift!r} toward empty is not positive: "
+                         "the partner queue is unstable")
+    pi0, pi1, R = _solve_levels(blocks)
+    x, y, residual = _level_sums(blocks, pi0, a, drift) if grows else (np.zeros(T), np.zeros(T), 0.0)
+    total = pi0.sum() + x.sum()
+    residual = max(residual, _residual(_joint(pi0, pi1, R, 4) / total, blocks))
     if not residual < RESIDUAL_TOLERANCE:
         raise ConvergenceError(f"residual {residual:.3e} not below tolerance {RESIDUAL_TOLERANCE:.3e}")
 
-    mass_at_boundary = float(dist[T - 1, :].sum() + dist[:, T - 1].sum() - dist[T - 1, T - 1])
+    primary = (pi0 + x) / total
+    mass_at_boundary = float(primary[T - 1])
     if mass_at_boundary > BOUNDARY_MASS_LIMIT:
         raise TruncationError(
-            f"boundary mass {mass_at_boundary:.3e} exceeds {BOUNDARY_MASS_LIMIT:.0e}; "
-            f"truncation {T} is too small for this operating point"
+            f"phase-edge mass {mass_at_boundary:.3e} exceeds {BOUNDARY_MASS_LIMIT:.0e}; "
+            f"truncation {spec.truncation} is too small for this operating point"
         )
-    levels = np.arange(T)
     return StationarySolution(
-        distribution=dist,
-        mean_first=float(dist.sum(axis=1) @ levels),
-        mean_second=float(dist.sum(axis=0) @ levels),
-        p00=float(dist[0, 0]),
+        primary_law=primary,
+        distribution=_joint(pi0, pi1, R, levels).T / total,
+        mean_first=float(primary @ np.arange(T)),
+        mean_second=float(y.sum() / total),
+        p00=float(pi0[0] / total),
         mass_at_boundary=mass_at_boundary,
         residual=residual,
         iterations=1,

@@ -162,12 +162,16 @@ def _optimize_row(ch, pt):
         row["p_q_upper"] = closed.pq_upper_bound(ch, pt, 1.0)
     except closed.InfeasibleError:
         pass
+    faults = []
     if pt.lambda_p > 0.0:
-        decision = closed.minimize_primary_delay(ch, pt)
-        row["pu_mode"] = decision.mode
-        row["pu_p_q_star"] = decision.p_q_star
-        row["pu_p_a_star"] = decision.p_a_star
-        row["pu_d_p_star"] = decision.d_p_star
+        try:
+            decision = closed.minimize_primary_delay(ch, pt)
+            row["pu_mode"] = decision.mode
+            row["pu_p_q_star"] = decision.p_q_star
+            row["pu_p_a_star"] = decision.p_a_star
+            row["pu_d_p_star"] = decision.d_p_star
+        except (ValueError, AssertionError, ArithmeticError) as exc:
+            faults.append(exc)
     try:
         row["no_coop_d_p"] = closed.no_cooperation_delay_primary(ch, pt.lambda_p)
     except closed.InfeasibleError:
@@ -177,6 +181,11 @@ def _optimize_row(ch, pt):
             row["su_p_q_star"], row["su_d_s_star"] = closed.minimize_secondary_delay(ch, pt)
         except closed.InfeasibleError:
             pass
+        except (ValueError, AssertionError, ArithmeticError) as exc:
+            faults.append(exc)
+    # an optimum that cannot be evaluated is left empty; a row with no other optimum fails
+    if faults and row["pu_mode"] is None and row["su_p_q_star"] is None:
+        raise faults[0]
     return row
 
 

@@ -1,24 +1,29 @@
 """Full-kernel and dense-solve references for :mod:`cogrelay.oracle`.
 
-``build_transitions`` assembles the whole T^2 x T^2 one-slot kernel of a
-chain pair as a sparse matrix. It is the oracle's original statement of the
-transition law, kept unchanged so the six blocks ``cogrelay.oracle`` builds
-can be checked against it entry for entry, and so kernel-level properties
-(stochastic rows, the primary marginal, the relay coupling) and a dense
-direct solve can be tested on the whole lattice.
+``build_transitions`` assembles the whole one-slot kernel of a chain pair on
+a finite lattice as a sparse matrix, with ``spec.truncation`` phases (primary
+counts) and, by default, as many partner levels; transitions that would leave
+the lattice stay at its edge. It is the oracle's original statement of the
+transition law, kept unchanged but for the level count, so the five blocks
+``cogrelay.oracle`` builds can be checked against it entry for entry, and so
+kernel-level properties (stochastic rows, the primary marginal, the relay
+coupling) and a direct solve (``solve_direct``) can be tested on the whole lattice.
 
 The oracle stores each block as its three diagonals; ``dense`` gives the
 T x T matrix such a block stands for.
 
 ``solve_levels`` and ``residual`` are the oracle's earlier level-by-level
-solve, with its dense T x T solves and no flush of tiny entries, and its
-residual from dense block products. Only the dense solve for a stationary
-vector has changed since: it is refined against a residual computed exactly
-in ``Fraction``, so at level 0 the reference is exact to rounding for any
+solve of that lattice, with its dense T x T solves and no flush of tiny
+entries, and its residual from dense block products. Its top level folds the
+up-step into ``Ltop = L + Up``. Only the dense solve for a stationary vector
+has changed since: it is refined against a residual computed exactly in
+``Fraction``, so at level 0 the reference is exact to rounding for any
 elimination order. ``solve_stationary`` runs them on the densified blocks
-through the same normalisation and the same residual and boundary-mass
-checks as the oracle, so the tridiagonal solve can be compared with them
-outcome for outcome.
+through the same normalisation, residual check and phase-edge mass check as
+the oracle. Levels 0 to K - 2 of a K-level lattice are the infinite chain's
+levels, scaled: a first passage down lands in the same phases from every
+level, the top one included, so only the top level and the normalisation
+see the edge.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from reference_closed_forms import service_rate_primary
 
 from cogrelay.oracle import (
@@ -39,26 +45,26 @@ from cogrelay.oracle import (
     _blocks,
 )
 
-# level-vector peak above which the level-by-level solve rescales
-_RESCALE_ABOVE = 1e100
-
 # most refinement steps of a stationary vector; each one leaves about the
 # dense solve's relative error of the error before it
 _REFINE_STEPS = 8
 
 
-def build_transitions(spec: ChainSpec) -> sp.csr_matrix:
+def build_transitions(spec: ChainSpec, levels: int | None = None, phases: int | None = None) -> sp.csr_matrix:
     """Row-stochastic one-slot kernel of the selected bivariate chain.
 
-    State (i, j) is flattened to i * truncation + j. Departures happen before
-    arrivals within a slot (arrivals are first served the next slot), and
-    transitions that would leave the lattice stay at the edge.
+    The lattice has ``phases`` phases (``spec.truncation`` by default) and
+    ``levels`` partner levels (as many as phases by default). State (i, j)
+    is flattened to i * levels + j. Departures happen before arrivals within a slot (arrivals
+    are first served the next slot), and transitions that would leave the
+    lattice stay at the edge.
     """
     ch, pol, pt = spec.channel, spec.policy, spec.point
-    T = spec.truncation
-    idx = np.arange(T * T, dtype=np.int64)
-    i = idx // T
-    j = idx % T
+    T = spec.truncation if phases is None else phases
+    K = T if levels is None else levels
+    idx = np.arange(T * K, dtype=np.int64)
+    i = idx // K
+    j = idx % K
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
@@ -69,9 +75,9 @@ def build_transitions(spec: ChainSpec) -> sp.csr_matrix:
         if not mask.any():
             return
         ni = np.minimum(i[mask] + di + xp, T - 1)
-        nj = np.minimum(j[mask] + dj + xs, T - 1)
+        nj = np.minimum(j[mask] + dj + xs, K - 1)
         rows.append(idx[mask])
-        cols.append(ni * T + nj)
+        cols.append(ni * K + nj)
         vals.append(weight[mask])
 
     lp = pt.lambda_p
@@ -106,10 +112,26 @@ def build_transitions(spec: ChainSpec) -> sp.csr_matrix:
 
     kernel = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(T * T, T * T),
+        shape=(T * K, T * K),
     ).tocsr()
     kernel.sum_duplicates()
     return kernel
+
+
+def solve_direct(spec: ChainSpec, levels: int, phases: int) -> np.ndarray:
+    """The stationary law of the lattice's whole kernel, ``[phase, level]``, from one sparse direct solve.
+
+    State (0, 0) is pinned at 1 in place of its balance equation, so the
+    system stays banded: in level-major order its bandwidth is about twice
+    the phase count, and LU takes it in that order without fill-in past the band.
+    """
+    n = phases * levels
+    order = np.arange(n).reshape(phases, levels).T.ravel()
+    system = (sp.eye(n) - build_transitions(spec, levels, phases).T).tocsc()[order][:, order]
+    x = np.empty(n)
+    x[order] = np.concatenate(([1.0], spla.spsolve(system[1:, 1:], -system[1:, 0].toarray().ravel(),
+                                                   permc_spec="NATURAL")))
+    return (x / x.sum()).reshape(phases, levels)
 
 
 def dense(block: np.ndarray) -> np.ndarray:
@@ -154,30 +176,31 @@ def _stationary_vector(chain: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_levels(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Exact stationary distribution of the chain with these blocks, as ``[level, phase]``.
+def solve_levels(blocks: tuple[np.ndarray, ...], count: int) -> np.ndarray:
+    """Exact stationary distribution of the ``count``-level lattice with these blocks, as ``[level, phase]``.
 
     Levels are partner counts j and phases primary counts i. The kernel is
     block tridiagonal in the level: ``L0``/``Up0`` at level 0, ``D``/``L``/``Up``
-    at every interior level and ``D``/``Ltop`` at level T - 1, where the
-    truncation folds the up-step into ``Ltop``. Down-steps leave only from
-    phase 0, so a first passage down always lands in ``d = D[0] / D[0].sum()``
-    and the matrix-geometric rates are exact:
+    at every interior level and ``D``/``Ltop`` at the top level, where the
+    lattice folds the up-step into ``Ltop = L + Up``. Down-steps leave only
+    from phase 0, so a first passage down always lands in
+    ``d = D[0] / D[0].sum()`` and the matrix-geometric rates are exact:
     ``R = Up (I - U)^-1`` with ``U = L + (Up 1) d``, ``R0 = Up0 (I - U)^-1``,
     ``Rtop = Up (I - Ltop)^-1``; level 0 is stationary for ``L0 + (Up0 1) d``.
     The result is unnormalised.
     """
-    L0, Up0, D, L, Up, Ltop = blocks
+    L0, Up0, D, L, Up = blocks
+    Ltop = L + Up
     T = len(L0)
     if D[1:].any():
         raise ValueError("kernel serves the partner queue while the primary queue is busy")
 
-    levels = np.zeros((T, T))
+    levels = np.zeros((count, T))
     served = D[0].sum()
     if served == 0.0:
         # the partner queue is never served: it only grows, or never moves
         if Up0.any() or Up.any():
-            levels[T - 1] = _stationary_vector(Ltop)
+            levels[count - 1] = _stationary_vector(Ltop)
         else:
             levels[0] = _stationary_vector(L0)
         return levels
@@ -186,56 +209,55 @@ def solve_levels(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
     eye = np.eye(T)
     U = L + np.outer(Up.sum(axis=1), d)
     levels[0] = _stationary_vector(L0 + np.outer(Up0.sum(axis=1), d))
-    # R0 and Rtop are each applied once, so pi_1 and pi_{T-1} are solved for directly
+    # R0 and Rtop are each applied once, so pi_1 and the top level are solved for directly
     solved = np.linalg.solve((eye - U).T, np.column_stack((Up.T, levels[0] @ Up0)))
     R, levels[1] = solved[:, :T].T, solved[:, T]
-    for j in range(1, T - 2):
+    for j in range(1, count - 2):
         levels[j + 1] = levels[j] @ R
-        # outside the stable region R grows the levels geometrically; rescaling
-        # keeps them finite, and the lower levels underflow harmlessly
-        peak = levels[j + 1].max()
-        if peak > _RESCALE_ABOVE:
-            levels[: j + 2] /= peak
-    levels[T - 1] = np.linalg.solve((eye - Ltop).T, levels[T - 2] @ Up)
+    levels[count - 1] = np.linalg.solve((eye - Ltop).T, levels[count - 2] @ Up)
     return levels
 
 
 def residual(levels: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
     """max|pi K - pi| for ``levels`` laid out ``[level, phase]``, one block product at a time."""
-    L0, Up0, D, L, Up, Ltop = blocks
+    L0, Up0, D, L, Up = blocks
     out = levels @ L
     out[0] = levels[0] @ L0
-    out[-1] = levels[-1] @ Ltop
+    out[-1] = levels[-1] @ (L + Up)
     out[:-1] += levels[1:] @ D
     out[1] += levels[0] @ Up0
     out[2:] += levels[1:-1] @ Up
     return float(np.abs(out - levels).max())
 
 
-def solve_stationary(spec: ChainSpec) -> StationarySolution:
-    """``cogrelay.oracle.solve_stationary`` on the dense level solve and residual above."""
-    T = spec.truncation
-    blocks = tuple(map(dense, _blocks(spec)))
-    pi = solve_levels(blocks).T.ravel()
-    pi /= pi.sum()
-    dist = pi.reshape(T, T)
+def solve_stationary(spec: ChainSpec, levels: int, phases: int | None = None) -> StationarySolution:
+    """``cogrelay.oracle.solve_stationary`` on the lattice of ``phases`` phases and ``levels`` levels.
+
+    ``phases`` is ``spec.truncation`` by default; it may be below the 4 a
+    spec allows, as the oracle's own phase count may.
+
+    It is solved by the dense level solve above, and ``distribution`` is its
+    whole law. The means are the lattice's, so they differ from the oracle's
+    by the mass the level edge folds in.
+    """
+    T = spec.truncation if phases is None else phases
+    blocks = tuple(map(dense, _blocks(spec, T)))
+    dist = solve_levels(blocks, levels).T
+    dist /= dist.sum()
     res = residual(dist.T, blocks)
     if not res < RESIDUAL_TOLERANCE:
         raise ConvergenceError(f"residual {res:.3e} not below tolerance {RESIDUAL_TOLERANCE:.3e}")
 
-    mass_at_boundary = float(dist[T - 1, :].sum() + dist[:, T - 1].sum() - dist[T - 1, T - 1])
-    if mass_at_boundary > BOUNDARY_MASS_LIMIT:
-        raise TruncationError(
-            f"boundary mass {mass_at_boundary:.3e} exceeds {BOUNDARY_MASS_LIMIT:.0e}; "
-            f"truncation {T} is too small for this operating point"
-        )
-    levels = np.arange(T)
+    primary = dist.sum(axis=1)
+    if primary[T - 1] > BOUNDARY_MASS_LIMIT:
+        raise TruncationError(f"phase-edge mass {primary[T - 1]:.3e} exceeds {BOUNDARY_MASS_LIMIT:.0e}")
     return StationarySolution(
+        primary_law=primary,
         distribution=dist,
-        mean_first=float(dist.sum(axis=1) @ levels),
-        mean_second=float(dist.sum(axis=0) @ levels),
+        mean_first=float(primary @ np.arange(T)),
+        mean_second=float(dist.sum(axis=0) @ np.arange(levels)),
         p00=float(dist[0, 0]),
-        mass_at_boundary=mass_at_boundary,
+        mass_at_boundary=float(primary[T - 1]),
         residual=res,
         iterations=1,
     )

@@ -85,7 +85,7 @@ ORACLE_POINTS = (
 
 @pytest.mark.parametrize("pol,pt", ORACLE_POINTS)
 def test_criterion_2_oracle_equivalence(pol, pt):
-    """Truncated-chain solves at 400x400 match every closed form."""
+    """Chain solves at truncation 400 match every closed form."""
     ch = STANDARD_CHANNEL
     cf = at(ch, pol, pt)
     assert cf.stable and cf.evaluable
@@ -100,8 +100,8 @@ def test_criterion_2_oracle_equivalence(pol, pt):
     if n_sp > 0.0:
         assert abs(pr.mean_second - n_sp) / n_sp <= 0.005
     assert abs(ps.p00 - g00) <= 0.005
-    assert abs(float(ps.distribution[0, :].sum()) - p_empty) <= 0.005
-    assert abs(float(pr.distribution[0, :].sum()) - p_empty) <= 0.005
+    assert abs(float(ps.primary_law[0]) - p_empty) <= 0.005
+    assert abs(float(pr.primary_law[0]) - p_empty) <= 0.005
 
 
 def test_criterion_3_phase_transition_insensitivity():

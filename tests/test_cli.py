@@ -22,7 +22,7 @@ from reference_cli import (
 )
 from test_analytics import ILL_CONDITIONED_POINTS
 
-from cogrelay import cli, simulator
+from cogrelay import cli, optimizer, simulator
 from cogrelay.cli import ENV_SEED, EXIT_BROKEN_PIPE, PRESETS, main
 from cogrelay.config import KEYS
 
@@ -468,6 +468,32 @@ def test_optimize_sweep_checks_only_the_listed_f_pd(tmp_path, capsys, f_pd_list,
         assert [row[0] for row in rows(text)[1]] == ["0.1"] * 3 + ["0.15"] * 3
 
 
+#: the primary optimum cooperates at p_q 1e-06; the secondary optimum (p_q 0.999999) is stable,
+#: but its delay reads 0, below one slot, so the closed forms cannot evaluate it
+SPLIT_OPTIMA = {"f_pd": 8e-21, "f_sd": 0.8, "f_ps": 0.0, "lambda_p": 7.999999999999992e-21, "lambda_s": 5e-324}
+
+
+def test_optimize_leaves_only_the_unevaluable_optimum_empty(tmp_path):
+    code, text = run(tmp_path, "optimize", _config(SPLIT_OPTIMA))
+    assert code == 0
+    assert text.splitlines() == [
+        "# primary delay minimization", "pu_mode = cooperate", "pu_p_q_star = 1e-06", "pu_p_a_star = 1",
+        "pu_d_p_star = 1.32922799578e+35", "no_coop_d_p = 1.32922799578e+35", "p_q_lower = 0",
+        "p_q_upper = 1", "threshold_p_q = 1", "# secondary delay minimization", "su_status = infeasible",
+    ]
+    o = optimizer.optima(*SPLIT_OPTIMA.values())
+    assert not o.pu_fault and o.su_fault and o.feasible
+    # in a sweep the row keeps its primary cells and leaves its secondary ones empty
+    code, text = run(tmp_path, "optimize", _config(SPLIT_OPTIMA) +
+                     "variable = lambda_s\nstart = 5e-324\nstop = 1e-323\nsteps = 2\n")
+    assert code == 0
+    header, body = rows(text)
+    for row in body:
+        cells = dict(zip(header.split(","), row))
+        assert cells["pu_mode"] == "cooperate" and cells["pu_p_q_star"] == "1e-06"
+        assert cells["su_p_q_star"] == cells["su_d_s_star"] == ""
+
+
 def test_oracle_agreement_columns(tmp_path):
     code, text = run(
         tmp_path,
@@ -504,6 +530,30 @@ def test_oracle_rejects_unstable_point(tmp_path, capsys):
     assert code == 2
     assert (f"lambda_p ({tmp_path / 'run.cfg'}:1), lambda_s ({tmp_path / 'run.cfg'}:2): oracle requires a "
             "stable operating point, got lambda_p=0.5, lambda_s=0.5") in capsys.readouterr().err
+
+
+def test_oracle_solves_one_percent_from_the_secondary_bound(tmp_path):
+    # the default channel and policy at lambda_s = 0.99 bound_s: a 400 x 400 lattice
+    # refused this point for its edge mass, and the untruncated level axis solves it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(tmp_path, "oracle", "lambda_p = 0.1\nlambda_s = 0.3277\n")
+    assert code == 0
+    header, body = rows(text)
+    for row in body:
+        cells = dict(zip(header.split(","), row))
+        assert float(cells["rel_err_n_p"]) <= 1e-14 and float(cells["rel_err_partner"]) <= 1e-13
+        assert float(cells["mass_at_boundary"]) <= 2.0**-53
+
+
+def test_oracle_partner_unstable_to_rounding_exits_2(tmp_path, capsys):
+    # the closed forms' margin is one ulp above 0, the chain's drift rounds to 0
+    code, text = run(tmp_path, "oracle", "lambda_p = 0.018729096989966554\nlambda_s = 0.38708338138622994\n")
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: lambda_p ({tmp_path / 'run.cfg'}:1), lambda_s ({tmp_path / 'run.cfg'}:2): "
+                          "oracle solve failed for primary_secondary: the partner queue's mean drift 0.0")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("variable", ["lambda", "lambda_p", "lambda_s", "p_q", "p_a", "f_pd"])
@@ -694,7 +744,7 @@ def test_oracle_truncation_flag(tmp_path):
 
 
 def test_oracle_truncation_beyond_memory_exits_2(tmp_path, capsys):
-    # the solve would hold five T x T float64 lattices: 373 GiB at T = 100000
+    # R and the arrays around it would be five T x T float64 arrays: 373 GiB at T = 100000
     truncation = 100_000
     if 5 * 8 * truncation**2 <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
         pytest.skip("this machine's memory would hold the solve")

@@ -135,6 +135,8 @@ def _outcome(run, command, text):
 @example(("optimize", "f_pd = 0.5\nf_sd = 1.0\nf_ps = 0.25\nlambda_p = 0.3125\nlambda_s = 0.25\n"))
 @example(("optimize", "f_pd = 0.7130607983330924\nf_sd = 0.9\nf_ps = 0.020126716603189432\n"
                       "lambda_p = 0.14806757846412472\nlambda_s = 0.7134262293980463\n"))
+# the secondary optimum cannot be evaluated, the primary one can
+@example(("optimize", "f_pd = 8e-21\nf_sd = 0.8\nf_ps = 0.0\nlambda_p = 7.999999999999992e-21\nlambda_s = 5e-324\n"))
 def test_commands_match_point_by_point_reference(case):
     command, text = case
     outcome, expected = _outcome(main, command, text), _outcome(reference_cli.main, command, text)
@@ -196,6 +198,8 @@ def points(draw):
 @example((ChannelProfile(0.3, 0.8, 0.4), Policy(1.0, 0.0), OperatingPoint(0.1, 0.1)))
 # the secondary optimum is stable there, but its delay report is out of bounds
 @example((ChannelProfile(8e-21, 0.8, 0.0), Policy(0.5, 1.0), OperatingPoint(0.0, 5e-324)))
+# only the secondary optimum cannot be evaluated: its delay reads 0, below one slot
+@example((ChannelProfile(8e-21, 0.8, 0.0), Policy(0.5, 1.0), OperatingPoint(7.999999999999992e-21, 5e-324)))
 # zero arrival rates, where a delay report has no delay
 @example((ChannelProfile(0.3, 0.8, 0.4), Policy(0.5, 1.0), OperatingPoint(0.0, 0.0)))
 @example((ChannelProfile(0.3, 0.8, 0.4), Policy(0.5, 1.0), OperatingPoint(0.1, 0.0)))
@@ -251,10 +255,11 @@ def test_scalar_functions_match_term_by_term_reference(case):
     primary = _result(closed.minimize_primary_delay, ch, pt)
     secondary = _result(closed.minimize_secondary_delay, ch, pt)
     undefined = (closed.InfeasibleError, closed.UndefinedRateError)
-    assert bool(o.fault) == (
-        isinstance(_result(closed.pq_lower_bound, ch, pt, 1.0), ZeroDivisionError)
-        or any(isinstance(x, Exception) and not isinstance(x, undefined) for x in (primary, secondary))
-    )
+    bounds_fault = isinstance(_result(closed.pq_lower_bound, ch, pt, 1.0), ZeroDivisionError)
+    for fault, outcome in [(o.pu_fault, primary), (o.su_fault, secondary)]:
+        assert bool(fault) == (
+            bounds_fault or (isinstance(outcome, Exception) and not isinstance(outcome, undefined))
+        )
     assert isinstance(primary, closed.UndefinedRateError) == (lp <= 0.0)
     if not isinstance(primary, Exception):
         mode, d_p_star = primary_decision(o)
