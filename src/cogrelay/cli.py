@@ -40,7 +40,7 @@ import numpy as np
 from . import analytics, optimizer
 from .config import KEYS, Config, ConfigError, channel_from_config, load_config_file, parse_values
 from .model import NO_COOPERATION, ChannelProfile, OperatingPoint, Policy
-from .oracle import ChainSpec, solve_stationary
+from .oracle import ChainSpec, UnstableError, solve_stationary
 from .simulator import Scenario, SimStats, replicate_many
 
 __all__ = ["main", "entrypoint", "PRESETS", "ENV_SEED"]
@@ -438,10 +438,12 @@ def cmd_validate(cfg: Config, out) -> int:
     return 1 if failed.any() else 0
 
 
-def _optimize_columns(columns: dict[str, np.ndarray]) -> dict[str, list[str]]:
+def _optimize_columns(columns: dict[str, np.ndarray]) -> tuple[dict[str, list[str]], np.ndarray]:
     """The optimize cells of every (f_pd, f_sd, f_ps, lambda_p, lambda_s) row, by column, from
-    one evaluation of both optima. An optimum the closed forms cannot evaluate is left empty, as
-    an infeasible one is; raises at a row that has no other optimum to report."""
+    one evaluation of both optima, and ``su_fault``. An optimum the closed forms cannot evaluate
+    is left empty, as an infeasible one is; raises at a row that has no other optimum to report.
+    So in a row that is reported, ``su_fault`` marks a feasible secondary optimum: the zero
+    p_q-bound denominator faults both optima."""
     o = optimizer.optima(*columns.values())
     primary = (columns["lambda_p"] > 0.0) & ~o.pu_fault
     secondary = (columns["lambda_s"] > 0.0) & o.feasible & ~o.su_fault
@@ -460,7 +462,7 @@ def _optimize_columns(columns: dict[str, np.ndarray]) -> dict[str, list[str]]:
         "p_q_lower": _format(o.p_q_lower, o.bounds_defined),
         "p_q_upper": _format(o.p_q_upper, o.bounds_defined),
         "threshold_p_q": _format(o.threshold),
-    }
+    }, o.su_fault
 
 
 def cmd_optimize(cfg: Config, out) -> int:
@@ -471,18 +473,19 @@ def cmd_optimize(cfg: Config, out) -> int:
                               "optimize sweeps support variable = lambda_p or lambda_s")
         columns = _sweep_columns(cfg, curve="f_pd")
         columns = {key: columns[key] for key in keys}
-        _write_table(out, {**_cells(columns), **_optimize_columns(columns)})
+        _write_table(out, {**_cells(columns), **_optimize_columns(columns)[0]})
         return 0
     channel_from_config(cfg)  # a sweep checks each of its rows' channels instead
     point = {key: np.full(1, cfg[key]) for key in keys}
-    row = {key: cells[0] for key, cells in _optimize_columns(point).items()}
+    columns, unevaluable = _optimize_columns(point)
+    row = {key: cells[0] for key, cells in columns.items()}
     out.write("# primary delay minimization\n")
     for key, cell in row.items():
         if not key.startswith("su_"):
             out.write(f"{key} = {cell or 'n/a'}\n")
     out.write("# secondary delay minimization\n")
     if not row["su_p_q_star"]:
-        out.write("su_status = infeasible\n")
+        out.write(f"su_status = {'unevaluable' if unevaluable[0] else 'infeasible'}\n")
     for key, cell in row.items():
         if key.startswith("su_") and cell:
             out.write(f"{key} = {cell}\n")
@@ -511,7 +514,7 @@ def cmd_oracle(cfg: Config, out) -> int:
         except RuntimeError as exc:  # the phase edge holds too much mass, or a residual is too large
             raise ConfigError(f"{cfg.where('truncation')}: "
                               f"oracle solve failed for {spec.pair}: {exc}") from exc
-        except ValueError as exc:  # the partner queue's drift is not positive, within rounding of its bound
+        except UnstableError as exc:  # the partner queue's drift is not positive, within rounding of its bound
             raise ConfigError(f"{cfg.where('lambda_p', 'lambda_s')}: "
                               f"oracle solve failed for {spec.pair}: {exc}") from exc
 

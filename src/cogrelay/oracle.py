@@ -10,20 +10,22 @@ Solutions in Stochastic Models*; Latouche & Ramaswami 1999, *Introduction to
 Matrix Analytic Methods in Stochastic Modeling*) whose level is the partner
 count and phase the primary count. The level axis is not truncated: the
 stationary law is matrix-geometric in the level, so its level sums, and with
-them every mean, close exactly (``_level_sums``). The phase is Q_p, an
+them every mean, close exactly (``_solve_levels``). The phase is Q_p, an
 autonomous Geo/Geo/1 queue with a geometric law, so the phase axis is cut
 before the solve, where that law's tail falls below float64 rounding or at
 ``ChainSpec.truncation`` phases if that comes first (``_phases``); the mass
-the cut leaves on the phase edge is reported, and a solve whose edge holds
-more than ``BOUNDARY_MASS_LIMIT`` is rejected. A partner queue whose mean
-drift is not positive has no stationary law and is refused up front, as is
-an unstable primary queue. No T x T block of the kernel is built: the
-transition law writes the three diagonals of each of its five blocks, and
-every solve is a tridiagonal elimination of O(T) scalar steps. The joint law,
-level by level, is built only for a caller that asks for it.
-Every result must then pass a residual check: the balance equations of
-levels 0 to 2 and the linear systems of the level sums must hold within
-``RESIDUAL_TOLERANCE``, or the solve is rejected.
+the cut leaves on the phase edge is reported, and a solve is rejected where
+that mass exceeds ``BOUNDARY_MASS_LIMIT``, or where the mass past the cut
+moves the partner queue's drift, and with it the partner's mean, by more
+than that share. A partner queue whose mean drift is not positive has no
+stationary law and is refused up front, as is an unstable primary queue. No
+T x T block of the kernel is built: the transition law writes the three
+diagonals of each of its five blocks, and every solve is a tridiagonal
+elimination of O(T) scalar steps. The joint law, level by level, is built
+only as far as the residual check needs it. Every result must then pass a
+residual check: the balance equations of levels 0 to 2 and the linear
+systems of the level sums must hold within ``RESIDUAL_TOLERANCE``, or the
+solve is rejected.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from .model import ChannelProfile, OperatingPoint, Policy
 
 __all__ = ["CHAIN_PAIRS", "BOUNDARY_MASS_LIMIT", "RESIDUAL_TOLERANCE", "ConvergenceError",
-           "TruncationError", "ChainSpec", "StationarySolution", "solve_stationary"]
+           "TruncationError", "UnstableError", "ChainSpec", "StationarySolution", "solve_stationary"]
 
 CHAIN_PAIRS = ("primary_secondary", "primary_relay")
 
@@ -60,6 +62,10 @@ class ConvergenceError(RuntimeError):
 
 class TruncationError(RuntimeError):
     """Too much stationary mass sits on the phase edge; raise the truncation."""
+
+
+class UnstableError(ValueError):
+    """The operating point has no stationary law: a queue's mean drift toward empty is not positive."""
 
 
 @dataclass(frozen=True)
@@ -96,10 +102,9 @@ class StationarySolution:
     """Stationary law of a chain pair, with its moments.
 
     ``primary_law[i]`` is the stationary probability of i packets in the
-    primary queue, over the T phases the solve used. ``distribution[i, j]``
-    adds j packets in the partner queue (Q_s or Q_sp depending on the chain
-    pair), for the partner levels the caller asked for (none by default).
-    The means and ``p00`` are over the whole, untruncated level axis.
+    primary queue, over the T phases the solve used. ``mean_second`` is the
+    partner queue's mean (Q_s or Q_sp depending on the chain pair); it and
+    ``p00`` are over the whole, untruncated level axis.
     ``mass_at_boundary`` is ``primary_law[T - 1]``, the mass on the phase
     edge. ``residual`` is the largest residual of the solve (see
     ``solve_stationary``), and ``iterations`` counts the kernel applications
@@ -107,7 +112,6 @@ class StationarySolution:
     """
 
     primary_law: np.ndarray
-    distribution: np.ndarray
     mean_first: float
     mean_second: float
     p00: float
@@ -121,14 +125,17 @@ def _primary_rate(ch: ChannelProfile, pol: Policy) -> float:
     return ch.f_pd + pol.p_a * ch.f_ps * (1.0 - ch.f_pd)
 
 
-def _phases(spec: ChainSpec, mu: float) -> int:
-    """T: the fewest phases whose tail from the edge phase T - 1 on is at most ``_PHASE_TAIL``, or ``spec.truncation``.
+def _phases(spec: ChainSpec, mu: float) -> tuple[int, float]:
+    """``T, P(Q_p >= T)``: the phases the solve uses, and the infinite queue's mass beyond them.
+
+    T is the fewest phases whose tail from the edge phase T - 1 on is at most
+    ``_PHASE_TAIL``, or ``spec.truncation`` if that comes first.
 
     Q_p is autonomous, a Geo/Geo/1 queue: P(Q_p >= n) = (lambda_p / mu)
     rho^(n - 1) for n >= 1, with rho = lambda_p (1 - mu) / (mu (1 - lambda_p)).
-    The cut chain keeps that law on its T phases, renormalised, so no phase's
-    probability moves by more than that tail, relatively. At least two phases
-    are kept.
+    The cut chain keeps that law on its T phases, restricted and
+    renormalised, so every phase's probability moves by the mass beyond them,
+    relatively. At least two phases are kept.
     """
     lambda_p = spec.point.lambda_p
     tail = rho = 0.0
@@ -138,7 +145,7 @@ def _phases(spec: ChainSpec, mu: float) -> int:
     while tail > _PHASE_TAIL and phases < spec.truncation:
         tail *= rho
         phases += 1
-    return phases
+    return phases, tail * rho
 
 
 def _blocks(spec: ChainSpec, T: int) -> tuple[np.ndarray, ...]:
@@ -310,8 +317,24 @@ def _solve_right(block: np.ndarray, leak: np.ndarray, x: np.ndarray) -> np.ndarr
     return _flush(x).T
 
 
-def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``pi_0, pi_1, R``: the chain's unnormalised stationary levels 0 and 1 and its rate matrix.
+def _drift(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, float]:
+    """``a, a D 1 - a Up 1``: the phase law a above level 0, and the partner queue's mean drift down.
+
+    a is the normalised stationary vector of ``D + L + Up``, the phase chain
+    of every level above 0: Q_p's own birth-death chain, so a is also the
+    primary queue's law over the cut phase axis. A level-independent QBD is
+    positive recurrent exactly where this drift is positive (Neuts 1981,
+    ch. 1; Latouche & Ramaswami 1999). It needs no level solve, so it holds
+    at unstable points.
+    """
+    _, _, D, L, Up = blocks
+    a = _stationary_phases(D + L + Up)
+    a /= a.sum()
+    return a, float(D[:, 0].sum() * a[0] - a @ Up.sum(axis=0))
+
+
+def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """``pi_0, pi_1, R, x, y, drift, residual``: the chain's unnormalised levels, their sums, and the partner's drift.
 
     Levels are partner counts j and phases primary counts i; each block is
     given by its three diagonals (see ``_blocks``). The kernel is block
@@ -323,35 +346,76 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarra
     ``U = L + u d`` and ``u = Up 1``. Level 0 is stationary for
     ``L0 + (Up0 1) d``, and level 1 is ``pi_0 Up0 (I - U)^-1``.
 
-    Level 0 comes from GTH elimination over the phases (``_stationary_phases``),
-    as ``(Up0 1) d`` lands in phases 0 and 1 only. One tridiagonal solve gives
-    ``Up (I - L)^-1``, ``d (I - L)^-1`` and ``pi_0 Up0 (I - L)^-1`` together,
-    and the Sherman-Morrison formula adds the rank-one ``u d``; its
-    denominator ``1 - w u``, with ``w = d (I - L)^-1``, is taken as
-    ``served * w[0]``, which is equal because ``(I - L) 1 = u + served e_0``
-    and never cancels. Every entry of R and of pi_1 below ``_FLUSH_BELOW``
-    (about 1.5e-154) is set to 0 as it is made. A partner queue that never
-    grows stays at level 0, and R is 0.
+    A partner queue that grows with a mean drift (``_drift``) that is not
+    positive has no stationary law, and raises ``UnstableError`` before any
+    level is solved. Level 0 comes from GTH elimination over the phases
+    (``_stationary_phases``), as ``(Up0 1) d`` lands in phases 0 and 1 only.
+    One tridiagonal solve gives ``Up (I - L)^-1``, ``d (I - L)^-1`` and
+    ``pi_0 Up0 (I - L)^-1`` together, and the Sherman-Morrison formula adds
+    the rank-one ``u d``; its denominator ``1 - w u``, with
+    ``w = d (I - L)^-1``, is taken as ``served * w[0]``, which is equal
+    because ``(I - L) 1 = u + served e_0`` and never cancels. Every entry of
+    R and of pi_1 below ``_FLUSH_BELOW`` (about 1.5e-154) is set to 0 as it is
+    made. A partner queue that never grows stays at level 0: R, x and y are
+    0 and the drift is infinite.
+
+    The level sums are ``x = sum_{j >= 1} pi_j = pi_1 (I - R)^-1`` and
+    ``y = sum_{j >= 1} j pi_j = x (I - R)^-1``. Multiplied by ``I - U`` these
+    read ``x (A - u d) = pi_0 Up0`` and ``y (A - u d) = pi_0 Up0 + x Up``,
+    with ``A = I - L - Up``, whose rows lack only the down-steps
+    ``D = served e_0 d``; the right-hand sides are sums of nonnegative terms.
+    Each is one tridiagonal solve ``q = rhs A^-1`` and a rank-one correction.
+    As ``a (D + L + Up) = a``, ``a A = a_0 served d``, so
+    ``d A^-1 = a / (a_0 served)`` with no solve, and the Sherman-Morrison
+    formula reads ``q + (q u / drift) a``: its denominator ``1 - d A^-1 u``
+    is the drift over ``a_0 served``. Every term is nonnegative, so nothing
+    cancels but the drift itself, a difference of rates whose rounding is
+    that of the stability margin: at a relative margin delta the sums are
+    accurate to about eps / delta. ``residual`` is the larger relative
+    residual max|z (A - u d) - rhs| / max z of the two; the relative error
+    of z is at most that times the condition number of ``A - u d``.
     """
     L0, Up0, D, L, Up = blocks
     T = L0.shape[1]
     if D[:, 1:].any():
         raise ValueError("kernel serves the partner queue while the primary queue is busy")
     if not (Up0.any() or Up.any()):
-        return _stationary_phases(L0), np.zeros(T), np.zeros((T, T))
+        zeros = np.zeros(T)
+        return _stationary_phases(L0), zeros, np.zeros((T, T)), zeros, zeros, np.inf, 0.0
+    a, drift = _drift(blocks)
+    if not drift > 0.0:
+        raise UnstableError(f"the partner queue's mean drift {drift!r} toward empty is not positive: "
+                            "the partner queue is unstable")
     served = D[:, 0].sum()
     d = np.pad(D[1:, 0] / served, (0, T - 2))
     u, u0 = Up.sum(axis=0), Up0.sum(axis=0)
     pi0 = _stationary_phases(L0, u0 * d[0], u0 * d[1])
-    leak = u + served * np.eye(1, T)[0]  # what the rows of L lack of 1: up- and down-steps
+    down = served * np.eye(1, T)[0]  # what the rows of L + Up lack of 1
     rhs = _transposed(Up, np.zeros((T, T + 2)))  # Up's rows, d and pi_0 Up0 as columns
-    rhs[:, T:] = np.column_stack((d, _times(pi0, Up0)))
-    solved = _solve_right(L, leak, rhs)
+    source = _times(pi0, Up0)
+    rhs[:, T:] = np.column_stack((d, source))
+    solved = _solve_right(L, u + down, rhs)
     X, w, pi1 = solved[:T], solved[T], solved[T + 1]
     scale = 1.0 / (served * w[0])
     R = np.outer(X @ u * scale, w)
     R = _flush(np.add(X, R, out=R))
-    return pi0, _flush(pi1 + (pi1 @ u * scale) * w), R
+    pi1 = _flush(pi1 + (pi1 @ u * scale) * w)
+
+    M = L + Up
+    residual = 0.0
+
+    def summed(rhs: np.ndarray) -> np.ndarray:
+        """z with z (A - u d) = rhs."""
+        nonlocal residual
+        q = _solve_right(M, down, rhs[:, None].copy())[0]
+        z = _flush(q + (q @ u / drift) * a)
+        if z.any():
+            defect = z - _times(z, M) - (z @ u) * d - rhs
+            residual = max(residual, float(np.abs(defect).max() / z.max()))
+        return z
+
+    x = summed(source)
+    return pi0, pi1, R, x, summed(source + _times(x, Up)), drift, residual
 
 
 def _joint(pi0: np.ndarray, pi1: np.ndarray, R: np.ndarray, count: int) -> np.ndarray:
@@ -375,62 +439,6 @@ def _joint(pi0: np.ndarray, pi1: np.ndarray, R: np.ndarray, count: int) -> np.nd
     return levels
 
 
-def _drift(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, float]:
-    """``a, a D 1 - a Up 1``: the phase law a above level 0, and the partner queue's mean drift down.
-
-    a is the normalised stationary vector of ``D + L + Up``, the phase chain
-    of every level above 0. A level-independent QBD is positive recurrent
-    exactly where this drift is positive (Neuts 1981, ch. 1; Latouche &
-    Ramaswami 1999). It needs no level solve, so it holds at unstable points.
-    """
-    _, _, D, L, Up = blocks
-    a = _stationary_phases(D + L + Up)
-    a /= a.sum()
-    return a, float(D[:, 0].sum() * a[0] - a @ Up.sum(axis=0))
-
-
-def _level_sums(
-    blocks: tuple[np.ndarray, ...], pi0: np.ndarray, a: np.ndarray, drift: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """``x, y, residual``: sum_{j >= 1} pi_j, sum_{j >= 1} j pi_j, and the largest relative residual of their systems.
-
-    They are ``x = pi_1 (I - R)^-1`` and ``y = x (I - R)^-1``. Multiplied by
-    ``I - U`` these read ``x (A - u d) = pi_0 Up0`` and
-    ``y (A - u d) = pi_0 Up0 + x Up``, with ``A = I - L - Up``, whose rows
-    lack only the down-steps ``D = served e_0 d``; the right-hand sides are
-    sums of nonnegative terms. Each system is one tridiagonal solve
-    ``q = rhs A^-1`` and a rank-one correction. As ``a (D + L + Up) = a``,
-    ``a A = a_0 served d``, so ``d A^-1 = a / (a_0 served)`` with no solve,
-    and the Sherman-Morrison formula reads ``q + (q u / drift) a``: its
-    denominator ``1 - d A^-1 u`` is the drift over ``a_0 served``. Every term
-    is nonnegative, so nothing cancels but the drift itself, a difference of
-    rates whose rounding is that of the stability margin: at a relative
-    margin delta the sums are accurate to about eps / delta.
-
-    A residual is max|z (A - u d) - rhs| over max z; the relative error of z
-    is at most that times the condition number of ``A - u d``.
-    """
-    _, Up0, D, L, Up = blocks
-    T = L.shape[1]
-    served, u = D[:, 0].sum(), Up.sum(axis=0)
-    d = np.pad(D[1:, 0] / served, (0, T - 2))
-    M, leak = L + Up, served * np.eye(1, T)[0]
-    residual = 0.0
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        nonlocal residual
-        q = _solve_right(M, leak, rhs[:, None].copy())[0]
-        z = _flush(q + (q @ u / drift) * a)
-        if z.any():
-            defect = z - _times(z, M) - (z @ u) * d - rhs
-            residual = max(residual, float(np.abs(defect).max() / z.max()))
-        return z
-
-    source = _times(pi0, Up0)
-    x = solve(source)
-    return x, solve(source + _times(x, Up)), residual
-
-
 def _residual(levels: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
     """max|pi K - pi| over the balance equations of levels 0 to K - 2, for K levels laid out ``[level, phase]``.
 
@@ -449,32 +457,34 @@ def _residual(levels: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
     return float(np.abs(out - levels[:-1]).max())
 
 
-def solve_stationary(spec: ChainSpec, levels: int = 0) -> StationarySolution:
-    """Stationary law of the chain pair and its moments; ``levels`` asks for the joint law's first partner levels.
+def solve_stationary(spec: ChainSpec) -> StationarySolution:
+    """Stationary law of the chain pair and its moments.
 
-    A primary queue with lambda_p >= mu is unstable (Loynes 1962), and a
-    partner queue that grows with a mean drift (``_drift``) that is not
-    positive is unstable too; either raises ``ValueError`` before any level
-    is solved. Otherwise levels 0 and 1, the rate matrix and the level sums
-    are solved exactly, over ``_phases`` phases. The true residual
+    A primary queue with lambda_p >= mu is unstable (Loynes 1962), and so is
+    a partner queue that grows with a mean drift that is not positive; either
+    raises ``UnstableError`` before any level is solved. Otherwise levels 0
+    and 1, the rate matrix and the level sums are solved exactly
+    (``_solve_levels``), over ``_phases`` phases. The true residual
     max|pi K - pi| of the balance equations of levels 0 to 2, and the
     relative residuals of the level sums' systems, must be below
-    ``RESIDUAL_TOLERANCE``, or ``ConvergenceError`` is raised; too much mass
-    on the phase edge raises ``TruncationError``.
+    ``RESIDUAL_TOLERANCE``, or ``ConvergenceError`` is raised.
+
+    ``TruncationError`` is raised where the phase edge holds more than
+    ``BOUNDARY_MASS_LIMIT``, or where the cut moves the partner's mean by more
+    than that, relatively. The cut leaves out the primary queue's mass b past
+    the phase axis (``_phases``), and every probability of the cut chain's
+    phase law moves by b, relatively; so the partner queue's mean drift moves
+    by up to 2b, and the partner's mean by about 2b over the drift. So b may
+    not exceed the larger of ``_PHASE_TAIL`` and the limit's share of half the
+    drift: below the first, the cut is within float64 rounding.
     """
     mu = _primary_rate(spec.channel, spec.policy)
     if 0.0 < spec.point.lambda_p >= mu:
-        raise ValueError(f"lambda_p={spec.point.lambda_p!r} is not below the primary service rate "
-                         f"mu={mu!r}: the primary queue is unstable")
-    T = _phases(spec, mu)
+        raise UnstableError(f"lambda_p={spec.point.lambda_p!r} is not below the primary service rate "
+                            f"mu={mu!r}: the primary queue is unstable")
+    T, beyond = _phases(spec, mu)
     blocks = _blocks(spec, T)
-    grows = blocks[1].any() or blocks[4].any()
-    a, drift = _drift(blocks)
-    if grows and not drift > 0.0:
-        raise ValueError(f"the partner queue's mean drift {drift!r} toward empty is not positive: "
-                         "the partner queue is unstable")
-    pi0, pi1, R = _solve_levels(blocks)
-    x, y, residual = _level_sums(blocks, pi0, a, drift) if grows else (np.zeros(T), np.zeros(T), 0.0)
+    pi0, pi1, R, x, y, drift, residual = _solve_levels(blocks)
     total = pi0.sum() + x.sum()
     residual = max(residual, _residual(_joint(pi0, pi1, R, 4) / total, blocks))
     if not residual < RESIDUAL_TOLERANCE:
@@ -482,14 +492,14 @@ def solve_stationary(spec: ChainSpec, levels: int = 0) -> StationarySolution:
 
     primary = (pi0 + x) / total
     mass_at_boundary = float(primary[T - 1])
-    if mass_at_boundary > BOUNDARY_MASS_LIMIT:
-        raise TruncationError(
-            f"phase-edge mass {mass_at_boundary:.3e} exceeds {BOUNDARY_MASS_LIMIT:.0e}; "
-            f"truncation {spec.truncation} is too small for this operating point"
-        )
+    edge, limit = mass_at_boundary > BOUNDARY_MASS_LIMIT, max(0.5 * BOUNDARY_MASS_LIMIT * drift, _PHASE_TAIL)
+    if edge or beyond > limit:
+        cause = (f"phase-edge mass {mass_at_boundary:.3e} exceeds {BOUNDARY_MASS_LIMIT:.0e}" if edge else
+                 f"primary mass {beyond:.3e} beyond the phase edge exceeds {limit:.3e}, "
+                 f"the most a partner drift of {drift:.3e} allows")
+        raise TruncationError(f"{cause}; truncation {spec.truncation} is too small for this operating point")
     return StationarySolution(
         primary_law=primary,
-        distribution=_joint(pi0, pi1, R, levels).T / total,
         mean_first=float(primary @ np.arange(T)),
         mean_second=float(y.sum() / total),
         p00=float(pi0[0] / total),

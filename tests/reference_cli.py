@@ -162,7 +162,7 @@ def _optimize_row(ch, pt):
         row["p_q_upper"] = closed.pq_upper_bound(ch, pt, 1.0)
     except closed.InfeasibleError:
         pass
-    faults = []
+    faults, su_status = [], "infeasible"
     if pt.lambda_p > 0.0:
         try:
             decision = closed.minimize_primary_delay(ch, pt)
@@ -183,10 +183,11 @@ def _optimize_row(ch, pt):
             pass
         except (ValueError, AssertionError, ArithmeticError) as exc:
             faults.append(exc)
+            su_status = "unevaluable"
     # an optimum that cannot be evaluated is left empty; a row with no other optimum fails
     if faults and row["pu_mode"] is None and row["su_p_q_star"] is None:
         raise faults[0]
-    return row
+    return row, su_status
 
 
 def cmd_optimize(cfg, out) -> int:
@@ -206,16 +207,16 @@ def cmd_optimize(cfg, out) -> int:
                 else:
                     pt = OperatingPoint(base_point.lambda_p, value)
                 identity = [ch.f_pd, ch.f_sd, ch.f_ps, pt.lambda_p, pt.lambda_s]
-                _write_row(out, identity + list(_optimize_row(ch, pt).values()))
+                _write_row(out, identity + list(_optimize_row(ch, pt)[0].values()))
         return 0
-    row = _optimize_row(channel_from_config(cfg), _point(cfg))
+    row, su_status = _optimize_row(channel_from_config(cfg), _point(cfg))
     out.write("# primary delay minimization\n")
     for key, value in row.items():
         if not key.startswith("su_"):
             out.write(f"{key} = {_fmt(value) or 'n/a'}\n")
     out.write("# secondary delay minimization\n")
     if row["su_p_q_star"] is None:
-        out.write("su_status = infeasible\n")
+        out.write(f"su_status = {su_status}\n")
     for key, value in row.items():
         if key.startswith("su_") and value is not None:
             out.write(f"{key} = {_fmt(value)}\n")

@@ -20,10 +20,11 @@ has changed since: it is refined against a residual computed exactly in
 ``Fraction``, so at level 0 the reference is exact to rounding for any
 elimination order. ``solve_stationary`` runs them on the densified blocks
 through the same normalisation, residual check and phase-edge mass check as
-the oracle. Levels 0 to K - 2 of a K-level lattice are the infinite chain's
-levels, scaled: a first passage down lands in the same phases from every
-level, the top one included, so only the top level and the normalisation
-see the edge.
+the oracle, the last with the primary queue's tail in closed form and the
+partner queue's drift from a dense solve.
+Levels 0 to K - 2 of a K-level lattice are the infinite chain's levels,
+scaled: a first passage down lands in the same phases from every level, the
+top one included, so only the top level and the normalisation see the edge.
 """
 
 from __future__ import annotations
@@ -230,15 +231,17 @@ def residual(levels: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
     return float(np.abs(out - levels).max())
 
 
-def solve_stationary(spec: ChainSpec, levels: int, phases: int | None = None) -> StationarySolution:
-    """``cogrelay.oracle.solve_stationary`` on the lattice of ``phases`` phases and ``levels`` levels.
+def solve_stationary(
+    spec: ChainSpec, levels: int, phases: int | None = None
+) -> tuple[StationarySolution, np.ndarray]:
+    """``cogrelay.oracle.solve_stationary`` on the lattice of ``phases`` phases and ``levels`` levels, and its law.
 
     ``phases`` is ``spec.truncation`` by default; it may be below the 4 a
     spec allows, as the oracle's own phase count may.
 
-    It is solved by the dense level solve above, and ``distribution`` is its
-    whole law. The means are the lattice's, so they differ from the oracle's
-    by the mass the level edge folds in.
+    It is solved by the dense level solve above, and the law, laid out
+    ``[phase, level]``, is its whole lattice's. The means are the lattice's,
+    so they differ from the oracle's by the mass the level edge folds in.
     """
     T = spec.truncation if phases is None else phases
     blocks = tuple(map(dense, _blocks(spec, T)))
@@ -249,15 +252,24 @@ def solve_stationary(spec: ChainSpec, levels: int, phases: int | None = None) ->
         raise ConvergenceError(f"residual {res:.3e} not below tolerance {RESIDUAL_TOLERANCE:.3e}")
 
     primary = dist.sum(axis=1)
-    if primary[T - 1] > BOUNDARY_MASS_LIMIT:
-        raise TruncationError(f"phase-edge mass {primary[T - 1]:.3e} exceeds {BOUNDARY_MASS_LIMIT:.0e}")
+    L0, Up0, D, L, Up = blocks
+    drift = np.inf  # a partner queue that never grows
+    if Up0.any() or Up.any():
+        # the partner queue's mean drift down, from the phase law of the levels above 0
+        a = _stationary_vector(D + L + Up)
+        a /= a.sum()
+        drift = D[0].sum() * a[0] - a @ Up.sum(axis=1)
+    # the Geo/Geo/1 primary queue's mass past the lattice's phases
+    lp, mu = spec.point.lambda_p, service_rate_primary(spec.channel, spec.policy.p_a)
+    beyond = lp / mu * (lp * (1.0 - mu) / (mu * (1.0 - lp))) ** (T - 1) if lp > 0.0 else 0.0
+    if primary[T - 1] > BOUNDARY_MASS_LIMIT or beyond > max(0.5 * BOUNDARY_MASS_LIMIT * drift, 2.0**-53):
+        raise TruncationError(f"phase-edge mass {primary[T - 1]:.3e} or mass {beyond:.3e} past it is too large")
     return StationarySolution(
         primary_law=primary,
-        distribution=dist,
         mean_first=float(primary @ np.arange(T)),
         mean_second=float(dist.sum(axis=0) @ np.arange(levels)),
         p00=float(dist[0, 0]),
         mass_at_boundary=float(primary[T - 1]),
         residual=res,
         iterations=1,
-    )
+    ), dist

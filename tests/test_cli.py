@@ -479,7 +479,7 @@ def test_optimize_leaves_only_the_unevaluable_optimum_empty(tmp_path):
     assert text.splitlines() == [
         "# primary delay minimization", "pu_mode = cooperate", "pu_p_q_star = 1e-06", "pu_p_a_star = 1",
         "pu_d_p_star = 1.32922799578e+35", "no_coop_d_p = 1.32922799578e+35", "p_q_lower = 0",
-        "p_q_upper = 1", "threshold_p_q = 1", "# secondary delay minimization", "su_status = infeasible",
+        "p_q_upper = 1", "threshold_p_q = 1", "# secondary delay minimization", "su_status = unevaluable",
     ]
     o = optimizer.optima(*SPLIT_OPTIMA.values())
     assert not o.pu_fault and o.su_fault and o.feasible
@@ -554,6 +554,31 @@ def test_oracle_partner_unstable_to_rounding_exits_2(tmp_path, capsys):
     assert err.startswith(f"config error: lambda_p ({tmp_path / 'run.cfg'}:1), lambda_s ({tmp_path / 'run.cfg'}:2): "
                           "oracle solve failed for primary_secondary: the partner queue's mean drift 0.0")
     assert "Traceback" not in err
+
+
+def test_oracle_cut_too_coarse_for_the_partner_drift_exits_2(tmp_path, capsys):
+    # 1e-8 below the primary bound the 400 phases leave out 8.7e-6 of the primary
+    # queue, which may move the relay queue's drift of 5.9e-8 by more than itself
+    config = ("f_pd = 0.2803116035801936\nf_sd = 0.4287571501666164\nf_ps = 0.17158140474355582\n"
+              "p_q = 0.28496481188836853\np_a = 0.05237973299631507\n"
+              "lambda_p = 0.2808542843560448\nlambda_s = 0\n")
+    code, text = run(tmp_path, "oracle", config)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("config error: truncation (default): oracle solve failed for primary_relay: "
+                          "primary mass 8.697e-06 beyond the phase edge exceeds 2.966e-14")
+    assert "Traceback" not in err
+
+
+def test_oracle_solver_fault_is_not_blamed_on_the_point(tmp_path, capsys, monkeypatch):
+    # a singular elimination is a ValueError too, but a fault of the solver, not of
+    # lambda_p and lambda_s: only the unstable partner queue's refusal names them
+    def singular(spec):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "solve_stationary", singular)
+    assert run(tmp_path, "oracle", "") == (2, "")
+    assert capsys.readouterr().err == "config error: Singular matrix\n"
 
 
 @pytest.mark.parametrize("variable", ["lambda", "lambda_p", "lambda_s", "p_q", "p_a", "f_pd"])

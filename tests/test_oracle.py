@@ -20,8 +20,8 @@ from cogrelay.oracle import (
     CHAIN_PAIRS,
     ChainSpec,
     ConvergenceError,
-    StationarySolution,
     TruncationError,
+    UnstableError,
     solve_stationary,
 )
 
@@ -138,8 +138,9 @@ def test_phase_count_is_the_fewest_whose_edge_tail_is_below_rounding(point):
         return lp / mu * rho ** (n - 1)
 
     spec = ChainSpec(CH, POL, point, truncation=400)
-    T = len(solve_stationary(spec).primary_law)
-    assert T == oracle._phases(spec, float(mu))
+    T, beyond = oracle._phases(spec, float(mu))
+    assert T == len(solve_stationary(spec).primary_law)
+    assert beyond == pytest.approx(float(tail(T)), rel=1e-12)
     unit = Fraction(2) ** -53
     assert tail(T - 1) <= unit * (1 + Fraction(1, 10**12))
     assert T == 2 or tail(T - 2) > unit * (1 - Fraction(1, 10**12))
@@ -172,8 +173,8 @@ def test_under_truncated_solve_is_rejected():
 def test_primary_unstable_point_is_rejected_at_full_truncation(monkeypatch, policy, pair):
     assert at(CH, policy).mu < 0.9
     spec = ChainSpec(CH, policy, OperatingPoint(0.9, 0.1), pair=pair, truncation=400)
-    monkeypatch.setattr(oracle, "_blocks", lambda spec: pytest.fail("built the blocks of an unstable point"))
-    with pytest.raises(ValueError, match=r"lambda_p=0\.9 is not below the primary service rate mu=0\.58"):
+    monkeypatch.setattr(oracle, "_blocks", lambda *args: pytest.fail("built the blocks of an unstable point"))
+    with pytest.raises(UnstableError, match=r"lambda_p=0\.9 is not below the primary service rate mu=0\.58"):
         solve_stationary(spec)
 
 
@@ -182,8 +183,8 @@ def test_unstable_point_is_rejected_at_full_truncation(monkeypatch):
     # negative, so it has no stationary law: the solve refuses the point
     # before it solves a level, as it does an unstable primary queue
     spec = ChainSpec(CH, POL, OperatingPoint(0.1, 0.9), truncation=400)
-    monkeypatch.setattr(oracle, "_solve_levels", lambda blocks: pytest.fail("solved an unstable partner"))
-    with np.errstate(all="raise"), pytest.raises(ValueError, match="the partner queue is unstable"):
+    monkeypatch.setattr(oracle, "_solve_right", lambda *args: pytest.fail("solved an unstable partner"))
+    with np.errstate(all="raise"), pytest.raises(UnstableError, match="the partner queue is unstable"):
         solve_stationary(spec)
 
 
@@ -202,28 +203,33 @@ def test_non_convergence_raises(monkeypatch):
 ], ids=["policy0-primary_secondary", "policy1-primary_relay"])
 def test_unserved_growing_partner_is_rejected(policy, pair):
     spec = ChainSpec(CH, policy, PT, pair=pair, truncation=8)
-    with np.errstate(all="raise"), pytest.raises(ValueError, match="drift -.* the partner queue is unstable"):
+    with np.errstate(all="raise"), pytest.raises(UnstableError, match="drift -.* the partner queue is unstable"):
         solve_stationary(spec)
 
 
 def test_unserved_idle_partner_stays_empty():
     spec = ChainSpec(CH, Policy(0.0, 1.0), OperatingPoint(0.1, 0.0), truncation=8)
-    sol = solve_stationary(spec, levels=8)
+    sol, joint = _joint_law(spec, 8)
     assert sol.mean_second == 0.0
-    assert sol.distribution[:, 1:].sum() == 0.0
+    assert joint[:, 1:].sum() == 0.0
     assert sol.mean_first == pytest.approx(at(CH, spec.policy, spec.point).n_p, rel=1e-6)
+    # the partner queue never grows, so no drift bounds it
+    assert oracle._solve_levels(oracle._blocks(spec, len(sol.primary_law)))[5] == np.inf
 
 
 EXACTNESS_POINTS = [OperatingPoint(0.1, 0.1), OperatingPoint(0.2388, 0.05), OperatingPoint(0.3, 0.02)]
 
 
-def _flushed_joint_law(spec):
-    """The solve with its joint law over enough levels that the level edge is flushed to 0."""
-    levels = 64
+def _joint_law(spec, count=None):
+    """The solve and its joint law ``[phase, level]`` over its phases and the first ``count`` partner levels,
+    normalised as the solve normalises; by default over enough levels that the level edge is flushed to 0."""
+    sol = solve_stationary(spec)
+    pi0, pi1, R, x, *_ = oracle._solve_levels(oracle._blocks(spec, len(sol.primary_law)))
+    levels = count or 64
     while True:
-        sol = solve_stationary(spec, levels=levels)
-        if not sol.distribution[:, -1].any():
-            return sol
+        joint = oracle._joint(pi0, pi1, R, levels).T / (pi0.sum() + x.sum())
+        if count or not joint[:, -1].any():
+            return sol, joint
         levels *= 2
 
 
@@ -233,10 +239,10 @@ def test_matches_dense_direct_solve(pair, point):
     # a direct sparse solve of the whole lattice of the solve's T phases and
     # K levels, with K past the level at which the joint law flushes to 0, so
     # the lattice's level edge holds nothing a float64 sum can see
-    sol = _flushed_joint_law(ChainSpec(CH, POL, point, pair=pair, truncation=40))
-    T, K = sol.distribution.shape
+    sol, joint = _joint_law(ChainSpec(CH, POL, point, pair=pair, truncation=40))
+    T, K = joint.shape
     reference = solve_direct(ChainSpec(CH, POL, point, pair=pair), K, T)
-    assert np.abs(sol.distribution - reference).max() <= 1e-13
+    assert np.abs(joint - reference).max() <= 1e-13
     # the means and p00 come from the closed level sums, not from the joint law
     assert sol.mean_second == pytest.approx(reference.sum(axis=0) @ np.arange(K), rel=1e-12)
     assert sol.mean_first == pytest.approx(reference.sum(axis=1) @ np.arange(T), rel=1e-12)
@@ -286,12 +292,10 @@ def test_primary_marginal_is_exact_on_slow_chains(f_pd, lambda_share):
 
 
 def test_distribution_is_normalized_and_nonnegative():
-    sol = _flushed_joint_law(ChainSpec(CH, POL, PT, pair="primary_relay", truncation=50))
-    assert sol.distribution.min() >= 0.0 and sol.primary_law.min() >= 0.0
-    assert sol.distribution.sum() == pytest.approx(1.0, abs=1e-14)
+    sol, joint = _joint_law(ChainSpec(CH, POL, PT, pair="primary_relay", truncation=50))
+    assert joint.min() >= 0.0 and sol.primary_law.min() >= 0.0
+    assert joint.sum() == pytest.approx(1.0, abs=1e-14)
     assert sol.primary_law.sum() == pytest.approx(1.0, abs=1e-15)
-    # no joint law unless one is asked for
-    assert solve_stationary(ChainSpec(CH, POL, PT)).distribution.shape == (16, 0)
 
 
 def _assemble(blocks):
@@ -403,13 +407,13 @@ def test_full_truncation_matches_dense_level_solve(pair, point):
     # joint law flushes to 0; no product in the solve is subnormal
     spec = ChainSpec(CH, POL, point, pair=pair, truncation=400)
     with np.errstate(all="raise"):
-        sol = _flushed_joint_law(spec)
-    T, K = sol.distribution.shape
-    ref = reference.solve_stationary(spec, K, T)
-    assert np.abs(sol.distribution - ref.distribution).max() <= 1e-15
+        sol, joint = _joint_law(spec)
+    T, K = joint.shape
+    ref, ref_joint = reference.solve_stationary(spec, K, T)
+    assert np.abs(joint - ref_joint).max() <= 1e-15
     assert np.abs(sol.primary_law - ref.primary_law).max() <= 1e-15
     # tails below the flush threshold are exactly 0, never subnormal
-    assert sol.distribution[sol.distribution > 0.0].min() > 1e-156
+    assert joint[joint > 0.0].min() > 1e-156
     assert sol.mass_at_boundary == pytest.approx(ref.mass_at_boundary, rel=1e-12)
     for ours, theirs in [(sol.mean_first, ref.mean_first), (sol.mean_second, ref.mean_second)]:
         assert ours == pytest.approx(theirs, rel=1e-13)
@@ -425,22 +429,27 @@ SLOW_POINTS = [OperatingPoint(0.046, 0.01), OperatingPoint(0.0465, 0.01)]
 @pytest.mark.parametrize("pair", CHAIN_PAIRS)
 def test_solve_holds_at_most_five_lattices(pair, point):
     # no T x T block is built: R, the Thomas right-hand sides and the
-    # temporaries around them stay within five T x T float64 arrays, and a
-    # joint law adds its own levels
+    # temporaries around them stay within five T x T float64 arrays
     T = 400
     spec = ChainSpec(SLOW_CHANNEL, SLOW_POLICY, point, pair=pair, truncation=T)
-    for levels in (0, 64):
-        tracemalloc.start()
-        try:
-            sol = solve_stationary(spec, levels=levels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(sol.primary_law) == T
-        assert peak <= 5 * T * T * 8 + sol.distribution.nbytes
+    tracemalloc.start()
+    try:
+        sol = solve_stationary(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sol.primary_law) == T
+    assert peak <= 5 * T * T * 8
 
 
-@pytest.mark.parametrize("point", SLOW_POINTS)
+# at 0.9 and 0.91 mu the tail needs 334 and 372 phases, and the mass past 200
+# of them, 2.5e-10 and 2.5e-9, moves the secondary pair's partner mean by less
+# than 1e-6; at the slow points above it would move it by more, and the
+# solve at 200 phases is refused
+GUARD_POINTS = [OperatingPoint(0.045, 0.01), OperatingPoint(0.0455, 0.01)]
+
+
+@pytest.mark.parametrize("point", GUARD_POINTS)
 @pytest.mark.parametrize("pair", CHAIN_PAIRS)
 def test_memory_guard_admits_only_solves_that_fit(monkeypatch, pair, point):
     # on a machine whose physical memory is five T x T float64 lattices, the
@@ -504,25 +513,26 @@ def test_matches_dense_level_solve(spec):
     # the primary queue is stable, so no step may overflow or divide by 0;
     # underflow is allowed, as at f = (0, 1, 0.75)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        sol = _outcome(solve_stationary, spec, DENSE_LEVELS)
-    if sol is ValueError:
+        ours = _outcome(_joint_law, spec, DENSE_LEVELS)
+    if ours is UnstableError:
         # only a partner queue outside its stability bound is refused
         assert _partner_margin(spec) <= 0.0
         return
-    T = oracle._phases(spec, oracle._primary_rate(spec.channel, spec.policy))
-    ref = _outcome(reference.solve_stationary, spec, DENSE_LEVELS, T)
-    if isinstance(sol, StationarySolution):
+    T = oracle._phases(spec, oracle._primary_rate(spec.channel, spec.policy))[0]
+    theirs = _outcome(reference.solve_stationary, spec, DENSE_LEVELS, T)
+    if isinstance(ours, tuple):
+        sol, joint = ours
         # every step is subtraction-free, which the one-sided flush relies on
-        assert sol.distribution.min() >= 0.0 and sol.primary_law.min() >= 0.0
+        assert joint.min() >= 0.0 and sol.primary_law.min() >= 0.0
         assert _partner_margin(spec) > 0.0 or sol.mean_second == 0.0
-    if isinstance(ref, StationarySolution):
-        assert isinstance(sol, StationarySolution)
-        assert np.abs(sol.primary_law - ref.primary_law).max() <= 1e-14
+    if isinstance(theirs, tuple):
+        assert isinstance(ours, tuple)
+        assert np.abs(ours[0].primary_law - theirs[0].primary_law).max() <= 1e-14
         # the lattice's levels below its top are the infinite chain's, scaled
-        ours, theirs = sol.distribution[:, :-1], ref.distribution[:, :-1]
-        assert np.abs(ours / ours.sum() - theirs / theirs.sum()).max() <= 1e-14
+        joint, ref_joint = ours[1][:, :-1], theirs[1][:, :-1]
+        assert np.abs(joint / joint.sum() - ref_joint / ref_joint.sum()).max() <= 1e-14
     else:
-        assert sol is ref
+        assert ours is theirs
 
 
 @st.composite
@@ -547,7 +557,7 @@ def test_partner_drift_is_the_closed_form_margin(case):
     # plus the mass the phase cut moves, at most twice the edge's
     spec, mu = case
     assume(mu > 0.0)
-    a, drift = oracle._drift(oracle._blocks(spec, oracle._phases(spec, mu)))
+    a, drift = oracle._drift(oracle._blocks(spec, oracle._phases(spec, mu)[0]))
     cf = at(spec.channel, spec.policy, spec.point)
     margin = float(cf.margin_s if spec.pair == "primary_secondary" else cf.alpha / cf.mu * cf.margin_p)
     bound = 4e-15 + 2.0 * a[-1]
@@ -558,10 +568,9 @@ def test_partner_drift_is_the_closed_form_margin(case):
 
 @st.composite
 def near_bound_points(draw):
-    # a stable point at relative margin 10^-k of the chain pair's partner bound;
-    # the primary queue stays below 0.9 mu, so its tail falls below rounding
-    # within 351 phases and the phase cut adds no error, and lambda_p is 0 or
-    # large enough that no probability of the law falls below the flush threshold
+    # a stable point at relative margin 10^-k of the chain pair's partner bound,
+    # at a truncation that may cap the phase axis above rounding; lambda_p is 0
+    # or large enough that no probability of the law falls below the flush threshold
     f_pd = draw(st.floats(0.05, 0.9))
     ch = ChannelProfile(f_pd, draw(st.floats(f_pd, 1.0, exclude_min=True)), draw(st.floats(0.05, 1.0)))
     pol = Policy(draw(st.floats(0.05, 0.95)), draw(st.floats(0.05, 1.0)))
@@ -573,36 +582,69 @@ def near_bound_points(draw):
         bound_s = float(at(ch, pol, OperatingPoint(lambda_p, 0.0)).bound_s)
         point = OperatingPoint(lambda_p, bound_s * (1.0 - delta))
     else:
-        assume(float(base.bound_p) <= 0.9 * float(base.mu))
         lambda_p = float(base.bound_p) * (1.0 - delta)
         bound_s = float(at(ch, pol, OperatingPoint(lambda_p, 0.0)).bound_s)
         point = OperatingPoint(lambda_p, draw(st.floats(0.0, 0.9)) * bound_s)
-    return ChainSpec(ch, pol, point, pair=pair)
+    return ChainSpec(ch, pol, point, pair=pair, truncation=draw(st.sampled_from([20, 60, 400])))
 
 
-#: c in the near-bound bound c eps / delta; the largest c over 6000 random draws of this kind was 60
+#: c in the near-bound bound c eps / delta; the largest c over 3000 random draws of this kind was 54
 NEAR_BOUND_C = 128
+#: k in the partner mean's bound k b / drift from the primary mass b past a capped phase axis;
+#: the largest k over the same draws was 3.8
+NEAR_BOUND_K = 8
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(near_bound_points())
 # the light point at 1% of the secondary bound, which a 400 x 400 lattice could not solve
 @example(ChainSpec(CH, POL, OperatingPoint(0.1, 0.99 * float(at(CH, POL, OperatingPoint(0.1, 0.0)).bound_s))))
+# the relay pair at 1e-8 of the primary bound, whose phase axis, capped at 400, leaves out 8.7e-6
+@example(ChainSpec(ChannelProfile(0.2803116035801936, 0.4287571501666164, 0.17158140474355582),
+                   Policy(0.28496481188836853, 0.05237973299631507),
+                   OperatingPoint(0.2808542843560448, 0.0), pair="primary_relay"))
 def test_means_hold_to_the_closed_forms_near_the_bound(spec):
     # at relative margin delta both the oracle's means and the closed forms
-    # are conditioned like 1 / delta, so they agree within c eps / delta
+    # are conditioned like 1 / delta, so they agree within c eps / delta. A
+    # phase axis capped above rounding leaves out the primary mass b past it:
+    # the primary mean then lacks at most b (T + 1 / (1 - rho)), and the
+    # partner queue's drift moves by up to 2b, so its mean by about 2b over
+    # the drift, relatively; a solve where that could pass 1e-6 is refused
     cf = at(spec.channel, spec.policy, spec.point)
     assert cf.stable and cf.evaluable
     if spec.pair == "primary_secondary":
-        delta, partner = float(cf.margin_s / cf.bound_s), float(cf.n_s)
+        delta, partner, drift = float(cf.margin_s / cf.bound_s), float(cf.n_s), float(cf.margin_s)
     else:
-        delta, partner = float(cf.margin_p / cf.bound_p), float(cf.n_sp)
-    sol = solve_stationary(spec)
-    assert len(sol.primary_law) < spec.truncation
+        delta, partner, drift = float(cf.margin_p / cf.bound_p), float(cf.n_sp), float(cf.alpha / cf.mu * cf.margin_p)
+    mu, lambda_p = float(cf.mu), spec.point.lambda_p
+    T, beyond = oracle._phases(spec, mu)
+    try:
+        sol = solve_stationary(spec)
+    except TruncationError:
+        assert T == spec.truncation and beyond > 2.0**-53
+        return
+    assert len(sol.primary_law) == T
+    assert beyond <= max(2.0**-53, 0.5 * oracle.BOUNDARY_MASS_LIMIT * drift * (1.0 + 1e-6))
     bound = NEAR_BOUND_C * np.finfo(float).eps / delta
-    assert abs(sol.mean_first - float(cf.n_p)) <= bound * float(cf.n_p)
-    assert abs(sol.mean_second - partner) <= bound * partner
+    rho = lambda_p * (1.0 - mu) / (mu * (1.0 - lambda_p))
+    assert abs(sol.mean_first - float(cf.n_p)) <= bound * float(cf.n_p) + beyond * (T + 1.0 / (1.0 - rho))
+    assert abs(sol.mean_second - partner) <= (bound + NEAR_BOUND_K * beyond / drift) * partner
     assert sol.residual < oracle.RESIDUAL_TOLERANCE
+
+
+def test_cut_that_moves_a_near_bound_partner_is_rejected():
+    # the relay pair at 1e-8 of the primary bound: the phase edge of 400 phases
+    # holds only 2.6e-7, but the primary mass past it, 8.7e-6, may move the
+    # partner queue's drift of 5.9e-8 by far more than the drift itself; a
+    # solve let through here reads mean_second 95% off n_sp
+    ch = ChannelProfile(0.2803116035801936, 0.4287571501666164, 0.17158140474355582)
+    pol = Policy(0.28496481188836853, 0.05237973299631507)
+    spec = ChainSpec(ch, pol, OperatingPoint(0.2808542843560448, 0.0), pair="primary_relay")
+    assert float(at(ch, pol, spec.point).margin_p / at(ch, pol).bound_p) == pytest.approx(1e-8, rel=1e-6)
+    with pytest.raises(TruncationError, match=r"primary mass 8\.697e-06 beyond the phase edge exceeds 2\.966e-14, "
+                                              r"the most a partner drift of 5\.932e-08 allows; "
+                                              "truncation 400 is too small"):
+        solve_stationary(spec)
 
 
 def test_light_point_at_one_percent_of_the_secondary_bound_is_solved():
@@ -624,11 +666,9 @@ def test_level_sums_solve_their_own_systems(pair, point):
     # x (I - L - Up - u d) = pi_0 Up0 and y (...) = pi_0 Up0 + x Up; checked
     # here on dense matrices, within RESIDUAL_TOLERANCE of each sum's size
     spec = ChainSpec(CH, POL, point, pair=pair)
-    T = oracle._phases(spec, oracle._primary_rate(CH, POL))
+    T = oracle._phases(spec, oracle._primary_rate(CH, POL))[0]
     blocks = oracle._blocks(spec, T)
-    pi0, _, _ = oracle._solve_levels(blocks)
-    a, drift = oracle._drift(blocks)
-    x, y, residual = oracle._level_sums(blocks, pi0, a, drift)
+    pi0, _, _, x, y, _, residual = oracle._solve_levels(blocks)
     assert residual < oracle.RESIDUAL_TOLERANCE
     L0, Up0, D, L, Up = map(dense, blocks)
     d = D[0] / D[0].sum()
@@ -637,30 +677,31 @@ def test_level_sums_solve_their_own_systems(pair, point):
         assert np.abs(z @ system - rhs).max() <= oracle.RESIDUAL_TOLERANCE * z.max()
     # and they are the sums of the joint law's levels, whose products each add
     # a rounding, over up to thousands of levels at 1% of the bound
-    sol = _flushed_joint_law(spec)
+    _, joint = _joint_law(spec)
     total = pi0.sum() + x.sum()
-    levels = np.arange(sol.distribution.shape[1])
-    assert np.abs(sol.distribution[:, 1:].sum(axis=1) - x / total).max() <= 1e-12 * x.max() / total
-    assert np.abs(sol.distribution @ levels - y / total).max() <= 1e-12 * y.max() / total
+    levels = np.arange(joint.shape[1])
+    assert np.abs(joint[:, 1:].sum(axis=1) - x / total).max() <= 1e-12 * x.max() / total
+    assert np.abs(joint @ levels - y / total).max() <= 1e-12 * y.max() / total
 
 
 def test_level_sum_residual_over_tolerance_is_rejected(monkeypatch):
     # the level sums' residual is part of the solve's: a sum whose system
     # does not hold fails the solve as a level residual would
-    sums = oracle._level_sums
-    monkeypatch.setattr(oracle, "_level_sums", lambda *args: (*sums(*args)[:2], 1e-9))
+    levels = oracle._solve_levels
+    monkeypatch.setattr(oracle, "_solve_levels", lambda blocks: (*levels(blocks)[:-1], 1e-9))
     with pytest.raises(ConvergenceError, match="residual 1.000e-09"):
         solve_stationary(ChainSpec(CH, POL, PT))
 
 
 def test_phase_one_without_exit_is_singular():
-    # with f_pd = 0 and p_a = 0 no primary packet ever leaves: phase 1 of level 0
-    # has no exit below it, and level 0's stationary vector is undetermined;
+    # with f_pd = 0 and p_a = 0 no primary packet ever leaves: phase 1 has no
+    # exit below it, so neither the phase law above level 0 (whose drift the
+    # level solve takes first) nor level 0's stationary vector is determined;
     # solve_stationary refuses the point first, as lambda_p = 1 is not below mu = 0
     spec = ChainSpec(ChannelProfile(0.0, 0.8, 0.4), Policy(0.5, 0.0), OperatingPoint(1.0, 0.1), truncation=8)
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
         oracle._solve_levels(oracle._blocks(spec, spec.truncation))
-    with pytest.raises(ValueError, match="lambda_p=1.0 is not below the primary service rate mu=0.0"):
+    with pytest.raises(UnstableError, match="lambda_p=1.0 is not below the primary service rate mu=0.0"):
         solve_stationary(spec)
 
 
