@@ -485,7 +485,8 @@ def cmd_optimize(cfg: Config, out) -> int:
             out.write(f"{key} = {cell or 'n/a'}\n")
     out.write("# secondary delay minimization\n")
     if not row["su_p_q_star"]:
-        out.write(f"su_status = {'unevaluable' if unevaluable[0] else 'infeasible'}\n")
+        status = "unevaluable" if unevaluable[0] else "infeasible"
+        out.write(f"su_status = {status if cfg['lambda_s'] > 0.0 else 'no_traffic'}\n")
     for key, cell in row.items():
         if key.startswith("su_") and cell:
             out.write(f"{key} = {cell}\n")
@@ -505,13 +506,13 @@ def cmd_oracle(cfg: Config, out) -> int:
     partners = {"primary_secondary": cf.n_s, "primary_relay": cf.n_sp}
     try:
         specs = [ChainSpec(channel, policy, point, pair=pair, truncation=truncation) for pair in partners]
-    except ValueError as exc:  # the memory guard
+    except ValueError as exc:  # the memory guard: a solve's memory grows linearly in the truncation
         raise ConfigError(f"{cfg.where('truncation')}: {exc}") from exc
     sols = []
     for spec in specs:
         try:
             sols.append(solve_stationary(spec))
-        except RuntimeError as exc:  # the phase edge holds too much mass, or a residual is too large
+        except RuntimeError as exc:  # the phase cut is too coarse for the point, or a residual is too large
             raise ConfigError(f"{cfg.where('truncation')}: "
                               f"oracle solve failed for {spec.pair}: {exc}") from exc
         except UnstableError as exc:  # the partner queue's drift is not positive, within rounding of its bound

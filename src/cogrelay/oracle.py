@@ -16,22 +16,23 @@ before the solve, where that law's tail falls below float64 rounding or at
 ``ChainSpec.truncation`` phases if that comes first (``_phases``); the mass
 the cut leaves on the phase edge is reported, and a solve is rejected where
 that mass exceeds ``BOUNDARY_MASS_LIMIT``, or where the mass past the cut
-moves the partner queue's drift, and with it the partner's mean, by more
-than that share. A partner queue whose mean drift is not positive has no
-stationary law and is refused up front, as is an unstable primary queue. No
-T x T block of the kernel is built: the transition law writes the three
-diagonals of each of its five blocks, and every solve is a tridiagonal
-elimination of O(T) scalar steps. The joint law, level by level, is built
-only as far as the residual check needs it. Every result must then pass a
-residual check: the balance equations of levels 0 to 2 and the linear
-systems of the level sums must hold within ``RESIDUAL_TOLERANCE``, or the
-solve is rejected.
+may move the partner queue's drift, and with it the partner's mean, or the
+primary mean by more than that share. A partner queue whose mean drift is
+not positive has no stationary law and is refused up front, as is an
+unstable primary queue. No T x T array is built, so memory is linear in the
+phases: the transition law writes the three diagonals of each of its five
+blocks, and every solve is a tridiagonal elimination of O(T) scalar steps
+with one right-hand side, each level above 0 one such solve from the level
+below it. Every result must then pass a residual check: the balance
+equations of levels 0 to 2 and the linear systems of the level sums must
+hold within ``RESIDUAL_TOLERANCE``, or the solve is rejected.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,10 @@ _PHASE_TAIL = 2.0**-53
 # entries below this are set to 0: a product of two kept entries is a normal float64
 _FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
 
+# a solve holds a few dozen length-T float64 arrays and lists of Python floats at once, about
+# 400 bytes a phase; a truncation is refused where this much a phase would not fit in memory
+_BYTES_PER_PHASE = 1024
+
 
 class ConvergenceError(RuntimeError):
     """A residual of the solve is not below ``RESIDUAL_TOLERANCE``."""
@@ -74,9 +79,9 @@ class ChainSpec:
 
     ``truncation`` is the most phases (primary counts) the solve may use; it
     uses fewer where the primary queue's tail falls below float64 rounding
-    sooner. The partner count is not truncated. A truncation whose rate
-    matrix R, with the arrays around it, would not fit in the machine's
-    physical memory is refused.
+    sooner. The partner count is not truncated. A solve's memory is linear
+    in its phases, and a truncation whose solve would not fit in the
+    machine's physical memory is refused.
     """
 
     channel: ChannelProfile
@@ -90,8 +95,8 @@ class ChainSpec:
             raise ValueError(f"pair must be one of {CHAIN_PAIRS}, got {self.pair!r}")
         if self.truncation < 4:
             raise ValueError("truncation must be >= 4")
-        # R and the Thomas right-hand sides around it are at most five T x T float64 arrays
-        need, memory = 5 * 8 * self.truncation**2, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        need = _BYTES_PER_PHASE * self.truncation
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if need > memory:
             raise ValueError(f"truncation {self.truncation} needs {need / 2**30:.0f} GiB for the solve, "
                              f"more than the {memory / 2**30:.1f} GiB of physical memory")
@@ -125,8 +130,9 @@ def _primary_rate(ch: ChannelProfile, pol: Policy) -> float:
     return ch.f_pd + pol.p_a * ch.f_ps * (1.0 - ch.f_pd)
 
 
-def _phases(spec: ChainSpec, mu: float) -> tuple[int, float]:
-    """``T, P(Q_p >= T)``: the phases the solve uses, and the infinite queue's mass beyond them.
+def _phases(spec: ChainSpec, mu: float) -> tuple[int, float, float]:
+    """``T, b, b (T + 1 / (1 - rho))``: the phases the solve uses, the infinite queue's mass
+    b = P(Q_p >= T) beyond them, and the most the cut moves the primary mean.
 
     T is the fewest phases whose tail from the edge phase T - 1 on is at most
     ``_PHASE_TAIL``, or ``spec.truncation`` if that comes first.
@@ -134,8 +140,9 @@ def _phases(spec: ChainSpec, mu: float) -> tuple[int, float]:
     Q_p is autonomous, a Geo/Geo/1 queue: P(Q_p >= n) = (lambda_p / mu)
     rho^(n - 1) for n >= 1, with rho = lambda_p (1 - mu) / (mu (1 - lambda_p)).
     The cut chain keeps that law on its T phases, restricted and
-    renormalised, so every phase's probability moves by the mass beyond them,
-    relatively. At least two phases are kept.
+    renormalised, so every phase's probability moves by b, relatively, and
+    the mean loses at most E[Q_p; Q_p >= T] = b (T + rho / (1 - rho)). At
+    least two phases are kept.
     """
     lambda_p = spec.point.lambda_p
     tail = rho = 0.0
@@ -145,7 +152,7 @@ def _phases(spec: ChainSpec, mu: float) -> tuple[int, float]:
     while tail > _PHASE_TAIL and phases < spec.truncation:
         tail *= rho
         phases += 1
-    return phases, tail * rho
+    return phases, tail * rho, tail * rho * (phases + 1.0 / (1.0 - rho))
 
 
 def _blocks(spec: ChainSpec, T: int) -> tuple[np.ndarray, ...]:
@@ -197,15 +204,6 @@ def _blocks(spec: ChainSpec, T: int) -> tuple[np.ndarray, ...]:
     return bottom[0], bottom[1], interior[-1], interior[0], interior[1]
 
 
-def _transposed(block: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the T x T transpose of ``block`` into the zeroed ``out[:T, :T]``."""
-    i = np.arange(block.shape[1])
-    out[i, i] = block[1]
-    out[i[1:], i[:-1]] = block[2, :-1]
-    out[i[:-1], i[1:]] = block[0, 1:]
-    return out
-
-
 def _stationary_phases(
     block: np.ndarray, into_0: np.ndarray | None = None, into_1: np.ndarray | None = None
 ) -> np.ndarray:
@@ -250,10 +248,10 @@ def _stationary_phases(
     return np.array(pi)
 
 
-def _flush(x: np.ndarray, peak: float = 1.0) -> np.ndarray:
-    """``x / peak`` in place for ``x >= 0``; entries that would fall below ``_FLUSH_BELOW`` become 0 first."""
-    x[x < _FLUSH_BELOW * peak] = 0.0
-    return x if peak == 1.0 else np.divide(x, peak, out=x)
+def _flush(x: np.ndarray) -> np.ndarray:
+    """``x`` with its entries below ``_FLUSH_BELOW`` set to 0, in place."""
+    x[x < _FLUSH_BELOW] = 0.0
+    return x
 
 
 def _times(v: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -291,30 +289,24 @@ def _pivots(block: np.ndarray, leak: np.ndarray) -> tuple[list[float], list[floa
     return below, above, pivots
 
 
-def _solve_right(block: np.ndarray, leak: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``X`` with ``X (I - block) = rhs``, one row per column of ``x`` as ``rhs``; ``x`` is overwritten.
+def _solve_right(elimination: tuple[list[float], ...], rhs: np.ndarray) -> np.ndarray:
+    """``z`` with ``z (I - block) = rhs``, for ``rhs >= 0`` and ``elimination = _pivots(block, leak)``.
 
-    Thomas elimination with ``_pivots``: each step is one vector operation
-    across all right-hand sides, and a row that may have decayed below
-    ``_FLUSH_BELOW`` is flushed before it is multiplied.
+    Thomas elimination over Python floats: the subdiagonal is eliminated
+    from the top phase down, then the pivots are substituted back up. Every
+    step adds nonnegative terms, and an entry below ``_FLUSH_BELOW``, of
+    ``rhs`` or made by a step, is set to 0.
     """
-    below, above, pivots = _pivots(block, leak)
-
-    def sweep(targets: list[np.ndarray], sources: list[np.ndarray], factors: list[float]) -> None:
-        bound = 1.0  # every nonzero entry of the row last made is >= bound * _FLUSH_BELOW
-        for target, source, factor in zip(targets, sources, factors):
-            if bound * factor < _FLUSH_BELOW:
-                _flush(source)
-                bound = 1.0
-            target += factor * source
-            bound = min(1.0, bound * factor) or 1.0  # a zero factor adds nothing to the target
-
-    rows = list(_flush(x))
-    sweep(rows[-2::-1], rows[:0:-1], [b / p for b, p in zip(below[:0:-1], pivots[:0:-1])])
-    _flush(x)
-    x /= np.array(pivots)[:, None]
-    sweep(rows[1:], rows[:-1], [a / p for a, p in zip(above, pivots[1:])])
-    return _flush(x).T
+    below, above, pivots = elimination
+    z = [value if value >= _FLUSH_BELOW else 0.0 for value in rhs.tolist()]
+    for i in range(len(z) - 1, 0, -1):
+        value = z[i - 1] + below[i] / pivots[i] * z[i]
+        z[i - 1] = value if value >= _FLUSH_BELOW else 0.0
+    value = 0.0  # phase 0 has no phase below it, so its term adds 0
+    for i in range(len(z)):
+        value = z[i] / pivots[i] + above[i - 1] / pivots[i] * value
+        z[i] = value = value if value >= _FLUSH_BELOW else 0.0
+    return np.array(z)
 
 
 def _drift(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, float]:
@@ -334,33 +326,34 @@ def _drift(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, float]:
 
 
 def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """``pi_0, pi_1, R, x, y, drift, residual``: the chain's unnormalised levels, their sums, and the partner's drift.
+    """``pi_0, pi_1, resolvent, x, y, drift, residual``: unnormalised levels, their sums, and the partner's drift.
 
     Levels are partner counts j and phases primary counts i; each block is
     given by its three diagonals (see ``_blocks``). The kernel is block
     tridiagonal in the level: ``L0``/``Up0`` at level 0 and ``D``/``L``/``Up``
     at every level above it, with no top level. Down-steps leave only from
     phase 0, so ``D`` is 0 off that phase's row, a first passage down always
-    lands in ``d``, that row over its sum, and the chain is matrix-geometric:
-    ``pi_{j+1} = pi_j R`` for j >= 1, with ``R = Up (I - U)^-1``,
-    ``U = L + u d`` and ``u = Up 1``. Level 0 is stationary for
-    ``L0 + (Up0 1) d``, and level 1 is ``pi_0 Up0 (I - U)^-1``.
+    lands in ``d``, that row over its sum, and each level is the one below
+    it times the rate matrix (Neuts 1981): ``pi_{j+1} = (pi_j Up) (I - U)^-1``
+    for j >= 1, with ``U = L + u d`` and ``u = Up 1``. Level 0 is stationary
+    for ``L0 + (Up0 1) d``, and level 1 is ``(pi_0 Up0) (I - U)^-1``.
 
     A partner queue that grows with a mean drift (``_drift``) that is not
     positive has no stationary law, and raises ``UnstableError`` before any
     level is solved. Level 0 comes from GTH elimination over the phases
     (``_stationary_phases``), as ``(Up0 1) d`` lands in phases 0 and 1 only.
-    One tridiagonal solve gives ``Up (I - L)^-1``, ``d (I - L)^-1`` and
-    ``pi_0 Up0 (I - L)^-1`` together, and the Sherman-Morrison formula adds
-    the rank-one ``u d``; its denominator ``1 - w u``, with
-    ``w = d (I - L)^-1``, is taken as ``served * w[0]``, which is equal
-    because ``(I - L) 1 = u + served e_0`` and never cancels. Every entry of
-    R and of pi_1 below ``_FLUSH_BELOW`` (about 1.5e-154) is set to 0 as it is
-    made. A partner queue that never grows stays at level 0: R, x and y are
-    0 and the drift is infinite.
+    ``resolvent``, the map ``rhs -> rhs (I - U)^-1``, is one tridiagonal
+    solve ``q = rhs (I - L)^-1``, and the Sherman-Morrison formula adds the
+    rank-one ``u d``: ``q + (q u / (1 - w u)) w`` with ``w = d (I - L)^-1``.
+    Its denominator is taken as ``served * w[0]``, which is equal because
+    ``(I - L) 1 = u + served e_0`` and never cancels. Every entry of a level
+    below ``_FLUSH_BELOW`` (about 1.5e-154) is set to 0 as it is made. A
+    partner queue that never grows stays at level 0: pi_1, x and y are 0 and
+    the drift is infinite.
 
-    The level sums are ``x = sum_{j >= 1} pi_j = pi_1 (I - R)^-1`` and
-    ``y = sum_{j >= 1} j pi_j = x (I - R)^-1``. Multiplied by ``I - U`` these
+    The level sums ``x = sum_{j >= 1} pi_j`` and ``y = sum_{j >= 1} j pi_j``
+    solve ``x (I - R) = pi_1`` and ``y (I - R) = x``, with R the rate matrix
+    ``Up (I - U)^-1``, which is never formed. Multiplied by ``I - U`` these
     read ``x (A - u d) = pi_0 Up0`` and ``y (A - u d) = pi_0 Up0 + x Up``,
     with ``A = I - L - Up``, whose rows lack only the down-steps
     ``D = served e_0 d``; the right-hand sides are sums of nonnegative terms.
@@ -380,8 +373,8 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     if D[:, 1:].any():
         raise ValueError("kernel serves the partner queue while the primary queue is busy")
     if not (Up0.any() or Up.any()):
-        zeros = np.zeros(T)
-        return _stationary_phases(L0), zeros, np.zeros((T, T)), zeros, zeros, np.inf, 0.0
+        zeros = np.zeros(T)  # every level above 0 is 0
+        return _stationary_phases(L0), zeros, np.zeros_like, zeros, zeros, np.inf, 0.0
     a, drift = _drift(blocks)
     if not drift > 0.0:
         raise UnstableError(f"the partner queue's mean drift {drift!r} toward empty is not positive: "
@@ -391,23 +384,25 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     u, u0 = Up.sum(axis=0), Up0.sum(axis=0)
     pi0 = _stationary_phases(L0, u0 * d[0], u0 * d[1])
     down = served * np.eye(1, T)[0]  # what the rows of L + Up lack of 1
-    rhs = _transposed(Up, np.zeros((T, T + 2)))  # Up's rows, d and pi_0 Up0 as columns
-    source = _times(pi0, Up0)
-    rhs[:, T:] = np.column_stack((d, source))
-    solved = _solve_right(L, u + down, rhs)
-    X, w, pi1 = solved[:T], solved[T], solved[T + 1]
+    within = _pivots(L, u + down)  # I - L: the moves that stay on a level
+    w = _solve_right(within, d)
     scale = 1.0 / (served * w[0])
-    R = np.outer(X @ u * scale, w)
-    R = _flush(np.add(X, R, out=R))
-    pi1 = _flush(pi1 + (pi1 @ u * scale) * w)
 
+    def resolvent(rhs: np.ndarray) -> np.ndarray:
+        """rhs (I - U)^-1."""
+        q = _solve_right(within, rhs)
+        return _flush(q + (q @ u * scale) * w)
+
+    source = _times(pi0, Up0)
+    pi1 = resolvent(source)
     M = L + Up
+    across = _pivots(M, down)  # A = I - L - Up: every move but the down-steps
     residual = 0.0
 
     def summed(rhs: np.ndarray) -> np.ndarray:
         """z with z (A - u d) = rhs."""
         nonlocal residual
-        q = _solve_right(M, down, rhs[:, None].copy())[0]
+        q = _solve_right(across, rhs)
         z = _flush(q + (q @ u / drift) * a)
         if z.any():
             defect = z - _times(z, M) - (z @ u) * d - rhs
@@ -415,27 +410,23 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
         return z
 
     x = summed(source)
-    return pi0, pi1, R, x, summed(source + _times(x, Up)), drift, residual
+    return pi0, pi1, resolvent, x, summed(source + _times(x, Up)), drift, residual
 
 
-def _joint(pi0: np.ndarray, pi1: np.ndarray, R: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` levels, laid out ``[level, phase]``: pi_0, pi_1, and above them each level below times R.
+def _joint(pi0: np.ndarray, pi1: np.ndarray, Up: np.ndarray, resolvent: Callable, count: int) -> np.ndarray:
+    """The first ``count`` levels, laid out ``[level, phase]``: pi_0, pi_1, and ``pi_{j+1} = (pi_j Up) (I - U)^-1``.
 
-    A level entry below ``_FLUSH_BELOW`` is set to 0, so no product of two
-    kept entries underflows into the slow subnormal range; once a whole
-    level is 0, every level above it is too.
+    ``resolvent`` is ``_solve_levels``' map ``rhs -> rhs (I - U)^-1``, which
+    sets every entry below ``_FLUSH_BELOW`` to 0, so no product of two kept
+    entries underflows into the slow subnormal range; once a whole level is
+    0, every level above it is too.
     """
-    T = len(pi0)
-    levels = np.zeros((count, T))
+    levels = np.zeros((count, len(pi0)))
     levels[:2] = np.array((pi0, pi1))[:count]
-    last = T  # phases past the level's last nonzero entry add nothing to the product
     for j in range(1, count - 1):
-        level = np.matmul(levels[j, :last], R[:last], out=levels[j + 1])
-        small = level < _FLUSH_BELOW
-        level[small] = 0.0
-        if not level.any():
+        if not levels[j].any():
             break
-        last = T - small[::-1].argmin()
+        levels[j + 1] = resolvent(_times(levels[j], Up))
     return levels
 
 
@@ -463,44 +454,51 @@ def solve_stationary(spec: ChainSpec) -> StationarySolution:
     A primary queue with lambda_p >= mu is unstable (Loynes 1962), and so is
     a partner queue that grows with a mean drift that is not positive; either
     raises ``UnstableError`` before any level is solved. Otherwise levels 0
-    and 1, the rate matrix and the level sums are solved exactly
+    to 3 and the level sums are solved exactly
     (``_solve_levels``), over ``_phases`` phases. The true residual
     max|pi K - pi| of the balance equations of levels 0 to 2, and the
     relative residuals of the level sums' systems, must be below
     ``RESIDUAL_TOLERANCE``, or ``ConvergenceError`` is raised.
 
     ``TruncationError`` is raised where the phase edge holds more than
-    ``BOUNDARY_MASS_LIMIT``, or where the cut moves the partner's mean by more
+    ``BOUNDARY_MASS_LIMIT``, or where the cut may move either mean by more
     than that, relatively. The cut leaves out the primary queue's mass b past
     the phase axis (``_phases``), and every probability of the cut chain's
     phase law moves by b, relatively; so the partner queue's mean drift moves
-    by up to 2b, and the partner's mean by about 2b over the drift. So b may
-    not exceed the larger of ``_PHASE_TAIL`` and the limit's share of half the
-    drift: below the first, the cut is within float64 rounding.
+    by up to 2b, and the partner's mean by about 2b over the drift, and the
+    primary mean moves by up to b (T + 1 / (1 - rho)). Neither shift may pass
+    the limit's share of its mean, unless b is at most ``_PHASE_TAIL``: then
+    the cut is within float64 rounding.
     """
     mu = _primary_rate(spec.channel, spec.policy)
     if 0.0 < spec.point.lambda_p >= mu:
         raise UnstableError(f"lambda_p={spec.point.lambda_p!r} is not below the primary service rate "
                             f"mu={mu!r}: the primary queue is unstable")
-    T, beyond = _phases(spec, mu)
+    T, beyond, shift = _phases(spec, mu)
     blocks = _blocks(spec, T)
-    pi0, pi1, R, x, y, drift, residual = _solve_levels(blocks)
+    pi0, pi1, resolvent, x, y, drift, residual = _solve_levels(blocks)
     total = pi0.sum() + x.sum()
-    residual = max(residual, _residual(_joint(pi0, pi1, R, 4) / total, blocks))
+    residual = max(residual, _residual(_joint(pi0, pi1, blocks[4], resolvent, 4) / total, blocks))
     if not residual < RESIDUAL_TOLERANCE:
         raise ConvergenceError(f"residual {residual:.3e} not below tolerance {RESIDUAL_TOLERANCE:.3e}")
 
     primary = (pi0 + x) / total
     mass_at_boundary = float(primary[T - 1])
-    edge, limit = mass_at_boundary > BOUNDARY_MASS_LIMIT, max(0.5 * BOUNDARY_MASS_LIMIT * drift, _PHASE_TAIL)
-    if edge or beyond > limit:
-        cause = (f"phase-edge mass {mass_at_boundary:.3e} exceeds {BOUNDARY_MASS_LIMIT:.0e}" if edge else
-                 f"primary mass {beyond:.3e} beyond the phase edge exceeds {limit:.3e}, "
+    mean_first = float(primary @ np.arange(T))
+    limit, cause = max(0.5 * BOUNDARY_MASS_LIMIT * drift, _PHASE_TAIL), None
+    if mass_at_boundary > BOUNDARY_MASS_LIMIT:
+        cause = f"phase-edge mass {mass_at_boundary:.3e} exceeds {BOUNDARY_MASS_LIMIT:.0e}"
+    elif beyond > limit:
+        cause = (f"primary mass {beyond:.3e} beyond the phase edge exceeds {limit:.3e}, "
                  f"the most a partner drift of {drift:.3e} allows")
+    elif beyond > _PHASE_TAIL and shift > BOUNDARY_MASS_LIMIT * mean_first:
+        cause = (f"primary mass {beyond:.3e} beyond the phase edge may move the primary mean "
+                 f"{mean_first:.3e} by {shift:.3e}, more than {BOUNDARY_MASS_LIMIT:.0e} of it")
+    if cause:
         raise TruncationError(f"{cause}; truncation {spec.truncation} is too small for this operating point")
     return StationarySolution(
         primary_law=primary,
-        mean_first=float(primary @ np.arange(T)),
+        mean_first=mean_first,
         mean_second=float(y.sum() / total),
         p00=float(pi0[0] / total),
         mass_at_boundary=mass_at_boundary,

@@ -162,7 +162,7 @@ def _optimize_row(ch, pt):
         row["p_q_upper"] = closed.pq_upper_bound(ch, pt, 1.0)
     except closed.InfeasibleError:
         pass
-    faults, su_status = [], "infeasible"
+    faults, su_status = [], "infeasible" if pt.lambda_s > 0.0 else "no_traffic"
     if pt.lambda_p > 0.0:
         try:
             decision = closed.minimize_primary_delay(ch, pt)

@@ -19,9 +19,9 @@ up-step into ``Ltop = L + Up``. Only the dense solve for a stationary vector
 has changed since: it is refined against a residual computed exactly in
 ``Fraction``, so at level 0 the reference is exact to rounding for any
 elimination order. ``solve_stationary`` runs them on the densified blocks
-through the same normalisation, residual check and phase-edge mass check as
-the oracle, the last with the primary queue's tail in closed form and the
-partner queue's drift from a dense solve.
+through the same normalisation, residual check, phase-edge mass check and
+phase-cut checks as the oracle, the cut's with the primary queue's tail in
+closed form and the partner queue's drift from a dense solve.
 Levels 0 to K - 2 of a K-level lattice are the infinite chain's levels,
 scaled: a first passage down lands in the same phases from every level, the
 top one included, so only the top level and the normalisation see the edge.
@@ -259,14 +259,18 @@ def solve_stationary(
         a = _stationary_vector(D + L + Up)
         a /= a.sum()
         drift = D[0].sum() * a[0] - a @ Up.sum(axis=1)
-    # the Geo/Geo/1 primary queue's mass past the lattice's phases
+    # the Geo/Geo/1 primary queue's mass past the lattice's phases, and the most it moves the primary mean
     lp, mu = spec.point.lambda_p, service_rate_primary(spec.channel, spec.policy.p_a)
-    beyond = lp / mu * (lp * (1.0 - mu) / (mu * (1.0 - lp))) ** (T - 1) if lp > 0.0 else 0.0
-    if primary[T - 1] > BOUNDARY_MASS_LIMIT or beyond > max(0.5 * BOUNDARY_MASS_LIMIT * drift, 2.0**-53):
+    rho = lp * (1.0 - mu) / (mu * (1.0 - lp)) if lp > 0.0 else 0.0
+    beyond = lp / mu * rho ** (T - 1) if lp > 0.0 else 0.0
+    mean_first = float(primary @ np.arange(T))
+    cut = beyond > 2.0**-53
+    if (primary[T - 1] > BOUNDARY_MASS_LIMIT or cut and beyond > 0.5 * BOUNDARY_MASS_LIMIT * drift
+            or cut and beyond * (T + 1.0 / (1.0 - rho)) > BOUNDARY_MASS_LIMIT * mean_first):
         raise TruncationError(f"phase-edge mass {primary[T - 1]:.3e} or mass {beyond:.3e} past it is too large")
     return StationarySolution(
         primary_law=primary,
-        mean_first=float(primary @ np.arange(T)),
+        mean_first=mean_first,
         mean_second=float(dist.sum(axis=0) @ np.arange(levels)),
         p00=float(dist[0, 0]),
         mass_at_boundary=float(primary[T - 1]),

@@ -22,7 +22,7 @@ from reference_cli import (
 )
 from test_analytics import ILL_CONDITIONED_POINTS
 
-from cogrelay import cli, optimizer, simulator
+from cogrelay import cli, optimizer, oracle, simulator
 from cogrelay.cli import ENV_SEED, EXIT_BROKEN_PIPE, PRESETS, main
 from cogrelay.config import KEYS
 
@@ -494,6 +494,16 @@ def test_optimize_leaves_only_the_unevaluable_optimum_empty(tmp_path):
         assert cells["su_p_q_star"] == cells["su_d_s_star"] == ""
 
 
+def test_optimize_without_secondary_traffic_reports_no_traffic(tmp_path):
+    # at lambda_s = 0 no secondary optimum is asked for, though one is feasible
+    code, text = run(tmp_path, "optimize", "lambda_p = 0.1\nlambda_s = 0\n")
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[lines.index("# secondary delay minimization") + 1:] == ["su_status = no_traffic"]
+    report = dict(line.split(" = ") for line in lines if not line.startswith("#"))
+    assert float(report["p_q_upper"]) > float(report["p_q_lower"])
+
+
 def test_oracle_agreement_columns(tmp_path):
     code, text = run(
         tmp_path,
@@ -557,16 +567,18 @@ def test_oracle_partner_unstable_to_rounding_exits_2(tmp_path, capsys):
 
 
 def test_oracle_cut_too_coarse_for_the_partner_drift_exits_2(tmp_path, capsys):
-    # 1e-8 below the primary bound the 400 phases leave out 8.7e-6 of the primary
-    # queue, which may move the relay queue's drift of 5.9e-8 by more than itself
+    # 1e-8 below the primary bound 800 phases leave out 7.5e-11 of the primary
+    # queue, which may move the relay queue's drift of 3.1e-9 by more than 1e-6
+    # of it; the primary mean moves by at most 1.8e-9 of it, so the secondary
+    # pair is solved (the default 400 phases would move it by 1.1e-4 and refuse it)
     config = ("f_pd = 0.2803116035801936\nf_sd = 0.4287571501666164\nf_ps = 0.17158140474355582\n"
               "p_q = 0.28496481188836853\np_a = 0.05237973299631507\n"
               "lambda_p = 0.2808542843560448\nlambda_s = 0\n")
-    code, text = run(tmp_path, "oracle", config)
+    code, text = run(tmp_path, "oracle", config, extra=["--truncation", "800"])
     assert code == 2 and text == ""
     err = capsys.readouterr().err
-    assert err.startswith("config error: truncation (default): oracle solve failed for primary_relay: "
-                          "primary mass 8.697e-06 beyond the phase edge exceeds 2.966e-14")
+    assert err.startswith("config error: truncation (--truncation): oracle solve failed for primary_relay: "
+                          "primary mass 7.501e-11 beyond the phase edge exceeds 1.533e-15")
     assert "Traceback" not in err
 
 
@@ -769,14 +781,14 @@ def test_oracle_truncation_flag(tmp_path):
 
 
 def test_oracle_truncation_beyond_memory_exits_2(tmp_path, capsys):
-    # R and the arrays around it would be five T x T float64 arrays: 373 GiB at T = 100000
-    truncation = 100_000
-    if 5 * 8 * truncation**2 <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+    # the guard's 1 KiB a phase comes to 9537 GiB at T = 10^10
+    truncation = 10**10
+    if oracle._BYTES_PER_PHASE * truncation <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
         pytest.skip("this machine's memory would hold the solve")
     code, text = run(tmp_path, "oracle", None, extra=["--truncation", str(truncation)])
     assert code == 2 and text == "" and list(tmp_path.iterdir()) == []
     err = capsys.readouterr().err
-    assert err.startswith("config error: truncation (--truncation): truncation 100000 needs 373 GiB")
+    assert err.startswith("config error: truncation (--truncation): truncation 10000000000 needs 9537 GiB")
     assert "Traceback" not in err
 
 

@@ -138,9 +138,11 @@ def test_phase_count_is_the_fewest_whose_edge_tail_is_below_rounding(point):
         return lp / mu * rho ** (n - 1)
 
     spec = ChainSpec(CH, POL, point, truncation=400)
-    T, beyond = oracle._phases(spec, float(mu))
+    T, beyond, shift = oracle._phases(spec, float(mu))
     assert T == len(solve_stationary(spec).primary_law)
     assert beyond == pytest.approx(float(tail(T)), rel=1e-12)
+    # the cut's primary-mean shift bound b (T + 1 / (1 - rho)) exceeds E[Q_p; Q_p >= T] by b
+    assert shift == pytest.approx(float(tail(T) * (T + 1 / (1 - rho))), rel=1e-12)
     unit = Fraction(2) ** -53
     assert tail(T - 1) <= unit * (1 + Fraction(1, 10**12))
     assert T == 2 or tail(T - 2) > unit * (1 - Fraction(1, 10**12))
@@ -224,10 +226,11 @@ def _joint_law(spec, count=None):
     """The solve and its joint law ``[phase, level]`` over its phases and the first ``count`` partner levels,
     normalised as the solve normalises; by default over enough levels that the level edge is flushed to 0."""
     sol = solve_stationary(spec)
-    pi0, pi1, R, x, *_ = oracle._solve_levels(oracle._blocks(spec, len(sol.primary_law)))
+    blocks = oracle._blocks(spec, len(sol.primary_law))
+    pi0, pi1, resolvent, x, *_ = oracle._solve_levels(blocks)
     levels = count or 64
     while True:
-        joint = oracle._joint(pi0, pi1, R, levels).T / (pi0.sum() + x.sum())
+        joint = oracle._joint(pi0, pi1, blocks[4], resolvent, levels).T / (pi0.sum() + x.sum())
         if count or not joint[:, -1].any():
             return sol, joint
         levels *= 2
@@ -277,14 +280,22 @@ def test_primary_marginal_is_exact_on_slow_chains(f_pd, lambda_share):
     ch, pol = ChannelProfile(f_pd, CH.f_sd, CH.f_ps), Policy(POL.p_q, 0.0)
     lambda_p = lambda_share * float(at(ch, pol).mu)
     spec = ChainSpec(ch, pol, OperatingPoint(lambda_p, 0.1), pair="primary_relay", truncation=T)
-    sol = solve_stationary(spec)
-    assert len(sol.primary_law) == T
+    assert oracle._phases(spec, float(at(ch, pol).mu))[0] == T
+    pi0, _, _, x, *_ = oracle._solve_levels(oracle._blocks(spec, T))
+    primary_law = (pi0 + x) / (pi0.sum() + x.sum())
+    if lambda_share < 0.9:
+        assert np.array_equal(solve_stationary(spec).primary_law, primary_law)
+    else:
+        # at 0.9 mu the 120 phases leave out 2.9e-6 (f_pd = 0.01) and 1.7e-6 of
+        # the primary queue, which may move its mean by 4.2e-5 and 2.6e-5 of it
+        with pytest.raises(TruncationError, match="may move the primary mean"):
+            solve_stationary(spec)
     mu, lp = Fraction(float(at(ch, pol).mu)), Fraction(lambda_p)
     law = [Fraction(1), lp / (mu * (1 - lp))]
     for _ in range(2, T):
         law.append(law[-1] * lp * (1 - mu) / (mu * (1 - lp)))
     total = sum(law)
-    assert np.abs(sol.primary_law - [float(p / total) for p in law]).max() <= 1e-15
+    assert np.abs(primary_law - [float(p / total) for p in law]).max() <= 1e-15
     # the closed-form N_p is the infinite queue's mean to rounding; a chain's mean differs
     # from it by the chain's own tail (a relative 5.9e-14 at T = 200, f_pd = 0.05, 0.85 mu)
     exact = (lp - lp * lp) / (mu - lp)
@@ -428,18 +439,42 @@ SLOW_POINTS = [OperatingPoint(0.046, 0.01), OperatingPoint(0.0465, 0.01)]
 @pytest.mark.parametrize("point", SLOW_POINTS)
 @pytest.mark.parametrize("pair", CHAIN_PAIRS)
 def test_solve_holds_at_most_five_lattices(pair, point):
-    # no T x T block is built: R, the Thomas right-hand sides and the
-    # temporaries around them stay within five T x T float64 arrays
+    # no T x T array is built: every level is one tridiagonal solve, so the
+    # solve stays within the memory guard's bytes a phase, far below five
+    # T x T float64 lattices
     T = 400
     spec = ChainSpec(SLOW_CHANNEL, SLOW_POLICY, point, pair=pair, truncation=T)
+    peak, sol = _traced_peak(spec)
+    assert len(sol.primary_law) == T
+    assert peak <= oracle._BYTES_PER_PHASE * T
+
+
+def _traced_peak(spec):
+    """The peak of the memory traced while ``spec`` is solved, and the solution."""
     tracemalloc.start()
     try:
         sol = solve_stationary(spec)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1], sol
     finally:
         tracemalloc.stop()
-    assert len(sol.primary_law) == T
-    assert peak <= 5 * T * T * 8
+
+
+# f_pd = 0.05, p_a = 0, lambda_p = 0.99 mu: the primary queue's tail needs 3475 phases
+LONG_POINT = OperatingPoint(0.0495, 0.0005)
+
+
+@pytest.mark.parametrize("pair", CHAIN_PAIRS)
+def test_solve_memory_is_linear_in_the_phases(pair):
+    # at 3475 phases a rate matrix alone would take 97 MB; the solve stays
+    # within the memory guard's bound, and its bytes a phase grow no faster
+    # than at 400 phases
+    spec = ChainSpec(SLOW_CHANNEL, SLOW_POLICY, LONG_POINT, pair=pair, truncation=4000)
+    peak, sol = _traced_peak(spec)
+    T = len(sol.primary_law)
+    assert T == 3475
+    assert peak <= oracle._BYTES_PER_PHASE * T
+    small, _ = _traced_peak(dataclasses.replace(spec, point=SLOW_POINTS[0], truncation=400))
+    assert peak / T <= 1.25 * small / 400
 
 
 # at 0.9 and 0.91 mu the tail needs 334 and 372 phases, and the mass past 200
@@ -452,21 +487,16 @@ GUARD_POINTS = [OperatingPoint(0.045, 0.01), OperatingPoint(0.0455, 0.01)]
 @pytest.mark.parametrize("point", GUARD_POINTS)
 @pytest.mark.parametrize("pair", CHAIN_PAIRS)
 def test_memory_guard_admits_only_solves_that_fit(monkeypatch, pair, point):
-    # on a machine whose physical memory is five T x T float64 lattices, the
-    # guard takes truncation T and refuses T + 1, and the solve at T fits
+    # on a machine whose physical memory is the guard's bytes a phase times T,
+    # the guard takes truncation T and refuses T + 1, and the solve at T fits
     T = 200
-    memory = 5 * T * T * 8
+    memory = oracle._BYTES_PER_PHASE * T
     with monkeypatch.context() as patch:
         patch.setattr(oracle.os, "sysconf", {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}.__getitem__)
         with pytest.raises(ValueError, match=f"truncation {T + 1} needs"):
             ChainSpec(SLOW_CHANNEL, SLOW_POLICY, point, pair=pair, truncation=T + 1)
         spec = ChainSpec(SLOW_CHANNEL, SLOW_POLICY, point, pair=pair, truncation=T)
-    tracemalloc.start()
-    try:
-        sol = solve_stationary(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, sol = _traced_peak(spec)
     assert len(sol.primary_law) == T
     assert peak <= memory
 
@@ -617,7 +647,7 @@ def test_means_hold_to_the_closed_forms_near_the_bound(spec):
     else:
         delta, partner, drift = float(cf.margin_p / cf.bound_p), float(cf.n_sp), float(cf.alpha / cf.mu * cf.margin_p)
     mu, lambda_p = float(cf.mu), spec.point.lambda_p
-    T, beyond = oracle._phases(spec, mu)
+    T, beyond, _ = oracle._phases(spec, mu)
     try:
         sol = solve_stationary(spec)
     except TruncationError:
@@ -627,7 +657,9 @@ def test_means_hold_to_the_closed_forms_near_the_bound(spec):
     assert beyond <= max(2.0**-53, 0.5 * oracle.BOUNDARY_MASS_LIMIT * drift * (1.0 + 1e-6))
     bound = NEAR_BOUND_C * np.finfo(float).eps / delta
     rho = lambda_p * (1.0 - mu) / (mu * (1.0 - lambda_p))
-    assert abs(sol.mean_first - float(cf.n_p)) <= bound * float(cf.n_p) + beyond * (T + 1.0 / (1.0 - rho))
+    shift = beyond * (T + 1.0 / (1.0 - rho))
+    assert beyond <= 2.0**-53 or shift <= oracle.BOUNDARY_MASS_LIMIT * sol.mean_first * (1.0 + 1e-6)
+    assert abs(sol.mean_first - float(cf.n_p)) <= bound * float(cf.n_p) + shift
     assert abs(sol.mean_second - partner) <= (bound + NEAR_BOUND_K * beyond / drift) * partner
     assert sol.residual < oracle.RESIDUAL_TOLERANCE
 
@@ -644,6 +676,29 @@ def test_cut_that_moves_a_near_bound_partner_is_rejected():
     with pytest.raises(TruncationError, match=r"primary mass 8\.697e-06 beyond the phase edge exceeds 2\.966e-14, "
                                               r"the most a partner drift of 5\.932e-08 allows; "
                                               "truncation 400 is too small"):
+        solve_stationary(spec)
+
+
+def test_cut_that_moves_the_primary_mean_is_rejected():
+    # a slow primary queue at 0.9 mu, cut at 120 phases: the edge holds only
+    # 3.2e-7, below the limit, but the primary mass b = 2.9e-6 past the cut
+    # may move the primary mean by b (T + 1 / (1 - rho)), 4.2e-5 of it; the
+    # cut chain's mean is indeed 3.85e-5 below n_p
+    ch, pol = ChannelProfile(0.01, 0.8, 0.4), Policy(0.5, 0.0)
+    mu = oracle._primary_rate(ch, pol)
+    spec = ChainSpec(ch, pol, OperatingPoint(0.9 * mu, 0.0), pair="primary_relay", truncation=120)
+    T, beyond, shift = oracle._phases(spec, mu)
+    n_p = float(at(ch, pol, spec.point).n_p)
+    assert T == 120 and beyond == pytest.approx(2.864e-6, rel=1e-3)
+    assert shift / n_p == pytest.approx(4.17e-5, rel=1e-3)
+    pi0, _, _, x, *_ = oracle._solve_levels(oracle._blocks(spec, T))
+    primary = (pi0 + x) / (pi0.sum() + x.sum())
+    assert primary[T - 1] == pytest.approx(3.2e-7, rel=1e-2)
+    moved = abs(primary @ np.arange(T) - n_p)
+    assert moved / n_p == pytest.approx(3.85e-5, rel=1e-3) and moved <= shift
+    with pytest.raises(TruncationError, match=r"primary mass 2\.864e-06 beyond the phase edge may move the primary "
+                                              r"mean 8\.919e\+00 by 3\.720e-04, more than 1e-06 of it; "
+                                              "truncation 120 is too small"):
         solve_stationary(spec)
 
 

@@ -137,6 +137,8 @@ def _outcome(run, command, text):
                       "lambda_p = 0.14806757846412472\nlambda_s = 0.7134262293980463\n"))
 # the secondary optimum cannot be evaluated, the primary one can
 @example(("optimize", "f_pd = 8e-21\nf_sd = 0.8\nf_ps = 0.0\nlambda_p = 7.999999999999992e-21\nlambda_s = 5e-324\n"))
+# no secondary traffic, so no secondary optimum is asked for
+@example(("optimize", "lambda_p = 0.1\nlambda_s = 0\n"))
 def test_commands_match_point_by_point_reference(case):
     command, text = case
     outcome, expected = _outcome(main, command, text), _outcome(reference_cli.main, command, text)
