@@ -4,8 +4,8 @@ A cognitive secondary user relays overheard primary packets through a
 dedicated queue, governed by a queue-selection probability p_q and an
 admission probability p_a. The package evaluates the closed-form stability
 region and delay results for that policy, simulates the slot-level protocol,
-cross-checks both against a truncated-Markov-chain solver, and solves the
-delay-minimization problems over (p_q, p_a).
+cross-checks both against an exact quasi-birth-death chain solver, and
+solves the delay-minimization problems over (p_q, p_a).
 """
 
 from . import analytics, model, optimizer, oracle, simulator

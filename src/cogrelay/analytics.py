@@ -15,9 +15,9 @@ refuses a stable point the masks cannot evaluate raises
 No cooperation is the policy (p_q, p_a) = (1, 0). Without relay inflow
 (p_a = 0 or f_ps = 0) the primary bound is mu and the relay queue stays empty.
 
-The core is the library's surface: a point is the same call on floats, whose
-fields are numpy scalars. Stability uses strict inequalities with zero
-tolerance; callers wanting a safety band apply it to the reported margins.
+The core is the library's surface: a point is the same call on floats, run
+on 0-d arrays. Stability uses strict inequalities with zero tolerance;
+callers wanting a safety band apply it to the reported margins.
 """
 
 from __future__ import annotations
@@ -97,22 +97,13 @@ class ClosedForms(NamedTuple):
 
 
 def _operands(*values):
-    # arrays broadcast to one shape; a point stays numpy scalars, which round
-    # as arrays do but cost a tenth of a 0-d array per operation
-    if any(isinstance(v, np.ndarray) for v in values):
-        return np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in values))
-    return [np.float64(v) for v in values]
-
-
-def _select(mask, if_true, if_false):
-    if isinstance(mask, np.ndarray):
-        return np.where(mask, if_true, if_false)
-    return if_true if mask else if_false
+    # float64 arrays broadcast to one shape; a point is 0-d arrays and takes the sweep's path
+    return np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in values))
 
 
 @np.errstate(all="ignore")
 def closed_forms(f_pd, f_sd, f_ps, p_q=0.0, p_a=1.0, lambda_p=0.0, lambda_s=0.0) -> ClosedForms:
-    """Evaluate every closed form on broadcastable arrays (or floats).
+    """Evaluate every closed form on broadcastable arrays (or floats, giving 0-d arrays).
 
     A quantity that does not depend on an argument ignores its default, so
     channel-level forms need only the channel and policy-level forms only
@@ -131,11 +122,11 @@ def closed_forms(f_pd, f_sd, f_ps, p_q=0.0, p_a=1.0, lambda_p=0.0, lambda_s=0.0)
     # without relay inflow the forms give serve_relay / alpha = 1 and a relay
     # numerator of 0 wherever they are defined; at p_q = 1 they are 0 / 0
     idle_relay = relay == 0.0
-    bound_p = _select(idle_relay, mu, serve_relay / alpha * mu)
+    bound_p = np.where(idle_relay, mu, serve_relay / alpha * mu)
     p_empty = 1.0 - lp / mu
     bound_s = serve_own * p_empty
     margin_p = bound_p - lp
-    margin_s = _select(lp >= mu, MOST_NEGATIVE_MARGIN, bound_s - ls)
+    margin_s = np.where(lp >= mu, MOST_NEGATIVE_MARGIN, bound_s - ls)
     stable = (margin_p > 0.0) & (margin_s > 0.0)
 
     n_p = (lp - lp * lp) / (mu - lp)
@@ -145,7 +136,7 @@ def closed_forms(f_pd, f_sd, f_ps, p_q=0.0, p_a=1.0, lambda_p=0.0, lambda_s=0.0)
     beta = mu * (-2.0 * serve_relay - relay)
     gamma = serve_relay * mu * mu
     relay_den = alpha * lp * lp + beta * lp + gamma
-    n_sp = _select(idle_relay, 0.0, (m * lp * lp + n * lp) / relay_den)
+    n_sp = np.where(idle_relay, 0.0, (m * lp * lp + n * lp) / relay_den)
 
     a_coef = serve_own * (mu - 1.0)
     b_coef = mu - lp
@@ -166,16 +157,16 @@ def closed_forms(f_pd, f_sd, f_ps, p_q=0.0, p_a=1.0, lambda_p=0.0, lambda_s=0.0)
     lo, hi = -REPORT_SLACK, 1.0 + REPORT_SLACK
     in_bounds = (
         (n_p >= lo) & (n_sp >= lo)
-        & (_select(lp > 0.0, d_p, 1.0) >= 1.0 - REPORT_SLACK)
-        & (_select(ls > 0.0, d_s, 1.0) >= 1.0 - REPORT_SLACK)
+        & (np.where(lp > 0.0, d_p, 1.0) >= 1.0 - REPORT_SLACK)
+        & (np.where(ls > 0.0, d_s, 1.0) >= 1.0 - REPORT_SLACK)
         & (lo <= g00) & (lo <= epsilon) & (epsilon <= hi)
     )
-    return ClosedForms(
+    return ClosedForms(*map(np.asarray, (  # a 0-d operation gives a numpy scalar; fields stay arrays
         relay, mu, epsilon, threshold, bound_p, p_empty, bound_s,
         margin_p, margin_s, stable, m, n, alpha, beta, gamma, relay_den,
         a_coef, b_coef, c_coef, n_p, n_sp, n_s, n_s_den, d_p, d_s, g00, g00_den,
         idle_relay | (relay_den > 0.0), ~(b_coef <= 0.0) & (c_coef != 0.0), in_bounds,
-    )
+    )))
 
 
 @np.errstate(all="ignore")
@@ -191,4 +182,4 @@ def union_region(f_pd, f_sd, f_ps, lambda_p=0.0):
     cf = closed_forms(f_pd, f_sd, f_ps)
     value = f_sd - (f_sd + cf.relay) / cf.mu * lambda_p
     # max(value, 0.0) keeps value unless 0.0 is larger, so -0.0 and nan stay
-    return _select(0.0 > value, 0.0, value), f_sd * cf.mu / (f_sd + cf.relay), cf.mu
+    return np.where(0.0 > value, 0.0, value), f_sd * cf.mu / (f_sd + cf.relay), cf.mu

@@ -40,7 +40,7 @@ import numpy as np
 from . import analytics, optimizer
 from .config import KEYS, Config, ConfigError, channel_from_config, load_config_file, parse_values
 from .model import NO_COOPERATION, ChannelProfile, OperatingPoint, Policy
-from .oracle import ChainSpec, UnstableError, solve_stationary
+from .oracle import ChainSpec, RangeError, UnstableError, solve_stationary
 from .simulator import Scenario, SimStats, replicate_many
 
 __all__ = ["main", "entrypoint", "PRESETS", "ENV_SEED"]
@@ -512,12 +512,10 @@ def cmd_oracle(cfg: Config, out) -> int:
     for spec in specs:
         try:
             sols.append(solve_stationary(spec))
-        except RuntimeError as exc:  # the phase cut is too coarse for the point, or a residual is too large
-            raise ConfigError(f"{cfg.where('truncation')}: "
-                              f"oracle solve failed for {spec.pair}: {exc}") from exc
-        except UnstableError as exc:  # the partner queue's drift is not positive, within rounding of its bound
-            raise ConfigError(f"{cfg.where('lambda_p', 'lambda_s')}: "
-                              f"oracle solve failed for {spec.pair}: {exc}") from exc
+        except (RuntimeError, UnstableError, RangeError) as exc:
+            # a coarse phase cut or a large residual is the truncation's fault, a drift or range fault the point's
+            keys = ("truncation",) if isinstance(exc, RuntimeError) else ("lambda_p", "lambda_s")
+            raise ConfigError(f"{cfg.where(*keys)}: oracle solve failed for {spec.pair}: {exc}") from exc
 
     def solved(name: str) -> np.ndarray:
         return np.array([getattr(sol, name) for sol in sols])

@@ -39,8 +39,8 @@ import numpy as np
 
 from .model import ChannelProfile, OperatingPoint, Policy
 
-__all__ = ["CHAIN_PAIRS", "BOUNDARY_MASS_LIMIT", "RESIDUAL_TOLERANCE", "ConvergenceError",
-           "TruncationError", "UnstableError", "ChainSpec", "StationarySolution", "solve_stationary"]
+__all__ = ["CHAIN_PAIRS", "BOUNDARY_MASS_LIMIT", "RESIDUAL_TOLERANCE", "ConvergenceError", "TruncationError",
+           "UnstableError", "RangeError", "ChainSpec", "StationarySolution", "solve_stationary"]
 
 CHAIN_PAIRS = ("primary_secondary", "primary_relay")
 
@@ -71,6 +71,10 @@ class TruncationError(RuntimeError):
 
 class UnstableError(ValueError):
     """The operating point has no stationary law: a queue's mean drift toward empty is not positive."""
+
+
+class RangeError(ValueError):
+    """The operating point's stationary law spans more than float64's range, so a queue would read wrong."""
 
 
 @dataclass(frozen=True)
@@ -204,44 +208,20 @@ def _blocks(spec: ChainSpec, T: int) -> tuple[np.ndarray, ...]:
     return bottom[0], bottom[1], interior[-1], interior[0], interior[1]
 
 
-def _stationary_phases(
-    block: np.ndarray, into_0: np.ndarray | None = None, into_1: np.ndarray | None = None
-) -> np.ndarray:
-    """Stationary vector, with phase 0 at 1, of ``block`` plus the moves ``into_0`` and ``into_1``.
+def _stationary_phases(block: np.ndarray) -> np.ndarray:
+    """Stationary vector, with phase 0 at 1, of the birth-death chain ``block`` over the phases.
 
-    ``into_0[n]`` and ``into_1[n]`` are phase n's moves to phases 0 and 1 on
-    top of the tridiagonal ``block``, so GTH elimination (Grassmann, Taksar
-    & Heyman 1985) takes O(T) scalar steps. Phases are censored out from the
-    top down: only phase n - 1 enters phase n, so censoring n out adds to no
-    exit of the chain left but n - 1's moves to 0 and to 1 (its down-step
-    returns to n - 1 itself). Each phase's exit rate S_n is a sum of
-    nonnegative terms, never a difference, and ``pi_n = pi_{n-1} up_{n-1} /
-    S_n``. An entry below ``_FLUSH_BELOW`` is set to 0 as it is made; with a
-    stable primary queue the phases past 1 decay, so none needs a rescale. A
-    phase with no exit below it leaves the vector undetermined and raises
-    ``LinAlgError``.
+    Detailed balance gives the product ``pi_n = pi_{n-1} up_{n-1} / down_n``,
+    which ends at an entry below ``_FLUSH_BELOW``: the phases past it are 0.
+    A phase above 0 with no step down raises ``LinAlgError``.
     """
-    T = block.shape[1]
-    up = block[2].tolist()  # block[n, n + 1]
-    down = block[0].tolist()  # block[n, n - 1]
-    to_0 = [0.0] * T if into_0 is None else into_0.tolist()
-    to_1 = [0.0] * T if into_1 is None else into_1.tolist()
-    ratios = [0.0] * T
-    for n in range(T - 1, 1, -1):
-        exits = down[n] + to_0[n] + to_1[n]
-        if exits == 0.0:
-            raise np.linalg.LinAlgError("Singular matrix")
-        ratios[n] = ratio = up[n - 1] / exits
-        to_0[n - 1] += ratio * to_0[n]
-        to_1[n - 1] += ratio * to_1[n]
-    exits = down[1] + to_0[1]  # phase 1's move to phase 1 is no exit
-    if exits == 0.0:
+    up, down = block[2].tolist(), block[0].tolist()  # block[n, n + 1] and block[n, n - 1]
+    if 0.0 in down[1:]:
         raise np.linalg.LinAlgError("Singular matrix")
-    ratios[1] = (up[0] + to_1[0]) / exits
-    pi = [0.0] * T
+    pi = [0.0] * len(down)
     pi[0] = value = 1.0
-    for n in range(1, T):
-        value *= ratios[n]
+    for n in range(1, len(down)):
+        value *= up[n - 1] / down[n]
         if value < _FLUSH_BELOW:
             break  # every phase above is 0 as well
         pi[n] = value
@@ -335,13 +315,16 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     phase 0, so ``D`` is 0 off that phase's row, a first passage down always
     lands in ``d``, that row over its sum, and each level is the one below
     it times the rate matrix (Neuts 1981): ``pi_{j+1} = (pi_j Up) (I - U)^-1``
-    for j >= 1, with ``U = L + u d`` and ``u = Up 1``. Level 0 is stationary
-    for ``L0 + (Up0 1) d``, and level 1 is ``(pi_0 Up0) (I - U)^-1``.
+    for j >= 1, with ``U = L + u d`` and ``u = Up 1``. Level 1 is
+    ``(pi_0 Up0) (I - U)^-1``, and level 0's balance ``pi_0 (I - L0) = pi_1 D
+    = (served pi_1[0]) d`` makes it ``d (I - L0)^-1`` up to a scale the
+    normalisation removes, or ``e_0`` where it never leaves phase 0.
 
     A partner queue that grows with a mean drift (``_drift``) that is not
     positive has no stationary law, and raises ``UnstableError`` before any
-    level is solved. Level 0 comes from GTH elimination over the phases
-    (``_stationary_phases``), as ``(Up0 1) d`` lands in phases 0 and 1 only.
+    level is solved. Level 0's scale, about 1 over the rate at which the
+    partner leaves it, sets ``served pi_1[0] = 1``, so rare partner arrivals
+    are not flushed; where it overflows float64, ``RangeError`` is raised.
     ``resolvent``, the map ``rhs -> rhs (I - U)^-1``, is one tridiagonal
     solve ``q = rhs (I - L)^-1``, and the Sherman-Morrison formula adds the
     rank-one ``u d``: ``q + (q u / (1 - w u)) w`` with ``w = d (I - L)^-1``.
@@ -382,8 +365,10 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     served = D[:, 0].sum()
     d = np.pad(D[1:, 0] / served, (0, T - 2))
     u, u0 = Up.sum(axis=0), Up0.sum(axis=0)
-    pi0 = _stationary_phases(L0, u0 * d[0], u0 * d[1])
     down = served * np.eye(1, T)[0]  # what the rows of L + Up lack of 1
+    pi0 = np.eye(1, T)[0] if u0[0] == 0.0 == L0[2, 0] else _solve_right(_pivots(L0, u0), d)
+    if not pi0.max() < np.finfo(float).max / T:  # so that no sum of a level overflows
+        raise RangeError("level 0's mass, about 1 over the rate at which the partner leaves it, overflows float64")
     within = _pivots(L, u + down)  # I - L: the moves that stay on a level
     w = _solve_right(within, d)
     scale = 1.0 / (served * w[0])
@@ -458,7 +443,9 @@ def solve_stationary(spec: ChainSpec) -> StationarySolution:
     (``_solve_levels``), over ``_phases`` phases. The true residual
     max|pi K - pi| of the balance equations of levels 0 to 2, and the
     relative residuals of the level sums' systems, must be below
-    ``RESIDUAL_TOLERANCE``, or ``ConvergenceError`` is raised.
+    ``RESIDUAL_TOLERANCE``, or ``ConvergenceError`` is raised. A primary
+    queue with arrivals whose mass off empty was flushed to 0 raises
+    ``RangeError``; the partner's cannot be, as ``served pi_1[0] = 1``.
 
     ``TruncationError`` is raised where the phase edge holds more than
     ``BOUNDARY_MASS_LIMIT``, or where the cut may move either mean by more
@@ -485,6 +472,9 @@ def solve_stationary(spec: ChainSpec) -> StationarySolution:
     primary = (pi0 + x) / total
     mass_at_boundary = float(primary[T - 1])
     mean_first = float(primary @ np.arange(T))
+    if spec.point.lambda_p > 0.0 and mean_first == 0.0:
+        raise RangeError("the primary queue receives arrivals, but the solve flushed its mass off empty to 0: "
+                         "the stationary law spans more than float64's range")
     limit, cause = max(0.5 * BOUNDARY_MASS_LIMIT * drift, _PHASE_TAIL), None
     if mass_at_boundary > BOUNDARY_MASS_LIMIT:
         cause = f"phase-edge mass {mass_at_boundary:.3e} exceeds {BOUNDARY_MASS_LIMIT:.0e}"

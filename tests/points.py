@@ -1,4 +1,4 @@
-"""One point of the closed forms or of the optima, read through the array core."""
+"""One point of the closed forms or of the optima, read through the array core on 0-d arrays."""
 
 from cogrelay.analytics import ClosedForms, closed_forms
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
@@ -8,12 +8,12 @@ IDLE = OperatingPoint(0.0, 0.0)
 
 
 def at(ch: ChannelProfile, pol: Policy = Policy(0.0, 1.0), pt: OperatingPoint = IDLE) -> ClosedForms:
-    """Every closed form at one (channel, policy, point); fields are numpy scalars."""
+    """Every closed form at one (channel, policy, point); fields are 0-d arrays."""
     return closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s)
 
 
 def optimum(ch: ChannelProfile, pt: OperatingPoint) -> Optima:
-    """Both delay optima at one (channel, point); fields are numpy scalars."""
+    """Both delay optima at one (channel, point); fields are numpy scalars, taken from 0-d arrays."""
     return Optima(*(value[()] for value in optima(ch.f_pd, ch.f_sd, ch.f_ps, pt.lambda_p, pt.lambda_s)))
 
 

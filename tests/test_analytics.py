@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 import reference_closed_forms as closed
 from hypothesis import example, given, reject, settings
@@ -252,6 +253,13 @@ def test_delay_report_equals_single_functions(case):
         assert rep.d_p == closed.delay_primary(ch, pol, pt)
     if pt.lambda_s > 0.0:
         assert rep.d_s == closed.delay_secondary(ch, pol, pt)
+    # a point takes the sweep's path: every field is a 0-d array with the bits of its row in a sweep
+    values = (ch.f_pd, ch.f_sd, ch.f_ps, pol.p_q, pol.p_a, pt.lambda_p, pt.lambda_s)
+    others = (CH.f_pd, CH.f_sd, CH.f_ps, POL.p_q, POL.p_a, PT.lambda_p, PT.lambda_s)
+    sweep = analytics.closed_forms(*(np.array(row) for row in zip(values, others)))
+    for name, field, column in zip(rep._fields, rep, sweep):
+        assert isinstance(field, np.ndarray) and field.shape == (), name
+        assert field.tobytes() == column[0].tobytes(), name
 
 
 UNIT = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)

@@ -566,6 +566,21 @@ def test_oracle_partner_unstable_to_rounding_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("load, message", [
+    # the primary queue's mass off empty is about 1e-200 of the empty state's, below the flush
+    ("lambda_p = 1e-200\nlambda_s = 0.1\n", "the primary queue receives arrivals, but the solve flushed"),
+    # level 0's mass is about 1 over lambda_s, past float64's largest value
+    ("lambda_p = 0.1\nlambda_s = 5e-309\n", "level 0's mass"),
+])
+def test_oracle_law_past_float64_range_exits_2(tmp_path, capsys, load, message):
+    code, text = run(tmp_path, "oracle", load)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: lambda_p ({tmp_path / 'run.cfg'}:1), lambda_s ({tmp_path / 'run.cfg'}:2): "
+                          f"oracle solve failed for primary_secondary: {message}")
+    assert "Traceback" not in err
+
+
 def test_oracle_cut_too_coarse_for_the_partner_drift_exits_2(tmp_path, capsys):
     # 1e-8 below the primary bound 800 phases leave out 7.5e-11 of the primary
     # queue, which may move the relay queue's drift of 3.1e-9 by more than 1e-6

@@ -20,6 +20,7 @@ from cogrelay.oracle import (
     CHAIN_PAIRS,
     ChainSpec,
     ConvergenceError,
+    RangeError,
     TruncationError,
     UnstableError,
     solve_stationary,
@@ -539,6 +540,9 @@ DENSE_LEVELS = 12
 # a slow birth-death level 0, where an unrefined dense reference is 1e-14 off
 @example(ChainSpec(ChannelProfile(0.01, 1.0, 0.0), Policy(0.0, 0.0), OperatingPoint(0.0053125, 0.0),
                    pair="primary_relay", truncation=40))
+# level 0 never leaves phase 0, so I - L0 is singular and level 0 is e_0
+@example(ChainSpec(ChannelProfile(0.0, 1.0, 0.5), Policy(0.0, 1.0), OperatingPoint(0.0, 0.0),
+                   pair="primary_relay", truncation=8))
 def test_matches_dense_level_solve(spec):
     # the primary queue is stable, so no step may overflow or divide by 0;
     # underflow is allowed, as at f = (0, 1, 0.75)
@@ -712,6 +716,30 @@ def test_light_point_at_one_percent_of_the_secondary_bound_is_solved():
         assert sol.mean_second == pytest.approx(float(partner), rel=1e-13)
         assert sol.mean_first == pytest.approx(float(cf.n_p), rel=1e-14)
         assert sol.mass_at_boundary <= 2.0**-53
+
+
+def test_rare_arrivals_are_not_flushed():
+    # level 0 is solved at its own scale, about 1 over the rate at which the partner leaves it,
+    # which puts level 1 at served pi_1[0] = 1: a mean of 1e-200 is a ratio of sums far above the
+    # flush, where scaling level 0 to pi_0[0] = 1 flushed it to 0
+    point = OperatingPoint(0.1, 1e-200)  # level 0 is about 1 / lambda_s
+    n_s = float(at(CH, POL, point).n_s)
+    assert n_s == pytest.approx(3.203125e-200, rel=1e-15, abs=0.0)
+    assert solve_stationary(ChainSpec(CH, POL, point)).mean_second == pytest.approx(n_s, rel=1e-15, abs=0.0)
+    point = OperatingPoint(1e-200, 0.1)  # the relay pair's level 0 is about 1 / lambda_p in phase 0
+    sol = solve_stationary(ChainSpec(CH, POL, point, pair="primary_relay"))
+    assert sol.mean_first == pytest.approx(float(at(CH, POL, point).n_p), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("point, message", [
+    # the secondary pair's level 0 is about 1 / lambda_s in phase 0 and lambda_p / lambda_s off it
+    (OperatingPoint(1e-200, 0.1), "the primary queue receives arrivals, but the solve flushed its mass"),
+    # level 0's scale, about 1 / lambda_s, passes float64's largest value
+    (OperatingPoint(0.1, 5e-309), "level 0's mass, about 1 over the rate at which the partner leaves it"),
+])
+def test_law_past_float64_range_is_rejected(point, message):
+    with pytest.raises(RangeError, match=message):
+        solve_stationary(ChainSpec(CH, POL, point))
 
 
 @pytest.mark.parametrize("point", EXACTNESS_POINTS + [OperatingPoint(0.1, 0.3277)])
