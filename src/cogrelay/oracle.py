@@ -169,6 +169,12 @@ def _blocks(spec: ChainSpec, T: int) -> tuple[np.ndarray, ...]:
     with 0 where the entry falls outside the block. Departures happen before
     arrivals within a slot (arrivals are first served the next slot), and
     transitions that would leave the phase axis stay at its edge.
+
+    Each event adds its weights, in a fixed event order, to one diagonal of
+    one block by slices: a move of 0 or -1 phases to ``block[move + 1]``, a
+    move of +1 to ``block[2, :-1]``, but from the edge phase T - 1, which
+    stays at the edge, to ``block[1, -1]``. Phase 0 has no departure to move
+    it down, so ``block[0, 0]`` and ``block[2, -1]`` stay 0.
     """
     ch, pol, pt = spec.channel, spec.policy, spec.point
     i = np.arange(T)
@@ -179,18 +185,21 @@ def _blocks(spec: ChainSpec, T: int) -> tuple[np.ndarray, ...]:
         steps = {step: np.zeros((3, T)) for step in (-1, 0, 1)}
 
         def emit(weight: np.ndarray, di: int, dj: int, xp: int, xs: int) -> None:
-            mask = weight > 0.0
-            rows = i[mask]
-            ni = np.minimum(rows + di + xp, T - 1)
-            steps[dj + xs][ni - rows + 1, rows] += weight[mask]
+            block, move = steps[dj + xs], di + xp
+            if move < 1:
+                block[move + 1] += weight
+            else:
+                block[2, :-1] += weight[:-1]
+                block[1, -1] += weight[-1]
 
         if spec.pair == "primary_secondary":
             dep_p = np.where(i > 0, _primary_rate(ch, pol), 0.0)
             dep_s = np.where((i == 0) & (j > 0), pol.p_q * ch.f_sd, 0.0)
             arr_s = (1.0 - pt.lambda_s, pt.lambda_s)
-            for yp, ys, xp, xs in itertools.product((0, 1), repeat=4):
-                wp, ws = (dep_p if yp else 1.0 - dep_p), (dep_s if ys else 1.0 - dep_s)
-                emit(wp * ws * (arr_p[xp] * arr_s[xs]), -yp, -ys, xp, xs)
+            for yp, ys in itertools.product((0, 1), repeat=2):
+                departures = (dep_p if yp else 1.0 - dep_p) * (dep_s if ys else 1.0 - dep_s)
+                for xp, xs in itertools.product((0, 1), repeat=2):
+                    emit(departures * (arr_p[xp] * arr_s[xs]), -yp, -ys, xp, xs)
         else:
             # Relay pair: a relayed packet is simultaneously a Q_p departure and
             # a Q_sp arrival, so the kernel carries the joint event explicitly;
@@ -363,10 +372,11 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
         raise UnstableError(f"the partner queue's mean drift {drift!r} toward empty is not positive: "
                             "the partner queue is unstable")
     served = D[:, 0].sum()
-    d = np.pad(D[1:, 0] / served, (0, T - 2))
+    e0, d = np.zeros(T), np.zeros(T)
+    e0[0], d[:2] = 1.0, D[1:, 0] / served
     u, u0 = Up.sum(axis=0), Up0.sum(axis=0)
-    down = served * np.eye(1, T)[0]  # what the rows of L + Up lack of 1
-    pi0 = np.eye(1, T)[0] if u0[0] == 0.0 == L0[2, 0] else _solve_right(_pivots(L0, u0), d)
+    down = served * e0  # what the rows of L + Up lack of 1
+    pi0 = e0 if u0[0] == 0.0 == L0[2, 0] else _solve_right(_pivots(L0, u0), d)
     if not pi0.max() < np.finfo(float).max / T:  # so that no sum of a level overflows
         raise RangeError("level 0's mass, about 1 over the rate at which the partner leaves it, overflows float64")
     within = _pivots(L, u + down)  # I - L: the moves that stay on a level
@@ -399,7 +409,7 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
 
 
 def _joint(pi0: np.ndarray, pi1: np.ndarray, Up: np.ndarray, resolvent: Callable, count: int) -> np.ndarray:
-    """The first ``count`` levels, laid out ``[level, phase]``: pi_0, pi_1, and ``pi_{j+1} = (pi_j Up) (I - U)^-1``.
+    """The first ``count >= 2`` levels, ``[level, phase]``: pi_0, pi_1, and ``pi_{j+1} = (pi_j Up) (I - U)^-1``.
 
     ``resolvent`` is ``_solve_levels``' map ``rhs -> rhs (I - U)^-1``, which
     sets every entry below ``_FLUSH_BELOW`` to 0, so no product of two kept
@@ -407,7 +417,7 @@ def _joint(pi0: np.ndarray, pi1: np.ndarray, Up: np.ndarray, resolvent: Callable
     0, every level above it is too.
     """
     levels = np.zeros((count, len(pi0)))
-    levels[:2] = np.array((pi0, pi1))[:count]
+    levels[0], levels[1] = pi0, pi1
     for j in range(1, count - 1):
         if not levels[j].any():
             break
@@ -427,7 +437,7 @@ def _residual(levels: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
     L0, Up0, D, L, Up = (block[:, :phases] for block in blocks)
     out = _times(levels[:-1], L)
     out[0] = _times(levels[0], L0)
-    out[:, :2] += np.outer(levels[1:, 0], D[1:, 0])
+    out[:, :2] += levels[1:, :1] * D[1:, 0]
     out[1] += _times(levels[0], Up0)
     out[2:] += _times(levels[1:-2], Up)
     return float(np.abs(out - levels[:-1]).max())

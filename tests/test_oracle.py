@@ -310,33 +310,53 @@ def test_distribution_is_normalized_and_nonnegative():
     assert sol.primary_law.sum() == pytest.approx(1.0, abs=1e-15)
 
 
-def _assemble(blocks):
-    """The kernel rows of every level below T - 1, indexed i * T + j like the reference, from the five blocks."""
-    L0, Up0, D, L, Up = blocks
-    T = len(L0)
-    kernel = np.zeros((T, T, T, T))  # [i, j, i', j']
+def _assert_blocks_are_kernel(spec, T, K):
+    """``_blocks(spec, T)`` equals the reference kernel on T phases and K levels, bit for bit, at every level
+    but the lattice's top one, which the oracle does not have (state i * K + j, as in the reference)."""
+    blocks = oracle._blocks(spec, T)
+    L0, Up0, D, L, Up = map(dense, blocks)
+    kernel = np.zeros((T, K, T, K))  # [i, j, i', j']
     kernel[:, 0, :, 0] = L0
     kernel[:, 0, :, 1] = Up0
-    for j in range(1, T - 1):
+    for j in range(1, K - 1):
         kernel[:, j, :, j - 1], kernel[:, j, :, j], kernel[:, j, :, j + 1] = D, L, Up
-    return kernel.reshape(T * T, T * T)
+    below_top = np.arange(T * K) % K < K - 1
+    reference = build_transitions(spec, K, T).toarray()
+    assert np.array_equal(kernel.reshape(T * K, T * K)[below_top], reference[below_top])
+    # the slots for block[0, -1] and block[T - 1, T] hold nothing
+    assert not any(block[0, 0] or block[2, -1] for block in blocks)
 
 
 @pytest.mark.parametrize("policy", [Policy(0.5, 1.0), Policy(0.3, 0.2), Policy(0.0, 1.0), Policy(1.0, 1.0)])
 @pytest.mark.parametrize("T", [4, 9, 40])
 @pytest.mark.parametrize("pair", ["primary_secondary", "primary_relay"])
 def test_blocks_assemble_to_reference_kernel(pair, T, policy):
-    # idle, light, heavy and unstable points: the blocks are the kernel, bit for
-    # bit, at every level but the lattice's top one, which the oracle does not have
-    below_top = np.arange(T * T) % T < T - 1
+    # idle, light, heavy and unstable points
     for point in [OperatingPoint(0.1, 0.1), OperatingPoint(0.2388, 0.05),
                   OperatingPoint(0.0, 0.0), OperatingPoint(0.1, 0.9)]:
-        spec = ChainSpec(CH, policy, point, pair=pair, truncation=T)
-        reference = build_transitions(spec).toarray()
-        blocks = oracle._blocks(spec, T)
-        assert np.array_equal(_assemble(tuple(map(dense, blocks)))[below_top], reference[below_top])
-        # the slots for block[0, -1] and block[T - 1, T] hold nothing
-        assert not any(block[0, 0] or block[2, -1] for block in blocks)
+        _assert_blocks_are_kernel(ChainSpec(CH, policy, point, pair=pair, truncation=T), T, T)
+
+
+@st.composite
+def kernel_specs(draw):
+    # any channel, policy and point, stable or not, with each probability 0, 1
+    # or uniform (subnormals included), and T down to _phases' floor of 2
+    prob = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    f_sd = draw(st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True))
+    ch = ChannelProfile(draw(st.just(0.0) | st.floats(0.0, f_sd, exclude_max=True)), f_sd, draw(prob))
+    spec = ChainSpec(ch, Policy(draw(prob), draw(prob)), OperatingPoint(draw(prob), draw(prob)),
+                     pair=draw(st.sampled_from(CHAIN_PAIRS)))
+    return spec, draw(st.integers(2, 60))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kernel_specs())
+# T = 2, _phases' floor: phase 1 is the edge, where every primary arrival stays
+@example((ChainSpec(CH, POL, OperatingPoint(1.0, 1.0)), 2))
+def test_blocks_assemble_to_reference_kernel_at_random_specs(case):
+    # levels 0 and 1 hold every block, and every level above 1 repeats level 1
+    spec, T = case
+    _assert_blocks_are_kernel(spec, T, 3)
 
 
 @pytest.mark.parametrize("pair", ["primary_secondary", "primary_relay"])
