@@ -252,30 +252,34 @@ def _times(v: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def _pivots(block: np.ndarray, leak: np.ndarray) -> tuple[list[float], list[float], list[float]]:
-    """``block``'s sub- and superdiagonal and the pivots of Thomas elimination on ``I - block``.
+    """The pivots of Thomas elimination on ``I - block`` and, for each phase i > 0, the
+    ratios ``block[i, i - 1] / pivot[i]`` and ``block[i - 1, i] / pivot[i]`` (0 at i = 0).
 
     ``block`` is substochastic and ``leak`` is what its rows lack of 1, so
     ``I - block`` is a diagonally dominant M-matrix: Thomas elimination needs
     no row exchanges. It runs from the top phase down, and each pivot is
     built from the leak and the off-diagonals as a sum of nonnegative terms
     (Grassmann, Taksar & Heyman 1985), never as a difference that cancels;
-    an exactly zero pivot means the matrix is singular.
+    an exactly zero pivot means the matrix is singular. The ratios are taken
+    once here for every right-hand side that :func:`_solve_right` solves.
     """
     above = block[2].tolist()  # block[i, i + 1]
     below = block[0].tolist()  # block[i, i - 1]
     leak = leak.tolist()
     T = len(leak)
-    pivots = [0.0] * T
+    pivots, down, up = [0.0] * T, [0.0] * T, [0.0] * T
     excess = leak[T - 1]
     for i in range(T - 1, 0, -1):
-        pivots[i] = below[i] + excess
-        if pivots[i] == 0.0:
+        b, a = below[i], above[i - 1]
+        pivots[i] = pivot = b + excess
+        if pivot == 0.0:
             raise np.linalg.LinAlgError("Singular matrix")
-        excess = leak[i - 1] + above[i - 1] * excess / pivots[i]
+        down[i], up[i] = b / pivot, a / pivot
+        excess = leak[i - 1] + a * excess / pivot
     pivots[0] = excess
     if excess == 0.0:
         raise np.linalg.LinAlgError("Singular matrix")
-    return below, above, pivots
+    return pivots, down, up
 
 
 def _solve_right(elimination: tuple[list[float], ...], rhs: np.ndarray) -> np.ndarray:
@@ -286,14 +290,14 @@ def _solve_right(elimination: tuple[list[float], ...], rhs: np.ndarray) -> np.nd
     step adds nonnegative terms, and an entry below ``_FLUSH_BELOW``, of
     ``rhs`` or made by a step, is set to 0.
     """
-    below, above, pivots = elimination
+    pivots, down, up = elimination
     z = [value if value >= _FLUSH_BELOW else 0.0 for value in rhs.tolist()]
     for i in range(len(z) - 1, 0, -1):
-        value = z[i - 1] + below[i] / pivots[i] * z[i]
+        value = z[i - 1] + down[i] * z[i]
         z[i - 1] = value if value >= _FLUSH_BELOW else 0.0
     value = 0.0  # phase 0 has no phase below it, so its term adds 0
     for i in range(len(z)):
-        value = z[i] / pivots[i] + above[i - 1] / pivots[i] * value
+        value = z[i] / pivots[i] + up[i] * value
         z[i] = value = value if value >= _FLUSH_BELOW else 0.0
     return np.array(z)
 

@@ -46,13 +46,13 @@ independent of execution order.
 :func:`replicate_many` runs a batch of scenarios as one list of (scenario,
 replication) runs. On Linux, with at least two runs, at least two CPUs in the
 process's affinity mask and at least ``_POOL_MIN_SLOTS`` slots in all, the
-runs go to forked workers, one per CPU up to one per run, while the calling
-process only waits for their results; otherwise they run inline, one after
-another. A worker inherits the imported modules and imports ``numpy.random``
-itself, so a pooled batch costs about 35 ms more than its runs rather than an
-interpreter start per worker. Since a run's draws depend only on its (seed,
-replication), the results are the same at any worker count and in any
-completion order; ``taskset -c 0`` gives an inline run.
+runs go to forked workers, one on each CPU up to one per run, while the
+calling process only waits for their results; otherwise they run inline, one
+after another. A worker inherits the imported modules and imports
+``numpy.random`` itself, so a pooled batch costs 20-30 ms more than its runs
+rather than an interpreter start per worker. Since a run's draws depend
+only on its (seed, replication), the results are the same at any worker count
+and in any completion order; ``taskset -c 0`` gives an inline run.
 """
 
 from __future__ import annotations
@@ -86,11 +86,11 @@ POLICY_KINDS = ("randomized", "strict_priority_relay", "no_cooperation")
 
 _BLOCK = 1 << 16
 _N_STREAMS = 7
-#: Total slots below which a batch runs inline. A pooled batch costs about
-#: 35 ms beyond its runs: the fork, each worker's ~25 ms ``numpy.random``
-#: import (in parallel), pickling and reaping. That is about 4e5 slots at
-#: ~1.2e7 slots/s, and two workers save at most half the batch's time, so a
-#: shorter batch is slower pooled.
+#: Total slots below which a batch runs inline. A pooled batch costs 20-30 ms
+#: beyond its runs: the fork, each worker's 13-21 ms ``numpy.random`` import
+#: (in parallel), pickling and reaping. At the 1.5-2.2e7 slots/s of a worker
+#: that is about 4.2e5 slots either way, and two workers save at most half the
+#: batch's time, so a shorter batch is slower pooled.
 _POOL_MIN_SLOTS = 800_000
 
 #: Queue length past which a run stops with :class:`QueueOverflowError`. The cap
@@ -172,23 +172,23 @@ def _stream_rngs(seed: int, replication: int) -> list[np.random.Generator]:
 
 def _lindley(q0: int, arrive: np.ndarray, serve: np.ndarray, lengths: np.ndarray,
              work: np.ndarray) -> int:
-    """Solve Q[t+1] = max(Q[t] - serve[t], 0) + arrive[t] from Q[0] = q0 over one block.
+    """Solve Q[t+1] = max(Q[t] - serve[t], 0) + arrive[t] from Q[0] = q0 over n slots.
 
     With R the running sum of arrive - serve and M the running minimum of
-    R - arrive, Q[t+1] = R[t] + max(q0, -M[t]). Writes Q[0..n-1] into the
-    int32 ``lengths``, overwrites the int32 ``work`` and returns Q[n].
+    R - arrive, Q[t+1] = R[t] - min(M[t], -q0): clamping the first term of
+    R - arrive to -q0 folds q0 into the minimum. ``arrive`` and ``serve`` are
+    bool. Writes Q[0..n] into the int32 ``lengths`` (n + 1 long), overwrites
+    the int32 ``work`` (n long) and returns Q[n].
     """
-    lengths[:] = arrive
-    lengths -= serve
-    np.cumsum(lengths, dtype=np.int32, out=lengths)
-    np.subtract(lengths, arrive, out=work)
+    rest = lengths[1:]
+    np.subtract(arrive.view(np.int8), serve.view(np.int8), out=rest)
+    np.cumsum(rest, dtype=np.int32, out=rest)
+    np.subtract(rest, arrive, out=work)
+    work[0] = min(work[0], -q0)
     np.minimum.accumulate(work, out=work)
-    np.negative(work, out=work)
-    np.maximum(work, q0, out=work)
-    work += lengths
+    rest -= work
     lengths[0] = q0
-    lengths[1:] = work[:-1]
-    return int(work[-1])
+    return int(lengths[-1])
 
 
 def _fifo(queued: np.ndarray, arrivals: np.ndarray, leave: np.ndarray,
@@ -200,16 +200,53 @@ def _fifo(queued: np.ndarray, arrivals: np.ndarray, leave: np.ndarray,
     return queue[:left_at.size], left_at, queue[left_at.size:]
 
 
+def _serve(queued: np.ndarray, arrivals: np.ndarray, entered: int, lengths: np.ndarray,
+           length_sum: int, leave: np.ndarray, start: int, warmup: int,
+           totals: list[int]) -> np.ndarray:
+    """Serve a queue holding ``queued`` then ``arrivals`` (arrival slots, head first) over the
+    block at ``start``, add the delivered packets to ``totals`` as :func:`_deliver` does and
+    return the packets left.
+
+    ``lengths`` is the block's Q[0..n] from :func:`_lindley`; the head leaves in the ``leave``
+    slots where Q > 0, and ``arrivals`` joined in slots summing to ``entered``. Once the block
+    is measured (``start >= warmup``, so ``length_sum`` is sum(Q[0..n-1])) and every departing
+    packet arrived after warmup, only the departure slots' sum is needed. Counted from
+    ``start``, it is sum(Q[1..n-1]) - (n - 1) Q[n] + the joining slots' sum, by parts from
+    Q[t+1] = Q[t] - left[t] + joined[t].
+    """
+    queue = np.concatenate((queued, arrivals))
+    left = queue.size - int(lengths[-1])
+    if start < warmup or (left and queue[0] < warmup):
+        left_at = np.flatnonzero(leave & (lengths[:-1] != 0)) + start
+        _deliver(queue[:left], left_at, warmup, totals)
+    else:
+        n = lengths.size - 1
+        # the departure slots' sum, plus start for each departure
+        left_sum = (length_sum - int(lengths[0]) - (n - 1) * int(lengths[-1])
+                    + entered - start * arrivals.size + start * left)
+        totals[0] += left
+        totals[1] += left_sum - int(queue[:left].sum())
+    return queue[left:]
+
+
 def _deliver(arrived: np.ndarray, left_at: np.ndarray, warmup: int, totals: list[int]) -> None:
-    """Add the count and total delay of the delivered packets that arrived after warmup."""
-    keep = arrived >= warmup
-    totals[0] += int(np.count_nonzero(keep))
-    totals[1] += int((left_at[keep] - arrived[keep]).sum())
+    """Add the count and total delay of the delivered packets that arrived after warmup.
+
+    ``arrived`` is sorted: a FIFO queue's packets leave in arrival order, and
+    relayed packets keep their primary arrival slot.
+    """
+    first = int(np.searchsorted(arrived, warmup))
+    totals[0] += arrived.size - first
+    totals[1] += int(left_at[first:].sum()) - int(arrived[first:].sum())
 
 
-def _draw(rng: np.random.Generator, n: int, p: float) -> np.ndarray | np.bool_:
-    """n Bernoulli(p) outcomes, or their constant value at p = 0 or 1 without a draw."""
-    return rng.random(n) < p if 0.0 < p < 1.0 else np.bool_(p == 1.0)
+def _draw(rng: np.random.Generator, p: float, uniform: np.ndarray, out: np.ndarray) -> None:
+    """Bernoulli(p) outcomes into the bool ``out`` from as many uniforms drawn into the
+    float64 ``uniform``; at p = 0 or 1 the outcome is constant and nothing is drawn."""
+    if 0.0 < p < 1.0:
+        np.less(rng.random(out=uniform), p, out=out)
+    else:
+        out.fill(p == 1.0)
 
 
 def _run(sc: Scenario, replication: int) -> SimStats:
@@ -227,7 +264,10 @@ def _run(sc: Scenario, replication: int) -> SimStats:
     # blocks; relayed packets keep their primary arrival slot
     len_p = len_sp = len_s = 0
     queued_p = queued_sp = queued_s = np.empty(0, dtype=np.int64)
-    buf_p, buf_sp, buf_s, buf_tmp = (np.empty(_BLOCK, dtype=np.int32) for _ in range(4))
+    uniform = np.empty(_BLOCK)
+    buf_p, buf_sp, buf_s = (np.empty(_BLOCK + 1, dtype=np.int32) for _ in range(3))
+    work = np.empty(_BLOCK, dtype=np.int32)
+    masks = np.empty((7, _BLOCK), dtype=bool)
 
     sum_lp = sum_lsp = sum_ls = 0
     n_empty_p = n_empty_both = wasted = 0
@@ -236,50 +276,55 @@ def _run(sc: Scenario, replication: int) -> SimStats:
 
     for start in range(0, slots, _BLOCK):
         n = min(_BLOCK, slots - start)
-        dest = rng_dest.random(n) < ch.f_pd
-        decode = _draw(rng_decode, n, ch.f_ps if p_admit else 0.0)
-        admit = _draw(rng_admit, n, p_admit)
-        pick = np.True_ if strict else _draw(rng_pick, n, pol.p_q)
-        su = rng_su.random(n) < ch.f_sd
-        arr_p = rng_ap.random(n) < pt.lambda_p
-        arr_s = rng_as.random(n) < pt.lambda_s
-        lp, lsp, ls, tmp = buf_p[:n], buf_sp[:n], buf_s[:n], buf_tmp[:n]
+        u = uniform[:n]
+        dest, decode, admit, pick, su, arr_p, arr_s = masks[:, :n]
+        _draw(rng_dest, ch.f_pd, u, dest)
+        _draw(rng_decode, ch.f_ps if p_admit else 0.0, u, decode)
+        _draw(rng_admit, p_admit, u, admit)
+        if not strict:  # strict priority never reads the pick
+            _draw(rng_pick, pol.p_q, u, pick)
+        _draw(rng_su, ch.f_sd, u, su)
+        _draw(rng_ap, pt.lambda_p, u, arr_p)
+        _draw(rng_as, pt.lambda_s, u, arr_s)
+        lp, lsp, ls, tmp = buf_p[:n + 1], buf_sp[:n + 1], buf_s[:n + 1], work[:n]
 
         # the primary head leaves on destination success or on relay admission
-        leave_p = dest | (decode & admit)
+        leave_p = np.logical_and(decode, admit, out=decode)  # the decodes are not read again
+        leave_p |= dest
         len_p = _lindley(len_p, arr_p, leave_p, lp, tmp)
-        idle = lp == 0
+        idle = lp[:n] == 0
         leave_p &= ~idle
         left, left_at, queued_p = _fifo(queued_p, np.flatnonzero(arr_p) + start, leave_p, start)
-        direct = dest[leave_p]
-        _deliver(left[direct], left_at[direct], warmup, done_p)
-        into_relay = left[~direct]
-        relayed += int(np.count_nonzero(into_relay >= warmup))
+        direct = dest[left_at - start]
+        direct_at = np.compress(direct, left_at)
+        _deliver(np.compress(direct, left), direct_at, warmup, done_p)
+        into_relay = np.compress(~direct, left)
+        relayed += into_relay.size - int(np.searchsorted(into_relay, warmup))
 
         # in idle slots the SU serves the queue it selects
         leave_p &= ~dest
         transmit = idle & su
         leave_sp = transmit if strict else transmit & ~pick
         len_sp = _lindley(len_sp, leave_p, leave_sp, lsp, tmp)
-        empty_sp = lsp == 0
+        empty_sp = lsp[:n] == 0
         own = empty_sp if strict else pick
         leave_s = transmit & own
         len_s = _lindley(len_s, arr_s, leave_s, ls, tmp)
-        empty_s = ls == 0
+        empty_s = ls[:n] == 0
 
-        leave_sp &= ~empty_sp
-        left, left_at, queued_sp = _fifo(queued_sp, into_relay, leave_sp, start)
-        _deliver(left, left_at, warmup, done_p)
-        leave_s &= ~empty_s
-        left, left_at, queued_s = _fifo(queued_s, np.flatnonzero(arr_s) + start, leave_s, start)
-        _deliver(left, left_at, warmup, done_s)
+        first = min(max(warmup - start, 0), n)  # first measured slot
+        block_lsp, block_ls = int(lsp[first:n].sum()), int(ls[first:n].sum())
+        queued_sp = _serve(queued_sp, into_relay, int(left_at.sum()) - int(direct_at.sum()), lsp,
+                           block_lsp, leave_sp, start, warmup, done_p)
+        arrived = np.flatnonzero(arr_s) + start
+        queued_s = _serve(queued_s, arrived, int(arrived.sum()), ls, block_ls, leave_s, start,
+                          warmup, done_s)
 
         # a wasted slot selects the empty one of an empty and a non-empty queue
         wasted_now = idle & (own == empty_s) & (empty_s != empty_sp)
-        first = min(max(warmup - start, 0), n)  # first measured slot
-        sum_lp += int(lp[first:].sum())
-        sum_lsp += int(lsp[first:].sum())
-        sum_ls += int(ls[first:].sum())
+        sum_lp += int(lp[first:n].sum())
+        sum_lsp += block_lsp
+        sum_ls += block_ls
         n_empty_p += int(np.count_nonzero(idle[first:]))
         n_empty_both += int(np.count_nonzero((idle & empty_s)[first:]))
         wasted += int(np.count_nonzero(wasted_now[first:]))
@@ -336,14 +381,17 @@ def _cpus() -> int:
 def _fork_map(fn: Callable[..., Any], tasks: Sequence[tuple], workers: int) -> list[Any]:
     """``[fn(*task) for task in tasks]``, computed by ``workers`` forked children.
 
-    Child k runs tasks k, k + workers, ... in order until one raises, and
-    sends its results and that exception back through its own pipe. This
-    process only waits: it raises the exception of the first failing task in
-    task order, as a loop would, with the child's traceback as its cause, or a
+    Child k runs on CPU k mod n of the n in this process's affinity mask, so
+    the scheduler cannot leave two children on one CPU for a whole batch. It
+    runs tasks k, k + workers, ... in order until one raises, and sends its
+    results and that exception back through its own pipe. This process only
+    waits: it raises the exception of the first failing task in task order,
+    as a loop would, with the child's traceback as its cause, or a
     RuntimeError naming the exit status of a child that ended without
     reporting. On any exception, Ctrl-C included, it kills and reaps every
     child it has not reaped.
     """
+    cpus = sorted(os.sched_getaffinity(0))
     children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe) until reaped
     with ExitStack() as pipes:
         try:
@@ -357,7 +405,7 @@ def _fork_map(fn: Callable[..., Any], tasks: Sequence[tuple], workers: int) -> l
                     try:
                         pid = os.fork()
                         if pid == 0:
-                            _fork_child(fn, tasks[k::workers], writer, mask)
+                            _fork_child(fn, tasks[k::workers], writer, mask, cpus[k % len(cpus)])
                         children.append((pid, reader))
                     finally:
                         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -390,15 +438,16 @@ def _fork_map(fn: Callable[..., Any], tasks: Sequence[tuple], workers: int) -> l
 
 
 def _fork_child(fn: Callable[..., Any], tasks: Sequence[tuple], writer: BinaryIO,
-                mask: set[signal.Signals]) -> NoReturn:
-    """Run ``tasks`` in a forked child, write (results, None or the exception that
-    stopped them with its traceback) to ``writer`` and leave by ``os._exit``, so that
-    the child never runs its parent's cleanup or flushes its parent's buffers. The
+                mask: set[signal.Signals], cpu: int) -> NoReturn:
+    """Run ``tasks`` in a forked child on ``cpu``, write (results, None or the exception
+    that stopped them with its traceback) to ``writer`` and leave by ``os._exit``, so
+    that the child never runs its parent's cleanup or flushes its parent's buffers. The
     child ignores SIGINT: its parent takes Ctrl-C."""
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.sched_setaffinity(0, {cpu})
         results, error = [], None
         try:
             for task in tasks:

@@ -2,7 +2,9 @@ import math
 import os
 import signal
 import time
+from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,11 @@ from cogrelay.simulator import (
     QueueOverflowError,
     Scenario,
     SimStats,
+    _deliver,
+    _fifo,
+    _lindley,
     _run,
+    _serve,
     replicate_many,
     simulate,
 )
@@ -206,12 +212,81 @@ def reference_cases(draw):
 @example((scenario(policy_kind="strict_priority_relay", channel=ChannelProfile(0.3, 0.8, 0.0),
                    slots=5_000, warmup_slots=0), 1, QUEUE_CAP))
 @example((scenario(slots=3 * _BLOCK, warmup_slots=_BLOCK // 2), 3, QUEUE_CAP))
+# with seed 1 the relay queue serves packets from before and after a warmup inside the
+# second block, and the last block is one slot long
+@example((scenario(policy=Policy(0.7, 1.0), point=OperatingPoint(0.2, 0.1), slots=2 * _BLOCK + 1,
+                   warmup_slots=_BLOCK + 30_000, seed=1), 2, QUEUE_CAP))
 @example((scenario(point=OperatingPoint(0.5, 0.5), slots=3 * _BLOCK), 1, 40))
 def test_matches_slot_by_slot_reference(case):
     sc, replications, cap = case
     with pytest.MonkeyPatch.context() as patch:  # both sides read the simulator's cap
         patch.setattr(simulator, "QUEUE_CAP", cap)
         assert _outcome(_replicate, sc, replications) == _outcome(reference.replicate, sc, replications)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(1, _BLOCK) | st.integers(1, 40),
+    st.integers(0, QUEUE_CAP) | st.integers(0, 5),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32),
+)
+def test_lindley_solves_the_recursion_slot_by_slot(n, q0, p_arrive, p_serve, seed):
+    rng = np.random.default_rng(seed)
+    arrive, serve = rng.random(n) < p_arrive, rng.random(n) < p_serve
+    lengths = np.full(n + 1, -7, dtype=np.int32)  # written over, like the work buffer
+    work = np.full(n, 7, dtype=np.int32)
+    expected = list(accumulate(zip(arrive.tolist(), serve.tolist()),
+                               lambda q, step: max(q - step[1], 0) + step[0], initial=q0))
+    assert _lindley(q0, arrive, serve, lengths, work) == expected[-1]
+    assert lengths.tolist() == expected
+
+
+def _deliver_by_mask(arrived, left_at, warmup, totals):
+    keep = arrived >= warmup
+    totals[0] += int(np.count_nonzero(keep))
+    totals[1] += int((left_at[keep] - arrived[keep]).sum())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_deliver_counts_what_a_mask_of_the_measured_packets_counts(data):
+    arrived = np.array(sorted(data.draw(st.lists(st.integers(0, 400), max_size=40))), dtype=np.int64)
+    left_at = arrived + np.array(data.draw(st.lists(st.integers(1, 50), min_size=arrived.size,
+                                                    max_size=arrived.size)), dtype=np.int64)
+    # the warmup before, at, between and after the arrival slots
+    at = st.sampled_from(arrived.tolist()) if arrived.size else st.nothing()
+    warmup = data.draw(st.integers(0, 402) | at)
+    totals, expected = [3, 5], [3, 5]
+    _deliver(arrived, left_at, warmup, totals)
+    _deliver_by_mask(arrived, left_at, warmup, expected)
+    assert totals == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 300), st.integers(0, 30), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.integers(0, 2**32), st.data())
+def test_serve_delivers_what_each_departure_slot_delivers(n, q0, p_join, p_leave, seed, data):
+    rng = np.random.default_rng(seed)
+    join, leave = rng.random(n) < p_join, rng.random(n) < p_leave
+    start = data.draw(st.integers(0, 3) | st.integers(0, 1000))
+    joined_at = np.flatnonzero(join) + start
+    # relayed packets keep an arrival slot from before they joined; carried ones arrived
+    # before the block and before them
+    arrivals = joined_at - data.draw(st.integers(0, start))
+    queued = np.sort(rng.integers(-50, min([start, *arrivals[:1] + 1]), q0))
+    lengths, work = np.empty(n + 1, dtype=np.int32), np.empty(n, dtype=np.int32)
+    _lindley(q0, join, leave, lengths, work)
+    warmup = data.draw(st.integers(0, start + n + 2) | st.sampled_from(queued.tolist() + [start]))
+    first = min(max(warmup - start, 0), n)
+    expected, totals = [2, 3], [2, 3]
+    left, left_at, rest = _fifo(queued, arrivals, leave & (lengths[:-1] != 0), start)
+    _deliver(left, left_at, warmup, expected)
+    kept = _serve(queued, arrivals, int(joined_at.sum()), lengths, int(lengths[first:n].sum()), leave,
+                  start, warmup, totals)
+    assert totals == expected
+    assert kept.tolist() == rest.tolist()
 
 
 def _with_cpus(monkeypatch, cpus: int) -> None:
@@ -325,6 +400,13 @@ def test_fork_map_returns_in_task_order_and_raises_the_first_failure(workers):
         simulator._fork_map(_square_unless_listed, tasks, workers)
     assert failed.value.args == (3,)
     assert "in _square_unless_listed" in str(failed.value.__cause__)  # the worker's traceback
+    _assert_no_child()
+
+
+def test_fork_map_runs_worker_k_on_cpu_k_of_the_affinity_mask():
+    cpus = sorted(os.sched_getaffinity(0))
+    placed = simulator._fork_map(os.sched_getaffinity, [(0,)] * 3, 3)
+    assert placed == [{cpus[k % len(cpus)]} for k in range(3)]
     _assert_no_child()
 
 
