@@ -40,7 +40,7 @@ import numpy as np
 from . import analytics, optimizer
 from .config import KEYS, Config, ConfigError, channel_from_config, load_config_file, parse_values
 from .model import NO_COOPERATION, ChannelProfile, OperatingPoint, Policy
-from .oracle import ChainSpec, RangeError, UnstableError, solve_stationary
+from .oracle import ChainSpec, ConvergenceError, RangeError, TruncationError, UnstableError, solve_stationary
 from .simulator import Scenario, SimStats, replicate_many
 
 __all__ = ["main", "entrypoint", "PRESETS", "ENV_SEED"]
@@ -512,9 +512,11 @@ def cmd_oracle(cfg: Config, out) -> int:
     for spec in specs:
         try:
             sols.append(solve_stationary(spec))
-        except (RuntimeError, UnstableError, RangeError) as exc:
-            # a coarse phase cut or a large residual is the truncation's fault, a drift or range fault the point's
-            keys = ("truncation",) if isinstance(exc, RuntimeError) else ("lambda_p", "lambda_s")
+        except ConvergenceError as exc:  # the solver's own fault: no key can cure it
+            raise ConfigError(f"oracle solve failed for {spec.pair}: {exc}") from exc
+        except (TruncationError, UnstableError, RangeError) as exc:
+            # a tail longer than the budget is the truncation's fault, a drift or range fault the point's
+            keys = ("truncation",) if isinstance(exc, TruncationError) else ("lambda_p", "lambda_s")
             raise ConfigError(f"{cfg.where(*keys)}: oracle solve failed for {spec.pair}: {exc}") from exc
 
     def solved(name: str) -> np.ndarray:
@@ -608,8 +610,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tolerance", help=f"relative error tolerance (default {KEYS['tolerance'].default})"
     )
     sub.choices["oracle"].add_argument(
-        "--truncation", help=f"most phases (primary queue lengths) an oracle solve may use "
-                             f"(default {KEYS['truncation'].default})"
+        "--truncation", help=f"most phases (primary queue lengths) an oracle solve may use; a point whose "
+                             f"tail needs more is refused (default {KEYS['truncation'].default})"
     )
     return parser
 

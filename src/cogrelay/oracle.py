@@ -12,25 +12,24 @@ count and phase the primary count. The level axis is not truncated: the
 stationary law is matrix-geometric in the level, so its level sums, and with
 them every mean, close exactly (``_solve_levels``). The phase is Q_p, an
 autonomous Geo/Geo/1 queue with a geometric law, so the phase axis is cut
-before the solve, where that law's tail falls below float64 rounding or at
-``ChainSpec.truncation`` phases if that comes first (``_phases``); the mass
-the cut leaves on the phase edge is reported, and a solve is rejected where
-that mass exceeds ``BOUNDARY_MASS_LIMIT``, or where the mass past the cut
-may move the partner queue's drift, and with it the partner's mean, or the
-primary mean by more than that share. A partner queue whose mean drift is
-not positive has no stationary law and is refused up front, as is an
-unstable primary queue. No T x T array is built, so memory is linear in the
-phases: the transition law writes the three diagonals of each of its five
-blocks, and every solve is a tridiagonal elimination of O(T) scalar steps
-with one right-hand side, each level above 0 one such solve from the level
-below it. Every result must then pass a residual check: the balance
-equations of levels 0 to 2 and the linear systems of the level sums must
-hold within ``RESIDUAL_TOLERANCE``, or the solve is rejected.
+before the solve, where that law's tail falls below float64 rounding
+(``_phases``): the cut is exact to rounding. A point whose tail needs more
+phases than ``ChainSpec.truncation`` is refused before any block is built.
+A partner queue whose mean drift is not positive has no stationary law and
+is refused up front, as is an unstable primary queue. No T x T array is
+built, so memory is linear in the phases: the transition law writes the
+three diagonals of each of its five blocks, and every solve is a
+tridiagonal elimination of O(T) scalar steps with one right-hand side, each
+level above 0 one such solve from the level below it. Every result must
+then pass a residual check: the balance equations of levels 0 to 2 and the
+linear systems of the level sums must hold within ``RESIDUAL_TOLERANCE``,
+or the solve is rejected.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -39,13 +38,10 @@ import numpy as np
 
 from .model import ChannelProfile, OperatingPoint, Policy
 
-__all__ = ["CHAIN_PAIRS", "BOUNDARY_MASS_LIMIT", "RESIDUAL_TOLERANCE", "ConvergenceError", "TruncationError",
+__all__ = ["CHAIN_PAIRS", "RESIDUAL_TOLERANCE", "ConvergenceError", "TruncationError",
            "UnstableError", "RangeError", "ChainSpec", "StationarySolution", "solve_stationary"]
 
 CHAIN_PAIRS = ("primary_secondary", "primary_relay")
-
-#: Stationary probability allowed on the phase edge before a solve is rejected.
-BOUNDARY_MASS_LIMIT = 1e-6
 
 #: Bound the residuals of a solve must stay below (see ``solve_stationary``).
 RESIDUAL_TOLERANCE = 1e-12
@@ -66,7 +62,7 @@ class ConvergenceError(RuntimeError):
 
 
 class TruncationError(RuntimeError):
-    """Too much stationary mass sits on the phase edge; raise the truncation."""
+    """The primary queue's tail needs more phases than the truncation allows."""
 
 
 class UnstableError(ValueError):
@@ -81,18 +77,18 @@ class RangeError(ValueError):
 class ChainSpec:
     """One chain solve.
 
-    ``truncation`` is the most phases (primary counts) the solve may use; it
-    uses fewer where the primary queue's tail falls below float64 rounding
-    sooner. The partner count is not truncated. A solve's memory is linear
-    in its phases, and a truncation whose solve would not fit in the
-    machine's physical memory is refused.
+    ``truncation`` is the most phases (primary counts) the solve may use: a
+    point whose primary queue's tail needs more is refused. The partner
+    count is not truncated. A solve's memory is linear in its phases, and a
+    truncation whose solve would not fit in the machine's physical memory is
+    refused; the default, 2^16 phases, asks 64 MiB.
     """
 
     channel: ChannelProfile
     policy: Policy
     point: OperatingPoint
     pair: str = "primary_secondary"
-    truncation: int = 400
+    truncation: int = 2**16
 
     def __post_init__(self) -> None:
         if self.pair not in CHAIN_PAIRS:
@@ -115,9 +111,9 @@ class StationarySolution:
     partner queue's mean (Q_s or Q_sp depending on the chain pair); it and
     ``p00`` are over the whole, untruncated level axis.
     ``mass_at_boundary`` is ``primary_law[T - 1]``, the mass on the phase
-    edge. ``residual`` is the largest residual of the solve (see
-    ``solve_stationary``), and ``iterations`` counts the kernel applications
-    the solve made: always 1, the residual check.
+    edge, at most ``_PHASE_TAIL``. ``residual`` is the largest residual of
+    the solve (see ``solve_stationary``), and ``iterations`` counts the
+    kernel applications the solve made: always 1, the residual check.
     """
 
     primary_law: np.ndarray
@@ -134,29 +130,22 @@ def _primary_rate(ch: ChannelProfile, pol: Policy) -> float:
     return ch.f_pd + pol.p_a * ch.f_ps * (1.0 - ch.f_pd)
 
 
-def _phases(spec: ChainSpec, mu: float) -> tuple[int, float, float]:
-    """``T, b, b (T + 1 / (1 - rho))``: the phases the solve uses, the infinite queue's mass
-    b = P(Q_p >= T) beyond them, and the most the cut moves the primary mean.
-
-    T is the fewest phases whose tail from the edge phase T - 1 on is at most
-    ``_PHASE_TAIL``, or ``spec.truncation`` if that comes first.
+def _phases(spec: ChainSpec, mu: float) -> int:
+    """T: the fewest phases, at least 2, whose tail from the edge phase T - 1 on is at most ``_PHASE_TAIL``.
 
     Q_p is autonomous, a Geo/Geo/1 queue: P(Q_p >= n) = (lambda_p / mu)
-    rho^(n - 1) for n >= 1, with rho = lambda_p (1 - mu) / (mu (1 - lambda_p)).
-    The cut chain keeps that law on its T phases, restricted and
-    renormalised, so every phase's probability moves by b, relatively, and
-    the mean loses at most E[Q_p; Q_p >= T] = b (T + rho / (1 - rho)). At
-    least two phases are kept.
+    rho^(n - 1) for n >= 1, with rho = lambda_p (1 - mu) / (mu (1 - lambda_p)),
+    so T - 2 is the fewest k >= 0 with (lambda_p / mu) rho^k at most
+    ``_PHASE_TAIL``, read from their logarithms. The cut chain keeps that law
+    on its T phases, restricted and renormalised, so every phase's
+    probability moves by at most ``_PHASE_TAIL``, relatively.
     """
-    lambda_p = spec.point.lambda_p
-    tail = rho = 0.0
+    k, lambda_p = 0, spec.point.lambda_p
     if lambda_p > 0.0:
-        tail, rho = lambda_p / mu, lambda_p * (1.0 - mu) / (mu * (1.0 - lambda_p))
-    phases = 2
-    while tail > _PHASE_TAIL and phases < spec.truncation:
-        tail *= rho
-        phases += 1
-    return phases, tail * rho, tail * rho * (phases + 1.0 / (1.0 - rho))
+        head, rho = lambda_p / mu, lambda_p * (1.0 - mu) / (mu * (1.0 - lambda_p))
+        if head > _PHASE_TAIL:
+            k = math.ceil(math.log(_PHASE_TAIL / head) / math.log(rho)) if rho > 0.0 else 1
+    return 2 + k
 
 
 def _blocks(spec: ChainSpec, T: int) -> tuple[np.ndarray, ...]:
@@ -319,7 +308,7 @@ def _drift(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, float]:
 
 
 def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """``pi_0, pi_1, resolvent, x, y, drift, residual``: unnormalised levels, their sums, and the partner's drift.
+    """``pi_0, pi_1, resolvent, x, y, residual``: unnormalised levels and their sums.
 
     Levels are partner counts j and phases primary counts i; each block is
     given by its three diagonals (see ``_blocks``). The kernel is block
@@ -344,8 +333,7 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     Its denominator is taken as ``served * w[0]``, which is equal because
     ``(I - L) 1 = u + served e_0`` and never cancels. Every entry of a level
     below ``_FLUSH_BELOW`` (about 1.5e-154) is set to 0 as it is made. A
-    partner queue that never grows stays at level 0: pi_1, x and y are 0 and
-    the drift is infinite.
+    partner queue that never grows stays at level 0: pi_1, x and y are 0.
 
     The level sums ``x = sum_{j >= 1} pi_j`` and ``y = sum_{j >= 1} j pi_j``
     solve ``x (I - R) = pi_1`` and ``y (I - R) = x``, with R the rate matrix
@@ -370,7 +358,7 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
         raise ValueError("kernel serves the partner queue while the primary queue is busy")
     if not (Up0.any() or Up.any()):
         zeros = np.zeros(T)  # every level above 0 is 0
-        return _stationary_phases(L0), zeros, np.zeros_like, zeros, zeros, np.inf, 0.0
+        return _stationary_phases(L0), zeros, np.zeros_like, zeros, zeros, 0.0
     a, drift = _drift(blocks)
     if not drift > 0.0:
         raise UnstableError(f"the partner queue's mean drift {drift!r} toward empty is not positive: "
@@ -409,7 +397,7 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
         return z
 
     x = summed(source)
-    return pi0, pi1, resolvent, x, summed(source + _times(x, Up)), drift, residual
+    return pi0, pi1, resolvent, x, summed(source + _times(x, Up)), residual
 
 
 def _joint(pi0: np.ndarray, pi1: np.ndarray, Up: np.ndarray, resolvent: Callable, count: int) -> np.ndarray:
@@ -452,60 +440,43 @@ def solve_stationary(spec: ChainSpec) -> StationarySolution:
 
     A primary queue with lambda_p >= mu is unstable (Loynes 1962), and so is
     a partner queue that grows with a mean drift that is not positive; either
-    raises ``UnstableError`` before any level is solved. Otherwise levels 0
-    to 3 and the level sums are solved exactly
-    (``_solve_levels``), over ``_phases`` phases. The true residual
+    raises ``UnstableError`` before any level is solved. A point whose
+    primary queue's tail needs more than ``spec.truncation`` phases
+    (``_phases``) raises ``TruncationError`` before any block is built.
+    Otherwise levels 0 to 3 and the level sums are solved exactly
+    (``_solve_levels``), over those phases. The true residual
     max|pi K - pi| of the balance equations of levels 0 to 2, and the
     relative residuals of the level sums' systems, must be below
     ``RESIDUAL_TOLERANCE``, or ``ConvergenceError`` is raised. A primary
     queue with arrivals whose mass off empty was flushed to 0 raises
     ``RangeError``; the partner's cannot be, as ``served pi_1[0] = 1``.
-
-    ``TruncationError`` is raised where the phase edge holds more than
-    ``BOUNDARY_MASS_LIMIT``, or where the cut may move either mean by more
-    than that, relatively. The cut leaves out the primary queue's mass b past
-    the phase axis (``_phases``), and every probability of the cut chain's
-    phase law moves by b, relatively; so the partner queue's mean drift moves
-    by up to 2b, and the partner's mean by about 2b over the drift, and the
-    primary mean moves by up to b (T + 1 / (1 - rho)). Neither shift may pass
-    the limit's share of its mean, unless b is at most ``_PHASE_TAIL``: then
-    the cut is within float64 rounding.
     """
     mu = _primary_rate(spec.channel, spec.policy)
     if 0.0 < spec.point.lambda_p >= mu:
         raise UnstableError(f"lambda_p={spec.point.lambda_p!r} is not below the primary service rate "
                             f"mu={mu!r}: the primary queue is unstable")
-    T, beyond, shift = _phases(spec, mu)
+    T = _phases(spec, mu)
+    if T > spec.truncation:
+        raise TruncationError(f"the primary queue's tail needs {T} phases; "
+                              f"truncation {spec.truncation} is too small")
     blocks = _blocks(spec, T)
-    pi0, pi1, resolvent, x, y, drift, residual = _solve_levels(blocks)
+    pi0, pi1, resolvent, x, y, residual = _solve_levels(blocks)
     total = pi0.sum() + x.sum()
     residual = max(residual, _residual(_joint(pi0, pi1, blocks[4], resolvent, 4) / total, blocks))
     if not residual < RESIDUAL_TOLERANCE:
         raise ConvergenceError(f"residual {residual:.3e} not below tolerance {RESIDUAL_TOLERANCE:.3e}")
 
     primary = (pi0 + x) / total
-    mass_at_boundary = float(primary[T - 1])
     mean_first = float(primary @ np.arange(T))
     if spec.point.lambda_p > 0.0 and mean_first == 0.0:
         raise RangeError("the primary queue receives arrivals, but the solve flushed its mass off empty to 0: "
                          "the stationary law spans more than float64's range")
-    limit, cause = max(0.5 * BOUNDARY_MASS_LIMIT * drift, _PHASE_TAIL), None
-    if mass_at_boundary > BOUNDARY_MASS_LIMIT:
-        cause = f"phase-edge mass {mass_at_boundary:.3e} exceeds {BOUNDARY_MASS_LIMIT:.0e}"
-    elif beyond > limit:
-        cause = (f"primary mass {beyond:.3e} beyond the phase edge exceeds {limit:.3e}, "
-                 f"the most a partner drift of {drift:.3e} allows")
-    elif beyond > _PHASE_TAIL and shift > BOUNDARY_MASS_LIMIT * mean_first:
-        cause = (f"primary mass {beyond:.3e} beyond the phase edge may move the primary mean "
-                 f"{mean_first:.3e} by {shift:.3e}, more than {BOUNDARY_MASS_LIMIT:.0e} of it")
-    if cause:
-        raise TruncationError(f"{cause}; truncation {spec.truncation} is too small for this operating point")
     return StationarySolution(
         primary_law=primary,
         mean_first=mean_first,
         mean_second=float(y.sum() / total),
         p00=float(pi0[0] / total),
-        mass_at_boundary=mass_at_boundary,
+        mass_at_boundary=float(primary[T - 1]),
         residual=residual,
         iterations=1,
     )

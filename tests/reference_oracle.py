@@ -15,13 +15,15 @@ T x T matrix such a block stands for.
 ``solve_levels`` and ``residual`` are the oracle's earlier level-by-level
 solve of that lattice, with its dense T x T solves and no flush of tiny
 entries, and its residual from dense block products. Its top level folds the
-up-step into ``Ltop = L + Up``. Only the dense solve for a stationary vector
-has changed since: it is refined against a residual computed exactly in
-``Fraction``, so at level 0 the reference is exact to rounding for any
-elimination order. ``solve_stationary`` runs them on the densified blocks
-through the same normalisation, residual check, phase-edge mass check and
-phase-cut checks as the oracle, the cut's with the primary queue's tail in
-closed form and the partner queue's drift from a dense solve.
+up-step into ``Ltop = L + Up``. Only its dense solves have changed since. The
+solve for a stationary vector is refined against a residual computed exactly
+in ``Fraction``, so at level 0 the reference is exact to rounding for any
+elimination order. The solves of ``I - U`` and ``I - Ltop`` take each
+diagonal entry as the sum of the row's exits, never as ``1 - U[i, i]``.
+``solve_stationary`` runs them on the densified blocks through the same
+normalisation and residual check as the oracle, and by the same rule for the
+phase cut: a lattice whose phases leave more than 2^-53 of the primary
+queue's tail, in closed form, from its edge phase on is refused.
 Levels 0 to K - 2 of a K-level lattice are the infinite chain's levels,
 scaled: a first passage down lands in the same phases from every level, the
 top one included, so only the top level and the normalisation see the edge.
@@ -37,7 +39,6 @@ import scipy.sparse.linalg as spla
 from reference_closed_forms import service_rate_primary
 
 from cogrelay.oracle import (
-    BOUNDARY_MASS_LIMIT,
     RESIDUAL_TOLERANCE,
     ChainSpec,
     ConvergenceError,
@@ -177,6 +178,17 @@ def _stationary_vector(chain: np.ndarray) -> np.ndarray:
     return x
 
 
+def _minus(block: np.ndarray, leak: np.ndarray) -> np.ndarray:
+    """``I - block``, with each diagonal entry the sum of the row's off-diagonal entries and its ``leak``.
+
+    ``1 - block[i, i]`` keeps only the rounding of a slow exit, and a dense
+    solve of a slow chain then loses up to about 1e-14; a sum of the exits,
+    each nonnegative, keeps their digits (Grassmann, Taksar & Heyman 1985).
+    """
+    off = block - np.diag(np.diag(block))
+    return np.diag(off.sum(axis=1) + leak) - off
+
+
 def solve_levels(blocks: tuple[np.ndarray, ...], count: int) -> np.ndarray:
     """Exact stationary distribution of the ``count``-level lattice with these blocks, as ``[level, phase]``.
 
@@ -207,15 +219,15 @@ def solve_levels(blocks: tuple[np.ndarray, ...], count: int) -> np.ndarray:
         return levels
 
     d = D[0] / served
-    eye = np.eye(T)
+    leak = D.sum(axis=1)  # what the rows of U and Ltop lack of 1
     U = L + np.outer(Up.sum(axis=1), d)
     levels[0] = _stationary_vector(L0 + np.outer(Up0.sum(axis=1), d))
     # R0 and Rtop are each applied once, so pi_1 and the top level are solved for directly
-    solved = np.linalg.solve((eye - U).T, np.column_stack((Up.T, levels[0] @ Up0)))
+    solved = np.linalg.solve(_minus(U, leak).T, np.column_stack((Up.T, levels[0] @ Up0)))
     R, levels[1] = solved[:, :T].T, solved[:, T]
     for j in range(1, count - 2):
         levels[j + 1] = levels[j] @ R
-    levels[count - 1] = np.linalg.solve((eye - Ltop).T, levels[count - 2] @ Up)
+    levels[count - 1] = np.linalg.solve(_minus(Ltop, leak).T, levels[count - 2] @ Up)
     return levels
 
 
@@ -237,13 +249,18 @@ def solve_stationary(
     """``cogrelay.oracle.solve_stationary`` on the lattice of ``phases`` phases and ``levels`` levels, and its law.
 
     ``phases`` is ``spec.truncation`` by default; it may be below the 4 a
-    spec allows, as the oracle's own phase count may.
+    spec allows, as the oracle's own phase count may. Where the Geo/Geo/1
+    primary queue's tail from the edge phase ``phases - 1`` on passes 2^-53,
+    the cut is not exact and ``TruncationError`` is raised before the solve.
 
     It is solved by the dense level solve above, and the law, laid out
     ``[phase, level]``, is its whole lattice's. The means are the lattice's,
     so they differ from the oracle's by the mass the level edge folds in.
     """
     T = spec.truncation if phases is None else phases
+    lp, mu = spec.point.lambda_p, service_rate_primary(spec.channel, spec.policy.p_a)
+    if lp > 0.0 and lp / mu * (lp * (1.0 - mu) / (mu * (1.0 - lp))) ** (T - 2) > 2.0**-53:
+        raise TruncationError(f"the primary queue's tail from phase {T - 1} on passes 2^-53")
     blocks = tuple(map(dense, _blocks(spec, T)))
     dist = solve_levels(blocks, levels).T
     dist /= dist.sum()
@@ -252,25 +269,9 @@ def solve_stationary(
         raise ConvergenceError(f"residual {res:.3e} not below tolerance {RESIDUAL_TOLERANCE:.3e}")
 
     primary = dist.sum(axis=1)
-    L0, Up0, D, L, Up = blocks
-    drift = np.inf  # a partner queue that never grows
-    if Up0.any() or Up.any():
-        # the partner queue's mean drift down, from the phase law of the levels above 0
-        a = _stationary_vector(D + L + Up)
-        a /= a.sum()
-        drift = D[0].sum() * a[0] - a @ Up.sum(axis=1)
-    # the Geo/Geo/1 primary queue's mass past the lattice's phases, and the most it moves the primary mean
-    lp, mu = spec.point.lambda_p, service_rate_primary(spec.channel, spec.policy.p_a)
-    rho = lp * (1.0 - mu) / (mu * (1.0 - lp)) if lp > 0.0 else 0.0
-    beyond = lp / mu * rho ** (T - 1) if lp > 0.0 else 0.0
-    mean_first = float(primary @ np.arange(T))
-    cut = beyond > 2.0**-53
-    if (primary[T - 1] > BOUNDARY_MASS_LIMIT or cut and beyond > 0.5 * BOUNDARY_MASS_LIMIT * drift
-            or cut and beyond * (T + 1.0 / (1.0 - rho)) > BOUNDARY_MASS_LIMIT * mean_first):
-        raise TruncationError(f"phase-edge mass {primary[T - 1]:.3e} or mass {beyond:.3e} past it is too large")
     return StationarySolution(
         primary_law=primary,
-        mean_first=mean_first,
+        mean_first=float(primary @ np.arange(T)),
         mean_second=float(dist.sum(axis=0) @ np.arange(levels)),
         p00=float(dist[0, 0]),
         mass_at_boundary=float(primary[T - 1]),

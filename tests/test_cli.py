@@ -21,6 +21,7 @@ from reference_cli import (
     VALIDATE_HEADER,
 )
 from test_analytics import ILL_CONDITIONED_POINTS
+from test_oracle import NEAR_BOUND_C
 
 from cogrelay import cli, optimizer, oracle, simulator
 from cogrelay.cli import ENV_SEED, EXIT_BROKEN_PIPE, PRESETS, main
@@ -582,19 +583,35 @@ def test_oracle_law_past_float64_range_exits_2(tmp_path, capsys, load, message):
 
 
 def test_oracle_cut_too_coarse_for_the_partner_drift_exits_2(tmp_path, capsys):
-    # 1e-8 below the primary bound 800 phases leave out 7.5e-11 of the primary
-    # queue, which may move the relay queue's drift of 3.1e-9 by more than 1e-6
-    # of it; the primary mean moves by at most 1.8e-9 of it, so the secondary
-    # pair is solved (the default 400 phases would move it by 1.1e-4 and refuse it)
+    # 1e-8 below the primary bound the primary queue's tail needs 1262 phases:
+    # a cut at 800, which would move the relay queue's drift of 3.1e-9 by more
+    # than 1e-6 of it, is refused, naming the truncation, and the default
+    # truncation solves both pairs, the relay queue's mean of 7.8e7 within
+    # c eps / delta
     config = ("f_pd = 0.2803116035801936\nf_sd = 0.4287571501666164\nf_ps = 0.17158140474355582\n"
               "p_q = 0.28496481188836853\np_a = 0.05237973299631507\n"
               "lambda_p = 0.2808542843560448\nlambda_s = 0\n")
     code, text = run(tmp_path, "oracle", config, extra=["--truncation", "800"])
     assert code == 2 and text == ""
     err = capsys.readouterr().err
-    assert err.startswith("config error: truncation (--truncation): oracle solve failed for primary_relay: "
-                          "primary mass 7.501e-11 beyond the phase edge exceeds 1.533e-15")
-    assert "Traceback" not in err
+    assert err == ("config error: truncation (--truncation): oracle solve failed for primary_secondary: "
+                   "the primary queue's tail needs 1262 phases; truncation 800 is too small\n")
+    code, text = run(tmp_path, "oracle", config)
+    assert code == 0 and capsys.readouterr().err == ""
+    header, body = rows(text)
+    relay = dict(zip(header.split(","), body[1]))
+    assert float(relay["rel_err_partner"]) <= NEAR_BOUND_C * np.finfo(float).eps / 1e-8
+    assert float(relay["mass_at_boundary"]) <= 2.0**-53
+
+
+def test_oracle_residual_over_tolerance_names_no_key(tmp_path, capsys, monkeypatch):
+    # a larger truncation cannot change the phases a point needs, so a residual
+    # over tolerance is the solver's fault: it names neither the truncation nor the point
+    monkeypatch.setattr(oracle, "RESIDUAL_TOLERANCE", 1e-300)
+    assert run(tmp_path, "oracle", "") == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: oracle solve failed for primary_secondary: residual ")
+    assert "truncation (" not in err and "lambda_p (" not in err and "Traceback" not in err
 
 
 def test_oracle_solver_fault_is_not_blamed_on_the_point(tmp_path, capsys, monkeypatch):

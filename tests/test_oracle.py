@@ -139,31 +139,27 @@ def test_phase_count_is_the_fewest_whose_edge_tail_is_below_rounding(point):
         return lp / mu * rho ** (n - 1)
 
     spec = ChainSpec(CH, POL, point, truncation=400)
-    T, beyond, shift = oracle._phases(spec, float(mu))
-    assert T == len(solve_stationary(spec).primary_law)
-    assert beyond == pytest.approx(float(tail(T)), rel=1e-12)
-    # the cut's primary-mean shift bound b (T + 1 / (1 - rho)) exceeds E[Q_p; Q_p >= T] by b
-    assert shift == pytest.approx(float(tail(T) * (T + 1 / (1 - rho))), rel=1e-12)
+    T = oracle._phases(spec, float(mu))
+    sol = solve_stationary(spec)
+    assert T == len(sol.primary_law)
     unit = Fraction(2) ** -53
     assert tail(T - 1) <= unit * (1 + Fraction(1, 10**12))
     assert T == 2 or tail(T - 2) > unit * (1 - Fraction(1, 10**12))
-    def edge(cap):
-        # the Geo/Geo/1 law on cap phases, whose edge phase keeps the overflow, at that edge
-        return float((tail(cap - 1) - tail(cap)) / (1 - tail(cap)))
-
-    # a smaller truncation caps the phases, and the edge then holds more
-    if T > 6:
-        capped = solve_stationary(dataclasses.replace(spec, truncation=T - 3))
-        assert len(capped.primary_law) == T - 3
-        assert capped.mass_at_boundary == pytest.approx(edge(T - 3), rel=1e-12)
-        with pytest.raises(TruncationError, match=f"phase-edge mass {edge(4):.3e} exceeds 1e-06; "
-                                                  "truncation 4 is too small"):
-            solve_stationary(dataclasses.replace(spec, truncation=4))
+    # the Geo/Geo/1 law on T phases, whose edge phase keeps the overflow, at that edge
+    assert sol.mass_at_boundary == pytest.approx(float((tail(T - 1) - tail(T)) / (1 - tail(T))), rel=1e-12)
+    assert sol.mass_at_boundary <= 2.0**-53
+    # a truncation of T phases takes the point, and one phase fewer refuses it before any block is built
+    assert len(solve_stationary(dataclasses.replace(spec, truncation=max(T, 4))).primary_law) == T
+    if T > 4:
+        with pytest.raises(TruncationError, match=f"^the primary queue's tail needs {T} phases; "
+                                                  f"truncation {T - 1} is too small$"):
+            solve_stationary(dataclasses.replace(spec, truncation=T - 1))
 
 
-def test_under_truncated_solve_is_rejected():
+def test_under_truncated_solve_is_rejected(monkeypatch):
     loaded = OperatingPoint(0.25, 0.2)
-    with pytest.raises(TruncationError):
+    monkeypatch.setattr(oracle, "_blocks", lambda *args: pytest.fail("built the blocks of a refused point"))
+    with pytest.raises(TruncationError, match="needs 28 phases; truncation 4 is too small"):
         solve_stationary(ChainSpec(CH, POL, loaded, pair="primary_secondary", truncation=4))
 
 
@@ -205,19 +201,17 @@ def test_non_convergence_raises(monkeypatch):
     (Policy(1.0, 1.0), "primary_relay"),
 ], ids=["policy0-primary_secondary", "policy1-primary_relay"])
 def test_unserved_growing_partner_is_rejected(policy, pair):
-    spec = ChainSpec(CH, policy, PT, pair=pair, truncation=8)
+    spec = ChainSpec(CH, policy, PT, pair=pair)
     with np.errstate(all="raise"), pytest.raises(UnstableError, match="drift -.* the partner queue is unstable"):
         solve_stationary(spec)
 
 
 def test_unserved_idle_partner_stays_empty():
-    spec = ChainSpec(CH, Policy(0.0, 1.0), OperatingPoint(0.1, 0.0), truncation=8)
+    spec = ChainSpec(CH, Policy(0.0, 1.0), OperatingPoint(0.1, 0.0))
     sol, joint = _joint_law(spec, 8)
     assert sol.mean_second == 0.0
     assert joint[:, 1:].sum() == 0.0
     assert sol.mean_first == pytest.approx(at(CH, spec.policy, spec.point).n_p, rel=1e-6)
-    # the partner queue never grows, so no drift bounds it
-    assert oracle._solve_levels(oracle._blocks(spec, len(sol.primary_law)))[5] == np.inf
 
 
 EXACTNESS_POINTS = [OperatingPoint(0.1, 0.1), OperatingPoint(0.2388, 0.05), OperatingPoint(0.3, 0.02)]
@@ -276,21 +270,18 @@ def test_primary_marginal_is_truncated_geo_geo_1(pair, point):
 def test_primary_marginal_is_exact_on_slow_chains(f_pd, lambda_share):
     # slow exits near the primary bound, where a solve through the rounded
     # diagonal 1 - P[i, i] loses digits: without relaying (p_a = 0) level 0
-    # is the whole chain, and its law is detailed balance, here in exact rationals
+    # is the whole chain, and its law is detailed balance, here in exact
+    # rationals on a lattice of 120 phases, fewer than the tail needs
     T = 120
     ch, pol = ChannelProfile(f_pd, CH.f_sd, CH.f_ps), Policy(POL.p_q, 0.0)
     lambda_p = lambda_share * float(at(ch, pol).mu)
     spec = ChainSpec(ch, pol, OperatingPoint(lambda_p, 0.1), pair="primary_relay", truncation=T)
-    assert oracle._phases(spec, float(at(ch, pol).mu))[0] == T
+    need = oracle._phases(spec, float(at(ch, pol).mu))
+    assert need > T
+    with pytest.raises(TruncationError, match=f"needs {need} phases; truncation {T} is too small"):
+        solve_stationary(spec)
     pi0, _, _, x, *_ = oracle._solve_levels(oracle._blocks(spec, T))
     primary_law = (pi0 + x) / (pi0.sum() + x.sum())
-    if lambda_share < 0.9:
-        assert np.array_equal(solve_stationary(spec).primary_law, primary_law)
-    else:
-        # at 0.9 mu the 120 phases leave out 2.9e-6 (f_pd = 0.01) and 1.7e-6 of
-        # the primary queue, which may move its mean by 4.2e-5 and 2.6e-5 of it
-        with pytest.raises(TruncationError, match="may move the primary mean"):
-            solve_stationary(spec)
     mu, lp = Fraction(float(at(ch, pol).mu)), Fraction(lambda_p)
     law = [Fraction(1), lp / (mu * (1 - lp))]
     for _ in range(2, T):
@@ -451,8 +442,7 @@ def test_full_truncation_matches_dense_level_solve(pair, point):
         assert ours == pytest.approx(theirs, rel=1e-13)
 
 
-# a slow primary queue at 0.92 and 0.93 mu, whose tail needs 421 and 483
-# phases: every phase of the truncation is used
+# a slow primary queue at 0.92 and 0.93 mu, whose tail needs 421 and 483 phases
 SLOW_CHANNEL, SLOW_POLICY = ChannelProfile(0.05, 0.8, 0.4), Policy(0.5, 0.0)
 SLOW_POINTS = [OperatingPoint(0.046, 0.01), OperatingPoint(0.0465, 0.01)]
 
@@ -463,10 +453,9 @@ def test_solve_holds_at_most_five_lattices(pair, point):
     # no T x T array is built: every level is one tridiagonal solve, so the
     # solve stays within the memory guard's bytes a phase, far below five
     # T x T float64 lattices
-    T = 400
-    spec = ChainSpec(SLOW_CHANNEL, SLOW_POLICY, point, pair=pair, truncation=T)
-    peak, sol = _traced_peak(spec)
-    assert len(sol.primary_law) == T
+    peak, sol = _traced_peak(ChainSpec(SLOW_CHANNEL, SLOW_POLICY, point, pair=pair))
+    T = len(sol.primary_law)
+    assert T == {0.046: 421, 0.0465: 483}[point.lambda_p]
     assert peak <= oracle._BYTES_PER_PHASE * T
 
 
@@ -488,29 +477,27 @@ LONG_POINT = OperatingPoint(0.0495, 0.0005)
 def test_solve_memory_is_linear_in_the_phases(pair):
     # at 3475 phases a rate matrix alone would take 97 MB; the solve stays
     # within the memory guard's bound, and its bytes a phase grow no faster
-    # than at 400 phases
+    # than at 421 phases
     spec = ChainSpec(SLOW_CHANNEL, SLOW_POLICY, LONG_POINT, pair=pair, truncation=4000)
     peak, sol = _traced_peak(spec)
     T = len(sol.primary_law)
     assert T == 3475
     assert peak <= oracle._BYTES_PER_PHASE * T
-    small, _ = _traced_peak(dataclasses.replace(spec, point=SLOW_POINTS[0], truncation=400))
-    assert peak / T <= 1.25 * small / 400
+    small, slow = _traced_peak(dataclasses.replace(spec, point=SLOW_POINTS[0]))
+    assert peak / T <= 1.25 * small / len(slow.primary_law)
 
 
-# at 0.9 and 0.91 mu the tail needs 334 and 372 phases, and the mass past 200
-# of them, 2.5e-10 and 2.5e-9, moves the secondary pair's partner mean by less
-# than 1e-6; at the slow points above it would move it by more, and the
-# solve at 200 phases is refused
+# at 0.9 and 0.91 mu the tail needs 334 and 372 phases
 GUARD_POINTS = [OperatingPoint(0.045, 0.01), OperatingPoint(0.0455, 0.01)]
 
 
 @pytest.mark.parametrize("point", GUARD_POINTS)
 @pytest.mark.parametrize("pair", CHAIN_PAIRS)
 def test_memory_guard_admits_only_solves_that_fit(monkeypatch, pair, point):
-    # on a machine whose physical memory is the guard's bytes a phase times T,
-    # the guard takes truncation T and refuses T + 1, and the solve at T fits
-    T = 200
+    # on a machine whose physical memory is the guard's bytes a phase times the
+    # T phases the point needs, the guard takes truncation T and refuses T + 1,
+    # and the solve at T fits
+    T = {0.045: 334, 0.0455: 372}[point.lambda_p]
     memory = oracle._BYTES_PER_PHASE * T
     with monkeypatch.context() as patch:
         patch.setattr(oracle.os, "sysconf", {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}.__getitem__)
@@ -526,8 +513,7 @@ def test_memory_guard_admits_only_solves_that_fit(monkeypatch, pair, point):
 def chain_specs(draw):
     # Probabilities are 0, 1 or in [0.01, 0.99], and lambda_p stays at least
     # 5% below mu, so the primary queue is stable; the partner queue may not
-    # be. Rates nearer 0 make the dense reference itself singular (see
-    # test_near_singular_chain_is_solved).
+    # be. Rates nearer 0 may make the dense reference itself singular.
     prob = st.sampled_from([0.0, 1.0]) | st.floats(0.01, 0.99)
     f_pd = draw(st.just(0.0) | st.floats(0.01, 0.9))
     ch = ChannelProfile(f_pd, draw(st.floats(max(f_pd, 0.01), 1.0, exclude_min=True)), draw(prob))
@@ -572,14 +558,19 @@ def test_matches_dense_level_solve(spec):
         # only a partner queue outside its stability bound is refused
         assert _partner_margin(spec) <= 0.0
         return
-    T = oracle._phases(spec, oracle._primary_rate(spec.channel, spec.policy))[0]
+    # both refuse a point whose tail needs more phases than the truncation
+    T = min(oracle._phases(spec, oracle._primary_rate(spec.channel, spec.policy)), spec.truncation)
     theirs = _outcome(reference.solve_stationary, spec, DENSE_LEVELS, T)
     if isinstance(ours, tuple):
         sol, joint = ours
         # every step is subtraction-free, which the one-sided flush relies on
         assert joint.min() >= 0.0 and sol.primary_law.min() >= 0.0
         assert _partner_margin(spec) > 0.0 or sol.mean_second == 0.0
-    if isinstance(theirs, tuple):
+    if ours is RangeError and isinstance(theirs, tuple):
+        # the oracle refuses a primary law whose mass off empty is below its flush
+        # threshold; the dense solve, which flushes nothing, keeps that mass
+        assert 0.0 < theirs[0].primary_law[1:].sum() < oracle._FLUSH_BELOW
+    elif isinstance(theirs, tuple):
         assert isinstance(ours, tuple)
         assert np.abs(ours[0].primary_law - theirs[0].primary_law).max() <= 1e-14
         # the lattice's levels below its top are the infinite chain's, scaled
@@ -587,6 +578,39 @@ def test_matches_dense_level_solve(spec):
         assert np.abs(joint / joint.sum() - ref_joint / ref_joint.sum()).max() <= 1e-14
     else:
         assert ours is theirs
+
+
+def _tail_count(spec, mu):
+    """The fewest phases, at least 2, whose Geo/Geo/1 tail from the edge phase on is at most 2^-53, one by one."""
+    lambda_p, tail, rho, phases = spec.point.lambda_p, 0.0, 0.0, 2
+    if lambda_p > 0.0:
+        tail, rho = lambda_p / mu, lambda_p * (1.0 - mu) / (mu * (1.0 - lambda_p))
+    while tail > 2.0**-53:
+        tail *= rho
+        phases += 1
+    return phases
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(chain_specs())
+def test_solve_is_exact_or_refused(spec):
+    # within its truncation a solve uses exactly the phases the tail needs, and
+    # leaves at most 2^-53 on the phase edge; past it the solve is refused,
+    # naming that count, which the phase count's logarithms give exactly
+    mu = oracle._primary_rate(spec.channel, spec.policy)
+    T = _tail_count(spec, mu)
+    assert oracle._phases(spec, mu) == T
+    try:
+        sol = solve_stationary(spec)
+    except TruncationError as exc:
+        assert T > spec.truncation
+        assert str(exc) == f"the primary queue's tail needs {T} phases; truncation {spec.truncation} is too small"
+        return
+    except (UnstableError, RangeError, np.linalg.LinAlgError):
+        sol = None  # the point is refused for its partner queue, float64's range or a singular chain, after the count
+    assert T <= spec.truncation
+    if sol is not None:
+        assert len(sol.primary_law) == T and sol.mass_at_boundary <= 2.0**-53
 
 
 @st.composite
@@ -611,7 +635,7 @@ def test_partner_drift_is_the_closed_form_margin(case):
     # plus the mass the phase cut moves, at most twice the edge's
     spec, mu = case
     assume(mu > 0.0)
-    a, drift = oracle._drift(oracle._blocks(spec, oracle._phases(spec, mu)[0]))
+    a, drift = oracle._drift(oracle._blocks(spec, oracle._phases(spec, mu)))
     cf = at(spec.channel, spec.policy, spec.point)
     margin = float(cf.margin_s if spec.pair == "primary_secondary" else cf.alpha / cf.mu * cf.margin_p)
     bound = 4e-15 + 2.0 * a[-1]
@@ -623,7 +647,7 @@ def test_partner_drift_is_the_closed_form_margin(case):
 @st.composite
 def near_bound_points(draw):
     # a stable point at relative margin 10^-k of the chain pair's partner bound,
-    # at a truncation that may cap the phase axis above rounding; lambda_p is 0
+    # at a truncation that may be below the phases its tail needs; lambda_p is 0
     # or large enough that no probability of the law falls below the flush threshold
     f_pd = draw(st.floats(0.05, 0.9))
     ch = ChannelProfile(f_pd, draw(st.floats(f_pd, 1.0, exclude_min=True)), draw(st.floats(0.05, 1.0)))
@@ -644,86 +668,78 @@ def near_bound_points(draw):
 
 #: c in the near-bound bound c eps / delta; the largest c over 3000 random draws of this kind was 54
 NEAR_BOUND_C = 128
-#: k in the partner mean's bound k b / drift from the primary mass b past a capped phase axis;
-#: the largest k over the same draws was 3.8
-NEAR_BOUND_K = 8
+
+
+def _near_bound(cf, pair):
+    """``delta, partner``: the pair's relative margin to its partner bound, and the partner's closed-form mean."""
+    if pair == "primary_secondary":
+        return float(cf.margin_s / cf.bound_s), float(cf.n_s)
+    return float(cf.margin_p / cf.bound_p), float(cf.n_sp)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(near_bound_points())
 # the light point at 1% of the secondary bound, which a 400 x 400 lattice could not solve
 @example(ChainSpec(CH, POL, OperatingPoint(0.1, 0.99 * float(at(CH, POL, OperatingPoint(0.1, 0.0)).bound_s))))
-# the relay pair at 1e-8 of the primary bound, whose phase axis, capped at 400, leaves out 8.7e-6
+# the relay pair at 1e-8 of the primary bound, whose tail needs 1262 phases
 @example(ChainSpec(ChannelProfile(0.2803116035801936, 0.4287571501666164, 0.17158140474355582),
                    Policy(0.28496481188836853, 0.05237973299631507),
                    OperatingPoint(0.2808542843560448, 0.0), pair="primary_relay"))
 def test_means_hold_to_the_closed_forms_near_the_bound(spec):
     # at relative margin delta both the oracle's means and the closed forms
-    # are conditioned like 1 / delta, so they agree within c eps / delta. A
-    # phase axis capped above rounding leaves out the primary mass b past it:
-    # the primary mean then lacks at most b (T + 1 / (1 - rho)), and the
-    # partner queue's drift moves by up to 2b, so its mean by about 2b over
-    # the drift, relatively; a solve where that could pass 1e-6 is refused
+    # are conditioned like 1 / delta, so they agree within c eps / delta; the
+    # phase cut leaves at most 2^-53 of the primary queue out, or the point is refused
     cf = at(spec.channel, spec.policy, spec.point)
     assert cf.stable and cf.evaluable
-    if spec.pair == "primary_secondary":
-        delta, partner, drift = float(cf.margin_s / cf.bound_s), float(cf.n_s), float(cf.margin_s)
-    else:
-        delta, partner, drift = float(cf.margin_p / cf.bound_p), float(cf.n_sp), float(cf.alpha / cf.mu * cf.margin_p)
-    mu, lambda_p = float(cf.mu), spec.point.lambda_p
-    T, beyond, _ = oracle._phases(spec, mu)
+    delta, partner = _near_bound(cf, spec.pair)
+    T = oracle._phases(spec, float(cf.mu))
     try:
         sol = solve_stationary(spec)
     except TruncationError:
-        assert T == spec.truncation and beyond > 2.0**-53
+        assert T > spec.truncation
         return
-    assert len(sol.primary_law) == T
-    assert beyond <= max(2.0**-53, 0.5 * oracle.BOUNDARY_MASS_LIMIT * drift * (1.0 + 1e-6))
+    assert len(sol.primary_law) == T and sol.mass_at_boundary <= 2.0**-53
     bound = NEAR_BOUND_C * np.finfo(float).eps / delta
-    rho = lambda_p * (1.0 - mu) / (mu * (1.0 - lambda_p))
-    shift = beyond * (T + 1.0 / (1.0 - rho))
-    assert beyond <= 2.0**-53 or shift <= oracle.BOUNDARY_MASS_LIMIT * sol.mean_first * (1.0 + 1e-6)
-    assert abs(sol.mean_first - float(cf.n_p)) <= bound * float(cf.n_p) + shift
-    assert abs(sol.mean_second - partner) <= (bound + NEAR_BOUND_K * beyond / drift) * partner
+    assert abs(sol.mean_first - float(cf.n_p)) <= bound * float(cf.n_p)
+    assert abs(sol.mean_second - partner) <= bound * partner
     assert sol.residual < oracle.RESIDUAL_TOLERANCE
 
 
 def test_cut_that_moves_a_near_bound_partner_is_rejected():
-    # the relay pair at 1e-8 of the primary bound: the phase edge of 400 phases
-    # holds only 2.6e-7, but the primary mass past it, 8.7e-6, may move the
-    # partner queue's drift of 5.9e-8 by far more than the drift itself; a
-    # solve let through here reads mean_second 95% off n_sp
+    # the relay pair at 1e-8 of the primary bound: its tail needs 1262 phases,
+    # so a cut at 400, which would leave out 8.7e-6 of the primary queue and
+    # move the partner queue's drift of 5.9e-8 by far more than the drift
+    # itself, is refused; the default truncation's exact cut holds n_sp, about
+    # 7.8e7, within c eps / delta
     ch = ChannelProfile(0.2803116035801936, 0.4287571501666164, 0.17158140474355582)
     pol = Policy(0.28496481188836853, 0.05237973299631507)
     spec = ChainSpec(ch, pol, OperatingPoint(0.2808542843560448, 0.0), pair="primary_relay")
-    assert float(at(ch, pol, spec.point).margin_p / at(ch, pol).bound_p) == pytest.approx(1e-8, rel=1e-6)
-    with pytest.raises(TruncationError, match=r"primary mass 8\.697e-06 beyond the phase edge exceeds 2\.966e-14, "
-                                              r"the most a partner drift of 5\.932e-08 allows; "
-                                              "truncation 400 is too small"):
-        solve_stationary(spec)
+    cf = at(ch, pol, spec.point)
+    delta, n_sp = _near_bound(cf, spec.pair)
+    assert delta == pytest.approx(1e-8, rel=1e-6)
+    with pytest.raises(TruncationError, match="needs 1262 phases; truncation 400 is too small"):
+        solve_stationary(dataclasses.replace(spec, truncation=400))
+    sol = solve_stationary(spec)
+    assert len(sol.primary_law) == 1262
+    assert abs(sol.mean_second - n_sp) <= NEAR_BOUND_C * np.finfo(float).eps / delta * n_sp
 
 
 def test_cut_that_moves_the_primary_mean_is_rejected():
-    # a slow primary queue at 0.9 mu, cut at 120 phases: the edge holds only
-    # 3.2e-7, below the limit, but the primary mass b = 2.9e-6 past the cut
-    # may move the primary mean by b (T + 1 / (1 - rho)), 4.2e-5 of it; the
-    # cut chain's mean is indeed 3.85e-5 below n_p
+    # a slow primary queue at 0.9 mu: its tail needs 347 phases, so a cut at
+    # 120, which would move the primary mean by 3.85e-5 of it, is refused; at
+    # the default truncation the primary mean holds n_p within c eps / delta,
+    # at the primary queue's relative margin delta = 0.1
     ch, pol = ChannelProfile(0.01, 0.8, 0.4), Policy(0.5, 0.0)
     mu = oracle._primary_rate(ch, pol)
-    spec = ChainSpec(ch, pol, OperatingPoint(0.9 * mu, 0.0), pair="primary_relay", truncation=120)
-    T, beyond, shift = oracle._phases(spec, mu)
-    n_p = float(at(ch, pol, spec.point).n_p)
-    assert T == 120 and beyond == pytest.approx(2.864e-6, rel=1e-3)
-    assert shift / n_p == pytest.approx(4.17e-5, rel=1e-3)
-    pi0, _, _, x, *_ = oracle._solve_levels(oracle._blocks(spec, T))
-    primary = (pi0 + x) / (pi0.sum() + x.sum())
-    assert primary[T - 1] == pytest.approx(3.2e-7, rel=1e-2)
-    moved = abs(primary @ np.arange(T) - n_p)
-    assert moved / n_p == pytest.approx(3.85e-5, rel=1e-3) and moved <= shift
-    with pytest.raises(TruncationError, match=r"primary mass 2\.864e-06 beyond the phase edge may move the primary "
-                                              r"mean 8\.919e\+00 by 3\.720e-04, more than 1e-06 of it; "
-                                              "truncation 120 is too small"):
-        solve_stationary(spec)
+    spec = ChainSpec(ch, pol, OperatingPoint(0.9 * mu, 0.0), pair="primary_relay")
+    cf = at(ch, pol, spec.point)
+    with pytest.raises(TruncationError, match="needs 347 phases; truncation 120 is too small"):
+        solve_stationary(dataclasses.replace(spec, truncation=120))
+    delta = float(cf.margin_p / cf.bound_p)
+    assert delta == pytest.approx(0.1, rel=1e-12)
+    sol = solve_stationary(spec)
+    assert len(sol.primary_law) == 347
+    assert abs(sol.mean_first - float(cf.n_p)) <= NEAR_BOUND_C * np.finfo(float).eps / delta * float(cf.n_p)
 
 
 def test_light_point_at_one_percent_of_the_secondary_bound_is_solved():
@@ -769,9 +785,9 @@ def test_level_sums_solve_their_own_systems(pair, point):
     # x (I - L - Up - u d) = pi_0 Up0 and y (...) = pi_0 Up0 + x Up; checked
     # here on dense matrices, within RESIDUAL_TOLERANCE of each sum's size
     spec = ChainSpec(CH, POL, point, pair=pair)
-    T = oracle._phases(spec, oracle._primary_rate(CH, POL))[0]
+    T = oracle._phases(spec, oracle._primary_rate(CH, POL))
     blocks = oracle._blocks(spec, T)
-    pi0, _, _, x, y, _, residual = oracle._solve_levels(blocks)
+    pi0, _, _, x, y, residual = oracle._solve_levels(blocks)
     assert residual < oracle.RESIDUAL_TOLERANCE
     L0, Up0, D, L, Up = map(dense, blocks)
     d = D[0] / D[0].sum()
@@ -817,17 +833,20 @@ def test_zero_bottom_pivot_is_singular():
 
 
 def test_near_singular_chain_is_solved():
-    # the relay queue is served at rate 1e-30, so 1 minus it rounds to 1 and the
-    # dense solve for R sees phase 0 as absorbing and fails; the tridiagonal
-    # solve takes the rate itself as phase 0's exit and finds the chain at rest
+    # the relay queue is served at rate 1e-30, so 1 minus it rounds to 1 and a
+    # dense solve for R through that diagonal sees phase 0 as absorbing and
+    # fails; the tridiagonal solve, and the reference's dense one, take the
+    # rate itself as phase 0's exit and find the chain at rest
     spec = ChainSpec(
         ChannelProfile(0.0, 1e-30, 1.0), Policy(0.0, 1.0), OperatingPoint(0.0, 0.0),
         pair="primary_relay", truncation=8,
     )
+    _, _, D, L, Up = map(dense, oracle._blocks(spec, 8))
     with pytest.raises(np.linalg.LinAlgError):
-        reference.solve_stationary(spec, 8)
+        np.linalg.solve(np.eye(8) - L - np.outer(Up.sum(axis=1), D[0] / D[0].sum()), Up)
+    ref, _ = reference.solve_stationary(spec, 8)
     sol = solve_stationary(spec)
-    assert sol.p00 == 1.0 and sol.residual == 0.0
+    assert sol.p00 == ref.p00 == 1.0 and sol.residual == ref.residual == 0.0
 
 
 @pytest.mark.parametrize("block, entry, message", [
