@@ -153,13 +153,16 @@ def closed_forms(f_pd, f_sd, f_ps, p_q=0.0, p_a=1.0, lambda_p=0.0, lambda_s=0.0)
     # d_s has the sign of n_s (or is nan with it), and at lambda_s = 0 n_s is
     # a signed zero wherever n_s_den, which evaluable requires, is not. g00
     # needs no upper bound: rounding is monotone, so its numerator is at most
-    # serve_own * mu = g00_den, which is positive wherever it is not 0
-    lo, hi = -REPORT_SLACK, 1.0 + REPORT_SLACK
+    # serve_own * mu = g00_den, which is positive wherever it is not 0.
+    # evaluable is read only where stable, and there rounding is monotone as
+    # well: lambda_p < bound_p <= mu gives n_p >= 0, and relay <= mu with
+    # mu > 0 gives 0 <= epsilon <= 1, so neither needs a term
+    lo = -REPORT_SLACK
     in_bounds = (
-        (n_p >= lo) & (n_sp >= lo)
+        (n_sp >= lo)
         & (np.where(lp > 0.0, d_p, 1.0) >= 1.0 - REPORT_SLACK)
         & (np.where(ls > 0.0, d_s, 1.0) >= 1.0 - REPORT_SLACK)
-        & (lo <= g00) & (lo <= epsilon) & (epsilon <= hi)
+        & (lo <= g00)
     )
     return ClosedForms(*map(np.asarray, (  # a 0-d operation gives a numpy scalar; fields stay arrays
         relay, mu, epsilon, threshold, bound_p, p_empty, bound_s,

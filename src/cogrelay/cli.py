@@ -512,8 +512,8 @@ def cmd_oracle(cfg: Config, out) -> int:
     for spec in specs:
         try:
             sols.append(solve_stationary(spec))
-        except ConvergenceError as exc:  # the solver's own fault: no key can cure it
-            raise ConfigError(f"oracle solve failed for {spec.pair}: {exc}") from exc
+        except (ConvergenceError, np.linalg.LinAlgError) as exc:  # the solver's own fault: no key can cure it
+            raise type(exc)(f"oracle solve failed for {spec.pair}: {exc}") from exc
         except (TruncationError, UnstableError, RangeError) as exc:
             # a tail longer than the budget is the truncation's fault, a drift or range fault the point's
             keys = ("truncation",) if isinstance(exc, TruncationError) else ("lambda_p", "lambda_s")
@@ -640,13 +640,14 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _effective_config(args)
         with _open_out(args.out) as out:
             return _COMMANDS[args.command](cfg, out)
+    except (OutputError, ConvergenceError, np.linalg.LinAlgError) as exc:
+        # an unwritable output or a solver fault: no key of the request can cure it
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         # ConfigError and UnevaluableError are ValueErrors: anything a
         # well-formed request cannot trigger is a configuration problem
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OutputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader of stdout has gone (``| head``): stop without a traceback,

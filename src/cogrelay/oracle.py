@@ -19,11 +19,12 @@ A partner queue whose mean drift is not positive has no stationary law and
 is refused up front, as is an unstable primary queue. No T x T array is
 built, so memory is linear in the phases: the transition law writes the
 three diagonals of each of its five blocks, and every solve is a
-tridiagonal elimination of O(T) scalar steps with one right-hand side, each
-level above 0 one such solve from the level below it. Every result must
-then pass a residual check: the balance equations of levels 0 to 2 and the
-linear systems of the level sums must hold within ``RESIDUAL_TOLERANCE``,
-or the solve is rejected.
+tridiagonal elimination of O(T) scalar steps with one right-hand side.
+Every reported number comes from level 0 and the two level sums above it;
+no level above 0 is solved. Every result must then pass a residual check:
+level 0's balance equations and the linear systems of the level sums, which
+fix all three, must hold within ``RESIDUAL_TOLERANCE``, or the solve is
+rejected.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,9 +111,9 @@ class StationarySolution:
     partner queue's mean (Q_s or Q_sp depending on the chain pair); it and
     ``p00`` are over the whole, untruncated level axis.
     ``mass_at_boundary`` is ``primary_law[T - 1]``, the mass on the phase
-    edge, at most ``_PHASE_TAIL``. ``residual`` is the largest residual of
-    the solve (see ``solve_stationary``), and ``iterations`` counts the
-    kernel applications the solve made: always 1, the residual check.
+    edge, at most ``_PHASE_TAIL``. ``residual`` is the largest relative
+    residual of the solve: level 0's balance and the level sums' systems
+    (see ``_solve_levels``). ``iterations`` is always 1: the solve is direct.
     """
 
     primary_law: np.ndarray
@@ -233,10 +233,10 @@ def _flush(x: np.ndarray) -> np.ndarray:
 
 
 def _times(v: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``v @ block`` from the block's three diagonals; ``v`` is 1-D or 2-D."""
+    """``v @ block`` from the block's three diagonals."""
     out = v * block[1]
-    out[..., 1:] += v[..., :-1] * block[2, :-1]
-    out[..., :-1] += v[..., 1:] * block[0, 1:]
+    out[1:] += v[:-1] * block[2, :-1]
+    out[:-1] += v[1:] * block[0, 1:]
     return out
 
 
@@ -307,58 +307,72 @@ def _drift(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, float]:
     return a, float(D[:, 0].sum() * a[0] - a @ Up.sum(axis=0))
 
 
-def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """``pi_0, pi_1, resolvent, x, y, residual``: unnormalised levels and their sums.
+def _balance0(pi0: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
+    """Level 0's balance residual ``max|pi_0 - pi_0 L0 - pi_1 D| / max pi_0``, from the blocks alone.
+
+    Down-steps leave only from phase 0, so ``pi_1 D`` is ``pi_1[0]`` times
+    D's phase-0 row, and the flow balance across the cut between levels 0
+    and 1, ``pi_0 Up0 1 = served pi_1[0]``, gives ``pi_1[0]``. A partner
+    queue that never grows has no flow up, and level 0 is the whole chain.
+    """
+    L0, Up0, D, _, _ = blocks
+    defect = pi0 - _times(pi0, L0)
+    up = pi0 @ Up0.sum(axis=0)
+    if up:
+        defect[:2] -= up / D[:, 0].sum() * D[1:, 0]
+    return float(np.abs(defect).max() / pi0.max())
+
+
+def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``pi_0, x, y, residual``: unnormalised level 0 and the level sums above it.
 
     Levels are partner counts j and phases primary counts i; each block is
     given by its three diagonals (see ``_blocks``). The kernel is block
     tridiagonal in the level: ``L0``/``Up0`` at level 0 and ``D``/``L``/``Up``
     at every level above it, with no top level. Down-steps leave only from
-    phase 0, so ``D`` is 0 off that phase's row, a first passage down always
-    lands in ``d``, that row over its sum, and each level is the one below
-    it times the rate matrix (Neuts 1981): ``pi_{j+1} = (pi_j Up) (I - U)^-1``
-    for j >= 1, with ``U = L + u d`` and ``u = Up 1``. Level 1 is
-    ``(pi_0 Up0) (I - U)^-1``, and level 0's balance ``pi_0 (I - L0) = pi_1 D
-    = (served pi_1[0]) d`` makes it ``d (I - L0)^-1`` up to a scale the
-    normalisation removes, or ``e_0`` where it never leaves phase 0.
+    phase 0, so ``D`` is 0 off that phase's row and a first passage down
+    always lands in ``d``, that row over its sum ``served``. Level 0's
+    balance ``pi_0 (I - L0) = pi_1 D = (served pi_1[0]) d`` makes it
+    ``d (I - L0)^-1`` up to a scale the normalisation removes, or ``e_0``
+    where it never leaves phase 0. No level above 0 is solved.
 
     A partner queue that grows with a mean drift (``_drift``) that is not
     positive has no stationary law, and raises ``UnstableError`` before any
     level is solved. Level 0's scale, about 1 over the rate at which the
     partner leaves it, sets ``served pi_1[0] = 1``, so rare partner arrivals
     are not flushed; where it overflows float64, ``RangeError`` is raised.
-    ``resolvent``, the map ``rhs -> rhs (I - U)^-1``, is one tridiagonal
-    solve ``q = rhs (I - L)^-1``, and the Sherman-Morrison formula adds the
-    rank-one ``u d``: ``q + (q u / (1 - w u)) w`` with ``w = d (I - L)^-1``.
-    Its denominator is taken as ``served * w[0]``, which is equal because
-    ``(I - L) 1 = u + served e_0`` and never cancels. Every entry of a level
-    below ``_FLUSH_BELOW`` (about 1.5e-154) is set to 0 as it is made. A
-    partner queue that never grows stays at level 0: pi_1, x and y are 0.
+    A partner queue that never grows stays at level 0: x and y are 0.
 
     The level sums ``x = sum_{j >= 1} pi_j`` and ``y = sum_{j >= 1} j pi_j``
     solve ``x (I - R) = pi_1`` and ``y (I - R) = x``, with R the rate matrix
-    ``Up (I - U)^-1``, which is never formed. Multiplied by ``I - U`` these
-    read ``x (A - u d) = pi_0 Up0`` and ``y (A - u d) = pi_0 Up0 + x Up``,
-    with ``A = I - L - Up``, whose rows lack only the down-steps
-    ``D = served e_0 d``; the right-hand sides are sums of nonnegative terms.
-    Each is one tridiagonal solve ``q = rhs A^-1`` and a rank-one correction.
-    As ``a (D + L + Up) = a``, ``a A = a_0 served d``, so
-    ``d A^-1 = a / (a_0 served)`` with no solve, and the Sherman-Morrison
-    formula reads ``q + (q u / drift) a``: its denominator ``1 - d A^-1 u``
-    is the drift over ``a_0 served``. Every term is nonnegative, so nothing
-    cancels but the drift itself, a difference of rates whose rounding is
-    that of the stability margin: at a relative margin delta the sums are
-    accurate to about eps / delta. ``residual`` is the larger relative
-    residual max|z (A - u d) - rhs| / max z of the two; the relative error
-    of z is at most that times the condition number of ``A - u d``.
+    ``Up (I - U)^-1``, ``U = L + u d`` and ``u = Up 1`` (Neuts 1981), which
+    is never formed. Multiplied by ``I - U`` these read ``x (A - u d) =
+    pi_0 Up0`` and ``y (A - u d) = pi_0 Up0 + x Up``, with ``A = I - L -
+    Up``, whose rows lack only the down-steps ``D = served e_0 d``; the
+    right-hand sides are sums of nonnegative terms. Each is one tridiagonal
+    solve ``q = rhs A^-1`` and a rank-one correction. As ``a (D + L + Up) =
+    a``, ``a A = a_0 served d``, so ``d A^-1 = a / (a_0 served)`` with no
+    solve, and the Sherman-Morrison formula reads ``q + (q u / drift) a``:
+    its denominator ``1 - d A^-1 u`` is the drift over ``a_0 served``. Every
+    term is nonnegative, so nothing cancels but the drift itself, a
+    difference of rates whose rounding is that of the stability margin: at
+    a relative margin delta the sums are accurate to about eps / delta.
+    Every entry below ``_FLUSH_BELOW`` (about 1.5e-154) is set to 0 as it
+    is made.
+
+    Where the drift is positive, level 0's balance and the two level-sum
+    systems fix pi_0, x and y uniquely (Neuts 1981, ch. 1). ``residual`` is
+    the largest relative residual of the three: level 0's (``_balance0``)
+    and ``max|z (A - u d) - rhs| / max z`` of each sum; the relative error of
+    z is at most that times the condition number of ``A - u d``.
     """
     L0, Up0, D, L, Up = blocks
     T = L0.shape[1]
     if D[:, 1:].any():
         raise ValueError("kernel serves the partner queue while the primary queue is busy")
     if not (Up0.any() or Up.any()):
-        zeros = np.zeros(T)  # every level above 0 is 0
-        return _stationary_phases(L0), zeros, np.zeros_like, zeros, zeros, 0.0
+        pi0, zeros = _stationary_phases(L0), np.zeros(T)
+        return pi0, zeros, zeros, _balance0(pi0, blocks)
     a, drift = _drift(blocks)
     if not drift > 0.0:
         raise UnstableError(f"the partner queue's mean drift {drift!r} toward empty is not positive: "
@@ -367,24 +381,12 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     e0, d = np.zeros(T), np.zeros(T)
     e0[0], d[:2] = 1.0, D[1:, 0] / served
     u, u0 = Up.sum(axis=0), Up0.sum(axis=0)
-    down = served * e0  # what the rows of L + Up lack of 1
     pi0 = e0 if u0[0] == 0.0 == L0[2, 0] else _solve_right(_pivots(L0, u0), d)
     if not pi0.max() < np.finfo(float).max / T:  # so that no sum of a level overflows
         raise RangeError("level 0's mass, about 1 over the rate at which the partner leaves it, overflows float64")
-    within = _pivots(L, u + down)  # I - L: the moves that stay on a level
-    w = _solve_right(within, d)
-    scale = 1.0 / (served * w[0])
-
-    def resolvent(rhs: np.ndarray) -> np.ndarray:
-        """rhs (I - U)^-1."""
-        q = _solve_right(within, rhs)
-        return _flush(q + (q @ u * scale) * w)
-
-    source = _times(pi0, Up0)
-    pi1 = resolvent(source)
     M = L + Up
-    across = _pivots(M, down)  # A = I - L - Up: every move but the down-steps
-    residual = 0.0
+    across = _pivots(M, served * e0)  # A = I - L - Up: every move but the down-steps
+    residual = _balance0(pi0, blocks)
 
     def summed(rhs: np.ndarray) -> np.ndarray:
         """z with z (A - u d) = rhs."""
@@ -396,43 +398,9 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
             residual = max(residual, float(np.abs(defect).max() / z.max()))
         return z
 
+    source = _times(pi0, Up0)
     x = summed(source)
-    return pi0, pi1, resolvent, x, summed(source + _times(x, Up)), residual
-
-
-def _joint(pi0: np.ndarray, pi1: np.ndarray, Up: np.ndarray, resolvent: Callable, count: int) -> np.ndarray:
-    """The first ``count >= 2`` levels, ``[level, phase]``: pi_0, pi_1, and ``pi_{j+1} = (pi_j Up) (I - U)^-1``.
-
-    ``resolvent`` is ``_solve_levels``' map ``rhs -> rhs (I - U)^-1``, which
-    sets every entry below ``_FLUSH_BELOW`` to 0, so no product of two kept
-    entries underflows into the slow subnormal range; once a whole level is
-    0, every level above it is too.
-    """
-    levels = np.zeros((count, len(pi0)))
-    levels[0], levels[1] = pi0, pi1
-    for j in range(1, count - 1):
-        if not levels[j].any():
-            break
-        levels[j + 1] = resolvent(_times(levels[j], Up))
-    return levels
-
-
-def _residual(levels: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
-    """max|pi K - pi| over the balance equations of levels 0 to K - 2, for K levels laid out ``[level, phase]``.
-
-    The equation of level K - 1 needs level K, so it is left out. Down-steps
-    land in phase 0 or 1 and the blocks are tridiagonal, so both sides are 0
-    from two phases past the last nonzero one; those are skipped.
-    """
-    phases = np.flatnonzero(levels.any(axis=0))[-1] + 2
-    levels = levels[:, :phases]
-    L0, Up0, D, L, Up = (block[:, :phases] for block in blocks)
-    out = _times(levels[:-1], L)
-    out[0] = _times(levels[0], L0)
-    out[:, :2] += levels[1:, :1] * D[1:, 0]
-    out[1] += _times(levels[0], Up0)
-    out[2:] += _times(levels[1:-2], Up)
-    return float(np.abs(out - levels[:-1]).max())
+    return pi0, x, summed(source + _times(x, Up)), residual
 
 
 def solve_stationary(spec: ChainSpec) -> StationarySolution:
@@ -443,13 +411,13 @@ def solve_stationary(spec: ChainSpec) -> StationarySolution:
     raises ``UnstableError`` before any level is solved. A point whose
     primary queue's tail needs more than ``spec.truncation`` phases
     (``_phases``) raises ``TruncationError`` before any block is built.
-    Otherwise levels 0 to 3 and the level sums are solved exactly
-    (``_solve_levels``), over those phases. The true residual
-    max|pi K - pi| of the balance equations of levels 0 to 2, and the
-    relative residuals of the level sums' systems, must be below
-    ``RESIDUAL_TOLERANCE``, or ``ConvergenceError`` is raised. A primary
-    queue with arrivals whose mass off empty was flushed to 0 raises
-    ``RangeError``; the partner's cannot be, as ``served pi_1[0] = 1``.
+    Otherwise level 0 and the level sums above it are solved exactly
+    (``_solve_levels``), over those phases, and every reported quantity is
+    read from them. The relative residuals of level 0's balance equations
+    and of the level sums' systems, which bound the error of all three,
+    must be below ``RESIDUAL_TOLERANCE``, or ``ConvergenceError`` is raised.
+    A primary queue with arrivals whose mass off empty was flushed to 0
+    raises ``RangeError``; the partner's cannot be, as ``served pi_1[0] = 1``.
     """
     mu = _primary_rate(spec.channel, spec.policy)
     if 0.0 < spec.point.lambda_p >= mu:
@@ -459,13 +427,11 @@ def solve_stationary(spec: ChainSpec) -> StationarySolution:
     if T > spec.truncation:
         raise TruncationError(f"the primary queue's tail needs {T} phases; "
                               f"truncation {spec.truncation} is too small")
-    blocks = _blocks(spec, T)
-    pi0, pi1, resolvent, x, y, residual = _solve_levels(blocks)
-    total = pi0.sum() + x.sum()
-    residual = max(residual, _residual(_joint(pi0, pi1, blocks[4], resolvent, 4) / total, blocks))
+    pi0, x, y, residual = _solve_levels(_blocks(spec, T))
     if not residual < RESIDUAL_TOLERANCE:
         raise ConvergenceError(f"residual {residual:.3e} not below tolerance {RESIDUAL_TOLERANCE:.3e}")
 
+    total = pi0.sum() + x.sum()
     primary = (pi0 + x) / total
     mean_first = float(primary @ np.arange(T))
     if spec.point.lambda_p > 0.0 and mean_first == 0.0:

@@ -286,6 +286,17 @@ def test_joint_empty_probability_never_exceeds_one(values):
         assert cf.g00 <= 1.0
 
 
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.tuples(UNIT, UNIT, UNIT, UNIT, UNIT, LOAD, LOAD))
+def test_stable_point_has_a_nonnegative_primary_length_and_a_relay_fraction_in_unit_interval(values):
+    # in_bounds has no n_p or epsilon term: where stable, lambda_p < bound_p <= mu gives n_p >= 0,
+    # and relay <= mu with mu > 0 gives 0 <= epsilon <= 1, as rounding is monotone
+    cf = analytics.closed_forms(*values)
+    if cf.stable:
+        assert cf.n_p >= 0.0
+        assert 0.0 <= cf.epsilon <= 1.0
+
+
 # Points the core marks stable but where the closed forms lose every digit:
 # products underflow near zero, or an expression cancels within rounding of
 # the stability bound. The core marks them not evaluable.

@@ -582,12 +582,12 @@ def test_oracle_law_past_float64_range_exits_2(tmp_path, capsys, load, message):
     assert "Traceback" not in err
 
 
-def test_oracle_cut_too_coarse_for_the_partner_drift_exits_2(tmp_path, capsys):
+def test_oracle_truncation_below_the_phases_a_near_bound_point_needs_exits_2(tmp_path, capsys):
     # 1e-8 below the primary bound the primary queue's tail needs 1262 phases:
-    # a cut at 800, which would move the relay queue's drift of 3.1e-9 by more
-    # than 1e-6 of it, is refused, naming the truncation, and the default
-    # truncation solves both pairs, the relay queue's mean of 7.8e7 within
-    # c eps / delta
+    # a truncation of 800 is refused before any block is built, naming the
+    # truncation and the phases the point needs, and the default truncation
+    # solves both pairs exactly, the relay queue's mean of 7.8e7 within
+    # c eps / delta and at most 2^-53 on the phase edge
     config = ("f_pd = 0.2803116035801936\nf_sd = 0.4287571501666164\nf_ps = 0.17158140474355582\n"
               "p_q = 0.28496481188836853\np_a = 0.05237973299631507\n"
               "lambda_p = 0.2808542843560448\nlambda_s = 0\n")
@@ -606,23 +606,24 @@ def test_oracle_cut_too_coarse_for_the_partner_drift_exits_2(tmp_path, capsys):
 
 def test_oracle_residual_over_tolerance_names_no_key(tmp_path, capsys, monkeypatch):
     # a larger truncation cannot change the phases a point needs, so a residual
-    # over tolerance is the solver's fault: it names neither the truncation nor the point
+    # over tolerance is the solver's fault, not a config error: it names neither
+    # the truncation nor the point
     monkeypatch.setattr(oracle, "RESIDUAL_TOLERANCE", 1e-300)
     assert run(tmp_path, "oracle", "") == (2, "")
     err = capsys.readouterr().err
-    assert err.startswith("config error: oracle solve failed for primary_secondary: residual ")
+    assert err.startswith("error: oracle solve failed for primary_secondary: residual ")
     assert "truncation (" not in err and "lambda_p (" not in err and "Traceback" not in err
 
 
 def test_oracle_solver_fault_is_not_blamed_on_the_point(tmp_path, capsys, monkeypatch):
     # a singular elimination is a ValueError too, but a fault of the solver, not of
-    # lambda_p and lambda_s: only the unstable partner queue's refusal names them
+    # lambda_p and lambda_s or of the config: only the unstable partner queue's refusal names them
     def singular(spec):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(cli, "solve_stationary", singular)
     assert run(tmp_path, "oracle", "") == (2, "")
-    assert capsys.readouterr().err == "config error: Singular matrix\n"
+    assert capsys.readouterr().err == "error: oracle solve failed for primary_secondary: Singular matrix\n"
 
 
 @pytest.mark.parametrize("variable", ["lambda", "lambda_p", "lambda_s", "p_q", "p_a", "f_pd"])

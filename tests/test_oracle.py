@@ -169,7 +169,7 @@ def test_under_truncated_solve_is_rejected(monkeypatch):
 @pytest.mark.parametrize("policy, pair", [
     (POL, "primary_secondary"), (POL, "primary_relay"), (Policy(0.0, 1.0), "primary_secondary"),
 ], ids=["primary_secondary", "primary_relay", "policy0-primary_secondary"])
-def test_primary_unstable_point_is_rejected_at_full_truncation(monkeypatch, policy, pair):
+def test_primary_unstable_point_is_rejected(monkeypatch, policy, pair):
     assert at(CH, policy).mu < 0.9
     spec = ChainSpec(CH, policy, OperatingPoint(0.9, 0.1), pair=pair, truncation=400)
     monkeypatch.setattr(oracle, "_blocks", lambda *args: pytest.fail("built the blocks of an unstable point"))
@@ -177,7 +177,7 @@ def test_primary_unstable_point_is_rejected_at_full_truncation(monkeypatch, poli
         solve_stationary(spec)
 
 
-def test_unstable_point_is_rejected_at_full_truncation(monkeypatch):
+def test_unstable_point_is_rejected(monkeypatch):
     # far outside the stable region the partner queue's mean drift is
     # negative, so it has no stationary law: the solve refuses the point
     # before it solves a level, as it does an unstable primary queue
@@ -206,45 +206,60 @@ def test_unserved_growing_partner_is_rejected(policy, pair):
         solve_stationary(spec)
 
 
+def _level_sums(spec):
+    """The solve, and the rows ``[pi_0, x, y]`` it reads every number from: level 0 and the level sums
+    ``x = sum_{j >= 1} pi_j`` and ``y = sum_{j >= 1} j pi_j``, normalised as the solve normalises them."""
+    sol = solve_stationary(spec)
+    pi0, x, y, _ = oracle._solve_levels(oracle._blocks(spec, len(sol.primary_law)))
+    return sol, np.stack([pi0, x, y]) / (pi0.sum() + x.sum())
+
+
+def _joint_sums(joint):
+    """The rows ``[pi_0, x, y]`` of a joint law laid out ``[phase, level]``."""
+    return np.stack([joint[:, 0], joint[:, 1:].sum(axis=1), joint @ np.arange(joint.shape[1])])
+
+
+def _flushed(law, spec, T):
+    """``law(spec, K, T)``, a dense reference's joint law ``[phase, level]`` on T phases and K levels, at the
+    fewest K of 64, 128, ... whose top level is below the oracle's flush threshold, so that the lattice's
+    level edge holds nothing a float64 sum can see."""
+    for levels in 64 * 2 ** np.arange(12):
+        joint = law(spec, int(levels), T)
+        if joint[:, -1].max() < oracle._FLUSH_BELOW:
+            return joint
+    pytest.fail(f"the reference's top level is not flushed at {levels} levels")
+
+
+def _dense_law(spec, levels, phases):
+    """``reference.solve_stationary``'s joint law ``[phase, level]``, from which it reads every number it reports."""
+    return reference.solve_stationary(spec, levels, phases)[1]
+
+
 def test_unserved_idle_partner_stays_empty():
     spec = ChainSpec(CH, Policy(0.0, 1.0), OperatingPoint(0.1, 0.0))
-    sol, joint = _joint_law(spec, 8)
+    sol, levels = _level_sums(spec)
     assert sol.mean_second == 0.0
-    assert joint[:, 1:].sum() == 0.0
+    assert not levels[1:].any()
+    assert not _dense_law(spec, 8, len(sol.primary_law))[:, 1:].any()
     assert sol.mean_first == pytest.approx(at(CH, spec.policy, spec.point).n_p, rel=1e-6)
 
 
 EXACTNESS_POINTS = [OperatingPoint(0.1, 0.1), OperatingPoint(0.2388, 0.05), OperatingPoint(0.3, 0.02)]
 
 
-def _joint_law(spec, count=None):
-    """The solve and its joint law ``[phase, level]`` over its phases and the first ``count`` partner levels,
-    normalised as the solve normalises; by default over enough levels that the level edge is flushed to 0."""
-    sol = solve_stationary(spec)
-    blocks = oracle._blocks(spec, len(sol.primary_law))
-    pi0, pi1, resolvent, x, *_ = oracle._solve_levels(blocks)
-    levels = count or 64
-    while True:
-        joint = oracle._joint(pi0, pi1, blocks[4], resolvent, levels).T / (pi0.sum() + x.sum())
-        if count or not joint[:, -1].any():
-            return sol, joint
-        levels *= 2
-
-
 @pytest.mark.parametrize("point", EXACTNESS_POINTS)
 @pytest.mark.parametrize("pair", ["primary_secondary", "primary_relay"])
 def test_matches_dense_direct_solve(pair, point):
     # a direct sparse solve of the whole lattice of the solve's T phases and
-    # K levels, with K past the level at which the joint law flushes to 0, so
-    # the lattice's level edge holds nothing a float64 sum can see
-    sol, joint = _joint_law(ChainSpec(CH, POL, point, pair=pair, truncation=40))
-    T, K = joint.shape
-    reference = solve_direct(ChainSpec(CH, POL, point, pair=pair), K, T)
-    assert np.abs(joint - reference).max() <= 1e-13
-    # the means and p00 come from the closed level sums, not from the joint law
-    assert sol.mean_second == pytest.approx(reference.sum(axis=0) @ np.arange(K), rel=1e-12)
-    assert sol.mean_first == pytest.approx(reference.sum(axis=1) @ np.arange(T), rel=1e-12)
-    assert sol.p00 == pytest.approx(reference[0, 0], rel=1e-12)
+    # K levels, with K past the level at which the lattice's law flushes
+    sol, levels = _level_sums(ChainSpec(CH, POL, point, pair=pair, truncation=40))
+    T = len(sol.primary_law)
+    joint = _flushed(solve_direct, ChainSpec(CH, POL, point, pair=pair), T)
+    assert np.abs(levels - _joint_sums(joint)).max() <= 1e-13
+    # the means and p00 come from the closed level sums, not from a joint law
+    assert sol.mean_second == pytest.approx(joint.sum(axis=0) @ np.arange(joint.shape[1]), rel=1e-12)
+    assert sol.mean_first == pytest.approx(joint.sum(axis=1) @ np.arange(T), rel=1e-12)
+    assert sol.p00 == pytest.approx(joint[0, 0], rel=1e-12)
 
 
 @pytest.mark.parametrize("point", EXACTNESS_POINTS)
@@ -280,7 +295,7 @@ def test_primary_marginal_is_exact_on_slow_chains(f_pd, lambda_share):
     assert need > T
     with pytest.raises(TruncationError, match=f"needs {need} phases; truncation {T} is too small"):
         solve_stationary(spec)
-    pi0, _, _, x, *_ = oracle._solve_levels(oracle._blocks(spec, T))
+    pi0, x, *_ = oracle._solve_levels(oracle._blocks(spec, T))
     primary_law = (pi0 + x) / (pi0.sum() + x.sum())
     mu, lp = Fraction(float(at(ch, pol).mu)), Fraction(lambda_p)
     law = [Fraction(1), lp / (mu * (1 - lp))]
@@ -295,9 +310,11 @@ def test_primary_marginal_is_exact_on_slow_chains(f_pd, lambda_share):
 
 
 def test_distribution_is_normalized_and_nonnegative():
-    sol, joint = _joint_law(ChainSpec(CH, POL, PT, pair="primary_relay", truncation=50))
-    assert joint.min() >= 0.0 and sol.primary_law.min() >= 0.0
-    assert joint.sum() == pytest.approx(1.0, abs=1e-14)
+    # level 0 and the levels above it hold all the mass, and y = sum_j j pi_j weighs each level by j >= 1
+    sol, (pi0, x, y) = _level_sums(ChainSpec(CH, POL, PT, pair="primary_relay", truncation=50))
+    assert min(pi0.min(), x.min(), sol.primary_law.min()) >= 0.0
+    assert pi0.sum() + x.sum() == pytest.approx(1.0, abs=1e-14)
+    assert (y >= x).all() and x.any()
     assert sol.primary_law.sum() == pytest.approx(1.0, abs=1e-15)
 
 
@@ -350,18 +367,30 @@ def test_blocks_assemble_to_reference_kernel_at_random_specs(case):
     _assert_blocks_are_kernel(spec, T, 3)
 
 
+def _level0_defect(spec, pi0):
+    """Level 0's balance defect by phase under ``build_transitions``' full kernel, and ``_balance0``, at a law
+    with level 0 ``pi0``, uniform levels above it, and level 1's phase 0 set by the flow balance across the
+    level-0 cut, ``pi_0 Up0 1 = served pi_1[0]``, which ``_balance0`` takes pi_1 D from."""
+    T = len(pi0)
+    blocks = oracle._blocks(spec, T)
+    _, Up0, D, _, _ = blocks
+    levels = np.full((T, T), 1.0 / T**2)  # [level, phase]
+    levels[0] = pi0
+    levels[1, 0] = pi0 @ Up0.sum(axis=0) / D[:, 0].sum()
+    pi = levels.T.ravel()
+    defect = np.abs(build_transitions(spec).transpose() @ pi - pi).reshape(T, T)[:, 0]
+    return defect, oracle._balance0(pi0, blocks)
+
+
 @pytest.mark.parametrize("pair", ["primary_secondary", "primary_relay"])
 def test_blockwise_residual_is_full_kernel_residual(pair):
-    # a vector far from stationary: the block-wise residual must still be the
-    # true one, so the residual check bounds the actual error
-    # (the top level's balance equation needs the level above it, so it is left out)
+    # a vector far from stationary: level 0's residual from the blocks must
+    # still be the full kernel's, so the residual check bounds the actual error
     T = 40
-    spec = ChainSpec(CH, POL, PT, pair=pair, truncation=T)
-    levels = np.full((T, T), 1.0 / T**2)
-    pi = levels.T.ravel()
-    expected = np.abs(build_transitions(spec).transpose() @ pi - pi).reshape(T, T)[:, :-1].max()
-    assert expected > 1e-5
-    assert abs(oracle._residual(levels, oracle._blocks(spec, T)) - expected) <= 1e-15
+    pi0 = np.linspace(1.0, 2.0, T)
+    defect, balance = _level0_defect(ChainSpec(CH, POL, PT, pair=pair, truncation=T), pi0)
+    assert defect.max() > 1e-3
+    assert abs(balance - defect.max() / pi0.max()) <= 1e-15
 
 
 @pytest.mark.parametrize("pair", CHAIN_PAIRS)
@@ -369,13 +398,11 @@ def test_blockwise_residual_reaches_past_the_last_busy_phase(pair):
     # every primary queue empty under a heavy primary load: the largest
     # residual sits one phase past the last nonzero one, where the vector is 0
     T = 8
+    pi0 = np.eye(T)[0]
     spec = ChainSpec(CH, POL, OperatingPoint(0.9, 0.1), pair=pair, truncation=T)
-    levels = np.zeros((T, T))
-    levels[:, 0] = 1.0 / T
-    pi = levels.T.ravel()
-    expected = np.abs(build_transitions(spec).transpose() @ pi - pi).reshape(T, T)[:, :-1]  # [phase, level]
-    assert expected.max(axis=1).argmax() == 1
-    assert abs(oracle._residual(levels, oracle._blocks(spec, T)) - expected.max()) <= 1e-15
+    defect, balance = _level0_defect(spec, pi0)
+    assert pi0[1] == 0.0 and defect[1] == defect.max()
+    assert abs(balance - defect.max()) <= 1e-15
 
 
 def test_package_import_does_not_load_scipy():
@@ -426,19 +453,22 @@ BENCHMARK_POINTS = [OperatingPoint(0.1, 0.1), OperatingPoint(0.2388, 0.05)]
 @pytest.mark.parametrize("point", BENCHMARK_POINTS)
 @pytest.mark.parametrize("pair", CHAIN_PAIRS)
 def test_full_truncation_matches_dense_level_solve(pair, point):
-    # the lattice of the solve's phases, with levels past the one at which the
-    # joint law flushes to 0; no product in the solve is subnormal
+    # the dense level solve of the lattice of the solve's phases, with levels
+    # past the one at which its law flushes; no product in the solve is subnormal
     spec = ChainSpec(CH, POL, point, pair=pair, truncation=400)
     with np.errstate(all="raise"):
-        sol, joint = _joint_law(spec)
-    T, K = joint.shape
-    ref, ref_joint = reference.solve_stationary(spec, K, T)
-    assert np.abs(joint - ref_joint).max() <= 1e-15
-    assert np.abs(sol.primary_law - ref.primary_law).max() <= 1e-15
+        sol, levels = _level_sums(spec)
+    T = len(sol.primary_law)
+    joint = _flushed(_dense_law, spec, T)
+    primary = joint.sum(axis=1)
+    assert np.abs(levels - _joint_sums(joint)).max() <= 1e-15
+    assert np.abs(sol.primary_law - primary).max() <= 1e-15
     # tails below the flush threshold are exactly 0, never subnormal
-    assert joint[joint > 0.0].min() > 1e-156
-    assert sol.mass_at_boundary == pytest.approx(ref.mass_at_boundary, rel=1e-12)
-    for ours, theirs in [(sol.mean_first, ref.mean_first), (sol.mean_second, ref.mean_second)]:
+    assert levels[levels > 0.0].min() > 1e-156
+    assert sol.mass_at_boundary == pytest.approx(primary[T - 1], rel=1e-12)
+    assert sol.p00 == pytest.approx(joint[0, 0], rel=1e-13)
+    for ours, theirs in [(sol.mean_first, primary @ np.arange(T)),
+                         (sol.mean_second, joint.sum(axis=0) @ np.arange(joint.shape[1]))]:
         assert ours == pytest.approx(theirs, rel=1e-13)
 
 
@@ -537,10 +567,6 @@ def _partner_margin(spec):
     return float(cf.margin_s if spec.pair == "primary_secondary" else cf.margin_p)
 
 
-# levels of the dense lattice the joint law is held to
-DENSE_LEVELS = 12
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(chain_specs())
 # a slow birth-death level 0, where an unrefined dense reference is 1e-14 off
@@ -553,29 +579,27 @@ def test_matches_dense_level_solve(spec):
     # the primary queue is stable, so no step may overflow or divide by 0;
     # underflow is allowed, as at f = (0, 1, 0.75)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        ours = _outcome(_joint_law, spec, DENSE_LEVELS)
+        ours = _outcome(_level_sums, spec)
     if ours is UnstableError:
         # only a partner queue outside its stability bound is refused
         assert _partner_margin(spec) <= 0.0
         return
     # both refuse a point whose tail needs more phases than the truncation
     T = min(oracle._phases(spec, oracle._primary_rate(spec.channel, spec.policy)), spec.truncation)
-    theirs = _outcome(reference.solve_stationary, spec, DENSE_LEVELS, T)
+    theirs = _outcome(_flushed, _dense_law, spec, T)
     if isinstance(ours, tuple):
-        sol, joint = ours
+        sol, levels = ours
         # every step is subtraction-free, which the one-sided flush relies on
-        assert joint.min() >= 0.0 and sol.primary_law.min() >= 0.0
+        assert levels.min() >= 0.0 and sol.primary_law.min() >= 0.0
         assert _partner_margin(spec) > 0.0 or sol.mean_second == 0.0
-    if ours is RangeError and isinstance(theirs, tuple):
+    if ours is RangeError and isinstance(theirs, np.ndarray):
         # the oracle refuses a primary law whose mass off empty is below its flush
         # threshold; the dense solve, which flushes nothing, keeps that mass
-        assert 0.0 < theirs[0].primary_law[1:].sum() < oracle._FLUSH_BELOW
-    elif isinstance(theirs, tuple):
+        assert 0.0 < theirs[1:].sum() < oracle._FLUSH_BELOW
+    elif isinstance(theirs, np.ndarray):
         assert isinstance(ours, tuple)
-        assert np.abs(ours[0].primary_law - theirs[0].primary_law).max() <= 1e-14
-        # the lattice's levels below its top are the infinite chain's, scaled
-        joint, ref_joint = ours[1][:, :-1], theirs[1][:, :-1]
-        assert np.abs(joint / joint.sum() - ref_joint / ref_joint.sum()).max() <= 1e-14
+        assert np.abs(ours[0].primary_law - theirs.sum(axis=1)).max() <= 1e-14
+        assert np.abs(ours[1] - _joint_sums(theirs)).max() <= 1e-14
     else:
         assert ours is theirs
 
@@ -787,20 +811,19 @@ def test_level_sums_solve_their_own_systems(pair, point):
     spec = ChainSpec(CH, POL, point, pair=pair)
     T = oracle._phases(spec, oracle._primary_rate(CH, POL))
     blocks = oracle._blocks(spec, T)
-    pi0, _, _, x, y, residual = oracle._solve_levels(blocks)
+    pi0, x, y, residual = oracle._solve_levels(blocks)
     assert residual < oracle.RESIDUAL_TOLERANCE
     L0, Up0, D, L, Up = map(dense, blocks)
     d = D[0] / D[0].sum()
     system = np.eye(T) - L - Up - np.outer(Up.sum(axis=1), d)
     for z, rhs in [(x, pi0 @ Up0), (y, pi0 @ Up0 + x @ Up)]:
         assert np.abs(z @ system - rhs).max() <= oracle.RESIDUAL_TOLERANCE * z.max()
-    # and they are the sums of the joint law's levels, whose products each add
-    # a rounding, over up to thousands of levels at 1% of the bound
-    _, joint = _joint_law(spec)
+    # and they are the sums of the dense reference's levels, whose products
+    # each add a rounding, over tens of thousands of levels at 1% of the bound
+    joint = _flushed(_dense_law, spec, T)
     total = pi0.sum() + x.sum()
-    levels = np.arange(joint.shape[1])
-    assert np.abs(joint[:, 1:].sum(axis=1) - x / total).max() <= 1e-12 * x.max() / total
-    assert np.abs(joint @ levels - y / total).max() <= 1e-12 * y.max() / total
+    for z, theirs in zip([x, y], _joint_sums(joint)[1:]):
+        assert np.abs(theirs - z / total).max() <= 1e-12 * z.max() / total
 
 
 def test_level_sum_residual_over_tolerance_is_rejected(monkeypatch):
@@ -810,6 +833,43 @@ def test_level_sum_residual_over_tolerance_is_rejected(monkeypatch):
     monkeypatch.setattr(oracle, "_solve_levels", lambda blocks: (*levels(blocks)[:-1], 1e-9))
     with pytest.raises(ConvergenceError, match="residual 1.000e-09"):
         solve_stationary(ChainSpec(CH, POL, PT))
+
+
+def _plant_in_first_call(patch, name):
+    """Make the first call of ``oracle.<name>`` return its vector with phase 1 off by a relative 1e-6."""
+    original, calls = getattr(oracle, name), []
+
+    def planted(*args):
+        out = original(*args).copy()
+        calls.append(name)
+        if len(calls) == 1:
+            out[1] *= 1.0 + 1e-6
+        return out
+
+    patch.setattr(oracle, name, planted)
+
+
+@pytest.mark.parametrize("fault", ["drift", "level 0", "level sum"])
+@pytest.mark.parametrize("pair", CHAIN_PAIRS)
+def test_planted_fault_fails_the_residual_check(monkeypatch, pair, fault):
+    # every reported number is read from level 0 and the level sums, which
+    # level 0's balance and the two sums' systems fix: a drift 1e-6 off
+    # itself, a level 0 off in one phase (its first solve) or a level sum off
+    # in one phase (x, the first one flushed) each fails the solve
+    spec = ChainSpec(CH, POL, PT, pair=pair)
+    assert solve_stationary(spec).residual < oracle.RESIDUAL_TOLERANCE
+    if fault == "drift":
+        drift = oracle._drift
+
+        def off(blocks):
+            a, value = drift(blocks)
+            return a, value * (1.0 + 1e-6)
+
+        monkeypatch.setattr(oracle, "_drift", off)
+    else:
+        _plant_in_first_call(monkeypatch, "_solve_right" if fault == "level 0" else "_flush")
+    with pytest.raises(ConvergenceError, match="not below tolerance"):
+        solve_stationary(spec)
 
 
 def test_phase_one_without_exit_is_singular():
