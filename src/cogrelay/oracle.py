@@ -11,20 +11,21 @@ Matrix Analytic Methods in Stochastic Modeling*) whose level is the partner
 count and phase the primary count. The level axis is not truncated: the
 stationary law is matrix-geometric in the level, so its level sums, and with
 them every mean, close exactly (``_solve_levels``). The phase is Q_p, an
-autonomous Geo/Geo/1 queue with a geometric law, so the phase axis is cut
-before the solve, where that law's tail falls below float64 rounding
-(``_phases``): the cut is exact to rounding. A point whose tail needs more
-phases than ``ChainSpec.truncation`` is refused before any block is built.
-A partner queue whose mean drift is not positive has no stationary law and
-is refused up front, as is an unstable primary queue. No T x T array is
-built, so memory is linear in the phases: the transition law writes the
-three diagonals of each of its five blocks, and every solve is a
-tridiagonal elimination of O(T) scalar steps with one right-hand side.
+autonomous Geo/Geo/1 queue whose geometric law is stated once
+(``_phases``): it cuts the phase axis before the solve, where its tail
+falls below float64 rounding, so the cut is exact to rounding, and it is
+the phase law above level 0. An unstable primary queue (lambda_p >= mu),
+or a point whose tail needs more phases than ``ChainSpec.truncation``, is
+refused before any block is built; a partner queue whose mean drift is not
+positive has no stationary law and is refused before any level is solved.
+No T x T array is built, so memory is linear in the phases: the transition
+law writes the three diagonals of each of its five blocks, and every solve
+is a tridiagonal elimination of O(T) scalar steps with one right-hand side.
 Every reported number comes from level 0 and the two level sums above it;
 no level above 0 is solved. Every result must then pass a residual check:
 level 0's balance equations and the linear systems of the level sums, which
-fix all three, must hold within ``RESIDUAL_TOLERANCE``, or the solve is
-rejected.
+fix all three and hold only where the kernel's primary dynamics are that
+law, must hold within ``RESIDUAL_TOLERANCE``, or the solve is rejected.
 """
 
 from __future__ import annotations
@@ -130,22 +131,32 @@ def _primary_rate(ch: ChannelProfile, pol: Policy) -> float:
     return ch.f_pd + pol.p_a * ch.f_ps * (1.0 - ch.f_pd)
 
 
-def _phases(spec: ChainSpec, mu: float) -> int:
-    """T: the fewest phases, at least 2, whose tail from the edge phase T - 1 on is at most ``_PHASE_TAIL``.
+def _phases(spec: ChainSpec, mu: float) -> np.ndarray:
+    """a: Q_p's law, with a_0 = 1, over the fewest phases T >= 2 whose tail from phase T - 1 is at most ``_PHASE_TAIL``.
 
-    Q_p is autonomous, a Geo/Geo/1 queue: P(Q_p >= n) = (lambda_p / mu)
-    rho^(n - 1) for n >= 1, with rho = lambda_p (1 - mu) / (mu (1 - lambda_p)),
-    so T - 2 is the fewest k >= 0 with (lambda_p / mu) rho^k at most
-    ``_PHASE_TAIL``, read from their logarithms. The cut chain keeps that law
-    on its T phases, restricted and renormalised, so every phase's
-    probability moves by at most ``_PHASE_TAIL``, relatively.
+    Q_p is autonomous, a Geo/Geo/1 queue served at mu > lambda_p: its law is
+    a_0 = 1, a_1 = lambda_p / (mu (1 - lambda_p)) and a_{n+1} = rho a_n, with
+    rho = lambda_p (1 - mu) / (mu (1 - lambda_p)), up to its normalisation,
+    and P(Q_p >= n) = (lambda_p / mu) rho^(n - 1) for n >= 1. So T - 2 is the
+    fewest k >= 0 with (lambda_p / mu) rho^k at most ``_PHASE_TAIL``, read
+    from their logarithms. The cut chain keeps that law on its T phases,
+    restricted and renormalised, so every phase's probability moves by at
+    most ``_PHASE_TAIL``, relatively. Entries below ``_FLUSH_BELOW`` are 0.
+    A T above ``spec.truncation`` raises ``TruncationError`` before anything
+    of length T is built. This law alone sets the cut and the phase law
+    above level 0 (``_drift``); the kernel is checked against it.
     """
-    k, lambda_p = 0, spec.point.lambda_p
-    if lambda_p > 0.0:
-        head, rho = lambda_p / mu, lambda_p * (1.0 - mu) / (mu * (1.0 - lambda_p))
-        if head > _PHASE_TAIL:
-            k = math.ceil(math.log(_PHASE_TAIL / head) / math.log(rho)) if rho > 0.0 else 1
-    return 2 + k
+    T, lambda_p = 2, spec.point.lambda_p
+    first, rho = lambda_p / (mu * (1.0 - lambda_p)), lambda_p * (1.0 - mu) / (mu * (1.0 - lambda_p))
+    head = lambda_p / mu
+    if head > _PHASE_TAIL:
+        T += math.ceil(math.log(_PHASE_TAIL / head) / math.log(rho)) if rho > 0.0 else 1
+    if T > spec.truncation:
+        raise TruncationError(f"the primary queue's tail needs {T} phases; "
+                              f"truncation {spec.truncation} is too small")
+    law = np.full(T, rho)
+    law[:2] = 1.0, first
+    return _flush(np.cumprod(law))
 
 
 def _blocks(spec: ChainSpec, T: int) -> tuple[np.ndarray, ...]:
@@ -204,26 +215,6 @@ def _blocks(spec: ChainSpec, T: int) -> tuple[np.ndarray, ...]:
 
     bottom, interior = level(0), level(1)
     return bottom[0], bottom[1], interior[-1], interior[0], interior[1]
-
-
-def _stationary_phases(block: np.ndarray) -> np.ndarray:
-    """Stationary vector, with phase 0 at 1, of the birth-death chain ``block`` over the phases.
-
-    Detailed balance gives the product ``pi_n = pi_{n-1} up_{n-1} / down_n``,
-    which ends at an entry below ``_FLUSH_BELOW``: the phases past it are 0.
-    A phase above 0 with no step down raises ``LinAlgError``.
-    """
-    up, down = block[2].tolist(), block[0].tolist()  # block[n, n + 1] and block[n, n - 1]
-    if 0.0 in down[1:]:
-        raise np.linalg.LinAlgError("Singular matrix")
-    pi = [0.0] * len(down)
-    pi[0] = value = 1.0
-    for n in range(1, len(down)):
-        value *= up[n - 1] / down[n]
-        if value < _FLUSH_BELOW:
-            break  # every phase above is 0 as well
-        pi[n] = value
-    return np.array(pi)
 
 
 def _flush(x: np.ndarray) -> np.ndarray:
@@ -291,19 +282,19 @@ def _solve_right(elimination: tuple[list[float], ...], rhs: np.ndarray) -> np.nd
     return np.array(z)
 
 
-def _drift(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, float]:
+def _drift(blocks: tuple[np.ndarray, ...], law: np.ndarray) -> tuple[np.ndarray, float]:
     """``a, a D 1 - a Up 1``: the phase law a above level 0, and the partner queue's mean drift down.
 
-    a is the normalised stationary vector of ``D + L + Up``, the phase chain
-    of every level above 0: Q_p's own birth-death chain, so a is also the
-    primary queue's law over the cut phase axis. A level-independent QBD is
-    positive recurrent exactly where this drift is positive (Neuts 1981,
-    ch. 1; Latouche & Ramaswami 1999). It needs no level solve, so it holds
-    at unstable points.
+    a is ``law``, the primary queue's Geo/Geo/1 law over the cut phase axis
+    (``_phases``), normalised. Q_p is autonomous, so a is also the stationary
+    vector of ``D + L + Up``, the phase chain of every level above 0, where
+    the kernel holds the law; ``_solve_levels``' residuals check that it
+    does. A level-independent QBD is positive recurrent exactly where this
+    drift is positive (Neuts 1981, ch. 1; Latouche & Ramaswami 1999). It
+    needs no level solve, so it holds at unstable points.
     """
-    _, _, D, L, Up = blocks
-    a = _stationary_phases(D + L + Up)
-    a /= a.sum()
+    _, _, D, _, Up = blocks
+    a = law / law.sum()
     return a, float(D[:, 0].sum() * a[0] - a @ Up.sum(axis=0))
 
 
@@ -323,8 +314,8 @@ def _balance0(pi0: np.ndarray, blocks: tuple[np.ndarray, ...]) -> float:
     return float(np.abs(defect).max() / pi0.max())
 
 
-def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """``pi_0, x, y, residual``: unnormalised level 0 and the level sums above it.
+def _solve_levels(blocks: tuple[np.ndarray, ...], law: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``pi_0, x, y, residual``: unnormalised level 0 and the level sums above it, given the primary law.
 
     Levels are partner counts j and phases primary counts i; each block is
     given by its three diagonals (see ``_blocks``). The kernel is block
@@ -341,7 +332,8 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarra
     level is solved. Level 0's scale, about 1 over the rate at which the
     partner leaves it, sets ``served pi_1[0] = 1``, so rare partner arrivals
     are not flushed; where it overflows float64, ``RangeError`` is raised.
-    A partner queue that never grows stays at level 0: x and y are 0.
+    A partner queue that never grows stays at level 0, which is then the
+    primary queue's ``law`` (``_phases``): x and y are 0.
 
     The level sums ``x = sum_{j >= 1} pi_j`` and ``y = sum_{j >= 1} j pi_j``
     solve ``x (I - R) = pi_1`` and ``y (I - R) = x``, with R the rate matrix
@@ -350,9 +342,10 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarra
     pi_0 Up0`` and ``y (A - u d) = pi_0 Up0 + x Up``, with ``A = I - L -
     Up``, whose rows lack only the down-steps ``D = served e_0 d``; the
     right-hand sides are sums of nonnegative terms. Each is one tridiagonal
-    solve ``q = rhs A^-1`` and a rank-one correction. As ``a (D + L + Up) =
-    a``, ``a A = a_0 served d``, so ``d A^-1 = a / (a_0 served)`` with no
-    solve, and the Sherman-Morrison formula reads ``q + (q u / drift) a``:
+    solve ``q = rhs A^-1`` and a rank-one correction. Where the kernel's
+    primary dynamics hold the law a (``_drift``), ``a (D + L + Up) = a``, so
+    ``a A = a_0 served d`` and ``d A^-1 = a / (a_0 served)`` with no solve,
+    and the Sherman-Morrison formula reads ``q + (q u / drift) a``:
     its denominator ``1 - d A^-1 u`` is the drift over ``a_0 served``. Every
     term is nonnegative, so nothing cancels but the drift itself, a
     difference of rates whose rounding is that of the stability margin: at
@@ -364,16 +357,19 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarra
     systems fix pi_0, x and y uniquely (Neuts 1981, ch. 1). ``residual`` is
     the largest relative residual of the three: level 0's (``_balance0``)
     and ``max|z (A - u d) - rhs| / max z`` of each sum; the relative error of
-    z is at most that times the condition number of ``A - u d``.
+    z is at most that times the condition number of ``A - u d``. The sums'
+    residuals are taken from the blocks, so they also check the kernel's
+    primary dynamics against the law that set the phase cut: a kernel whose
+    phase chain is not the law's fails them.
     """
     L0, Up0, D, L, Up = blocks
     T = L0.shape[1]
     if D[:, 1:].any():
         raise ValueError("kernel serves the partner queue while the primary queue is busy")
     if not (Up0.any() or Up.any()):
-        pi0, zeros = _stationary_phases(L0), np.zeros(T)
-        return pi0, zeros, zeros, _balance0(pi0, blocks)
-    a, drift = _drift(blocks)
+        zeros = np.zeros(T)
+        return law, zeros, zeros, _balance0(law, blocks)
+    a, drift = _drift(blocks, law)
     if not drift > 0.0:
         raise UnstableError(f"the partner queue's mean drift {drift!r} toward empty is not positive: "
                             "the partner queue is unstable")
@@ -406,28 +402,28 @@ def _solve_levels(blocks: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarra
 def solve_stationary(spec: ChainSpec) -> StationarySolution:
     """Stationary law of the chain pair and its moments.
 
-    A primary queue with lambda_p >= mu is unstable (Loynes 1962), and so is
-    a partner queue that grows with a mean drift that is not positive; either
-    raises ``UnstableError`` before any level is solved. A point whose
-    primary queue's tail needs more than ``spec.truncation`` phases
-    (``_phases``) raises ``TruncationError`` before any block is built.
-    Otherwise level 0 and the level sums above it are solved exactly
+    A primary queue with lambda_p >= mu, mu = 0 included, is unstable (Loynes
+    1962) and raises ``UnstableError`` before any block is built, as does a
+    point whose primary queue's tail needs more than ``spec.truncation``
+    phases (``_phases``) with ``TruncationError``. That queue's Geo/Geo/1 law
+    sets the phases; a partner queue that grows with a mean drift that is not
+    positive raises ``UnstableError`` before any level is solved. Otherwise
+    level 0 and the level sums above it are solved exactly
     (``_solve_levels``), over those phases, and every reported quantity is
     read from them. The relative residuals of level 0's balance equations
-    and of the level sums' systems, which bound the error of all three,
-    must be below ``RESIDUAL_TOLERANCE``, or ``ConvergenceError`` is raised.
+    and of the level sums' systems, which bound the error of all three and
+    check the kernel against the law, must be below ``RESIDUAL_TOLERANCE``,
+    or ``ConvergenceError`` is raised.
     A primary queue with arrivals whose mass off empty was flushed to 0
     raises ``RangeError``; the partner's cannot be, as ``served pi_1[0] = 1``.
     """
     mu = _primary_rate(spec.channel, spec.policy)
-    if 0.0 < spec.point.lambda_p >= mu:
+    if spec.point.lambda_p >= mu:
         raise UnstableError(f"lambda_p={spec.point.lambda_p!r} is not below the primary service rate "
                             f"mu={mu!r}: the primary queue is unstable")
-    T = _phases(spec, mu)
-    if T > spec.truncation:
-        raise TruncationError(f"the primary queue's tail needs {T} phases; "
-                              f"truncation {spec.truncation} is too small")
-    pi0, x, y, residual = _solve_levels(_blocks(spec, T))
+    law = _phases(spec, mu)
+    T = len(law)
+    pi0, x, y, residual = _solve_levels(_blocks(spec, T), law)
     if not residual < RESIDUAL_TOLERANCE:
         raise ConvergenceError(f"residual {residual:.3e} not below tolerance {RESIDUAL_TOLERANCE:.3e}")
 

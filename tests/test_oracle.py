@@ -139,7 +139,7 @@ def test_phase_count_is_the_fewest_whose_edge_tail_is_below_rounding(point):
         return lp / mu * rho ** (n - 1)
 
     spec = ChainSpec(CH, POL, point, truncation=400)
-    T = oracle._phases(spec, float(mu))
+    T = len(oracle._phases(spec, float(mu)))
     sol = solve_stationary(spec)
     assert T == len(sol.primary_law)
     unit = Fraction(2) ** -53
@@ -206,11 +206,17 @@ def test_unserved_growing_partner_is_rejected(policy, pair):
         solve_stationary(spec)
 
 
+def _law(spec):
+    """The primary queue's law over the phases of ``spec``'s solve, as ``solve_stationary`` passes it down."""
+    return oracle._phases(spec, oracle._primary_rate(spec.channel, spec.policy))
+
+
 def _level_sums(spec):
     """The solve, and the rows ``[pi_0, x, y]`` it reads every number from: level 0 and the level sums
     ``x = sum_{j >= 1} pi_j`` and ``y = sum_{j >= 1} j pi_j``, normalised as the solve normalises them."""
     sol = solve_stationary(spec)
-    pi0, x, y, _ = oracle._solve_levels(oracle._blocks(spec, len(sol.primary_law)))
+    law = _law(spec)
+    pi0, x, y, _ = oracle._solve_levels(oracle._blocks(spec, len(law)), law)
     return sol, np.stack([pi0, x, y]) / (pi0.sum() + x.sum())
 
 
@@ -285,17 +291,17 @@ def test_primary_marginal_is_truncated_geo_geo_1(pair, point):
 def test_primary_marginal_is_exact_on_slow_chains(f_pd, lambda_share):
     # slow exits near the primary bound, where a solve through the rounded
     # diagonal 1 - P[i, i] loses digits: without relaying (p_a = 0) level 0
-    # is the whole chain, and its law is detailed balance, here in exact
-    # rationals on a lattice of 120 phases, fewer than the tail needs
-    T = 120
+    # is the whole chain, the primary queue's law, here in exact rationals
+    # on all T phases its tail needs; a lattice of 120 phases, fewer, is refused
     ch, pol = ChannelProfile(f_pd, CH.f_sd, CH.f_ps), Policy(POL.p_q, 0.0)
     lambda_p = lambda_share * float(at(ch, pol).mu)
-    spec = ChainSpec(ch, pol, OperatingPoint(lambda_p, 0.1), pair="primary_relay", truncation=T)
-    need = oracle._phases(spec, float(at(ch, pol).mu))
-    assert need > T
-    with pytest.raises(TruncationError, match=f"needs {need} phases; truncation {T} is too small"):
+    spec = ChainSpec(ch, pol, OperatingPoint(lambda_p, 0.1), pair="primary_relay", truncation=120)
+    T = _tail_count(spec, float(at(ch, pol).mu))
+    assert T > 120
+    with pytest.raises(TruncationError, match=f"needs {T} phases; truncation 120 is too small"):
         solve_stationary(spec)
-    pi0, x, *_ = oracle._solve_levels(oracle._blocks(spec, T))
+    spec = dataclasses.replace(spec, truncation=T)
+    pi0, x, *_ = oracle._solve_levels(oracle._blocks(spec, T), _law(spec))
     primary_law = (pi0 + x) / (pi0.sum() + x.sum())
     mu, lp = Fraction(float(at(ch, pol).mu)), Fraction(lambda_p)
     law = [Fraction(1), lp / (mu * (1 - lp))]
@@ -541,18 +547,32 @@ def test_memory_guard_admits_only_solves_that_fit(monkeypatch, pair, point):
 
 @st.composite
 def chain_specs(draw):
-    # Probabilities are 0, 1 or in [0.01, 0.99], and lambda_p stays at least
-    # 5% below mu, so the primary queue is stable; the partner queue may not
-    # be. Rates nearer 0 may make the dense reference itself singular.
+    # Probabilities are 0, 1 or in [0.01, 0.99], but mu and the rates that feed
+    # and serve the pair's partner queue are positive, and the partner load,
+    # lambda_s for the secondary pair and lambda_p for the relay pair, is a share
+    # in [0.01, 0.5] of its bound, so most examples solve a partner queue that
+    # grows; the secondary pair's lambda_p is a share of at most 0.95 of mu. Rates
+    # nearer 0 may make the dense reference itself singular.
     prob = st.sampled_from([0.0, 1.0]) | st.floats(0.01, 0.99)
+    positive = st.just(1.0) | st.floats(0.01, 0.99)
+    share = st.floats(0.01, 0.5)
+    pair = draw(st.sampled_from(CHAIN_PAIRS))
+    relay = pair == "primary_relay"
     f_pd = draw(st.just(0.0) | st.floats(0.01, 0.9))
-    ch = ChannelProfile(f_pd, draw(st.floats(max(f_pd, 0.01), 1.0, exclude_min=True)), draw(prob))
-    pol = Policy(draw(prob), draw(prob))
-    lambda_p = draw(st.just(0.0) | st.floats(0.0, 0.95)) * float(at(ch, pol).mu)
-    return ChainSpec(
-        ch, pol, OperatingPoint(lambda_p, draw(prob)),
-        pair=draw(st.sampled_from(CHAIN_PAIRS)), truncation=draw(st.sampled_from([8, 40, 120])),
-    )
+    f_sd = draw(st.floats(max(f_pd, 0.01), 1.0, exclude_min=True))
+    # relaying feeds the relay queue, and is the primary queue's only service at f_pd = 0
+    feeds = positive if relay or f_pd == 0.0 else prob
+    ch = ChannelProfile(f_pd, f_sd, draw(feeds))
+    # the SU serves its own queue at p_q and the relay queue at 1 - p_q
+    pol = Policy(draw(st.just(0.0) | st.floats(0.01, 0.99) if relay else positive), draw(feeds))
+    cf = at(ch, pol)
+    if relay:
+        lambda_p, lambda_s = draw(share) * float(cf.bound_p), draw(prob)
+    else:
+        lambda_p = draw(st.just(0.0) | st.floats(0.0, 0.95)) * float(cf.mu)
+        lambda_s = draw(share) * float(at(ch, pol, OperatingPoint(lambda_p, 0.0)).bound_s)
+    return ChainSpec(ch, pol, OperatingPoint(lambda_p, lambda_s), pair=pair,
+                     truncation=draw(st.sampled_from([8, 40, 120])))
 
 
 def _outcome(solve, *args):
@@ -569,23 +589,32 @@ def _partner_margin(spec):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(chain_specs())
-# a slow birth-death level 0, where an unrefined dense reference is 1e-14 off
+# a slow birth-death level 0, where an unrefined dense reference is 1e-14 off; its tail needs 59 phases
 @example(ChainSpec(ChannelProfile(0.01, 1.0, 0.0), Policy(0.0, 0.0), OperatingPoint(0.0053125, 0.0),
-                   pair="primary_relay", truncation=40))
+                   pair="primary_relay", truncation=120))
 # level 0 never leaves phase 0, so I - L0 is singular and level 0 is e_0
 @example(ChainSpec(ChannelProfile(0.0, 1.0, 0.5), Policy(0.0, 1.0), OperatingPoint(0.0, 0.0),
                    pair="primary_relay", truncation=8))
+# mu = 0: the oracle refuses the primary queue as unstable, where the dense reference is singular
+@example(ChainSpec(ChannelProfile(0.0, 0.8, 0.4), Policy(0.5, 0.0), OperatingPoint(0.0, 0.1), truncation=8))
+# the primary queue's tail needs 28 phases, more than the truncation
+@example(ChainSpec(CH, POL, OperatingPoint(0.25, 0.2), truncation=8))
+# an unstable partner queue, and one that never grows
+@example(ChainSpec(CH, POL, OperatingPoint(0.1, 0.9), truncation=40))
+@example(ChainSpec(CH, POL, OperatingPoint(0.1, 0.0), truncation=40))
 def test_matches_dense_level_solve(spec):
     # the primary queue is stable, so no step may overflow or divide by 0;
     # underflow is allowed, as at f = (0, 1, 0.75)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         ours = _outcome(_level_sums, spec)
+    mu = oracle._primary_rate(spec.channel, spec.policy)
     if ours is UnstableError:
-        # only a partner queue outside its stability bound is refused
-        assert _partner_margin(spec) <= 0.0
+        # only a primary queue that never serves (mu = 0), where the dense reference is singular,
+        # or a partner queue outside its stability bound is refused
+        assert mu == 0.0 or _partner_margin(spec) <= 0.0
         return
     # both refuse a point whose tail needs more phases than the truncation
-    T = min(oracle._phases(spec, oracle._primary_rate(spec.channel, spec.policy)), spec.truncation)
+    T = min(_tail_count(spec, mu), spec.truncation)
     theirs = _outcome(_flushed, _dense_law, spec, T)
     if isinstance(ours, tuple):
         sol, levels = ours
@@ -623,16 +652,15 @@ def test_solve_is_exact_or_refused(spec):
     # naming that count, which the phase count's logarithms give exactly
     mu = oracle._primary_rate(spec.channel, spec.policy)
     T = _tail_count(spec, mu)
-    assert oracle._phases(spec, mu) == T
     try:
         sol = solve_stationary(spec)
     except TruncationError as exc:
         assert T > spec.truncation
         assert str(exc) == f"the primary queue's tail needs {T} phases; truncation {spec.truncation} is too small"
         return
-    except (UnstableError, RangeError, np.linalg.LinAlgError):
-        sol = None  # the point is refused for its partner queue, float64's range or a singular chain, after the count
-    assert T <= spec.truncation
+    except (UnstableError, RangeError):
+        sol = None  # the point is refused for its partner queue or float64's range, after the count
+    assert len(oracle._phases(spec, mu)) == T <= spec.truncation
     if sol is not None:
         assert len(sol.primary_law) == T and sol.mass_at_boundary <= 2.0**-53
 
@@ -659,7 +687,8 @@ def test_partner_drift_is_the_closed_form_margin(case):
     # plus the mass the phase cut moves, at most twice the edge's
     spec, mu = case
     assume(mu > 0.0)
-    a, drift = oracle._drift(oracle._blocks(spec, oracle._phases(spec, mu)))
+    law = oracle._phases(spec, mu)
+    a, drift = oracle._drift(oracle._blocks(spec, len(law)), law)
     cf = at(spec.channel, spec.policy, spec.point)
     margin = float(cf.margin_s if spec.pair == "primary_secondary" else cf.alpha / cf.mu * cf.margin_p)
     bound = 4e-15 + 2.0 * a[-1]
@@ -716,7 +745,7 @@ def test_means_hold_to_the_closed_forms_near_the_bound(spec):
     cf = at(spec.channel, spec.policy, spec.point)
     assert cf.stable and cf.evaluable
     delta, partner = _near_bound(cf, spec.pair)
-    T = oracle._phases(spec, float(cf.mu))
+    T = _tail_count(spec, float(cf.mu))
     try:
         sol = solve_stationary(spec)
     except TruncationError:
@@ -809,9 +838,10 @@ def test_level_sums_solve_their_own_systems(pair, point):
     # x (I - L - Up - u d) = pi_0 Up0 and y (...) = pi_0 Up0 + x Up; checked
     # here on dense matrices, within RESIDUAL_TOLERANCE of each sum's size
     spec = ChainSpec(CH, POL, point, pair=pair)
-    T = oracle._phases(spec, oracle._primary_rate(CH, POL))
+    law = _law(spec)
+    T = len(law)
     blocks = oracle._blocks(spec, T)
-    pi0, x, y, residual = oracle._solve_levels(blocks)
+    pi0, x, y, residual = oracle._solve_levels(blocks, law)
     assert residual < oracle.RESIDUAL_TOLERANCE
     L0, Up0, D, L, Up = map(dense, blocks)
     d = D[0] / D[0].sum()
@@ -830,7 +860,7 @@ def test_level_sum_residual_over_tolerance_is_rejected(monkeypatch):
     # the level sums' residual is part of the solve's: a sum whose system
     # does not hold fails the solve as a level residual would
     levels = oracle._solve_levels
-    monkeypatch.setattr(oracle, "_solve_levels", lambda blocks: (*levels(blocks)[:-1], 1e-9))
+    monkeypatch.setattr(oracle, "_solve_levels", lambda blocks, law: (*levels(blocks, law)[:-1], 1e-9))
     with pytest.raises(ConvergenceError, match="residual 1.000e-09"):
         solve_stationary(ChainSpec(CH, POL, PT))
 
@@ -861,8 +891,8 @@ def test_planted_fault_fails_the_residual_check(monkeypatch, pair, fault):
     if fault == "drift":
         drift = oracle._drift
 
-        def off(blocks):
-            a, value = drift(blocks)
+        def off(blocks, law):
+            a, value = drift(blocks, law)
             return a, value * (1.0 + 1e-6)
 
         monkeypatch.setattr(oracle, "_drift", off)
@@ -872,15 +902,48 @@ def test_planted_fault_fails_the_residual_check(monkeypatch, pair, fault):
         solve_stationary(spec)
 
 
-def test_phase_one_without_exit_is_singular():
+def test_phase_one_without_exit_is_singular(monkeypatch):
     # with f_pd = 0 and p_a = 0 no primary packet ever leaves: phase 1 has no
-    # exit below it, so neither the phase law above level 0 (whose drift the
-    # level solve takes first) nor level 0's stationary vector is determined;
-    # solve_stationary refuses the point first, as lambda_p = 1 is not below mu = 0
+    # exit below it, so the chain has no stationary law; solve_stationary
+    # refuses the point before it builds a block, as lambda_p = 1 is not below mu = 0
     spec = ChainSpec(ChannelProfile(0.0, 0.8, 0.4), Policy(0.5, 0.0), OperatingPoint(1.0, 0.1), truncation=8)
-    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        oracle._solve_levels(oracle._blocks(spec, spec.truncation))
+    monkeypatch.setattr(oracle, "_blocks", lambda *args: pytest.fail("built the blocks of an unstable point"))
     with pytest.raises(UnstableError, match="lambda_p=1.0 is not below the primary service rate mu=0.0"):
+        solve_stationary(spec)
+
+
+@pytest.mark.parametrize("pair", CHAIN_PAIRS)
+def test_primary_queue_that_is_never_served_is_unstable_without_arrivals(monkeypatch, pair):
+    # mu = 0 at lambda_p = 0: no primary packet arrives or leaves, and the
+    # closed forms' strict margin calls the point unstable; so does the solve,
+    # before it builds a block
+    spec = ChainSpec(ChannelProfile(0.0, 0.8, 0.4), Policy(0.5, 0.0), OperatingPoint(0.0, 0.1), pair=pair)
+    assert not at(spec.channel, spec.policy, spec.point).stable
+    monkeypatch.setattr(oracle, "_blocks", lambda *args: pytest.fail("built the blocks of an unstable point"))
+    with pytest.raises(UnstableError, match=r"lambda_p=0\.0 is not below the primary service rate mu=0\.0"):
+        solve_stationary(spec)
+
+
+@pytest.mark.parametrize("pair", CHAIN_PAIRS)
+def test_kernel_off_the_primary_law_fails_the_residual_check(monkeypatch, pair):
+    # the heavy point's kernel with 1e-9 of each interior phase's stay moved to
+    # its step up at every level above 0: its rows still sum to 1, but its
+    # primary queue is not the Geo/Geo/1 queue whose law cut the phases and
+    # sets the level sums' phase law, so their residuals fail the solve
+    spec = ChainSpec(CH, POL, OperatingPoint(0.2388, 0.05), pair=pair)
+    assert solve_stationary(spec).residual < oracle.RESIDUAL_TOLERANCE
+    blocks = oracle._blocks
+
+    def climbing(spec, T):
+        kernel = blocks(spec, T)
+        for block in kernel[2:]:  # D, L and Up
+            moved = 1e-9 * block[1, 1:-1]
+            block[1, 1:-1] -= moved
+            block[2, 1:-1] += moved
+        return kernel
+
+    monkeypatch.setattr(oracle, "_blocks", climbing)
+    with pytest.raises(ConvergenceError, match="not below tolerance"):
         solve_stationary(spec)
 
 
@@ -913,7 +976,9 @@ def test_near_singular_chain_is_solved():
     (2, (0, 1), "while the primary queue is busy"),  # D serves the partner from phase 1
 ])
 def test_solve_rejects_blocks_outside_its_structure(block, entry, message):
-    blocks = [b.copy() for b in oracle._blocks(ChainSpec(CH, POL, PT, truncation=8), 8)]
+    spec = ChainSpec(CH, POL, PT)
+    law = _law(spec)
+    blocks = [b.copy() for b in oracle._blocks(spec, len(law))]
     blocks[block][entry] = 0.01
     with pytest.raises(ValueError, match=message):
-        oracle._solve_levels(tuple(blocks))
+        oracle._solve_levels(tuple(blocks), law)
