@@ -104,7 +104,10 @@ class QueueOverflowError(RuntimeError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulation run specification."""
+    """One simulation run specification.
+
+    ``seed`` >= 0 is the SeedSequence entropy of the run's streams. A CLI sweep runs row i at
+    ``base << 32 | i``, the entropy of ``[i, base]``: numpy's idiom for per-worker streams."""
 
     channel: ChannelProfile
     point: OperatingPoint
@@ -121,6 +124,8 @@ class Scenario:
             raise ValueError(
                 f"need slots > warmup_slots >= 0, got slots={self.slots}, warmup={self.warmup_slots}"
             )
+        if self.seed < 0:
+            raise ValueError(f"need seed >= 0, got seed={self.seed}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -26,6 +27,7 @@ from test_oracle import NEAR_BOUND_C
 from cogrelay import cli, optimizer, oracle, simulator
 from cogrelay.cli import ENV_SEED, EXIT_BROKEN_PIPE, PRESETS, main
 from cogrelay.config import KEYS
+from cogrelay.model import ChannelProfile, OperatingPoint, Policy
 
 PRESET_COMMANDS = {
     "fig2": "region",
@@ -877,18 +879,54 @@ def test_seed_precedence_env_over_config_flag_over_env(tmp_path, monkeypatch):
     assert seeds(text_flag) != seeds(text_env)
 
 
-# past 2^64 the entropy and the spawn key take three words or more
+# past 2^64 the base takes three words or more; an index below 2^32 always takes one
 @settings(max_examples=500, deadline=None)
-@given(st.integers(0, 2**160), st.integers(0, 2**160))
-@example(0, 0)
-@example(2**32 - 1, 2**32 - 1)
-@example(2**32, 2**32)
-@example(2**64 - 1, 2**64 - 1)
-@example(2**32, 0)
-@example(2**64 - 1, 2**32)
-def test_point_seed_is_numpys_seed_sequence(base, index):
-    expected = np.random.SeedSequence(entropy=base, spawn_key=(index,)).generate_state(1, np.uint64)
-    assert cli._point_seed(base, index) == int(expected[0])
+@given(st.integers(0, 2**160), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+@example(0, 0, 0)
+@example(2**32 - 1, 2**32 - 1, 0)
+@example(2**32, 2**32 - 1, 1)
+@example(2**64 - 1, 2**32 - 1, 0)
+@example(2**32, 0, 0)
+@example(2**64 - 1, 0, 2**32 - 1)
+@example(2**160, 2**32 - 1, 2**32 - 1)
+def test_point_seed_is_numpys_per_worker_entropy(base, index, replication):
+    seed = cli._point_seed(base, index)
+    assert divmod(seed, 2**32) == (base, index)  # so distinct (base, index) pairs give distinct seeds
+    assert np.array_equal(np.random.SeedSequence(seed).pool, np.random.SeedSequence([index, base]).pool)
+    # the simulator roots replication r's streams at the seed and spawn key (r,)
+    rooted = (np.random.SeedSequence(entropy, spawn_key=(replication,)).generate_state(4)
+              for entropy in (seed, [index, base]))
+    assert np.array_equal(*rooted)
+
+
+@pytest.mark.parametrize("kind", ["randomized", "no_cooperation"])
+def test_seed_cell_reproduces_its_row(tmp_path, kind):
+    # each stable row's seed cell, run alone, gives the row's statistic cells; the sweep's
+    # points print exactly (0.05 and 0.45 are its grid's ends), and its unstable rows shift the
+    # stable rows' indices
+    code, text = run(
+        tmp_path,
+        "simulate",
+        "variable = lambda\nstart = 0.05\nstop = 0.45\nsteps = 2\np_q_list = 0.3, 0.8\n"
+        f"slots = 20000\nwarmup = 1000\nreplications = 2\nseed = 7\npolicy_kind = {kind}\n",
+    )
+    assert code == 0
+    header, body = rows(text)
+    fields = dataclasses.fields(simulator.SimStats)
+    assert header.split(",")[13:] == [field.name for field in fields]
+    stable = [r for r in body if r[12] == "1"]
+    assert len(stable) >= 2 and [r[11] for r in body] == [str(7 << 32 | i) for i in range(len(body))]
+    for r in stable:
+        f_pd, f_sd, f_ps, p_q, p_a, lambda_p, lambda_s = map(float, r[:7])
+        scenario = simulator.Scenario(
+            ChannelProfile(f_pd, f_sd, f_ps), OperatingPoint(lambda_p, lambda_s), Policy(p_q, p_a),
+            policy_kind=kind, slots=20000, warmup_slots=1000, seed=int(r[11]),
+        )
+        stats = simulator.replicate_many([scenario], 2)[0]
+        cells = [cli._format(np.array([getattr(stats, field.name)],
+                                      dtype=np.int64 if field.type == "int" else np.float64))[0]
+                 for field in fields]
+        assert r[13:] == cells
 
 
 def test_env_seed_must_be_integer(tmp_path, capsys, monkeypatch):

@@ -56,6 +56,10 @@ def test_scenario_validation():
         scenario(slots=100, warmup_slots=100)
     with pytest.raises(ValueError):
         scenario(warmup_slots=-1)
+    # refused when built: numpy would refuse it only once the run starts, in a forked worker
+    # for a pooled batch, with a message that does not name the seed
+    with pytest.raises(ValueError, match=r"^need seed >= 0, got seed=-1$"):
+        scenario(seed=-1)
 
 
 def test_determinism():
