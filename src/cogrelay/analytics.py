@@ -7,10 +7,10 @@ Markov-chain solver in :mod:`cogrelay.oracle` and against simulation. The
 core takes broadcastable numpy arrays and uses only elementwise ``+ - * /``
 and comparisons, which round exactly as Python floats do: a whole sweep
 evaluated in one call holds the same bits as the same points evaluated one
-at a time. It never raises; instead it reports masks (stability, and where a
-denominator vanishes or a queue metric leaves its bounds). A caller that
-refuses a stable point the masks cannot evaluate raises
-:class:`UnevaluableError`, as the CLI does.
+at a time. It never raises; instead it reports masks. A stable point is not
+evaluable only where rounding makes the relay denominator nonpositive, the
+one of n_s zero, or a mean length or delay fall below its bound; a caller
+refusing such a point raises :class:`UnevaluableError`, as the CLI does.
 
 No cooperation is the policy (p_q, p_a) = (1, 0). Without relay inflow
 (p_a = 0 or f_ps = 0) the primary bound is mu and the relay queue stays empty.
@@ -39,7 +39,7 @@ __all__ = [
 #: drained (lambda_p at or above its service rate).
 MOST_NEGATIVE_MARGIN = -sys.float_info.max
 
-#: Slack of the queue metrics' bounds, absorbing rounding at extreme channels.
+#: Slack of the mean lengths' and delays' bounds, absorbing rounding at extreme channels.
 REPORT_SLACK = 1e-9
 
 
@@ -51,9 +51,9 @@ class ClosedForms(NamedTuple):
     """Every closed form at broadcast (channel, policy, point) arrays.
 
     Entries where a form is undefined (an unstable point, a zero rate) hold
-    whatever IEEE arithmetic gives there; read them through the masks. The
-    secondary quantities are those of the own-data queue, the relay
-    quantities those of the queue of admitted PU packets.
+    whatever IEEE arithmetic gives there; read them through the masks, and
+    ``evaluable`` only where ``stable``. The secondary quantities are those of
+    the own-data queue, the relay quantities those of the admitted PU packets.
     """
 
     relay: np.ndarray  # rate at which PU transmissions enter the relay queue
@@ -84,16 +84,12 @@ class ClosedForms(NamedTuple):
     g00: np.ndarray  # probability that the primary and secondary queues are both empty
     g00_den: np.ndarray
     relay_ok: np.ndarray  # relay_den > 0, or no relay inflow
-    secondary_ok: np.ndarray  # not B <= 0, and C != 0
-    in_bounds: np.ndarray  # the queue metrics meet their bounds (lengths, delays, probabilities)
+    in_bounds: np.ndarray  # n_sp, d_p and d_s meet their bounds (an absent delay counts as 1.0)
 
     @property
     def evaluable(self) -> np.ndarray:
-        """Where every queue metric of a stable point is defined and within its report bounds."""
-        return (
-            self.relay_ok & self.secondary_ok & (self.n_s_den != 0.0) & (self.g00_den != 0.0)
-            & self.in_bounds
-        )
+        """Where a stable point's queue metrics are defined and in bounds; these three checks imply the rest."""
+        return self.relay_ok & (self.n_s_den != 0.0) & self.in_bounds
 
 
 def _operands(*values):
@@ -148,27 +144,30 @@ def closed_forms(f_pd, f_sd, f_ps, p_q=0.0, p_a=1.0, lambda_p=0.0, lambda_s=0.0)
     d_s = n_s / ls
     g00_den = serve_own * mu
     g00 = (serve_own * (mu - lp) - ls * mu) / g00_den
-    # lengths nonnegative, delays at least one slot (an absent delay counts
-    # as 1.0), probabilities in [0, 1]. The d_s bound holds n_s >= lo too:
-    # d_s has the sign of n_s (or is nan with it), and at lambda_s = 0 n_s is
-    # a signed zero wherever n_s_den, which evaluable requires, is not. g00
-    # needs no upper bound: rounding is monotone, so its numerator is at most
-    # serve_own * mu = g00_den, which is positive wherever it is not 0.
-    # evaluable is read only where stable, and there rounding is monotone as
-    # well: lambda_p < bound_p <= mu gives n_p >= 0, and relay <= mu with
-    # mu > 0 gives 0 <= epsilon <= 1, so neither needs a term
-    lo = -REPORT_SLACK
+    # evaluable is read only where stable; there, for arguments in [0, 1] and
+    # monotone rounding, no other term can refuse a point. B > 0: alpha >=
+    # serve_relay gives lambda_p < bound_p <= mu. C != 0: else n_s_den = B * C
+    # is 0. g00_den != 0: lambda_s < bound_s <= serve_own and lambda_p < mu, so
+    # g00_den bounds both products of C; if it rounds to 0, so do C and n_s_den.
+    # g00 >= -REPORT_SLACK: g00 = p_empty - lambda_s / serve_own exactly, and
+    # lambda_s < bound_s, so g00 >= -(2 eps + 2^-1074 / g00_den) > -6e-11 where
+    # g00_den >= 2^-1040. Below, serve_own < 2^-1023 keeps g00's numerator >= 0;
+    # else mu < 2^-17, the numerator and C are >= -2^-1074, and C <= 0 rounds
+    # n_s_den to 0 while C > 0 gives n_s <= 0 (A <= 0), refused by d_s. g00 <=
+    # 1, n_p >= 0 and 0 <= epsilon <= 1 hold outright, and d_s bounds n_s, whose
+    # sign it has. n_sp >= 0, and with it d_p >= 1, needs m * lp**2 + n * lp >=
+    # 0, shown only where m's factor (serve_relay - f_pd) / mu - serve_relay -
+    # relay rounds to >= -1 (then |m| <= relay, lp < mu): both bounds stay.
     in_bounds = (
-        (n_sp >= lo)
+        (n_sp >= -REPORT_SLACK)
         & (np.where(lp > 0.0, d_p, 1.0) >= 1.0 - REPORT_SLACK)
         & (np.where(ls > 0.0, d_s, 1.0) >= 1.0 - REPORT_SLACK)
-        & (lo <= g00)
     )
     return ClosedForms(*map(np.asarray, (  # a 0-d operation gives a numpy scalar; fields stay arrays
         relay, mu, epsilon, threshold, bound_p, p_empty, bound_s,
         margin_p, margin_s, stable, m, n, alpha, beta, gamma, relay_den,
         a_coef, b_coef, c_coef, n_p, n_sp, n_s, n_s_den, d_p, d_s, g00, g00_den,
-        idle_relay | (relay_den > 0.0), ~(b_coef <= 0.0) & (c_coef != 0.0), in_bounds,
+        idle_relay | (relay_den > 0.0), in_bounds,
     )))
 
 

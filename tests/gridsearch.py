@@ -10,7 +10,8 @@ def _grid_minimum(ch, pt, objective, n):
     values = np.linspace(0.0, 1.0, n)
     cf = closed_forms(ch.f_pd, ch.f_sd, ch.f_ps, values[:, None], values[None, :],
                       pt.lambda_p, pt.lambda_s)
-    evaluable = {"d_p": cf.relay_ok, "d_s": cf.secondary_ok & (cf.n_s_den != 0.0)}[objective]
+    # where stable B > 0, and n_s_den = B * C != 0 implies C != 0
+    evaluable = {"d_p": cf.relay_ok, "d_s": cf.n_s_den != 0.0}[objective]
     assert not (cf.stable & ~evaluable).any(), "a stable grid point has no closed-form delay"
     table = np.where(cf.stable, getattr(cf, objective), np.inf)
     best_flat = int(np.argmin(table))

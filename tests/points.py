@@ -1,5 +1,7 @@
 """One point of the closed forms or of the optima, read through the array core on 0-d arrays."""
 
+import numpy as np
+
 from cogrelay.analytics import ClosedForms, closed_forms
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
 from cogrelay.optimizer import Optima, optima
@@ -24,3 +26,10 @@ def primary_decision(o: Optima) -> tuple:
     if o.feasible and o.no_coop_ok:
         return "no_cooperation", o.no_coop_d_p
     return "infeasible", None
+
+
+def ulps_under(value, k: int):
+    """The float ``k`` steps below ``value``: a load that far under its stability bound."""
+    for _ in range(k):
+        value = np.nextafter(value, -np.inf)
+    return value

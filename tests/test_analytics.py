@@ -5,7 +5,7 @@ import pytest
 import reference_closed_forms as closed
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
-from points import at
+from points import at, ulps_under
 
 from cogrelay import analytics
 from cogrelay.analytics import union_region
@@ -340,6 +340,64 @@ def test_closed_forms_fail_within_rounding_of_zero_or_bound(ch, pol, pt):
     if not cf.stable:
         pytest.fail("the point must be stable")
     assert cf.evaluable
+
+
+def _nine_term_mask(cf, lambda_p, lambda_s):
+    # evaluable as it was before the terms that cannot refuse a stable point were cut from it
+    slack = analytics.REPORT_SLACK
+    return (
+        cf.relay_ok & ~(cf.b_coef <= 0.0) & (cf.c_coef != 0.0) & (cf.n_s_den != 0.0) & (cf.g00_den != 0.0)
+        & (cf.n_sp >= -slack) & (np.where(lambda_p > 0.0, cf.d_p, 1.0) >= 1.0 - slack)
+        & (np.where(lambda_s > 0.0, cf.d_s, 1.0) >= 1.0 - slack) & (-slack <= cf.g00)
+    )
+
+
+def _load(draw, bound):
+    # 1-8 floats under a stability bound, or a share of it; 0 where the bound is nan
+    k = draw(st.integers(0, 8))
+    value = float(ulps_under(bound, k)) if k else float(bound) * draw(st.floats(0.0, 1.0))
+    return value if 0.0 <= value <= 1.0 else 0.0
+
+
+@st.composite
+def rounding_edge_points(draw):
+    # mu = 1 (f_ps = p_a = 1 with f_pd up to 64 floats under 1), subnormal policy values and
+    # serve rates, admission down to 1e-20, and loads 1-8 floats under their bounds
+    unit = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    subnormal = st.floats(0.0, 2.0**-1022, exclude_min=True)
+    under_one = st.integers(1, 64).map(lambda k: 1.0 - k * 2.0**-53)
+    f_pd = draw(st.floats(0.0, 1.0, exclude_max=True) | st.just(0.0) | under_one)
+    f_sd = draw(st.floats(f_pd, 1.0, exclude_min=True) | (subnormal if f_pd == 0.0 else st.just(1.0)))
+    mu_one = draw(st.booleans())
+    ch = ChannelProfile(f_pd, f_sd, 1.0 if mu_one else draw(unit))
+    pol = Policy(draw(unit | subnormal | under_one),
+                 1.0 if mu_one else draw(unit | subnormal | st.floats(1e-20, 1e-10)))
+    lambda_p = _load(draw, at(ch, pol).bound_p)
+    pt = OperatingPoint(lambda_p, _load(draw, at(ch, pol, OperatingPoint(lambda_p, 0.0)).bound_s))
+    if not at(ch, pol, pt).stable:
+        reject()
+    return ch, pol, pt
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rounding_edge_points())
+def test_evaluable_is_the_nine_term_mask_at_stable_points(case):
+    # B > 0, C != 0, g00_den != 0 and g00 >= -REPORT_SLACK never refuse a stable point that
+    # evaluable keeps (the proofs are in closed_forms); g00 stays above -6e-11 unless
+    # g00_den < 2^-1040, and the relay numerator is >= 0 wherever -relay <= m < 0
+    ch, pol, pt = case
+    cf = at(ch, pol, pt)
+    assert cf.stable
+    assert cf.evaluable == _nine_term_mask(cf, pt.lambda_p, pt.lambda_s)
+    assert cf.g00_den < 2.0**-1040 or not cf.g00 < -6e-11
+    if -cf.relay <= cf.m < 0.0:
+        assert cf.m * pt.lambda_p * pt.lambda_p + cf.n * pt.lambda_p >= 0.0
+
+
+for _case in ILL_CONDITIONED_POINTS:
+    test_evaluable_is_the_nine_term_mask_at_stable_points = example(_case)(
+        test_evaluable_is_the_nine_term_mask_at_stable_points
+    )
 
 
 def _decade_points(limit, decades=(1e-1, 1e-2, 1e-3)):

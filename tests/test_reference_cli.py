@@ -11,7 +11,7 @@ import reference_cli
 import reference_closed_forms as closed
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from points import at, optimum, primary_decision
+from points import at, optimum, primary_decision, ulps_under
 
 from cogrelay import analytics, optimizer
 from cogrelay.cli import main
@@ -43,13 +43,18 @@ def _grid(draw, config, defaults=False):
 
 
 def _near_bounds(draw, config):
-    # loads at, just under and over the stability bounds of the base point
-    ch = (config["f_pd"], config["f_sd"], config["f_ps"])
-    forms = analytics.closed_forms(*ch, config["p_q"], config["p_a"], config["lambda_p"])
-    for key, bound in (("lambda_p", float(forms.bound_p)), ("lambda_s", float(forms.bound_s))):
-        scale = draw(st.sampled_from([None, 0.0, 0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15]))
-        if scale is not None and 0.0 <= bound * scale <= 1.0:
-            config[key] = float(bound * scale)
+    # loads at, just under and over the stability bounds, or 1-8 floats under them;
+    # lambda_s's bound is the one at the lambda_p drawn first
+    ch = (config["f_pd"], config["f_sd"], config["f_ps"], config["p_q"], config["p_a"])
+    for key in ("lambda_p", "lambda_s"):
+        forms = analytics.closed_forms(*ch, config["lambda_p"])
+        bound = float(forms.bound_p if key == "lambda_p" else forms.bound_s)
+        scale = draw(st.sampled_from([None, 0.0, 0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15]) | st.integers(1, 8))
+        if scale is None:
+            continue
+        value = float(ulps_under(bound, scale)) if isinstance(scale, int) else bound * scale
+        if 0.0 <= value <= 1.0:
+            config[key] = value
 
 
 @st.composite
@@ -212,7 +217,7 @@ def test_scalar_functions_match_term_by_term_reference(case):
     cf = at(ch, pol, pt)
     below_mu = ~(lp >= cf.mu)
     relay = cf.stable & cf.relay_ok
-    secondary = cf.stable & cf.secondary_ok
+    secondary = cf.stable & (cf.c_coef != 0.0)  # where stable B > 0, as the core's comment proves
     n_s = secondary & (cf.n_s_den != 0.0)
     for name, (mask, *values) in {
         "mean_queue_primary": (below_mu, cf.n_p),
