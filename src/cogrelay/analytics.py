@@ -9,8 +9,8 @@ and comparisons, which round exactly as Python floats do: a whole sweep
 evaluated in one call holds the same bits as the same points evaluated one
 at a time. It never raises; instead it reports masks. A stable point is not
 evaluable only where rounding makes the relay denominator nonpositive, the
-one of n_s zero, or a mean length or delay fall below its bound; a caller
-refusing such a point raises :class:`UnevaluableError`, as the CLI does.
+one of n_s zero, or a mean delay fall below one slot; a caller refusing such
+a point raises :class:`UnevaluableError`, as the CLI does.
 
 No cooperation is the policy (p_q, p_a) = (1, 0). Without relay inflow
 (p_a = 0 or f_ps = 0) the primary bound is mu and the relay queue stays empty.
@@ -39,7 +39,7 @@ __all__ = [
 #: drained (lambda_p at or above its service rate).
 MOST_NEGATIVE_MARGIN = -sys.float_info.max
 
-#: Slack of the mean lengths' and delays' bounds, absorbing rounding at extreme channels.
+#: Slack of the mean delays' bound of one slot, absorbing rounding at extreme channels.
 REPORT_SLACK = 1e-9
 
 
@@ -84,7 +84,7 @@ class ClosedForms(NamedTuple):
     g00: np.ndarray  # probability that the primary and secondary queues are both empty
     g00_den: np.ndarray
     relay_ok: np.ndarray  # relay_den > 0, or no relay inflow
-    in_bounds: np.ndarray  # n_sp, d_p and d_s meet their bounds (an absent delay counts as 1.0)
+    in_bounds: np.ndarray  # d_p and d_s are at least one slot (an absent delay counts as 1.0)
 
     @property
     def evaluable(self) -> np.ndarray:
@@ -155,12 +155,37 @@ def closed_forms(f_pd, f_sd, f_ps, p_q=0.0, p_a=1.0, lambda_p=0.0, lambda_s=0.0)
     # else mu < 2^-17, the numerator and C are >= -2^-1074, and C <= 0 rounds
     # n_s_den to 0 while C > 0 gives n_s <= 0 (A <= 0), refused by d_s. g00 <=
     # 1, n_p >= 0 and 0 <= epsilon <= 1 hold outright, and d_s bounds n_s, whose
-    # sign it has. n_sp >= 0, and with it d_p >= 1, needs m * lp**2 + n * lp >=
-    # 0, shown only where m's factor (serve_relay - f_pd) / mu - serve_relay -
-    # relay rounds to >= -1 (then |m| <= relay, lp < mu): both bounds stay.
+    # sign it has.
+    # n_sp >= 0 where relay > 0 and relay_ok: its numerator m * lp**2 + n * lp
+    # is >= 0 once fl(m * lp) >= -n = -fl(relay * mu) (m = inf makes it nan at
+    # lp = 0, but needs mu < 2^-1023, where relay_den = gamma rounds to 0).
+    # Write u = 2^-53, s = serve_relay, t1 = fl(s - f_pd) >= -mu, t2 = fl(t1 /
+    # mu) >= -1, t3 = fl(t2 - s) and k = fl(t3 - relay), m's factor. k >= -1
+    # gives m >= -relay, and lp < mu closes it. Exactly, t2 - s = -1 + rho + W
+    # + e1 + e2 with rho = mu - f_pd >= 0, W = (t1 + mu)(1 - mu) / mu >= 0 and
+    # roundings |e1|, |e2| <= u/2 (t1 > mu gives t2 >= 1 and k >= -1). So t3 >=
+    # -1, k < -1 needs relay > u, and e_mu = f_pd + relay - mu <= u/2 gives k
+    # >= -1 - 2u, so |m| <= relay * c with c = 1 + 3u + 2u^2, and lp * c <= mu
+    # suffices. If alpha - s >= 3.5u alpha, fl(s / alpha) <= 1 - 4u and lp < (1
+    # - 4u)(1 + u) mu. Else s > 0.22 and relay < 4.6u, k < -1 needs W < u, so
+    # mu >= 1 - 4u, and mu = 1 gives W = e2 = 0, e_mu <= 0 and k >= -1. So
+    # f_pd, mu and rho lie on the grid of step u below 1, with g = -1 + rho on
+    # it. If e1 = 0, W > 0 and t2 - s > g - u/2 give t3 >= g and k >= fl(-1 -
+    # e_mu) = -1. Else s < f_pd / 2 (Sterbenz) and f_pd - s >= 1/2 (else s >
+    # 1/4 and s - f_pd is exact on s's grid), so t1 and t2 lie in [-1, -1/2], R
+    # = W + e2 = t2 + 1 - t1 - mu is 0 or u, and t2 - s = g + R + e1 rounds to
+    # g + R unless e1 = -u/2 ties it down; there k < -1 needs R = 0 < e_mu:
+    # relay > rho >= u, and W = -e2 <= u/2 gives s + rho <= mu/2 + u/2 <= 1/2.
+    # Then alpha <= 1/2 and alpha - s >= min(relay - u/4, rho) > 1.5u alpha, so
+    # fl(s / alpha) <= 1 - 2u, bound_p <= mu - 2u, lp <= mu - 3u and lp * c <
+    # mu.
+    # d_p >= 1 does not follow: where mu rounds to 1, n_p's numerator lp -
+    # lp**2 loses up to u/2 against 1 - lp, and near lp = 1 - 2^-27 that is
+    # 7e-9 of it (f = (1 - u, 1, 1), p = (0.5, 1), lambda =
+    # (0.9999999925489673, 0): d_p = 1 - 2.5e-9 with n_sp = 5e-9), so the d_p
+    # bound stays.
     in_bounds = (
-        (n_sp >= -REPORT_SLACK)
-        & (np.where(lp > 0.0, d_p, 1.0) >= 1.0 - REPORT_SLACK)
+        (np.where(lp > 0.0, d_p, 1.0) >= 1.0 - REPORT_SLACK)
         & (np.where(ls > 0.0, d_s, 1.0) >= 1.0 - REPORT_SLACK)
     )
     return ClosedForms(*map(np.asarray, (  # a 0-d operation gives a numpy scalar; fields stay arrays

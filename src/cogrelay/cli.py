@@ -39,7 +39,7 @@ import numpy as np
 
 from . import analytics, optimizer
 from .config import KEYS, Config, ConfigError, channel_from_config, load_config_file, parse_values
-from .model import NO_COOPERATION, ChannelProfile, OperatingPoint, Policy
+from .model import NO_COOPERATION, ChannelProfile, OperatingPoint, Policy, _require_memory
 from .oracle import ChainSpec, ConvergenceError, RangeError, TruncationError, UnstableError, solve_stationary
 from .simulator import Scenario, SimStats, replicate_many
 
@@ -121,11 +121,21 @@ RATES_GRID = Config({
 })
 
 
+# a sweep row holds seven float64 columns, its closed forms and a dozen formatted cells, about
+# 1 KiB; a grid is refused where this much a step would not fit in memory
+_BYTES_PER_ROW = 1024
+
+
 def _grid(cfg: Config) -> np.ndarray:
-    """The config's linear sweep grid; start < stop is checked here, where the two values meet."""
+    """The config's linear sweep grid; start < stop is checked here, where the two values meet, and
+    steps against the physical memory before anything is allocated."""
     start, stop, steps = cfg["start"], cfg["stop"], cfg["steps"]
     if not start < stop:
         raise ConfigError(f"{cfg.where('start', 'stop')}: need start < stop, got start={start}, stop={stop}")
+    try:
+        _require_memory(_BYTES_PER_ROW * steps, f"a grid of {steps} steps", "its rows")
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.where('steps')}: {exc}") from exc
     return np.linspace(start, stop, steps)
 
 
@@ -247,7 +257,10 @@ def cmd_region(cfg: Config, out) -> int:
     channel = channel_from_config(cfg)
     if cfg["region_mode"] == "boundary":
         policies = cfg["policies"]
-        _, union_root, _ = analytics.union_region(channel.f_pd, channel.f_sd, channel.f_ps)
+        _, union_root, slope_den = analytics.union_region(channel.f_pd, channel.f_sd, channel.f_ps)
+        if slope_den == 0.0:
+            raise ConfigError(f"{cfg.where('f_pd', 'f_ps')}: the primary is never served (f_pd = f_ps = 0), "
+                              f"so its stability region is empty")
         grid = _grid(Config({"start": 0.0, "stop": float(union_root), "steps": 101}) | cfg)
         p_q = np.array([[pol.p_q] for pol in policies])
         p_a = np.array([[pol.p_a] for pol in policies])
@@ -259,9 +272,7 @@ def cmd_region(cfg: Config, out) -> int:
             if row.any():
                 raise ConfigError(f"lambda_p={float(grid[row.argmax()])!r} not below the primary "
                                   f"service rate {float(mu)!r}")
-        union, _, slope_den = analytics.union_region(channel.f_pd, channel.f_sd, channel.f_ps, grid)
-        _require_evaluable({"f_pd": channel.f_pd, "f_sd": channel.f_sd, "f_ps": channel.f_ps,
-                            "lambda_p": grid}, slope_den == 0.0)
+        union, _, _ = analytics.union_region(channel.f_pd, channel.f_sd, channel.f_ps, grid)
         curve, step = np.nonzero(shown)
         blank = [""] * grid.size
         _write_table(out, {

@@ -200,9 +200,12 @@ def parse_config_text(text: str, source: str = "<config>") -> Config:
 def load_config_file(path: str | Path) -> Config:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_bytes().decode("utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: {exc}") from exc
     return parse_config_text(text, source=str(path))
 
 

@@ -15,6 +15,7 @@ metrics are not types of their own: they are the fields and masks of
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 __all__ = [
@@ -30,6 +31,14 @@ def _unit_interval(name: str, value: float) -> float:
     if not math.isfinite(v) or v < 0.0 or v > 1.0:
         raise ValueError(f"{name} must be a finite probability in [0, 1], got {value!r}")
     return v
+
+
+def _require_memory(need: int, what: str, use: str) -> None:
+    """Raise ValueError where ``what`` needs ``need`` bytes for ``use``, more than the physical memory."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise ValueError(f"{what} needs {need / 2**30:.0f} GiB for {use}, "
+                         f"more than the {memory / 2**30:.1f} GiB of physical memory")
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelProfile, OperatingPoint, Policy
+from .model import ChannelProfile, OperatingPoint, Policy, _require_memory
 
 __all__ = ["CHAIN_PAIRS", "RESIDUAL_TOLERANCE", "ConvergenceError", "TruncationError",
            "UnstableError", "RangeError", "ChainSpec", "StationarySolution", "solve_stationary"]
@@ -96,11 +95,7 @@ class ChainSpec:
             raise ValueError(f"pair must be one of {CHAIN_PAIRS}, got {self.pair!r}")
         if self.truncation < 4:
             raise ValueError("truncation must be >= 4")
-        need = _BYTES_PER_PHASE * self.truncation
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if need > memory:
-            raise ValueError(f"truncation {self.truncation} needs {need / 2**30:.0f} GiB for the solve, "
-                             f"more than the {memory / 2**30:.1f} GiB of physical memory")
+        _require_memory(_BYTES_PER_PHASE * self.truncation, f"truncation {self.truncation}", "the solve")
 
 
 @dataclass(frozen=True, eq=False)

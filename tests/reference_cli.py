@@ -10,7 +10,8 @@ require both to give the same bytes, exit code and messages. The bodies
 follow the rules that have changed since: a policy without relay inflow
 has a primary bound (no cooperation, p_q = 1 and p_a = 0, included), and
 ``validate`` checks ``no_cooperation`` runs against the closed forms at
-that policy, refusing only ``strict_priority_relay``.
+that policy, refusing only ``strict_priority_relay``; ``region`` refuses a
+channel whose primary is never served (f_pd = f_ps = 0) before its grid.
 :func:`main` is ``cogrelay.cli.main`` with these bodies in place of the
 commands'.
 """
@@ -104,6 +105,9 @@ def cmd_region(cfg, out) -> int:
         policies = cfg["policies"]
         steps = cfg.get("steps", 101)
         relay_full = channel.f_ps * (1.0 - channel.f_pd)
+        if channel.f_pd + relay_full == 0.0:
+            raise ConfigError(f"{cfg.where('f_pd', 'f_ps')}: the primary is never served (f_pd = f_ps = 0), "
+                              f"so its stability region is empty")
         union_root = channel.f_sd * (channel.f_pd + relay_full) / (channel.f_sd + relay_full)
         start = cfg.get("start", 0.0)
         stop = cfg.get("stop", union_root)

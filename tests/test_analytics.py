@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -359,38 +360,89 @@ def _load(draw, bound):
     return value if 0.0 <= value <= 1.0 else 0.0
 
 
+class Channel(NamedTuple):
+    """A channel the library accepts but ChannelProfile refuses: f_pd need not be below f_sd."""
+
+    f_pd: float
+    f_sd: float
+    f_ps: float
+
+
+@st.composite
+def relay_corners(draw):
+    # where m's factor can round below -1: f_pd 0-7 floats under 1, f_sd often in [1/4, 1/2] (the
+    # factor needs serve_relay < f_pd / 2), and a relay of 1-8 ulps of serve_relay through any f_ps
+    f_pd = 1.0 - draw(st.integers(0, 7)) * 2.0**-53
+    f_sd, p_q = draw(st.floats(0.25, 0.5) | st.floats(0.0, 1.0)), draw(st.just(0.0) | st.floats(0.0, 1.0))
+    f_ps = draw(st.floats(0.0, 1.0, exclude_min=True))
+    relay = draw(st.floats(1.0, 8.0)) * float(np.spacing(f_sd * (1.0 - p_q)))
+    reach = f_ps * (1.0 - f_pd)  # the relay at p_a = 1
+    p_a = min(1.0, relay / reach) if reach > 0.0 else draw(st.floats(0.0, 1.0))
+    return Channel(f_pd, f_sd, f_ps), Policy(p_q, p_a)
+
+
 @st.composite
 def rounding_edge_points(draw):
     # mu = 1 (f_ps = p_a = 1 with f_pd up to 64 floats under 1), subnormal policy values and
-    # serve rates, admission down to 1e-20, and loads 1-8 floats under their bounds
-    unit = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
-    subnormal = st.floats(0.0, 2.0**-1022, exclude_min=True)
-    under_one = st.integers(1, 64).map(lambda k: 1.0 - k * 2.0**-53)
-    f_pd = draw(st.floats(0.0, 1.0, exclude_max=True) | st.just(0.0) | under_one)
-    f_sd = draw(st.floats(f_pd, 1.0, exclude_min=True) | (subnormal if f_pd == 0.0 else st.just(1.0)))
-    mu_one = draw(st.booleans())
-    ch = ChannelProfile(f_pd, f_sd, 1.0 if mu_one else draw(unit))
-    pol = Policy(draw(unit | subnormal | under_one),
-                 1.0 if mu_one else draw(unit | subnormal | st.floats(1e-20, 1e-10)))
-    lambda_p = _load(draw, at(ch, pol).bound_p)
+    # serve rates, admission down to 1e-20, and loads 1-8 floats under their bounds; or a relay
+    # corner with lambda_p 1-5 floats under its bound
+    if draw(st.booleans()):
+        ch, pol = draw(relay_corners())
+        lambda_p = float(ulps_under(at(ch, pol).bound_p, draw(st.integers(1, 5))))
+        if not lambda_p >= 0.0:
+            reject()
+    else:
+        unit = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+        subnormal = st.floats(0.0, 2.0**-1022, exclude_min=True)
+        under_one = st.integers(1, 64).map(lambda k: 1.0 - k * 2.0**-53)
+        f_pd = draw(st.floats(0.0, 1.0, exclude_max=True) | st.just(0.0) | under_one)
+        f_sd = draw(st.floats(f_pd, 1.0, exclude_min=True) | (subnormal if f_pd == 0.0 else st.just(1.0)))
+        mu_one = draw(st.booleans())
+        ch = ChannelProfile(f_pd, f_sd, 1.0 if mu_one else draw(unit))
+        pol = Policy(draw(unit | subnormal | under_one),
+                     1.0 if mu_one else draw(unit | subnormal | st.floats(1e-20, 1e-10)))
+        lambda_p = _load(draw, at(ch, pol).bound_p)
     pt = OperatingPoint(lambda_p, _load(draw, at(ch, pol, OperatingPoint(lambda_p, 0.0)).bound_s))
     if not at(ch, pol, pt).stable:
         reject()
     return ch, pol, pt
 
 
+# mu rounds to 1 and lambda_p sits 2^26 floats under 1, where n_p's numerator lambda_p - lambda_p**2
+# loses 7e-9 of itself to rounding: d_p falls 2.5e-9 under one slot while n_sp >= 0
+D_P_UNDER_ONE_SLOT = (
+    ChannelProfile(1.0 - 2.0**-53, 1.0, 1.0), Policy(0.5, 1.0), OperatingPoint(0.9999999925489673, 0.0)
+)
+
+
+def test_the_delay_bound_alone_refuses_a_stable_point():
+    cf = at(*D_P_UNDER_ONE_SLOT)
+    assert cf.stable and cf.relay_ok and cf.n_s_den != 0.0 and cf.n_sp >= 0.0
+    assert cf.d_p < 1.0 - analytics.REPORT_SLACK
+    assert not cf.evaluable
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(rounding_edge_points())
+@example(D_P_UNDER_ONE_SLOT)
+# m's factor rounds to -(1 + 2^-52) with lambda_p a few floats under bound_p: twice where alpha -
+# serve_relay is under 3.5 ulps of alpha (relay_ok fails at the first, the second is evaluable), once past
+@example((Channel(0.9999999999999998, 0.7155300491915006, 1.0),
+          Policy(0.30777965288469067, 0.5026621189774707), OperatingPoint(0.9999999999999994, 0.0)))
+@example((Channel(0.9999999999999998, 0.981087784197772, 0.727757410983716),
+          Policy(0.535177001730164, 1.0), OperatingPoint(0.9999999999999994, 0.0)))
+@example((Channel(0.9999999999999996, 0.9458950151299494, 1.0),
+          Policy(0.72826491581644, 0.8446209888162), OperatingPoint(0.9999999999999982, 0.0)))
 def test_evaluable_is_the_nine_term_mask_at_stable_points(case):
-    # B > 0, C != 0, g00_den != 0 and g00 >= -REPORT_SLACK never refuse a stable point that
-    # evaluable keeps (the proofs are in closed_forms); g00 stays above -6e-11 unless
-    # g00_den < 2^-1040, and the relay numerator is >= 0 wherever -relay <= m < 0
+    # B > 0, C != 0, g00_den != 0, g00 >= -REPORT_SLACK and n_sp >= -REPORT_SLACK never refuse a
+    # stable point that evaluable keeps (the proofs are in closed_forms); g00 stays above -6e-11
+    # unless g00_den < 2^-1040, and the relay numerator is >= 0 wherever relay > 0 and lambda_p > 0
     ch, pol, pt = case
     cf = at(ch, pol, pt)
     assert cf.stable
     assert cf.evaluable == _nine_term_mask(cf, pt.lambda_p, pt.lambda_s)
     assert cf.g00_den < 2.0**-1040 or not cf.g00 < -6e-11
-    if -cf.relay <= cf.m < 0.0:
+    if cf.relay > 0.0 and pt.lambda_p > 0.0:  # at lambda_p = 0 it is 0, or nan where m = inf
         assert cf.m * pt.lambda_p * pt.lambda_p + cf.n * pt.lambda_p >= 0.0
 
 

@@ -330,9 +330,6 @@ UNREPORTABLE_OPTIMUM = {"f_pd": 8e-21, "f_sd": 0.8, "f_ps": 0.0, "lambda_p": 0.0
     # B * C underflows to 0 at the first row
     ("delay", "variable = lambda_s\nstart = 0\nstop = 0.5\nsteps = 3\np_q = 1e-323\nlambda_p = 0.1\n",
      {**STANDARD, "p_q": 1e-323, "p_a": 1.0, "lambda_p": 0.1, "lambda_s": 0.0}),
-    # nothing reaches the destination, so the union slope divides by zero
-    ("region", "f_pd = 0\nf_ps = 0\npolicies = 0.5:1\nstart = 0.1\nstop = 0.5\nsteps = 3\n",
-     {"f_pd": 0.0, "f_sd": 0.8, "f_ps": 0.0, "lambda_p": 0.1}),
     # the secondary optimum's mean delay reads 0, below one slot, as delay would report
     ("optimize", _config(UNREPORTABLE_OPTIMUM), UNREPORTABLE_OPTIMUM),
 ])
@@ -342,6 +339,32 @@ def test_unevaluable_point_exits_2_naming_it(tmp_path, capsys, command, config, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
     err = capsys.readouterr().err
     assert err == _named(point) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", ["", "stop = 0.5\n", "start = 0.1\nstop = 0.5\nsteps = 3\n"],
+                         ids=["default-grid", "stop", "start-stop"])
+def test_region_refuses_a_primary_that_is_never_served(tmp_path, capsys, grid):
+    # mu = 0 at every policy: the union boundary's root is 0, so the default grid would be empty, and
+    # any other grid would start outside the region; the channel is refused before either is built
+    code, text = run(tmp_path, "region", "f_pd = 0\nf_ps = 0\npolicies = 0.5:1\n" + grid)
+    assert code == 2 and text == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: f_pd ({tmp_path / 'run.cfg'}:1), f_ps ({tmp_path / 'run.cfg'}:2): ")
+    assert "never served" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("steps", [2**40, 99999999999999999999])
+def test_sweep_beyond_memory_exits_2_before_allocating(tmp_path, capsys, steps):
+    # 1 KiB a step comes to 2^20 GiB at 2^40 steps; the other is past what np.linspace takes
+    if cli._BYTES_PER_ROW * steps <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        pytest.skip("this machine's memory would hold the sweep")
+    code, text = run(tmp_path, "delay", f"variable = lambda_p\nstart = 0.01\nstop = 0.1\nsteps = {steps}\n")
+    assert code == 2 and text == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: steps ({tmp_path / 'run.cfg'}:4): a grid of {steps} steps needs ")
+    assert "Traceback" not in err
 
 
 def test_interval_narrower_than_the_offset_is_infeasible(tmp_path, capsys):

@@ -83,11 +83,14 @@ def config_files(draw):
     # line 0 stands for none: a valid file
     refused = draw(st.integers(0, len(lines))) or None
     if refused:
-        # the line is out of range, a value no key takes, or an unknown key; those after it may be too
+        # the line is out of range, a value no key takes, an unknown key or bytes that are not UTF-8
+        # (written from the surrogates that stand for them); those after it may be bad too
         key = lines[refused - 1][0]
-        kind = draw(st.sampled_from(["range", "bad", "unknown"]))
+        kind = draw(st.sampled_from(["range", "bad", "unknown", "undecodable"]))
         if kind == "unknown":
             lines[refused - 1] = [f"{key}_x", "1"]
+        elif kind == "undecodable":
+            lines[refused - 1] = ["\udcff\udcfe", "1"]
         else:
             lines[refused - 1][1] = draw(st.sampled_from(EDGES[key][1]) if kind == "range" else BAD)
         for line in lines[refused:]:
@@ -117,7 +120,7 @@ def test_every_command_takes_any_config_file_cleanly(case):
     text, refused = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.cfg")
-        Path(path).write_text(text)
+        Path(path).write_bytes(text.encode("utf-8", "surrogateescape"))
         for command in COMMANDS:
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr):

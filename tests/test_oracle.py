@@ -14,7 +14,7 @@ from points import at
 from reference_oracle import build_transitions, dense, solve_direct
 
 import cogrelay
-from cogrelay import oracle
+from cogrelay import model, oracle
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
 from cogrelay.oracle import (
     CHAIN_PAIRS,
@@ -536,7 +536,7 @@ def test_memory_guard_admits_only_solves_that_fit(monkeypatch, pair, point):
     T = {0.045: 334, 0.0455: 372}[point.lambda_p]
     memory = oracle._BYTES_PER_PHASE * T
     with monkeypatch.context() as patch:
-        patch.setattr(oracle.os, "sysconf", {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}.__getitem__)
+        patch.setattr(model.os, "sysconf", {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}.__getitem__)
         with pytest.raises(ValueError, match=f"truncation {T + 1} needs"):
             ChainSpec(SLOW_CHANNEL, SLOW_POLICY, point, pair=pair, truncation=T + 1)
         spec = ChainSpec(SLOW_CHANNEL, SLOW_POLICY, point, pair=pair, truncation=T)
