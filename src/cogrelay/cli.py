@@ -143,14 +143,14 @@ def _format(values: np.ndarray, present: np.ndarray | None = None) -> list[str]:
     """The cells of a column, empty where ``present`` is False.
 
     Integers print exactly; floats and bools print as float64 to 12
-    significant digits, so True is 1. A float column whose entries all have
-    the same bits is formatted once.
+    significant digits, so True is 1 and -0.0 is 0. A float column whose
+    entries all have the same bits is formatted once.
     """
     values = np.asarray(values)
     if values.dtype.kind in "iu":
         cells = [str(value) for value in values.tolist()]
     else:
-        values = np.ascontiguousarray(values, dtype=np.float64)
+        values = np.ascontiguousarray(values, dtype=np.float64) + 0.0  # -0.0 + 0.0 is 0.0; no other bits change
         bits = values.view(np.int64)
         if values.size and (bits == bits[0]).all():
             cells = ["%.12g" % values[0]] * values.size
@@ -182,6 +182,8 @@ def _open_out(path: str | None):
         yield sys.stdout
         sys.stdout.flush()  # a closed pipe shows here, inside main
         return
+    if os.path.isdir(path):  # refused before the command runs: only the final rename would fail
+        raise OutputError(f"cannot write {path}: Is a directory")
     head, tail = os.path.split(path)
     temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
@@ -257,22 +259,26 @@ def cmd_region(cfg: Config, out) -> int:
     channel = channel_from_config(cfg)
     if cfg["region_mode"] == "boundary":
         policies = cfg["policies"]
-        _, union_root, slope_den = analytics.union_region(channel.f_pd, channel.f_sd, channel.f_ps)
-        if slope_den == 0.0:
-            raise ConfigError(f"{cfg.where('f_pd', 'f_ps')}: the primary is never served (f_pd = f_ps = 0), "
-                              f"so its stability region is empty")
+        union_root = analytics.union_region(channel.f_pd, channel.f_sd, channel.f_ps)[1]
+        if "stop" not in cfg and union_root <= 0.0:
+            raise ConfigError(f"{cfg.where('f_pd', 'f_sd', 'f_ps')}: the union of the stability regions ends at "
+                              f"lambda_p = 0, so the default grid, which ends there too, is empty")
         grid = _grid(Config({"start": 0.0, "stop": float(union_root), "steps": 101}) | cfg)
         p_q = np.array([[pol.p_q] for pol in policies])
         p_a = np.array([[pol.p_a] for pol in policies])
         cf = analytics.closed_forms(channel.f_pd, channel.f_sd, channel.f_ps, p_q, p_a, grid)
-        # the curve's domain always includes the idle-primary point
+        # a curve shows the idle point lambda_p = 0 and the grid below bound_p, which is <= mu in floating
+        # point (alpha >= serve_relay gives fl(serve_relay / alpha) <= 1; bound_p is mu where relay == 0).
+        # So the one unstable point shown is the idle point of a policy whose mu is 0: its region is empty.
+        # It is refused where the grid holds that point or where f_ps = 0 too, so that no policy serves
+        # the primary; a grid above 0 leaves its curve empty, as for any policy whose bound is below it
+        never = np.flatnonzero(cf.mu[:, 0] == 0.0)
+        if never.size and (grid[0] == 0.0 or channel.f_ps == 0.0):
+            pol = policies[never[0]]
+            raise ConfigError(f"{cfg.where('f_pd', 'f_ps', 'policies')}: the primary is never served under the "
+                              f"policy {pol.p_q!r}:{pol.p_a!r} (its service rate is 0), so its region is empty")
         shown = (grid == 0.0) | (grid < cf.bound_p)
-        unstable = shown & (grid >= cf.mu)
-        for row, mu in zip(unstable, cf.mu[:, 0]):
-            if row.any():
-                raise ConfigError(f"lambda_p={float(grid[row.argmax()])!r} not below the primary "
-                                  f"service rate {float(mu)!r}")
-        union, _, _ = analytics.union_region(channel.f_pd, channel.f_sd, channel.f_ps, grid)
+        union = analytics.union_region(channel.f_pd, channel.f_sd, channel.f_ps, grid)[0]
         curve, step = np.nonzero(shown)
         blank = [""] * grid.size
         _write_table(out, {
@@ -534,14 +540,19 @@ def cmd_tradeoff(cfg: Config, out) -> int:
     return 0
 
 
+#: Every subcommand in ``--help``'s order, as (body, description, the config keys only it takes as flags
+#: with their help, to which the parser adds the key's default). Only the parser and main read it.
 _COMMANDS = {
-    "region": cmd_region,
-    "delay": cmd_delay,
-    "simulate": cmd_simulate,
-    "validate": cmd_validate,
-    "optimize": cmd_optimize,
-    "oracle": cmd_oracle,
-    "tradeoff": cmd_tradeoff,
+    "region": (cmd_region, "trace stable-throughput region boundaries to CSV", {}),
+    "delay": (cmd_delay, "evaluate closed-form delays and queue lengths over a sweep", {}),
+    "simulate": (cmd_simulate, "run slot-level simulations over a sweep", {}),
+    "validate": (cmd_validate, "compare simulation against closed forms, exit 1 on violations",
+                 {"tolerance": "relative error tolerance"}),
+    "optimize": (cmd_optimize, "solve the delay-minimization problems (report or sweep CSV)", {}),
+    "oracle": (cmd_oracle, "cross-check closed forms against the truncated-chain solver",
+               {"truncation": "most phases (primary queue lengths) an oracle solve may use; a point whose "
+                              "tail needs more is refused"}),
+    "tradeoff": (cmd_tradeoff, "emit (D_s, D_p) pairs along a p_a sweep at fixed p_q values", {}),
 }
 
 
@@ -561,24 +572,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Queueing toolkit for cooperative spectrum sharing with probabilistic relaying.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "region": "trace stable-throughput region boundaries to CSV",
-        "delay": "evaluate closed-form delays and queue lengths over a sweep",
-        "simulate": "run slot-level simulations over a sweep",
-        "validate": "compare simulation against closed forms, exit 1 on violations",
-        "optimize": "solve the delay-minimization problems (report or sweep CSV)",
-        "oracle": "cross-check closed forms against the truncated-chain solver",
-        "tradeoff": "emit (D_s, D_p) pairs along a p_a sweep at fixed p_q values",
-    }
-    for name, desc in descriptions.items():
-        sub.add_parser(name, help=desc, description=desc, parents=[shared])
-    sub.choices["validate"].add_argument(
-        "--tolerance", help=f"relative error tolerance (default {KEYS['tolerance'].default})"
-    )
-    sub.choices["oracle"].add_argument(
-        "--truncation", help=f"most phases (primary queue lengths) an oracle solve may use; a point whose "
-                             f"tail needs more is refused (default {KEYS['truncation'].default})"
-    )
+    for name, (_, description, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=description, description=description, parents=[shared])
+        for key, text in flags.items():
+            command.add_argument(f"--{key}", help=f"{text} (default {KEYS[key].default})")
     return parser
 
 
@@ -605,7 +602,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _effective_config(args)
         with _open_out(args.out) as out:
-            return _COMMANDS[args.command](cfg, out)
+            run = _COMMANDS[args.command][0]
+            return run(cfg, out)
     except (OutputError, ConvergenceError, np.linalg.LinAlgError) as exc:
         # an unwritable output or a solver fault: no key of the request can cure it
         print(f"error: {exc}", file=sys.stderr)

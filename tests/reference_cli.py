@@ -11,9 +11,11 @@ follow the rules that have changed since: a policy without relay inflow
 has a primary bound (no cooperation, p_q = 1 and p_a = 0, included), and
 ``validate`` checks ``no_cooperation`` runs against the closed forms at
 that policy, refusing only ``strict_priority_relay``; ``region`` refuses a
-channel whose primary is never served (f_pd = f_ps = 0) before its grid.
-:func:`main` is ``cogrelay.cli.main`` with these bodies in place of the
-commands'.
+default grid whose stop, the union boundary's root, is not positive, and a
+listed policy that never serves the primary where its grid holds
+lambda_p = 0 or f_ps = 0 too; and a zero cell prints as ``0``, never
+``-0``. :func:`main` is ``cogrelay.cli.main`` with these bodies in place of
+the commands'.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def _fmt(value) -> str:
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format(float(value), ".12g")
+    return format(float(value) + 0.0, ".12g")
 
 
 def _write_row(out, cells) -> None:
@@ -105,13 +107,17 @@ def cmd_region(cfg, out) -> int:
         policies = cfg["policies"]
         steps = cfg.get("steps", 101)
         relay_full = channel.f_ps * (1.0 - channel.f_pd)
-        if channel.f_pd + relay_full == 0.0:
-            raise ConfigError(f"{cfg.where('f_pd', 'f_ps')}: the primary is never served (f_pd = f_ps = 0), "
-                              f"so its stability region is empty")
         union_root = channel.f_sd * (channel.f_pd + relay_full) / (channel.f_sd + relay_full)
+        if "stop" not in cfg and union_root <= 0.0:
+            raise ConfigError(f"{cfg.where('f_pd', 'f_sd', 'f_ps')}: the union of the stability regions ends at "
+                              f"lambda_p = 0, so the default grid, which ends there too, is empty")
         start = cfg.get("start", 0.0)
         stop = cfg.get("stop", union_root)
         grid = np.linspace(start, stop, steps)
+        for pol in policies:
+            if closed.service_rate_primary(channel, pol.p_a) == 0.0 and (start == 0.0 or channel.f_ps == 0.0):
+                raise ConfigError(f"{cfg.where('f_pd', 'f_ps', 'policies')}: the primary is never served under the "
+                                  f"policy {pol.p_q!r}:{pol.p_a!r} (its service rate is 0), so its region is empty")
         out.write(REGION_BOUNDARY_HEADER + "\n")
         for pol in policies:
             bound = closed.max_arrival_primary(channel, pol)
@@ -308,5 +314,6 @@ COMMANDS = {
 
 def main(argv: list[str]) -> int:
     """``cogrelay.cli.main`` running the reference bodies of the sweep commands."""
-    with mock.patch.dict(cli._COMMANDS, COMMANDS):
+    commands = {name: (run, *cli._COMMANDS[name][1:]) for name, run in COMMANDS.items()}
+    with mock.patch.dict(cli._COMMANDS, commands):
         return cli.main(argv)

@@ -71,6 +71,25 @@ def rows(text):
     return lines[0], [line.split(",") for line in lines[1:]]
 
 
+def test_format_prints_negative_zero_as_zero():
+    # -0.0 + 0.0 is 0.0, and adding 0.0 keeps every other value's bits, nan included
+    assert cli._format(np.array([-0.0, 0.0, np.nan, -1.5, -5e-324])) == ["0", "0", "nan", "-1.5", "-4.94065645841e-324"]
+    assert cli._format(np.array([-0.0, -0.0])) == ["0", "0"]
+
+
+@pytest.mark.parametrize("command,config,column", [
+    # n_s reads -0.0 at lambda_s = 0, and so does its oracle counterpart
+    ("delay", "variable = lambda_s\nstart = 0\nstop = 0.2\nsteps = 3\n", "n_s"),
+    ("oracle", "lambda_s = 0\n", "partner_analytic"),
+])
+def test_zero_cells_print_without_a_sign(tmp_path, command, config, column):
+    code, text = run(tmp_path, command, config)
+    assert code == 0
+    header, body = rows(text)
+    assert body[0][header.split(",").index(column)] == "0"
+    assert all(cell != "-0" for row in body for cell in row)
+
+
 def test_region_boundary_values(tmp_path):
     code, text = run(tmp_path, "region", "policies = 1:1\nsteps = 11\n")
     assert code == 0
@@ -341,17 +360,32 @@ def test_unevaluable_point_exits_2_naming_it(tmp_path, capsys, command, config, 
     assert err == _named(point) and "Traceback" not in err
 
 
-@pytest.mark.parametrize("grid", ["", "stop = 0.5\n", "start = 0.1\nstop = 0.5\nsteps = 3\n"],
-                         ids=["default-grid", "stop", "start-stop"])
-def test_region_refuses_a_primary_that_is_never_served(tmp_path, capsys, grid):
+NEVER_SERVED = ("f_pd ({cfg}:1), f_ps ({cfg}:2), policies ({cfg}:3): the primary is never served under the policy "
+                "0.5:1.0 (its service rate is 0), so its region is empty")
+
+
+@pytest.mark.parametrize("grid,message", [
+    ("", "f_pd ({cfg}:1), f_sd (default), f_ps ({cfg}:2): the union of the stability regions ends at lambda_p = 0, "
+         "so the default grid, which ends there too, is empty"),
+    ("stop = 0.5\n", NEVER_SERVED),
+    ("start = 0.1\nstop = 0.5\nsteps = 3\n", NEVER_SERVED),
+], ids=["default-grid", "stop", "start-stop"])
+def test_region_refuses_a_primary_that_is_never_served(tmp_path, capsys, grid, message):
     # mu = 0 at every policy: the union boundary's root is 0, so the default grid would be empty, and
-    # any other grid would start outside the region; the channel is refused before either is built
+    # no listed policy serves the primary, also on a grid that starts above its idle point
     code, text = run(tmp_path, "region", "f_pd = 0\nf_ps = 0\npolicies = 0.5:1\n" + grid)
     assert code == 2 and text == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: f_pd ({tmp_path / 'run.cfg'}:1), f_ps ({tmp_path / 'run.cfg'}:2): ")
-    assert "never served" in err and "Traceback" not in err
+    assert capsys.readouterr().err == f"config error: {message.format(cfg=tmp_path / 'run.cfg')}\n"
+
+
+def test_region_omits_a_policy_that_is_never_served_from_a_grid_above_its_idle_point(tmp_path):
+    # no cooperation at f_pd = 0 never serves the primary, but the relaying policy does: a grid that starts
+    # above 0 shows no point of the first policy's curve, as for any policy whose bound is below the grid
+    code, text = run(tmp_path, "region", "f_pd = 0\npolicies = 1:0, 0.5:1\nstart = 0.1\nstop = 0.5\nsteps = 3\n")
+    assert code == 0
+    _, body = rows(text)
+    assert [r[:4] for r in body if r[0] == "fixed"] == [["fixed", "0.5", "1", "0.1"]]
 
 
 @pytest.mark.parametrize("steps", [2**40, 99999999999999999999])
@@ -768,7 +802,14 @@ def test_check_between_keys_names_the_origin_of_each(tmp_path, capsys, command, 
 @pytest.mark.parametrize("command,config,message", [
     # no cooperation at f_pd = 0 serves the primary at rate 0, so even the idle-primary point
     # that every curve shows is not below its service rate
-    ("region", "f_pd = 0\npolicies = 1:0, 0.5:1\n", "lambda_p=0.0 not below the primary service rate 0.0"),
+    ("region", "f_pd = 0\npolicies = 1:0, 0.5:1\n",
+     "f_pd ({cfg}:1), f_ps (default), policies ({cfg}:2): the primary is never served under the policy 1.0:0.0 "
+     "(its service rate is 0), so its region is empty"),
+    # the union boundary's root f_sd mu / (f_sd + relay) rounds to 0 at mu = 5e-324, so the default grid,
+    # which ends there, is empty; the grid's keys, which no config sets, are not to blame
+    ("region", "f_pd = 0\nf_ps = 5e-324\nf_sd = 0.3\n",
+     "f_pd ({cfg}:1), f_sd ({cfg}:3), f_ps ({cfg}:2): the union of the stability regions ends at lambda_p = 0, "
+     "so the default grid, which ends there too, is empty"),
     ("delay", " = 5\n", "{cfg}:1: empty key"),
 ])
 def test_refused_config_exits_2_naming_the_cause(tmp_path, capsys, command, config, message):
@@ -800,11 +841,14 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
     assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
 
 
-def test_out_path_that_is_a_directory_exits_2(tmp_path, capsys):
-    code = main(["delay", "--preset", "fig6", "--out", str(tmp_path)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
-    assert list(tmp_path.iterdir()) == []
+def test_out_path_that_is_a_directory_exits_2(tmp_path, capsys, monkeypatch):
+    # refused before the command runs, with or without a trailing slash
+    refused = (lambda *args: pytest.fail("ran a command whose output is refused"), *cli._COMMANDS["delay"][1:])
+    monkeypatch.setitem(cli._COMMANDS, "delay", refused)
+    for out in (str(tmp_path), f"{tmp_path}/"):
+        assert main(["delay", "--preset", "fig6", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])

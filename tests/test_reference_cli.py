@@ -86,9 +86,8 @@ def configs(draw):
         )
         if draw(st.booleans()):
             _grid(draw, config)
-        elif f_pd < f_sd:
-            # the default grid ends at the union boundary's root
-            assume(analytics.union_region(f_pd, f_sd, config["f_ps"])[1] > 0.0)
+        else:
+            # the default grid ends at the union boundary's root, and is refused where that is not positive
             config["steps"] = draw(SMALL_STEPS)
     elif command == "region_rates":
         command = "region"
@@ -130,6 +129,12 @@ def _outcome(run, command, text):
 @example(("tradeoff", "p_q_list = 1, 0.625, 0.3\nsteps = 5\n"))
 @example(("region", "policies = 1:0, 0.5:1\n"))
 @example(("region", "f_pd = 0\nf_ps = 0\npolicies = 0.5:1\nstart = 0.1\nstop = 0.5\nsteps = 3\n"))
+# a policy that never serves the primary is refused where the grid holds its idle point, and else omitted
+@example(("region", "f_pd = 0\npolicies = 1:0, 0.5:1\n"))
+@example(("region", "f_pd = 0\npolicies = 1:0, 0.5:1\nstart = 0.1\nstop = 0.5\nsteps = 3\n"))
+# the union boundary's root rounds to 0, where the default grid ends
+@example(("region", "f_pd = 0\nf_ps = 5e-324\nf_sd = 0.3\n"))
+@example(("region", "f_pd = 0\nf_ps = 5e-324\nf_sd = 0.3\nstop = 0.5\nsteps = 3\n"))
 @example(("delay", "variable = lambda_s\nstart = 0\nstop = 0.5\nsteps = 3\np_q_list = 1e-323, 1.5\n"
                   "lambda_p = 0.1\n"))
 @example(("delay", "variable = lambda\nstart = 0\nstop = 0.1\nsteps = 3\np_q_list = 0, -0.0\n"))

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import reference_simulator as reference
 from points import at
 
-from cogrelay import simulator
+from cogrelay import oracle, simulator
 from cogrelay.model import ChannelProfile, OperatingPoint, Policy
+from cogrelay.oracle import CHAIN_PAIRS, ChainSpec
 from cogrelay.simulator import (
     _BLOCK,
     POLICY_KINDS,
@@ -291,6 +292,74 @@ def test_serve_delivers_what_each_departure_slot_delivers(n, q0, p_join, p_leave
                   start, warmup, totals)
     assert totals == expected
     assert kept.tolist() == rest.tolist()
+
+
+def _paths(sc: Scenario, relay_fault: bool = False) -> dict[str, np.ndarray]:
+    """The Q_p, Q_sp and Q_s paths of a run, at the start of every slot and after the last, from its
+    ``_lindley`` calls: each block solves Q_p, then Q_sp, then Q_s. ``relay_fault`` plants a fault in the
+    simulator: the relay queue also departs in the slots where the primary queue is busy."""
+    lindley, blocks = simulator._lindley, []
+
+    def spy(q0, arrive, serve, lengths, work):
+        if relay_fault and len(blocks) % 3 == 1:
+            serve = serve | (blocks[-1][:-1] != 0)
+        q = lindley(q0, arrive, serve, lengths, work)
+        blocks.append(lengths.copy())
+        return q
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_lindley", spy)
+        simulate(sc)
+    paths = {}
+    for k, name in enumerate(("Q_p", "Q_sp", "Q_s")):
+        own = blocks[k::3]
+        paths[name] = np.concatenate([block[:-1] for block in own] + [own[-1][-1:]])
+    return paths
+
+
+def _forbidden(spec: ChainSpec, phase: np.ndarray, level: np.ndarray) -> set[tuple[int, int, int, int]]:
+    """The one-slot transitions of a (phase, level) path to which the oracle's kernel for ``spec`` gives
+    probability 0, each as (phase, level class: 0 or above, phase step, level step)."""
+    T = int(phase.max()) + 2  # no visited phase is the edge, where up-moves stay put
+    L0, Up0, D, L, Up = oracle._blocks(spec, T)
+    # by level class, level step + 1, phase step + 1 and phase; level 0 has no step down
+    kernel = np.stack([[np.zeros((3, T)), L0, Up0], [D, L, Up]])
+    i, above = phase[:-1], (level[:-1] > 0).astype(int)
+    di, dj = np.diff(phase), np.diff(level)
+    moves = (np.abs(di) <= 1) & (np.abs(dj) <= 1)
+    prob = np.zeros(i.size)
+    prob[moves] = kernel[above[moves], dj[moves] + 1, di[moves] + 1, i[moves]]
+    bad = prob <= 0.0
+    return set(zip(i[bad].tolist(), above[bad].tolist(), di[bad].tolist(), dj[bad].tolist()))
+
+
+#: The pairs whose chain each policy kind runs: strict priority's primary and relay queues are those of the
+#: policy (0, 1), and no cooperation is the policy (1, 0).
+KERNEL_CASES = [
+    ("randomized", Policy(0.3, 0.6), CHAIN_PAIRS),
+    ("randomized", Policy(0.5, 1.0), CHAIN_PAIRS),
+    ("no_cooperation", Policy(1.0, 0.0), CHAIN_PAIRS),
+    ("strict_priority_relay", Policy(0.0, 1.0), ("primary_relay",)),
+]
+
+
+@pytest.mark.parametrize("point", [OperatingPoint(0.15, 0.05), OperatingPoint(0.1, 0.1)])
+@pytest.mark.parametrize("kind,policy,pairs", KERNEL_CASES)
+def test_every_simulated_transition_has_positive_kernel_probability(kind, policy, pairs, point):
+    paths = _paths(Scenario(CH, point, policy, policy_kind=kind, slots=100_000, seed=1))
+    for pair in pairs:
+        partner = paths["Q_s" if pair == "primary_secondary" else "Q_sp"]
+        # levels above 0 are visited too, except by a relay queue that admits nothing
+        assert partner.max() > 0 or (pair == "primary_relay" and policy.p_a == 0.0)
+        assert _forbidden(ChainSpec(CH, policy, point, pair=pair), paths["Q_p"], partner) == set(), pair
+
+
+def test_kernel_support_catches_a_relay_departure_while_the_primary_is_busy():
+    # D is 0 off phase 0: the relay queue only departs in slots where the primary queue is empty
+    point, policy = OperatingPoint(0.15, 0.05), Policy(0.3, 0.6)
+    paths = _paths(Scenario(CH, point, policy, slots=100_000, seed=1), relay_fault=True)
+    forbidden = _forbidden(ChainSpec(CH, policy, point, pair="primary_relay"), paths["Q_p"], paths["Q_sp"])
+    assert forbidden and all(phase > 0 and step == -1 for phase, _, _, step in forbidden), forbidden
 
 
 def _with_cpus(monkeypatch, cpus: int) -> None:
