@@ -207,6 +207,7 @@ def union_region(f_pd, f_sd, f_ps, lambda_p=0.0):
     """
     f_pd, f_sd, f_ps, lambda_p = _operands(f_pd, f_sd, f_ps, lambda_p)
     cf = closed_forms(f_pd, f_sd, f_ps)
-    value = f_sd - (f_sd + cf.relay) / cf.mu * lambda_p
+    # at lambda_p = 0 the boundary is f_sd, also where a subnormal mu overflows the slope to inf
+    value = np.where(lambda_p == 0.0, f_sd, f_sd - (f_sd + cf.relay) / cf.mu * lambda_p)
     # max(value, 0.0) keeps value unless 0.0 is larger, so -0.0 and nan stay
     return np.where(0.0 > value, 0.0, value), f_sd * cf.mu / (f_sd + cf.relay), cf.mu

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import analytics, optimizer
 from .config import KEYS, Config, ConfigError, channel_from_config, load_config_file, parse_values
-from .model import NO_COOPERATION, ChannelProfile, OperatingPoint, Policy, _require_memory
+from .model import NO_COOPERATION, STRICT_PRIORITY, ChannelProfile, OperatingPoint, Policy, _require_memory
 from .oracle import ChainSpec, ConvergenceError, RangeError, TruncationError, UnstableError, solve_stationary
 from .simulator import Scenario, SimStats, replicate_many
 
@@ -263,7 +263,8 @@ def cmd_region(cfg: Config, out) -> int:
         if "stop" not in cfg and union_root <= 0.0:
             raise ConfigError(f"{cfg.where('f_pd', 'f_sd', 'f_ps')}: the union of the stability regions ends at "
                               f"lambda_p = 0, so the default grid, which ends there too, is empty")
-        grid = _grid(Config({"start": 0.0, "stop": float(union_root), "steps": 101}) | cfg)
+        root = f"the union boundary's root, from {cfg.where('f_pd', 'f_sd', 'f_ps')}"
+        grid = _grid(Config({"start": 0.0, "stop": float(union_root), "steps": 101}, {"stop": root}) | cfg)
         p_q = np.array([[pol.p_q] for pol in policies])
         p_a = np.array([[pol.p_a] for pol in policies])
         cf = analytics.closed_forms(channel.f_pd, channel.f_sd, channel.f_ps, p_q, p_a, grid)
@@ -347,12 +348,12 @@ def cmd_simulate(cfg: Config, out) -> int:
     kind = cfg["policy_kind"]
     columns = _policy_columns(cfg, kind)
     if kind == "strict_priority_relay":
-        # strict priority (Sadek, Liu & Ephremides, IEEE Trans. Inf. Theory 53(10), 2007) serves
-        # the relay queue first and admits every decoded packet, whatever p_q and p_a say: its
-        # primary and relay queues are those of the policy (0, 1), and its own queue is stable
-        # below the union region
+        # strict priority (Sadek, Liu & Ephremides, IEEE Trans. Inf. Theory 53(10), 2007) runs the
+        # policy STRICT_PRIORITY, whatever p_q and p_a say, plus a fallback to the own queue that
+        # leaves the primary and relay queues as they are; its own queue is stable below the union region
         channel = [columns["f_pd"], columns["f_sd"], columns["f_ps"]]
-        primary = analytics.closed_forms(*channel, 0.0, 1.0, columns["lambda_p"]).margin_p > 0.0
+        forms = analytics.closed_forms(*channel, STRICT_PRIORITY.p_q, STRICT_PRIORITY.p_a, columns["lambda_p"])
+        primary = forms.margin_p > 0.0
         stable = primary & (analytics.union_region(*channel, columns["lambda_p"])[0] > columns["lambda_s"])
     else:
         stable = analytics.closed_forms(*columns.values()).stable

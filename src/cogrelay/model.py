@@ -23,6 +23,7 @@ __all__ = [
     "Policy",
     "OperatingPoint",
     "NO_COOPERATION",
+    "STRICT_PRIORITY",
 ]
 
 
@@ -82,6 +83,10 @@ class Policy:
 
 #: No cooperation: the SU always serves its own queue and never admits a PU packet.
 NO_COOPERATION = Policy(1.0, 0.0)
+
+#: Strict priority's policy: the SU always picks the relay queue and admits every decoded PU packet. The
+#: simulator adds one fallback: a PU-idle slot whose relay queue is empty serves the SU's own queue.
+STRICT_PRIORITY = Policy(0.0, 1.0)
 
 
 @dataclass(frozen=True)

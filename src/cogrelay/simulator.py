@@ -12,11 +12,11 @@ Per slot, in order:
 2. If the primary queue is empty the SU acts. Under the ``randomized`` policy
    it serves its own queue with probability p_q, else the relay queue; if the
    selected queue is empty the slot is wasted even when the other queue has
-   packets (the policy is not work-conserving). Under
-   ``strict_priority_relay`` it serves the relay queue whenever non-empty
-   (admission forced to 1), else its own queue. ``no_cooperation`` is the
-   randomized policy at (p_q, p_a) = (1, 0). A selected head packet reaches
-   the destination with probability f_sd.
+   packets (the policy is not work-conserving). ``no_cooperation`` runs the
+   policy (p_q, p_a) = (1, 0) and ``strict_priority_relay`` the policy (0, 1)
+   plus one fallback rule: a slot whose relay queue is empty serves the own
+   queue. A selected head packet reaches the destination with probability
+   f_sd.
 3. Bernoulli arrivals are appended at the end of the slot and are first
    eligible for service in the next slot. A packet delivered at its first
    opportunity therefore has delay 1 (delivery slot minus arrival slot), which
@@ -27,8 +27,9 @@ admission, queue pick, SU-destination outcome, two arrivals) comes from its
 own substream of the seeded generator and is indexed by slot number, so
 changing the policy or a single parameter does not perturb unrelated draws
 (common random numbers across comparisons). A draw is skipped where
-``random() < p`` is constant (p = 0 or 1) or never read (the decode without
-admission, the pick under strict priority); every other draw is unchanged.
+``random() < p`` is constant (p = 0 or 1, as the pick under strict priority
+is) or never read (the decode without admission); every other draw is
+unchanged.
 
 Slots are evaluated ``_BLOCK`` at a time. Each FIFO queue gets at most one
 arrival a[t] and one service chance s[t] per slot, so its start-of-slot
@@ -70,7 +71,7 @@ from typing import Any, BinaryIO, NoReturn
 
 import numpy as np
 
-from .model import NO_COOPERATION, ChannelProfile, OperatingPoint, Policy
+from .model import NO_COOPERATION, STRICT_PRIORITY, ChannelProfile, OperatingPoint, Policy
 
 __all__ = [
     "POLICY_KINDS",
@@ -83,6 +84,9 @@ __all__ = [
 ]
 
 POLICY_KINDS = ("randomized", "strict_priority_relay", "no_cooperation")
+
+#: The policy each kind runs; a randomized run reads its scenario's.
+_KIND_POLICY = {"strict_priority_relay": STRICT_PRIORITY, "no_cooperation": NO_COOPERATION}
 
 _BLOCK = 1 << 16
 _N_STREAMS = 7
@@ -106,8 +110,10 @@ class QueueOverflowError(RuntimeError):
 class Scenario:
     """One simulation run specification.
 
-    ``seed`` >= 0 is the SeedSequence entropy of the run's streams. A CLI sweep runs row i at
-    ``base << 32 | i``, the entropy of ``[i, base]``: numpy's idiom for per-worker streams."""
+    ``policy_kind`` names the policy that runs: ``policy`` (``randomized``), ``NO_COOPERATION`` or
+    ``STRICT_PRIORITY`` plus its fallback to the own queue. ``seed`` >= 0 is the SeedSequence entropy
+    of the run's streams. A CLI sweep runs row i at ``base << 32 | i``, the entropy of ``[i, base]``:
+    numpy's idiom for per-worker streams."""
 
     channel: ChannelProfile
     point: OperatingPoint
@@ -256,13 +262,11 @@ def _draw(rng: np.random.Generator, p: float, uniform: np.ndarray, out: np.ndarr
 
 def _run(sc: Scenario, replication: int) -> SimStats:
     ch, pt = sc.channel, sc.point
-    pol = NO_COOPERATION if sc.policy_kind == "no_cooperation" else sc.policy
+    pol = _KIND_POLICY.get(sc.policy_kind, sc.policy)
     strict = sc.policy_kind == "strict_priority_relay"
-    p_admit = 1.0 if strict else pol.p_a  # strict priority admits every decoded packet
-
-    rng_dest, rng_decode, rng_admit, rng_pick, rng_su, rng_ap, rng_as = _stream_rngs(
-        sc.seed, replication
-    )
+    # each event's probability, in stream order; a decode is only read where it may be admitted
+    probs = (ch.f_pd, ch.f_ps if pol.p_a else 0.0, pol.p_a, pol.p_q, ch.f_sd, pt.lambda_p, pt.lambda_s)
+    rngs = _stream_rngs(sc.seed, replication)
     warmup, slots, cap = sc.warmup_slots, sc.slots, QUEUE_CAP
 
     # per queue, the length and the arrival slots of the packets carried across
@@ -272,7 +276,7 @@ def _run(sc: Scenario, replication: int) -> SimStats:
     uniform = np.empty(_BLOCK)
     buf_p, buf_sp, buf_s = (np.empty(_BLOCK + 1, dtype=np.int32) for _ in range(3))
     work = np.empty(_BLOCK, dtype=np.int32)
-    masks = np.empty((7, _BLOCK), dtype=bool)
+    masks = np.empty((len(probs), _BLOCK), dtype=bool)
 
     sum_lp = sum_lsp = sum_ls = 0
     n_empty_p = n_empty_both = wasted = 0
@@ -281,16 +285,10 @@ def _run(sc: Scenario, replication: int) -> SimStats:
 
     for start in range(0, slots, _BLOCK):
         n = min(_BLOCK, slots - start)
-        u = uniform[:n]
-        dest, decode, admit, pick, su, arr_p, arr_s = masks[:, :n]
-        _draw(rng_dest, ch.f_pd, u, dest)
-        _draw(rng_decode, ch.f_ps if p_admit else 0.0, u, decode)
-        _draw(rng_admit, p_admit, u, admit)
-        if not strict:  # strict priority never reads the pick
-            _draw(rng_pick, pol.p_q, u, pick)
-        _draw(rng_su, ch.f_sd, u, su)
-        _draw(rng_ap, pt.lambda_p, u, arr_p)
-        _draw(rng_as, pt.lambda_s, u, arr_s)
+        u, events = uniform[:n], masks[:, :n]
+        for rng, p, out in zip(rngs, probs, events):
+            _draw(rng, p, u, out)
+        dest, decode, admit, pick, su, arr_p, arr_s = events
         lp, lsp, ls, tmp = buf_p[:n + 1], buf_sp[:n + 1], buf_s[:n + 1], work[:n]
 
         # the primary head leaves on destination success or on relay admission
@@ -309,10 +307,10 @@ def _run(sc: Scenario, replication: int) -> SimStats:
         # in idle slots the SU serves the queue it selects
         leave_p &= ~dest
         transmit = idle & su
-        leave_sp = transmit if strict else transmit & ~pick
+        leave_sp = transmit & ~pick
         len_sp = _lindley(len_sp, leave_p, leave_sp, lsp, tmp)
         empty_sp = lsp[:n] == 0
-        own = empty_sp if strict else pick
+        own = empty_sp if strict else pick  # strict priority's fallback: the own queue when the relay's is empty
         leave_s = transmit & own
         len_s = _lindley(len_s, arr_s, leave_s, ls, tmp)
         empty_s = ls[:n] == 0

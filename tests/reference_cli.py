@@ -11,9 +11,11 @@ follow the rules that have changed since: a policy without relay inflow
 has a primary bound (no cooperation, p_q = 1 and p_a = 0, included), and
 ``validate`` checks ``no_cooperation`` runs against the closed forms at
 that policy, refusing only ``strict_priority_relay``; ``region`` refuses a
-default grid whose stop, the union boundary's root, is not positive, and a
-listed policy that never serves the primary where its grid holds
-lambda_p = 0 or f_ps = 0 too; and a zero cell prints as ``0``, never
+default grid whose stop, the union boundary's root, is not positive, a
+start not below its stop, naming the channel keys that fix a default stop,
+and a listed policy that never serves the primary where its grid holds
+lambda_p = 0 or f_ps = 0 too; its union boundary is f_sd at lambda_p = 0,
+also where the slope overflows; and a zero cell prints as ``0``, never
 ``-0``. :func:`main` is ``cogrelay.cli.main`` with these bodies in place of
 the commands'.
 """
@@ -113,6 +115,10 @@ def cmd_region(cfg, out) -> int:
                               f"lambda_p = 0, so the default grid, which ends there too, is empty")
         start = cfg.get("start", 0.0)
         stop = cfg.get("stop", union_root)
+        if not start < stop:
+            root = f"the union boundary's root, from {cfg.where('f_pd', 'f_sd', 'f_ps')}"
+            stop_at = cfg.where("stop") if "stop" in cfg else f"stop ({root})"
+            raise ConfigError(f"{cfg.where('start')}, {stop_at}: need start < stop, got start={start}, stop={stop}")
         grid = np.linspace(start, stop, steps)
         for pol in policies:
             if closed.service_rate_primary(channel, pol.p_a) == 0.0 and (start == 0.0 or channel.f_ps == 0.0):

@@ -123,7 +123,9 @@ def phase_transition_pq(ch: ChannelProfile) -> float:
 def union_region_max_lambda_s(ch: ChannelProfile, lambda_p: float) -> float:
     """Outer stability boundary over all policies (floored at zero)."""
     relay = ch.f_ps * (1.0 - ch.f_pd)
-    value = ch.f_sd - (ch.f_sd + relay) / (ch.f_pd + relay) * lambda_p
+    slope = (ch.f_sd + relay) / (ch.f_pd + relay)
+    # the boundary meets the lambda_s axis at f_sd, also where the slope overflows to inf
+    value = ch.f_sd if lambda_p == 0.0 else ch.f_sd - slope * lambda_p
     return max(value, 0.0)
 
 

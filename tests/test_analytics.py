@@ -104,6 +104,13 @@ def test_union_region():
     assert max_lambda_s(root + 0.05) == 0.0
 
 
+def test_union_region_is_f_sd_at_an_idle_primary_where_the_slope_overflows():
+    # mu = 5e-324 at full admission: the slope (f_sd + relay) / mu is inf, and inf * 0 is nan
+    value, root, slope_den = union_region(0.0, 0.3, 5e-324, [0.0, 0.25])
+    assert slope_den.tolist() == [5e-324] * 2 and root.tolist() == [0.0] * 2
+    assert value.tolist() == [0.3, 0.0]
+
+
 def test_mean_queue_primary():
     assert at(CH, POL).n_p == 0.0
     assert at(CH, POL, PT).n_p == pytest.approx(0.1875, rel=1e-12)

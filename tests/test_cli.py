@@ -125,6 +125,17 @@ def test_region_union_line(tmp_path):
     assert slope == pytest.approx(-1.08 / 0.58, rel=1e-9)
 
 
+def test_region_union_starts_at_f_sd_where_the_slope_overflows(tmp_path):
+    # mu = 5e-324 at full admission: the union's slope (f_sd + relay) / mu is inf, and inf * 0 is nan
+    code, text = run(tmp_path, "region", "f_pd = 0\nf_ps = 5e-324\nf_sd = 0.3\npolicies = 0.5:1\n"
+                                         "start = 0\nstop = 0.5\nsteps = 3\n")
+    assert code == 0
+    _, body = rows(text)
+    assert [r for r in body if r[0] == "union"] == [
+        ["union", "", "", "0", "0.3"], ["union", "", "", "0.25", "0"], ["union", "", "", "0.5", "0"],
+    ]
+
+
 def test_region_no_cooperation_boundary(tmp_path):
     # without cooperation the PU queue alone is served at f_pd = 0.3, and the
     # SU serves its own queue in every PU-idle slot: f_sd (1 - lambda_p / f_pd)
@@ -792,6 +803,10 @@ def test_invalid_values_exit_2(tmp_path, capsys):
      "channel requires f_pd < f_sd, got f_pd=0.6, f_sd=0.5"),
     ("tradeoff", "lambda_s = 0\n", [],
      "lambda_p (default), lambda_s ({cfg}:1): tradeoff requires positive lambda_p and lambda_s"),
+    # the default stop is the union boundary's root, which the channel keys fix
+    ("region", "f_pd = 0.3\nstart = 0.64\n", [],
+     "start ({cfg}:2), stop (the union boundary's root, from f_pd ({cfg}:1), f_sd (default), f_ps (default)): "
+     "need start < stop, got start=0.64, stop=0.4296296296296296"),
 ])
 def test_check_between_keys_names_the_origin_of_each(tmp_path, capsys, command, config, extra, message):
     code, text = run(tmp_path, command, config, extra=extra)

@@ -135,6 +135,8 @@ def _outcome(run, command, text):
 # the union boundary's root rounds to 0, where the default grid ends
 @example(("region", "f_pd = 0\nf_ps = 5e-324\nf_sd = 0.3\n"))
 @example(("region", "f_pd = 0\nf_ps = 5e-324\nf_sd = 0.3\nstop = 0.5\nsteps = 3\n"))
+# a start past the union boundary's root, where the default grid ends
+@example(("region", "f_pd = 0.3\nstart = 0.64\n"))
 @example(("delay", "variable = lambda_s\nstart = 0\nstop = 0.5\nsteps = 3\np_q_list = 1e-323, 1.5\n"
                   "lambda_p = 0.1\n"))
 @example(("delay", "variable = lambda\nstart = 0\nstop = 0.1\nsteps = 3\np_q_list = 0, -0.0\n"))

@@ -2,6 +2,7 @@ import math
 import os
 import signal
 import time
+from dataclasses import fields
 from itertools import accumulate
 
 import numpy as np
@@ -13,7 +14,7 @@ import reference_simulator as reference
 from points import at
 
 from cogrelay import oracle, simulator
-from cogrelay.model import ChannelProfile, OperatingPoint, Policy
+from cogrelay.model import NO_COOPERATION, STRICT_PRIORITY, ChannelProfile, OperatingPoint, Policy
 from cogrelay.oracle import CHAIN_PAIRS, ChainSpec
 from cogrelay.simulator import (
     _BLOCK,
@@ -128,6 +129,24 @@ def test_wasted_slots_by_policy_kind():
     strict = simulate(scenario(policy_kind="strict_priority_relay", slots=100_000, warmup_slots=5_000))
     assert randomized.wasted_slots > 0
     assert strict.wasted_slots == 0
+
+
+#: The SimStats fields of the SU's own queue: the only ones that strict priority's fallback moves.
+OWN_QUEUE_FIELDS = {"throughput_s", "mean_delay_s", "mean_len_s", "frac_both_empty", "delivered_s",
+                    "wasted_slots", "backlog_s", "final_len_s"}
+
+
+@pytest.mark.parametrize("policy", [Policy(0.3, 0.6), NO_COOPERATION, STRICT_PRIORITY])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_strict_priority_is_its_policy_plus_the_own_queue_fallback(policy, seed):
+    # strict priority runs STRICT_PRIORITY whatever its scenario's policy, and the randomized run at that
+    # policy never serves its own queue: 10^5 slots at lambda_s = 0.05 leave about 5000 packets there
+    point = OperatingPoint(0.15, 0.05)
+    strict = simulate(Scenario(CH, point, policy, policy_kind="strict_priority_relay", slots=100_000, seed=seed))
+    randomized = simulate(Scenario(CH, point, STRICT_PRIORITY, slots=100_000, seed=seed))
+    differ = {f.name for f in fields(SimStats) if getattr(strict, f.name) != getattr(randomized, f.name)}
+    assert differ == OWN_QUEUE_FIELDS
+    assert strict.wasted_slots == 0 and randomized.delivered_s == 0
 
 
 def test_no_cooperation_never_relays():
@@ -333,13 +352,13 @@ def _forbidden(spec: ChainSpec, phase: np.ndarray, level: np.ndarray) -> set[tup
     return set(zip(i[bad].tolist(), above[bad].tolist(), di[bad].tolist(), dj[bad].tolist()))
 
 
-#: The pairs whose chain each policy kind runs: strict priority's primary and relay queues are those of the
-#: policy (0, 1), and no cooperation is the policy (1, 0).
+#: The pairs whose chain each policy kind runs: strict priority's primary and relay queues are those of its
+#: policy, and no cooperation is its policy.
 KERNEL_CASES = [
     ("randomized", Policy(0.3, 0.6), CHAIN_PAIRS),
     ("randomized", Policy(0.5, 1.0), CHAIN_PAIRS),
-    ("no_cooperation", Policy(1.0, 0.0), CHAIN_PAIRS),
-    ("strict_priority_relay", Policy(0.0, 1.0), ("primary_relay",)),
+    ("no_cooperation", NO_COOPERATION, CHAIN_PAIRS),
+    ("strict_priority_relay", STRICT_PRIORITY, ("primary_relay",)),
 ]
 
 
