@@ -36,24 +36,23 @@ arrival a[t] and one service chance s[t] per slot, so its start-of-slot
 lengths obey the Lindley recursion Q[t+1] = max(Q[t] - s[t], 0) + a[t], which
 a running sum and a running minimum solve per block. The primary queue does
 not depend on the SU: it fixes the idle slots and the relay queue's arrivals.
-The k-th departure of a queue is its k-th packet in arrival order, which gives
-every delay. Results equal those of the slot-by-slot loop kept in the tests.
-
-Queue lengths and emptiness are sampled at the start of each post-warmup
-slot; per-packet statistics cover packets arriving after warmup. Replications
-derive per-replication substreams deterministically from the scenario seed,
-independent of execution order.
+No packet is followed: a packet is in its origin's queues at the start of
+each slot after its arrival up to its delivery, so where an origin's queues
+start and end a stretch of slots empty, the delays of its packets arriving
+in it sum to its lengths over it (Little's law on a sample path; Stidham,
+Oper. Res. 22(2), 1974). Results equal those of the per-packet loop kept in
+the tests. :class:`SimStats` gives the slots and packets each field covers.
+Replication i draws from substreams of (seed, i), whatever the run order.
 
 :func:`replicate_many` runs a batch of scenarios as one list of (scenario,
 replication) runs. On Linux, with at least two runs, at least two CPUs in the
 process's affinity mask and at least ``_POOL_MIN_SLOTS`` slots in all, the
 runs go to forked workers, one on each CPU up to one per run, while the
 calling process only waits for their results; otherwise they run inline, one
-after another. A worker inherits the imported modules and imports
-``numpy.random`` itself, so a pooled batch costs 20-30 ms more than its runs
-rather than an interpreter start per worker. Since a run's draws depend
-only on its (seed, replication), the results are the same at any worker count
-and in any completion order; ``taskset -c 0`` gives an inline run.
+after another. A worker inherits the imported modules, so it costs no
+interpreter start. Since a run's draws depend only on its (seed, replication),
+the results are the same at any worker count and in any completion order;
+``taskset -c 0`` gives an inline run.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ import math
 import os
 import pickle
 import signal
-import statistics
 import sys
 from collections.abc import Callable, Sequence
 from contextlib import ExitStack
@@ -90,11 +88,10 @@ _KIND_POLICY = {"strict_priority_relay": STRICT_PRIORITY, "no_cooperation": NO_C
 
 _BLOCK = 1 << 16
 _N_STREAMS = 7
-#: Total slots below which a batch runs inline. A pooled batch costs 20-30 ms
-#: beyond its runs: the fork, each worker's 13-21 ms ``numpy.random`` import
-#: (in parallel), pickling and reaping. At the 1.5-2.2e7 slots/s of a worker
-#: that is about 4.2e5 slots either way, and two workers save at most half the
-#: batch's time, so a shorter batch is slower pooled.
+#: Total slots below which a batch runs inline. Pooled, a batch pays 20-30 ms beyond its runs
+#: (the fork, each worker's 13-21 ms ``numpy.random`` import in parallel, pickling and reaping),
+#: and two workers save at most half of its runs' 33-38 ms per 10^6 slots; inline, the calling
+#: process pays the import. Fresh ``simulate`` processes break even at 6e5-1e6 slots.
 _POOL_MIN_SLOTS = 800_000
 
 #: Queue length past which a run stops with :class:`QueueOverflowError`. The cap
@@ -138,17 +135,22 @@ class Scenario:
 class SimStats:
     """Empirical run statistics.
 
-    Per-packet fields (throughputs, delays, delivered/arrival counts, backlog)
-    cover packets arriving after warmup; time averages (queue lengths,
-    emptiness fractions, wasted slots) cover post-warmup slots. ``backlog_*``
-    counts tracked packets still enqueued at the horizon, so per origin
-    arrivals == delivered + backlog exactly. ``wasted_slots`` counts PU-idle
-    slots where the selected queue was empty while the other was not.
+    Time averages (queue lengths and emptiness at the start of each slot, and
+    wasted slots) cover the post-warmup slots, and the counts the packets that
+    arrive after warmup: ``backlog_*`` those left at the horizon, the last ones
+    in as every queue is FIFO, ``delivered_*`` the rest and ``relayed_count``
+    those admitted to the relay queue. ``wasted_slots`` counts PU-idle slots
+    where the selected queue was empty while the other was not. A delay covers
+    the packets that arrive in its origin's window: from the first to the last
+    slot from warmup to the horizon that starts with the origin's queues
+    (primary and relay, or own) empty. An origin that delivers nothing reads 0,
+    and one that delivers but never empties after warmup reads nan.
 
     :func:`replicate_many` pools replications by field type: ``int`` counts are
     summed and ``float`` averages averaged with equal weights, except the
     ``ci_halfwidth_*`` fields: 0 for one run, else the 95% normal-approximation
     half-width (1.96 * stderr) of the per-replication values of their ``source``.
+    A nan delay pools to nan, and so does its half-width.
     """
 
     throughput_p: float
@@ -202,62 +204,21 @@ def _lindley(q0: int, arrive: np.ndarray, serve: np.ndarray, lengths: np.ndarray
     return int(lengths[-1])
 
 
-def _fifo(queued: np.ndarray, arrivals: np.ndarray, leave: np.ndarray,
-          start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Serve a queue holding ``queued`` then ``arrivals`` (arrival slots, head first) in the
-    ``leave`` slots of the block at ``start``: (departed arrival slots, departure slots, rest)."""
-    left_at = np.flatnonzero(leave) + start
-    queue = np.concatenate((queued, arrivals))
-    return queue[:left_at.size], left_at, queue[left_at.size:]
+def _cycle_marks(marks: tuple | None, empty: np.ndarray, first: int, totals: tuple[int, ...],
+                 counted: tuple[np.ndarray, ...]) -> tuple | None:
+    """An origin's ``marks`` after a block: its ``totals`` at its first and its last empty slot so
+    far, or None before the first. ``empty`` marks the block's slots 0..n (n: the next block's
+    first, or the horizon) that start with its queues empty, from ``first``, the first measured
+    one. A total sums a ``counted`` array over the measured slots up to the block's end."""
+    found = empty[first:].tobytes()  # a bool is one byte, 0 or 1
+    last = found.rfind(1)
+    if last < 0:
+        return marks
 
+    def at(k: int) -> tuple[int, ...]:
+        return tuple(total - int(a[first + k:].sum()) for total, a in zip(totals, counted))
 
-def _serve(queued: np.ndarray, arrivals: np.ndarray, entered: int, lengths: np.ndarray,
-           length_sum: int, leave: np.ndarray, start: int, warmup: int,
-           totals: list[int]) -> np.ndarray:
-    """Serve a queue holding ``queued`` then ``arrivals`` (arrival slots, head first) over the
-    block at ``start``, add the delivered packets to ``totals`` as :func:`_deliver` does and
-    return the packets left.
-
-    ``lengths`` is the block's Q[0..n] from :func:`_lindley`; the head leaves in the ``leave``
-    slots where Q > 0, and ``arrivals`` joined in slots summing to ``entered``. Once the block
-    is measured (``start >= warmup``, so ``length_sum`` is sum(Q[0..n-1])) and every departing
-    packet arrived after warmup, only the departure slots' sum is needed. Counted from
-    ``start``, it is sum(Q[1..n-1]) - (n - 1) Q[n] + the joining slots' sum, by parts from
-    Q[t+1] = Q[t] - left[t] + joined[t].
-    """
-    queue = np.concatenate((queued, arrivals))
-    left = queue.size - int(lengths[-1])
-    if start < warmup or (left and queue[0] < warmup):
-        left_at = np.flatnonzero(leave & (lengths[:-1] != 0)) + start
-        _deliver(queue[:left], left_at, warmup, totals)
-    else:
-        n = lengths.size - 1
-        # the departure slots' sum, plus start for each departure
-        left_sum = (length_sum - int(lengths[0]) - (n - 1) * int(lengths[-1])
-                    + entered - start * arrivals.size + start * left)
-        totals[0] += left
-        totals[1] += left_sum - int(queue[:left].sum())
-    return queue[left:]
-
-
-def _deliver(arrived: np.ndarray, left_at: np.ndarray, warmup: int, totals: list[int]) -> None:
-    """Add the count and total delay of the delivered packets that arrived after warmup.
-
-    ``arrived`` is sorted: a FIFO queue's packets leave in arrival order, and
-    relayed packets keep their primary arrival slot.
-    """
-    first = int(np.searchsorted(arrived, warmup))
-    totals[0] += arrived.size - first
-    totals[1] += int(left_at[first:].sum()) - int(arrived[first:].sum())
-
-
-def _draw(rng: np.random.Generator, p: float, uniform: np.ndarray, out: np.ndarray) -> None:
-    """Bernoulli(p) outcomes into the bool ``out`` from as many uniforms drawn into the
-    float64 ``uniform``; at p = 0 or 1 the outcome is constant and nothing is drawn."""
-    if 0.0 < p < 1.0:
-        np.less(rng.random(out=uniform), p, out=out)
-    else:
-        out.fill(p == 1.0)
+    return marks[0] if marks else at(found.find(1)), at(last)
 
 
 def _run(sc: Scenario, replication: int) -> SimStats:
@@ -269,10 +230,7 @@ def _run(sc: Scenario, replication: int) -> SimStats:
     rngs = _stream_rngs(sc.seed, replication)
     warmup, slots, cap = sc.warmup_slots, sc.slots, QUEUE_CAP
 
-    # per queue, the length and the arrival slots of the packets carried across
-    # blocks; relayed packets keep their primary arrival slot
     len_p = len_sp = len_s = 0
-    queued_p = queued_sp = queued_s = np.empty(0, dtype=np.int64)
     uniform = np.empty(_BLOCK)
     buf_p, buf_sp, buf_s = (np.empty(_BLOCK + 1, dtype=np.int32) for _ in range(3))
     work = np.empty(_BLOCK, dtype=np.int32)
@@ -280,14 +238,18 @@ def _run(sc: Scenario, replication: int) -> SimStats:
 
     sum_lp = sum_lsp = sum_ls = 0
     n_empty_p = n_empty_both = wasted = 0
-    arrivals_p = arrivals_s = relayed = 0
-    done_p, done_s = [0, 0], [0, 0]  # delivered packets and their total delay
+    arrivals_p = arrivals_s = admitted = 0
+    head = early = 0  # packets from before warmup still in the primary queue, and their admissions since
+    marks_p = marks_s = None  # the measured totals at each origin's first and last empty slot
 
     for start in range(0, slots, _BLOCK):
         n = min(_BLOCK, slots - start)
         u, events = uniform[:n], masks[:, :n]
         for rng, p, out in zip(rngs, probs, events):
-            _draw(rng, p, u, out)
+            if 0.0 < p < 1.0:  # else the outcome is constant and nothing is drawn
+                np.less(rng.random(out=u), p, out=out)
+            else:
+                out.fill(p == 1.0)
         dest, decode, admit, pick, su, arr_p, arr_s = events
         lp, lsp, ls, tmp = buf_p[:n + 1], buf_sp[:n + 1], buf_s[:n + 1], work[:n]
 
@@ -295,44 +257,42 @@ def _run(sc: Scenario, replication: int) -> SimStats:
         leave_p = np.logical_and(decode, admit, out=decode)  # the decodes are not read again
         leave_p |= dest
         len_p = _lindley(len_p, arr_p, leave_p, lp, tmp)
-        idle = lp[:n] == 0
-        leave_p &= ~idle
-        left, left_at, queued_p = _fifo(queued_p, np.flatnonzero(arr_p) + start, leave_p, start)
-        direct = dest[left_at - start]
-        direct_at = np.compress(direct, left_at)
-        _deliver(np.compress(direct, left), direct_at, warmup, done_p)
-        into_relay = np.compress(~direct, left)
-        relayed += into_relay.size - int(np.searchsorted(into_relay, warmup))
+        empty_p = lp == 0  # at the block's slots 0..n, as are the other queues' masks
+        idle = empty_p[:n]
+        # a busy head the destination missed leaves into the relay queue
+        into_relay = leave_p > (dest | idle)
 
         # in idle slots the SU serves the queue it selects
-        leave_p &= ~dest
         transmit = idle & su
-        leave_sp = transmit & ~pick
-        len_sp = _lindley(len_sp, leave_p, leave_sp, lsp, tmp)
-        empty_sp = lsp[:n] == 0
-        own = empty_sp if strict else pick  # strict priority's fallback: the own queue when the relay's is empty
-        leave_s = transmit & own
-        len_s = _lindley(len_s, arr_s, leave_s, ls, tmp)
-        empty_s = ls[:n] == 0
-
-        first = min(max(warmup - start, 0), n)  # first measured slot
-        block_lsp, block_ls = int(lsp[first:n].sum()), int(ls[first:n].sum())
-        queued_sp = _serve(queued_sp, into_relay, int(left_at.sum()) - int(direct_at.sum()), lsp,
-                           block_lsp, leave_sp, start, warmup, done_p)
-        arrived = np.flatnonzero(arr_s) + start
-        queued_s = _serve(queued_s, arrived, int(arrived.sum()), ls, block_ls, leave_s, start,
-                          warmup, done_s)
+        len_sp = _lindley(len_sp, into_relay, transmit & ~pick, lsp, tmp)
+        empty_sp = lsp == 0
+        # strict priority's fallback: the own queue when the relay's is empty
+        own = empty_sp[:n] if strict else pick
+        len_s = _lindley(len_s, arr_s, transmit & own, ls, tmp)
+        empty_s = ls == 0
 
         # a wasted slot selects the empty one of an empty and a non-empty queue
-        wasted_now = idle & (own == empty_s) & (empty_s != empty_sp)
+        wasted_now = idle & (own == empty_s[:n]) & (empty_s[:n] != empty_sp[:n])
+        first = max(warmup - start, 0)  # first measured slot
         sum_lp += int(lp[first:n].sum())
-        sum_lsp += block_lsp
-        sum_ls += block_ls
+        sum_lsp += int(lsp[first:n].sum())
+        sum_ls += int(ls[first:n].sum())
         n_empty_p += int(np.count_nonzero(idle[first:]))
-        n_empty_both += int(np.count_nonzero((idle & empty_s)[first:]))
+        n_empty_both += int(np.count_nonzero((idle & empty_s[:n])[first:]))
         wasted += int(np.count_nonzero(wasted_now[first:]))
         arrivals_p += int(np.count_nonzero(arr_p[first:]))
         arrivals_s += int(np.count_nonzero(arr_s[first:]))
+        admitted += int(np.count_nonzero(into_relay[first:]))
+        if start <= warmup < start + n:
+            head = int(lp[first])
+        if head:  # the primary queue is FIFO: its first departures from warmup on are these packets
+            left = np.cumsum(leave_p[first:] > idle[first:], dtype=np.int32)
+            end = int(np.argmax(left >= head)) + 1 if left[-1] >= head else left.size
+            early += int(np.count_nonzero(into_relay[first:first + end]))
+            head -= int(left[end - 1])
+        marks_p = _cycle_marks(marks_p, empty_p & empty_sp, first, (sum_lp, sum_lsp, arrivals_p),
+                               (lp[:n], lsp[:n], arr_p))
+        marks_s = _cycle_marks(marks_s, empty_s, first, (sum_ls, arrivals_s), (ls[:n], arr_s))
 
         if len_p > cap or len_sp > cap or len_s > cap:
             raise QueueOverflowError(
@@ -341,14 +301,18 @@ def _run(sc: Scenario, replication: int) -> SimStats:
             )
 
     observed = slots - warmup
-    (delivered_p, delay_sum_p), (delivered_s, delay_sum_s) = done_p, done_s
-    backlog_p = int(np.count_nonzero(queued_p >= warmup) + np.count_nonzero(queued_sp >= warmup))
-    backlog_s = int(np.count_nonzero(queued_s >= warmup))
+    # each origin's window, from its first to its last empty slot, as SimStats says
+    sum_p, sum_sp, cycled_p = (b - a for a, b in zip(*marks_p)) if marks_p else (0, 0, 0)
+    sum_s, cycled_s = (b - a for a, b in zip(*marks_s)) if marks_s else (0, 0)
+    # each FIFO queue holds its last arrivals, and the relay queue's arrive in the primary's order
+    relayed = admitted - early
+    backlog_p, backlog_s = min(len_p, arrivals_p) + min(len_sp, relayed), min(len_s, arrivals_s)
+    delivered_p, delivered_s = arrivals_p - backlog_p, arrivals_s - backlog_s
     return SimStats(
         throughput_p=delivered_p / observed,
         throughput_s=delivered_s / observed,
-        mean_delay_p=delay_sum_p / delivered_p if delivered_p else 0.0,
-        mean_delay_s=delay_sum_s / delivered_s if delivered_s else 0.0,
+        mean_delay_p=(sum_p + sum_sp) / cycled_p if cycled_p else math.nan if delivered_p else 0.0,
+        mean_delay_s=sum_s / cycled_s if cycled_s else math.nan if delivered_s else 0.0,
         mean_len_p=sum_lp / observed,
         mean_len_sp=sum_lsp / observed,
         mean_len_s=sum_ls / observed,
@@ -489,11 +453,14 @@ def replicate_many(scenarios: Sequence[Scenario], replications: int) -> list[Sim
 def _pool_replications(runs: list[SimStats]) -> SimStats:
     if len(runs) == 1:
         return runs[0]
+    import statistics
+
     pooled: dict[str, float | int] = {}
     for f in fields(SimStats):
         values = [getattr(r, f.metadata.get("source", f.name)) for r in runs]
         if "source" in f.metadata:
-            pooled[f.name] = 1.96 * statistics.stdev(values) / math.sqrt(len(values))
+            nan = any(math.isnan(value) for value in values)  # a run measured no delay
+            pooled[f.name] = math.nan if nan else 1.96 * statistics.stdev(values) / math.sqrt(len(values))
         elif f.type == "int":
             pooled[f.name] = sum(values)
         else:

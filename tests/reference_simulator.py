@@ -2,11 +2,19 @@
 
 ``run`` executes the protocol one slot at a time with Python deques, and
 ``replicate`` pools its replications field by field; both are the
-simulator's original implementation, kept unchanged but for reading the
-queue cap from ``cogrelay.simulator.QUEUE_CAP`` at each run (as the
-simulator does, so a test may patch it), so the block-wise evaluation in
-``cogrelay.simulator`` can be checked against them for equality (same
-draws, same integer arithmetic, same float divisions).
+simulator's original implementation, changed only to read the queue cap
+from ``cogrelay.simulator.QUEUE_CAP`` at each run (as the simulator does, so
+a test may patch it), to measure each origin's delays over its window and
+to report a delay no packet measured as nan, so the block-wise evaluation in
+``cogrelay.simulator`` can be checked against them for equality (same draws,
+same integer arithmetic, same float divisions).
+
+An origin's window runs from its first empty slot at or after warmup to its
+last one at or before the horizon, where its queues (the primary and the
+relay queue, or the secondary queue) are empty at the start of the slot.
+``run`` follows each packet from arrival to delivery: the delays are those
+of the packets that arrive inside the window, and the counts, relayed ones
+included, those of the packets that arrive after warmup.
 """
 
 from __future__ import annotations
@@ -40,9 +48,20 @@ def run(sc: Scenario, replication: int) -> SimStats:
     sum_lp = sum_lsp = sum_ls = 0
     n_empty_p = n_empty_both = 0
     delivered_p = delivered_s = relayed = 0
-    delay_sum_p = delay_sum_s = 0
     arrivals_p = arrivals_s = 0
     wasted = 0
+    # the (arrival slot, delay) of every delivered packet
+    done_p: list[tuple[int, int]] = []
+    done_s: list[tuple[int, int]] = []
+    # each origin's window: its first and last empty slot from warmup on
+    window_p: list[int] = []
+    window_s: list[int] = []
+
+    def mark_empty(t: int) -> None:
+        if not qp and not qsp:
+            window_p[:] = [window_p[0] if window_p else t, t]
+        if not qs:
+            window_s[:] = [window_s[0] if window_s else t, t]
 
     t = 0
     for start in range(0, slots, _BLOCK):
@@ -60,6 +79,7 @@ def run(sc: Scenario, replication: int) -> SimStats:
         ):
             measured = t >= warmup
             if measured:
+                mark_empty(t)
                 lp = len(qp)
                 sum_lp += lp
                 sum_lsp += len(qsp)
@@ -73,9 +93,9 @@ def run(sc: Scenario, replication: int) -> SimStats:
             if qp:
                 if dest_ok:
                     a = qp.popleft()
+                    done_p.append((a, t - a))
                     if a >= warmup:
                         delivered_p += 1
-                        delay_sum_p += t - a
                 elif dec_ok and adm_ok:
                     a = qp.popleft()
                     qsp.append(a)
@@ -92,18 +112,18 @@ def run(sc: Scenario, replication: int) -> SimStats:
                     if qs:
                         if su_ok:
                             a = qs.popleft()
+                            done_s.append((a, t - a))
                             if a >= warmup:
                                 delivered_s += 1
-                                delay_sum_s += t - a
                     elif qsp and measured:
                         wasted += 1
                 else:
                     if qsp:
                         if su_ok:
                             a = qsp.popleft()
+                            done_p.append((a, t - a))
                             if a >= warmup:
                                 delivered_p += 1
-                                delay_sum_p += t - a
                     elif qs and measured:
                         wasted += 1
 
@@ -122,15 +142,21 @@ def run(sc: Scenario, replication: int) -> SimStats:
                 f"queue exceeded cap {cap} at slot {t}; the configuration is unstable "
                 f"(len_p={len(qp)}, len_sp={len(qsp)}, len_s={len(qs)})"
             )
+    mark_empty(t)  # the horizon
 
+    def inside(window: list[int], arrived: int) -> bool:
+        return bool(window) and window[0] <= arrived < window[1]
+
+    delays_p = [d for a, d in done_p if inside(window_p, a)]
+    delays_s = [d for a, d in done_s if inside(window_s, a)]
     observed = slots - warmup
     backlog_p = sum(1 for a in qp if a >= warmup) + sum(1 for a in qsp if a >= warmup)
     backlog_s = sum(1 for a in qs if a >= warmup)
     return SimStats(
         throughput_p=delivered_p / observed,
         throughput_s=delivered_s / observed,
-        mean_delay_p=delay_sum_p / delivered_p if delivered_p else 0.0,
-        mean_delay_s=delay_sum_s / delivered_s if delivered_s else 0.0,
+        mean_delay_p=sum(delays_p) / len(delays_p) if delays_p else math.nan if delivered_p else 0.0,
+        mean_delay_s=sum(delays_s) / len(delays_s) if delays_s else math.nan if delivered_s else 0.0,
         mean_len_p=sum_lp / observed,
         mean_len_sp=sum_lsp / observed,
         mean_len_s=sum_ls / observed,
@@ -159,7 +185,7 @@ def replicate(sc: Scenario, replications: int) -> SimStats:
     Replication i uses substreams derived from (seed, i); replication 0 is
     exactly :func:`simulate`. Means are averaged with equal weights, counts
     are summed, and delay confidence half-widths are 1.96 * stderr of the
-    per-replication delay means.
+    per-replication delay means, or nan where one of them is.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -175,6 +201,8 @@ def replicate(sc: Scenario, replications: int) -> SimStats:
 
     def halfwidth(field: str) -> float:
         values = [getattr(r, field) for r in runs]
+        if any(math.isnan(value) for value in values):
+            return math.nan
         return 1.96 * statistics.stdev(values) / math.sqrt(len(values))
 
     return SimStats(

@@ -33,3 +33,11 @@ def test_readme_library_quick_start_runs():
         proc = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_does_not_load_statistics():
+    # only pooled replications use it (with fractions and decimal), and they import it themselves
+    code = "import sys, cogrelay.cli; print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
